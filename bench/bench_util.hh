@@ -4,9 +4,8 @@
  * acp::exp experiment API: each figure/table declares an exp::Request
  * (workloads × config variants) and hands it to exp::submit(), which
  * executes points on a thread pool and persists results in the
- * versioned, fully-keyed ./acp_store result store (a legacy
- * acp_bench_cache.txt is migrated on first open). Set ACP_CONNECT to
- * an acpsimd socket to run the same sweeps through the daemon.
+ * versioned, fully-keyed ./acp_store result store, which concurrent
+ * bench processes may share.
  *
  * Environment knobs:
  *

@@ -1,268 +1,9 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 namespace acp::json
 {
-
-const Value *
-Value::find(const std::string &key) const
-{
-    for (const auto &[name, value] : members)
-        if (name == key)
-            return &value;
-    return nullptr;
-}
-
-std::uint64_t
-Value::asU64(std::uint64_t fallback) const
-{
-    if (type != Type::kNumber || numberText.empty())
-        return fallback;
-    return std::strtoull(numberText.c_str(), nullptr, 10);
-}
-
-double
-Value::asDouble(double fallback) const
-{
-    if (type != Type::kNumber || numberText.empty())
-        return fallback;
-    return std::strtod(numberText.c_str(), nullptr);
-}
-
-bool
-Value::asBool(bool fallback) const
-{
-    return type == Type::kBool ? boolean : fallback;
-}
-
-namespace
-{
-
-/** Cursor over the input with one-token-lookahead helpers. */
-struct Parser
-{
-    const char *at;
-    const char *end;
-    std::string *err;
-
-    bool
-    fail(const char *message)
-    {
-        if (err && err->empty())
-            *err = message;
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (at < end && (*at == ' ' || *at == '\t' || *at == '\n' ||
-                            *at == '\r'))
-            ++at;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const char *p = word;
-        const char *save = at;
-        while (*p) {
-            if (at >= end || *at != *p) {
-                at = save;
-                return false;
-            }
-            ++at;
-            ++p;
-        }
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (at >= end || *at != '"')
-            return fail("expected string");
-        ++at;
-        out.clear();
-        while (at < end && *at != '"') {
-            char c = *at++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (at >= end)
-                return fail("truncated escape");
-            char esc = *at++;
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                if (end - at < 4)
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = *at++;
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= unsigned(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // UTF-8 encode (surrogate pairs not needed for the
-                // control plane; encode the raw code point).
-                if (code < 0x80) {
-                    out += char(code);
-                } else if (code < 0x800) {
-                    out += char(0xc0 | (code >> 6));
-                    out += char(0x80 | (code & 0x3f));
-                } else {
-                    out += char(0xe0 | (code >> 12));
-                    out += char(0x80 | ((code >> 6) & 0x3f));
-                    out += char(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        if (at >= end)
-            return fail("unterminated string");
-        ++at; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(Value &out, int depth)
-    {
-        if (depth > 64)
-            return fail("nesting too deep");
-        skipSpace();
-        if (at >= end)
-            return fail("unexpected end of input");
-        char c = *at;
-        if (c == '{') {
-            ++at;
-            out.type = Value::Type::kObject;
-            skipSpace();
-            if (at < end && *at == '}') {
-                ++at;
-                return true;
-            }
-            for (;;) {
-                skipSpace();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipSpace();
-                if (at >= end || *at != ':')
-                    return fail("expected ':'");
-                ++at;
-                Value member;
-                if (!parseValue(member, depth + 1))
-                    return false;
-                out.members.emplace_back(std::move(key),
-                                         std::move(member));
-                skipSpace();
-                if (at < end && *at == ',') {
-                    ++at;
-                    continue;
-                }
-                if (at < end && *at == '}') {
-                    ++at;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++at;
-            out.type = Value::Type::kArray;
-            skipSpace();
-            if (at < end && *at == ']') {
-                ++at;
-                return true;
-            }
-            for (;;) {
-                Value item;
-                if (!parseValue(item, depth + 1))
-                    return false;
-                out.items.push_back(std::move(item));
-                skipSpace();
-                if (at < end && *at == ',') {
-                    ++at;
-                    continue;
-                }
-                if (at < end && *at == ']') {
-                    ++at;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"') {
-            out.type = Value::Type::kString;
-            return parseString(out.str);
-        }
-        if (literal("true")) {
-            out.type = Value::Type::kBool;
-            out.boolean = true;
-            return true;
-        }
-        if (literal("false")) {
-            out.type = Value::Type::kBool;
-            out.boolean = false;
-            return true;
-        }
-        if (literal("null")) {
-            out.type = Value::Type::kNull;
-            return true;
-        }
-        // Number: keep the raw token for exact integer round-trips.
-        const char *start = at;
-        if (at < end && (*at == '-' || *at == '+'))
-            ++at;
-        bool digits = false;
-        while (at < end &&
-               (std::isdigit(static_cast<unsigned char>(*at)) ||
-                *at == '.' || *at == 'e' || *at == 'E' || *at == '-' ||
-                *at == '+'))
-            digits = true, ++at;
-        if (!digits)
-            return fail("unexpected character");
-        out.type = Value::Type::kNumber;
-        out.numberText.assign(start, at);
-        return true;
-    }
-};
-
-} // namespace
-
-bool
-parse(const std::string &text, Value &out, std::string *err)
-{
-    out = Value{};
-    Parser p{text.data(), text.data() + text.size(), err};
-    if (!p.parseValue(out, 0))
-        return false;
-    p.skipSpace();
-    if (p.at != p.end)
-        return p.fail("trailing garbage");
-    return true;
-}
 
 std::string
 escape(const std::string &text)
@@ -275,7 +16,6 @@ escape(const std::string &text)
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char esc[8];
@@ -287,12 +27,6 @@ escape(const std::string &text)
         }
     }
     return out;
-}
-
-std::string
-quote(const std::string &text)
-{
-    return "\"" + escape(text) + "\"";
 }
 
 } // namespace acp::json

@@ -9,8 +9,6 @@
 #ifndef ACP_CORE_AUTH_POLICY_HH
 #define ACP_CORE_AUTH_POLICY_HH
 
-#include <string>
-
 namespace acp::core
 {
 
@@ -95,29 +93,6 @@ policyName(AuthPolicy p)
       case AuthPolicy::kCommitPlusObfuscation:return "commit+obfuscation";
     }
     return "?";
-}
-
-/**
- * Inverse of policyName(): parse the *serialized* display name (the
- * token sim::serializeConfig emits and the acp-rpc-v1 request schema
- * carries). CLI short names ("issue", "cf", ...) are a separate,
- * acpsim-local vocabulary and are deliberately not accepted here.
- */
-inline bool
-policyFromName(const std::string &name, AuthPolicy &out)
-{
-    for (AuthPolicy p : {AuthPolicy::kBaseline, AuthPolicy::kAuthThenIssue,
-                         AuthPolicy::kAuthThenWrite,
-                         AuthPolicy::kAuthThenCommit,
-                         AuthPolicy::kAuthThenFetch,
-                         AuthPolicy::kCommitPlusFetch,
-                         AuthPolicy::kCommitPlusObfuscation}) {
-        if (name == policyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace acp::core

@@ -64,8 +64,6 @@ struct Point
      * are invisible to the key, and the observability knobs are
      * deliberately excluded from it (they never change results), so a
      * run that wants a trace or interval series must actually run.
-     * Only cacheable points may execute remotely (acpsimd serves
-     * every result through its content-addressed store).
      */
     bool
     cacheable() const

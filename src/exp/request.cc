@@ -1,10 +1,5 @@
 #include "exp/request.hh"
 
-#include <cstdio>
-#include <type_traits>
-
-#include "sim/config_io.hh"
-
 namespace acp::exp
 {
 
@@ -25,38 +20,6 @@ splitOn(const std::string &text, char sep)
         pos = cut + 1;
     }
     return parts;
-}
-
-void
-appendU64(std::string &out, const char *key, std::uint64_t value)
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "\"%s\":%llu,", key,
-                  (unsigned long long)value);
-    out += buf;
-}
-
-void
-appendBool(std::string &out, const char *key, bool value)
-{
-    out += '"';
-    out += key;
-    out += value ? "\":true," : "\":false,";
-}
-
-void
-appendStrArray(std::string &out, const char *key,
-               const std::vector<std::string> &items)
-{
-    out += '"';
-    out += key;
-    out += "\":[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ',';
-        out += json::quote(items[i]);
-    }
-    out += "],";
 }
 
 } // namespace
@@ -122,162 +85,6 @@ Request::points() const
     if (decorate)
         decorate(out);
     return out;
-}
-
-std::string
-Request::toJson() const
-{
-    std::string out;
-    out.reserve(2048);
-    out += "{\"schema\":\"";
-    out += kSchema;
-    out += "\",";
-    appendStrArray(out, "workloads", workloadNames);
-    appendU64(out, "seed", workloadParams.seed);
-    appendU64(out, "workingSetBytes", workloadParams.workingSetBytes);
-    appendU64(out, "warmupInsts", warmupInsts);
-    appendU64(out, "measureInsts", measureInsts);
-    appendU64(out, "cyclesPerInst", cyclesPerInst);
-    out += "\"variants\":[";
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        if (i)
-            out += ',';
-        out += "{\"label\":" + json::quote(variants[i].label) +
-               ",\"config\":" +
-               json::quote(sim::serializeConfig(variants[i].cfg)) + "}";
-    }
-    out += "],\"coresAxis\":[";
-    for (std::size_t i = 0; i < coresAxis.size(); ++i) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "%s%u", i ? "," : "",
-                      coresAxis[i]);
-        out += buf;
-    }
-    out += "],";
-    appendStrArray(out, "mix", mixWorkloads);
-    // The no-variant case still has to reproduce its points remotely:
-    // send the base config so the daemon builds the same implicit
-    // variant.
-    out += "\"baseConfig\":" + json::quote(sim::serializeConfig(baseCfg)) +
-           ",";
-    appendU64(out, "jobs", jobs);
-    out += "\"store\":" + json::quote(store) + ",";
-    appendBool(out, "progress", progress);
-    appendStrArray(out, "counters", counters);
-    appendBool(out, "captureStatsText", captureStatsText);
-    appendU64(out, "heartbeatPeriod", heartbeatPeriod);
-    if (out.back() == ',')
-        out.pop_back();
-    out += '}';
-    return out;
-}
-
-bool
-Request::fromJson(const json::Value &value, Request &out,
-                  std::string *err)
-{
-    auto fail = [&](const std::string &what) {
-        if (err)
-            *err = what;
-        return false;
-    };
-    if (!value.isObject())
-        return fail("request is not an object");
-    const json::Value *schema = value.find("schema");
-    if (!schema || !schema->isString() || schema->str != kSchema)
-        return fail("request schema is not acp-request-v1");
-
-    out = Request{};
-    auto strArray = [&](const char *key, std::vector<std::string> &dst) {
-        const json::Value *v = value.find(key);
-        if (!v || !v->isArray())
-            return;
-        for (const json::Value &item : v->items)
-            if (item.isString())
-                dst.push_back(item.str);
-    };
-    auto u64 = [&](const char *key, auto &dst) {
-        const json::Value *v = value.find(key);
-        if (v && v->isNumber())
-            dst = static_cast<std::decay_t<decltype(dst)>>(v->asU64());
-    };
-    strArray("workloads", out.workloadNames);
-    u64("seed", out.workloadParams.seed);
-    u64("workingSetBytes", out.workloadParams.workingSetBytes);
-    u64("warmupInsts", out.warmupInsts);
-    u64("measureInsts", out.measureInsts);
-    u64("cyclesPerInst", out.cyclesPerInst);
-    if (const json::Value *v = value.find("variants")) {
-        if (!v->isArray())
-            return fail("variants is not an array");
-        for (const json::Value &item : v->items) {
-            const json::Value *label = item.find("label");
-            const json::Value *config = item.find("config");
-            if (!label || !label->isString() || !config ||
-                !config->isString())
-                return fail("variant needs label + config strings");
-            RequestVariant var;
-            var.label = label->str;
-            std::string cfg_err;
-            if (!sim::parseConfig(config->str, var.cfg, &cfg_err))
-                return fail("variant '" + var.label + "': " + cfg_err);
-            out.variants.push_back(std::move(var));
-        }
-    }
-    if (const json::Value *v = value.find("coresAxis"))
-        if (v->isArray())
-            for (const json::Value &item : v->items)
-                if (item.isNumber())
-                    out.coresAxis.push_back(unsigned(item.asU64()));
-    strArray("mix", out.mixWorkloads);
-    if (const json::Value *v = value.find("baseConfig")) {
-        if (!v->isString())
-            return fail("baseConfig is not a string");
-        std::string cfg_err;
-        if (!sim::parseConfig(v->str, out.baseCfg, &cfg_err))
-            return fail("baseConfig: " + cfg_err);
-    }
-    u64("jobs", out.jobs);
-    if (const json::Value *v = value.find("store"))
-        if (v->isString())
-            out.store = v->str;
-    if (const json::Value *v = value.find("progress"))
-        if (v->isBool())
-            out.progress = v->boolean;
-    strArray("counters", out.counters);
-    if (const json::Value *v = value.find("captureStatsText"))
-        if (v->isBool())
-            out.captureStatsText = v->boolean;
-    u64("heartbeatPeriod", out.heartbeatPeriod);
-    return true;
-}
-
-bool
-Request::fromJsonText(const std::string &text, Request &out,
-                      std::string *err)
-{
-    json::Value value;
-    if (!json::parse(text, value, err))
-        return false;
-    return fromJson(value, out, err);
-}
-
-bool
-remoteEligible(const Request &req, std::string *why)
-{
-    auto fail = [&](const char *what) {
-        if (why)
-            *why = what;
-        return false;
-    };
-    if (req.captureStatsText)
-        return fail("captureStatsText is local-only");
-    if (req.decorate)
-        return fail("a decorated request is local-only");
-    for (const Point &p : req.points())
-        if (!p.cacheable())
-            return fail("uncacheable point (observability knobs set)");
-    return true;
 }
 
 } // namespace acp::exp

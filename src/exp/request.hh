@@ -7,10 +7,8 @@
  *
  * A Request replaces the three entry surfaces the harness used to
  * have (the Sweep builder, RunnerOptions, and acpsim's private flag
- * plumbing). The same Request runs identically through the in-process
- * engine, the acpsim CLI, and — serialized as acp-request-v1 JSON —
- * the acpsimd daemon: digests, results and point JSON are
- * bit-identical across all of them.
+ * plumbing): bench binaries, examples and the acpsim CLI all build
+ * one and hand it to exp::submit.
  *
  *   exp::Request req;
  *   req.base(cfg).params(params).window(30000, 60000)
@@ -35,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json.hh"
 #include "exp/point.hh"
 
 namespace acp::obs
@@ -55,9 +52,7 @@ struct RequestVariant
 
 struct Request
 {
-    static constexpr const char *kSchema = "acp-request-v1";
-
-    // ----- sweep axes (serialized; all participate in digests) ------
+    // ----- sweep axes (all participate in digests) ------------------
 
     /** Base configuration snapshot taken by each variant(). */
     sim::SimConfig baseCfg;
@@ -75,7 +70,7 @@ struct Request
     /** Per-core workload mix applied to every point (coreWorkloads). */
     std::vector<std::string> mixWorkloads;
 
-    // ----- execution policy (serialized) ----------------------------
+    // ----- execution policy -----------------------------------------
 
     /** Worker threads; 0 = ACP_JOBS env, else hardware concurrency. */
     unsigned jobs = 0;
@@ -89,38 +84,25 @@ struct Request
      * alike. Empty = capture everything.
      */
     std::vector<std::string> counters;
-    /** Also keep the full dumpStats() text in Result::statsText
-     *  (local execution only — never travels over the wire). */
+    /** Also keep the full dumpStats() text in Result::statsText. */
     bool captureStatsText = false;
     /** Simulated cycles between heartbeat tick records. */
     std::uint64_t heartbeatPeriod = 50000;
 
-    // ----- local-only (never serialized) ----------------------------
+    // ----- in-process hooks ------------------------------------------
 
     /**
      * Live heartbeat sink (JSONL; see obs/heartbeat.hh). Strictly
      * passive: a heartbeat run is bit-identical to a silent one, and
      * heartbeat never affects digests or cacheability. Not owned;
-     * must outlive submit(). With daemon execution the server's
-     * stream is relayed into this sink line-for-line.
+     * must outlive submit().
      */
     obs::Heartbeat *heartbeat = nullptr;
-    /** acpsimd socket path; non-empty routes submit() to the daemon. */
-    std::string connect;
     /**
      * Last-chance point decoration (trace/cosim hooks, ad-hoc config
-     * edits). Runs at the end of points(). A request with a decorator
-     * cannot execute remotely.
+     * edits). Runs at the end of points().
      */
     std::function<void(std::vector<Point> &)> decorate;
-    /**
-     * Distributed trace id for daemon execution: sent alongside the
-     * submit frame (never inside the acp-request-v1 payload, so it
-     * cannot perturb digests) and echoed by the daemon in accepted
-     * frames, per-point fabric blocks, its structured log and the
-     * fleet Chrome trace. Empty = the daemon mints one.
-     */
-    std::string traceId;
 
     // ----- fluent builder (mirrors the old Sweep surface) -----------
 
@@ -198,14 +180,6 @@ struct Request
         return *this;
     }
 
-    /** Name the distributed trace for daemon execution (local-only). */
-    Request &
-    trace(std::string id)
-    {
-        traceId = std::move(id);
-        return *this;
-    }
-
     /** Variants per workload (1 when none was declared). */
     std::size_t
     variantCount() const
@@ -225,31 +199,7 @@ struct Request
      * '+'-joined per-core workload mixes, then run the decorator.
      */
     std::vector<Point> points() const;
-
-    /**
-     * Serialize as one acp-request-v1 JSON line (local-only fields —
-     * heartbeat, connect, decorate — excluded). Variant configs
-     * travel as canonical acp-config-v2 text, so a daemon-side
-     * parseConfig() reproduces client-side digests bit-exactly.
-     */
-    std::string toJson() const;
-
-    /** Parse an acp-request-v1 object; false + @p err on mismatch. */
-    static bool fromJson(const json::Value &value, Request &out,
-                         std::string *err = nullptr);
-
-    /** fromJson over raw text (one parse + schema check). */
-    static bool fromJsonText(const std::string &text, Request &out,
-                             std::string *err = nullptr);
 };
-
-/**
- * True when the request may execute on a daemon: every point is
- * cacheable (the daemon serves results through its content-addressed
- * store), no stats-text capture, no decorator. @p why names the
- * first blocker when given.
- */
-bool remoteEligible(const Request &req, std::string *why = nullptr);
 
 } // namespace acp::exp
 

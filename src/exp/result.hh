@@ -3,7 +3,7 @@
  * What one simulated point produces: the RunResult plus captured
  * statistics, interval series, path profile and host-side provenance.
  * Plain data — the codec in result_codec.hh serializes the cacheable
- * subset for the result store and the acp-rpc-v1 wire.
+ * subset for the result store.
  */
 
 #ifndef ACP_EXP_RESULT_HH

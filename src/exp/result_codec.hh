@@ -1,10 +1,9 @@
 /**
  * @file
- * The one text codec for a cacheable Result — shared by the
- * content-addressed result store (payload lines in acp-store-v1
- * data files) and the acp-rpc-v1 wire (point_done "line" field), so
- * a result that travelled through the daemon decodes bit-identically
- * to one read back from the local store:
+ * The one text codec for a cacheable Result: the payload lines of
+ * the content-addressed result store's acp-store-v1 data files. A
+ * result read back from the store decodes bit-identically to the one
+ * that was put:
  *
  *   ipc=<%.17g> insts=<u> cycles=<u> reason=<u> \
  *       [<group.stat>=<u> ...] \

@@ -1,11 +1,14 @@
 #include "exp/result_store.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "exp/result_codec.hh"
 #include "obs/manifest.hh"
@@ -28,6 +31,22 @@ writeFile(const std::string &path, const std::string &text)
     return true;
 }
 
+/** write(2) all of @p text to @p fd; false on error. */
+bool
+writeAll(int fd, const std::string &text)
+{
+    std::size_t done = 0;
+    while (done < text.size()) {
+        ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        done += std::size_t(n);
+    }
+    return true;
+}
+
 /** Fresh index header: version line + provenance manifest comment. */
 std::string
 indexHeaderText()
@@ -36,10 +55,57 @@ indexHeaderText()
            obs::manifestJsonLine(obs::manifest()) + "\n";
 }
 
+/**
+ * flock(2) on index.txt, held until destruction (closing the
+ * descriptor releases it). The descriptor is opened for appending, so
+ * journal records are written through it. Compaction replaces
+ * index.txt by rename, and a lock on a file that was renamed away
+ * guards nothing: after locking, the descriptor is checked against the
+ * path and the lock is retaken on the current file. fd() is -1 when
+ * the index cannot be opened for writing; the store then only reads.
+ */
+class IndexLock
+{
+  public:
+    IndexLock(const std::string &path, int op)
+    {
+        for (;;) {
+            fd_ = ::open(path.c_str(),
+                         O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
+            if (fd_ < 0)
+                return;
+            int rc;
+            while ((rc = ::flock(fd_, op)) != 0 && errno == EINTR) {
+            }
+            if (rc != 0)
+                return; // no flock on this filesystem: run unlocked
+            struct stat held, named;
+            if (::fstat(fd_, &held) == 0 &&
+                ::stat(path.c_str(), &named) == 0 &&
+                held.st_dev == named.st_dev && held.st_ino == named.st_ino)
+                return;
+            ::close(fd_);
+        }
+    }
+
+    ~IndexLock()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+
+    IndexLock(const IndexLock &) = delete;
+    IndexLock &operator=(const IndexLock &) = delete;
+
+    int fd() const { return fd_; }
+
+  private:
+    int fd_ = -1;
+};
+
 } // namespace
 
-ResultStore::ResultStore(std::string dir, std::size_t max_entries,
-                         std::string legacy_file)
+ResultStore::ResultStore(std::string dir, std::size_t max_entries)
     : dir_(std::move(dir)), maxEntries_(max_entries)
 {
     if (maxEntries_ == 0)
@@ -48,22 +114,34 @@ ResultStore::ResultStore(std::string dir, std::size_t max_entries,
     ::mkdir(dir_.c_str(), 0777); // EEXIST is the common case
 
     std::lock_guard<std::mutex> lock(mutex_);
+    {
+        IndexLock shared(indexPath(), LOCK_SH);
+        if (loadIndexLocked() &&
+            (maxEntries_ == 0 || entries_.size() <= maxEntries_) &&
+            !compactionDueLocked())
+            return;
+    }
+    // Initialising, evicting and compacting write the store. Replay
+    // again under the exclusive lock: records other processes added
+    // since the shared read must survive.
+    IndexLock index(indexPath(), LOCK_EX);
     if (!loadIndexLocked()) {
-        // No (or stale/foreign) index: start the store fresh, then
-        // pull in any legacy flat-file archive sitting next to it.
+        // No (or stale/foreign) index: start the store fresh.
         writeFile(indexPath(), indexHeaderText());
         writeFile(dataPath(), "");
-        migrateLegacyLocked(legacy_file);
     }
     // A cap that shrank since the journal was written applies now.
-    evictLocked();
-    if (deadRecords_ > entries_.size() + 16)
+    evictLocked(index.fd());
+    if (compactionDueLocked())
         compactLocked();
 }
 
 bool
 ResultStore::loadIndexLocked()
 {
+    entries_.clear();
+    lru_.clear();
+    deadRecords_ = 0;
     std::FILE *f = std::fopen(indexPath().c_str(), "r");
     if (!f)
         return false;
@@ -152,45 +230,6 @@ ResultStore::loadIndexLocked()
     return true;
 }
 
-void
-ResultStore::migrateLegacyLocked(const std::string &legacy_file)
-{
-    if (legacy_file.empty())
-        return;
-    std::FILE *f = std::fopen(legacy_file.c_str(), "r");
-    if (!f)
-        return;
-    std::vector<char> line(65536);
-    if (!std::fgets(line.data(), int(line.size()), f)) {
-        std::fclose(f);
-        return;
-    }
-    std::string header(line.data());
-    while (!header.empty() &&
-           (header.back() == '\n' || header.back() == '\r'))
-        header.pop_back();
-    if (header != kLegacyHeader) {
-        std::fclose(f);
-        return; // pre-v6 archives were never servable; leave them be
-    }
-    migratedLegacy_ = true;
-    while (std::fgets(line.data(), int(line.size()), f)) {
-        if (line[0] == '#')
-            continue;
-        std::string text(line.data());
-        std::size_t space = text.find(' ');
-        if (space == std::string::npos || space != 64)
-            continue;
-        std::string digest = text.substr(0, space);
-        Result result;
-        result.fromCache = true;
-        decodeResultTokens(text.substr(space + 1), result);
-        insertLocked(digest, result);
-    }
-    std::fclose(f);
-    evictLocked();
-}
-
 bool
 ResultStore::lookup(const std::string &digest, Result &out)
 {
@@ -202,7 +241,10 @@ ResultStore::lookup(const std::string &digest, Result &out)
     }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    appendIndexLocked("touch " + digest);
+    {
+        IndexLock index(indexPath(), LOCK_EX);
+        appendIndexLocked(index.fd(), "touch " + digest);
+    }
     out = it->second.result;
     out.fromCache = true;
     return true;
@@ -213,22 +255,23 @@ ResultStore::put(const std::string &digest, const Result &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
-    insertLocked(digest, result);
-    evictLocked();
+    IndexLock index(indexPath(), LOCK_EX);
+    insertLocked(index.fd(), digest, result);
+    evictLocked(index.fd());
 }
 
 void
-ResultStore::insertLocked(const std::string &digest,
+ResultStore::insertLocked(int index_fd, const std::string &digest,
                           const Result &result)
 {
     std::string payload = encodeResultTokens(result);
     std::uint64_t offset = 0;
-    if (!appendDataLocked(payload, offset))
-        return; // unwritable store: serve from memory only
+    if (index_fd < 0 || !appendDataLocked(payload, offset))
+        return; // unwritable store: nothing to record
     char span[64];
     std::snprintf(span, sizeof(span), " %llu %zu",
                   (unsigned long long)offset, payload.size());
-    appendIndexLocked("put " + digest + span);
+    appendIndexLocked(index_fd, "put " + digest + span);
 
     auto it = entries_.find(digest);
     if (it != entries_.end()) {
@@ -247,7 +290,7 @@ ResultStore::insertLocked(const std::string &digest,
 }
 
 void
-ResultStore::evictLocked()
+ResultStore::evictLocked(int index_fd)
 {
     if (maxEntries_ == 0)
         return;
@@ -255,7 +298,7 @@ ResultStore::evictLocked()
         std::string victim = lru_.back();
         lru_.pop_back();
         entries_.erase(victim);
-        appendIndexLocked("evict " + victim);
+        appendIndexLocked(index_fd, "evict " + victim);
         deadRecords_ += 2; // the evict record + the put it killed
         ++stats_.evictions;
     }
@@ -264,10 +307,13 @@ ResultStore::evictLocked()
 void
 ResultStore::compactLocked()
 {
-    // Rewrite both files from the live set, least-recent first so a
-    // replay (every put lands at most-recent) reconstructs the exact
-    // LRU order. Temp-file + rename keeps a crash from eating the
-    // store.
+    // Runs under the exclusive lock, right after a replay under that
+    // same lock, so the live set holds every process's entries.
+    // Rewrite both files from it, least-recent first so a replay
+    // (every put lands at most-recent) reconstructs the exact LRU
+    // order. Temp-file + rename keeps a crash from eating the store;
+    // renaming index.txt last makes waiting processes retake their
+    // lock on the new index only once both files are in place.
     std::string data_text;
     std::string index_text = indexHeaderText();
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
@@ -293,34 +339,26 @@ ResultStore::compactLocked()
 }
 
 bool
-ResultStore::appendIndexLocked(const std::string &line)
+ResultStore::appendIndexLocked(int index_fd, const std::string &line)
 {
-    std::FILE *f = std::fopen(indexPath().c_str(), "a");
-    if (!f)
-        return false;
-    std::fprintf(f, "%s\n", line.c_str());
-    std::fclose(f);
-    return true;
+    return index_fd >= 0 && writeAll(index_fd, line + "\n");
 }
 
 bool
 ResultStore::appendDataLocked(const std::string &payload,
                               std::uint64_t &offset)
 {
-    std::FILE *f = std::fopen(dataPath().c_str(), "a");
-    if (!f)
+    int fd = ::open(dataPath().c_str(),
+                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
+    if (fd < 0)
         return false;
-    std::fseek(f, 0, SEEK_END);
-    long at = std::ftell(f);
-    if (at < 0) {
-        std::fclose(f);
-        return false;
-    }
+    // Every appender holds the exclusive index lock, so the current
+    // end of the file is exactly where this write lands.
+    off_t at = ::lseek(fd, 0, SEEK_END);
+    bool ok = at >= 0 && writeAll(fd, payload + "\n");
+    ::close(fd);
     offset = std::uint64_t(at);
-    std::fwrite(payload.data(), 1, payload.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
+    return ok;
 }
 
 std::size_t

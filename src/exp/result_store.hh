@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-addressed, persistently-LRU-bounded result store — the one
- * result backend behind exp::submit and the acpsimd daemon.
+ * result backend behind exp::submit.
  *
  * Layout (a directory, ./acp_store by default):
  *
@@ -25,13 +25,19 @@
  *
  * Results are keyed on pointDigest() alone: SHA-256 over the complete
  * serialized SimConfig plus workload identity and window, so every
- * configuration knob participates in the key and a daemon-side store
- * hit is exactly the result the client would have computed locally.
+ * configuration knob participates in the key and a store hit is
+ * exactly the result the point would compute.
  *
- * Legacy migration: opening a directory with no index.txt imports a
- * sibling acp-cache-v6 flat file (the pre-store format, named by
- * @p legacy_file) if one exists, so existing result archives keep
- * their value. Pre-v6 files are ignored, as before.
+ * Several processes may share one directory (two bench binaries run
+ * side by side, say). Every file access holds flock(2) on index.txt:
+ * shared while the journal is replayed at open, exclusive while a
+ * put/touch/evict record is appended and while the store is
+ * initialised or compacted. The exclusive lock is what makes a put's
+ * recorded data.txt offset the offset its payload really lands at.
+ * Compaction replays the journal again under its lock, so it keeps
+ * entries other processes appended since this one opened. Each
+ * instance serves what it has replayed or put itself; entries another
+ * process adds later are seen on the next open.
  */
 
 #ifndef ACP_EXP_RESULT_STORE_HH
@@ -53,11 +59,9 @@ class ResultStore
 {
   public:
     static constexpr const char *kIndexHeader = "acp-store-v1";
-    /** Header of the pre-store flat-file format (migration source). */
-    static constexpr const char *kLegacyHeader = "acp-cache-v6";
 
     /** Lifetime telemetry of one store instance (sweep JSON
-     *  "telemetry" block, acp-rpc-v1 done/stats frames). */
+     *  "telemetry" block). */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -71,8 +75,7 @@ class ResultStore
      * its index. @p max_entries bounds the live entry count with LRU
      * eviction; 0 reads ACP_CACHE_MAX_ENTRIES (0/unset = unlimited).
      */
-    explicit ResultStore(std::string dir, std::size_t max_entries = 0,
-                         std::string legacy_file = "acp_bench_cache.txt");
+    explicit ResultStore(std::string dir, std::size_t max_entries = 0);
 
     /** Look up a digest; fills @p out (fromCache=true) on a hit and
      *  journals the recency touch. */
@@ -84,9 +87,6 @@ class ResultStore
 
     /** Live (resident and servable) entry count. */
     std::size_t size() const;
-
-    /** True when a legacy flat file was imported at open. */
-    bool migratedLegacy() const { return migratedLegacy_; }
 
     const std::string &dir() const { return dir_; }
 
@@ -104,18 +104,27 @@ class ResultStore
     std::string indexPath() const { return dir_ + "/index.txt"; }
     std::string dataPath() const { return dir_ + "/data.txt"; }
 
+    // "Locked" members run under mutex_ (in-process). Those that take
+    // an @p index_fd also need the exclusive cross-process lock on
+    // index.txt, held through that descriptor; they append to it.
+
+    /** Replay the journal into the (reset) live set; false when the
+     *  index is missing, empty or not acp-store-v1. */
     bool loadIndexLocked();
-    void migrateLegacyLocked(const std::string &legacy_file);
+    bool compactionDueLocked() const
+    {
+        return deadRecords_ > entries_.size() + 16;
+    }
     void compactLocked();
-    bool appendIndexLocked(const std::string &line);
+    bool appendIndexLocked(int index_fd, const std::string &line);
     /** Append one payload line to data.txt; false on I/O failure. */
     bool appendDataLocked(const std::string &payload,
                           std::uint64_t &offset);
-    void insertLocked(const std::string &digest, const Result &result);
-    void evictLocked();
+    void insertLocked(int index_fd, const std::string &digest,
+                      const Result &result);
+    void evictLocked(int index_fd);
 
     std::string dir_;
-    bool migratedLegacy_ = false;
     /** Journal records that no longer describe a live entry. */
     std::size_t deadRecords_ = 0;
     /** Live-entry cap (ACP_CACHE_MAX_ENTRIES env; 0 = unlimited). */

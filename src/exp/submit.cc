@@ -9,6 +9,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/json.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
@@ -73,24 +74,6 @@ class CaptureVisitor : public StatVisitor
     Result &out_;
 };
 
-void
-jsonEscape(std::FILE *f, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': std::fputs("\\\"", f); break;
-          case '\\': std::fputs("\\\\", f); break;
-          case '\n': std::fputs("\\n", f); break;
-          case '\t': std::fputs("\\t", f); break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                std::fprintf(f, "\\u%04x", c);
-            else
-                std::fputc(c, f);
-        }
-    }
-}
-
 /** Serialized-config lines -> one JSON object (values stay strings
  *  only when non-numeric, e.g. the policy name). */
 void
@@ -113,7 +96,7 @@ writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
         std::string key = line.substr(0, eq);
         std::string value = line.substr(eq + 1);
         std::fprintf(f, "%s\n%s  \"", first ? "" : ",", indent);
-        jsonEscape(f, key);
+        std::fputs(json::escape(key).c_str(), f);
         bool numeric = !value.empty() &&
                        value.find_first_not_of("0123456789") ==
                            std::string::npos;
@@ -121,7 +104,7 @@ writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
             std::fprintf(f, "\": %s", value.c_str());
         } else {
             std::fputs("\": \"", f);
-            jsonEscape(f, value);
+            std::fputs(json::escape(value).c_str(), f);
             std::fputc('"', f);
         }
         first = false;
@@ -167,8 +150,6 @@ class ProgressReporter
     const Request &req_;
     std::mutex mutex_;
 };
-
-Submission submitLocal(const Request &req, Sink *sink);
 
 } // namespace
 
@@ -263,11 +244,8 @@ simulatePoint(const Point &point,
     return result;
 }
 
-namespace
-{
-
 Submission
-submitLocal(const Request &req, Sink *sink)
+submit(const Request &req, Sink *sink)
 {
     auto sweep_start = std::chrono::steady_clock::now();
 
@@ -402,19 +380,6 @@ submitLocal(const Request &req, Sink *sink)
     return sub;
 }
 
-} // namespace
-
-Submission
-submit(const Request &req, Sink *sink)
-{
-    if (!req.connect.empty())
-        return submitRemote(req, req.connect, sink);
-    if (const char *env = std::getenv("ACP_CONNECT"))
-        if (env[0] != '\0' && remoteEligible(req))
-            return submitRemote(req, env, sink);
-    return submitLocal(req, sink);
-}
-
 void
 writeJson(std::FILE *out, const std::vector<Point> &points,
           const std::vector<Result> &results,
@@ -461,9 +426,9 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         const Result &r = results[i];
         std::fprintf(out, "%s\n    {\n", i ? "," : "");
         std::fputs("      \"workload\": \"", out);
-        jsonEscape(out, p.workload);
+        std::fputs(json::escape(p.workload).c_str(), out);
         std::fputs("\",\n      \"label\": \"", out);
-        jsonEscape(out, p.label);
+        std::fputs(json::escape(p.label).c_str(), out);
         std::fprintf(out,
                      "\",\n      \"digest\": \"%s\",\n"
                      "      \"workloadSeed\": %llu,\n"
@@ -492,7 +457,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         bool first = true;
         for (const auto &[name, value] : r.counters) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out, "\": %llu", (unsigned long long)value);
             first = false;
         }
@@ -501,7 +466,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         first = true;
         for (const auto &[name, avg] : r.averages) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out,
                          "\": {\"count\": %llu, \"mean\": %.17g, "
                          "\"min\": %.17g, \"max\": %.17g}",
@@ -514,7 +479,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         first = true;
         for (const auto &[name, dist] : r.distributions) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out,
                          "\": {\"count\": %llu, \"sum\": %llu, "
                          "\"min\": %llu, \"max\": %llu, \"buckets\": [",

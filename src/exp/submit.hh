@@ -1,8 +1,8 @@
 /**
  * @file
  * exp::submit — the one execution entry point for a Request. Every
- * surface (bench binaries, the acpsim CLI, acpsim --connect, the
- * acpsimd daemon's workers) calls the same function:
+ * surface (bench binaries, examples, the acpsim CLI) calls the same
+ * function:
  *
  *   exp::Request req;
  *   req.base(cfg).workloads(names).variant(...);
@@ -10,15 +10,11 @@
  *   exp::writeJson("out.json", sub.points, sub.results,
  *                  &sub.telemetry);
  *
- * Routing: a non-empty Request::connect (or the ACP_CONNECT
- * environment variable, when the request is remote-eligible) sends
- * the request to an acpsimd daemon over its Unix socket; otherwise
- * the points run in-process on a std::thread pool (one independent,
- * deterministic sim::System per point) against the local result
- * store. Both paths produce bit-identical Results and digests —
- * asserted in tests/test_svc.cc.
+ * The points run in-process on a std::thread pool (one independent,
+ * deterministic sim::System per point) against the result store
+ * (exp/result_store.hh), which several processes may share.
  *
- * Job count resolution (local): explicit Request::jobs, else the
+ * Job count resolution: explicit Request::jobs, else the
  * ACP_JOBS environment variable, else hardware concurrency. Because
  * every System is self-contained (per-instance xoshiro RNG, no global
  * mutable state), a jobs=N run is bit-identical to jobs=1.
@@ -84,23 +80,19 @@ struct Submission
     bool ok = true;
     /** Human-readable failure (ok == false). */
     std::string error;
-    /** Distributed trace id of a daemon submission (echoed by the
-     *  daemon's accepted frame; empty for local execution). */
-    std::string traceId;
 };
 
 /** ACP_JOBS env or hardware concurrency (never 0). */
 unsigned defaultJobs();
 
-/** Execute @p req (local or daemon, see file comment). */
+/** Execute @p req (see file comment). */
 Submission submit(const Request &req, Sink *sink = nullptr);
 
 /**
  * Simulate one point in-process, no store involved — the primitive
- * under local submit() and the acpsimd worker. @p heartbeat (with
- * @p heartbeat_period) streams run_start/tick/run_end; @p counters
- * filters captured statistics; @p capture_stats_text keeps the full
- * dumpStats() text.
+ * under submit(). @p heartbeat (with @p heartbeat_period) streams
+ * run_start/tick/run_end; @p counters filters captured statistics;
+ * @p capture_stats_text keeps the full dumpStats() text.
  */
 Result simulatePoint(const Point &point,
                      const std::vector<std::string> &counters = {},
@@ -123,11 +115,6 @@ void writeJson(std::FILE *out, const std::vector<Point> &points,
 bool writeJson(const std::string &path, const std::vector<Point> &points,
                const std::vector<Result> &results,
                const SweepTelemetry *telemetry = nullptr);
-
-/** Daemon-path implementation (exp/connect.cc); submit() routes to it
- *  when Request::connect or ACP_CONNECT is set. */
-Submission submitRemote(const Request &req, const std::string &socket_path,
-                        Sink *sink = nullptr);
 
 } // namespace acp::exp
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/json.hh"
 #include "obs/manifest.hh"
 
 namespace acp::obs
@@ -12,33 +13,12 @@ namespace
 {
 
 void
-jsonEscape(std::string &out, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-                out += esc;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
 appendStr(std::string &out, const char *key, const std::string &value)
 {
     out += '"';
     out += key;
     out += "\":\"";
-    jsonEscape(out, value);
+    out += json::escape(value);
     out += "\",";
 }
 
@@ -95,14 +75,9 @@ Heartbeat::open(const std::string &spec)
 
 Heartbeat::Heartbeat(std::FILE *out, bool own) : out_(out), own_(own) {}
 
-Heartbeat::Heartbeat(LineFn fn)
-    : out_(nullptr), own_(false), fn_(std::move(fn))
-{
-}
-
 Heartbeat::~Heartbeat()
 {
-    if (own_ && out_)
+    if (own_)
         std::fclose(out_);
 }
 
@@ -120,10 +95,6 @@ void
 Heartbeat::emit(const std::string &line)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fn_) {
-        fn_(line);
-        return;
-    }
     std::fputs(line.c_str(), out_);
     std::fputc('\n', out_);
     std::fflush(out_);

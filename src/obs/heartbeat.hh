@@ -1,10 +1,9 @@
 /**
  * @file
  * Live heartbeat stream: periodic JSONL records emitted while a run
- * or sweep is *in flight*, so an external process (a dashboard, the
- * future sweep daemon, `tail -f`) can watch progress without waiting
- * for the final JSON. This is the wire format ROADMAP item 3's sweep
- * service will speak; tools/check_heartbeat.py validates it.
+ * or sweep is *in flight*, so an external process (a dashboard, a
+ * parent process reading a pipe, `tail -f`) can watch progress without
+ * waiting for the final JSON. tools/check_heartbeat.py validates it.
  *
  * Stream shape (schema "acp-heartbeat-v1", one JSON object per line):
  *
@@ -40,7 +39,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,8 +57,8 @@ class Heartbeat
   public:
     /**
      * Open a sink from a command-line spec: "-" (or empty) appends to
-     * stderr, "fd:N" adopts an inherited file descriptor (the sweep-
-     * daemon shape: parent passes a pipe), anything else is a file
+     * stderr, "fd:N" adopts an inherited file descriptor (a parent
+     * process passes a pipe), anything else is a file
      * path (truncated). Returns nullptr (with a message on stderr)
      * when the target can't be opened.
      */
@@ -68,15 +66,6 @@ class Heartbeat
 
     /** Wrap an open stream; closes it on destruction iff @p own. */
     Heartbeat(std::FILE *out, bool own);
-
-    /**
-     * Callback sink: each record line (no trailing newline) goes to
-     * @p fn instead of a stream. This is how the acpsimd worker wraps
-     * records into acp-rpc-v1 hb frames without re-parsing them.
-     * Serialized under the same lock as the stream path.
-     */
-    using LineFn = std::function<void(const std::string &)>;
-    explicit Heartbeat(LineFn fn);
 
     ~Heartbeat();
 
@@ -106,14 +95,6 @@ class Heartbeat
                 Cycle cycle, std::uint64_t insts, double ipc,
                 const char *reason);
 
-    /**
-     * Forward an already-rendered record line verbatim. The daemon
-     * client uses this to relay server-side hb frames into the local
-     * sink so a --connect run's stream reads exactly like a local
-     * one.
-     */
-    void rawLine(const std::string &line) { emit(line); }
-
   private:
     /** Write one line + flush under the lock (tail -f friendliness). */
     void emit(const std::string &line);
@@ -122,7 +103,6 @@ class Heartbeat
 
     std::FILE *out_;
     bool own_;
-    LineFn fn_;
     std::mutex mutex_;
 };
 

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "obs/build_info.hh"
 
 namespace acp::obs
@@ -23,34 +24,13 @@ hostName()
 }
 
 void
-jsonEscape(std::string &out, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-                out += esc;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
 appendField(std::string &out, const char *key, const std::string &value,
             bool last = false)
 {
     out += '"';
     out += key;
     out += "\": \"";
-    jsonEscape(out, value);
+    out += json::escape(value);
     out += last ? "\"" : "\", ";
 }
 
@@ -112,11 +92,10 @@ writeManifestJson(std::FILE *out, const Manifest &m, const char *indent)
                  indent, m.gitDirty ? "true" : "false", indent,
                  m.buildType.c_str(), indent, m.compiler.c_str());
     // Flags can contain quotes/backslashes; route through the escaper.
-    std::string flags, sanitize, host, stamp;
-    jsonEscape(flags, m.cxxFlags);
-    jsonEscape(sanitize, m.sanitize);
-    jsonEscape(host, m.hostname);
-    jsonEscape(stamp, m.timestampUtc);
+    const std::string flags = json::escape(m.cxxFlags);
+    const std::string sanitize = json::escape(m.sanitize);
+    const std::string host = json::escape(m.hostname);
+    const std::string stamp = json::escape(m.timestampUtc);
     std::fprintf(out,
                  "%s  \"cxxFlags\": \"%s\",\n"
                  "%s  \"sanitize\": \"%s\",\n"

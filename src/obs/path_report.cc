@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 
+#include "common/json.hh"
+
 namespace acp::obs
 {
 
@@ -12,24 +14,6 @@ const char *
 kindName(unsigned kind)
 {
     return mem::busTxnKindName(mem::BusTxnKind(kind));
-}
-
-void
-jsonEscape(std::FILE *f, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': std::fputs("\\\"", f); break;
-          case '\\': std::fputs("\\\\", f); break;
-          case '\n': std::fputs("\\n", f); break;
-          case '\t': std::fputs("\\t", f); break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                std::fprintf(f, "\\u%04x", c);
-            else
-                std::fputc(c, f);
-        }
-    }
 }
 
 /** kCycleNever prints as -1 in JSON (a cycle that never happened). */
@@ -193,7 +177,7 @@ writePathProfileJson(std::FILE *out, const PathProfile &profile,
 {
     std::fputs("{", out);
     std::fprintf(out, "\n%s  \"policy\": \"", indent);
-    jsonEscape(out, profile.policy);
+    std::fputs(json::escape(profile.policy).c_str(), out);
     std::fprintf(out,
                  "\",\n%s  \"txns\": %" PRIu64
                  ",\n%s  \"degenerate\": %" PRIu64
@@ -238,7 +222,7 @@ writePathProfileJson(std::FILE *out, const PathProfile &profile,
     for (const PathShape &shape : profile.shapes) {
         std::fprintf(out, "%s\n%s    {\"signature\": \"",
                      first ? "" : ",", indent);
-        jsonEscape(out, shape.signature);
+        std::fputs(json::escape(shape.signature).c_str(), out);
         std::fprintf(out,
                      "\", \"count\": %" PRIu64 ", \"latencyTotal\": %"
                      PRIu64 ", \"exampleId\": %" PRIu64 "}",

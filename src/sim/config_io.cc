@@ -1,8 +1,6 @@
 #include "sim/config_io.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "crypto/sha256.hh"
 
@@ -172,266 +170,6 @@ serializeConfig(const SimConfig &cfg)
     }
 
     return out;
-}
-
-namespace
-{
-
-bool
-parseU64(const std::string &value, std::uint64_t &out)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = std::strtoull(value.c_str(), nullptr, 10);
-    return true;
-}
-
-template <typename T>
-bool
-assignU64(const std::string &value, T &field)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(value, v))
-        return false;
-    field = T(v);
-    return true;
-}
-
-bool
-assignBool(const std::string &value, bool &field)
-{
-    if (value == "0" || value == "1") {
-        field = value == "1";
-        return true;
-    }
-    return false;
-}
-
-/** "l2.assoc" -> the assoc field of cfg.l2, and so on. */
-bool
-applyCacheValue(CacheConfig &c, const std::string &sub,
-                const std::string &value)
-{
-    if (sub == "sizeBytes")
-        return assignU64(value, c.sizeBytes);
-    if (sub == "assoc")
-        return assignU64(value, c.assoc);
-    if (sub == "lineBytes")
-        return assignU64(value, c.lineBytes);
-    if (sub == "hitLatency")
-        return assignU64(value, c.hitLatency);
-    return false;
-}
-
-std::vector<std::string>
-splitCommaList(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t cut = text.find(',', pos);
-        if (cut == std::string::npos)
-            cut = text.size();
-        if (cut > pos)
-            parts.push_back(text.substr(pos, cut - pos));
-        pos = cut + 1;
-    }
-    return parts;
-}
-
-} // namespace
-
-bool
-applyConfigValue(SimConfig &cfg, const std::string &key,
-                 const std::string &value, std::string *err)
-{
-    auto bad = [&](const char *what) {
-        if (err)
-            *err = std::string(what) + " '" + key + "=" + value + "'";
-        return false;
-    };
-
-    // Nested cache geometries: "<prefix>.<field>".
-    std::size_t dot = key.find('.');
-    if (dot != std::string::npos) {
-        std::string prefix = key.substr(0, dot);
-        std::string sub = key.substr(dot + 1);
-        CacheConfig *c = nullptr;
-        if (prefix == "l1i")
-            c = &cfg.l1i;
-        else if (prefix == "l1d")
-            c = &cfg.l1d;
-        else if (prefix == "l2")
-            c = &cfg.l2;
-        else if (prefix == "counterCache")
-            c = &cfg.counterCache;
-        else if (prefix == "hashTreeCache")
-            c = &cfg.hashTreeCache;
-        else if (prefix == "remapCache")
-            c = &cfg.remapCache;
-        if (!c)
-            return bad("unknown config key");
-        if (!applyCacheValue(*c, sub, value))
-            return bad("bad config value");
-        return true;
-    }
-
-    bool ok = false;
-    if (key == "fetchWidth")
-        ok = assignU64(value, cfg.fetchWidth);
-    else if (key == "decodeWidth")
-        ok = assignU64(value, cfg.decodeWidth);
-    else if (key == "issueWidth")
-        ok = assignU64(value, cfg.issueWidth);
-    else if (key == "commitWidth")
-        ok = assignU64(value, cfg.commitWidth);
-    else if (key == "ruuSize")
-        ok = assignU64(value, cfg.ruuSize);
-    else if (key == "lsqSize")
-        ok = assignU64(value, cfg.lsqSize);
-    else if (key == "storeBufferSize")
-        ok = assignU64(value, cfg.storeBufferSize);
-    else if (key == "intAluUnits")
-        ok = assignU64(value, cfg.intAluUnits);
-    else if (key == "intMulUnits")
-        ok = assignU64(value, cfg.intMulUnits);
-    else if (key == "memPorts")
-        ok = assignU64(value, cfg.memPorts);
-    else if (key == "fpAddUnits")
-        ok = assignU64(value, cfg.fpAddUnits);
-    else if (key == "fpMulUnits")
-        ok = assignU64(value, cfg.fpMulUnits);
-    else if (key == "bimodalEntries")
-        ok = assignU64(value, cfg.bimodalEntries);
-    else if (key == "btbEntries")
-        ok = assignU64(value, cfg.btbEntries);
-    else if (key == "rasEntries")
-        ok = assignU64(value, cfg.rasEntries);
-    else if (key == "mispredictPenalty")
-        ok = assignU64(value, cfg.mispredictPenalty);
-    else if (key == "tlbEntries")
-        ok = assignU64(value, cfg.tlbEntries);
-    else if (key == "tlbAssoc")
-        ok = assignU64(value, cfg.tlbAssoc);
-    else if (key == "pageBytes")
-        ok = assignU64(value, cfg.pageBytes);
-    else if (key == "tlbMissPenalty")
-        ok = assignU64(value, cfg.tlbMissPenalty);
-    else if (key == "busClockRatio")
-        ok = assignU64(value, cfg.busClockRatio);
-    else if (key == "busWidthBytes")
-        ok = assignU64(value, cfg.busWidthBytes);
-    else if (key == "casLatency")
-        ok = assignU64(value, cfg.casLatency);
-    else if (key == "prechargeLatency")
-        ok = assignU64(value, cfg.prechargeLatency);
-    else if (key == "rasToCasLatency")
-        ok = assignU64(value, cfg.rasToCasLatency);
-    else if (key == "dramBanks")
-        ok = assignU64(value, cfg.dramBanks);
-    else if (key == "dramRowBytes")
-        ok = assignU64(value, cfg.dramRowBytes);
-    else if (key == "maxOutstandingFetches")
-        ok = assignU64(value, cfg.maxOutstandingFetches);
-    else if (key == "macTransferBeats")
-        ok = assignU64(value, cfg.macTransferBeats);
-    else if (key == "decryptLatency")
-        ok = assignU64(value, cfg.decryptLatency);
-    else if (key == "authLatency")
-        ok = assignU64(value, cfg.authLatency);
-    else if (key == "authEngineInterval")
-        ok = assignU64(value, cfg.authEngineInterval);
-    else if (key == "counterBytes")
-        ok = assignU64(value, cfg.counterBytes);
-    else if (key == "encryptionMode") {
-        if (value == "counter") {
-            cfg.encryptionMode = EncryptionMode::kCounterMode;
-            ok = true;
-        } else if (value == "cbc") {
-            cfg.encryptionMode = EncryptionMode::kCbc;
-            ok = true;
-        }
-    } else if (key == "counterPrediction")
-        ok = assignBool(value, cfg.counterPrediction);
-    else if (key == "counterPredictRegionBytes")
-        ok = assignU64(value, cfg.counterPredictRegionBytes);
-    else if (key == "counterPredictWindow")
-        ok = assignU64(value, cfg.counterPredictWindow);
-    else if (key == "hashTreeEnabled")
-        ok = assignBool(value, cfg.hashTreeEnabled);
-    else if (key == "treeHashLatency")
-        ok = assignU64(value, cfg.treeHashLatency);
-    else if (key == "protectedBytes")
-        ok = assignU64(value, cfg.protectedBytes);
-    else if (key == "remapEntryBytes")
-        ok = assignU64(value, cfg.remapEntryBytes);
-    else if (key == "policy")
-        ok = core::policyFromName(value, cfg.policy);
-    else if (key == "fetchGateDrain")
-        ok = assignBool(value, cfg.fetchGateDrain);
-    else if (key == "memoryBytes")
-        ok = assignU64(value, cfg.memoryBytes);
-    else if (key == "rngSeed")
-        ok = assignU64(value, cfg.rngSeed);
-    else if (key == "numCores")
-        ok = assignU64(value, cfg.numCores);
-    else if (key == "corePolicies") {
-        cfg.corePolicies.clear();
-        ok = true;
-        for (const std::string &name : splitCommaList(value)) {
-            core::AuthPolicy p;
-            if (!core::policyFromName(name, p)) {
-                ok = false;
-                break;
-            }
-            cfg.corePolicies.push_back(p);
-        }
-    } else if (key == "coreWorkloads") {
-        cfg.coreWorkloads = splitCommaList(value);
-        ok = true;
-    } else {
-        return bad("unknown config key");
-    }
-    if (!ok)
-        return bad("bad config value");
-    return true;
-}
-
-bool
-parseConfig(const std::string &text, SimConfig &cfg, std::string *err)
-{
-    cfg = SimConfig{};
-    bool sawHeader = false;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            if (line != "acp-config-v2") {
-                if (err)
-                    *err = "unknown config header '" + line + "'";
-                return false;
-            }
-            sawHeader = true;
-            continue;
-        }
-        if (!applyConfigValue(cfg, line.substr(0, eq),
-                              line.substr(eq + 1), err))
-            return false;
-    }
-    if (!sawHeader) {
-        if (err)
-            *err = "missing acp-config-v2 header";
-        return false;
-    }
-    return true;
 }
 
 std::string

@@ -33,29 +33,6 @@ std::string serializeConfig(const SimConfig &cfg);
 /** Lower-case hex SHA-256 of serializeConfig(cfg). */
 std::string configDigest(const SimConfig &cfg);
 
-/**
- * Apply one "key=value" pair to @p cfg — the exact inverse of one
- * serializeConfig() line (numbers in decimal, enums by display name,
- * corePolicies/coreWorkloads as comma-joined lists). Returns false
- * (and fills @p err when given) for unknown keys or unparsable
- * values: a config that arrives over the wire must never silently
- * drop a knob, for the same reason serializeConfig() must never omit
- * one.
- */
-bool applyConfigValue(SimConfig &cfg, const std::string &key,
-                      const std::string &value,
-                      std::string *err = nullptr);
-
-/**
- * Parse a complete serializeConfig() text (version line + key=value
- * lines) into @p cfg, starting from defaults. Round-trip contract:
- * serializeConfig(parseConfig(serializeConfig(c))) ==
- * serializeConfig(c) for every c — asserted in tests, and what makes
- * daemon-side digests bit-identical to client-side ones.
- */
-bool parseConfig(const std::string &text, SimConfig &cfg,
-                 std::string *err = nullptr);
-
 } // namespace acp::sim
 
 #endif // ACP_SIM_CONFIG_IO_HH

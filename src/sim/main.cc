@@ -9,11 +9,8 @@
  *   acpsim swim --policy issue --l2 1M --tree --stats
  *   acpsim mcf,art,swim --policy baseline,commit,issue --jobs 8 \
  *          --json sweep.json
- *   acpsim mcf,art --policy baseline,commit --connect acpsimd.sock
  *
- * The CLI builds one exp::Request and hands it to exp::submit();
- * with --connect (or ACP_CONNECT) the same request executes on an
- * acpsimd daemon instead of in-process — identical output either way.
+ * The CLI builds one exp::Request and hands it to exp::submit().
  *
  * Prints IPC (one row per point), with --stats the full statistics of
  * every component, and with --json a machine-readable record of every
@@ -88,14 +85,8 @@ usage()
         "  --json FILE   write every point+result as JSON\n"
         "  --cache       reuse/persist results in the ./acp_store\n"
         "                content-addressed result store (cap with\n"
-        "                ACP_CACHE_MAX_ENTRIES)\n"
-        "  --connect SOCK  submit the sweep to an acpsimd daemon over\n"
-        "                its unix socket instead of running in-process\n"
-        "                (also: ACP_CONNECT env); results and JSON are\n"
-        "                bit-identical to a local run. Local-only\n"
-        "                observability (--stats, --trace*, --cosim,\n"
-        "                --profile, --stats-interval, --host-stats) is\n"
-        "                rejected\n\n"
+        "                ACP_CACHE_MAX_ENTRIES; concurrent acpsim\n"
+        "                processes may share it)\n\n"
         "observability options:\n"
         "  --stats       dump all component statistics\n"
         "  --host-stats  collect sim.host.* simulator self-metrics\n"
@@ -104,8 +95,7 @@ usage()
         "                --stats and captured into --json\n"
         "  --heartbeat[=SPEC]  stream live JSONL progress records\n"
         "                (sweep/run/tick); SPEC is a file path, fd:N,\n"
-        "                or '-' for stderr  (default: stderr); works\n"
-        "                for --connect runs too (daemon stream relay)\n"
+        "                or '-' for stderr  (default: stderr)\n"
         "  --heartbeat-interval N  simulated cycles between tick\n"
         "                records                  (default: 50000)\n"
         "  --stats-interval N  record IPC + stall breakdown every N\n"
@@ -254,7 +244,6 @@ main(int argc, char **argv)
     std::uint64_t warmup = 50000;
     unsigned jobs = 0;
     std::string json_file;
-    std::string connect_sock;
     bool use_cache = false;
     bool dump_stats = false;
     bool cosim = false;
@@ -311,8 +300,6 @@ main(int argc, char **argv)
             json_file = next();
         } else if (arg == "--cache") {
             use_cache = true;
-        } else if (arg == "--connect") {
-            connect_sock = next();
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--cosim") {
@@ -345,12 +332,6 @@ main(int argc, char **argv)
     }
     if (names.empty())
         acp_fatal("no workloads given");
-    if (!connect_sock.empty() &&
-        (dump_stats || cosim || trace_commits > 0 || !trace_file.empty() ||
-         profile || cfg.statsInterval != 0 || cfg.hostStats))
-        acp_fatal("--connect cannot run local-only observability "
-                  "(--stats/--trace/--trace-commits/--cosim/--profile/"
-                  "--stats-interval/--host-stats)");
 
     // Build the request: workloads x policies, every knob in the
     // config. '+'-joined workload mixes expand inside points().
@@ -377,8 +358,7 @@ main(int argc, char **argv)
 
     if (trace_commits > 0 || cosim || !trace_file.empty()) {
         // Tracing hooks into the live System between warmup and the
-        // timed window; the hooks make the point uncacheable (and the
-        // request local-only).
+        // timed window; the hooks make the point uncacheable.
         std::string path = trace_file;
         req.decorate = [trace_commits, cosim,
                         path](std::vector<exp::Point> &points) {
@@ -413,7 +393,6 @@ main(int argc, char **argv)
     }
 
     req.jobs = jobs;
-    req.connect = connect_sock;
     if (!use_cache)
         req.store.clear();
     req.captureStatsText = dump_stats;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the common utilities: bit operations, RNG
- * determinism, and the stats package.
+ * determinism, the stats package, and the JSON string escaper.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -126,4 +127,18 @@ TEST(Stats, Average)
     EXPECT_DOUBLE_EQ(avg.min(), 1.0);
     EXPECT_DOUBLE_EQ(avg.max(), 5.0);
     EXPECT_EQ(avg.count(), 3u);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes)
+{
+    EXPECT_EQ(json::escape("plain text"), "plain text");
+    EXPECT_EQ(json::escape("\""), "\\\"");
+    EXPECT_EQ(json::escape("\\"), "\\\\");
+    EXPECT_EQ(json::escape("\n"), "\\n");
+    EXPECT_EQ(json::escape("\t"), "\\t");
+    // Every other control byte, carriage return included, becomes a
+    // four-hex-digit unicode escape.
+    EXPECT_EQ(json::escape("\r"), "\\u000d");
+    EXPECT_EQ(json::escape("\x01"), "\\u0001");
+    EXPECT_EQ(json::escape("a\"b\\c\r\n"), "a\\\"b\\\\c\\u000d\\n");
 }

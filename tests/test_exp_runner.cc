@@ -3,14 +3,15 @@
  * Tests for the acp::exp experiment subsystem on the Request/submit
  * API: the materialized cross product, parallel execution being
  * bit-identical to serial, the config digest covering every
- * secure-memory knob, request JSON round-tripping digest-exactly, and
- * the result store serving repeat submissions without re-simulating.
+ * secure-memory and multi-core knob, and the result store serving
+ * repeat submissions without re-simulating.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -80,46 +81,6 @@ TEST(ExpRequest, CrossProductIsWorkloadMajor)
     EXPECT_EQ(points[2].label, "commit");
     EXPECT_EQ(points[3].workload, "swim");
     EXPECT_EQ(points[1].cfg.policy, core::AuthPolicy::kAuthThenIssue);
-}
-
-TEST(ExpRequest, JsonRoundTripPreservesDigests)
-{
-    exp::Request req = smallRequest();
-    std::string json = req.toJson();
-
-    exp::Request back;
-    std::string err;
-    ASSERT_TRUE(exp::Request::fromJsonText(json, back, &err)) << err;
-    EXPECT_EQ(back.toJson(), json) << "re-serialization must be stable";
-
-    std::vector<exp::Point> a = req.points();
-    std::vector<exp::Point> b = back.points();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].workload, b[i].workload) << "point " << i;
-        EXPECT_EQ(a[i].label, b[i].label) << "point " << i;
-        EXPECT_EQ(exp::pointDigest(a[i]), exp::pointDigest(b[i]))
-            << "point " << i
-            << ": a deserialized request must digest bit-identically";
-    }
-}
-
-TEST(ExpRequest, ConfigTextRoundTripsThroughParse)
-{
-    sim::SimConfig cfg;
-    cfg.policy = core::AuthPolicy::kCommitPlusFetch;
-    cfg.hashTreeEnabled = true;
-    cfg.numCores = 2;
-    cfg.corePolicies = {core::AuthPolicy::kAuthThenCommit,
-                        core::AuthPolicy::kBaseline};
-    cfg.coreWorkloads = {"mcf", "gap"};
-    cfg.encryptionMode = sim::EncryptionMode::kCbc;
-    std::string text = sim::serializeConfig(cfg);
-
-    sim::SimConfig parsed;
-    std::string err;
-    ASSERT_TRUE(sim::parseConfig(text, parsed, &err)) << err;
-    EXPECT_EQ(sim::serializeConfig(parsed), text);
 }
 
 TEST(ExpSubmit, ParallelMatchesSerialBitIdentical)
@@ -193,6 +154,42 @@ TEST(ExpDigest, CoversSecureMemoryFields)
         p.params.seed += 1;
         EXPECT_NE(exp::pointDigest(p), base_digest);
     }
+    {
+        exp::Point p = point;
+        p.cfg.hashTreeEnabled = true;
+        EXPECT_NE(exp::pointDigest(p), base_digest);
+    }
+    {
+        exp::Point p = point;
+        p.cfg.policy = core::AuthPolicy::kCommitPlusFetch;
+        EXPECT_NE(exp::pointDigest(p), base_digest);
+    }
+    // Multi-core fields: the core count, and each per-core list on its
+    // own (a list must key even when numCores alone would not change).
+    {
+        exp::Point p = point;
+        p.cfg.numCores = 2;
+        EXPECT_NE(exp::pointDigest(p), base_digest);
+    }
+    {
+        exp::Point p = point;
+        p.cfg.corePolicies = {core::AuthPolicy::kAuthThenCommit,
+                              core::AuthPolicy::kBaseline};
+        EXPECT_NE(exp::pointDigest(p), base_digest);
+        exp::Point q = p;
+        std::swap(q.cfg.corePolicies[0], q.cfg.corePolicies[1]);
+        EXPECT_NE(exp::pointDigest(q), exp::pointDigest(p))
+            << "per-core policy order must be part of the key";
+    }
+    {
+        exp::Point p = point;
+        p.cfg.coreWorkloads = {"mcf", "gap"};
+        EXPECT_NE(exp::pointDigest(p), base_digest);
+        exp::Point q = p;
+        q.cfg.coreWorkloads = {"gap", "mcf"};
+        EXPECT_NE(exp::pointDigest(q), exp::pointDigest(p))
+            << "per-core workload order must be part of the key";
+    }
     // Identical points agree; the display label is not part of the key.
     {
         exp::Point p = point;
@@ -255,28 +252,6 @@ TEST(ExpStore, RoundTripSkipsSimulation)
 TEST(ExpSubmit, JobsResolutionNeverZero)
 {
     EXPECT_GE(exp::defaultJobs(), 1u);
-}
-
-TEST(ExpRequest, RemoteEligibilityNamesBlockers)
-{
-    exp::Request req = smallRequest();
-    EXPECT_TRUE(exp::remoteEligible(req));
-
-    std::string why;
-    exp::Request stats = req;
-    stats.captureStatsText = true;
-    EXPECT_FALSE(exp::remoteEligible(stats, &why));
-    EXPECT_NE(why.find("captureStatsText"), std::string::npos) << why;
-
-    exp::Request decorated = req;
-    decorated.decorate = [](std::vector<exp::Point> &) {};
-    EXPECT_FALSE(exp::remoteEligible(decorated, &why));
-
-    exp::Request traced = req;
-    traced.baseCfg.traceMask = 1;
-    traced.variants.clear();
-    traced.variant("traced", nullptr);
-    EXPECT_FALSE(exp::remoteEligible(traced, &why));
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Tests for the content-addressed result store (exp::ResultStore):
  * payload round-trip through the codec, journal replay reconstructing
  * LRU order across reopen, persistent eviction under the
- * ACP_CACHE_MAX_ENTRIES cap, legacy acp-cache-v6 migration, and
- * journal compaction keeping every live entry servable.
+ * ACP_CACHE_MAX_ENTRIES cap, journal compaction keeping every live
+ * entry servable, and two processes sharing one store directory.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exp/result_codec.hh"
@@ -22,7 +23,7 @@ using namespace acp;
 namespace
 {
 
-/** RAII scratch store directory (plus optional legacy file). */
+/** RAII scratch store directory. */
 class ScratchStore
 {
   public:
@@ -155,54 +156,6 @@ TEST(ResultStore, EvictionIsJournaledNotJustInMemory)
     EXPECT_TRUE(reopened.lookup(digestOf('b'), out));
 }
 
-TEST(ResultStore, MigratesLegacyV6File)
-{
-    ScratchStore dir("test_store_migrate");
-    const char *legacy = "test_store_legacy_cache.txt";
-    std::remove(legacy);
-    {
-        std::FILE *f = std::fopen(legacy, "w");
-        ASSERT_NE(f, nullptr);
-        std::fprintf(f, "%s\n", exp::ResultStore::kLegacyHeader);
-        std::fprintf(f, "# {\"schema\": \"acp-manifest-v1\"}\n");
-        std::fprintf(f, "%s %s\n", digestOf('a').c_str(),
-                     exp::encodeResultTokens(sampleResult(1234)).c_str());
-        std::fprintf(f, "not-a-digest bogus line\n");
-        std::fclose(f);
-    }
-
-    exp::ResultStore store(dir.path(), 0, legacy);
-    EXPECT_TRUE(store.migratedLegacy());
-    EXPECT_EQ(store.size(), 1u);
-    exp::Result out;
-    ASSERT_TRUE(store.lookup(digestOf('a'), out));
-    EXPECT_EQ(out.run.insts, 1234u);
-
-    // Migration is one-shot: the imported entries now live in the
-    // store's own files and survive without the legacy file.
-    std::remove(legacy);
-    exp::ResultStore reopened(dir.path(), 0, legacy);
-    EXPECT_FALSE(reopened.migratedLegacy());
-    EXPECT_EQ(reopened.size(), 1u);
-}
-
-TEST(ResultStore, StaleLegacyFormatIsIgnored)
-{
-    ScratchStore dir("test_store_stale");
-    const char *legacy = "test_store_stale_cache.txt";
-    std::remove(legacy);
-    {
-        std::FILE *f = std::fopen(legacy, "w");
-        ASSERT_NE(f, nullptr);
-        std::fprintf(f, "mcf|pol0|l2_262144|ruu128_64=9.999\n");
-        std::fclose(f);
-    }
-    exp::ResultStore store(dir.path(), 0, legacy);
-    EXPECT_FALSE(store.migratedLegacy());
-    EXPECT_EQ(store.size(), 0u);
-    std::remove(legacy);
-}
-
 TEST(ResultStore, CompactionKeepsEveryLiveEntry)
 {
     ScratchStore dir("test_store_compact");
@@ -232,6 +185,103 @@ TEST(ResultStore, CompactionKeepsEveryLiveEntry)
             ++lines;
     std::fclose(f);
     EXPECT_LT(lines, 26);
+}
+
+/** Digest of entry @p i written by writer @p writer: distinct for
+ *  every (writer, i), 64 hex characters like a real pointDigest. */
+std::string
+writerDigest(int writer, int i)
+{
+    char buf[65];
+    std::snprintf(buf, sizeof(buf), "%032x%032x", writer, i);
+    return buf;
+}
+
+TEST(ResultStore, TwoProcessesAppendWithoutLosingEntries)
+{
+    ScratchStore dir("test_store_two_procs");
+    constexpr int kWriters = 2;
+    constexpr int kPerWriter = 3000;
+    // Open the store once so both writers find an initialised index.
+    { exp::ResultStore init(dir.path()); }
+
+    pid_t pids[kWriters];
+    for (int w = 0; w < kWriters; ++w) {
+        pids[w] = ::fork();
+        ASSERT_GE(pids[w], 0);
+        if (pids[w] == 0) {
+            exp::ResultStore store(dir.path());
+            for (int i = 0; i < kPerWriter; ++i)
+                store.put(writerDigest(w, i),
+                          sampleResult(std::uint64_t(w) * kPerWriter + i));
+            ::_exit(0);
+        }
+    }
+    for (pid_t pid : pids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    // Every journaled span must point at its own payload: a put whose
+    // data.txt offset was taken before another process's append lands
+    // would decode to the wrong result, or fail to decode and drop.
+    exp::ResultStore reopened(dir.path());
+    EXPECT_EQ(reopened.size(), std::size_t(kWriters * kPerWriter));
+    int wrong = 0;
+    for (int w = 0; w < kWriters; ++w) {
+        for (int i = 0; i < kPerWriter; ++i) {
+            exp::Result out;
+            std::uint64_t insts = std::uint64_t(w) * kPerWriter + i;
+            if (!reopened.lookup(writerDigest(w, i), out) ||
+                out.run.insts != insts ||
+                out.counters != sampleResult(insts).counters)
+                ++wrong;
+        }
+    }
+    EXPECT_EQ(wrong, 0) << "entries lost or decoded to another result";
+}
+
+TEST(ResultStore, CompactionKeepsAnotherProcessesEntries)
+{
+    ScratchStore dir("test_store_compact_shared");
+    constexpr int kPuts = 1500;
+    { exp::ResultStore init(dir.path()); }
+
+    // The writer re-puts one hot digest twice per new entry, so dead
+    // journal records keep outrunning live ones and every open below
+    // finds compaction due while the writer is still appending.
+    const std::string hot = digestOf('h');
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        exp::ResultStore store(dir.path());
+        for (int i = 0; i < kPuts; ++i) {
+            store.put(writerDigest(0, i), sampleResult(std::uint64_t(i)));
+            store.put(hot, sampleResult(7));
+            store.put(hot, sampleResult(7));
+        }
+        ::_exit(0);
+    }
+    int status = 0;
+    int opens = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        exp::ResultStore compactor(dir.path());
+        ++opens;
+    }
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_GT(opens, 0);
+
+    exp::ResultStore reopened(dir.path());
+    EXPECT_EQ(reopened.size(), std::size_t(kPuts + 1));
+    int wrong = 0;
+    for (int i = 0; i < kPuts; ++i) {
+        exp::Result out;
+        if (!reopened.lookup(writerDigest(0, i), out) ||
+            out.run.insts != std::uint64_t(i))
+            ++wrong;
+    }
+    EXPECT_EQ(wrong, 0) << "compaction dropped the writer's entries";
 }
 
 } // namespace

@@ -9,10 +9,9 @@
 #
 # Honors the usual scale knobs (REPRO_MEASURE_INSTS, REPRO_WARMUP_INSTS,
 # REPRO_WS_BYTES). Per-run results persist in the ./acp_store
-# directory (content-addressed on the full-config digest; a legacy
-# acp_bench_cache.txt is migrated on first open), so re-running after
-# a code change only recomputes what changed (delete the store
-# directory to force everything).
+# directory (content-addressed on the full-config digest), so
+# re-running after a code change only recomputes what changed (delete
+# the store directory to force everything).
 #
 # --check: instead of regenerating results, build a separate
 # sanitizer-instrumented tree (ACP_SANITIZE=address,undefined in

@@ -730,25 +730,38 @@ OooCore::accountCycle()
         ++commitActiveCycles_;
     } else {
         // Latch the cause: if this tick turns out idle, the skipped
-        // window replays it (classification is constant between wake
-        // boundaries — every branch cycle-compare is in the wake set).
+        // window charges it too (classification is constant between
+        // wake boundaries — every branch cycle-compare is in the wake
+        // set).
         idleCause_ = classifyStall();
         ++stallCounters_[unsigned(idleCause_)];
     }
     ruuOccupancy_.sample(ruuCount_);
     sbOccupancy_.sample(storeBuffer_.size());
-    if (recorder_)
-        recorder_->tick(cycle_, committed_.value(), stallCycles());
-    heartbeatSample(cycle_);
+    // The totals now cover every cycle up to and including cycle_.
+    if (cycle_ + 1 == nextSample_)
+        sampleBoundary();
 }
 
 void
-OooCore::heartbeatSample(Cycle cycle)
+OooCore::addSampler(obs::IntervalSampler &sampler)
 {
-    if (!heartbeat_ || cycle < heartbeat_->nextSampleCycle())
-        return;
-    heartbeat_->sample(cycle, committed_.value(), stallCycles(),
-                       hier_.txnsRetired());
+    sampler.start(cycle_, committed_.value(), stallCycles());
+    samplers_.push_back(&sampler);
+    nextSample_ = std::min(nextSample_, sampler.nextBoundary());
+}
+
+void
+OooCore::sampleBoundary()
+{
+    const obs::StallArray stalls = stallCycles();
+    Cycle next = kCycleNever;
+    for (obs::IntervalSampler *sampler : samplers_) {
+        if (sampler->nextBoundary() == nextSample_)
+            sampler->sample(committed_.value(), stalls);
+        next = std::min(next, sampler->nextBoundary());
+    }
+    nextSample_ = next;
 }
 
 obs::StallArray
@@ -758,13 +771,6 @@ OooCore::stallCycles() const
     for (unsigned i = 0; i < obs::kNumStallCauses; ++i)
         out[i] = stallCounters_[i].value();
     return out;
-}
-
-void
-OooCore::flushIntervals()
-{
-    if (recorder_)
-        recorder_->finish(cycle_, committed_.value(), stallCycles());
 }
 
 bool
@@ -915,54 +921,38 @@ OooCore::nextWakeCycle() const
 void
 OooCore::accountIdleCycles(std::uint64_t n)
 {
-    // Replays, for each of the n skipped cycles, exactly the counter
-    // and recorder side effects the polled loop's idle tick performs.
-    // Machine state is frozen across the window (no completion, no
-    // commit, no drain, no issue, no dispatch, no hierarchy access),
-    // so each cycle charges the same latched causes.
-    bool auth_commit = commitBlock_ == CommitBlock::kAuthGate;
-    bool sb_full = commitBlock_ == CommitBlock::kSbFull;
-    bool ruu_full = dispatchBlock_ == DispatchBlock::kRuuFull;
-    bool lsq_full = dispatchBlock_ == DispatchBlock::kLsqFull;
+    // Charges the n skipped cycles [cycle_, cycle_ + n) exactly as the
+    // polled loop's idle ticks would. Machine state is frozen across
+    // the window (no completion, no commit, no drain, no issue, no
+    // dispatch, no hierarchy access), so each cycle charges the same
+    // latched causes and a stretch of m cycles is charged in O(1).
+    auto charge = [this](std::uint64_t m) {
+        if (commitBlock_ == CommitBlock::kAuthGate)
+            authCommitStalls_ += m;
+        else if (commitBlock_ == CommitBlock::kSbFull)
+            sbFullStalls_ += m;
+        statCycles_ += m;
+        stallCounters_[unsigned(idleCause_)] += m;
+        ruuOccupancy_.sample(ruuCount_, m);
+        sbOccupancy_.sample(storeBuffer_.size(), m);
+        if (drainBlocked_)
+            storeReleaseStalls_ += m;
+        if (dispatchBlock_ == DispatchBlock::kRuuFull)
+            ruuFullStalls_ += m;
+        else if (dispatchBlock_ == DispatchBlock::kLsqFull)
+            lsqFullStalls_ += m;
+    };
 
-    if (recorder_) {
-        // The recorder wants its cumulative feed once per cycle.
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (auth_commit)
-                ++authCommitStalls_;
-            else if (sb_full)
-                ++sbFullStalls_;
-            ++statCycles_;
-            ++stallCounters_[unsigned(idleCause_)];
-            ruuOccupancy_.sample(ruuCount_);
-            sbOccupancy_.sample(storeBuffer_.size());
-            recorder_->tick(cycle_ + i, committed_.value(), stallCycles());
-            if (drainBlocked_)
-                ++storeReleaseStalls_;
-            if (ruu_full)
-                ++ruuFullStalls_;
-            else if (lsq_full)
-                ++lsqFullStalls_;
-        }
-        heartbeatSample(cycle_ + n);
-        return;
+    // Split the charge at each sampler boundary inside the window, so
+    // every sample sees the totals of exactly the cycles before it.
+    const Cycle end = cycle_ + n;
+    Cycle at = cycle_;
+    while (nextSample_ <= end) {
+        charge(nextSample_ - at);
+        at = nextSample_;
+        sampleBoundary();
     }
-
-    if (auth_commit)
-        authCommitStalls_ += n;
-    else if (sb_full)
-        sbFullStalls_ += n;
-    statCycles_ += n;
-    stallCounters_[unsigned(idleCause_)] += n;
-    ruuOccupancy_.sample(ruuCount_, n);
-    sbOccupancy_.sample(storeBuffer_.size(), n);
-    if (drainBlocked_)
-        storeReleaseStalls_ += n;
-    if (ruu_full)
-        ruuFullStalls_ += n;
-    else if (lsq_full)
-        lsqFullStalls_ += n;
-    heartbeatSample(cycle_ + n);
+    charge(end - at);
 }
 
 Cycle
@@ -996,16 +986,6 @@ OooCore::onWake(Cycle now)
         cycle_ = wake;
     }
     return cycle_;
-}
-
-void
-OooCore::resetStats()
-{
-    stats_.resetAll();
-    // Re-anchor the interval recorder: cumulative totals just went
-    // back to zero, so deltas must restart from here.
-    if (recorder_)
-        recorder_->rebase(cycle_, committed_.value(), stallCycles());
 }
 
 void

@@ -36,7 +36,6 @@
 #include "cpu/flat_mem.hh"
 #include "cpu/func_executor.hh"
 #include "isa/instr.hh"
-#include "obs/heartbeat.hh"
 #include "obs/interval.hh"
 #include "obs/stall.hh"
 #include "obs/trace.hh"
@@ -136,9 +135,6 @@ class OooCore : public sim::Component
             regs_[idx & 31] = v;
     }
 
-    /** Zero the measurement statistics (start of the timed window). */
-    void resetStats();
-
     /**
      * Emit a one-line commit trace for the next @p insts committed
      * instructions to @p out (cycle, pc, disassembly, result) — the
@@ -149,19 +145,17 @@ class OooCore : public sim::Component
     /** Attach a passive event trace sink (nullptr detaches). */
     void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
 
-    /** Attach a passive interval-statistics recorder. */
-    void setIntervalRecorder(obs::IntervalRecorder *rec) { recorder_ = rec; }
-
-    /** Attach a passive heartbeat feed (nullptr detaches). Like the
-     *  trace and recorder sinks, the heartbeat only reads statistics
-     *  the core maintains anyway — it never changes timing. */
-    void setHeartbeat(obs::HeartbeatRun *hb) { heartbeat_ = hb; }
+    /**
+     * Attach a passive interval sampler (the --stats-interval series
+     * or a heartbeat feed; not owned, must outlive the core). It is
+     * anchored at the current cycle, and the core hands it its totals
+     * at every period boundary — ticked or skipped — so samples only
+     * read statistics the core maintains anyway.
+     */
+    void addSampler(obs::IntervalSampler &sampler);
 
     /** Cumulative per-cause stall cycles of the stats window. */
     obs::StallArray stallCycles() const;
-
-    /** Flush the recorder's partial tail interval (window end). */
-    void flushIntervals();
 
     StatGroup &stats() { return stats_; }
 
@@ -262,9 +256,9 @@ class OooCore : public sim::Component
     /**
      * Account @p n skipped idle cycles exactly as the polled loop
      * would have: per-cycle stall/occupancy bookkeeping batched
-     * arithmetically, or walked per cycle when an interval recorder
-     * needs the per-cycle feed. Machine state is frozen across the
-     * window by construction, so this is bit-identical to ticking.
+     * arithmetically, split at each sampler boundary inside the
+     * window. Machine state is frozen across the window by
+     * construction, so this is bit-identical to ticking.
      */
     void accountIdleCycles(std::uint64_t n);
 
@@ -294,14 +288,14 @@ class OooCore : public sim::Component
     /**
      * Charge the current cycle: commit-active, or exactly one stall
      * cause. Runs immediately after stageCommit, before the younger
-     * stages mutate the RUU. Also feeds the interval recorder.
+     * stages mutate the RUU. Samples if the cycle ends a period.
      */
     void accountCycle();
     /** Pick the single cause of a zero-commit cycle. */
     obs::StallCause classifyStall();
-    /** Feed the heartbeat (no-op unless a period boundary passed; the
-     *  nextSampleCycle() guard keeps the hot path to one compare). */
-    void heartbeatSample(Cycle cycle);
+    /** The totals cover every cycle before nextSample_: hand them to
+     *  the samplers whose boundary that is, and find the next one. */
+    void sampleBoundary();
 
     const sim::SimConfig &cfg_;
     secmem::MemHierarchy &hier_;
@@ -369,8 +363,10 @@ class OooCore : public sim::Component
 
     // Observability (passive: never feeds back into the model)
     obs::TraceBuffer *trace_ = nullptr;
-    obs::IntervalRecorder *recorder_ = nullptr;
-    obs::HeartbeatRun *heartbeat_ = nullptr;
+    /** At most two: the interval series and a heartbeat feed. */
+    std::vector<obs::IntervalSampler *> samplers_;
+    /** Earliest sampler boundary (kCycleNever with no sampler). */
+    Cycle nextSample_ = kCycleNever;
     unsigned commitsThisCycle_ = 0;
     CommitBlock commitBlock_ = CommitBlock::kNone;
     /** Gate tag the commit stage last stalled on (for the trace's

@@ -158,14 +158,6 @@ struct Request
         return *this;
     }
 
-    /** Append an explicit, fully-built variant configuration. */
-    Request &
-    variantConfig(std::string label, const sim::SimConfig &cfg)
-    {
-        variants.push_back({std::move(label), cfg});
-        return *this;
-    }
-
     Request &
     cores(const std::vector<unsigned> &counts)
     {

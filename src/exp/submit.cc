@@ -187,17 +187,19 @@ simulatePoint(const Point &point,
                 : point.workload;
         progs.push_back(workloads::build(name, point.params));
     }
+    // Heartbeat samplers are declared first so they outlive the cores
+    // that point at them.
+    std::vector<std::unique_ptr<obs::IntervalSampler>> hb_samplers;
     sim::System system(point.cfg, std::move(progs));
     system.fastForward(point.warmupInsts);
     if (point.prepare)
         point.prepare(system);
 
-    // Live heartbeat feeds (passive; each core samples its own from
-    // its per-cycle accounting). Created after the warmup so the
-    // window's delta anchors are the timed cores' zeroed statistics.
+    // Live heartbeat: one sampler per core, attached at the start of
+    // the timed window, so tick k ends at cycle k * heartbeat_period.
     // Multi-core labels get a "#cpuN" suffix; single-core is the
     // classic unsuffixed stream.
-    std::vector<std::unique_ptr<obs::HeartbeatRun>> hb_runs;
+    std::vector<std::string> hb_labels;
     if (heartbeat) {
         const std::string base_label =
             point.label.empty() ? core::policyName(point.cfg.policy)
@@ -206,29 +208,37 @@ simulatePoint(const Point &point,
             std::string label =
                 n_cores == 1 ? base_label
                              : base_label + "#cpu" + std::to_string(i);
-            hb_runs.push_back(std::make_unique<obs::HeartbeatRun>(
-                *heartbeat, point.workload, label, heartbeat_period));
-            system.setHeartbeat(hb_runs.back().get(), i);
-            hb_runs.back()->begin(system.core(i).cycles());
+            heartbeat->runStart(point.workload, label);
+            cpu::OooCore &core = system.core(i);
+            hb_samplers.push_back(std::make_unique<obs::IntervalSampler>(
+                heartbeat_period,
+                [heartbeat, &core, &hier = system.hier(),
+                 workload = point.workload,
+                 label](const obs::IntervalSample &s) {
+                    heartbeat->runTick(workload, label, s,
+                                       core.instsCommitted(),
+                                       hier.txnsRetired());
+                }));
+            core.addSampler(*hb_samplers.back());
+            hb_labels.push_back(std::move(label));
         }
     }
 
     Result result;
     result.run = system.measureTimed(point.measureInsts,
                                      point.maxCycles());
-    for (unsigned i = 0; i < hb_runs.size(); ++i) {
-        hb_runs[i]->end(system.core(i).cycles(),
-                        system.core(i).instsCommitted(), result.run.ipc,
-                        cpu::stopReasonName(result.run.reason));
-        system.setHeartbeat(nullptr, i);
-    }
+    for (unsigned i = 0; i < hb_labels.size(); ++i)
+        heartbeat->runEnd(point.workload, hb_labels[i],
+                          system.core(i).cycles(),
+                          system.core(i).instsCommitted(), result.run.ipc,
+                          cpu::stopReasonName(result.run.reason));
     if (point.finish)
         point.finish(system);
     CaptureVisitor capture(counters, result);
     system.visitStats(capture);
-    if (const obs::IntervalRecorder *rec = system.intervalRecorder()) {
-        result.intervals = rec->samples();
-        result.intervalPeriod = rec->period();
+    if (point.cfg.statsInterval != 0) {
+        result.intervals = system.intervals();
+        result.intervalPeriod = point.cfg.statsInterval;
     }
     if (point.cfg.profileEnabled) {
         result.profile = system.pathProfile();

@@ -38,19 +38,12 @@ struct ArenaPool
 {
     std::vector<void *> free[kMaxClassLog2 + 1];
 
+    /** Runs at thread exit: return every pooled block. */
     ~ArenaPool()
     {
-        release();
-    }
-
-    void
-    release()
-    {
-        for (auto &list : free) {
+        for (auto &list : free)
             for (void *block : list)
                 ::operator delete(block);
-            list.clear();
-        }
     }
 };
 
@@ -115,12 +108,6 @@ txnArenaStats()
     out.liveHighWater =
         arenaLiveHighWater.load(std::memory_order_relaxed);
     return out;
-}
-
-void
-txnArenaDrain()
-{
-    pool().release();
 }
 
 void

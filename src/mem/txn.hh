@@ -74,10 +74,6 @@ struct TxnArenaStats
 /** Snapshot of the (process-wide) arena counters. */
 TxnArenaStats txnArenaStats();
 
-/** Release every block pooled by the calling thread (also happens
- *  automatically at thread exit). */
-void txnArenaDrain();
-
 /** Minimal allocator handle over the arena (stateless). */
 template <typename T>
 struct TxnAlloc

@@ -181,35 +181,31 @@ Heartbeat::runStart(const std::string &workload, const std::string &label)
 
 void
 Heartbeat::runTick(const std::string &workload, const std::string &label,
-                   Cycle cycle, std::uint64_t insts, Cycle interval_cycles,
-                   std::uint64_t interval_insts, std::uint64_t txns,
-                   const StallArray &stall_delta)
+                   const IntervalSample &sample, std::uint64_t insts,
+                   std::uint64_t txns)
 {
     std::string line;
     line.reserve(512);
     line += "{\"t\":\"tick\",";
     appendStr(line, "workload", workload);
     appendStr(line, "label", label);
-    appendU64(line, "cycle", cycle);
+    appendU64(line, "cycle", sample.endCycle);
     appendU64(line, "insts", insts);
-    appendU64(line, "intervalCycles", interval_cycles);
-    appendU64(line, "intervalInsts", interval_insts);
-    appendF(line, "intervalIpc",
-            interval_cycles ? double(interval_insts) /
-                                  double(interval_cycles)
-                            : 0.0);
+    appendU64(line, "intervalCycles", sample.cycles);
+    appendU64(line, "intervalInsts", sample.insts);
+    appendF(line, "intervalIpc", sample.ipc);
     appendU64(line, "txns", txns);
     line += "\"stalls\":{";
     bool first = true;
     for (unsigned i = 0; i < kNumStallCauses; ++i) {
-        if (stall_delta[i] == 0)
+        if (sample.stalls[i] == 0)
             continue;
         if (!first)
             line += ',';
         line += '"';
         line += stallCauseName(StallCause(i));
         line += "\":";
-        line += std::to_string(stall_delta[i]);
+        line += std::to_string(sample.stalls[i]);
         first = false;
     }
     line += "},";

@@ -24,9 +24,9 @@
  * The Heartbeat object is the shared, thread-safe sink (the
  * exp::submit runs points on a thread pool; records from concurrent
  * runs interleave but each line is written atomically under a lock).
- * A HeartbeatRun is the per-simulation feed the core drives: it
- * differences the cumulative (cycle, insts, stalls) totals into
- * per-interval deltas every `period` *simulated* cycles.
+ * Each simulated core feeds it through an obs::IntervalSampler whose
+ * sink calls runTick(), so tick k lands on cycle k * period of the
+ * core-local clock with that period's deltas.
  *
  * The heartbeat is strictly passive — it reads cumulative statistics
  * the core maintains anyway and never feeds anything back, so a
@@ -44,7 +44,7 @@
 #include <string>
 
 #include "common/types.hh"
-#include "obs/stall.hh"
+#include "obs/interval.hh"
 
 namespace acp::obs
 {
@@ -85,12 +85,13 @@ class Heartbeat
                   std::size_t simulated, double wall_seconds,
                   const std::string &cache_stats = "");
 
-    // ----- run-level records (emitted through HeartbeatRun) -----------
+    // ----- run-level records (emitted by exp::simulatePoint) ---------
     void runStart(const std::string &workload, const std::string &label);
+    /** @p insts is the cumulative commit count at the sample's end;
+     *  @p txns the cumulative count of retired off-chip transactions. */
     void runTick(const std::string &workload, const std::string &label,
-                 Cycle cycle, std::uint64_t insts,
-                 Cycle interval_cycles, std::uint64_t interval_insts,
-                 std::uint64_t txns, const StallArray &stall_delta);
+                 const IntervalSample &sample, std::uint64_t insts,
+                 std::uint64_t txns);
     void runEnd(const std::string &workload, const std::string &label,
                 Cycle cycle, std::uint64_t insts, double ipc,
                 const char *reason);
@@ -104,75 +105,6 @@ class Heartbeat
     std::FILE *out_;
     bool own_;
     std::mutex mutex_;
-};
-
-/**
- * Per-simulation feed: created by the submit engine for each simulated
- * point, attached to the core like the IntervalRecorder. The core
- * calls sample() from its per-cycle accounting (and from the batched
- * idle-window replay); the feed decides when a full period has
- * elapsed and differences the cumulative totals into a tick record.
- */
-class HeartbeatRun
-{
-  public:
-    HeartbeatRun(Heartbeat &hb, std::string workload, std::string label,
-                 Cycle period)
-        : hb_(hb), workload_(std::move(workload)),
-          label_(std::move(label)), period_(period ? period : 1)
-    {
-        hb_.runStart(workload_, label_);
-    }
-
-    /** First cycle at which sample() will emit (cheap hot-path check). */
-    Cycle nextSampleCycle() const { return next_; }
-
-    /**
-     * Feed cumulative totals at @p cycle; emits a tick when the
-     * period boundary has been reached. @p txns is the cumulative
-     * count of retired off-chip transactions.
-     */
-    void
-    sample(Cycle cycle, std::uint64_t insts, const StallArray &stalls,
-           std::uint64_t txns)
-    {
-        if (cycle < next_)
-            return;
-        StallArray delta{};
-        for (unsigned i = 0; i < kNumStallCauses; ++i)
-            delta[i] = stalls[i] - lastStalls_[i];
-        hb_.runTick(workload_, label_, cycle, insts, cycle - lastCycle_,
-                    insts - lastInsts_, txns, delta);
-        lastCycle_ = cycle;
-        lastInsts_ = insts;
-        lastStalls_ = stalls;
-        next_ = cycle + period_;
-    }
-
-    /** Anchor the deltas to the start of the timed window. */
-    void
-    begin(Cycle cycle)
-    {
-        lastCycle_ = cycle;
-        next_ = cycle + period_;
-    }
-
-    /** Emit the closing record (end of the timed window). */
-    void
-    end(Cycle cycle, std::uint64_t insts, double ipc, const char *reason)
-    {
-        hb_.runEnd(workload_, label_, cycle, insts, ipc, reason);
-    }
-
-  private:
-    Heartbeat &hb_;
-    std::string workload_;
-    std::string label_;
-    Cycle period_;
-    Cycle next_ = 0;
-    Cycle lastCycle_ = 0;
-    std::uint64_t lastInsts_ = 0;
-    StallArray lastStalls_{};
 };
 
 } // namespace acp::obs

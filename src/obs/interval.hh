@@ -1,14 +1,15 @@
 /**
  * @file
- * Interval statistics: periodic snapshots of the core's progress
- * (committed instructions, cycles, IPC) and its stall-cycle breakdown
- * over fixed-length cycle windows, producing the IPC/stall time
- * series behind --stats-interval.
+ * Interval statistics: the core's progress (committed instructions,
+ * cycles, IPC) and its stall-cycle breakdown over fixed-length cycle
+ * windows. One sampler serves both the --stats-interval time series
+ * and the live heartbeat's tick records; only the sink differs.
  *
- * The recorder is driven by the core with *cumulative* totals once
- * per cycle; it differentiates them into per-interval deltas. It
- * never feeds anything back into the model, so enabling intervals
- * cannot perturb simulation results.
+ * The sampler differences the core's *cumulative* totals into
+ * per-interval deltas. The core hands it the totals at each period
+ * boundary, so every sample covers the half-open window [kP, (k+1)P)
+ * of the core-local clock. It never feeds anything back into the
+ * model, so enabling it cannot perturb simulation results.
  */
 
 #ifndef ACP_OBS_INTERVAL_HH
@@ -16,6 +17,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -27,7 +30,7 @@ namespace acp::obs
 /** One interval of the time series. */
 struct IntervalSample
 {
-    /** Cycle at which the interval ends (core-local clock). */
+    /** Cycle at which the interval ends (core-local clock, exclusive). */
     Cycle endCycle = 0;
     /** Interval length in cycles (== period except for the tail). */
     Cycle cycles = 0;
@@ -39,73 +42,75 @@ struct IntervalSample
     StallArray stalls{};
 };
 
-/** The recorder. */
-class IntervalRecorder
+/** Cuts cumulative totals into per-period samples for one sink. */
+class IntervalSampler
 {
   public:
-    /** Snapshot every @p period cycles (0 behaves as 1). */
-    explicit IntervalRecorder(Cycle period)
-        : period_(period ? period : 1)
+    using Sink = std::function<void(const IntervalSample &)>;
+
+    /** Sample every @p period cycles (0 behaves as 1). */
+    IntervalSampler(Cycle period, Sink sink)
+        : period_(period ? period : 1), sink_(std::move(sink)),
+          next_(period_)
     {
     }
 
-    Cycle period() const { return period_; }
+    /** Exclusive end of the interval in progress. */
+    Cycle nextBoundary() const { return next_; }
 
-    /**
-     * Advance to @p cycle with cumulative committed/stall totals;
-     * emits a sample when a full period has elapsed since the last.
-     */
+    /** Anchor at @p cycle with the totals there: intervals then end
+     *  at cycle + k * period. */
     void
-    tick(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
+    start(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
     {
-        if (cycle - lastCycle_ >= period_)
-            snapshot(cycle, committed, stalls);
+        last_ = {cycle, committed, stalls};
+        next_ = cycle + period_;
     }
 
-    /** Flush the partial tail interval (end of the timed window). */
+    /** The totals now cover every cycle before nextBoundary(): emit
+     *  that interval and move to the next one. */
+    void
+    sample(std::uint64_t committed, const StallArray &stalls)
+    {
+        emit(next_, committed, stalls);
+        next_ += period_;
+    }
+
+    /** Emit the partial tail ending at @p cycle, if it is non-empty
+     *  (end of a timed window; later boundaries stay where they were). */
     void
     finish(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
     {
-        if (cycle > lastCycle_)
-            snapshot(cycle, committed, stalls);
+        if (cycle > last_.cycle)
+            emit(cycle, committed, stalls);
     }
-
-    /**
-     * Re-anchor the deltas without emitting (a stats reset happened:
-     * cumulative counters went back to zero mid-run).
-     */
-    void
-    rebase(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
-    {
-        lastCycle_ = cycle;
-        lastCommitted_ = committed;
-        lastStalls_ = stalls;
-    }
-
-    const std::vector<IntervalSample> &samples() const { return samples_; }
-
-    bool empty() const { return samples_.empty(); }
 
   private:
+    struct Totals
+    {
+        Cycle cycle = 0;
+        std::uint64_t committed = 0;
+        StallArray stalls{};
+    };
+
     void
-    snapshot(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
+    emit(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
     {
         IntervalSample s;
         s.endCycle = cycle;
-        s.cycles = cycle - lastCycle_;
-        s.insts = committed - lastCommitted_;
-        s.ipc = s.cycles ? double(s.insts) / double(s.cycles) : 0.0;
+        s.cycles = cycle - last_.cycle;
+        s.insts = committed - last_.committed;
+        s.ipc = double(s.insts) / double(s.cycles);
         for (unsigned i = 0; i < kNumStallCauses; ++i)
-            s.stalls[i] = stalls[i] - lastStalls_[i];
-        samples_.push_back(s);
-        rebase(cycle, committed, stalls);
+            s.stalls[i] = stalls[i] - last_.stalls[i];
+        last_ = {cycle, committed, stalls};
+        sink_(s);
     }
 
     Cycle period_;
-    Cycle lastCycle_ = 0;
-    std::uint64_t lastCommitted_ = 0;
-    StallArray lastStalls_{};
-    std::vector<IntervalSample> samples_;
+    Sink sink_;
+    Cycle next_;
+    Totals last_;
 };
 
 /** Human-readable interval table (columns: progress + used stalls). */

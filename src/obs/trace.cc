@@ -8,14 +8,6 @@ TraceBuffer::TraceBuffer(std::uint32_t mask, std::size_t capacity)
 {
 }
 
-void
-TraceBuffer::clear()
-{
-    writeAt_ = 0;
-    size_ = 0;
-    recorded_ = 0;
-}
-
 std::vector<TraceEvent>
 TraceBuffer::events() const
 {
@@ -23,69 +15,6 @@ TraceBuffer::events() const
     out.reserve(size_);
     forEach([&out](const TraceEvent &ev) { out.push_back(ev); });
     return out;
-}
-
-void
-TraceBuffer::dumpText(std::FILE *out) const
-{
-    forEach([out](const TraceEvent &ev) {
-        std::fprintf(out, "%10llu  %-18s",
-                     (unsigned long long)ev.cycle,
-                     traceKindName(ev.kind));
-        switch (ev.kind) {
-          case TraceEventKind::kFetch:
-            std::fprintf(out, " pc=0x%llx", (unsigned long long)ev.a);
-            break;
-          case TraceEventKind::kIssue:
-          case TraceEventKind::kCommit:
-            std::fprintf(out, " pc=0x%llx seq=%llu",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b);
-            break;
-          case TraceEventKind::kSquash:
-            std::fprintf(out, " pc=0x%llx squashed=%llu",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b);
-            break;
-          case TraceEventKind::kAuthRequest:
-          case TraceEventKind::kAuthDataArrive:
-            std::fprintf(out, " auth_seq=%llu line=0x%llx",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b);
-            break;
-          case TraceEventKind::kAuthVerifyDone:
-            std::fprintf(out, " auth_seq=%llu ok=%llu",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b);
-            break;
-          case TraceEventKind::kGateRelease:
-            std::fprintf(out, " auth_seq=%llu pc=0x%llx",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b);
-            break;
-          case TraceEventKind::kFetchGateBegin:
-          case TraceEventKind::kFetchGateEnd:
-            std::fprintf(out, " stall=%llu tag=%llu line=0x%llx",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b,
-                         (unsigned long long)ev.c);
-            break;
-          case TraceEventKind::kBusGrant:
-            std::fprintf(out, " txn=%llu line=0x%llx kind=%llu",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)ev.b,
-                         (unsigned long long)ev.c);
-            break;
-          case TraceEventKind::kTxnStep:
-            std::fprintf(out, " txn=%llu event=%llu kind=%llu addr=0x%llx",
-                         (unsigned long long)ev.a,
-                         (unsigned long long)(ev.b & 0xff),
-                         (unsigned long long)(ev.b >> 8),
-                         (unsigned long long)ev.c);
-            break;
-        }
-        std::fputc('\n', out);
-    });
 }
 
 } // namespace acp::obs

@@ -23,7 +23,6 @@
 #define ACP_OBS_TRACE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common/types.hh"
@@ -49,8 +48,8 @@ enum TraceCat : std::uint32_t
     kCatAll = 0xffffffffu,
 };
 
-/** Typed trace events. Operand meaning is per-kind (see traceKindName
- *  and the schema table in docs/OBSERVABILITY.md). */
+/** Typed trace events. Operand meaning is per-kind (see the schema
+ *  table in docs/OBSERVABILITY.md). */
 enum class TraceEventKind : std::uint8_t
 {
     kFetch,         // a=pc
@@ -110,27 +109,6 @@ traceKindCat(TraceEventKind k)
     return kCatPipeline;
 }
 
-/** Stable display name of an event kind. */
-constexpr const char *
-traceKindName(TraceEventKind k)
-{
-    switch (k) {
-      case TraceEventKind::kFetch:          return "fetch";
-      case TraceEventKind::kIssue:          return "issue";
-      case TraceEventKind::kCommit:         return "commit";
-      case TraceEventKind::kSquash:         return "squash";
-      case TraceEventKind::kAuthRequest:    return "auth.request";
-      case TraceEventKind::kAuthDataArrive: return "auth.data_arrive";
-      case TraceEventKind::kAuthVerifyDone: return "auth.verify_done";
-      case TraceEventKind::kGateRelease:    return "auth.gate_release";
-      case TraceEventKind::kFetchGateBegin: return "fetch_gate.begin";
-      case TraceEventKind::kFetchGateEnd:   return "fetch_gate.end";
-      case TraceEventKind::kBusGrant:       return "bus.grant";
-      case TraceEventKind::kTxnStep:        return "txn.step";
-    }
-    return "?";
-}
-
 /** The ring buffer. */
 class TraceBuffer
 {
@@ -172,9 +150,6 @@ class TraceBuffer
     /** Total events ever recorded (recorded() - size() were dropped). */
     std::uint64_t recorded() const { return recorded_; }
 
-    /** Drop all events (capacity and mask keep). */
-    void clear();
-
     /** Held events, oldest first (copies out of the ring). */
     std::vector<TraceEvent> events() const;
 
@@ -187,9 +162,6 @@ class TraceBuffer
         for (std::size_t i = 0; i < size_; ++i)
             fn(ring_[(start + i) % ring_.size()]);
     }
-
-    /** Human-readable sink: one "cycle kind fields" line per event. */
-    void dumpText(std::FILE *out) const;
 
   private:
     std::uint32_t mask_;

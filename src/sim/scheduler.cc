@@ -11,7 +11,8 @@ void
 Component::wakeAt(Cycle cycle)
 {
     if (!sched_)
-        acp_fatal("component '%s' not attached to a scheduler", name_);
+        acp_fatal("component '%s' not attached to a scheduler",
+                  componentName());
     if (cycle >= pendingWake_)
         return; // an earlier wake is already queued; it will re-ask
     pendingWake_ = cycle;
@@ -22,7 +23,7 @@ void
 Scheduler::attach(Component &comp, bool front)
 {
     if (comp.sched_)
-        acp_fatal("component '%s' attached twice", comp.name_);
+        acp_fatal("component '%s' attached twice", comp.componentName());
     comp.sched_ = this;
     if (front) {
         comp.order_ = nextFrontOrder_--;
@@ -75,7 +76,7 @@ Scheduler::run()
         if (next <= top.cycle)
             acp_fatal("component '%s' asked to wake at %llu from %llu "
                       "(time must advance)",
-                      top.comp->name_, (unsigned long long)next,
+                      top.comp->componentName(), (unsigned long long)next,
                       (unsigned long long)top.cycle);
         top.comp->wakeAt(next);
     }

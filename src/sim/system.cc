@@ -54,8 +54,11 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         slot.refExec = std::make_unique<cpu::FuncExecutor>(
             cpu::MemPort(*slot.refMem), progs_[i].entry);
         if (cfg_.statsInterval != 0)
-            slot.recorder = std::make_unique<obs::IntervalRecorder>(
-                cfg_.statsInterval);
+            slot.series = std::make_unique<obs::IntervalSampler>(
+                cfg_.statsInterval,
+                [&intervals = slot.intervals](const obs::IntervalSample &s) {
+                    intervals.push_back(s);
+                });
     }
 
     if (cfg_.traceMask != 0) {
@@ -117,7 +120,8 @@ System::createCores()
         if (cosim_)
             slot.core->setCosimShadow(slot.refExec.get());
         slot.core->setTrace(trace_.get());
-        slot.core->setIntervalRecorder(slot.recorder.get());
+        if (slot.series)
+            slot.core->addSampler(*slot.series);
         sched_.attach(*slot.core, /*front=*/true);
     }
 }
@@ -165,7 +169,9 @@ System::measureTimed(std::uint64_t max_insts, std::uint64_t max_cycles)
             res.cycles = cyc;
         // The window is over: emit the partial tail interval so
         // interval cycle counts sum to the window length.
-        c.flushIntervals();
+        if (slots_[i].series)
+            slots_[i].series->finish(c.cycles(), c.instsCommitted(),
+                                     c.stallCycles());
     }
     res.ipc = res.cycles ? double(res.insts) / double(res.cycles) : 0.0;
     return res;

@@ -101,23 +101,16 @@ class System
     /** Structured trace buffer (nullptr unless cfg.traceMask != 0). */
     obs::TraceBuffer *traceBuffer() { return trace_.get(); }
 
-    /** Core @p i's interval recorder (nullptr unless
-     *  cfg.statsInterval != 0). */
-    obs::IntervalRecorder *intervalRecorder(unsigned i = 0)
+    /** Core @p i's interval series: one sample per cfg.statsInterval
+     *  cycles, plus the partial tail of each timed window (empty
+     *  unless cfg.statsInterval != 0). */
+    const std::vector<obs::IntervalSample> &intervals(unsigned i = 0) const
     {
-        return slots_[i].recorder.get();
+        return slots_[i].intervals;
     }
 
     /** Path profiler (nullptr unless cfg.profileEnabled). */
     obs::PathProfiler *pathProfiler() { return profiler_.get(); }
-
-    /** Attach a passive heartbeat feed to timed core @p i (creates
-     *  the cores if needed; call after fastForward, nullptr
-     *  detaches). */
-    void setHeartbeat(obs::HeartbeatRun *hb, unsigned i = 0)
-    {
-        core(i).setHeartbeat(hb);
-    }
 
     /** Finalized profile snapshot: leak audit over the live bus trace
      *  plus the cores' summed stall counters (if timed cores ran).
@@ -126,15 +119,16 @@ class System
 
   private:
     /** One core's private slice of the system: its program copy,
-     *  reference machine, hierarchy client id, and (once timed
-     *  execution starts) its OooCore + interval recorder. */
+     *  reference machine, hierarchy client id, (once timed execution
+     *  starts) its OooCore, and the interval series it samples. */
     struct CoreSlot
     {
         unsigned client = 0;
         std::unique_ptr<cpu::FlatMem> refMem;
         std::unique_ptr<cpu::FuncExecutor> refExec;
         std::unique_ptr<cpu::OooCore> core;
-        std::unique_ptr<obs::IntervalRecorder> recorder;
+        std::unique_ptr<obs::IntervalSampler> series;
+        std::vector<obs::IntervalSample> intervals;
     };
 
     /** Create every timed core at once (deterministic attach order:

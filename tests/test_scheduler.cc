@@ -1,11 +1,12 @@
 /**
  * @file
- * Event-driven scheduler tests. Three contracts:
+ * Event-driven scheduler tests. Four contracts:
  *   - the event loop is deterministic: repeated runs of the same point
  *     produce the same run result, stall taxonomy, stat dump, and
  *     profiler segments, on several workload x policy points;
  *   - same-cycle wakes dispatch deterministically in attachment order
  *     (front attachments first), and re-arms keep that order;
+ *   - attaching a component twice is a fatal error naming it;
  *   - the Txn timeline arena never leaks: churned blocks return to the
  *     pool and live counts come back to baseline.
  */
@@ -170,6 +171,18 @@ TEST(Scheduler, SameCycleWakesDispatchInAttachmentOrder)
     EXPECT_EQ(log[4], std::make_pair(std::string("b"), Cycle(7)));
     EXPECT_EQ(log[5], std::make_pair(std::string("b"), Cycle(9)));
     EXPECT_EQ(sched.pendingWakes(), 0u);
+}
+
+// The double-attach fatal must name the component (its message once
+// printed a std::string's bytes through %s).
+TEST(SchedulerDeathTest, DoubleAttachNamesTheComponent)
+{
+    std::vector<std::pair<std::string, Cycle>> log;
+    sim::Scheduler sched;
+    MockComponent dup("twice-attached.core", &log);
+    sched.attach(dup);
+    EXPECT_EXIT(sched.attach(dup), ::testing::ExitedWithCode(1),
+                "fatal: component 'twice-attached\\.core' attached twice");
 }
 
 TEST(Scheduler, EarlierWakeWins)

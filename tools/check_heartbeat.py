@@ -9,11 +9,12 @@ heartbeat smoke output:
     numeric "wall" timestamp;
   - the stream starts with sweep_start (carrying the schema tag and a
     provenance manifest) and ends with sweep_end;
-  - per (workload, label) run: run_start precedes ticks, ticks carry
-    monotonically increasing cycles and cumulative insts, interval
-    deltas are consistent (intervalCycles == cycle step, intervalIpc ==
-    intervalInsts / intervalCycles), stall deltas are non-negative, and
-    run_end closes the feed;
+  - per (workload, label) run: run_start precedes ticks, all ticks
+    share one positive intervalCycles (the period) and tick k sits on
+    its boundary, cycle == k * intervalCycles (so cycles strictly
+    advance); cumulative insts never go backwards, intervalIpc ==
+    intervalInsts / intervalCycles, stall deltas are non-negative and
+    bounded by the period, and run_end closes the feed;
   - sweep accounting: point records count up to done == total, the
     cached/simulated split adds up, and sweep_end totals match;
   - a run shorter than one heartbeat interval is valid: run_start +
@@ -107,14 +108,16 @@ def check_stream(lines, where):
                     if not isinstance(v, int) or v < 0:
                         fail(f"{where}:{n}: tick {name} {v!r} is not a "
                              f"non-negative int")
-                if cycle <= state["cycle"]:
-                    fail(f"{where}:{n}: tick cycle {cycle} does not "
-                         f"advance past {state['cycle']}")
+                period = state.setdefault("period", dc)
+                if dc != period or dc == 0:
+                    fail(f"{where}:{n}: intervalCycles {dc} is not the "
+                         f"run's period {period}")
+                k = state["ticks"] + 1
+                if cycle != k * period:
+                    fail(f"{where}:{n}: tick {k} at cycle {cycle} is off "
+                         f"its period boundary {k * period}")
                 if insts < max(state["insts"], 0):
                     fail(f"{where}:{n}: cumulative insts went backwards")
-                if state["ticks"] > 0 and dc != cycle - state["cycle"]:
-                    fail(f"{where}:{n}: intervalCycles {dc} != cycle "
-                         f"step {cycle - state['cycle']}")
                 if dc > 0:
                     ipc = rec.get("intervalIpc")
                     if not isinstance(ipc, (int, float)) or \
@@ -188,6 +191,14 @@ def self_test():
         except SystemExit:
             return False
 
+    def tick(cycle, interval_cycles, insts, stalls=None):
+        return json.dumps({
+            "t": "tick", "workload": "mcf", "label": "baseline",
+            "cycle": cycle, "insts": insts,
+            "intervalCycles": interval_cycles, "intervalInsts": 500,
+            "intervalIpc": 500 / interval_cycles, "txns": 5,
+            "stalls": stalls or {"mem_data": 20000}, "wall": 1.1})
+
     manifest = {"schema": "acp-manifest-v1", "gitSha": "x"}
     good = [
         json.dumps({"t": "sweep_start", "schema": "acp-heartbeat-v1",
@@ -195,11 +206,8 @@ def self_test():
                     "wall": 1.0}),
         json.dumps({"t": "run_start", "workload": "mcf",
                     "label": "baseline", "wall": 1.0}),
-        json.dumps({"t": "tick", "workload": "mcf", "label": "baseline",
-                    "cycle": 50000, "insts": 1000,
-                    "intervalCycles": 50000, "intervalInsts": 1000,
-                    "intervalIpc": 0.02, "txns": 5,
-                    "stalls": {"mem_data": 40000}, "wall": 1.1}),
+        tick(25000, 25000, 500),
+        tick(50000, 25000, 1000),
         json.dumps({"t": "run_end", "workload": "mcf",
                     "label": "baseline", "cycle": 60000, "insts": 1200,
                     "ipc": 0.02, "reason": "inst_limit", "wall": 1.2}),
@@ -222,18 +230,15 @@ def self_test():
     ]
     assert stream_ok(good), "known-good stream rejected"
 
-    bad_cycle = list(good)
-    bad_cycle[2] = json.dumps({
-        "t": "tick", "workload": "mcf", "label": "baseline",
-        "cycle": 70000, "insts": 1000, "intervalCycles": 50000,
-        "intervalInsts": 1000, "intervalIpc": 0.02, "txns": 5,
-        "stalls": {"mem_data": 40000}, "wall": 1.1})
-    bad_cycle[3] = json.dumps({
+    def with_ticks(*ticks):
+        return good[:2] + list(ticks) + good[4:]
+
+    bad_end = list(good)
+    bad_end[4] = json.dumps({
         "t": "run_end", "workload": "mcf", "label": "baseline",
-        "cycle": 60000, "insts": 1200, "ipc": 0.02,
+        "cycle": 40000, "insts": 1200, "ipc": 0.03,
         "reason": "inst_limit", "wall": 1.2})
-    assert not stream_ok(bad_cycle), \
-        "run_end behind last tick not caught"
+    assert not stream_ok(bad_end), "run_end behind last tick not caught"
 
     truncated = good[:-1]
     assert not stream_ok(truncated), "missing sweep_end not caught"
@@ -244,14 +249,21 @@ def self_test():
     garbage = good[:4] + ["{not json"] + good[4:]
     assert not stream_ok(garbage), "non-JSON line not caught"
 
-    overfull = list(good)
-    overfull[2] = json.dumps({
-        "t": "tick", "workload": "mcf", "label": "baseline",
-        "cycle": 50000, "insts": 1000, "intervalCycles": 50000,
-        "intervalInsts": 1000, "intervalIpc": 0.02, "txns": 5,
-        "stalls": {"mem_data": 60000}, "wall": 1.1})
+    overfull = with_ticks(tick(25000, 25000, 500, {"mem_data": 30000}),
+                          good[3])
     assert not stream_ok(overfull), \
         "stall deltas exceeding the interval not caught"
+
+    # A feed that samples whenever it happens to wake drifts off the
+    # period: each tick spans from the previous one, so every
+    # intervalCycles matches its cycle step, yet none is on a boundary.
+    drifting = with_ticks(tick(25051, 25051, 500), tick(50151, 25100, 1000))
+    assert not stream_ok(drifting), "drifting tick periods not caught"
+
+    # A steady period that starts off the boundary: only the first
+    # tick's position gives it away.
+    shifted = with_ticks(tick(25051, 25000, 500), tick(50051, 25000, 1000))
+    assert not stream_ok(shifted), "first tick off its boundary not caught"
 
     print("check_heartbeat: self-test OK")
     return 0

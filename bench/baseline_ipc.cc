@@ -137,8 +137,8 @@ main(int argc, char **argv)
     std::printf("\nwrote %s (%zu points, %.1fs simulated wall time)\n",
                 out_path, results.size(), wall_total);
     // Loop-throughput summary: how fast the simulator chews through
-    // simulated cycles. This is the number the event-driven scheduler
-    // moves; IPC and segment means must not move at all.
+    // simulated cycles. This is the number the event loop moves; IPC
+    // and segment means must not move at all.
     std::printf("throughput: %.0f simulated cycles per wall second "
                 "(%llu cycles / %.1fs)\n",
                 wall_total > 0 ? double(cycles_total) / wall_total : 0.0,

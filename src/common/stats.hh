@@ -256,6 +256,15 @@ class StatGroup
     std::vector<std::pair<std::string, StatDistribution *>> distributions_;
 };
 
+/** Typed walk over a component's stat groups (cf. StatVisitor, which
+ *  walks the individual statistics inside one group). */
+class StatGroupVisitor
+{
+  public:
+    virtual ~StatGroupVisitor() = default;
+    virtual void group(StatGroup &g) = 0;
+};
+
 } // namespace acp
 
 #endif // ACP_COMMON_STATS_HH

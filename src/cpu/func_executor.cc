@@ -68,7 +68,6 @@ FuncExecutor::step()
 
     pc_ = next_pc;
     info.nextPc = next_pc;
-    ++insts_;
     return info;
 }
 

@@ -76,7 +76,6 @@ class FuncExecutor
 
     Addr pc() const { return pc_; }
     bool halted() const { return halted_; }
-    std::uint64_t instsExecuted() const { return insts_; }
 
     std::uint64_t reg(unsigned idx) const { return regs_[idx & 31]; }
     void
@@ -90,7 +89,6 @@ class FuncExecutor
     MemPort port_;
     Addr pc_;
     bool halted_ = false;
-    std::uint64_t insts_ = 0;
     std::array<std::uint64_t, 32> regs_{};
 };
 

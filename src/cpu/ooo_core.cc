@@ -33,7 +33,7 @@ constexpr Cycle kProgressPanicCycles = 1000000;
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
-    : sim::Component(name), cfg_(cfg), hier_(hier), client_(client),
+    : cfg_(cfg), hier_(hier), client_(client),
       policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
       renameMap_(32, -1), stats_(name)
@@ -63,8 +63,6 @@ OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
     stats_.addDistribution("ruu_occupancy", &ruuOccupancy_);
     stats_.addDistribution("sb_occupancy", &sbOccupancy_);
 }
-
-OooCore::~OooCore() = default;
 
 unsigned
 OooCore::ruuIndex(unsigned pos) const
@@ -809,7 +807,7 @@ OooCore::tick()
                   "dispatch-block %u head{valid %d seq %llu pc 0x%llx "
                   "issued %d done %d readyAt %llu load %d store %d "
                   "v1 %d v2 %d prod1 %d prod2 %d})",
-                  componentName(), (unsigned long long)fetchPc_,
+                  name().c_str(), (unsigned long long)fetchPc_,
                   (unsigned long long)cycle_, ruuCount_,
                   unsigned(commitBlock_), unsigned(dispatchBlock_),
                   head ? head->valid : 0,

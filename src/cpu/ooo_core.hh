@@ -40,7 +40,6 @@
 #include "obs/stall.hh"
 #include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::cpu
@@ -59,17 +58,17 @@ enum class StopReason
 /** Stable display name of a stop reason (shared by every sink). */
 const char *stopReasonName(StopReason reason);
 
-/** The out-of-order core: an active component of the system. A
+/** The out-of-order core: the active part of the system. A
  *  single-core system has one; a multi-core system has numCores of
  *  them registered as clients of one shared MemHierarchy. */
-class OooCore : public sim::Component
+class OooCore
 {
   public:
     /**
      * @p client is the hierarchy client id this core issues memory
      * traffic as (from MemHierarchy::registerClient); @p name is the
-     * stat-group / component name — exactly "core" for a single-core
-     * system (bit-identical stat surface), "cpuN.core" otherwise.
+     * stat-group name — exactly "core" for a single-core system
+     * (bit-identical stat surface), "cpuN.core" otherwise.
      * The core runs the per-client policy the shared controller
      * resolved (SecureMemCtrl::policyFor), not necessarily the global
      * cfg.policy.
@@ -77,7 +76,6 @@ class OooCore : public sim::Component
     OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
             Addr entry, unsigned client = 0,
             const std::string &name = "core");
-    ~OooCore() override;
 
     /**
      * Enable commit-time co-simulation against a functional shadow
@@ -91,23 +89,24 @@ class OooCore : public sim::Component
     /**
      * Arm a measurement window: run until @p max_insts commits,
      * @p max_cycles elapse, HALT commits, or a security exception
-     * fires. The window executes through the scheduler (seed with
-     * wakeAt(cycles()) and drain); runReason() reports the outcome.
+     * fires. System::measureTimed runs the window by calling onWake
+     * until it returns kCycleNever; runReason() reports the outcome.
      */
     void beginRun(std::uint64_t max_insts, std::uint64_t max_cycles);
 
     /** Outcome of the armed window: a limit, or why the core stopped. */
     StopReason runReason() const;
 
-    // ----- sim::Component ------------------------------------------------
     /**
      * Simulate cycle @p now; on an idle outcome, batch-account the
      * stall window analytically and jump to the next cycle anything
      * can change (the event-driven fast path). Returns the next cycle
      * to run, or kCycleNever once stopped / past a limit.
      */
-    Cycle onWake(Cycle now) override;
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
+    Cycle onWake(Cycle now);
+
+    /** "core", or "cpuN.core" in a multi-core system. */
+    const std::string &name() const { return stats_.name(); }
 
     // ----- results ------------------------------------------------------
     Cycle cycles() const { return cycle_; }
@@ -117,7 +116,6 @@ class OooCore : public sim::Component
     {
         return cycle_ ? double(instsCommitted()) / double(cycle_) : 0.0;
     }
-    StopReason stopReason() const { return stopReason_; }
     bool securityException() const
     {
         return stopReason_ == StopReason::kSecurityException;

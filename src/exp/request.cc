@@ -36,8 +36,6 @@ Request::points() const
         p.label = label;
         p.params = workloadParams;
         p.cfg = cfg;
-        if (!mixWorkloads.empty())
-            p.cfg.coreWorkloads = mixWorkloads;
         p.warmupInsts = warmupInsts;
         p.measureInsts = measureInsts;
         p.cyclesPerInst = cyclesPerInst;

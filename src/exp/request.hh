@@ -22,7 +22,7 @@
  * ((w * variantCount()) + v) * coreCount() + c.
  *
  * Variants snapshot the base configuration when declared, so set
- * base() (and mix()) before the first variant().
+ * base() before the first variant().
  */
 
 #ifndef ACP_EXP_REQUEST_HH
@@ -67,8 +67,6 @@ struct Request
     std::vector<RequestVariant> variants;
     /** Optional innermost sweep axis over core counts ("@Nc" labels). */
     std::vector<unsigned> coresAxis;
-    /** Per-core workload mix applied to every point (coreWorkloads). */
-    std::vector<std::string> mixWorkloads;
 
     // ----- execution policy -----------------------------------------
 
@@ -162,13 +160,6 @@ struct Request
     cores(const std::vector<unsigned> &counts)
     {
         coresAxis = counts;
-        return *this;
-    }
-
-    Request &
-    mix(const std::vector<std::string> &names)
-    {
-        mixWorkloads = names;
         return *this;
     }
 

@@ -255,7 +255,7 @@ simulatePoint(const Point &point,
 }
 
 Submission
-submit(const Request &req, Sink *sink)
+submit(const Request &req)
 {
     auto sweep_start = std::chrono::steady_clock::now();
 
@@ -285,8 +285,6 @@ submit(const Request &req, Sink *sink)
                 ++done;
                 reporter.report(done, points.size(), done, -1.0,
                                 points[i], sub.results[i]);
-                if (sink)
-                    sink->onPoint(i, points[i], sub.results[i]);
                 continue;
             }
         }
@@ -299,7 +297,6 @@ submit(const Request &req, Sink *sink)
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{done};
     std::atomic<std::size_t> sim_done{0};
-    std::mutex sink_mutex;
     auto worker = [&]() {
         for (;;) {
             std::size_t t = next.fetch_add(1);
@@ -328,10 +325,6 @@ submit(const Request &req, Sink *sink)
                              : -1.0;
             reporter.report(completed.fetch_add(1) + 1, points.size(),
                             cached, eta, points[i], sub.results[i]);
-            if (sink) {
-                std::lock_guard<std::mutex> lock(sink_mutex);
-                sink->onPoint(i, points[i], sub.results[i]);
-            }
         }
     };
 

@@ -56,21 +56,6 @@ struct SweepTelemetry
     ResultStore::Stats cacheStats;
 };
 
-/** Completion callback: one call per finished point, in completion
- *  order (not index order). Called from worker threads. */
-class Sink
-{
-  public:
-    virtual ~Sink() = default;
-    virtual void
-    onPoint(std::size_t index, const Point &point, const Result &result)
-    {
-        (void)index;
-        (void)point;
-        (void)result;
-    }
-};
-
 /** Everything one submit() produced; results align with points. */
 struct Submission
 {
@@ -86,7 +71,7 @@ struct Submission
 unsigned defaultJobs();
 
 /** Execute @p req (see file comment). */
-Submission submit(const Request &req, Sink *sink = nullptr);
+Submission submit(const Request &req);
 
 /**
  * Simulate one point in-process, no store involved — the primitive

@@ -37,8 +37,6 @@ struct Program
     std::vector<std::uint32_t> code;
     /** Initialized data. */
     std::vector<DataSegment> data;
-
-    Addr codeEnd() const { return codeBase + code.size() * kInstrBytes; }
 };
 
 /** Opaque label handle issued by ProgramBuilder. */

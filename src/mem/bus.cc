@@ -6,7 +6,7 @@ namespace acp::mem
 {
 
 BusArbiter::BusArbiter(const sim::SimConfig &cfg)
-    : sim::Component("bus"), cfg_(cfg), stats_("bus")
+    : cfg_(cfg), stats_("bus")
 {
     stats_.addCounter("grants", &grants_);
     stats_.addCounter("contended_grants", &contendedGrants_);

@@ -24,22 +24,16 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::mem
 {
 
 /** The arbiter. */
-class BusArbiter : public sim::Component
+class BusArbiter
 {
   public:
     explicit BusArbiter(const sim::SimConfig &cfg);
-
-    /** Passive latency oracle: grants are computed in reserve(). */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
 
     /**
      * Declare the bus multi-client: @p n cores will present requests.
@@ -54,10 +48,11 @@ class BusArbiter : public sim::Component
      * Reserve the bus for one transfer.
      *
      * The grant policy is first-come-first-served in arrival order:
-     * the scheduler pops core wakes in (cycle, attach-order) order, so
-     * same-cycle requests from different clients are granted in a
-     * fixed, deterministic core order — the fair round-robin-free
-     * arbiter of paper Section 4.3, with determinism by construction.
+     * System runs its cores earliest cycle first with ties to the
+     * lowest core id, so same-cycle requests from different clients
+     * are granted in a fixed, deterministic core order — the fair
+     * round-robin-free arbiter of paper Section 4.3, with determinism
+     * by construction.
      *
      * @param earliest first cycle the requester could drive the bus
      *        (bank ready, gate released, translation resolved)
@@ -68,23 +63,12 @@ class BusArbiter : public sim::Component
      */
     Cycle reserve(Cycle earliest, unsigned beats, unsigned client = 0);
 
-    /** Cycle at which the bus becomes free. */
-    Cycle freeAt() const { return freeAt_; }
-
-    /** Reset timing state (bus idle) but keep stats. */
-    void resetTiming() { freeAt_ = 0; }
-
     StatGroup &stats() { return stats_; }
 
     std::uint64_t grants() const { return grants_.value(); }
     std::uint64_t contendedGrants() const
     {
         return contendedGrants_.value();
-    }
-    /** Contended grants whose previous bus owner was another client. */
-    std::uint64_t crossClientContended() const
-    {
-        return crossClientContended_.value();
     }
 
   private:

@@ -7,8 +7,7 @@ namespace acp::mem
 {
 
 Dram::Dram(const sim::SimConfig &cfg, BusArbiter &bus)
-    : sim::Component("dram"), cfg_(cfg), bus_(bus), banks_(cfg.dramBanks),
-      stats_("dram")
+    : cfg_(cfg), bus_(bus), banks_(cfg.dramBanks), stats_("dram")
 {
     if (!isPowerOfTwo(cfg.dramBanks) || !isPowerOfTwo(cfg.dramRowBytes))
         acp_fatal("DRAM banks and row size must be powers of two");
@@ -18,15 +17,6 @@ Dram::Dram(const sim::SimConfig &cfg, BusArbiter &bus)
     stats_.addCounter("page_conflicts", &pageConflicts_);
     stats_.addCounter("writes", &writeAccesses_);
     stats_.addAverage("latency", &latency_);
-}
-
-void
-Dram::resetTiming()
-{
-    for (Bank &bank : banks_) {
-        bank.rowOpen = false;
-        bank.busyUntil = 0;
-    }
 }
 
 DramResult

@@ -21,7 +21,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/bus.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::mem
@@ -42,15 +41,10 @@ struct DramResult
 };
 
 /** Open-row SDRAM with banked structure behind a shared data bus. */
-class Dram : public sim::Component
+class Dram
 {
   public:
     Dram(const sim::SimConfig &cfg, BusArbiter &bus);
-
-    /** Passive latency oracle: completions are computed in access(). */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
 
     /**
      * Perform one access.
@@ -62,10 +56,6 @@ class Dram : public sim::Component
      */
     DramResult access(Addr addr, Cycle req_cycle, unsigned bytes,
                       bool is_write, unsigned client = 0);
-
-    /** Reset bank timing state (banks closed) but keep stats. The
-     *  shared BusArbiter is reset by its owner. */
-    void resetTiming();
 
     StatGroup &stats() { return stats_; }
 

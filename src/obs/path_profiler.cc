@@ -1,12 +1,66 @@
 #include "obs/path_profiler.hh"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/logging.hh"
 
 namespace acp::obs
 {
+
+namespace
+{
+
+/** What the novelty scan counts over one exposure window. */
+struct NoveltyCounts
+{
+    std::uint64_t demandFetches = 0;
+    std::uint64_t novelExposuresInGap = 0;
+    std::uint64_t exposuresAfterVerdict = 0;
+};
+
+/**
+ * The novelty scan over @p txns (sorted by request cycle): demand
+ * fetches — only @p client's, if given — and among them those at or
+ * after @p verdict and the line addresses first exposed inside the
+ * window [@p usable, @p verdict). Under verdict-first policies
+ * (authen-then-issue) the window is empty.
+ */
+NoveltyCounts
+scanWindow(const std::vector<mem::BusTxn> &txns, Cycle usable,
+           Cycle verdict, std::optional<unsigned> client)
+{
+    NoveltyCounts out;
+    const bool window = usable != kCycleNever && verdict != kCycleNever &&
+                        usable < verdict;
+    std::set<Addr> seen; // line addresses exposed before the window
+    for (const mem::BusTxn &txn : txns) {
+        if (client && txn.client != *client)
+            continue;
+        if (txn.kind != mem::BusTxnKind::kInstrFetch &&
+            txn.kind != mem::BusTxnKind::kDataFetch)
+            continue;
+        ++out.demandFetches;
+        if (verdict != kCycleNever && txn.cycle >= verdict)
+            ++out.exposuresAfterVerdict;
+        Addr line = txn.addr & ~Addr(kExtLineBytes - 1);
+        if (!window || txn.cycle < usable) {
+            seen.insert(line);
+            continue;
+        }
+        if (txn.cycle >= verdict)
+            continue;
+        // Inside [usable, verdict): a line address the adversary has
+        // never seen before is information derived from the tampered
+        // (unverified) data — the Table 2 leak.
+        if (seen.insert(line).second)
+            ++out.novelExposuresInGap;
+    }
+    return out;
+}
+
+} // namespace
 
 SegmentArray
 PathProfiler::decompose(const mem::Txn &txn, std::uint64_t *latency_out)
@@ -146,84 +200,35 @@ PathProfiler::auditLeaks(const mem::BusTrace &trace) const
                      [](const mem::BusTxn &a, const mem::BusTxn &b) {
                          return a.cycle < b.cycle;
                      });
+    audit.busTxnsScanned = txns.size();
 
-    // The window in which tampered plaintext is usable on-chip but
-    // its verification verdict is still pending. Under verdict-first
-    // policies (authen-then-issue) the window is empty.
-    const bool have_window = tamperSeen_ &&
-        firstBadUsable_ != kCycleNever && firstBadVerdict_ != kCycleNever &&
-        firstBadUsable_ < firstBadVerdict_;
+    // The system-wide window: every client's demand traffic against
+    // the earliest bad transaction (both stay kCycleNever until a
+    // MAC-fail transaction is profiled).
+    const NoveltyCounts all =
+        scanWindow(txns, firstBadUsable_, firstBadVerdict_, std::nullopt);
+    audit.demandFetches = all.demandFetches;
+    audit.novelExposuresInGap = all.novelExposuresInGap;
+    audit.exposuresAfterVerdict = all.exposuresAfterVerdict;
+    audit.leakWindowOpen = all.novelExposuresInGap > 0;
 
-    std::set<Addr> seen; // line addresses exposed before the window
-    for (const mem::BusTxn &txn : txns) {
-        ++audit.busTxnsScanned;
-        const bool demand = txn.kind == mem::BusTxnKind::kInstrFetch ||
-                            txn.kind == mem::BusTxnKind::kDataFetch;
-        if (!demand)
-            continue;
-        ++audit.demandFetches;
-        if (tamperSeen_ && firstBadVerdict_ != kCycleNever &&
-            txn.cycle >= firstBadVerdict_)
-            ++audit.exposuresAfterVerdict;
-        Addr line = txn.addr & ~Addr(kExtLineBytes - 1);
-        if (!have_window || txn.cycle < firstBadUsable_) {
-            seen.insert(line);
-            continue;
-        }
-        if (txn.cycle >= firstBadVerdict_)
-            continue;
-        // Inside [usable, verdict): a line address the adversary has
-        // never seen before is information derived from the tampered
-        // (unverified) data — the Table 2 leak.
-        if (seen.insert(line).second)
-            ++audit.novelExposuresInGap;
-    }
-    audit.leakWindowOpen = audit.novelExposuresInGap > 0;
-
-    // Per-victim windows: the same novelty scan, restricted to the
-    // victim's own demand traffic and its own earliest bad fill.
+    // Per-victim windows: restricted to the victim's own demand
+    // traffic and its own earliest bad fill.
     for (const auto &[client, win] : firstBadByClient_) {
+        const NoveltyCounts own =
+            scanWindow(txns, win.usable, win.verdict, client);
         LeakAudit::CoreWindow cw;
         cw.core = client;
         cw.firstBadReq = win.req;
         cw.firstBadUsable = win.usable;
         cw.firstBadVerdict = win.verdict;
-        const bool window = win.usable != kCycleNever &&
-                            win.verdict != kCycleNever &&
-                            win.usable < win.verdict;
-        std::set<Addr> core_seen;
-        for (const mem::BusTxn &txn : txns) {
-            if (txn.client != client)
-                continue;
-            if (txn.kind != mem::BusTxnKind::kInstrFetch &&
-                txn.kind != mem::BusTxnKind::kDataFetch)
-                continue;
-            ++cw.demandFetches;
-            if (win.verdict != kCycleNever && txn.cycle >= win.verdict)
-                ++cw.exposuresAfterVerdict;
-            Addr line = txn.addr & ~Addr(kExtLineBytes - 1);
-            if (!window || txn.cycle < win.usable) {
-                core_seen.insert(line);
-                continue;
-            }
-            if (txn.cycle >= win.verdict)
-                continue;
-            if (core_seen.insert(line).second)
-                ++cw.novelExposuresInGap;
-        }
-        cw.leakWindowOpen = cw.novelExposuresInGap > 0;
+        cw.demandFetches = own.demandFetches;
+        cw.novelExposuresInGap = own.novelExposuresInGap;
+        cw.exposuresAfterVerdict = own.exposuresAfterVerdict;
+        cw.leakWindowOpen = own.novelExposuresInGap > 0;
         audit.cores.push_back(cw);
     }
     return audit;
-}
-
-const StatDistribution *
-PathProfiler::segmentDist(mem::BusTxnKind kind, PathSegment seg) const
-{
-    auto it = kinds_.find(unsigned(kind));
-    if (it == kinds_.end())
-        return nullptr;
-    return &it->second.segs[unsigned(seg)];
 }
 
 PathProfile

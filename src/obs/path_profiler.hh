@@ -262,11 +262,6 @@ class PathProfiler
     /** Run the leak audit against @p trace (request-cycle records). */
     LeakAudit auditLeaks(const mem::BusTrace &trace) const;
 
-    /** Per-kind x segment distribution (for tests; nullptr if the
-     *  kind was never seen). */
-    const StatDistribution *segmentDist(mem::BusTxnKind kind,
-                                        PathSegment seg) const;
-
     /**
      * Aggregate snapshot. @p trace adds the leak audit, @p stalls the
      * core's stall counters (both optional), @p policy the label.

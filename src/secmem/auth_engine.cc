@@ -189,10 +189,4 @@ AuthEngine::prune()
     }
 }
 
-void
-AuthEngine::resetTiming()
-{
-    engineFreeAt_ = 0;
-}
-
 } // namespace acp::secmem

@@ -118,12 +118,6 @@ class AuthEngine
     AuthSeq firstFailedSeq(unsigned client) const;
     Cycle firstFailureCycle(unsigned client) const;
 
-    /** Cycle the engine frees up (for occupancy/backlog analysis). */
-    Cycle engineFreeAt() const { return engineFreeAt_; }
-
-    /** Drop timing state; sequence numbers keep increasing. */
-    void resetTiming();
-
     StatGroup &stats() { return stats_; }
 
   private:

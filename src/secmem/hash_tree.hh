@@ -74,7 +74,6 @@ class HashTree
     /** Number of levels above the leaves (root excluded from memory). */
     unsigned levels() const { return levels_; }
 
-    cache::Cache &nodeCache() { return nodeCache_; }
     StatGroup &stats() { return stats_; }
 
   private:

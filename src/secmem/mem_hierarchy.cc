@@ -21,8 +21,7 @@ MemHierarchy::CoreCaches::CoreCaches(const sim::SimConfig &cfg,
 }
 
 MemHierarchy::MemHierarchy(const sim::SimConfig &cfg)
-    : sim::Component("hier"), cfg_(cfg), ctrl_(cfg, cfg.rngSeed),
-      stats_("hier")
+    : cfg_(cfg), ctrl_(cfg, cfg.rngSeed), stats_("hier")
 {
     if (!isPowerOfTwo(cfg.memoryBytes))
         acp_fatal("memory size must be a power of two");
@@ -68,7 +67,7 @@ MemHierarchy::registerClient()
 }
 
 void
-MemHierarchy::visitStats(sim::StatGroupVisitor &v)
+MemHierarchy::visitStats(StatGroupVisitor &v)
 {
     v.group(stats_);
     for (auto &c : cores_) {

@@ -31,24 +31,19 @@
 #include "isa/program.hh"
 #include "mem/txn.hh"
 #include "secmem/secure_memctrl.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::secmem
 {
 
 /** The hierarchy. */
-class MemHierarchy : public sim::Component
+class MemHierarchy
 {
   public:
     explicit MemHierarchy(const sim::SimConfig &cfg);
 
-    /** Passive latency oracle: timing is computed at access time, so
-     *  the hierarchy never asks the scheduler for a wake. */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
     /** Own groups (hier, caches, TLBs), then the controller's. */
-    void visitStats(sim::StatGroupVisitor &v) override;
+    void visitStats(StatGroupVisitor &v);
 
     // ----- client registration (mgsim RegisterClient shape) -------------
     /**

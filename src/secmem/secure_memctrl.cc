@@ -10,7 +10,7 @@ namespace acp::secmem
 {
 
 SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
-    : sim::Component("memctrl"), cfg_(cfg), ext_(seed), bus_(cfg),
+    : cfg_(cfg), ext_(seed), bus_(cfg),
       dram_(cfg, bus_),
       engine_(cfg.authLatency, cfg.authEngineInterval),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
@@ -72,12 +72,12 @@ SecureMemCtrl::policyFor(unsigned client) const
 }
 
 void
-SecureMemCtrl::visitStats(sim::StatGroupVisitor &v)
+SecureMemCtrl::visitStats(StatGroupVisitor &v)
 {
     v.group(stats_);
     v.group(engine_.stats());
-    bus_.visitStats(v);
-    dram_.visitStats(v);
+    v.group(bus_.stats());
+    v.group(dram_.stats());
     v.group(counterCache_.stats());
     v.group(ext_.stats());
     if (tree_)

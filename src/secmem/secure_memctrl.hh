@@ -48,7 +48,6 @@
 #include "secmem/hash_tree.hh"
 #include "secmem/meta_port.hh"
 #include "secmem/remap.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::obs
@@ -60,17 +59,14 @@ namespace acp::secmem
 {
 
 /** The controller. */
-class SecureMemCtrl : public sim::Component
+class SecureMemCtrl
 {
   public:
     SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed);
 
-    /** Passive latency oracle: never wakes. */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
     /** Own group, then engine / bus / dram / metadata sub-components
      *  in legacy dump order. */
-    void visitStats(sim::StatGroupVisitor &v) override;
+    void visitStats(StatGroupVisitor &v);
 
     /**
      * Declare the controller multi-client (mgsim RegisterClient
@@ -117,9 +113,6 @@ class SecureMemCtrl : public sim::Component
     mem::Dram &dram() { return dram_; }
     mem::BusTrace &busTrace() { return trace_; }
     cache::Cache &counterCache() { return counterCache_; }
-    HashTree *hashTree() { return tree_.get(); }
-    RemapLayer *remapLayer() { return remap_.get(); }
-    CounterPredictor *counterPredictor() { return predictor_.get(); }
 
     /** Use drain-authen-then-fetch semantics (ablation). */
     void setFetchGateDrain(bool on) { fetchGateDrain_ = on; }

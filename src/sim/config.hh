@@ -202,8 +202,8 @@ struct SimConfig
      *  passive like tracing, so also digest-excluded. */
     bool profileEnabled = false;
     /**
-     * Collect sim.host.* self-metrics (scheduler wake counts and
-     * jump-length histograms per component, txn-arena high-water
+     * Collect sim.host.* self-metrics (event-loop wake counts and
+     * jump-length histograms per core, txn-arena high-water
      * marks). These measure the *simulator*, not the simulated
      * machine; passive like tracing, so also digest-excluded and
      * uncacheable at the exp::Point level.

@@ -90,8 +90,8 @@ usage()
         "observability options:\n"
         "  --stats       dump all component statistics\n"
         "  --host-stats  collect sim.host.* simulator self-metrics\n"
-        "                (scheduler wakes + jump histogram per\n"
-        "                component, txn-arena pressure); shown with\n"
+        "                (event-loop wakes + jump histogram per\n"
+        "                core, txn-arena pressure); shown with\n"
         "                --stats and captured into --json\n"
         "  --heartbeat[=SPEC]  stream live JSONL progress records\n"
         "                (sweep/run/tick); SPEC is a file path, fd:N,\n"

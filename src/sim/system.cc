@@ -37,9 +37,14 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         acp_fatal("System needs one program per core (%u cores, %zu "
                   "programs)",
                   cfg_.numCores, progs_.size());
-
-    sched_.enableHostStats(cfg_.hostStats);
-    sched_.attach(hier_);
+    // An empty RUU dispatches nothing and an empty LSQ never admits a
+    // load: either core would idle into the no-progress panic.
+    if (cfg_.ruuSize == 0)
+        acp_fatal("ruuSize %u: the core needs at least one RUU entry",
+                  cfg_.ruuSize);
+    if (cfg_.lsqSize == 0)
+        acp_fatal("lsqSize %u: the core needs at least one LSQ entry",
+                  cfg_.lsqSize);
 
     slots_.resize(progs_.size());
     for (unsigned i = 0; i < slots_.size(); ++i) {
@@ -104,15 +109,11 @@ System::fastForward(std::uint64_t insts)
 void
 System::createCores()
 {
-    // Reverse order with front attach: the scheduler prepends, so the
-    // components end up [cpu0, cpu1, ..., hier] — cpu0 both dumps
-    // first and wins same-cycle wake ties, and a single-core system
-    // keeps the exact legacy order [core, hier].
-    for (unsigned r = unsigned(slots_.size()); r-- > 0;) {
-        CoreSlot &slot = slots_[r];
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+        CoreSlot &slot = slots_[i];
         std::string name =
             slots_.size() == 1 ? "core"
-                               : "cpu" + std::to_string(r) + ".core";
+                               : "cpu" + std::to_string(i) + ".core";
         slot.core = std::make_unique<cpu::OooCore>(
             cfg_, hier_, slot.refExec->pc(), slot.client, name);
         for (unsigned reg = 0; reg < 32; ++reg)
@@ -122,7 +123,6 @@ System::createCores()
         slot.core->setTrace(trace_.get());
         if (slot.series)
             slot.core->addSampler(*slot.series);
-        sched_.attach(*slot.core, /*front=*/true);
     }
 }
 
@@ -148,20 +148,48 @@ System::measureTimed(std::uint64_t max_insts, std::uint64_t max_cycles)
 {
     core(0); // create every core
 
-    std::vector<std::uint64_t> insts0(slots_.size());
-    std::vector<Cycle> cycles0(slots_.size());
-    for (unsigned i = 0; i < slots_.size(); ++i) {
+    const unsigned n = unsigned(slots_.size());
+    std::vector<std::uint64_t> insts0(n);
+    std::vector<Cycle> cycles0(n);
+    std::vector<Cycle> next(n); // each core's next cycle to run
+    for (unsigned i = 0; i < n; ++i) {
         cpu::OooCore &c = *slots_[i].core;
         insts0[i] = c.instsCommitted();
         cycles0[i] = c.cycles();
         c.beginRun(max_insts, max_cycles);
-        c.wakeAt(c.cycles());
+        next[i] = c.cycles();
     }
-    sched_.run();
+
+    // Run the core with the earliest next cycle, lowest id on a tie,
+    // until every core has returned kCycleNever. Idle cycles are never
+    // visited: onWake accounts a stall window analytically and jumps.
+    for (;;) {
+        unsigned pick = 0;
+        for (unsigned i = 1; i < n; ++i)
+            if (next[i] < next[pick])
+                pick = i;
+        const Cycle now = next[pick];
+        if (now == kCycleNever)
+            break;
+        CoreSlot &slot = slots_[pick];
+        if (cfg_.hostStats) {
+            ++slot.wakes;
+            if (slot.lastWake != kCycleNever)
+                slot.jump.sample(now - slot.lastWake);
+            slot.lastWake = now;
+        }
+        next[pick] = slot.core->onWake(now);
+        if (next[pick] <= now)
+            acp_fatal("%s asked to run at %llu from %llu (time must "
+                      "advance)",
+                      slot.core->name().c_str(),
+                      (unsigned long long)next[pick],
+                      (unsigned long long)now);
+    }
 
     RunResult res;
     res.reason = slots_[0].core->runReason();
-    for (unsigned i = 0; i < slots_.size(); ++i) {
+    for (unsigned i = 0; i < n; ++i) {
         cpu::OooCore &c = *slots_[i].core;
         res.insts += c.instsCommitted() - insts0[i];
         std::uint64_t cyc = c.cycles() - cycles0[i];
@@ -200,17 +228,17 @@ System::pathProfile()
 void
 System::visitHostStatGroups(StatGroupVisitor &v)
 {
-    // Groups are rebuilt on every call: component registration can
-    // grow between dumps (the timed cores attach lazily) and the
-    // arena counters are process-wide snapshots. The temporaries are
-    // consumed synchronously by v.group(), so pointer registration
-    // into them is safe.
+    // Groups are rebuilt on every call: the timed cores are created
+    // lazily and the arena counters are process-wide snapshots. The
+    // temporaries are consumed synchronously by v.group(), so pointer
+    // registration into them is safe.
     StatGroup sched_group("sim.host.sched");
-    for (Component *comp : sched_.components()) {
-        std::string base = comp->componentName();
-        sched_group.addCounter(base + ".wakes", &comp->hostWakes());
-        sched_group.addDistribution(base + ".jump",
-                                    &comp->hostJumpHist());
+    for (CoreSlot &slot : slots_) {
+        if (!slot.core)
+            continue;
+        sched_group.addCounter(slot.core->name() + ".wakes", &slot.wakes);
+        sched_group.addDistribution(slot.core->name() + ".jump",
+                                    &slot.jump);
     }
     v.group(sched_group);
 
@@ -228,6 +256,17 @@ System::visitHostStatGroups(StatGroupVisitor &v)
     v.group(arena_group);
 }
 
+void
+System::visitGroups(StatGroupVisitor &v)
+{
+    for (CoreSlot &slot : slots_)
+        if (slot.core)
+            v.group(slot.core->stats());
+    hier_.visitStats(v);
+    if (cfg_.hostStats)
+        visitHostStatGroups(v);
+}
+
 std::string
 System::dumpStats()
 {
@@ -236,10 +275,7 @@ System::dumpStats()
         std::string out;
         void group(StatGroup &g) override { g.dump(out); }
     } dumper;
-    for (Component *comp : sched_.components())
-        comp->visitStats(dumper);
-    if (cfg_.hostStats)
-        visitHostStatGroups(dumper);
+    visitGroups(dumper);
     return std::move(dumper.out);
 }
 
@@ -252,10 +288,7 @@ System::visitStats(StatVisitor &visitor)
         explicit Walker(StatVisitor &v) : inner(v) {}
         void group(StatGroup &g) override { g.visit(inner); }
     } walker(visitor);
-    for (Component *comp : sched_.components())
-        comp->visitStats(walker);
-    if (cfg_.hostStats)
-        visitHostStatGroups(walker);
+    visitGroups(walker);
 }
 
 } // namespace acp::sim

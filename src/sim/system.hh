@@ -32,7 +32,6 @@
 #include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
 #include "sim/config.hh"
-#include "sim/scheduler.hh"
 
 namespace acp::sim
 {
@@ -79,7 +78,9 @@ class System
     void enableCosim();
 
     /** Run the timed cores for a measurement window (every core gets
-     *  the same per-core limits). */
+     *  the same per-core limits). The cores run earliest next cycle
+     *  first; same-cycle ties go to the lowest core id, so cpu0's
+     *  same-cycle memory requests reach the shared bus first. */
     RunResult measureTimed(std::uint64_t max_insts,
                            std::uint64_t max_cycles);
 
@@ -88,14 +89,11 @@ class System
     const SimConfig &config() const { return cfg_; }
     const isa::Program &program() const { return progs_[0]; }
 
-    /** Wake scheduler + component registry (dump order = attachment
-     *  order; the core attaches in front of the memory side). */
-    Scheduler &scheduler() { return sched_; }
-
-    /** Dump all component statistics as text. */
+    /** Dump all statistics as text: the cores' groups (once they
+     *  exist) in core order, then the hierarchy's. */
     std::string dumpStats();
 
-    /** Feed every component statistic to @p visitor, typed. */
+    /** Feed every statistic to @p visitor, typed, in dump order. */
     void visitStats(StatVisitor &visitor);
 
     /** Structured trace buffer (nullptr unless cfg.traceMask != 0). */
@@ -109,9 +107,6 @@ class System
         return slots_[i].intervals;
     }
 
-    /** Path profiler (nullptr unless cfg.profileEnabled). */
-    obs::PathProfiler *pathProfiler() { return profiler_.get(); }
-
     /** Finalized profile snapshot: leak audit over the live bus trace
      *  plus the cores' summed stall counters (if timed cores ran).
      *  Call only when profiling is enabled. */
@@ -120,7 +115,8 @@ class System
   private:
     /** One core's private slice of the system: its program copy,
      *  reference machine, hierarchy client id, (once timed execution
-     *  starts) its OooCore, and the interval series it samples. */
+     *  starts) its OooCore, the interval series it samples, and its
+     *  sim.host.sched counters. */
     struct CoreSlot
     {
         unsigned client = 0;
@@ -129,19 +125,29 @@ class System
         std::unique_ptr<cpu::OooCore> core;
         std::unique_ptr<obs::IntervalSampler> series;
         std::vector<obs::IntervalSample> intervals;
+
+        // Host telemetry (cfg.hostStats; never a simulation result)
+        /** Times the loop called this core's onWake. */
+        StatCounter wakes;
+        /** Simulated cycles between consecutive wakes (the event-loop
+         *  "jump length"; count == wakes - 1). */
+        StatDistribution jump;
+        Cycle lastWake = kCycleNever;
     };
 
-    /** Create every timed core at once (deterministic attach order:
-     *  cpu0 wakes/dumps first, then cpu1, ..., then the hierarchy). */
+    /** Create every timed core at once, cpu0 first. */
     void createCores();
 
-    /** Emit the sim.host.* groups (scheduler wakes/jumps per
-     *  component, txn-arena pressure) when cfg.hostStats is set. */
+    /** Every stat group in dump order: cores, hierarchy, then the
+     *  sim.host.* groups when cfg.hostStats is set. */
+    void visitGroups(StatGroupVisitor &v);
+
+    /** Emit the sim.host.* groups (wakes/jumps per core, txn-arena
+     *  pressure). */
     void visitHostStatGroups(StatGroupVisitor &v);
 
     SimConfig cfg_;
     std::vector<isa::Program> progs_;
-    Scheduler sched_;
     secmem::MemHierarchy hier_;
     std::vector<CoreSlot> slots_;
     bool cosim_ = false;

@@ -829,6 +829,11 @@ fpNames()
 isa::Program
 build(const std::string &name, const WorkloadParams &params)
 {
+    // mcf takes node indices modulo workingSetBytes / 64: a working
+    // set below one line would divide by zero.
+    if (params.workingSetBytes < 64)
+        acp_fatal("working set of %llu bytes is below one 64-byte line",
+                  (unsigned long long)params.workingSetBytes);
     if (name == "mcf") return buildMcf(params);
     if (name == "gap") return buildGap(params);
     if (name == "parser") return buildParser(params);

@@ -47,7 +47,8 @@ const std::vector<WorkloadInfo> &catalog();
 std::vector<std::string> intNames();
 std::vector<std::string> fpNames();
 
-/** Build a workload by name; acp_fatal on unknown names. */
+/** Build a workload by name; acp_fatal on unknown names and on a
+ *  working set below 64 bytes. */
 isa::Program build(const std::string &name,
                    const WorkloadParams &params = {});
 

@@ -118,22 +118,6 @@ TEST(Dram, FirstBeatBeforeComplete)
     EXPECT_LT(res.firstBeat, res.complete);
 }
 
-TEST(Dram, ResetTimingClearsBanksKeepsStats)
-{
-    sim::SimConfig c = cfg();
-    BusArbiter bus(c);
-    Dram dram(c, bus);
-    dram.access(0x0, 0, 64, false);
-    std::uint64_t accesses = dram.accesses();
-    dram.resetTiming();
-    bus.resetTiming();
-    EXPECT_EQ(dram.accesses(), accesses);
-    EXPECT_EQ(bus.freeAt(), 0u);
-    // After reset the bank is closed again: row miss, not page hit.
-    dram.access(0x0, 0, 64, false);
-    EXPECT_EQ(dram.rowMisses(), 2u);
-}
-
 TEST(Dram, SmallTransferUsesOneBeat)
 {
     sim::SimConfig c = cfg();

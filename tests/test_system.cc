@@ -68,6 +68,24 @@ TEST(System, FastForwardAfterCoreCreationIsFatal)
                 ::testing::ExitedWithCode(1), "fastForward");
 }
 
+// An empty RUU dispatches nothing and an empty LSQ admits no load:
+// either core would idle into the no-progress panic. acpsim --ruu N
+// sets the LSQ to N / 2, so --ruu 1 is the empty-LSQ case.
+TEST(System, EmptyRuuOrLsqIsFatal)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    isa::Program prog = workloads::build("mcf", params);
+    sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+    cfg.ruuSize = 0;
+    EXPECT_EXIT({ sim::System system(cfg, prog); },
+                ::testing::ExitedWithCode(1), "ruuSize 0");
+    cfg.ruuSize = 8;
+    cfg.lsqSize = 0;
+    EXPECT_EXIT({ sim::System system(cfg, prog); },
+                ::testing::ExitedWithCode(1), "lsqSize 0");
+}
+
 TEST(System, DeterministicAcrossRuns)
 {
     double a = ipcOf("vpr", AuthPolicy::kAuthThenCommit);

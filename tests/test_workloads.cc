@@ -101,6 +101,16 @@ TEST(Workloads, UnknownNameIsFatal)
                 ::testing::ExitedWithCode(1), "unknown workload");
 }
 
+// mcf splits its working set into 64-byte nodes and indexes them
+// modulo the node count: a set below one line has no node at all.
+TEST(Workloads, WorkingSetBelowOneLineIsFatal)
+{
+    workloads::WorkloadParams params = smallParams();
+    params.workingSetBytes = 0;
+    EXPECT_EXIT(workloads::build("mcf", params),
+                ::testing::ExitedWithCode(1), "working set of 0 bytes");
+}
+
 TEST(Workloads, DeterministicAcrossBuilds)
 {
     workloads::WorkloadParams params = smallParams();

@@ -9,8 +9,7 @@
 #   tools/record_bench.sh BENCH_multicore.json --bench=multicore_scaling
 #
 # records the same sweep under a snapshot name (used to commit the
-# event-driven scheduler's wall-clock numbers next to the polled-loop
-# baseline).
+# event loop's wall-clock numbers next to the polled-loop baseline).
 #
 # The committed BENCH_baseline.json is the reference point future
 # changes diff against - IPC per (workload, policy) plus the per-

@@ -1,7 +1,7 @@
 /**
  * @file
  * The JSON string escaper every hand-rolled JSON writer in this repo
- * shares (sweep JSON, manifest, heartbeat, path profile). Quote and
+ * shares (sweep JSON, manifest, path profile). Quote and
  * backslash get their two-character escapes, as do newline and tab;
  * every other control byte, carriage return included, becomes a
  * four-hex-digit unicode escape.

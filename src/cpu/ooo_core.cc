@@ -36,7 +36,7 @@ OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
     : cfg_(cfg), hier_(hier), client_(client),
       policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
-      renameMap_(32, -1), stats_(name)
+      renameMap_(32, -1), intervals_(cfg.statsInterval), stats_(name)
 {
     stats_.addCounter("committed", &committed_);
     stats_.addCounter("fetched", &fetched_);
@@ -737,29 +737,14 @@ OooCore::accountCycle()
     ruuOccupancy_.sample(ruuCount_);
     sbOccupancy_.sample(storeBuffer_.size());
     // The totals now cover every cycle up to and including cycle_.
-    if (cycle_ + 1 == nextSample_)
-        sampleBoundary();
+    if (cycle_ + 1 == intervals_.nextBoundary())
+        intervals_.sample(committed_.value(), stallCycles());
 }
 
 void
-OooCore::addSampler(obs::IntervalSampler &sampler)
+OooCore::finishIntervals()
 {
-    sampler.start(cycle_, committed_.value(), stallCycles());
-    samplers_.push_back(&sampler);
-    nextSample_ = std::min(nextSample_, sampler.nextBoundary());
-}
-
-void
-OooCore::sampleBoundary()
-{
-    const obs::StallArray stalls = stallCycles();
-    Cycle next = kCycleNever;
-    for (obs::IntervalSampler *sampler : samplers_) {
-        if (sampler->nextBoundary() == nextSample_)
-            sampler->sample(committed_.value(), stalls);
-        next = std::min(next, sampler->nextBoundary());
-    }
-    nextSample_ = next;
+    intervals_.finish(cycle_, committed_.value(), stallCycles());
 }
 
 obs::StallArray
@@ -941,14 +926,14 @@ OooCore::accountIdleCycles(std::uint64_t n)
             lsqFullStalls_ += m;
     };
 
-    // Split the charge at each sampler boundary inside the window, so
+    // Split the charge at each interval boundary inside the window, so
     // every sample sees the totals of exactly the cycles before it.
     const Cycle end = cycle_ + n;
     Cycle at = cycle_;
-    while (nextSample_ <= end) {
-        charge(nextSample_ - at);
-        at = nextSample_;
-        sampleBoundary();
+    while (intervals_.nextBoundary() <= end) {
+        charge(intervals_.nextBoundary() - at);
+        at = intervals_.nextBoundary();
+        intervals_.sample(committed_.value(), stallCycles());
     }
     charge(end - at);
 }

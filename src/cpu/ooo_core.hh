@@ -144,13 +144,19 @@ class OooCore
     void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
 
     /**
-     * Attach a passive interval sampler (the --stats-interval series
-     * or a heartbeat feed; not owned, must outlive the core). It is
-     * anchored at the current cycle, and the core hands it its totals
-     * at every period boundary — ticked or skipped — so samples only
-     * read statistics the core maintains anyway.
+     * The --stats-interval series (empty unless cfg.statsInterval !=
+     * 0): one row per [kP, (k+1)P) of the core-local clock, plus the
+     * partial tail of each timed window. The core hands the sampler
+     * its totals at every period boundary — ticked or skipped — so
+     * rows only read statistics the core maintains anyway.
      */
-    void addSampler(obs::IntervalSampler &sampler);
+    const std::vector<obs::IntervalSample> &intervals() const
+    {
+        return intervals_.rows();
+    }
+
+    /** Record the series' partial tail at the end of a timed window. */
+    void finishIntervals();
 
     /** Cumulative per-cause stall cycles of the stats window. */
     obs::StallArray stallCycles() const;
@@ -254,7 +260,7 @@ class OooCore
     /**
      * Account @p n skipped idle cycles exactly as the polled loop
      * would have: per-cycle stall/occupancy bookkeeping batched
-     * arithmetically, split at each sampler boundary inside the
+     * arithmetically, split at each interval boundary inside the
      * window. Machine state is frozen across the window by
      * construction, so this is bit-identical to ticking.
      */
@@ -291,9 +297,6 @@ class OooCore
     void accountCycle();
     /** Pick the single cause of a zero-commit cycle. */
     obs::StallCause classifyStall();
-    /** The totals cover every cycle before nextSample_: hand them to
-     *  the samplers whose boundary that is, and find the next one. */
-    void sampleBoundary();
 
     const sim::SimConfig &cfg_;
     secmem::MemHierarchy &hier_;
@@ -361,10 +364,7 @@ class OooCore
 
     // Observability (passive: never feeds back into the model)
     obs::TraceBuffer *trace_ = nullptr;
-    /** At most two: the interval series and a heartbeat feed. */
-    std::vector<obs::IntervalSampler *> samplers_;
-    /** Earliest sampler boundary (kCycleNever with no sampler). */
-    Cycle nextSample_ = kCycleNever;
+    obs::IntervalSampler intervals_;
     unsigned commitsThisCycle_ = 0;
     CommitBlock commitBlock_ = CommitBlock::kNone;
     /** Gate tag the commit stage last stalled on (for the trace's

@@ -3,7 +3,7 @@
  * The one experiment entry point: a Request fully describes a sweep —
  * the cross product workloads × config variants (× core counts) that
  * every paper figure/table is made of — *and* how to execute it
- * (jobs, result store, progress, captured statistics, heartbeat).
+ * (jobs, result store, progress, captured statistics).
  *
  * A Request replaces the three entry surfaces the harness used to
  * have (the Sweep builder, RunnerOptions, and acpsim's private flag
@@ -34,11 +34,6 @@
 #include <vector>
 
 #include "exp/point.hh"
-
-namespace acp::obs
-{
-class Heartbeat;
-}
 
 namespace acp::exp
 {
@@ -84,18 +79,9 @@ struct Request
     std::vector<std::string> counters;
     /** Also keep the full dumpStats() text in Result::statsText. */
     bool captureStatsText = false;
-    /** Simulated cycles between heartbeat tick records. */
-    std::uint64_t heartbeatPeriod = 50000;
 
     // ----- in-process hooks ------------------------------------------
 
-    /**
-     * Live heartbeat sink (JSONL; see obs/heartbeat.hh). Strictly
-     * passive: a heartbeat run is bit-identical to a silent one, and
-     * heartbeat never affects digests or cacheability. Not owned;
-     * must outlive submit().
-     */
-    obs::Heartbeat *heartbeat = nullptr;
     /**
      * Last-chance point decoration (trace/cosim hooks, ad-hoc config
      * edits). Runs at the end of points().

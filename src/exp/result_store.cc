@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include <fcntl.h>
@@ -58,11 +58,12 @@ indexHeaderText()
 /**
  * flock(2) on index.txt, held until destruction (closing the
  * descriptor releases it). The descriptor is opened for appending, so
- * journal records are written through it. Compaction replaces
- * index.txt by rename, and a lock on a file that was renamed away
- * guards nothing: after locking, the descriptor is checked against the
- * path and the lock is retaken on the current file. fd() is -1 when
- * the index cannot be opened for writing; the store then only reads.
+ * journal records are written through it. A lock on a file that was
+ * replaced since it was opened guards nothing (an older build compacts
+ * the store by renaming a new index over index.txt): after locking,
+ * the descriptor is checked against the path and the lock is retaken
+ * on the current file. fd() is -1 when the index cannot be opened for
+ * writing; the store then only reads.
  */
 class IndexLock
 {
@@ -105,43 +106,31 @@ class IndexLock
 
 } // namespace
 
-ResultStore::ResultStore(std::string dir, std::size_t max_entries)
-    : dir_(std::move(dir)), maxEntries_(max_entries)
+ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
 {
-    if (maxEntries_ == 0)
-        if (const char *env = std::getenv("ACP_CACHE_MAX_ENTRIES"))
-            maxEntries_ = std::strtoull(env, nullptr, 10);
     ::mkdir(dir_.c_str(), 0777); // EEXIST is the common case
 
     std::lock_guard<std::mutex> lock(mutex_);
     {
         IndexLock shared(indexPath(), LOCK_SH);
-        if (loadIndexLocked() &&
-            (maxEntries_ == 0 || entries_.size() <= maxEntries_) &&
-            !compactionDueLocked())
+        if (loadIndexLocked())
             return;
     }
-    // Initialising, evicting and compacting write the store. Replay
-    // again under the exclusive lock: records other processes added
-    // since the shared read must survive.
+    // Initialising writes the store. Replay again under the exclusive
+    // lock: another process may have initialised it since the shared
+    // read, and its records must survive.
     IndexLock index(indexPath(), LOCK_EX);
     if (!loadIndexLocked()) {
         // No (or stale/foreign) index: start the store fresh.
         writeFile(indexPath(), indexHeaderText());
         writeFile(dataPath(), "");
     }
-    // A cap that shrank since the journal was written applies now.
-    evictLocked(index.fd());
-    if (compactionDueLocked())
-        compactLocked();
 }
 
 bool
 ResultStore::loadIndexLocked()
 {
     entries_.clear();
-    lru_.clear();
-    deadRecords_ = 0;
     std::FILE *f = std::fopen(indexPath().c_str(), "r");
     if (!f)
         return false;
@@ -159,46 +148,21 @@ ResultStore::loadIndexLocked()
         return false; // foreign/stale index: rebuild
     }
 
-    // Replay the journal: live set + LRU order (front = most recent).
+    // Replay the journal: the last put of each digest wins. Comment
+    // lines and an older build's touch/evict records carry no span.
     struct Span
     {
         std::uint64_t offset = 0;
         std::uint64_t len = 0;
-        std::list<std::string>::iterator lruIt;
     };
     std::unordered_map<std::string, Span> spans;
     while (std::fgets(line, sizeof(line), f)) {
-        if (line[0] == '#')
-            continue;
         char op[8], digest[128];
         unsigned long long offset = 0, len = 0;
-        int n = std::sscanf(line, "%7s %127s %llu %llu", op, digest,
-                            &offset, &len);
-        if (n < 2)
-            continue;
-        std::string key(digest);
-        auto it = spans.find(key);
-        if (std::string(op) == "put" && n == 4) {
-            if (it != spans.end()) {
-                lru_.erase(it->second.lruIt);
-                spans.erase(it);
-                ++deadRecords_; // superseded put
-            }
-            lru_.push_front(key);
-            spans[key] = Span{offset, len, lru_.begin()};
-        } else if (std::string(op) == "touch") {
-            if (it != spans.end())
-                lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            else
-                ++deadRecords_;
-        } else if (std::string(op) == "evict") {
-            if (it != spans.end()) {
-                lru_.erase(it->second.lruIt);
-                spans.erase(it);
-                ++deadRecords_; // the killed put
-            }
-            ++deadRecords_; // the evict record itself
-        }
+        if (std::sscanf(line, "%7s %127s %llu %llu", op, digest, &offset,
+                        &len) == 4 &&
+            std::strcmp(op, "put") == 0)
+            spans[digest] = Span{offset, len};
     }
     std::fclose(f);
 
@@ -206,24 +170,18 @@ ResultStore::loadIndexLocked()
     // file, crashed writer) just drops its entry: the store serves
     // only what it can prove it has.
     std::FILE *data = std::fopen(dataPath().c_str(), "r");
-    for (auto it = lru_.begin(); it != lru_.end();) {
-        const Span &span = spans[*it];
+    for (const auto &[digest, span] : spans) {
         std::string payload(span.len, '\0');
         bool ok = data &&
                   std::fseek(data, long(span.offset), SEEK_SET) == 0 &&
                   std::fread(payload.data(), 1, span.len, data) ==
                       span.len;
-        if (!ok) {
-            ++deadRecords_;
-            it = lru_.erase(it);
+        if (!ok)
             continue;
-        }
-        Entry entry;
-        entry.result.fromCache = true;
-        decodeResultTokens(payload, entry.result);
-        entry.lruIt = it;
-        entries_.emplace(*it, std::move(entry));
-        ++it;
+        Result result;
+        decodeResultTokens(payload, result);
+        result.fromCache = true;
+        entries_.emplace(digest, std::move(result));
     }
     if (data)
         std::fclose(data);
@@ -240,12 +198,7 @@ ResultStore::lookup(const std::string &digest, Result &out)
         return false;
     }
     ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    {
-        IndexLock index(indexPath(), LOCK_EX);
-        appendIndexLocked(index.fd(), "touch " + digest);
-    }
-    out = it->second.result;
+    out = it->second;
     out.fromCache = true;
     return true;
 }
@@ -255,93 +208,20 @@ ResultStore::put(const std::string &digest, const Result &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
-    IndexLock index(indexPath(), LOCK_EX);
-    insertLocked(index.fd(), digest, result);
-    evictLocked(index.fd());
-}
-
-void
-ResultStore::insertLocked(int index_fd, const std::string &digest,
-                          const Result &result)
-{
     std::string payload = encodeResultTokens(result);
-    std::uint64_t offset = 0;
-    if (index_fd < 0 || !appendDataLocked(payload, offset))
-        return; // unwritable store: nothing to record
-    char span[64];
-    std::snprintf(span, sizeof(span), " %llu %zu",
-                  (unsigned long long)offset, payload.size());
-    appendIndexLocked(index_fd, "put " + digest + span);
-
-    auto it = entries_.find(digest);
-    if (it != entries_.end()) {
-        ++deadRecords_; // superseded put
-        it->second.result = result;
-        it->second.result.fromCache = true;
-        lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        return;
-    }
-    lru_.push_front(digest);
-    Entry entry;
-    entry.result = result;
-    entry.result.fromCache = true;
-    entry.lruIt = lru_.begin();
-    entries_.emplace(digest, std::move(entry));
-}
-
-void
-ResultStore::evictLocked(int index_fd)
-{
-    if (maxEntries_ == 0)
-        return;
-    while (entries_.size() > maxEntries_ && !lru_.empty()) {
-        std::string victim = lru_.back();
-        lru_.pop_back();
-        entries_.erase(victim);
-        appendIndexLocked(index_fd, "evict " + victim);
-        deadRecords_ += 2; // the evict record + the put it killed
-        ++stats_.evictions;
-    }
-}
-
-void
-ResultStore::compactLocked()
-{
-    // Runs under the exclusive lock, right after a replay under that
-    // same lock, so the live set holds every process's entries.
-    // Rewrite both files from it, least-recent first so a replay
-    // (every put lands at most-recent) reconstructs the exact LRU
-    // order. Temp-file + rename keeps a crash from eating the store;
-    // renaming index.txt last makes waiting processes retake their
-    // lock on the new index only once both files are in place.
-    std::string data_text;
-    std::string index_text = indexHeaderText();
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        std::string payload =
-            encodeResultTokens(entries_[*it].result);
+    {
+        IndexLock index(indexPath(), LOCK_EX);
+        std::uint64_t offset = 0;
+        if (index.fd() < 0 || !appendDataLocked(payload, offset))
+            return; // unwritable store: nothing to record
         char span[64];
         std::snprintf(span, sizeof(span), " %llu %zu\n",
-                      (unsigned long long)data_text.size(),
-                      payload.size());
-        index_text += "put " + *it + span;
-        data_text += payload + "\n";
+                      (unsigned long long)offset, payload.size());
+        writeAll(index.fd(), "put " + digest + span);
     }
-    std::string data_tmp = dataPath() + ".tmp";
-    std::string index_tmp = indexPath() + ".tmp";
-    if (!writeFile(data_tmp, data_text) ||
-        !writeFile(index_tmp, index_text))
-        return;
-    if (std::rename(data_tmp.c_str(), dataPath().c_str()) != 0)
-        return;
-    if (std::rename(index_tmp.c_str(), indexPath().c_str()) != 0)
-        return;
-    deadRecords_ = 0;
-}
-
-bool
-ResultStore::appendIndexLocked(int index_fd, const std::string &line)
-{
-    return index_fd >= 0 && writeAll(index_fd, line + "\n");
+    Result &entry = entries_[digest];
+    entry = result;
+    entry.fromCache = true;
 }
 
 bool

@@ -11,7 +11,6 @@
 
 #include "common/json.hh"
 #include "cpu/ooo_core.hh"
-#include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
 #include "obs/path_report.hh"
 #include "sim/config_io.hh"
@@ -112,7 +111,7 @@ writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
     std::fprintf(f, "\n%s}", indent);
 }
 
-/** Shared progress line (stderr) + heartbeat point record. */
+/** Shared progress line (stderr). */
 class ProgressReporter
 {
   public:
@@ -122,15 +121,11 @@ class ProgressReporter
     report(std::size_t done, std::size_t total, std::size_t cached,
            double eta_seconds, const Point &point, const Result &result)
     {
+        if (!req_.progress)
+            return;
         const char *label = point.label.empty()
                                 ? core::policyName(point.cfg.policy)
                                 : point.label.c_str();
-        if (req_.heartbeat)
-            req_.heartbeat->point(done, total, cached, done - cached,
-                                  point.workload, label, result.run.ipc,
-                                  result.fromCache, eta_seconds);
-        if (!req_.progress)
-            return;
         std::lock_guard<std::mutex> lock(mutex_);
         std::fprintf(stderr, "[%3zu/%zu] %-10s %-16s ipc=%.4f  %s",
                      done, total, point.workload.c_str(), label,
@@ -168,8 +163,7 @@ defaultJobs()
 Result
 simulatePoint(const Point &point,
               const std::vector<std::string> &counters,
-              bool capture_stats_text, obs::Heartbeat *heartbeat,
-              std::uint64_t heartbeat_period)
+              bool capture_stats_text)
 {
     auto start = std::chrono::steady_clock::now();
 
@@ -187,57 +181,20 @@ simulatePoint(const Point &point,
                 : point.workload;
         progs.push_back(workloads::build(name, point.params));
     }
-    // Heartbeat samplers are declared first so they outlive the cores
-    // that point at them.
-    std::vector<std::unique_ptr<obs::IntervalSampler>> hb_samplers;
     sim::System system(point.cfg, std::move(progs));
     system.fastForward(point.warmupInsts);
     if (point.prepare)
         point.prepare(system);
 
-    // Live heartbeat: one sampler per core, attached at the start of
-    // the timed window, so tick k ends at cycle k * heartbeat_period.
-    // Multi-core labels get a "#cpuN" suffix; single-core is the
-    // classic unsuffixed stream.
-    std::vector<std::string> hb_labels;
-    if (heartbeat) {
-        const std::string base_label =
-            point.label.empty() ? core::policyName(point.cfg.policy)
-                                : point.label;
-        for (unsigned i = 0; i < n_cores; ++i) {
-            std::string label =
-                n_cores == 1 ? base_label
-                             : base_label + "#cpu" + std::to_string(i);
-            heartbeat->runStart(point.workload, label);
-            cpu::OooCore &core = system.core(i);
-            hb_samplers.push_back(std::make_unique<obs::IntervalSampler>(
-                heartbeat_period,
-                [heartbeat, &core, &hier = system.hier(),
-                 workload = point.workload,
-                 label](const obs::IntervalSample &s) {
-                    heartbeat->runTick(workload, label, s,
-                                       core.instsCommitted(),
-                                       hier.txnsRetired());
-                }));
-            core.addSampler(*hb_samplers.back());
-            hb_labels.push_back(std::move(label));
-        }
-    }
-
     Result result;
     result.run = system.measureTimed(point.measureInsts,
                                      point.maxCycles());
-    for (unsigned i = 0; i < hb_labels.size(); ++i)
-        heartbeat->runEnd(point.workload, hb_labels[i],
-                          system.core(i).cycles(),
-                          system.core(i).instsCommitted(), result.run.ipc,
-                          cpu::stopReasonName(result.run.reason));
     if (point.finish)
         point.finish(system);
     CaptureVisitor capture(counters, result);
     system.visitStats(capture);
     if (point.cfg.statsInterval != 0) {
-        result.intervals = system.intervals();
+        result.intervals = system.core().intervals();
         result.intervalPeriod = point.cfg.statsInterval;
     }
     if (point.cfg.profileEnabled) {
@@ -267,9 +224,6 @@ submit(const Request &req)
     if (!req.store.empty())
         store = std::make_unique<ResultStore>(req.store);
     const unsigned jobs = req.jobs ? req.jobs : defaultJobs();
-
-    if (req.heartbeat)
-        req.heartbeat->sweepStart(points.size(), jobs, obs::manifest());
 
     ProgressReporter reporter(req);
     sub.results.resize(points.size());
@@ -303,10 +257,8 @@ submit(const Request &req)
             if (t >= todo.size())
                 return;
             std::size_t i = todo[t];
-            Result result =
-                simulatePoint(points[i], req.counters,
-                              req.captureStatsText, req.heartbeat,
-                              req.heartbeatPeriod);
+            Result result = simulatePoint(points[i], req.counters,
+                                          req.captureStatsText);
             if (store && points[i].cacheable())
                 store->put(digests[i], result);
             sub.results[i] = std::move(result);
@@ -362,24 +314,6 @@ submit(const Request &req)
         sub.telemetry.hasCacheStats = true;
         sub.telemetry.cacheStats = store->stats();
     }
-
-    if (req.heartbeat) {
-        std::string cache_tail;
-        if (sub.telemetry.hasCacheStats) {
-            const ResultStore::Stats &cs = sub.telemetry.cacheStats;
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "\"cacheHits\":%llu,\"cacheMisses\":%llu,"
-                          "\"cacheStores\":%llu,\"cacheEvictions\":%llu,",
-                          (unsigned long long)cs.hits,
-                          (unsigned long long)cs.misses,
-                          (unsigned long long)cs.stores,
-                          (unsigned long long)cs.evictions);
-            cache_tail = buf;
-        }
-        req.heartbeat->sweepEnd(points.size(), cached, todo.size(),
-                                sub.telemetry.wallSeconds, cache_tail);
-    }
     return sub;
 }
 
@@ -415,11 +349,10 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
             std::fprintf(
                 out,
                 ",\n    \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-                "\"stores\": %llu, \"evictions\": %llu}",
+                "\"stores\": %llu}",
                 (unsigned long long)telemetry->cacheStats.hits,
                 (unsigned long long)telemetry->cacheStats.misses,
-                (unsigned long long)telemetry->cacheStats.stores,
-                (unsigned long long)telemetry->cacheStats.evictions);
+                (unsigned long long)telemetry->cacheStats.stores);
         std::fputs("\n  }", out);
     }
     std::fputs(",\n  \"points\": [", out);

@@ -75,15 +75,12 @@ Submission submit(const Request &req);
 
 /**
  * Simulate one point in-process, no store involved — the primitive
- * under submit(). @p heartbeat (with @p heartbeat_period) streams
- * run_start/tick/run_end; @p counters filters captured statistics;
+ * under submit(). @p counters filters captured statistics;
  * @p capture_stats_text keeps the full dumpStats() text.
  */
 Result simulatePoint(const Point &point,
                      const std::vector<std::string> &counters = {},
-                     bool capture_stats_text = false,
-                     obs::Heartbeat *heartbeat = nullptr,
-                     std::uint64_t heartbeat_period = 50000);
+                     bool capture_stats_text = false);
 
 /**
  * Emit points+results as a JSON document (machine consumption):

@@ -2,8 +2,7 @@
  * @file
  * Interval statistics: the core's progress (committed instructions,
  * cycles, IPC) and its stall-cycle breakdown over fixed-length cycle
- * windows. One sampler serves both the --stats-interval time series
- * and the live heartbeat's tick records; only the sink differs.
+ * windows — the --stats-interval time series.
  *
  * The sampler differences the core's *cumulative* totals into
  * per-interval deltas. The core hands it the totals at each period
@@ -17,8 +16,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -42,32 +39,21 @@ struct IntervalSample
     StallArray stalls{};
 };
 
-/** Cuts cumulative totals into per-period samples for one sink. */
+/** Cuts the core's cumulative totals into per-period rows. */
 class IntervalSampler
 {
   public:
-    using Sink = std::function<void(const IntervalSample &)>;
-
-    /** Sample every @p period cycles (0 behaves as 1). */
-    IntervalSampler(Cycle period, Sink sink)
-        : period_(period ? period : 1), sink_(std::move(sink)),
-          next_(period_)
+    /** Sample every @p period cycles from cycle 0; 0 samples nothing. */
+    explicit IntervalSampler(Cycle period)
+        : period_(period), next_(period ? period : kCycleNever)
     {
     }
 
-    /** Exclusive end of the interval in progress. */
+    /** Exclusive end of the interval in progress (kCycleNever when
+     *  the sampler is off). */
     Cycle nextBoundary() const { return next_; }
 
-    /** Anchor at @p cycle with the totals there: intervals then end
-     *  at cycle + k * period. */
-    void
-    start(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
-    {
-        last_ = {cycle, committed, stalls};
-        next_ = cycle + period_;
-    }
-
-    /** The totals now cover every cycle before nextBoundary(): emit
+    /** The totals now cover every cycle before nextBoundary(): record
      *  that interval and move to the next one. */
     void
     sample(std::uint64_t committed, const StallArray &stalls)
@@ -76,14 +62,17 @@ class IntervalSampler
         next_ += period_;
     }
 
-    /** Emit the partial tail ending at @p cycle, if it is non-empty
+    /** Record the partial tail ending at @p cycle, if it is non-empty
      *  (end of a timed window; later boundaries stay where they were). */
     void
     finish(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
     {
-        if (cycle > last_.cycle)
+        if (period_ != 0 && cycle > last_.cycle)
             emit(cycle, committed, stalls);
     }
+
+    /** Every interval recorded so far, in cycle order. */
+    const std::vector<IntervalSample> &rows() const { return rows_; }
 
   private:
     struct Totals
@@ -104,13 +93,13 @@ class IntervalSampler
         for (unsigned i = 0; i < kNumStallCauses; ++i)
             s.stalls[i] = stalls[i] - last_.stalls[i];
         last_ = {cycle, committed, stalls};
-        sink_(s);
+        rows_.push_back(s);
     }
 
     Cycle period_;
-    Sink sink_;
     Cycle next_;
     Totals last_;
+    std::vector<IntervalSample> rows_;
 };
 
 /** Human-readable interval table (columns: progress + used stalls). */

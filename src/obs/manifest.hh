@@ -2,9 +2,9 @@
  * @file
  * Run provenance manifests: the self-describing block stamped into
  * every machine-readable artifact the harness produces (acpsim
- * --json sweeps, BENCH_*.json recordings, the result-cache file, the
- * heartbeat stream) so a result can always be traced back to the
- * exact binary, tree state and host that produced it.
+ * --json sweeps, BENCH_*.json recordings, the result-store index) so
+ * a result can always be traced back to the exact binary, tree state
+ * and host that produced it.
  *
  * A Manifest is split into two halves:
  *  - build identity (git SHA + dirty flag, build type, compiler and
@@ -66,8 +66,8 @@ Manifest manifest();
 void writeManifestJson(std::FILE *out, const Manifest &m,
                        const char *indent);
 
-/** One-line JSON form (no newlines) — for JSONL records and the
- *  result-cache provenance comment. */
+/** One-line JSON form (no newlines) — for the result-store
+ *  provenance comment and other line-oriented records. */
 std::string manifestJsonLine(const Manifest &m);
 
 /** Human-readable block for `acpsim --version`. */

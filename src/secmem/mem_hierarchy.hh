@@ -95,8 +95,6 @@ class MemHierarchy
     void flushCaches();
 
     SecureMemCtrl &ctrl() { return ctrl_; }
-    /** Off-chip transactions retired so far (heartbeat telemetry). */
-    std::uint64_t txnsRetired() const { return ctrl_.txnsRetired(); }
     cache::Cache &l1i(unsigned client = 0) { return cores_[client]->l1i; }
     cache::Cache &l1d(unsigned client = 0) { return cores_[client]->l1d; }
     cache::Cache &l2(unsigned client = 0) { return cores_[client]->l2; }

@@ -15,7 +15,6 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
       engine_(cfg.authLatency, cfg.authEngineInterval),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
 {
-    fetchGateDrain_ = cfg.fetchGateDrain;
     // Metadata structures exist when ANY configured client needs them:
     // with heterogeneous per-core policies one obfuscating core is
     // enough to instantiate the remap layer, and a verifying core is
@@ -223,7 +222,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
 
     // 2. authen-then-fetch gate.
     if (core::gatesFetch(policy)) {
-        AuthSeq tag = fetchGateDrain_ ? engine_.lastRequest() : gate_tag;
+        AuthSeq tag = cfg_.fetchGateDrain ? engine_.lastRequest() : gate_tag;
         // A fetch whose gate tag covers a *failed* verification is
         // never granted: the security exception squashes it. Return a
         // never-ready fill without touching the bus (no address leak).

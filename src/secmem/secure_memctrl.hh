@@ -112,10 +112,6 @@ class SecureMemCtrl
     mem::BusArbiter &busArbiter() { return bus_; }
     mem::Dram &dram() { return dram_; }
     mem::BusTrace &busTrace() { return trace_; }
-    cache::Cache &counterCache() { return counterCache_; }
-
-    /** Use drain-authen-then-fetch semantics (ablation). */
-    void setFetchGateDrain(bool on) { fetchGateDrain_ = on; }
 
     /** Attach (or detach with nullptr) a passive event trace sink. */
     void setTrace(obs::TraceBuffer *trace) { obsTrace_ = trace; }
@@ -125,13 +121,6 @@ class SecureMemCtrl
     void setProfiler(obs::PathProfiler *profiler) { profiler_ = profiler; }
 
     StatGroup &stats() { return stats_; }
-
-    /** Cumulative off-chip transactions retired (fetches +
-     *  writebacks); the heartbeat stream samples this. */
-    std::uint64_t txnsRetired() const
-    {
-        return fetches_.value() + writebacks_.value();
-    }
 
   private:
     /**
@@ -197,7 +186,6 @@ class SecureMemCtrl
     std::unique_ptr<RemapLayer> remap_;
     std::unique_ptr<CounterPredictor> predictor_;
     std::vector<Cycle> inflight_;
-    bool fetchGateDrain_ = false;
     unsigned lineTransferBytes_;
     obs::TraceBuffer *obsTrace_ = nullptr;
     obs::PathProfiler *profiler_ = nullptr;

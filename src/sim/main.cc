@@ -17,10 +17,13 @@
  * point including its full configuration and digest.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,7 +32,6 @@
 #include "cpu/ooo_core.hh"
 #include "exp/request.hh"
 #include "exp/submit.hh"
-#include "obs/heartbeat.hh"
 #include "obs/interval.hh"
 #include "obs/manifest.hh"
 #include "obs/path_report.hh"
@@ -84,20 +86,14 @@ usage()
         "                env, else all cores)\n"
         "  --json FILE   write every point+result as JSON\n"
         "  --cache       reuse/persist results in the ./acp_store\n"
-        "                content-addressed result store (cap with\n"
-        "                ACP_CACHE_MAX_ENTRIES; concurrent acpsim\n"
-        "                processes may share it)\n\n"
+        "                content-addressed result store (append-only;\n"
+        "                concurrent acpsim processes may share it)\n\n"
         "observability options:\n"
         "  --stats       dump all component statistics\n"
         "  --host-stats  collect sim.host.* simulator self-metrics\n"
         "                (event-loop wakes + jump histogram per\n"
         "                core, txn-arena pressure); shown with\n"
         "                --stats and captured into --json\n"
-        "  --heartbeat[=SPEC]  stream live JSONL progress records\n"
-        "                (sweep/run/tick); SPEC is a file path, fd:N,\n"
-        "                or '-' for stderr  (default: stderr)\n"
-        "  --heartbeat-interval N  simulated cycles between tick\n"
-        "                records                  (default: 50000)\n"
         "  --stats-interval N  record IPC + stall breakdown every N\n"
         "                cycles; prints a table and lands in --json\n"
         "  --profile[=FILE]  transaction path profiler: per-kind\n"
@@ -116,20 +112,47 @@ usage()
         "                type, compiler, sanitizers) and exit\n");
 }
 
+/**
+ * Parse the whole of @p text as an unsigned count (decimal, 0x hex or
+ * 0 octal) into @p out. A sign, any trailing character, or a value
+ * @p out cannot hold is fatal, naming @p option: bare strtoull would
+ * wrap "-1" to 2^64 - 1 and stop silently at "12abc".
+ */
+template <typename T>
+void
+parseCount(const std::string &option, const char *text, T &out)
+{
+    const unsigned long long max = std::numeric_limits<T>::max();
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text, &end, 0);
+    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
+        errno == ERANGE || value > max)
+        acp_fatal("%s: '%s' is not a count in [0, %llu]", option.c_str(),
+                  text, max);
+    out = T(value);
+}
+
+/** A byte size with an optional K/M/G suffix, e.g. 256K or 1.5M. */
 std::uint64_t
-parseSize(const char *text)
+parseSize(const std::string &option, const char *text)
 {
     char *end = nullptr;
     double value = std::strtod(text, &end);
-    if (end == text)
-        acp_fatal("bad size '%s'", text);
+    if (end == text || !std::isfinite(value) || std::signbit(value))
+        acp_fatal("%s: bad size '%s'", option.c_str(), text);
     switch (*end) {
-      case 'k': case 'K': return std::uint64_t(value * 1024);
-      case 'm': case 'M': return std::uint64_t(value * 1024 * 1024);
-      case 'g': case 'G': return std::uint64_t(value * 1024 * 1024 * 1024);
-      case '\0': return std::uint64_t(value);
-      default: acp_fatal("bad size suffix '%s'", end);
+      case 'k': case 'K': value *= 1024; ++end; break;
+      case 'm': case 'M': value *= 1024 * 1024; ++end; break;
+      case 'g': case 'G': value *= 1024 * 1024 * 1024; ++end; break;
     }
+    if (*end != '\0')
+        acp_fatal("%s: bad size suffix in '%s'", option.c_str(), text);
+    // 2^64: the first double a uint64_t cannot hold.
+    if (value >= 18446744073709551616.0)
+        acp_fatal("%s: size '%s' does not fit in 64 bits", option.c_str(),
+                  text);
+    return std::uint64_t(value);
 }
 
 core::AuthPolicy
@@ -251,9 +274,6 @@ main(int argc, char **argv)
     std::string trace_file;
     bool profile = false;
     std::string profile_file;
-    bool heartbeat = false;
-    std::string heartbeat_spec;
-    std::uint64_t heartbeat_interval = 50000;
 
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
@@ -267,35 +287,35 @@ main(int argc, char **argv)
             if (policy_tokens.empty())
                 acp_fatal("--policy needs at least one policy name");
         } else if (arg == "--cores") {
-            cfg.numCores = unsigned(std::strtoul(next(), nullptr, 0));
+            parseCount(arg, next(), cfg.numCores);
             if (cfg.numCores == 0)
                 acp_fatal("--cores needs at least 1");
         } else if (arg == "--l2") {
-            cfg.l2.sizeBytes = parseSize(next());
+            cfg.l2.sizeBytes = parseSize(arg, next());
             cfg.l2.hitLatency = cfg.l2.sizeBytes >= (1 << 20) ? 8 : 4;
         } else if (arg == "--ruu") {
-            cfg.ruuSize = unsigned(std::strtoul(next(), nullptr, 0));
+            parseCount(arg, next(), cfg.ruuSize);
             cfg.lsqSize = cfg.ruuSize / 2;
         } else if (arg == "--tree") {
             cfg.hashTreeEnabled = true;
         } else if (arg == "--drain") {
             cfg.fetchGateDrain = true;
         } else if (arg == "--remap") {
-            cfg.remapCache.sizeBytes = parseSize(next());
+            cfg.remapCache.sizeBytes = parseSize(arg, next());
         } else if (arg == "--ws") {
-            params.workingSetBytes = parseSize(next());
+            params.workingSetBytes = parseSize(arg, next());
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), insts);
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), warmup);
         } else if (arg == "--auth") {
-            cfg.authLatency = unsigned(std::strtoul(next(), nullptr, 0));
+            parseCount(arg, next(), cfg.authLatency);
         } else if (arg == "--seed") {
-            params.seed = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), params.seed);
         } else if (arg == "--rng-seed") {
-            cfg.rngSeed = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), cfg.rngSeed);
         } else if (arg == "--jobs") {
-            jobs = unsigned(std::strtoul(next(), nullptr, 0));
+            parseCount(arg, next(), jobs);
         } else if (arg == "--json") {
             json_file = next();
         } else if (arg == "--cache") {
@@ -307,18 +327,11 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_file = next();
         } else if (arg == "--trace-commits") {
-            trace_commits = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), trace_commits);
         } else if (arg == "--stats-interval") {
-            cfg.statsInterval = std::strtoull(next(), nullptr, 0);
+            parseCount(arg, next(), cfg.statsInterval);
         } else if (arg == "--host-stats") {
             cfg.hostStats = true;
-        } else if (arg == "--heartbeat" ||
-                   arg.rfind("--heartbeat=", 0) == 0) {
-            heartbeat = true;
-            if (arg.size() > std::strlen("--heartbeat="))
-                heartbeat_spec = arg.substr(std::strlen("--heartbeat="));
-        } else if (arg == "--heartbeat-interval") {
-            heartbeat_interval = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--profile" ||
                    arg.rfind("--profile=", 0) == 0) {
             profile = true;
@@ -396,15 +409,6 @@ main(int argc, char **argv)
     if (!use_cache)
         req.store.clear();
     req.captureStatsText = dump_stats;
-    std::unique_ptr<obs::Heartbeat> hb_sink;
-    if (heartbeat) {
-        hb_sink = obs::Heartbeat::open(heartbeat_spec);
-        if (!hb_sink)
-            acp_fatal("cannot open heartbeat sink '%s'",
-                      heartbeat_spec.c_str());
-        req.heartbeat = hb_sink.get();
-        req.heartbeatPeriod = heartbeat_interval;
-    }
     exp::Submission sub = exp::submit(req);
     if (!sub.ok)
         acp_fatal("%s", sub.error.c_str());

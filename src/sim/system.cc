@@ -23,6 +23,17 @@ replicate(const isa::Program &prog, unsigned n)
     return progs;
 }
 
+/** One past the last byte of @p prog's loaded image (code and data
+ *  segments, architectural addresses). */
+Addr
+imageEnd(const isa::Program &prog)
+{
+    Addr end = prog.codeBase + 4 * Addr(prog.code.size());
+    for (const isa::DataSegment &seg : prog.data)
+        end = std::max(end, seg.base + Addr(seg.bytes.size()));
+    return end;
+}
+
 } // namespace
 
 System::System(const SimConfig &cfg, isa::Program prog)
@@ -31,12 +42,12 @@ System::System(const SimConfig &cfg, isa::Program prog)
 }
 
 System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
-    : cfg_(cfg), progs_(std::move(progs)), hier_(cfg_)
+    : cfg_(cfg), hier_(cfg_)
 {
-    if (progs_.empty() || progs_.size() != std::max(1u, cfg_.numCores))
+    if (progs.empty() || progs.size() != std::max(1u, cfg_.numCores))
         acp_fatal("System needs one program per core (%u cores, %zu "
                   "programs)",
-                  cfg_.numCores, progs_.size());
+                  cfg_.numCores, progs.size());
     // An empty RUU dispatches nothing and an empty LSQ never admits a
     // load: either core would idle into the no-progress panic.
     if (cfg_.ruuSize == 0)
@@ -46,24 +57,29 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         acp_fatal("lsqSize %u: the core needs at least one LSQ entry",
                   cfg_.lsqSize);
 
-    slots_.resize(progs_.size());
+    slots_.resize(progs.size());
     for (unsigned i = 0; i < slots_.size(); ++i) {
         CoreSlot &slot = slots_[i];
         slot.client = hier_.registerClient();
+        // An image past its slice would land in the next client's
+        // slice (or past the end of memory) and be overwritten there.
+        const Addr end = imageEnd(progs[i]);
+        if (end > hier_.clientStride())
+            acp_fatal("core %u: workload '%s' image ends at %#llx, past "
+                      "its %#llx-byte address slice (%u cores share "
+                      "%#llx bytes)",
+                      i, progs[i].name.c_str(), (unsigned long long)end,
+                      (unsigned long long)hier_.clientStride(),
+                      std::max(1u, cfg_.numCores),
+                      (unsigned long long)cfg_.memoryBytes);
         // Provision the ciphertext image into this client's slice of
         // external memory; the reference machine runs the same image
         // at architectural (un-offset) addresses.
-        hier_.loadProgram(progs_[i], hier_.clientBase(slot.client));
+        hier_.loadProgram(progs[i], hier_.clientBase(slot.client));
         slot.refMem = std::make_unique<cpu::FlatMem>(cfg_.memoryBytes);
-        slot.refMem->loadProgram(progs_[i]);
+        slot.refMem->loadProgram(progs[i]);
         slot.refExec = std::make_unique<cpu::FuncExecutor>(
-            cpu::MemPort(*slot.refMem), progs_[i].entry);
-        if (cfg_.statsInterval != 0)
-            slot.series = std::make_unique<obs::IntervalSampler>(
-                cfg_.statsInterval,
-                [&intervals = slot.intervals](const obs::IntervalSample &s) {
-                    intervals.push_back(s);
-                });
+            cpu::MemPort(*slot.refMem), progs[i].entry);
     }
 
     if (cfg_.traceMask != 0) {
@@ -121,8 +137,6 @@ System::createCores()
         if (cosim_)
             slot.core->setCosimShadow(slot.refExec.get());
         slot.core->setTrace(trace_.get());
-        if (slot.series)
-            slot.core->addSampler(*slot.series);
     }
 }
 
@@ -197,9 +211,7 @@ System::measureTimed(std::uint64_t max_insts, std::uint64_t max_cycles)
             res.cycles = cyc;
         // The window is over: emit the partial tail interval so
         // interval cycle counts sum to the window length.
-        if (slots_[i].series)
-            slots_[i].series->finish(c.cycles(), c.instsCommitted(),
-                                     c.stallCycles());
+        c.finishIntervals();
     }
     res.ipc = res.cycles ? double(res.insts) / double(res.cycles) : 0.0;
     return res;

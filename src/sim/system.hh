@@ -27,7 +27,6 @@
 #include "cpu/func_executor.hh"
 #include "cpu/ooo_core.hh"
 #include "isa/program.hh"
-#include "obs/interval.hh"
 #include "obs/path_profiler.hh"
 #include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
@@ -85,9 +84,7 @@ class System
                            std::uint64_t max_cycles);
 
     secmem::MemHierarchy &hier() { return hier_; }
-    cpu::FuncExecutor &ref(unsigned i = 0) { return *slots_[i].refExec; }
     const SimConfig &config() const { return cfg_; }
-    const isa::Program &program() const { return progs_[0]; }
 
     /** Dump all statistics as text: the cores' groups (once they
      *  exist) in core order, then the hierarchy's. */
@@ -99,32 +96,21 @@ class System
     /** Structured trace buffer (nullptr unless cfg.traceMask != 0). */
     obs::TraceBuffer *traceBuffer() { return trace_.get(); }
 
-    /** Core @p i's interval series: one sample per cfg.statsInterval
-     *  cycles, plus the partial tail of each timed window (empty
-     *  unless cfg.statsInterval != 0). */
-    const std::vector<obs::IntervalSample> &intervals(unsigned i = 0) const
-    {
-        return slots_[i].intervals;
-    }
-
     /** Finalized profile snapshot: leak audit over the live bus trace
      *  plus the cores' summed stall counters (if timed cores ran).
      *  Call only when profiling is enabled. */
     obs::PathProfile pathProfile();
 
   private:
-    /** One core's private slice of the system: its program copy,
-     *  reference machine, hierarchy client id, (once timed execution
-     *  starts) its OooCore, the interval series it samples, and its
-     *  sim.host.sched counters. */
+    /** One core's private slice of the system: its reference
+     *  machine, hierarchy client id, (once timed execution starts)
+     *  its OooCore, and its sim.host.sched counters. */
     struct CoreSlot
     {
         unsigned client = 0;
         std::unique_ptr<cpu::FlatMem> refMem;
         std::unique_ptr<cpu::FuncExecutor> refExec;
         std::unique_ptr<cpu::OooCore> core;
-        std::unique_ptr<obs::IntervalSampler> series;
-        std::vector<obs::IntervalSample> intervals;
 
         // Host telemetry (cfg.hostStats; never a simulation result)
         /** Times the loop called this core's onWake. */
@@ -147,7 +133,6 @@ class System
     void visitHostStatGroups(StatGroupVisitor &v);
 
     SimConfig cfg_;
-    std::vector<isa::Program> progs_;
     secmem::MemHierarchy hier_;
     std::vector<CoreSlot> slots_;
     bool cosim_ = false;

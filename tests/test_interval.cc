@@ -1,31 +1,25 @@
 /**
  * @file
- * Interval sampler tests. The --stats-interval series and the
- * heartbeat's tick records come from one obs::IntervalSampler per
- * sink, so on mcf under authen-then-commit and authen-then-issue, at
- * P = 1 and P = 2000, with one and two cores:
+ * Interval sampler tests. On mcf under authen-then-commit and
+ * authen-then-issue, at P = 1 and P = 2000, with one and two cores,
+ * the --stats-interval series of every core satisfies:
  *   - every row but the tail covers [kP, (k+1)P): it ends at a
  *     multiple of P and spans P cycles;
  *   - each row obeys the stall partition: its commit-active cycles
  *     (cycles minus stalls) number between ceil(insts / commitWidth)
  *     and insts;
  *   - the rows sum to the core's cycles, committed and stall counters;
- *   - a heartbeat at the same period emits tick k equal to row k;
- *   - every captured statistic is identical with the samplers on and
+ *   - every captured statistic is identical with the sampler on and
  *     off.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "exp/submit.hh"
-#include "obs/heartbeat.hh"
 #include "obs/interval.hh"
 #include "sim/system.hh"
 
@@ -50,76 +44,12 @@ mcfPoint(AuthPolicy policy, unsigned cores)
     return point;
 }
 
-/** One heartbeat tick record, parsed back from its JSONL line. */
-struct Tick
-{
-    Cycle cycle = 0;
-    std::uint64_t insts = 0;
-    Cycle intervalCycles = 0;
-    std::uint64_t intervalInsts = 0;
-    obs::StallArray stalls{};
-};
-
-std::uint64_t
-field(const std::string &line, const std::string &key)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t at = line.find(needle);
-    EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
-    if (at == std::string::npos)
-        return 0;
-    return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
-}
-
-/** The tick records of the run labelled @p label, in stream order. */
-std::vector<Tick>
-ticksOf(const std::string &stream, const std::string &label)
-{
-    std::vector<Tick> ticks;
-    std::istringstream in(stream);
-    const std::string label_field = "\"label\":\"" + label + "\",";
-    for (std::string line; std::getline(in, line);) {
-        if (line.rfind("{\"t\":\"tick\",", 0) != 0 ||
-            line.find(label_field) == std::string::npos)
-            continue;
-        Tick t;
-        t.cycle = field(line, "cycle");
-        t.insts = field(line, "insts");
-        t.intervalCycles = field(line, "intervalCycles");
-        t.intervalInsts = field(line, "intervalInsts");
-        std::size_t open = line.find("\"stalls\":{");
-        std::string stalls = line.substr(open, line.find('}', open) - open);
-        for (unsigned c = 0; c < obs::kNumStallCauses; ++c) {
-            std::string name = obs::stallCauseName(obs::StallCause(c));
-            if (stalls.find("\"" + name + "\":") != std::string::npos)
-                t.stalls[c] = field(stalls, name);
-        }
-        ticks.push_back(t);
-    }
-    return ticks;
-}
-
-std::string
-readAll(std::FILE *f)
-{
-    std::rewind(f);
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    return text;
-}
-
 } // namespace
 
 TEST(IntervalSampler, RowsAreHalfOpenAndTheGridSurvivesATail)
 {
-    std::vector<obs::IntervalSample> rows;
-    obs::IntervalSampler sampler(
-        4, [&rows](const obs::IntervalSample &s) { rows.push_back(s); });
+    obs::IntervalSampler sampler(4);
     obs::StallArray stalls{};
-    sampler.start(0, 0, stalls);
     EXPECT_EQ(sampler.nextBoundary(), 4u);
 
     // Totals over [0, 4): 3 commits, one stalled cycle.
@@ -134,6 +64,7 @@ TEST(IntervalSampler, RowsAreHalfOpenAndTheGridSurvivesATail)
     // A tail that is already on the boundary adds nothing.
     sampler.finish(8, 9, stalls);
 
+    const std::vector<obs::IntervalSample> &rows = sampler.rows();
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0].endCycle, 4u);
     EXPECT_EQ(rows[0].cycles, 4u);
@@ -157,6 +88,8 @@ class IntervalSeries : public ::testing::TestWithParam<GridPoint>
 {
 };
 
+// Each core's one sampler feeds its table. The test keeps the name it
+// had when a second, since removed, sink shared that sampler.
 TEST_P(IntervalSeries, TableAndHeartbeatShareOneSampler)
 {
     const auto [policy, period, cores] = GetParam();
@@ -167,19 +100,11 @@ TEST_P(IntervalSeries, TableAndHeartbeatShareOneSampler)
     point.cfg.statsInterval = period;
     point.finish = [&series](sim::System &system) {
         for (unsigned i = 0; i < system.numCores(); ++i)
-            series[i] = system.intervals(i);
+            series[i] = system.core(i).intervals();
     };
-    std::FILE *f = std::tmpfile();
-    ASSERT_NE(f, nullptr);
-    exp::Result on;
-    {
-        obs::Heartbeat hb(f, /*own=*/false);
-        on = exp::simulatePoint(point, {}, true, &hb, period);
-    }
-    const std::string stream = readAll(f);
-    std::fclose(f);
+    exp::Result on = exp::simulatePoint(point, {}, true);
 
-    // Passive: the samplers change no statistic.
+    // Passive: the sampler changes no statistic.
     EXPECT_EQ(on.run.insts, off.run.insts);
     EXPECT_EQ(on.run.cycles, off.run.cycles);
     EXPECT_EQ(on.counters, off.counters);
@@ -229,24 +154,6 @@ TEST_P(IntervalSeries, TableAndHeartbeatShareOneSampler)
             EXPECT_EQ(stalls[c],
                       on.counters.at(prefix + "stall." +
                                      obs::stallCauseName(obs::StallCause(c))));
-
-        // The heartbeat ticks every full row, equal to it.
-        std::string label = core::policyName(policy);
-        if (cores > 1)
-            label += "#cpu" + std::to_string(i);
-        const std::vector<Tick> ticks = ticksOf(stream, label);
-        const std::size_t full =
-            rows.back().cycles == period ? rows.size() : rows.size() - 1;
-        ASSERT_EQ(ticks.size(), full);
-        std::uint64_t committed = 0;
-        for (std::size_t k = 0; k < ticks.size(); ++k) {
-            committed += rows[k].insts;
-            EXPECT_EQ(ticks[k].cycle, rows[k].endCycle);
-            EXPECT_EQ(ticks[k].intervalCycles, rows[k].cycles);
-            EXPECT_EQ(ticks[k].intervalInsts, rows[k].insts);
-            EXPECT_EQ(ticks[k].insts, committed);
-            EXPECT_EQ(ticks[k].stalls, rows[k].stalls) << "tick " << k;
-        }
     }
 }
 

@@ -86,6 +86,24 @@ TEST(System, EmptyRuuOrLsqIsFatal)
                 ::testing::ExitedWithCode(1), "lsqSize 0");
 }
 
+// Each core gets memoryBytes / nextPow2(numCores) bytes. 32 cores in
+// 16 MiB leave 512 KiB each, and mcf's data starts at 1 MiB: the image
+// would overwrite a neighbouring core's.
+TEST(System, ProgramImageLargerThanItsSliceIsFatal)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 64 * 1024;
+    sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+    cfg.memoryBytes = 16ULL << 20;
+    cfg.protectedBytes = cfg.memoryBytes;
+    cfg.numCores = 32;
+    EXPECT_EXIT(
+        { sim::System system(cfg, workloads::build("mcf", params)); },
+        ::testing::ExitedWithCode(1),
+        "core 0: workload 'mcf' image ends at 0x[0-9a-f]+, past its "
+        "0x80000-byte address slice");
+}
+
 TEST(System, DeterministicAcrossRuns)
 {
     double a = ipcOf("vpr", AuthPolicy::kAuthThenCommit);
@@ -252,8 +270,8 @@ TEST(System, DrainFetchVariantRunsAndIsSlower)
 
     auto run = [&](bool drain) {
         sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenFetch);
+        cfg.fetchGateDrain = drain;
         sim::System system(cfg, workloads::build("gap", params));
-        system.hier().ctrl().setFetchGateDrain(drain);
         system.enableCosim();
         system.fastForward(10000);
         return system.measureTimed(20000, 100'000'000).ipc;

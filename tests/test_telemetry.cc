@@ -1,19 +1,16 @@
 /**
  * @file
  * Tests for the acp::obs telemetry layer: provenance manifests are
- * deterministic (identical minus timestamps), the heartbeat stream is
- * well-formed JSONL and strictly passive (a heartbeat run is
- * bit-identical to a silent one; a run shorter than one interval
- * emits only run_start/run_end), the sim.host.* self-metrics satisfy
- * their partition invariants, the result store counts hits/misses and
- * carries a provenance comment, and the sweep JSON gains the v3
- * manifest + telemetry blocks without perturbing any result.
+ * deterministic (identical minus timestamps), the sim.host.*
+ * self-metrics satisfy their partition invariants, the result store
+ * counts hits/misses and carries a provenance comment, and the sweep
+ * JSON gains the v3 manifest + telemetry blocks without perturbing
+ * any result.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,7 +22,6 @@
 #include "exp/result_store.hh"
 #include "exp/submit.hh"
 #include "mem/txn.hh"
-#include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -135,18 +131,6 @@ class ScratchFile
     std::string path_;
 };
 
-/** Count occurrences of a record-type tag in a JSONL stream. */
-std::size_t
-countRecords(const std::string &text, const std::string &type)
-{
-    std::string needle = "{\"t\":\"" + type + "\"";
-    std::size_t count = 0;
-    for (std::size_t pos = text.find(needle); pos != std::string::npos;
-         pos = text.find(needle, pos + 1))
-        ++count;
-    return count;
-}
-
 // ----- manifest ----------------------------------------------------------
 
 TEST(Manifest, DeterministicMinusTimestamps)
@@ -180,121 +164,6 @@ TEST(Manifest, JsonLineAndTextCarryTheSha)
     std::string text = obs::manifestText(m);
     EXPECT_NE(text.find(m.gitSha), std::string::npos);
     EXPECT_NE(text.find(m.buildType), std::string::npos);
-}
-
-// ----- heartbeat ---------------------------------------------------------
-
-TEST(Heartbeat, StreamIsWellFormedAndPassive)
-{
-    // Silent reference run.
-    exp::Result ref = exp::submit(smallRequest()).results[0];
-
-    // Heartbeat run: period far below the window so ticks fire.
-    ScratchFile jsonl("test_heartbeat_stream.jsonl");
-    {
-        auto sink = obs::Heartbeat::open(jsonl.path());
-        ASSERT_NE(sink, nullptr);
-        exp::Request req = smallRequest();
-        req.heartbeat = sink.get();
-        req.heartbeatPeriod = 500;
-        exp::Result res = exp::submit(req).results[0];
-
-        // Passive contract: final stats equal the silent run, bit for
-        // bit, down to every captured counter.
-        EXPECT_EQ(res.run.insts, ref.run.insts);
-        EXPECT_EQ(res.run.cycles, ref.run.cycles);
-        EXPECT_EQ(res.run.ipc, ref.run.ipc);
-        EXPECT_EQ(res.counters, ref.counters);
-    }
-
-    std::string text = jsonl.contents();
-    ASSERT_FALSE(text.empty());
-    EXPECT_EQ(countRecords(text, "sweep_start"), 1u);
-    EXPECT_EQ(countRecords(text, "run_start"), 1u);
-    EXPECT_EQ(countRecords(text, "run_end"), 1u);
-    EXPECT_EQ(countRecords(text, "point"), 1u);
-    EXPECT_EQ(countRecords(text, "sweep_end"), 1u);
-    EXPECT_GT(countRecords(text, "tick"), 0u);
-    // Schema + manifest ride on sweep_start.
-    EXPECT_NE(text.find("\"schema\":\"acp-heartbeat-v1\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"manifest\":{"), std::string::npos);
-    // One record per line, every line an object.
-    EXPECT_EQ(text.back(), '\n');
-}
-
-TEST(Heartbeat, TickCyclesAreMonotone)
-{
-    ScratchFile jsonl("test_heartbeat_monotone.jsonl");
-    {
-        auto sink = obs::Heartbeat::open(jsonl.path());
-        ASSERT_NE(sink, nullptr);
-        exp::Request req = smallRequest();
-        req.heartbeat = sink.get();
-        req.heartbeatPeriod = 300;
-        exp::submit(req);
-    }
-    // Walk the "cycle": fields of tick records in stream order.
-    std::string text = jsonl.contents();
-    std::uint64_t last = 0;
-    std::size_t ticks = 0;
-    for (std::size_t pos = text.find("{\"t\":\"tick\"");
-         pos != std::string::npos;
-         pos = text.find("{\"t\":\"tick\"", pos + 1)) {
-        std::size_t at = text.find("\"cycle\":", pos);
-        ASSERT_NE(at, std::string::npos);
-        std::uint64_t cycle =
-            std::strtoull(text.c_str() + at + 8, nullptr, 10);
-        EXPECT_GT(cycle, last) << "tick cycles must strictly advance";
-        last = cycle;
-        ++ticks;
-    }
-    EXPECT_GT(ticks, 1u);
-}
-
-TEST(Heartbeat, RunShorterThanOneIntervalEmitsNoTicks)
-{
-    ScratchFile jsonl("test_heartbeat_short.jsonl");
-    {
-        auto sink = obs::Heartbeat::open(jsonl.path());
-        ASSERT_NE(sink, nullptr);
-        exp::Request req = smallRequest();
-        req.heartbeat = sink.get();
-        // Period far beyond the whole window: no boundary is crossed.
-        req.heartbeatPeriod = 1ULL << 40;
-        exp::Result res = exp::submit(req).results[0];
-        EXPECT_GT(res.run.insts, 0u);
-    }
-    std::string text = jsonl.contents();
-    EXPECT_EQ(countRecords(text, "tick"), 0u);
-    EXPECT_EQ(countRecords(text, "run_start"), 1u);
-    EXPECT_EQ(countRecords(text, "run_end"), 1u);
-    EXPECT_EQ(countRecords(text, "sweep_end"), 1u);
-}
-
-TEST(Heartbeat, PointsAndCacheSplitAccumulate)
-{
-    // 2-point sweep through a store: second run is fully cached, and
-    // the sweep_end must say so.
-    ScratchStore store("test_heartbeat_store");
-    ScratchFile jsonl("test_heartbeat_sweep.jsonl");
-    {
-        auto sink = obs::Heartbeat::open(jsonl.path());
-        exp::Request req = smallRequest();
-        req.workloadNames = {"mcf", "swim"};
-        req.store = store.path();
-        req.heartbeat = sink.get();
-        exp::submit(req);
-        exp::submit(req); // all hits
-    }
-    std::string text = jsonl.contents();
-    EXPECT_EQ(countRecords(text, "sweep_start"), 2u);
-    EXPECT_EQ(countRecords(text, "point"), 4u);
-    EXPECT_EQ(countRecords(text, "sweep_end"), 2u);
-    // The second sweep simulated nothing.
-    EXPECT_NE(text.find("\"total\":2,\"cached\":2,\"simulated\":0"),
-              std::string::npos);
-    EXPECT_NE(text.find("\"cacheHits\":"), std::string::npos);
 }
 
 // ----- sim.host.* self-metrics -------------------------------------------
@@ -398,7 +267,6 @@ TEST(StoreTelemetry, CountsHitsMissesAndWritesProvenance)
     ASSERT_TRUE(second.telemetry.hasCacheStats);
     EXPECT_EQ(second.telemetry.cacheStats.hits, 1u);
     EXPECT_EQ(second.telemetry.cacheStats.misses, 0u);
-    EXPECT_EQ(second.telemetry.cacheStats.evictions, 0u);
 
     // The index leads with the version header, then the provenance
     // comment — and a fresh store still loads it cleanly.
@@ -408,33 +276,6 @@ TEST(StoreTelemetry, CountsHitsMissesAndWritesProvenance)
               std::string::npos);
     exp::ResultStore reload(store.path());
     EXPECT_EQ(reload.size(), 1u);
-}
-
-TEST(StoreTelemetry, EvictionCapIsPersistent)
-{
-    ScratchStore dir("test_store_evict");
-    {
-        setenv("ACP_CACHE_MAX_ENTRIES", "1", 1);
-        exp::ResultStore store(dir.path());
-        unsetenv("ACP_CACHE_MAX_ENTRIES");
-
-        exp::Result result;
-        result.run.insts = 1;
-        store.put(std::string(64, 'a'), result);
-        store.put(std::string(64, 'b'), result);
-        EXPECT_EQ(store.size(), 1u);
-        EXPECT_EQ(store.stats().evictions, 1u);
-    }
-
-    // The eviction is journaled: a fresh, *uncapped* store sees only
-    // the surviving entry (the old flat-file cache re-served evicted
-    // entries after reopen).
-    exp::ResultStore reload(dir.path());
-    EXPECT_EQ(reload.size(), 1u);
-    exp::Result out;
-    EXPECT_FALSE(reload.lookup(std::string(64, 'a'), out));
-    EXPECT_TRUE(reload.lookup(std::string(64, 'b'), out));
-    EXPECT_EQ(out.run.insts, 1u);
 }
 
 // ----- sweep JSON v3 -----------------------------------------------------

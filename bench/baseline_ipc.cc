@@ -3,14 +3,15 @@
  * Performance-trajectory baseline recorder: runs the Fig. 7 workload x
  * policy sweep with the path profiler attached and writes a machine-
  * readable snapshot (IPC, cycle counts, per-segment demand-path means,
- * wall-clock) to BENCH_baseline.json at the repo root.
+ * wall-clock) to BENCH_event_loop.json (or the path given).
  *
- * The committed baseline is the reference point future changes diff
- * against: an IPC regression shows up as a ratio, and the per-segment
- * means say *which* part of the transaction path moved (bus queueing
- * vs. DRAM vs. verification). Regenerate with tools/record_bench.sh
- * after any intentional performance change and commit the new file
- * alongside it.
+ * The committed BENCH_event_loop.json is the reference point future
+ * changes diff against (tools/bench_diff.py, CI's perf gate): an IPC
+ * regression shows up as a ratio, and the per-segment means say
+ * *which* part of the transaction path moved (bus queueing vs. DRAM
+ * vs. verification). Regenerate with tools/record_bench.sh after any
+ * intentional change to the simulated numbers and commit the new
+ * file alongside it.
  *
  * Profiled points are uncacheable by design, so every run here is a
  * fresh measurement - wall-clock numbers are honest, never cache hits.
@@ -45,7 +46,7 @@ segMean(const obs::PathProfile &profile, obs::PathSegment seg)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = argc > 1 ? argv[1] : "BENCH_baseline.json";
+    const char *out_path = argc > 1 ? argv[1] : "BENCH_event_loop.json";
 
     std::printf("Recording performance baseline (fig7 sweep, profiled)\n");
     std::printf("(window: %llu measured instructions, %llu warmup, "

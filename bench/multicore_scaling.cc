@@ -67,7 +67,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Same schema as BENCH_baseline.json so tools/bench_diff.py can
+    // Same schema as BENCH_event_loop.json so tools/bench_diff.py can
     // diff two multicore recordings; the "policy" key is the point
     // label ("commit@2c"), which keeps (workload, policy) unique
     // across core counts.

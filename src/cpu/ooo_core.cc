@@ -291,8 +291,8 @@ OooCore::stageComplete()
             ++mispredicts_;
             std::uint64_t squashed_before = squashedInsts_.value();
             squashAfter(pos);
-            ACP_TRACE(trace_, obs::TraceEventKind::kSquash, cycle_,
-                      entry.pc, squashedInsts_.value() - squashed_before);
+            tracePipeline(obs::PipelineEvent::Kind::kSquash, entry.pc,
+                          squashedInsts_.value() - squashed_before);
             fetchPc_ = entry.actualNext;
             fetchStallUntil_ = cycle_ + cfg_.mispredictPenalty;
             fetchStallCause_ = obs::StallCause::kSquash;
@@ -322,8 +322,8 @@ OooCore::stageCommit()
             }
             if (gate != kNoAuthSeq && gate == lastAuthBlockSeq_) {
                 // The tag the head was stalling on has verified.
-                ACP_TRACE(trace_, obs::TraceEventKind::kGateRelease,
-                          cycle_, gate, entry.pc);
+                tracePipeline(obs::PipelineEvent::Kind::kGateRelease,
+                              gate, entry.pc);
                 lastAuthBlockSeq_ = kNoAuthSeq;
             }
         }
@@ -400,8 +400,8 @@ OooCore::stageCommit()
 
         if (entry.tainted)
             ++taintedCommits_;
-        ACP_TRACE(trace_, obs::TraceEventKind::kCommit, cycle_, entry.pc,
-                  entry.seq);
+        tracePipeline(obs::PipelineEvent::Kind::kCommit, entry.pc,
+                      entry.seq);
         progress_ = true;
         ++committed_;
         ++commitsThisCycle_;
@@ -542,8 +542,8 @@ OooCore::stageIssue()
 
         entry.issued = true;
         progress_ = true;
-        ACP_TRACE(trace_, obs::TraceEventKind::kIssue, cycle_, entry.pc,
-                  entry.seq);
+        tracePipeline(obs::PipelineEvent::Kind::kIssue, entry.pc,
+                      entry.seq);
         ++issued_;
         --slots;
     }
@@ -651,7 +651,7 @@ OooCore::stageFetch()
         }
 
         FetchedInst fetched_inst;
-        ACP_TRACE(trace_, obs::TraceEventKind::kFetch, cycle_, fetchPc_);
+        tracePipeline(obs::PipelineEvent::Kind::kFetch, fetchPc_);
         fetched_inst.pc = fetchPc_;
         fetched_inst.inst = isa::decode(word);
         fetched_inst.fetchSeq = access.authSeq;

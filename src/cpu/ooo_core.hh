@@ -38,7 +38,7 @@
 #include "isa/instr.hh"
 #include "obs/interval.hh"
 #include "obs/stall.hh"
-#include "obs/trace.hh"
+#include "obs/trace_json.hh"
 #include "secmem/mem_hierarchy.hh"
 #include "sim/config.hh"
 
@@ -140,8 +140,16 @@ class OooCore
      */
     void traceCommits(std::FILE *out, std::uint64_t insts);
 
-    /** Attach a passive event trace sink (nullptr detaches). */
-    void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
+    /** Record this core's pipeline instants from now on: the core's
+     *  track of the Chrome trace. Passive. */
+    void enableTrace() { tracing_ = true; }
+
+    /** Instants recorded since enableTrace(), in record order. */
+    const std::vector<obs::PipelineEvent> &
+    pipelineTrace() const
+    {
+        return pipelineTrace_;
+    }
 
     /**
      * The --stats-interval series (empty unless cfg.statsInterval !=
@@ -285,6 +293,14 @@ class OooCore
     bool verifiedOk(AuthSeq seq) const;
     void raiseSecurityException(bool precise);
     bool checkEngineFailure();
+    /** Record a pipeline instant at this cycle when tracing. */
+    void
+    tracePipeline(obs::PipelineEvent::Kind kind, std::uint64_t a,
+                  std::uint64_t b = 0)
+    {
+        if (tracing_)
+            pipelineTrace_.push_back({cycle_, kind, a, b});
+    }
 
     // ----- stall attribution (observability) ------------------------------
     /** Why the commit stage made no progress this cycle. */
@@ -363,7 +379,8 @@ class OooCore
     std::uint64_t traceRemaining_ = 0;
 
     // Observability (passive: never feeds back into the model)
-    obs::TraceBuffer *trace_ = nullptr;
+    bool tracing_ = false;
+    std::vector<obs::PipelineEvent> pipelineTrace_;
     obs::IntervalSampler intervals_;
     unsigned commitsThisCycle_ = 0;
     CommitBlock commitBlock_ = CommitBlock::kNone;

@@ -68,9 +68,8 @@ struct Point
     bool
     cacheable() const
     {
-        return !prepare && !finish && cfg.traceMask == 0 &&
-               cfg.statsInterval == 0 && !cfg.profileEnabled &&
-               !cfg.hostStats;
+        return !prepare && !finish && cfg.statsInterval == 0 &&
+               !cfg.profileEnabled && !cfg.hostStats;
     }
 };
 

@@ -155,8 +155,6 @@ Txn::merge(const Txn &child)
         busRequestAt = child.busRequestAt;
         busGrantAt = child.busGrantAt;
     }
-    for (const TxnStep &s : child.path)
-        note(s.event, s.cycle, s.addr);
 }
 
 } // namespace acp::mem

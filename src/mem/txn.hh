@@ -3,8 +3,9 @@
  * First-class memory transaction. Every off-chip access — a demand
  * fill, an instruction fetch, a writeback, and all the metadata
  * traffic it drags along (counter lines, tree nodes, remap entries) —
- * is described by one Txn object that flows OooCore → MemHierarchy →
- * SecureMemCtrl → Dram and back.
+ * is described by one Txn object that SecureMemCtrl builds and
+ * retires. The hierarchy hands the core a Txn too, but only its
+ * folded outcome: an on-chip access never has a timeline.
  *
  * A Txn carries three things:
  *  - identity: the logical address, transaction kind, the gate tag of
@@ -13,16 +14,16 @@
  *  - outcome: the cycles the data becomes pipeline-usable / physically
  *    on-chip / verified, the authentication sequence, the functional
  *    MAC verdict, and the decrypted payload;
- *  - a timeline: the ordered list of path events the access took
- *    through the shared resource model (MSHR admission, fetch-gate
- *    release, remap translation, counter availability, bus grants,
- *    DRAM beats, decrypt, verify). The timeline is what RTL-path-style
- *    security analysis enumerates and what obs trace spans render.
+ *  - a timeline (controller transactions only): the ordered list of
+ *    path events the access took through the shared resource model
+ *    (request, MSHR admission, fetch-gate release, remap translation,
+ *    counter availability, bus grants, DRAM beats, decrypt, verify).
+ *    The timeline is the one record of a memory transaction: the path
+ *    profiler aggregates it and the Chrome trace draws its spans.
  *
  * The timeline is kept sorted by cycle on insertion, so it is monotone
  * by construction even when a component records an earlier-cycle
- * event late (e.g. an eviction writeback noted after the fill that
- * caused it).
+ * event late (e.g. a tree-node fetch that finishes after decrypt).
  */
 
 #ifndef ACP_MEM_TXN_HH
@@ -41,9 +42,8 @@ namespace acp::mem
 
 // ----- timeline arena ----------------------------------------------------
 //
-// Txn objects are created and destroyed on every timed access — the
-// hottest allocation site in the simulator. Their timeline storage is
-// drawn from a thread-local pooling arena: freed blocks are recycled
+// Every off-chip transaction builds a timeline. Its storage is drawn
+// from a thread-local pooling arena: freed blocks are recycled
 // by power-of-two size class instead of returned to the system
 // allocator. The pool is per-thread (exp::submit runs points on a
 // thread pool) and frees all pooled blocks at thread exit, so the
@@ -116,7 +116,7 @@ operator!=(const TxnAlloc<A> &, const TxnAlloc<B> &)
 /** Steps an off-chip access can take through the resource model. */
 enum class PathEvent : std::uint8_t
 {
-    kRequest,          // request leaves the upstream component
+    kRequest,          // request reaches the controller (first step)
     kMshrAdmit,        // admitted past the outstanding-fetch limit
     kFetchGateRelease, // authen-then-fetch gate released the bus grant
     kRemapTranslate,   // obfuscation translation resolved
@@ -124,8 +124,7 @@ enum class PathEvent : std::uint8_t
     kBusGrant,         // front-side bus granted — adversary sees addr
     kDramFirstBeat,    // critical word on the bus
     kDramComplete,     // full DRAM burst transferred
-    kDecryptDone,      // plaintext available on-chip
-    kVerifyPosted,     // authentication request entered the engine
+    kDecryptDone,      // plaintext available on-chip; MAC request posted
     kVerifyDone,       // authentication verdict available
     kWriteback,        // write burst completed
 };
@@ -144,7 +143,6 @@ pathEventName(PathEvent ev)
       case PathEvent::kDramFirstBeat:    return "dram_first_beat";
       case PathEvent::kDramComplete:     return "dram_complete";
       case PathEvent::kDecryptDone:      return "decrypt_done";
-      case PathEvent::kVerifyPosted:     return "verify_posted";
       case PathEvent::kVerifyDone:       return "verify_done";
       case PathEvent::kWriteback:        return "writeback";
     }
@@ -213,7 +211,7 @@ struct Txn
     /** Decrypted line payload (fetches only). */
     std::array<std::uint8_t, kExtLineBytes> data{};
 
-    // ----- timeline ----------------------------------------------------
+    // ----- timeline (controller transactions only) ---------------------
     /** Arena-backed step storage (see TxnAlloc above). */
     using Path = std::vector<TxnStep, TxnAlloc<TxnStep>>;
     Path path;
@@ -228,10 +226,11 @@ struct Txn
     unsigned eventCount(PathEvent event) const;
 
     /**
-     * Fold a child transaction (e.g. the line fill behind a cache
-     * miss) into this one: outcome cycles and the auth tag take the
-     * max, the MAC verdict ANDs, gate delay ORs, and the child's
-     * timeline is interleaved into this one in cycle order.
+     * Fold a child transaction's outcome (e.g. the line fill behind a
+     * cache miss) into this one: outcome cycles and the auth tag take
+     * the max, the MAC verdict ANDs, gate delay ORs, and the first
+     * primary bus window wins. The child's timeline is not copied:
+     * the controller already retired it.
      */
     void merge(const Txn &child);
 };

@@ -78,8 +78,13 @@ PathProfiler::decompose(const mem::Txn &txn, std::uint64_t *latency_out)
         if (cur.cycle < prev.cycle)
             acp_panic("txn %llu timeline not sorted",
                       (unsigned long long)txn.id);
+        const PathSegment seg = segmentOfEvent(cur.event);
+        if (seg == PathSegment::kNumSegments)
+            acp_panic("txn %llu: %s is not its first step",
+                      (unsigned long long)txn.id,
+                      mem::pathEventName(cur.event));
         std::uint64_t delta = cur.cycle - prev.cycle;
-        segs[unsigned(segmentOfEvent(cur.event))] += delta;
+        segs[unsigned(seg)] += delta;
         total += delta;
     }
     // The charges telescope, so this holds by construction; a failure
@@ -101,7 +106,7 @@ PathProfiler::shapeSignature(const mem::Txn &txn)
     const mem::PathEvent *last = nullptr;
     for (const mem::TxnStep &s : txn.path) {
         if (last && *last == s.event)
-            continue; // collapse consecutive repeats (multi-line merges)
+            continue; // collapse consecutive repeats (overlapping transfers)
         if (!sig.empty())
             sig += '>';
         sig += mem::pathEventName(s.event);

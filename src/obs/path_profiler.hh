@@ -56,7 +56,6 @@ namespace acp::obs
 /** Latency segments a transaction's end-to-end time decomposes into. */
 enum class PathSegment : std::uint8_t
 {
-    kUpstream,    // delta ending at a (merged) request event
     kMshr,        // outstanding-fetch admission wait
     kGate,        // authen-then-fetch bus-grant hold
     kRemap,       // obfuscation translation
@@ -64,8 +63,7 @@ enum class PathSegment : std::uint8_t
     kBusQueue,    // bank row cycle + shared-bus grant queueing
     kDramBurst,   // beats on the bus (first beat .. complete)
     kDecrypt,     // ciphertext -> plaintext (pad or CBC chain)
-    kVerifyQueue, // decrypt done -> auth request posted
-    kVerify,      // auth engine occupancy until the verdict
+    kVerify,      // auth engine queueing + occupancy until the verdict
     kWriteback,   // write burst completion
     kNumSegments,
 };
@@ -77,7 +75,6 @@ constexpr const char *
 pathSegmentName(PathSegment seg)
 {
     switch (seg) {
-      case PathSegment::kUpstream:     return "upstream";
       case PathSegment::kMshr:         return "mshr";
       case PathSegment::kGate:         return "gate";
       case PathSegment::kRemap:        return "remap";
@@ -85,7 +82,6 @@ pathSegmentName(PathSegment seg)
       case PathSegment::kBusQueue:     return "bus_queue";
       case PathSegment::kDramBurst:    return "dram_burst";
       case PathSegment::kDecrypt:      return "decrypt";
-      case PathSegment::kVerifyQueue:  return "verify_queue";
       case PathSegment::kVerify:       return "verify";
       case PathSegment::kWriteback:    return "writeback";
       case PathSegment::kNumSegments:  break;
@@ -93,12 +89,16 @@ pathSegmentName(PathSegment seg)
     return "?";
 }
 
-/** Segment a timeline delta ending at @p event is charged to. */
+/**
+ * Segment a timeline delta ending at @p event is charged to.
+ * kRequest opens every controller timeline, so no delta ends at it:
+ * it maps to kNumSegments, which decompose() rejects.
+ */
 constexpr PathSegment
 segmentOfEvent(mem::PathEvent event)
 {
     switch (event) {
-      case mem::PathEvent::kRequest:          return PathSegment::kUpstream;
+      case mem::PathEvent::kRequest:          break;
       case mem::PathEvent::kMshrAdmit:        return PathSegment::kMshr;
       case mem::PathEvent::kFetchGateRelease: return PathSegment::kGate;
       case mem::PathEvent::kRemapTranslate:   return PathSegment::kRemap;
@@ -107,11 +107,10 @@ segmentOfEvent(mem::PathEvent event)
       case mem::PathEvent::kDramFirstBeat:    return PathSegment::kDramBurst;
       case mem::PathEvent::kDramComplete:     return PathSegment::kDramBurst;
       case mem::PathEvent::kDecryptDone:      return PathSegment::kDecrypt;
-      case mem::PathEvent::kVerifyPosted:     return PathSegment::kVerifyQueue;
       case mem::PathEvent::kVerifyDone:       return PathSegment::kVerify;
       case mem::PathEvent::kWriteback:        return PathSegment::kWriteback;
     }
-    return PathSegment::kUpstream;
+    return PathSegment::kNumSegments;
 }
 
 /** Per-segment cycle totals, indexed by PathSegment. */

@@ -2,7 +2,7 @@
 
 #include <cinttypes>
 
-#include "mem/txn.hh"
+#include "common/json.hh"
 #include "obs/path_profiler.hh"
 
 namespace acp::obs
@@ -11,149 +11,166 @@ namespace acp::obs
 namespace
 {
 
-/** One trace-event object; @p first suppresses the leading comma. */
-void
-emitEvent(std::FILE *out, bool &first, const char *ph, const char *cat,
-          const char *name, Cycle ts, std::uint64_t id, bool has_id,
-          const char *args_fmt = nullptr, std::uint64_t arg0 = 0,
-          std::uint64_t arg1 = 0)
+/** Streams comma-separated trace-event objects. */
+struct EventWriter
 {
-    std::fprintf(out, "%s\n    {\"ph\":\"%s\",\"cat\":\"%s\","
-                 "\"name\":\"%s\",\"ts\":%llu,\"pid\":0",
-                 first ? "" : ",", ph, cat, name,
-                 (unsigned long long)ts);
-    first = false;
-    if (has_id)
-        std::fprintf(out, ",\"id\":\"%llu\"", (unsigned long long)id);
-    // Instant events need a scope; thread instants live on tid 0.
-    if (ph[0] == 'i')
-        std::fputs(",\"tid\":0,\"s\":\"t\"", out);
-    else
-        std::fputs(",\"tid\":1", out);
-    if (args_fmt != nullptr) {
-        std::fputs(",\"args\":{", out);
-        std::fprintf(out, args_fmt, (unsigned long long)arg0,
-                     (unsigned long long)arg1);
+    std::FILE *out;
+    bool first = true;
+
+    /**
+     * One event on track @p tid. Instants ("i") get thread scope;
+     * async begin/end ("b"/"e") carry @p id, by which viewers pair
+     * them within @p cat. @p args_fmt formats up to two arguments.
+     */
+    void
+    operator()(const char *ph, const char *cat, const char *name, Cycle ts,
+               unsigned tid, std::uint64_t id,
+               const char *args_fmt = nullptr, std::uint64_t arg0 = 0,
+               std::uint64_t arg1 = 0)
+    {
+        std::fprintf(out, "%s\n    {\"ph\":\"%s\",\"cat\":\"%s\","
+                     "\"name\":\"%s\",\"ts\":%llu,\"pid\":0,\"tid\":%u",
+                     first ? "" : ",", ph, cat, name,
+                     (unsigned long long)ts, tid);
+        first = false;
+        if (ph[0] == 'i')
+            std::fputs(",\"s\":\"t\"", out);
+        else
+            std::fprintf(out, ",\"id\":\"%llu\"", (unsigned long long)id);
+        if (args_fmt != nullptr) {
+            std::fputs(",\"args\":{", out);
+            std::fprintf(out, args_fmt, (unsigned long long)arg0,
+                         (unsigned long long)arg1);
+            std::fputc('}', out);
+        }
         std::fputc('}', out);
     }
-    std::fputc('}', out);
+};
+
+/** Category, name and argument format of each PipelineEvent::Kind. */
+struct PipelineFormat
+{
+    const char *cat;
+    const char *name;
+    const char *args;
+};
+constexpr PipelineFormat kPipelineFormats[] = {
+    {"pipeline", "fetch", "\"pc\":%llu"},
+    {"pipeline", "issue", "\"pc\":%llu,\"seq\":%llu"},
+    {"pipeline", "commit", "\"pc\":%llu,\"seq\":%llu"},
+    {"pipeline", "squash", "\"pc\":%llu,\"squashed\":%llu"},
+    {"auth", "auth.gate_release", "\"auth_seq\":%llu,\"pc\":%llu"},
+};
+
+/** Every event one retired transaction's timeline yields. */
+void
+writeTxn(EventWriter &emit, const mem::Txn &txn, unsigned tid)
+{
+    using mem::PathEvent;
+    const std::uint64_t line = txn.addr / kExtLineBytes;
+    Cycle admitted = 0;
+    Cycle decrypted = 0;
+    const mem::TxnStep *prev = nullptr;
+    for (const mem::TxnStep &s : txn.path) {
+        switch (s.event) {
+          case PathEvent::kRequest:
+            if (txn.authSeq != kNoAuthSeq)
+                emit("i", "auth", "auth.request", s.cycle, tid, 0,
+                     "\"auth_seq\":%llu,\"line\":%llu", txn.authSeq, line);
+            break;
+          case PathEvent::kMshrAdmit:
+            admitted = s.cycle;
+            break;
+          case PathEvent::kFetchGateRelease:
+            emit("b", "gate", "fetch_gate", admitted, tid, txn.id,
+                 "\"tag\":%llu,\"line\":%llu", txn.gateTag, line);
+            emit("e", "gate", "fetch_gate", s.cycle, tid, txn.id,
+                 "\"tag\":%llu,\"line\":%llu", txn.gateTag, line);
+            break;
+          case PathEvent::kBusGrant:
+            emit("i", "bus", "bus.grant", s.cycle, tid, 0,
+                 "\"txn\":%llu,\"line\":%llu", txn.id,
+                 s.addr / kExtLineBytes);
+            break;
+          case PathEvent::kDecryptDone:
+            decrypted = s.cycle;
+            break;
+          case PathEvent::kVerifyDone:
+            // The request was posted at decrypt completion: the span
+            // is this request's auth.verify_latency sample.
+            emit("b", "auth", "auth.verify", decrypted, tid, txn.authSeq,
+                 "\"auth_seq\":%llu,\"line\":%llu", txn.authSeq, line);
+            emit("e", "auth", "auth.verify", s.cycle, tid, txn.authSeq,
+                 "\"auth_seq\":%llu,\"ok\":%llu", txn.authSeq,
+                 txn.macOk ? 1 : 0);
+            break;
+          default:
+            break;
+        }
+        // Consecutive steps become sequential spans named by the
+        // segment the delta is charged to; viewers group one
+        // transaction's spans into a track keyed by (cat "txn", id).
+        if (prev != nullptr && s.cycle > prev->cycle) {
+            const char *seg = pathSegmentName(segmentOfEvent(s.event));
+            emit("b", "txn", seg, prev->cycle, tid, txn.id,
+                 "\"kind\":%llu,\"addr\":%llu",
+                 static_cast<unsigned>(txn.kind), s.addr);
+            emit("e", "txn", seg, s.cycle, tid, txn.id);
+        }
+        prev = &s;
+    }
 }
 
 } // namespace
 
 void
-writeChromeTrace(const TraceBuffer &buf, std::FILE *out)
+writeChromeTrace(const std::vector<mem::Txn> &txns,
+                 const std::vector<PipelineTrack> &cores, std::FILE *out)
 {
     std::fputs("{\n  \"traceEvents\": [", out);
-    bool first = true;
+    EventWriter emit{out};
 
-    // Track names (metadata events).
-    std::fprintf(out, "%s\n    {\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-                 "\"name\":\"thread_name\",\"args\":{\"name\":\"core\"}}",
-                 first ? "" : ",");
-    first = false;
-    std::fputs(",\n    {\"ph\":\"M\",\"pid\":0,\"tid\":1,"
-               "\"name\":\"thread_name\",\"args\":{\"name\":\"secmem\"}}",
-               out);
+    // Tracks: one per core (tid = core id), then the memory side.
+    const unsigned secmem = unsigned(cores.size());
+    for (unsigned tid = 0; tid <= secmem; ++tid)
+        std::fprintf(out, "%s\n    {\"ph\":\"M\",\"pid\":0,\"tid\":%u,"
+                     "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
+                     tid ? "," : "", tid,
+                     tid < secmem ? json::escape(cores[tid].name).c_str()
+                                  : "secmem");
+    emit.first = false;
 
-    // Txn timelines arrive as contiguous runs of kTxnStep events (the
-    // controller mirrors the whole path at retire). Consecutive steps
-    // of the same transaction become sequential async spans named by
-    // the segment the delta is charged to; Perfetto groups the spans
-    // of one transaction into a track keyed by (cat "txn", id).
-    std::uint64_t txn_last_id = ~std::uint64_t(0);
-    Cycle txn_last_cycle = 0;
-
-    buf.forEach([&](const TraceEvent &ev) {
-        switch (ev.kind) {
-          case TraceEventKind::kFetch:
-            emitEvent(out, first, "i", "pipeline", "fetch", ev.cycle, 0,
-                      false, "\"pc\":%llu", ev.a);
-            break;
-          case TraceEventKind::kIssue:
-            emitEvent(out, first, "i", "pipeline", "issue", ev.cycle, 0,
-                      false, "\"pc\":%llu,\"seq\":%llu", ev.a, ev.b);
-            break;
-          case TraceEventKind::kCommit:
-            emitEvent(out, first, "i", "pipeline", "commit", ev.cycle, 0,
-                      false, "\"pc\":%llu,\"seq\":%llu", ev.a, ev.b);
-            break;
-          case TraceEventKind::kSquash:
-            emitEvent(out, first, "i", "pipeline", "squash", ev.cycle, 0,
-                      false, "\"pc\":%llu,\"squashed\":%llu", ev.a, ev.b);
-            break;
-          case TraceEventKind::kAuthRequest:
-            emitEvent(out, first, "i", "auth", "auth.request", ev.cycle,
-                      0, false, "\"auth_seq\":%llu,\"line\":%llu", ev.a,
-                      ev.b);
-            break;
-          case TraceEventKind::kAuthDataArrive:
-            // Span start: data+MAC on-chip, verification pending. The
-            // span's duration is the authentication latency gap the
-            // auth.verify_latency statistic averages.
-            emitEvent(out, first, "b", "auth", "auth.verify", ev.cycle,
-                      ev.a, true, "\"auth_seq\":%llu,\"line\":%llu",
-                      ev.a, ev.b);
-            break;
-          case TraceEventKind::kAuthVerifyDone:
-            emitEvent(out, first, "e", "auth", "auth.verify", ev.cycle,
-                      ev.a, true, "\"auth_seq\":%llu,\"ok\":%llu", ev.a,
-                      ev.b);
-            break;
-          case TraceEventKind::kGateRelease:
-            emitEvent(out, first, "i", "auth", "auth.gate_release",
-                      ev.cycle, 0, false,
-                      "\"auth_seq\":%llu,\"pc\":%llu", ev.a, ev.b);
-            break;
-          case TraceEventKind::kFetchGateBegin:
-            emitEvent(out, first, "b", "gate", "fetch_gate", ev.cycle,
-                      ev.a, true, "\"tag\":%llu,\"line\":%llu", ev.b,
-                      ev.c);
-            break;
-          case TraceEventKind::kFetchGateEnd:
-            emitEvent(out, first, "e", "gate", "fetch_gate", ev.cycle,
-                      ev.a, true, "\"tag\":%llu,\"line\":%llu", ev.b,
-                      ev.c);
-            break;
-          case TraceEventKind::kBusGrant:
-            emitEvent(out, first, "i", "bus", "bus.grant", ev.cycle, 0,
-                      false, "\"txn\":%llu,\"line\":%llu", ev.a, ev.b);
-            break;
-          case TraceEventKind::kTxnStep: {
-            auto event = mem::PathEvent(ev.b & 0xff);
-            if (ev.a == txn_last_id && ev.cycle > txn_last_cycle) {
-                const char *seg = pathSegmentName(segmentOfEvent(event));
-                emitEvent(out, first, "b", "txn", seg, txn_last_cycle,
-                          ev.a, true, "\"kind\":%llu,\"addr\":%llu",
-                          ev.b >> 8, ev.c);
-                emitEvent(out, first, "e", "txn", seg, ev.cycle, ev.a,
-                          true);
-            }
-            txn_last_id = ev.a;
-            txn_last_cycle = ev.cycle;
-            break;
-          }
+    std::uint64_t pipeline_events = 0;
+    for (unsigned tid = 0; tid < secmem; ++tid) {
+        for (const PipelineEvent &ev : *cores[tid].events) {
+            const PipelineFormat &f = kPipelineFormats[unsigned(ev.kind)];
+            emit("i", f.cat, f.name, ev.cycle, tid, 0, f.args, ev.a, ev.b);
         }
-    });
+        pipeline_events += cores[tid].events->size();
+    }
+    for (const mem::Txn &txn : txns)
+        writeTxn(emit, txn, secmem);
 
     std::fprintf(out, "\n  ],\n"
                  "  \"displayTimeUnit\": \"ms\",\n"
                  "  \"otherData\": {\n"
                  "    \"generator\": \"acpsim\",\n"
                  "    \"timeUnit\": \"core cycles\",\n"
-                 "    \"eventsRecorded\": %" PRIu64 ",\n"
-                 "    \"eventsHeld\": %zu\n"
+                 "    \"txns\": %zu,\n"
+                 "    \"pipelineEvents\": %" PRIu64 "\n"
                  "  }\n}\n",
-                 buf.recorded(), buf.size());
+                 txns.size(), pipeline_events);
 }
 
 bool
-writeChromeTrace(const TraceBuffer &buf, const std::string &path)
+writeChromeTrace(const std::vector<mem::Txn> &txns,
+                 const std::vector<PipelineTrack> &cores,
+                 const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
-    writeChromeTrace(buf, f);
+    writeChromeTrace(txns, cores, f);
     std::fclose(f);
     return true;
 }

@@ -1,33 +1,70 @@
 /**
  * @file
- * Chrome trace-event JSON sink for a TraceBuffer. The output loads in
- * Perfetto (https://ui.perfetto.dev) or chrome://tracing, with the
- * simulated cycle count as the timestamp unit (1 "us" == 1 cycle):
+ * Chrome trace-event JSON of a traced window (sim::System::
+ * enableTrace). The output loads in Perfetto (https://ui.perfetto.dev)
+ * or chrome://tracing, with the simulated cycle count as the timestamp
+ * unit (1 "us" == 1 cycle). Every event is derived from two lists:
  *
- *   - pipeline events (fetch/issue/commit/squash) as instants on the
- *     "core" track,
- *   - each authentication request as an async span from data/hash
- *     arrival to verification verdict on the "auth" track — the
- *     span's length IS the paper's authentication latency gap,
- *   - fetch-gate stalls as async spans on the "fetch-gate" track.
+ *   - the controller's retired mem::Txn timelines, on the "secmem"
+ *     track: the "auth.request" instant (kRequest of a verified
+ *     fetch), the "auth.verify" span (kDecryptDone -> kVerifyDone —
+ *     the span's length IS the paper's authentication latency gap),
+ *     the "fetch_gate" span (kMshrAdmit -> kFetchGateRelease), one
+ *     "bus.grant" instant per kBusGrant step, and the "txn" segment
+ *     spans (one per nonzero timeline delta, named by the path
+ *     segment it is charged to);
+ *   - each core's pipeline instants (fetch / issue / commit / squash
+ *     and the commit gate's "auth.gate_release"), one track per core.
  */
 
 #ifndef ACP_OBS_TRACE_JSON_HH
 #define ACP_OBS_TRACE_JSON_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "obs/trace.hh"
+#include "common/types.hh"
+#include "mem/txn.hh"
 
 namespace acp::obs
 {
 
-/** Emit @p buf as a complete Chrome trace-event JSON document. */
-void writeChromeTrace(const TraceBuffer &buf, std::FILE *out);
+/** One pipeline instant a traced core records. */
+struct PipelineEvent
+{
+    enum class Kind : std::uint8_t
+    {
+        kFetch,       // a=pc
+        kIssue,       // a=pc, b=dynamic seq
+        kCommit,      // a=pc, b=dynamic seq
+        kSquash,      // a=mispredicting pc, b=instructions squashed
+        kGateRelease, // a=auth seq the commit gate waited on, b=pc
+    };
+
+    Cycle cycle = 0;
+    Kind kind = Kind::kFetch;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+};
+
+/** One core's pipeline track: its name and its instants. */
+struct PipelineTrack
+{
+    std::string name;
+    const std::vector<PipelineEvent> *events = nullptr;
+};
+
+/** Emit @p txns and @p cores as one Chrome trace-event document. */
+void writeChromeTrace(const std::vector<mem::Txn> &txns,
+                      const std::vector<PipelineTrack> &cores,
+                      std::FILE *out);
 
 /** writeChromeTrace to @p path; returns false if it can't be opened. */
-bool writeChromeTrace(const TraceBuffer &buf, const std::string &path);
+bool writeChromeTrace(const std::vector<mem::Txn> &txns,
+                      const std::vector<PipelineTrack> &cores,
+                      const std::string &path);
 
 } // namespace acp::obs
 

@@ -227,7 +227,6 @@ MemHierarchy::readTimed(Addr addr, unsigned bytes, Cycle cycle,
     out.reqCycle = cycle;
     out.origin = origin;
     out.client = client;
-    out.note(mem::PathEvent::kRequest, cycle, addr);
 
     value = 0;
     unsigned done = 0;
@@ -267,7 +266,6 @@ MemHierarchy::writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
     out.reqCycle = cycle;
     out.origin = origin;
     out.client = client;
-    out.note(mem::PathEvent::kRequest, cycle, addr);
 
     unsigned done = 0;
     while (done < bytes) {
@@ -304,7 +302,6 @@ MemHierarchy::fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
     out.gateTag = gate_tag;
     out.reqCycle = cycle;
     out.client = client;
-    out.note(mem::PathEvent::kRequest, cycle, pc);
 
     Addr line_addr = c.l1i.lineAlign(pc);
     cache::CacheLine *line =

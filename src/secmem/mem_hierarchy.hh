@@ -10,10 +10,11 @@
  * timed accesses return a mem::Txn whose ready cycle is when data
  * becomes *usable by the pipeline* (which, under authen-then-issue, is
  * the verification completion, not the decrypt completion) plus the
- * authentication sequence tag that commit/write gates consult. Line
- * fills behind a miss are child transactions merged into the access
- * Txn, so the caller sees the full resource path (gate stalls, bus
- * grants, metadata traffic) the access took.
+ * authentication sequence tag that commit/write gates consult. A line
+ * fill behind a miss folds its outcome (ready/data cycles, auth tag,
+ * gate delay, bus window) into the access Txn; the access itself has
+ * no timeline. The fill's timeline lives on the controller's
+ * transaction, which the controller retires to the profiler/trace.
  */
 
 #ifndef ACP_SECMEM_MEM_HIERARCHY_HH
@@ -103,9 +104,6 @@ class MemHierarchy
     std::uint64_t translationFaults() const { return faults_.value(); }
     StatGroup &stats() { return stats_; }
 
-    /** Attach (or detach) a passive event trace sink. */
-    void setTrace(obs::TraceBuffer *trace) { ctrl_.setTrace(trace); }
-
     /** Attach (or detach) a passive transaction-path profiler. */
     void setProfiler(obs::PathProfiler *p) { ctrl_.setProfiler(p); }
 
@@ -138,7 +136,7 @@ class MemHierarchy
     static void foldLine(mem::Txn &acc, Cycle lookup_done,
                          const cache::CacheLine &line);
     /** Ensure the line is in @p c's L2 (filling on miss). Timed; the
-     *  fill's transaction merges into @p acc. */
+     *  fill's outcome merges into @p acc. */
     cache::CacheLine *ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
                                AuthSeq gate_tag, mem::BusTxnKind kind,
                                mem::Txn &acc);

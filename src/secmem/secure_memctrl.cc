@@ -118,9 +118,6 @@ SecureMemCtrl::dramAccess(Addr addr, Cycle cycle, unsigned bytes,
     txn.note(mem::PathEvent::kBusGrant, res.busGrant, addr);
     txn.note(mem::PathEvent::kDramFirstBeat, res.firstBeat, addr);
     txn.note(mem::PathEvent::kDramComplete, res.complete, addr);
-    ACP_TRACE(obsTrace_, obs::TraceEventKind::kBusGrant, res.busGrant,
-              txn.id, addr / kExtLineBytes,
-              std::uint64_t(static_cast<unsigned>(kind)));
     return res.complete;
 }
 
@@ -129,18 +126,8 @@ SecureMemCtrl::retire(const mem::Txn &txn)
 {
     if (profiler_)
         profiler_->record(txn);
-    // Mirror the timeline into the event trace as one contiguous run
-    // of kTxnStep events; the Chrome sink turns each run into an
-    // async per-transaction track of segment spans.
-    if (obsTrace_ && obsTrace_->wants(obs::kCatPath)) {
-        std::uint64_t kind_bits =
-            std::uint64_t(static_cast<unsigned>(txn.kind)) << 8;
-        for (const mem::TxnStep &s : txn.path)
-            obsTrace_->record(
-                obs::TraceEventKind::kTxnStep, s.cycle, txn.id,
-                std::uint64_t(static_cast<unsigned>(s.event)) | kind_bits,
-                s.addr);
-    }
+    if (keepRetired_)
+        retired_.push_back(txn);
 }
 
 Cycle
@@ -223,6 +210,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
     // 2. authen-then-fetch gate.
     if (core::gatesFetch(policy)) {
         AuthSeq tag = cfg_.fetchGateDrain ? engine_.lastRequest() : gate_tag;
+        txn.gateTag = tag; // the tag the gate actually waits on
         // A fetch whose gate tag covers a *failed* verification is
         // never granted: the security exception squashes it. Return a
         // never-ready fill without touching the bus (no address leak).
@@ -245,11 +233,6 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
             txn.gateDelayed = true;
             txn.note(mem::PathEvent::kFetchGateRelease, gate_done,
                      line_addr);
-            std::uint64_t sid = ++gateStallId_;
-            ACP_TRACE(obsTrace_, obs::TraceEventKind::kFetchGateBegin,
-                      start, sid, tag, line_addr / kExtLineBytes);
-            ACP_TRACE(obsTrace_, obs::TraceEventKind::kFetchGateEnd,
-                      gate_done, sid, tag, line_addr / kExtLineBytes);
             start = gate_done;
         }
     }
@@ -327,19 +310,12 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         txn.authSeq = engine_.post(txn.dataReady, extra, txn.macOk,
                                    client);
         txn.verifyDone = engine_.doneCycle(txn.authSeq);
-        txn.note(mem::PathEvent::kVerifyPosted, txn.dataReady, line_addr);
+        // The request was posted at dataReady (kDecryptDone), so the
+        // kDecryptDone -> kVerifyDone delta is this request's
+        // auth.verify_latency sample.
         txn.note(mem::PathEvent::kVerifyDone, txn.verifyDone, line_addr);
         decryptGap_.sample(double(txn.verifyDone - txn.dataReady));
         decryptGapHist_.sample(txn.verifyDone - txn.dataReady);
-        // Auth lifecycle: request issued, data+MAC on-chip, verdict.
-        // The data_arrive→verify_done pair renders as a span whose
-        // duration equals this request's auth.verify_latency sample.
-        ACP_TRACE(obsTrace_, obs::TraceEventKind::kAuthRequest, req_cycle,
-                  txn.authSeq, line_addr / kExtLineBytes);
-        ACP_TRACE(obsTrace_, obs::TraceEventKind::kAuthDataArrive,
-                  txn.dataReady, txn.authSeq, line_addr / kExtLineBytes);
-        ACP_TRACE(obsTrace_, obs::TraceEventKind::kAuthVerifyDone,
-                  txn.verifyDone, txn.authSeq, txn.macOk ? 1 : 0);
     } else {
         txn.authSeq = kNoAuthSeq;
         txn.verifyDone = txn.dataReady;

@@ -15,11 +15,11 @@
  *   7. authentication request posted to the in-order engine; with the
  *      hash tree enabled the counter's tree path is verified too
  *
- * Every step is recorded on the mem::Txn the controller returns, so
- * upstream components and tests can replay the exact resource path an
- * access took. All metadata traffic (counter lines, tree nodes, remap
- * entries, metadata writebacks) is charged to the same Txn through a
- * controller-backed MetaMemPort.
+ * Every step is recorded on the timeline of the mem::Txn the
+ * controller returns and retires; these are the only timelines the
+ * simulator builds. All metadata traffic (counter lines, tree nodes,
+ * remap entries, metadata writebacks) is charged to the same Txn
+ * through a controller-backed MetaMemPort.
  *
  * Writeback path (dirty L2 eviction): re-shuffle (obfuscation),
  * counter bump + re-encrypt + MAC (functional), tree update, DRAM
@@ -41,7 +41,6 @@
 #include "mem/bus_trace.hh"
 #include "mem/dram.hh"
 #include "mem/txn.hh"
-#include "obs/trace.hh"
 #include "secmem/auth_engine.hh"
 #include "secmem/counter_predictor.hh"
 #include "secmem/external_memory.hh"
@@ -113,12 +112,16 @@ class SecureMemCtrl
     mem::Dram &dram() { return dram_; }
     mem::BusTrace &busTrace() { return trace_; }
 
-    /** Attach (or detach with nullptr) a passive event trace sink. */
-    void setTrace(obs::TraceBuffer *trace) { obsTrace_ = trace; }
-
     /** Attach (or detach with nullptr) a passive path-profiler sink:
      *  every retired (non-warm) transaction is handed to it. */
     void setProfiler(obs::PathProfiler *profiler) { profiler_ = profiler; }
+
+    /** Keep a copy of every transaction retired from now on, timeline
+     *  included (the Chrome trace's memory side). Passive. */
+    void keepRetired() { keepRetired_ = true; }
+
+    /** Transactions retired since keepRetired(), in retire order. */
+    const std::vector<mem::Txn> &retired() const { return retired_; }
 
     StatGroup &stats() { return stats_; }
 
@@ -172,7 +175,7 @@ class SecureMemCtrl
     /** One bus/bank transfer, charged to @p txn (trace at grant). */
     Cycle dramAccess(Addr addr, Cycle cycle, unsigned bytes, bool is_write,
                      mem::BusTxnKind kind, mem::Txn &txn);
-    /** Hand a completed transaction to the profiler / path trace. */
+    /** Hand a completed transaction to the profiler / trace list. */
     void retire(const mem::Txn &txn);
 
     const sim::SimConfig &cfg_;
@@ -187,10 +190,9 @@ class SecureMemCtrl
     std::unique_ptr<CounterPredictor> predictor_;
     std::vector<Cycle> inflight_;
     unsigned lineTransferBytes_;
-    obs::TraceBuffer *obsTrace_ = nullptr;
     obs::PathProfiler *profiler_ = nullptr;
-    /** Pairs fetch-gate begin/end span events (trace-only id). */
-    std::uint64_t gateStallId_ = 0;
+    bool keepRetired_ = false;
+    std::vector<mem::Txn> retired_;
     /** Controller-assigned transaction ids (deterministic). */
     std::uint64_t txnSeq_ = 0;
 

@@ -188,25 +188,20 @@ struct SimConfig
     std::vector<std::string> coreWorkloads;
 
     // ----- observability ---------------------------------------------------
-    /**
-     * Structured-trace category mask (bits of obs::TraceCat; 0 = no
-     * tracing). Observability is strictly passive — it never changes
-     * simulation results — so these two fields are deliberately NOT
-     * part of serializeConfig()/pointDigest(): a traced run shares its
-     * digest (and therefore its cached result) with the untraced one.
-     */
-    std::uint32_t traceMask = 0;
+    // Observability is strictly passive — it never changes simulation
+    // results — so these fields are deliberately NOT part of
+    // serializeConfig()/pointDigest(): an observed run shares its
+    // digest with the unobserved one, and is uncacheable at the
+    // exp::Point level instead.
     /** Interval-statistics period in cycles (0 = disabled). */
     std::uint64_t statsInterval = 0;
-    /** Transaction path profiler (PathProfiler sink + leak audit);
-     *  passive like tracing, so also digest-excluded. */
+    /** Transaction path profiler (PathProfiler sink + leak audit). */
     bool profileEnabled = false;
     /**
      * Collect sim.host.* self-metrics (event-loop wake counts and
      * jump-length histograms per core, txn-arena high-water
      * marks). These measure the *simulator*, not the simulated
-     * machine; passive like tracing, so also digest-excluded and
-     * uncacheable at the exp::Point level.
+     * machine.
      */
     bool hostStats = false;
 

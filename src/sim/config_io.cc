@@ -11,16 +11,16 @@ namespace acp::sim
 // field. Add it to serializeConfig() below (new fields invalidate
 // every cached experiment result, which is exactly the point) and
 // update the expected size. Exceptions: the observability fields
-// (traceMask, statsInterval, profileEnabled, hostStats) are
-// deliberately NOT serialized — tracing, interval stats and path
-// profiling are strictly passive, so an observed run is bit-identical
-// to (and shares its cached result with) the unobserved one. Runs
-// with observability enabled are made uncacheable at the exp::Point
-// level instead. hostStats is excluded for the same reason as the
-// trace fields: sim.host.* self-metrics measure the simulator, never
-// the simulated machine.
+// (statsInterval, profileEnabled, hostStats) are deliberately NOT
+// serialized — interval stats and path profiling are strictly
+// passive, so an observed run is bit-identical to (and shares its
+// cached result with) the unobserved one. Runs with observability
+// enabled are made uncacheable at the exp::Point level instead.
+// hostStats is excluded for the same reason: sim.host.* self-metrics
+// measure the simulator, never the simulated machine. (--trace is no
+// config field at all: System::enableTrace arms it.)
 #if defined(__x86_64__) && defined(__linux__)
-static_assert(sizeof(SimConfig) == 432,
+static_assert(sizeof(SimConfig) == 424,
               "SimConfig layout changed: update serializeConfig() in "
               "config_io.cc, then the expected size here");
 #endif

@@ -35,8 +35,6 @@
 #include "obs/interval.hh"
 #include "obs/manifest.hh"
 #include "obs/path_report.hh"
-#include "obs/trace.hh"
-#include "obs/trace_json.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -44,6 +42,17 @@ using namespace acp;
 
 namespace
 {
+
+/** @p bytes as SIZE text: "4M", "256K", or plain bytes. */
+std::string
+sizeText(std::uint64_t bytes)
+{
+    if (bytes != 0 && bytes % (1 << 20) == 0)
+        return std::to_string(bytes >> 20) + "M";
+    if (bytes != 0 && bytes % (1 << 10) == 0)
+        return std::to_string(bytes >> 10) + "K";
+    return std::to_string(bytes);
+}
 
 void
 usage()
@@ -71,7 +80,7 @@ usage()
         "  --tree        enable the CHTree integrity tree\n"
         "  --drain       drain-authen-then-fetch variant\n"
         "  --remap SIZE  re-map cache size         (default: 32K)\n"
-        "  --ws SIZE     workload working set      (default: 2M)\n"
+        "  --ws SIZE     workload working set      (default: %s)\n"
         "  --insts N     measured instructions     (default: 100000)\n"
         "  --warmup N    fast-forward instructions (default: 50000)\n"
         "  --auth N      MAC verification latency  (default: 148)\n"
@@ -102,14 +111,16 @@ usage()
         "                audit; prints a report per point, lands in\n"
         "                --json, and with =FILE also writes a\n"
         "                standalone profile JSON\n"
-        "  --trace FILE  write a Chrome trace-event JSON of the timed\n"
-        "                window (Perfetto-loadable; single-point only)\n"
+        "  --trace FILE  write a Chrome trace-event JSON of the whole\n"
+        "                timed window (Perfetto-loadable, about 0.5 KB\n"
+        "                per instruction; single-point only)\n"
         "  --trace-commits N  print a commit trace of the first N\n"
         "                insts (single-point runs only)\n"
         "  --cosim       co-simulate against the functional reference\n"
         "                (single-point runs only)\n\n"
         "  --version     print the build manifest (git SHA, build\n"
-        "                type, compiler, sanitizers) and exit\n");
+        "                type, compiler, sanitizers) and exit\n",
+        sizeText(workloads::WorkloadParams{}.workingSetBytes).c_str());
 }
 
 /**
@@ -378,26 +389,23 @@ main(int argc, char **argv)
             if (points.size() > 1)
                 acp_fatal("--trace/--trace-commits/--cosim need a "
                           "single workload and policy");
-            if (trace_commits > 0 || cosim) {
-                points[0].prepare = [trace_commits,
-                                     cosim](sim::System &system) {
-                    if (cosim)
-                        system.enableCosim();
-                    if (trace_commits > 0)
-                        system.core().traceCommits(stdout, trace_commits);
-                };
-                // enableCosim must be armed before the timed core
-                // exists; the prepare hook runs right after
-                // fastForward, which is early enough (the core is
-                // created by measureTimed/traceCommits).
-            }
+            // enableCosim and enableTrace must be armed before the
+            // timed cores exist; the prepare hook runs right after
+            // fastForward, which is early enough (the cores are
+            // created by measureTimed/traceCommits).
+            points[0].prepare = [trace_commits, cosim,
+                                 path](sim::System &system) {
+                if (cosim)
+                    system.enableCosim();
+                if (!path.empty())
+                    system.enableTrace();
+                if (trace_commits > 0)
+                    system.core().traceCommits(stdout, trace_commits);
+            };
             if (!path.empty()) {
-                // Structured tracing: record everything, write the
-                // Chrome trace while the System is still alive.
-                points[0].cfg.traceMask = obs::kCatAll;
+                // Write the Chrome trace while the System is alive.
                 points[0].finish = [path](sim::System &system) {
-                    if (!obs::writeChromeTrace(*system.traceBuffer(),
-                                               path))
+                    if (!system.writeTrace(path))
                         acp_fatal("cannot write %s", path.c_str());
                     std::fprintf(stderr, "wrote %s\n", path.c_str());
                 };

@@ -6,6 +6,7 @@
 #include "core/auth_policy.hh"
 #include "isa/opcodes.hh"
 #include "mem/txn.hh"
+#include "obs/trace_json.hh"
 
 namespace acp::sim
 {
@@ -82,10 +83,6 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
             cpu::MemPort(*slot.refMem), progs[i].entry);
     }
 
-    if (cfg_.traceMask != 0) {
-        trace_ = std::make_unique<obs::TraceBuffer>(cfg_.traceMask);
-        hier_.setTrace(trace_.get());
-    }
     if (cfg_.profileEnabled) {
         profiler_ = std::make_unique<obs::PathProfiler>();
         hier_.setProfiler(profiler_.get());
@@ -136,7 +133,8 @@ System::createCores()
             slot.core->setReg(reg, slot.refExec->reg(reg));
         if (cosim_)
             slot.core->setCosimShadow(slot.refExec.get());
-        slot.core->setTrace(trace_.get());
+        if (tracing_)
+            slot.core->enableTrace();
     }
 }
 
@@ -155,6 +153,27 @@ System::enableCosim()
     for (CoreSlot &slot : slots_)
         if (slot.core)
             slot.core->setCosimShadow(slot.refExec.get());
+}
+
+void
+System::enableTrace()
+{
+    tracing_ = true;
+    hier_.ctrl().keepRetired();
+    for (CoreSlot &slot : slots_)
+        if (slot.core)
+            slot.core->enableTrace();
+}
+
+bool
+System::writeTrace(const std::string &path)
+{
+    std::vector<obs::PipelineTrack> tracks;
+    for (CoreSlot &slot : slots_)
+        if (slot.core)
+            tracks.push_back(
+                {slot.core->name(), &slot.core->pipelineTrace()});
+    return obs::writeChromeTrace(hier_.ctrl().retired(), tracks, path);
 }
 
 RunResult

@@ -28,7 +28,6 @@
 #include "cpu/ooo_core.hh"
 #include "isa/program.hh"
 #include "obs/path_profiler.hh"
-#include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
 #include "sim/config.hh"
 
@@ -76,6 +75,15 @@ class System
     /** Check every committed instruction against its reference. */
     void enableCosim();
 
+    /** Record from now on what the Chrome trace draws: the
+     *  controller keeps every retired transaction and each core its
+     *  pipeline instants. Passive, like the profiler. */
+    void enableTrace();
+
+    /** Write what enableTrace() recorded as a Chrome trace-event file
+     *  (obs::writeChromeTrace); false if @p path can't be opened. */
+    bool writeTrace(const std::string &path);
+
     /** Run the timed cores for a measurement window (every core gets
      *  the same per-core limits). The cores run earliest next cycle
      *  first; same-cycle ties go to the lowest core id, so cpu0's
@@ -92,9 +100,6 @@ class System
 
     /** Feed every statistic to @p visitor, typed, in dump order. */
     void visitStats(StatVisitor &visitor);
-
-    /** Structured trace buffer (nullptr unless cfg.traceMask != 0). */
-    obs::TraceBuffer *traceBuffer() { return trace_.get(); }
 
     /** Finalized profile snapshot: leak audit over the live bus trace
      *  plus the cores' summed stall counters (if timed cores ran).
@@ -138,7 +143,7 @@ class System
     bool cosim_ = false;
 
     // Observability (passive; all optional)
-    std::unique_ptr<obs::TraceBuffer> trace_;
+    bool tracing_ = false;
     std::unique_ptr<obs::PathProfiler> profiler_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/bitops.hh"
@@ -473,10 +474,17 @@ buildMgrid(const WorkloadParams &params)
     std::int64_t row = std::int64_t(side * 8);
     std::int64_t plane = std::int64_t(side * side * 8);
 
+    // From a 64-element side (4 MiB) up, +plane no longer fits a
+    // load's imm16 offset: form those two addresses with a register
+    // add instead (r16 = plane). Smaller sets keep the immediates.
+    const bool plane_imm = plane <= INT16_MAX;
+
     Label outer = pb.newLabel(), inner = pb.newLabel();
     pb.li(1, kDataBase);
     pb.li(2, std::int64_t(dst));
     pb.li(3, std::int64_t(std::int64_t(elems * 8) - plane - row - 8));
+    if (!plane_imm)
+        pb.li(16, plane);
     pb.lid(20, 1.0 / 7.0);
     pb.bind(outer);
     pb.li(4, plane + row + 8);
@@ -487,8 +495,15 @@ buildMgrid(const WorkloadParams &params)
     pb.ld(8, 8, 5);
     pb.ld(9, -row, 5);
     pb.ld(10, row, 5);
-    pb.ld(11, -plane, 5);
-    pb.ld(12, plane, 5);
+    if (plane_imm) {
+        pb.ld(11, -plane, 5);
+        pb.ld(12, plane, 5);
+    } else {
+        pb.sub(14, 5, 16);
+        pb.ld(11, 0, 14);
+        pb.add(14, 5, 16);
+        pb.ld(12, 0, 14);
+    }
     pb.fadd(6, 6, 7);
     pb.fadd(6, 6, 8);
     pb.fadd(6, 6, 9);

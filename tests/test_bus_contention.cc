@@ -2,8 +2,8 @@
  * @file
  * Shared bus/bank resource model tests: concurrent fills serialize on
  * the front-side bus, metadata traffic (counter lines) competes with
- * data transfers for bus slots, and transaction timelines are monotone
- * and deterministic across identical runs.
+ * data transfers for bus slots, and the controller's transaction
+ * timelines are monotone and deterministic across identical runs.
  */
 
 #include <gtest/gtest.h>
@@ -111,35 +111,42 @@ TEST(BusContention, CounterMissDelaysDataBusGrant)
 
 TEST(BusContention, TimelinesMonotoneAndDeterministic)
 {
+    // Hierarchy accesses in nondecreasing request order; the timelines
+    // live on the controller transactions the fills retire.
     auto run = [] {
         sim::SimConfig cfg = smallCfg(core::AuthPolicy::kAuthThenCommit);
         MemHierarchy hier(cfg);
-        std::vector<mem::Txn> txns;
+        hier.ctrl().keepRetired();
         Cycle cycle = 0;
         std::uint64_t value = 0;
         for (int i = 0; i < 32; ++i) {
             Addr addr = Addr(i) * 0x1240; // strided, line-crossing mix
-            if (i % 3 == 2)
-                txns.push_back(hier.writeTimed(addr, 8, value, cycle,
-                                               kNoAuthSeq));
-            else
-                txns.push_back(hier.readTimed(addr, 8, cycle, kNoAuthSeq,
-                                              value));
-            cycle = txns.back().dataReady; // nondecreasing request order
+            mem::Txn access =
+                i % 3 == 2
+                    ? hier.writeTimed(addr, 8, value, cycle, kNoAuthSeq)
+                    : hier.readTimed(addr, 8, cycle, kNoAuthSeq, value);
+            EXPECT_TRUE(access.path.empty()) << "access " << i;
+            cycle = access.dataReady;
         }
-        return txns;
+        return hier.ctrl().retired();
     };
 
     std::vector<mem::Txn> a = run();
     std::vector<mem::Txn> b = run();
+    ASSERT_GE(a.size(), 32u) << "every access misses to the controller";
     ASSERT_EQ(a.size(), b.size());
 
     for (std::size_t i = 0; i < a.size(); ++i) {
-        // Monotone by construction, even with late-noted events.
+        // Every controller timeline opens with its request and is
+        // monotone by construction, even with late-noted events.
+        ASSERT_GE(a[i].path.size(), 2u) << "txn " << i;
+        EXPECT_EQ(a[i].path.front().event, mem::PathEvent::kRequest);
+        EXPECT_EQ(a[i].path.front().cycle, a[i].reqCycle);
         for (std::size_t s = 1; s < a[i].path.size(); ++s)
             EXPECT_GE(a[i].path[s].cycle, a[i].path[s - 1].cycle)
                 << "txn " << i << " step " << s;
         // Bit-identical across runs.
+        EXPECT_EQ(a[i].id, b[i].id);
         ASSERT_EQ(a[i].path.size(), b[i].path.size()) << "txn " << i;
         for (std::size_t s = 0; s < a[i].path.size(); ++s)
             EXPECT_TRUE(a[i].path[s] == b[i].path[s])

@@ -115,6 +115,30 @@ TEST(MemHierarchy, TimedReadLatencies)
     EXPECT_LT(l2hit.ready, t + 60); // far faster than DRAM
 }
 
+TEST(MemHierarchy, OnlyControllerTransactionsBuildTimelines)
+{
+    sim::SimConfig cfg = smallCfg();
+    MemHierarchy hier(cfg);
+    hier.ctrl().keepRetired();
+
+    // A cold read reaches the controller: its fill retires with a
+    // timeline, while the access hands back only the folded outcome.
+    std::uint64_t value;
+    mem::Txn cold = hier.readTimed(0x2000, 8, 0, kNoAuthSeq, value);
+    ASSERT_EQ(hier.ctrl().retired().size(), 1u);
+    EXPECT_FALSE(hier.ctrl().retired()[0].path.empty());
+    EXPECT_TRUE(cold.path.empty());
+    EXPECT_EQ(cold.dataReady, hier.ctrl().retired()[0].dataReady);
+
+    // A hot L1 read never leaves the chip: no timeline storage at all.
+    const std::uint64_t allocs = mem::txnArenaStats().allocs;
+    mem::Txn hot =
+        hier.readTimed(0x2000, 8, cold.ready + 1000, kNoAuthSeq, value);
+    EXPECT_EQ(mem::txnArenaStats().allocs, allocs);
+    EXPECT_TRUE(hot.path.empty());
+    EXPECT_EQ(hier.ctrl().retired().size(), 1u);
+}
+
 TEST(MemHierarchy, IssueGateDelaysUsability)
 {
     std::uint64_t value;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the transaction path profiler: timeline merge/ordering
- * edge cases on mem::Txn, the exact telescoping segment decomposition
+ * Tests for the transaction path profiler: timeline ordering edge
+ * cases on mem::Txn, the exact telescoping segment decomposition
  * (including partial MAC-fail timelines), per-policy segment-sum
  * exactness of the aggregated report, the Table-1 consistency of the
  * stall join, deterministic report output, the machine-checked Table-2
@@ -23,8 +23,6 @@
 #include "obs/path_profiler.hh"
 #include "obs/path_report.hh"
 #include "obs/stall.hh"
-#include "obs/trace.hh"
-#include "obs/trace_json.hh"
 #include "sim/attack_scenarios.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -133,37 +131,6 @@ findKind(const obs::PathProfile &profile, mem::BusTxnKind kind)
 // Txn timeline edge cases.
 // ---------------------------------------------------------------------
 
-TEST(TxnTimeline, MergeInterleavesAndPreservesCounts)
-{
-    Txn parent;
-    parent.note(PathEvent::kRequest, 10, 0x100);
-    parent.note(PathEvent::kBusGrant, 40, 0x100);
-    parent.note(PathEvent::kDramComplete, 80, 0x100);
-
-    Txn child;
-    child.note(PathEvent::kRequest, 12, 0x200);
-    child.note(PathEvent::kBusGrant, 25, 0x200);
-    child.note(PathEvent::kDramComplete, 60, 0x200);
-    child.note(PathEvent::kVerifyDone, 200, 0x200);
-
-    parent.merge(child);
-
-    // Merged timeline keeps every step of both transactions...
-    ASSERT_EQ(parent.path.size(), 7u);
-    EXPECT_EQ(parent.eventCount(PathEvent::kRequest), 2u);
-    EXPECT_EQ(parent.eventCount(PathEvent::kBusGrant), 2u);
-    EXPECT_EQ(parent.eventCount(PathEvent::kDramComplete), 2u);
-    EXPECT_EQ(parent.eventCount(PathEvent::kVerifyDone), 1u);
-
-    // ...and stays sorted by cycle even though the child's steps land
-    // between the parent's.
-    for (std::size_t i = 1; i < parent.path.size(); ++i)
-        EXPECT_LE(parent.path[i - 1].cycle, parent.path[i].cycle)
-            << "step " << i;
-    EXPECT_EQ(parent.path.front().cycle, 10u);
-    EXPECT_EQ(parent.path.back().cycle, 200u);
-}
-
 TEST(TxnTimeline, AbsentEventIsCycleNever)
 {
     Txn txn;
@@ -191,7 +158,6 @@ TEST(PathDecompose, SumEqualsEndToEndLatencyExactly)
     txn.note(PathEvent::kDramFirstBeat, 139, 0x40);
     txn.note(PathEvent::kDramComplete, 170, 0x40);
     txn.note(PathEvent::kDecryptDone, 171, 0x40);
-    txn.note(PathEvent::kVerifyPosted, 172, 0x40);
     txn.note(PathEvent::kVerifyDone, 320, 0x40);
 
     std::uint64_t latency = 0;
@@ -210,8 +176,7 @@ TEST(PathDecompose, SumEqualsEndToEndLatencyExactly)
     EXPECT_EQ(segs[unsigned(obs::PathSegment::kBusQueue)], 21u);
     EXPECT_EQ(segs[unsigned(obs::PathSegment::kDramBurst)], 8u + 31u);
     EXPECT_EQ(segs[unsigned(obs::PathSegment::kDecrypt)], 1u);
-    EXPECT_EQ(segs[unsigned(obs::PathSegment::kVerifyQueue)], 1u);
-    EXPECT_EQ(segs[unsigned(obs::PathSegment::kVerify)], 148u);
+    EXPECT_EQ(segs[unsigned(obs::PathSegment::kVerify)], 149u);
 }
 
 TEST(PathDecompose, PartialMacFailTimelineStillTelescopes)
@@ -322,7 +287,6 @@ TEST(PathProfile, VerifySegmentMatchesAuthLatencyAndPolicy)
         findKind(base, mem::BusTxnKind::kDataFetch);
     ASSERT_NE(base_data, nullptr);
     EXPECT_EQ(seg(*base_data, obs::PathSegment::kVerify).sum, 0u);
-    EXPECT_EQ(seg(*base_data, obs::PathSegment::kVerifyQueue).sum, 0u);
 }
 
 TEST(PathProfile, StallJoinReproducesTable1Ordering)
@@ -348,8 +312,7 @@ TEST(PathProfile, StallJoinReproducesTable1Ordering)
     // demand-side verify cycles must be of the same magnitude (the
     // join the report prints side by side).
     std::uint64_t issue_verify =
-        issue.demandSegCycles[unsigned(obs::PathSegment::kVerify)] +
-        issue.demandSegCycles[unsigned(obs::PathSegment::kVerifyQueue)];
+        issue.demandSegCycles[unsigned(obs::PathSegment::kVerify)];
     ASSERT_GT(issue_verify, 0u);
     EXPECT_GT(issue_wait * 2, issue_verify / 2)
         << "core auth_issue stall and demand verify cycles diverged "
@@ -456,14 +419,13 @@ TEST(TraceJson, EmitsAsyncTxnSpans)
 {
     ScratchFile file("test_path_profiler_trace.json");
     sim::SimConfig cfg = smallConfig(AuthPolicy::kAuthThenCommit);
-    cfg.traceMask = obs::kCatAll;
     sim::System system(cfg, workloads::build("mcf", smallParams()));
     system.fastForward(1000);
+    system.enableTrace();
     system.measureTimed(1000, 1000 * 400);
 
-    ASSERT_NE(system.traceBuffer(), nullptr);
-    ASSERT_TRUE(system.traceBuffer()->wants(obs::kCatPath));
-    ASSERT_TRUE(obs::writeChromeTrace(*system.traceBuffer(), file.path()));
+    ASSERT_FALSE(system.hier().ctrl().retired().empty());
+    ASSERT_TRUE(system.writeTrace(file.path()));
 
     std::string json = slurp(file.path());
     EXPECT_NE(json.find("\"cat\":\"txn\""), std::string::npos)

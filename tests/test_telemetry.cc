@@ -227,7 +227,7 @@ TEST(HostStats, OffByDefaultAndDigestExcluded)
                   std::string::npos);
     }
 
-    // Digest-excluded (like traceMask), but uncacheable.
+    // Digest-excluded (like profileEnabled), but uncacheable.
     exp::Point plain = smallPoint();
     exp::Point host = smallPoint();
     host.cfg.hostStats = true;

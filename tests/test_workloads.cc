@@ -72,6 +72,25 @@ allNames()
 
 } // namespace
 
+/** Every kernel builds at working sets from 64 KiB to 64 MiB (the
+ *  catalog default, 4 MiB, included) and co-simulates a short window
+ *  there: no immediate overflows, no address past its slice. */
+TEST_P(EveryWorkload, RunsAtEveryWorkingSet)
+{
+    sim::SimConfig cfg = smallCfg();
+    cfg.memoryBytes = 256ULL << 20; // acpsim's default memory
+    cfg.protectedBytes = cfg.memoryBytes;
+    for (std::uint64_t ws = 64ULL << 10; ws <= 64ULL << 20; ws <<= 2) {
+        workloads::WorkloadParams params;
+        params.workingSetBytes = ws;
+        sim::System system(cfg, workloads::build(GetParam(), params));
+        system.enableCosim();
+        sim::RunResult res = system.measureTimed(2000, 2'000'000);
+        EXPECT_EQ(res.reason, cpu::StopReason::kInstLimit)
+            << GetParam() << " at " << ws << " bytes";
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(All, EveryWorkload, ::testing::ValuesIn(allNames()),
                          [](const auto &info) { return info.param; });
 

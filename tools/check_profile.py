@@ -26,8 +26,8 @@ import json
 import sys
 
 SEGMENTS = [
-    "upstream", "mshr", "gate", "remap", "counter", "bus_queue",
-    "dram_burst", "decrypt", "verify_queue", "verify", "writeback",
+    "mshr", "gate", "remap", "counter", "bus_queue", "dram_burst",
+    "decrypt", "verify", "writeback",
 ]
 
 

@@ -1,23 +1,20 @@
 #!/usr/bin/env bash
 # Record the performance-trajectory baseline: build, then run the
 # profiled fig7 workload x policy sweep (bench/baseline_ipc) and write
-# BENCH_baseline.json at the repo root. An optional argument names a
+# BENCH_event_loop.json at the repo root. An optional argument names a
 # different output file, and --bench=NAME records a different bench
 # binary, e.g.
 #
-#   tools/record_bench.sh BENCH_event_loop.json
 #   tools/record_bench.sh BENCH_multicore.json --bench=multicore_scaling
 #
-# records the same sweep under a snapshot name (used to commit the
-# event loop's wall-clock numbers next to the polled-loop baseline).
+# The committed BENCH_event_loop.json is the reference point future
+# changes diff against (CI's perf gate runs tools/bench_diff.py on
+# it) - IPC per (workload, policy) plus the per-segment demand-path
+# means that say where the cycles went. Update procedure after an
+# intentional change to the simulated numbers:
 #
-# The committed BENCH_baseline.json is the reference point future
-# changes diff against - IPC per (workload, policy) plus the per-
-# segment demand-path means that say where the cycles went. Update
-# procedure after an intentional performance change:
-#
-#   tools/record_bench.sh
-#   git add BENCH_baseline.json
+#   tools/record_bench.sh BENCH_event_loop.json --force
+#   git add BENCH_event_loop.json
 #   git commit    # alongside the change that moved the numbers
 #
 # Profiled runs are uncacheable by design, so every number here is a
@@ -45,7 +42,7 @@ for arg in "$@"; do
     esac
 done
 
-OUT="${ARGS[0]:-BENCH_baseline.json}"
+OUT="${ARGS[0]:-BENCH_event_loop.json}"
 JOBS="${ACP_JOBS:-$(nproc)}"
 export ACP_JOBS="$JOBS"
 

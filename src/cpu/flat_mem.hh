@@ -9,7 +9,9 @@
 #ifndef ACP_CPU_FLAT_MEM_HH
 #define ACP_CPU_FLAT_MEM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -48,15 +50,29 @@ class FlatMem
         return std::uint32_t(read(pc, 4));
     }
 
-    /** Copy a program's code and data segments in. */
+    /** Copy a program's code and data segments in; a later segment
+     *  overwrites an earlier one where they overlap. */
     void
     loadProgram(const isa::Program &prog)
     {
         for (std::size_t i = 0; i < prog.code.size(); ++i)
             write(prog.codeBase + 4 * i, 4, prog.code[i]);
-        for (const isa::DataSegment &seg : prog.data)
-            for (std::size_t i = 0; i < seg.bytes.size(); ++i)
-                write(seg.base + i, 1, seg.bytes[i]);
+        for (const isa::DataSegment &seg : prog.data) {
+            // One page lookup per chunk; a chunk ends at a page end or
+            // at the wrap point of the address space.
+            std::size_t done = 0;
+            while (done < seg.bytes.size()) {
+                Addr addr = (seg.base + done) & sizeMask_;
+                std::uint64_t page_off = addr & (kPageBytes - 1);
+                std::uint64_t n =
+                    std::min<std::uint64_t>({seg.bytes.size() - done - 1,
+                                             kPageBytes - 1 - page_off,
+                                             sizeMask_ - addr}) +
+                    1;
+                std::memcpy(&byteAt(addr), seg.bytes.data() + done, n);
+                done += n;
+            }
+        }
     }
 
   private:

@@ -44,17 +44,23 @@ ExternalMemory::ExternalMemory(std::uint64_t master_seed)
 ExternalMemory::LineRec &
 ExternalMemory::materialize(Addr line_addr)
 {
-    auto it = lines_.find(line_addr);
-    if (it != lines_.end())
-        return it->second;
+    // A line never written reads as all-zero plaintext, counter 0.
+    return lines_.try_emplace(line_addr).first->second;
+}
 
-    // Lazily create the line: all-zero plaintext, counter 0.
-    LineRec rec;
-    std::uint8_t zeros[kExtLineBytes] = {0};
-    ctr_.transcode(line_addr, 0, zeros, rec.cipher.data(), kExtLineBytes);
-    rec.counter = 0;
-    rec.mac = mac_.compute(line_addr, 0, zeros, kExtLineBytes);
-    return lines_.emplace(line_addr, rec).first->second;
+ExternalMemory::LineRec &
+ExternalMemory::sealedLine(Addr addr)
+{
+    Addr line_addr = align(addr);
+    LineRec &rec = materialize(line_addr);
+    if (!rec.sealed) {
+        rec.mac = mac_.compute(line_addr, rec.counter, rec.bytes.data(),
+                               kExtLineBytes);
+        ctr_.transcode(line_addr, rec.counter, rec.bytes.data(),
+                       rec.bytes.data(), kExtLineBytes);
+        rec.sealed = true;
+    }
+    return rec;
 }
 
 FetchedLine
@@ -66,7 +72,11 @@ ExternalMemory::fetchLine(Addr line_addr)
 
     FetchedLine out;
     out.counter = rec.counter;
-    ctr_.transcode(line_addr, rec.counter, rec.cipher.data(),
+    if (!rec.sealed) {
+        out.plain = rec.bytes;
+        return out;
+    }
+    ctr_.transcode(line_addr, rec.counter, rec.bytes.data(),
                    out.plain.data(), kExtLineBytes);
     std::uint64_t mac = mac_.compute(line_addr, rec.counter,
                                      out.plain.data(), kExtLineBytes);
@@ -83,26 +93,16 @@ ExternalMemory::storeLine(Addr line_addr, const std::uint8_t *plain)
     ++stores_;
     LineRec &rec = materialize(line_addr);
     ++rec.counter; // new version: fresh pad, replay protection
-    ctr_.transcode(line_addr, rec.counter, plain, rec.cipher.data(),
-                   kExtLineBytes);
-    rec.mac = mac_.compute(line_addr, rec.counter, plain, kExtLineBytes);
+    std::memcpy(rec.bytes.data(), plain, kExtLineBytes);
+    rec.sealed = false;
 }
 
 void
 ExternalMemory::provisionLine(Addr line_addr, const std::uint8_t *plain)
 {
-    line_addr = align(line_addr);
-    // A line seen for the first time is fully overwritten below, so
-    // the lazy zero-line encrypt+MAC of materialize() would be thrown
-    // away; create the record directly (same state: counter 0, cipher
-    // and MAC computed from @p plain).
-    auto it = lines_.find(line_addr);
-    if (it == lines_.end())
-        it = lines_.emplace(line_addr, LineRec{}).first;
-    LineRec &rec = it->second;
-    ctr_.transcode(line_addr, rec.counter, plain, rec.cipher.data(),
-                   kExtLineBytes);
-    rec.mac = mac_.compute(line_addr, rec.counter, plain, kExtLineBytes);
+    LineRec &rec = materialize(align(line_addr));
+    std::memcpy(rec.bytes.data(), plain, kExtLineBytes);
+    rec.sealed = false;
 }
 
 std::uint64_t
@@ -119,8 +119,7 @@ ExternalMemory::tamper(Addr addr, const std::uint8_t *mask,
     ++tamperEvents_;
     for (std::size_t i = 0; i < mask_len; ++i) {
         Addr byte_addr = addr + i;
-        LineRec &rec = materialize(align(byte_addr));
-        rec.cipher[byte_addr - align(byte_addr)] ^= mask[i];
+        sealedLine(byte_addr).bytes[byte_addr - align(byte_addr)] ^= mask[i];
     }
 }
 
@@ -130,8 +129,7 @@ ExternalMemory::readCiphertext(Addr addr, std::size_t len)
     std::vector<std::uint8_t> out(len);
     for (std::size_t i = 0; i < len; ++i) {
         Addr byte_addr = addr + i;
-        LineRec &rec = materialize(align(byte_addr));
-        out[i] = rec.cipher[byte_addr - align(byte_addr)];
+        out[i] = sealedLine(byte_addr).bytes[byte_addr - align(byte_addr)];
     }
     return out;
 }

@@ -1,9 +1,20 @@
 /**
  * @file
- * Functional model of the untrusted external RAM. Everything outside
- * the processor package is ciphertext: each 64-byte line is stored
- * counter-mode encrypted together with a per-line write counter and a
- * 64-bit truncated-HMAC MAC over (address, counter, plaintext).
+ * Functional model of the untrusted external RAM. Each 64-byte line
+ * has a per-line write counter. Its ciphertext is the plaintext
+ * counter-mode encrypted under (address, counter), and its MAC a
+ * 64-bit truncated HMAC over (address, counter, plaintext).
+ *
+ * A line is kept as plaintext until the adversary reads or writes its
+ * ciphertext. The first tamper() or readCiphertext() on it *seals* it:
+ * the real CtrModeEngine and LineMac turn the plaintext into the same
+ * ciphertext and MAC that an eager encrypt-on-write memory would hold.
+ * A fetch of a sealed line really decrypts and verifies it; a fetch
+ * of an unsealed line returns the plaintext with macOk, which is what
+ * decrypting and verifying the line's own encryption gives. A store
+ * or provisioning write replaces the line with plaintext again. The
+ * simulator's timing never depends on this: it comes from the
+ * configured decrypt and authentication latencies.
  *
  * The adversary's physical access is modeled by tamper(): XORing a
  * mask into stored ciphertext, exactly the bit-flipping capability the
@@ -35,19 +46,21 @@ struct FetchedLine
     bool macOk = true;
 };
 
-/** Ciphertext RAM with lazy line materialization. */
+/** Ciphertext RAM with lazy line materialization and lazy sealing. */
 class ExternalMemory
 {
   public:
     /** Keys for encryption and MAC are derived from @p master_seed. */
     explicit ExternalMemory(std::uint64_t master_seed);
 
-    /** Fetch, decrypt and MAC-check the line holding @p line_addr. */
+    /** Fetch, decrypt and MAC-check the line holding @p line_addr
+     *  (a real decrypt and MAC only if the line is sealed). */
     FetchedLine fetchLine(Addr line_addr);
 
     /**
-     * Encrypt and store a plaintext line (writeback path): bumps the
-     * counter, re-encrypts, recomputes the MAC.
+     * Store a plaintext line (writeback path): bumps the counter, so
+     * the line's encryption uses a fresh pad and its MAC the new
+     * counter. Unseals the line.
      */
     void storeLine(Addr line_addr, const std::uint8_t *plain);
 
@@ -61,10 +74,12 @@ class ExternalMemory
     std::uint64_t counterOf(Addr line_addr) const;
 
     /** Adversary: XOR @p mask_len bytes of mask into stored ciphertext
-     *  starting at byte address @p addr (may span lines). */
+     *  starting at byte address @p addr (may span lines). Seals every
+     *  line it touches. */
     void tamper(Addr addr, const std::uint8_t *mask, std::size_t mask_len);
 
-    /** Adversary: read raw ciphertext bytes (eavesdropping). */
+    /** Adversary: read raw ciphertext bytes (eavesdropping). Seals
+     *  every line it touches. */
     std::vector<std::uint8_t> readCiphertext(Addr addr, std::size_t len);
 
     /** Number of distinct lines materialized (footprint measure). */
@@ -75,12 +90,17 @@ class ExternalMemory
   private:
     struct LineRec
     {
-        std::array<std::uint8_t, kExtLineBytes> cipher;
+        /** Plaintext, or ciphertext once the line is sealed. */
+        std::array<std::uint8_t, kExtLineBytes> bytes{};
         std::uint64_t counter = 0;
+        /** Stored MAC; meaningful only while sealed. */
         std::uint64_t mac = 0;
+        bool sealed = false;
     };
 
     LineRec &materialize(Addr line_addr);
+    /** Materialize and seal the line holding byte address @p addr. */
+    LineRec &sealedLine(Addr addr);
     static Addr align(Addr a) { return a & ~Addr(kExtLineBytes - 1); }
 
     crypto::CtrModeEngine ctr_;

@@ -3,8 +3,9 @@
  * Full memory hierarchy of the secure processor: per-core private
  * stacks (split L1 I/D caches, unified write-back L2, TLBs) in front
  * of one shared secure memory controller at the L2/external boundary.
- * On-chip lines hold plaintext; external memory holds ciphertext
- * (paper Section 2).
+ * On-chip lines hold plaintext; external memory is encrypted and
+ * MACed (paper Section 2; external_memory.hh says when its crypto
+ * runs).
  *
  * The hierarchy is a latency oracle in the SimpleScalar tradition:
  * timed accesses return a mem::Txn whose ready cycle is when data

@@ -347,7 +347,7 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
     txn.origin = origin;
     txn.client = client;
 
-    // Functional: counter bump, re-encrypt, MAC refresh.
+    // Functional: store the new line version (counter bump).
     ext_.storeLine(line_addr, data);
     if (predictor_)
         predictor_->onWriteback(line_addr, ext_.counterOf(line_addr));

@@ -22,7 +22,7 @@
  * through a controller-backed MetaMemPort.
  *
  * Writeback path (dirty L2 eviction): re-shuffle (obfuscation),
- * counter bump + re-encrypt + MAC (functional), tree update, DRAM
+ * counter bump + new line version (functional), tree update, DRAM
  * write. Writes are fire-and-forget for the core but occupy banks and
  * bus, and dirty counter/remap/tree cache evictions generate further
  * traffic.

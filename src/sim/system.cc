@@ -73,7 +73,7 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
                       (unsigned long long)hier_.clientStride(),
                       std::max(1u, cfg_.numCores),
                       (unsigned long long)cfg_.memoryBytes);
-        // Provision the ciphertext image into this client's slice of
+        // Provision the program image into this client's slice of
         // external memory; the reference machine runs the same image
         // at architectural (un-offset) addresses.
         hier_.loadProgram(progs[i], hier_.clientBase(slot.client));

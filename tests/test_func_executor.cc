@@ -1,11 +1,12 @@
 /**
  * @file
  * Functional executor tests: whole-program execution of loops, memory,
- * calls and FP over a flat memory.
+ * calls and FP over a flat memory, and the flat memory's image load.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "cpu/flat_mem.hh"
 #include "cpu/func_executor.hh"
 #include "isa/program.hh"
@@ -167,4 +168,66 @@ TEST(FuncExecutor, X0AlwaysZero)
     m.exec->run(100);
     EXPECT_EQ(m.exec->reg(0), 0u);
     EXPECT_EQ(m.exec->reg(2), 0u);
+}
+
+namespace
+{
+
+/** The image the per-byte write loop leaves: code words, then each
+ *  data byte in segment order. */
+void
+loadPerByte(FlatMem &mem, const Program &prog)
+{
+    for (std::size_t i = 0; i < prog.code.size(); ++i)
+        mem.write(prog.codeBase + 4 * i, 4, prog.code[i]);
+    for (const DataSegment &seg : prog.data)
+        for (std::size_t i = 0; i < seg.bytes.size(); ++i)
+            mem.write(seg.base + i, 1, seg.bytes[i]);
+}
+
+void
+expectSameImage(const Program &prog, std::uint64_t size_bytes)
+{
+    FlatMem paged(size_bytes), per_byte(size_bytes);
+    paged.loadProgram(prog);
+    loadPerByte(per_byte, prog);
+    for (Addr a = 0; a < size_bytes; ++a)
+        ASSERT_EQ(paged.read(a, 1), per_byte.read(a, 1)) << "byte " << a;
+}
+
+std::vector<std::uint8_t>
+randomBytes(Rng &rng, std::size_t n)
+{
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v)
+        b = std::uint8_t(rng.next());
+    return v;
+}
+
+} // namespace
+
+TEST(FlatMem, PageWiseLoadMatchesPerByteWrites)
+{
+    Rng rng(17);
+    Program prog;
+    prog.codeBase = 0x1000;
+    prog.code = {0x11111111, 0x22222222, 0x33333333, 0x44444444};
+    prog.data = {
+        {0x2345, randomBytes(rng, 100)},          // starts mid-page
+        {0x3801, randomBytes(rng, 3 * 4096 + 17)}, // spans four pages
+        {0x5800, randomBytes(rng, 5000)},         // overlaps its tail; wins
+        {0x1006, randomBytes(rng, 4)},            // overwrites code bytes
+        {0xfff0, randomBytes(rng, 40)},           // wraps past 64 KiB
+    };
+    expectSameImage(prog, 1 << 16);
+}
+
+TEST(FlatMem, PageWiseLoadWrapsInsideASmallMemory)
+{
+    // A 256-byte memory is smaller than a page: a segment of 600 bytes
+    // wraps more than twice, and each later byte overwrites an earlier.
+    Rng rng(18);
+    Program prog;
+    prog.data = {{200, randomBytes(rng, 600)}};
+    expectSameImage(prog, 256);
 }

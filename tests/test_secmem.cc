@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
+#include "common/rng.hh"
+#include "crypto/sha256.hh"
 #include "secmem/auth_engine.hh"
 #include "secmem/counter_predictor.hh"
 #include "secmem/external_memory.hh"
@@ -99,6 +104,237 @@ TEST(ExternalMemory, CiphertextDiffersFromPlaintext)
     ext.storeLine(0x3000, data);
     auto cipher = ext.readCiphertext(0x3000, kExtLineBytes);
     EXPECT_NE(0, std::memcmp(cipher.data(), data, kExtLineBytes));
+}
+
+namespace
+{
+
+/** Feeds every observable result of an ExternalMemory into SHA-256. */
+struct ExtMemDigest final : StatVisitor
+{
+    crypto::Sha256 sha;
+
+    void
+    add(const void *data, std::size_t len)
+    {
+        sha.update(static_cast<const std::uint8_t *>(data), len);
+    }
+
+    void add64(std::uint64_t v) { add(&v, sizeof v); }
+
+    void
+    add(const FetchedLine &line)
+    {
+        add(line.plain.data(), line.plain.size());
+        add64(line.counter);
+        add64(line.macOk);
+    }
+
+    void onCounter(const std::string &, std::uint64_t v) override { add64(v); }
+
+    std::string
+    hex()
+    {
+        std::uint8_t d[crypto::kSha256DigestBytes];
+        sha.final(d);
+        std::string out;
+        char buf[3];
+        for (std::uint8_t byte : d) {
+            std::snprintf(buf, sizeof buf, "%02x", byte);
+            out += buf;
+        }
+        return out;
+    }
+};
+
+/**
+ * Drive one ExternalMemory with a seeded stream of every operation on
+ * 32 lines and return the SHA-256 of all it returned: plaintexts,
+ * counters, MAC verdicts, ciphertext bytes, the extmem.* counters and
+ * linesTouched().
+ */
+std::string
+extMemStreamDigest(std::uint64_t seed)
+{
+    constexpr Addr kBase = 0x40000;
+    constexpr unsigned kLines = 32;
+    ExternalMemory ext(seed);
+    Rng rng(seed);
+    ExtMemDigest h;
+    auto lineAddr = [&](unsigned i) { return kBase + Addr(i) * kExtLineBytes; };
+    auto randomLine = [&](std::uint8_t *buf) {
+        for (unsigned i = 0; i < kExtLineBytes; ++i)
+            buf[i] = std::uint8_t(rng.next());
+    };
+    std::uint8_t buf[kExtLineBytes];
+    std::uint8_t mask[2 * kExtLineBytes];
+    const std::uint8_t flip[4] = {0x80, 0x01, 0xff, 0x10};
+
+    // The cases the random stream must not leave to chance: tamper
+    // before first use (line 0), tamper then store (1), tamper then
+    // provision (2), readCiphertext then fetch (3).
+    ext.tamper(lineAddr(0) + 5, flip, 4);
+    h.add(ext.fetchLine(lineAddr(0)));
+    ext.tamper(lineAddr(1), flip, 4);
+    randomLine(buf);
+    ext.storeLine(lineAddr(1), buf);
+    h.add(ext.fetchLine(lineAddr(1)));
+    ext.tamper(lineAddr(2) + 60, flip, 4);
+    randomLine(buf);
+    ext.provisionLine(lineAddr(2), buf);
+    h.add(ext.fetchLine(lineAddr(2)));
+    randomLine(buf);
+    ext.provisionLine(lineAddr(3), buf);
+    auto cipher = ext.readCiphertext(lineAddr(3), kExtLineBytes);
+    h.add(cipher.data(), cipher.size());
+    h.add(ext.fetchLine(lineAddr(3)));
+
+    for (int op = 0; op < 10000; ++op) {
+        Addr line = lineAddr(unsigned(rng.below(kLines)));
+        Addr byte = line + rng.below(kExtLineBytes);
+        switch (rng.below(8)) {
+          case 0:
+            randomLine(buf);
+            ext.provisionLine(byte, buf);
+            break;
+          case 1:
+            randomLine(buf);
+            ext.storeLine(byte, buf);
+            break;
+          case 2:
+          case 3:
+            h.add(ext.fetchLine(byte));
+            break;
+          case 4:
+            h.add64(ext.counterOf(byte));
+            break;
+          case 5: {
+            auto c = ext.readCiphertext(byte, 1 + rng.below(2 * kExtLineBytes));
+            h.add(c.data(), c.size());
+            break;
+          }
+          default: {
+            // Random, all-zero or line-crossing masks.
+            std::size_t len = 1 + rng.below(8);
+            switch (rng.below(3)) {
+              case 0:
+                for (std::size_t i = 0; i < len; ++i)
+                    mask[i] = std::uint8_t(rng.next());
+                break;
+              case 1:
+                std::memset(mask, 0, len);
+                break;
+              default:
+                byte = line + kExtLineBytes - 1 - rng.below(4);
+                len = 5 + rng.below(kExtLineBytes);
+                for (std::size_t i = 0; i < len; ++i)
+                    mask[i] = std::uint8_t(rng.next() | 1);
+                break;
+            }
+            ext.tamper(byte, mask, len);
+            break;
+          }
+        }
+    }
+    for (unsigned i = 0; i <= kLines; ++i) {
+        h.add(ext.fetchLine(lineAddr(i)));
+        auto c = ext.readCiphertext(lineAddr(i), kExtLineBytes);
+        h.add(c.data(), c.size());
+    }
+    ext.stats().visit(h);
+    h.add64(ext.linesTouched());
+    return h.hex();
+}
+
+} // namespace
+
+// Storing plaintext and sealing a line only when the adversary reads
+// or writes its ciphertext must be indistinguishable from encrypting
+// and MACing every line on every write. The constants were recorded
+// by compiling this test body, unchanged, against the eager
+// ExternalMemory that preceded lazy sealing (every provision and
+// store encrypted and MACed the line, every fetch decrypted and
+// verified it) and copying the digests it printed.
+TEST(ExternalMemory, LazySealingMatchesEagerCrypto)
+{
+    EXPECT_EQ(extMemStreamDigest(1),
+              "84bae3a9beabc421d13cfa4508aba21fe8c6dfda3d88e0034b3c7f336595dba8");
+    EXPECT_EQ(extMemStreamDigest(2),
+              "ea72ecc5715d52e01132c29f760481c2fb056a0b8982d387453440f2686c3d98");
+    EXPECT_EQ(extMemStreamDigest(3),
+              "1d3f95aa70a84d1b22029e21608431be76490547d5b1db59bf4ad796d6ac194f");
+}
+
+TEST(ExternalMemory, TamperFlipsExactlyTheMaskedBits)
+{
+    Rng rng(21);
+    for (int trial = 0; trial < 64; ++trial) {
+        ExternalMemory ext(trial);
+        std::uint8_t data[kExtLineBytes];
+        for (auto &b : data)
+            b = std::uint8_t(rng.next());
+        Addr line = 0x9000;
+        if (trial % 2)
+            ext.storeLine(line, data);
+        else
+            ext.provisionLine(line, data);
+
+        std::uint8_t mask[kExtLineBytes] = {};
+        if (trial % 4 != 3) // every fourth mask stays all zero
+            for (auto &b : mask)
+                b = rng.chance(0.1) ? std::uint8_t(rng.next()) : 0;
+        bool zero = std::all_of(mask, mask + kExtLineBytes,
+                                [](std::uint8_t b) { return b == 0; });
+        ext.tamper(line, mask, kExtLineBytes);
+
+        FetchedLine got = ext.fetchLine(line);
+        for (unsigned i = 0; i < kExtLineBytes; ++i)
+            ASSERT_EQ(got.plain[i], data[i] ^ mask[i]) << trial << " " << i;
+        EXPECT_EQ(got.macOk, zero) << trial;
+        EXPECT_EQ(got.counter, trial % 2 ? 1u : 0u);
+    }
+}
+
+TEST(ExternalMemory, StoreAfterTamperVerifiesWithNextCounter)
+{
+    ExternalMemory ext(22);
+    std::uint8_t data[kExtLineBytes] = {7, 8, 9};
+    ext.storeLine(0xa000, data);
+    std::uint8_t mask[2] = {0x40, 0x04};
+    ext.tamper(0xa000 + kExtLineBytes - 1, mask, 2); // crosses a line
+    EXPECT_FALSE(ext.fetchLine(0xa000).macOk);
+    EXPECT_FALSE(ext.fetchLine(0xa000 + kExtLineBytes).macOk);
+
+    data[0] = 0x55;
+    ext.storeLine(0xa000, data);
+    FetchedLine line = ext.fetchLine(0xa000);
+    EXPECT_TRUE(line.macOk);
+    EXPECT_EQ(line.counter, 2u);
+    EXPECT_EQ(0, std::memcmp(line.plain.data(), data, kExtLineBytes));
+    // The neighbour keeps its tamper until it is written.
+    EXPECT_FALSE(ext.fetchLine(0xa000 + kExtLineBytes).macOk);
+}
+
+TEST(ExternalMemory, ReadingCiphertextChangesNothing)
+{
+    ExternalMemory read(23), untouched(23);
+    std::uint8_t data[kExtLineBytes];
+    for (unsigned i = 0; i < kExtLineBytes; ++i)
+        data[i] = std::uint8_t(i * 7);
+    for (ExternalMemory *ext : {&read, &untouched}) {
+        ext->provisionLine(0xb000, data);
+        ext->storeLine(0xb040, data);
+    }
+    auto first = read.readCiphertext(0xb010, 2 * kExtLineBytes);
+    auto second = read.readCiphertext(0xb010, 2 * kExtLineBytes);
+    EXPECT_EQ(first, second);
+    for (Addr line : {Addr(0xb000), Addr(0xb040), Addr(0xb080)}) {
+        FetchedLine a = read.fetchLine(line), b = untouched.fetchLine(line);
+        EXPECT_TRUE(a.macOk);
+        EXPECT_EQ(a.plain, b.plain);
+        EXPECT_EQ(a.counter, b.counter);
+    }
+    EXPECT_EQ(read.readCiphertext(0xb010, 2 * kExtLineBytes), first);
 }
 
 // ---------------------------------------------------------------- engine

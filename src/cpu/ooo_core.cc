@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
@@ -31,13 +32,21 @@ stopReasonName(StopReason reason)
 /** Cycles without a commit before the no-progress panic fires. */
 constexpr Cycle kProgressPanicCycles = 1000000;
 
+/** End of a wakeup list. */
+constexpr unsigned kNoWaiter = ~0u;
+
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
     : cfg_(cfg), hier_(hier), client_(client),
       policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
-      renameMap_(32, -1), intervals_(cfg.statsInterval), stats_(name)
+      renameMap_(32, -1), ready_((cfg.ruuSize + 63) / 64, 0),
+      firstWaiter_(cfg.ruuSize, kNoWaiter),
+      nextWaiter_(2 * std::size_t(cfg.ruuSize), kNoWaiter),
+      intervals_(cfg.statsInterval), stats_(name)
 {
+    completions_.reserve(cfg.ruuSize);
+    due_.reserve(cfg.ruuSize);
     stats_.addCounter("committed", &committed_);
     stats_.addCounter("fetched", &fetched_);
     stats_.addCounter("issued", &issued_);
@@ -75,10 +84,45 @@ OooCore::ruuIndex(unsigned pos) const
     return idx;
 }
 
+unsigned
+OooCore::agePos(unsigned slot) const
+{
+    return slot >= ruuHead_ ? slot - ruuHead_
+                            : slot + cfg_.ruuSize - ruuHead_;
+}
+
 OooCore::RuuEntry &
 OooCore::entryAt(unsigned pos)
 {
     return ruu_[ruuIndex(pos)];
+}
+
+unsigned
+OooCore::nextReady(unsigned from, unsigned end) const
+{
+    if (from >= end)
+        return end;
+    unsigned word = from / 64;
+    std::uint64_t bits = ready_[word] & (~std::uint64_t(0) << (from % 64));
+    for (;;) {
+        if (bits) {
+            unsigned slot = word * 64 + unsigned(std::countr_zero(bits));
+            return slot < end ? slot : end;
+        }
+        if (++word * 64 >= end)
+            return end;
+        bits = ready_[word];
+    }
+}
+
+AuthSeq
+OooCore::lastRequestTag()
+{
+    if (!tickTagSampled_) {
+        tickTag_ = hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_);
+        tickTagSampled_ = true;
+    }
+    return tickTag_;
 }
 
 bool
@@ -131,50 +175,73 @@ void
 OooCore::squashAfter(unsigned pos)
 {
     while (ruuCount_ > pos + 1) {
-        RuuEntry &entry = entryAt(ruuCount_ - 1);
+        const unsigned slot = ruuIndex(ruuCount_ - 1);
+        RuuEntry &entry = ruu_[slot];
         if (entry.isLoad || entry.isStore)
             --lsqUsed_;
         entry.valid = false;
+        setReady(slot, false);
         ++squashedInsts_;
         --ruuCount_;
+    }
+    // The squashed entries never complete: drop them from the queue,
+    // so none is drained or woken on. A survivor's wakeup list runs
+    // youngest first, so its squashed consumers are a prefix of it.
+    std::erase_if(completions_, [this](const Completion &c) {
+        return !ruu_[c.slot].valid;
+    });
+    std::make_heap(completions_.begin(), completions_.end(), Completion::later);
+    for (unsigned p = 0; p <= pos; ++p) {
+        unsigned &head = firstWaiter_[ruuIndex(p)];
+        while (head != kNoWaiter && !ruu_[head / 2].valid)
+            head = nextWaiter_[head];
     }
     rebuildRenameMap();
     fetchQueue_.clear();
 }
 
-bool
-OooCore::resolveOperand(RuuEntry &entry, int which)
+void
+OooCore::readOperand(RuuEntry &entry, unsigned slot, unsigned operand,
+                     unsigned src)
 {
-    bool &ready = (which == 1) ? entry.v1Ready : entry.v2Ready;
-    if (ready)
-        return true;
-    std::uint64_t &value = (which == 1) ? entry.v1 : entry.v2;
-    int prod = (which == 1) ? entry.prod1 : entry.prod2;
-    std::uint64_t prod_seq = (which == 1) ? entry.prod1Seq : entry.prod2Seq;
-    unsigned src = (which == 1) ? entry.inst.srcReg1()
-                                : entry.inst.srcReg2();
-
+    bool &ready = operand == 0 ? entry.v1Ready : entry.v2Ready;
+    std::uint64_t &value = operand == 0 ? entry.v1 : entry.v2;
+    const int prod = src != 0 ? renameMap_[src] : -1;
     if (prod < 0) {
         value = regs_[src];
         entry.tainted = entry.tainted || regTainted_[src];
         ready = true;
-        return true;
-    }
-    RuuEntry &producer = ruu_[prod];
-    if (!producer.valid || producer.seq != prod_seq) {
-        // Producer has committed: its value is architectural now.
-        value = regs_[src];
-        entry.tainted = entry.tainted || regTainted_[src];
+    } else if (ruu_[prod].completed) {
+        value = ruu_[prod].result;
+        entry.tainted = entry.tainted || ruu_[prod].tainted;
         ready = true;
-        return true;
+    } else {
+        const unsigned node = 2 * slot + operand;
+        nextWaiter_[node] = firstWaiter_[prod];
+        firstWaiter_[prod] = node;
     }
-    if (producer.completed && producer.readyAt <= cycle_) {
-        value = producer.result;
-        entry.tainted = entry.tainted || producer.tainted;
-        ready = true;
-        return true;
+}
+
+void
+OooCore::wakeConsumers(unsigned producer)
+{
+    const RuuEntry &prod = ruu_[producer];
+    for (unsigned node = firstWaiter_[producer]; node != kNoWaiter;
+         node = nextWaiter_[node]) {
+        const unsigned slot = node / 2;
+        RuuEntry &entry = ruu_[slot];
+        if (node % 2 == 0) {
+            entry.v1 = prod.result;
+            entry.v1Ready = true;
+        } else {
+            entry.v2 = prod.result;
+            entry.v2Ready = true;
+        }
+        entry.tainted = entry.tainted || prod.tainted;
+        if (entry.v1Ready && entry.v2Ready)
+            setReady(slot, true);
     }
-    return false;
+    firstWaiter_[producer] = kNoWaiter;
 }
 
 bool
@@ -248,10 +315,7 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
 
     // Real memory access: this is where a speculative load's address
     // reaches the front-side bus (the side channel).
-    AuthSeq gate =
-        gatesFetch(policy_)
-            ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-            : kNoAuthSeq;
+    AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
     std::uint64_t raw = 0;
     mem::Txn access = hier_.readTimed(addr, bytes, cycle_ + 1, gate, raw,
                                       entry.seq, client_);
@@ -270,12 +334,25 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
 void
 OooCore::stageComplete()
 {
-    for (unsigned pos = 0; pos < ruuCount_; ++pos) {
-        RuuEntry &entry = entryAt(pos);
-        if (!entry.issued || entry.completed || entry.readyAt > cycle_)
-            continue;
+    due_.clear();
+    while (!completions_.empty() && completions_.front().readyAt <= cycle_) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      Completion::later);
+        due_.push_back(completions_.back().slot);
+        completions_.pop_back();
+    }
+    if (due_.empty())
+        return;
+    progress_ = true;
+    // Oldest first: the order of the predictor updates, and a
+    // mispredict squashes every younger entry, due or not.
+    std::sort(due_.begin(), due_.end(), [this](unsigned a, unsigned b) {
+        return ruu_[a].seq < ruu_[b].seq;
+    });
+    for (unsigned slot : due_) {
+        RuuEntry &entry = ruu_[slot];
         entry.completed = true;
-        progress_ = true;
+        wakeConsumers(slot);
 
         if (!entry.isControl)
             continue;
@@ -290,7 +367,7 @@ OooCore::stageComplete()
             entry.mispredict = true;
             ++mispredicts_;
             std::uint64_t squashed_before = squashedInsts_.value();
-            squashAfter(pos);
+            squashAfter(agePos(slot));
             tracePipeline(obs::PipelineEvent::Kind::kSquash, entry.pc,
                           squashedInsts_.value() - squashed_before);
             fetchPc_ = entry.actualNext;
@@ -444,10 +521,7 @@ OooCore::stageStoreBufferDrain()
         hier_.ctrl().busTrace().record(cycle_, sb.value,
                                        mem::BusTxnKind::kIoOut, client_);
     } else {
-        AuthSeq gate =
-            gatesFetch(policy_)
-                ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-                : kNoAuthSeq;
+        AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
         hier_.writeTimed(sb.addr, sb.bytes, sb.value, cycle_, gate,
                          /*origin=*/0, client_);
     }
@@ -464,88 +538,91 @@ OooCore::stageIssue()
     unsigned fp_add = cfg_.fpAddUnits;
     unsigned fp_mul = cfg_.fpMulUnits;
 
-    for (unsigned pos = 0; pos < ruuCount_ && slots > 0; ++pos) {
-        RuuEntry &entry = entryAt(pos);
-        if (entry.issued)
-            continue;
-        if (!resolveOperand(entry, 1) || !resolveOperand(entry, 2))
-            continue;
-
-        const isa::OpInfo &oi = entry.inst.info();
-        switch (oi.fu) {
-          case isa::FuClass::kIntAlu:
-            if (int_alu == 0)
-                continue;
-            --int_alu;
-            break;
-          case isa::FuClass::kIntMul:
-            if (int_mul == 0)
-                continue;
-            --int_mul;
-            break;
-          case isa::FuClass::kIntDiv:
-            if (intDivFreeAt_ > cycle_)
-                continue;
-            intDivFreeAt_ = cycle_ + oi.latency;
-            break;
-          case isa::FuClass::kFpAdd:
-            if (fp_add == 0)
-                continue;
-            --fp_add;
-            break;
-          case isa::FuClass::kFpMul:
-            if (fp_mul == 0)
-                continue;
-            --fp_mul;
-            break;
-          case isa::FuClass::kFpDiv:
-            if (fpDivFreeAt_ > cycle_)
-                continue;
-            fpDivFreeAt_ = cycle_ + oi.latency;
-            break;
-          case isa::FuClass::kMemPort:
-            if (mem_ports == 0)
-                continue;
-            break;
-          case isa::FuClass::kNone:
-            break;
-        }
-
-        // Sample the LastRequest register at issue: the tag consulted
-        // by the write gate and the fetch gate (Section 4.2.2/4.2.4).
-        // Per-client: only requests this core posted move its tag.
-        entry.issueTag =
-            verifies(policy_)
-                ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-                : kNoAuthSeq;
-
-        if (oi.fu == isa::FuClass::kMemPort) {
-            if (!tryIssueMemOp(entry, pos))
-                continue;
-            --mem_ports;
-        } else {
-            isa::ExecResult res =
-                isa::execute(entry.inst, entry.v1, entry.v2, entry.pc);
-            entry.result = res.value;
-            entry.readyAt = cycle_ + oi.latency;
-            if (entry.isControl) {
-                entry.taken = res.taken;
-                entry.actualNext = res.taken
-                                       ? res.target
-                                       : entry.pc + isa::kInstrBytes;
+    // Walk the ready set in age order: from ruuHead_ to the end of the
+    // ring, then across the wrap up to ruuHead_. Entries a functional
+    // unit or disambiguation refuses stay in the set for the next tick.
+    for (unsigned pass = 0; pass < 2 && slots > 0; ++pass) {
+        const unsigned end = pass == 0 ? cfg_.ruuSize : ruuHead_;
+        for (unsigned slot = nextReady(pass == 0 ? ruuHead_ : 0, end);
+             slot < end && slots > 0; slot = nextReady(slot + 1, end)) {
+            RuuEntry &entry = ruu_[slot];
+            const isa::OpInfo &oi = entry.inst.info();
+            switch (oi.fu) {
+              case isa::FuClass::kIntAlu:
+                if (int_alu == 0)
+                    continue;
+                --int_alu;
+                break;
+              case isa::FuClass::kIntMul:
+                if (int_mul == 0)
+                    continue;
+                --int_mul;
+                break;
+              case isa::FuClass::kIntDiv:
+                if (intDivFreeAt_ > cycle_)
+                    continue;
+                intDivFreeAt_ = cycle_ + oi.latency;
+                break;
+              case isa::FuClass::kFpAdd:
+                if (fp_add == 0)
+                    continue;
+                --fp_add;
+                break;
+              case isa::FuClass::kFpMul:
+                if (fp_mul == 0)
+                    continue;
+                --fp_mul;
+                break;
+              case isa::FuClass::kFpDiv:
+                if (fpDivFreeAt_ > cycle_)
+                    continue;
+                fpDivFreeAt_ = cycle_ + oi.latency;
+                break;
+              case isa::FuClass::kMemPort:
+                if (mem_ports == 0)
+                    continue;
+                break;
+              case isa::FuClass::kNone:
+                break;
             }
-            if (entry.isOut) {
-                entry.storeValue = res.storeValue;
-                entry.outPort = res.outPort;
-            }
-        }
 
-        entry.issued = true;
-        progress_ = true;
-        tracePipeline(obs::PipelineEvent::Kind::kIssue, entry.pc,
-                      entry.seq);
-        ++issued_;
-        --slots;
+            // Sample the LastRequest register at issue: the tag consulted
+            // by the write gate and the fetch gate (Section 4.2.2/4.2.4).
+            // Per-client: only requests this core posted move its tag.
+            entry.issueTag = verifies(policy_) ? lastRequestTag() : kNoAuthSeq;
+
+            if (oi.fu == isa::FuClass::kMemPort) {
+                if (!tryIssueMemOp(entry, agePos(slot)))
+                    continue;
+                --mem_ports;
+            } else {
+                isa::ExecResult res =
+                    isa::execute(entry.inst, entry.v1, entry.v2, entry.pc);
+                entry.result = res.value;
+                entry.readyAt = cycle_ + oi.latency;
+                if (entry.isControl) {
+                    entry.taken = res.taken;
+                    entry.actualNext = res.taken
+                                           ? res.target
+                                           : entry.pc + isa::kInstrBytes;
+                }
+                if (entry.isOut) {
+                    entry.storeValue = res.storeValue;
+                    entry.outPort = res.outPort;
+                }
+            }
+
+            entry.issued = true;
+            setReady(slot, false);
+            completions_.push_back({entry.readyAt, slot});
+            std::push_heap(completions_.begin(), completions_.end(),
+                           Completion::later);
+            progress_ = true;
+            tracePipeline(obs::PipelineEvent::Kind::kIssue, entry.pc,
+                          entry.seq);
+            ++issued_;
+            --slots;
+        }
     }
 }
 
@@ -587,22 +664,11 @@ OooCore::stageDispatch()
         entry.isHalt = (entry.inst.op == isa::Op::kHalt);
         entry.writesRd = (entry.inst.destReg() != 0);
 
-        unsigned src1 = entry.inst.srcReg1();
-        unsigned src2 = entry.inst.srcReg2();
-        if (src1 != 0 && renameMap_[src1] >= 0) {
-            entry.prod1 = renameMap_[src1];
-            entry.prod1Seq = ruu_[entry.prod1].seq;
-        } else {
-            entry.v1 = regs_[src1];
-            entry.v1Ready = true;
-        }
-        if (src2 != 0 && renameMap_[src2] >= 0) {
-            entry.prod2 = renameMap_[src2];
-            entry.prod2Seq = ruu_[entry.prod2].seq;
-        } else {
-            entry.v2 = regs_[src2];
-            entry.v2Ready = true;
-        }
+        firstWaiter_[slot] = kNoWaiter;
+        readOperand(entry, slot, 0, entry.inst.srcReg1());
+        readOperand(entry, slot, 1, entry.inst.srcReg2());
+        if (entry.v1Ready && entry.v2Ready)
+            setReady(slot, true);
         if (entry.writesRd)
             renameMap_[entry.inst.destReg()] = int(slot);
 
@@ -628,10 +694,7 @@ OooCore::stageFetch()
         // Even a stalling probe mutates the hierarchy (caches, MSHRs,
         // bus, engine): every loop entry is progress.
         progress_ = true;
-        AuthSeq gate =
-            gatesFetch(policy_)
-                ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-                : kNoAuthSeq;
+        AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
         std::uint32_t word = 0;
         mem::Txn access =
             hier_.fetchTimed(fetchPc_, cycle_, gate, word, client_);
@@ -765,6 +828,7 @@ OooCore::tick()
         return false;
 
     progress_ = false;
+    tickTagSampled_ = false;
     drainBlocked_ = false;
     dispatchBlock_ = DispatchBlock::kNone;
     stageComplete();
@@ -791,7 +855,7 @@ OooCore::tick()
                   "(pc 0x%llx cycle %llu ruu %u commit-block %u "
                   "dispatch-block %u head{valid %d seq %llu pc 0x%llx "
                   "issued %d done %d readyAt %llu load %d store %d "
-                  "v1 %d v2 %d prod1 %d prod2 %d})",
+                  "v1 %d v2 %d})",
                   name().c_str(), (unsigned long long)fetchPc_,
                   (unsigned long long)cycle_, ruuCount_,
                   unsigned(commitBlock_), unsigned(dispatchBlock_),
@@ -801,8 +865,7 @@ OooCore::tick()
                   head ? head->issued : 0, head ? head->completed : 0,
                   head ? (unsigned long long)head->readyAt : 0ull,
                   head ? head->isLoad : 0, head ? head->isStore : 0,
-                  head ? head->v1Ready : 0, head ? head->v2Ready : 0,
-                  head ? head->prod1 : -2, head ? head->prod2 : -2);
+                  head ? head->v1Ready : 0, head ? head->v2Ready : 0);
     }
     return true;
 }
@@ -829,8 +892,8 @@ OooCore::nextWakeCycle() const
 {
     // Only boundaries at or after cycle_ count: a compare whose cycle
     // has already passed is settled and cannot flip again while the
-    // machine is frozen, so skipping past it is exactly what the
-    // polled loop does. A boundary at exactly cycle_ yields wake ==
+    // machine is frozen, so skipping past it is exactly what ticking
+    // every cycle would do. A boundary at exactly cycle_ yields wake ==
     // cycle_, i.e. "the very next tick is not idle — do not skip".
     Cycle wake = kCycleNever;
     auto consider = [&wake, this](Cycle c) {
@@ -840,19 +903,17 @@ OooCore::nextWakeCycle() const
 
     // The no-progress panic bounds every idle window: the tick at
     // lastCommitCycle_ + 1M must really run so the panic fires on the
-    // same cycle as under the polled loop.
+    // same cycle as when every cycle is ticked.
     consider(lastCommitCycle_ + kProgressPanicCycles);
 
     const secmem::AuthEngine &eng =
         const_cast<secmem::MemHierarchy &>(hier_).ctrl().authEngine();
 
-    // Pending completions (also the head-commit / operand / issue
-    // unblock events).
-    for (unsigned pos = 0; pos < ruuCount_; ++pos) {
-        const RuuEntry &entry = ruu_[ruuIndex(pos)];
-        if (entry.issued && !entry.completed)
-            consider(entry.readyAt);
-    }
+    // The earliest pending completion (also the head-commit / operand
+    // / issue unblock event). The queue holds no squashed entry, so
+    // its head never wakes the core early.
+    if (!completions_.empty())
+        consider(completions_.front().readyAt);
 
     if (ruuCount_ > 0) {
         const RuuEntry &head = ruu_[ruuIndex(0)];
@@ -904,8 +965,8 @@ OooCore::nextWakeCycle() const
 void
 OooCore::accountIdleCycles(std::uint64_t n)
 {
-    // Charges the n skipped cycles [cycle_, cycle_ + n) exactly as the
-    // polled loop's idle ticks would. Machine state is frozen across
+    // Charges the n skipped cycles [cycle_, cycle_ + n) exactly as
+    // ticking them idle would. Machine state is frozen across
     // the window (no completion, no commit, no drain, no issue, no
     // dispatch, no hierarchy access), so each cycle charges the same
     // latched causes and a stretch of m cycles is charged in O(1).

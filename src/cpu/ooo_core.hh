@@ -180,9 +180,8 @@ class OooCore
         Addr pc = 0;
         isa::DecodedInst inst;
 
-        // Operand tracking: producer RUU slot + its seq, or -1.
-        int prod1 = -1, prod2 = -1;
-        std::uint64_t prod1Seq = 0, prod2Seq = 0;
+        // Operands: read at dispatch, or written by the producer's
+        // completion (wakeConsumers).
         bool v1Ready = false, v2Ready = false;
         std::uint64_t v1 = 0, v2 = 0;
 
@@ -250,6 +249,21 @@ class OooCore
         std::uint64_t outPort = 0;
     };
 
+    /** An issued, not yet completed instruction in the completion
+     *  queue. */
+    struct Completion
+    {
+        Cycle readyAt = 0;
+        unsigned slot = 0;
+
+        /** Heap order: the earliest readyAt on top. */
+        static bool
+        later(const Completion &a, const Completion &b)
+        {
+            return a.readyAt > b.readyAt;
+        }
+    };
+
     // ----- the cycle ------------------------------------------------------
     /** Advance one cycle (the legacy unit of work). Returns false once
      *  stopped. Sets progress_ when any stage changed machine state. */
@@ -257,17 +271,18 @@ class OooCore
 
     /**
      * First cycle >= cycle_ at which any stage predicate can change
-     * while the machine is idle (the ready-set / oldest-unready index):
-     * pending completions, gate verdicts, frontend restart, divider
-     * availability, engine failures, and the no-progress panic bound.
-     * Waking at extra cycles is harmless (an idle tick is replayed);
-     * missing one would diverge from the polled loop.
+     * while the machine is idle: the earliest pending completion (the
+     * completion queue's head), gate verdicts, frontend restart,
+     * divider availability, engine failures, and the no-progress panic
+     * bound. Waking at an extra cycle only replays an idle tick, but
+     * it is one more wake; missing a cycle would skip a tick on which
+     * a stage could act.
      */
     Cycle nextWakeCycle() const;
 
     /**
-     * Account @p n skipped idle cycles exactly as the polled loop
-     * would have: per-cycle stall/occupancy bookkeeping batched
+     * Account @p n skipped idle cycles exactly as ticking each of them
+     * would: per-cycle stall/occupancy bookkeeping batched
      * arithmetically, split at each interval boundary inside the
      * window. Machine state is frozen across the window by
      * construction, so this is bit-identical to ticking.
@@ -284,10 +299,36 @@ class OooCore
 
     // ----- helpers ----------------------------------------------------------
     unsigned ruuIndex(unsigned pos) const; // age position -> slot
+    unsigned agePos(unsigned slot) const;  // slot -> age position
     RuuEntry &entryAt(unsigned pos);
     void squashAfter(unsigned pos);
     void rebuildRenameMap();
-    bool resolveOperand(RuuEntry &entry, int which);
+    /** Read operand @p operand (0 or 1) of the entry being dispatched
+     *  into @p slot from source register @p src: from the register
+     *  file (with its taint) or a completed producer, else link it to
+     *  the producer's wakeup list. */
+    void readOperand(RuuEntry &entry, unsigned slot, unsigned operand,
+                     unsigned src);
+    /** Hand a just-completed producer's value and taint to every
+     *  operand linked to it; consumers whose last operand arrives
+     *  join the ready set. */
+    void wakeConsumers(unsigned producer);
+    /** Ready-set membership of @p slot. */
+    void
+    setReady(unsigned slot, bool ready)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << (slot % 64);
+        if (ready)
+            ready_[slot / 64] |= bit;
+        else
+            ready_[slot / 64] &= ~bit;
+    }
+    /** First ready slot in [from, end), or end. */
+    unsigned nextReady(unsigned from, unsigned end) const;
+    /** LastRequest as visible at cycle_ (this core's view), sampled
+     *  once per tick: a request posted during the tick arrives after
+     *  cycle_, so the value cannot change within it. */
+    AuthSeq lastRequestTag();
     bool tryIssueMemOp(RuuEntry &entry, unsigned pos);
     /** Gate predicate: completed verification that also passed. */
     bool verifiedOk(AuthSeq seq) const;
@@ -338,6 +379,26 @@ class OooCore
     std::uint64_t nextSeq_ = 1;
     std::vector<int> renameMap_; // reg -> RUU slot (-1 = regfile)
     unsigned lsqUsed_ = 0;
+
+    // Event-driven issue and completion. Sized from ruuSize at
+    // construction; nothing here allocates afterwards.
+    /** Min-heap on readyAt of every issued, not yet completed entry;
+     *  a squash removes its entries, so the head is never stale. */
+    std::vector<Completion> completions_;
+    /** The slots stageComplete completes this tick, oldest first. */
+    std::vector<unsigned> due_;
+    /** Ready set, one bit per slot: valid, not issued, both operands
+     *  read. Walked in age order from ruuHead_. */
+    std::vector<std::uint64_t> ready_;
+    /** Wakeup links. Node 2 * slot + operand stands for one waiting
+     *  operand; firstWaiter_[producer slot] heads its list and
+     *  nextWaiter_[node] continues it. Dispatch pushes at the front,
+     *  so each list runs youngest consumer first. */
+    std::vector<unsigned> firstWaiter_;
+    std::vector<unsigned> nextWaiter_;
+    /** lastRequestTag()'s sample for this tick (tick() invalidates). */
+    AuthSeq tickTag_ = kNoAuthSeq;
+    bool tickTagSampled_ = false;
 
     std::deque<FetchedInst> fetchQueue_;
     std::deque<StoreBufEntry> storeBuffer_;

@@ -1,9 +1,11 @@
 /**
  * @file
- * Event-loop tests (System::measureTimed). Three contracts:
+ * Event-loop tests (System::measureTimed). Four contracts:
  *   - the event loop is deterministic: repeated runs of the same point
  *     produce the same run result, stall taxonomy, stat dump, and
  *     profiler segments, on several workload x policy points;
+ *   - the simulated timing is pinned: stat dumps and pipeline traces
+ *     of a fixed set of points hash to recorded SHA-256 digests;
  *   - cores due in the same cycle run in core order, so cpu0's
  *     same-cycle bus requests are recorded before cpu1's;
  *   - the Txn timeline arena never leaks: churned blocks return to the
@@ -12,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.hh"
 #include "mem/txn.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -58,6 +62,127 @@ runPoint(const std::string &workload, AuthPolicy policy)
     out.stalls = system.core().stallCycles();
     out.cycles = system.core().cycles();
     return out;
+}
+
+std::string
+sha256Hex(const std::string &bytes)
+{
+    auto digest = crypto::Sha256::digest(
+        reinterpret_cast<const std::uint8_t *>(bytes.data()),
+        bytes.size());
+    static const char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t byte : digest) {
+        out += kHex[byte >> 4];
+        out += kHex[byte & 15];
+    }
+    return out;
+}
+
+/** One untampered point of the digest table: a config and one
+ *  workload per core. */
+struct DigestPoint
+{
+    std::string name;
+    sim::SimConfig cfg;
+    std::vector<std::string> workloads;
+    /** Also digest core 0's pipeline trace. */
+    bool trace = false;
+};
+
+/**
+ * The points EventLoop.StatDumpsMatchRecordedDigests pins: 3 INT and
+ * 3 FP kernels under all 7 policies, RUU sizes 96 and 200 (lsq =
+ * ruu / 2) on two kernels, one hash-tree point, one 2-core
+ * commit+baseline mix, and two points whose pipeline trace is
+ * digested too.
+ */
+std::vector<DigestPoint>
+digestPoints()
+{
+    const AuthPolicy policies[] = {
+        AuthPolicy::kBaseline,          AuthPolicy::kAuthThenIssue,
+        AuthPolicy::kAuthThenWrite,     AuthPolicy::kAuthThenCommit,
+        AuthPolicy::kAuthThenFetch,     AuthPolicy::kCommitPlusFetch,
+        AuthPolicy::kCommitPlusObfuscation,
+    };
+    std::vector<DigestPoint> points;
+    for (const char *kernel : {"mcf", "gcc", "twolf", "swim", "equake",
+                               "art"})
+        for (AuthPolicy policy : policies)
+            points.push_back({std::string(kernel) + "/" +
+                                  core::policyName(policy),
+                              cfgFor(policy),
+                              {kernel}});
+    for (const char *kernel : {"gap", "equake"})
+        for (unsigned ruu : {96u, 200u}) {
+            DigestPoint p{std::string(kernel) + "/ruu" +
+                              std::to_string(ruu),
+                          cfgFor(AuthPolicy::kAuthThenCommit),
+                          {kernel}};
+            p.cfg.ruuSize = ruu;
+            p.cfg.lsqSize = ruu / 2;
+            points.push_back(p);
+        }
+    DigestPoint tree{"mcf/tree", cfgFor(AuthPolicy::kAuthThenCommit),
+                     {"mcf"}};
+    tree.cfg.hashTreeEnabled = true;
+    points.push_back(tree);
+    DigestPoint mix{"mcf+swim/commit+baseline",
+                    cfgFor(AuthPolicy::kAuthThenCommit),
+                    {"mcf", "swim"}};
+    mix.cfg.numCores = 2;
+    mix.cfg.corePolicies = {AuthPolicy::kAuthThenCommit,
+                            AuthPolicy::kBaseline};
+    points.push_back(mix);
+    DigestPoint traced{"mcf/commit/trace",
+                       cfgFor(AuthPolicy::kAuthThenCommit),
+                       {"mcf"}};
+    traced.trace = true;
+    points.push_back(traced);
+    traced = {"equake/issue/trace", cfgFor(AuthPolicy::kAuthThenIssue),
+              {"equake"}};
+    traced.trace = true;
+    points.push_back(traced);
+    return points;
+}
+
+/** Digest of the stat dump plus the run result (and, for a traced
+ *  point, a second digest of core 0's pipeline instants). */
+std::pair<std::string, std::string>
+digestOf(const DigestPoint &point)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    std::vector<isa::Program> progs;
+    for (const std::string &workload : point.workloads)
+        progs.push_back(workloads::build(workload, params));
+    sim::System system(point.cfg, std::move(progs));
+    system.fastForward(5000);
+    if (point.trace)
+        system.enableTrace();
+    sim::RunResult run = system.measureTimed(5000, 20'000'000);
+
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "insts=%llu cycles=%llu ipc=%.17g reason=%s\n",
+                  (unsigned long long)run.insts,
+                  (unsigned long long)run.cycles, run.ipc,
+                  cpu::stopReasonName(run.reason));
+    std::string trace;
+    if (point.trace) {
+        std::string bytes;
+        for (const obs::PipelineEvent &e : system.core().pipelineTrace()) {
+            char rec[96];
+            std::snprintf(rec, sizeof rec, "%llu %u %llx %llx\n",
+                          (unsigned long long)e.cycle, unsigned(e.kind),
+                          (unsigned long long)e.a,
+                          (unsigned long long)e.b);
+            bytes += rec;
+        }
+        trace = sha256Hex(bytes);
+    }
+    return {sha256Hex(system.dumpStats() + line), trace};
 }
 
 } // namespace
@@ -110,6 +235,185 @@ TEST(EventLoop, ProfilerSegmentsDeterministic)
     for (unsigned s = 0; s < obs::kNumPathSegments; ++s)
         EXPECT_EQ(first.demandSegCycles[s], again.demandSegCycles[s])
             << "segment " << s;
+}
+
+// Bit-identity of the timing model, pinned point by point. A change to
+// how the core schedules work (which tick an operand wakes on, the
+// order it issues or completes in) moves these digests even where the
+// examples' outputs do not. The constants were recorded by running
+// this test body against the per-tick RUU-scan core that the
+// event-driven issue and completion stages replaced: with a digest
+// string emptied, the failure message prints the value to record.
+// Re-record them only for a deliberate, documented model change.
+TEST(EventLoop, StatDumpsMatchRecordedDigests)
+{
+    struct Recorded
+    {
+        const char *point;
+        const char *stats;
+        const char *trace; // "" unless the point is traced
+    };
+    static const Recorded kRecorded[] = {
+        {"mcf/baseline",
+         "67ac3d0d9de8aedf862dfec8193faac6b2f1b447e8e05c51b5a9ab8c28d2bb24",
+         ""},
+        {"mcf/authen-then-issue",
+         "2929f12b42b0ec5f292bb2034ff5e82632bfe1d84b78816b730229b53d2cde8d",
+         ""},
+        {"mcf/authen-then-write",
+         "7aa792eab7e779f233c0731031f6f0e2f9f046236b9e2487d5acb2cb057d28f9",
+         ""},
+        {"mcf/authen-then-commit",
+         "1bd4dc7d4c3652d44bb44df7116d3ed76582819d89d7c2b4de0710e7ef320a67",
+         ""},
+        {"mcf/authen-then-fetch",
+         "b1510ddf457b76855f77bcd01f3334e80190343da5feeb9714c9026eb8eeb581",
+         ""},
+        {"mcf/commit+fetch",
+         "a8a8228fa3b973a0f12b46d8a8a54bd5f2292f980fc9a42dca35341708cdc495",
+         ""},
+        {"mcf/commit+obfuscation",
+         "4919d95a6d699983a10822494044006f234597e96c5288192711783aa3d2c61d",
+         ""},
+        {"gcc/baseline",
+         "e9f9384674e054dbd3fa36b16b012992e27c9963a43f52785dd8d5cb253dbcac",
+         ""},
+        {"gcc/authen-then-issue",
+         "369bba56ff5bcf7e7c43007db43c16d0d25903cc124d3667b5fa93825a9af818",
+         ""},
+        {"gcc/authen-then-write",
+         "026edab5a12e3d436778d8c2d942c97924a0364bcc7095c7e832481f5bdeaffb",
+         ""},
+        {"gcc/authen-then-commit",
+         "40fe4de7c2db1cf66a8e7ccd4590e5d48944b1a86bda9c44324936ad80ffcf97",
+         ""},
+        {"gcc/authen-then-fetch",
+         "36482e0bcda22c3f41a1258b38d0e0630df6a27f736637406a601e97ecc9c43b",
+         ""},
+        {"gcc/commit+fetch",
+         "d014652bb13ffb688d174a3e7f7351247af2098d4ebb8f4a3b69bb77ca19de66",
+         ""},
+        {"gcc/commit+obfuscation",
+         "39aa265ab1766f6b9b17cbb443f4325bca4d82c9c477fb1029f9018734d98c20",
+         ""},
+        {"twolf/baseline",
+         "8e11da81d11f464ad0dbe3c4e3a4d4890339e87c3be7e3c1eaa4493b923246ef",
+         ""},
+        {"twolf/authen-then-issue",
+         "be768ae106832acdabe991b8f185cff322d9442a60395c1be4186815854c1167",
+         ""},
+        {"twolf/authen-then-write",
+         "98a9afddcccc5b8852046b58a7a2f51abdb6b3bba4ee6bc3504b7471bc82ecd7",
+         ""},
+        {"twolf/authen-then-commit",
+         "fe04f1746bd6de7a2b563e296abbbc7fa51a0aa6c16be35b4dab8c5cb539f386",
+         ""},
+        {"twolf/authen-then-fetch",
+         "5bd826be31c1366ed922dd7ed493b00277a38c4d754b11b31deb4040e80b18d9",
+         ""},
+        {"twolf/commit+fetch",
+         "9064039c9f737d7f12e4211ea1df61ad146aa05325d3233ba73cbd7d2a01f6ab",
+         ""},
+        {"twolf/commit+obfuscation",
+         "f2ef99463bb6e598319a60e693ef77a5b320bb3d6f496719d301bf2b0f561f96",
+         ""},
+        {"swim/baseline",
+         "5334b9cdddcea82eaf8eece50ff9fb17765c5913b951afe4ac4675b3ab6e73ca",
+         ""},
+        {"swim/authen-then-issue",
+         "ce88f74656a47ba3ae61efe82f4e975a5d4209c81f1717368a97f31e4654c7bd",
+         ""},
+        {"swim/authen-then-write",
+         "9844ce59c4b73093fe77c6055ecc4cd41e1bdffc16c0910c8c58273d6fec8625",
+         ""},
+        {"swim/authen-then-commit",
+         "3442e9a49b02e8fdd30892bc577bad51e1ee8da3c3a95d1394abc5d34569288a",
+         ""},
+        {"swim/authen-then-fetch",
+         "4c4e0703dbe7b80604f9f7da7228e6ddf5b71e6429ed5004d199a75b3c1a2ed6",
+         ""},
+        {"swim/commit+fetch",
+         "cce0fb36bbac4230093ee30b4935acf36c255cf07992fdec1aa749ffe1afe2e1",
+         ""},
+        {"swim/commit+obfuscation",
+         "c11a9c30c6aa5ed88389f2d762fcb794769e05932a5ac698802048a208eea5ae",
+         ""},
+        {"equake/baseline",
+         "f4d6f3b34eb5cfeb78b01356de4e8695716069ca14e605c5e2264b3b3bb030d2",
+         ""},
+        {"equake/authen-then-issue",
+         "931fd1af20bfb47ff50ac2486f9de0eb745f6418d5663cc111f43724b42014ae",
+         ""},
+        {"equake/authen-then-write",
+         "cbe46b8d886fc1e7e7b32bdf52845192e4a4df1464ffa42e1fa609652880460f",
+         ""},
+        {"equake/authen-then-commit",
+         "096c8e639dc7722e76c61e275c59ccb4688f3be41cb14d3b37a0adb6c881ed4a",
+         ""},
+        {"equake/authen-then-fetch",
+         "4883a1d94a43ee82f1ab9f16aeb782257a3ca0c0fa8019f7779093a2c880886a",
+         ""},
+        {"equake/commit+fetch",
+         "e33ccdd7f45f1e08c0a9f673c1f4707cc813b60b31d8ee5e552f1365d932e2ac",
+         ""},
+        {"equake/commit+obfuscation",
+         "dac690eee9b58ad1a53bdd2ace5d875978454d9c59cd03038b24721cff3a332a",
+         ""},
+        {"art/baseline",
+         "d165fbbe725faddb0ab60dbe3151977cd5298bdb970f53a8e264804810dbe34a",
+         ""},
+        {"art/authen-then-issue",
+         "4f07ebb9066b43035524b6c42cb05407dcb2a866cbd65e5a227008afdf5cd1ae",
+         ""},
+        {"art/authen-then-write",
+         "5174dcfbb032fe0157aff17232a57c81bc540dce7a624f630bebea58ecf4adcd",
+         ""},
+        {"art/authen-then-commit",
+         "44555d5bf7c51785c2480464698ed82eb75b71b673b5b344e5907c82c9eef9d0",
+         ""},
+        {"art/authen-then-fetch",
+         "7f4c7031ef6a49653fdd1b44996e3b611e39dd6b7adf4739d9ade103bea18432",
+         ""},
+        {"art/commit+fetch",
+         "4b5f167884ecdec7eee49f39dbbfeceaa8b5d1920ab2ade365305fd4b2e3f7cb",
+         ""},
+        {"art/commit+obfuscation",
+         "76b6dfc11099014fc84c6664f682cbbbf8235a5a0e7e5bd349170f1b9a4baf10",
+         ""},
+        {"gap/ruu96",
+         "9627bacbdc735f7145172d70cbbaffc008a48a0e916ed3bf8e265fc9af733e38",
+         ""},
+        {"gap/ruu200",
+         "f9738b1fe2383663111cbde3c7a81608f6d5bb9e82e5128518d34e1ad3aadc68",
+         ""},
+        {"equake/ruu96",
+         "9803b18ad4aad4b7223bacb8706b6f6c7c7e05722ce659b0289496ece7461774",
+         ""},
+        {"equake/ruu200",
+         "25fb41148c566182f384729182cb9622fb26bd34744fbba1490a3c7a64df48fb",
+         ""},
+        {"mcf/tree",
+         "fb9e22f3ffac458ec754e82e3bbe93272e3e0794136305bf28de8fe6509bb1cb",
+         ""},
+        {"mcf+swim/commit+baseline",
+         "2b03717cce43942fd45ba8449b15c62c6e8c8d07a544855d13d46cd518b4b289",
+         ""},
+        {"mcf/commit/trace",
+         "1bd4dc7d4c3652d44bb44df7116d3ed76582819d89d7c2b4de0710e7ef320a67",
+         "b5b8477c38778d05f74e0c1a6a457af829212b42d24e1140cf951a52706efa47"},
+        {"equake/issue/trace",
+         "931fd1af20bfb47ff50ac2486f9de0eb745f6418d5663cc111f43724b42014ae",
+         "e1c6d5ce545f3437457afeddd9a5fa32de95d8f3af357c49375b7feb1697fcc7"},
+    };
+
+    const std::vector<DigestPoint> points = digestPoints();
+    ASSERT_EQ(points.size(), std::size(kRecorded));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        ASSERT_EQ(points[i].name, kRecorded[i].point);
+        auto [stats, trace] = digestOf(points[i]);
+        EXPECT_EQ(stats, kRecorded[i].stats) << points[i].name;
+        EXPECT_EQ(trace, kRecorded[i].trace) << points[i].name;
+    }
 }
 
 // Two cold cores start in the same cycle and both miss on their first

@@ -288,3 +288,44 @@ TEST(OooCore, FastForwardThenTimedContinues)
     EXPECT_EQ(res.reason, StopReason::kHalted);
     EXPECT_EQ(system.core().reg(6), 500500u);
 }
+
+TEST(OooCore, TaintReachesConsumerDispatchedAfterProducerCommits)
+{
+    // A loop of two iterations: each loads one line, runs more than
+    // one RUU of independent adds, then consumes the loaded value.
+    // The first iteration reads a clean line and warms the I-cache;
+    // the second reads a tampered line. Its consumer cannot dispatch
+    // until the load has left the RUU, so the operand comes from the
+    // register file and must carry the register's taint.
+    // authen-then-write gates neither issue nor commit: the program
+    // halts before the failed verification's verdict is due.
+    constexpr Addr kClean = 0x100000;
+    constexpr Addr kTampered = 0x101000;
+    constexpr unsigned kIndependent = 136; // > ruuSize (128)
+    ProgramBuilder pb(0x1000, "taint");
+    pb.addData64(kClean, 1);
+    pb.addData64(kTampered, 2);
+    Label loop = pb.newLabel();
+    pb.li(2, kClean);
+    pb.li(13, kTampered);
+    pb.li(10, 2);
+    pb.bind(loop);
+    pb.ld(1, 0, 2);
+    for (unsigned i = 0; i < kIndependent; ++i)
+        pb.addi(3 + i % 7, 3 + i % 7, 1);
+    pb.add(11, 11, 1); // the consumer
+    pb.mv(2, 13);
+    pb.addi(10, 10, -1);
+    pb.bne(10, 0, loop);
+    pb.halt();
+
+    sim::System system(testCfg(core::AuthPolicy::kAuthThenWrite),
+                       pb.finish());
+    std::uint8_t flip = 0x01;
+    system.hier().ctrl().externalMemory().tamper(kTampered, &flip, 1);
+    sim::RunResult res = system.measureTimed(~0ULL >> 1, 1'000'000);
+
+    EXPECT_EQ(res.reason, StopReason::kHalted);
+    // The tampered load and its consumer; nothing else reads r1.
+    EXPECT_EQ(system.core().taintedCommits(), 2u);
+}

@@ -73,7 +73,9 @@ INSTANTIATE_TEST_SUITE_P(
         Geometry{64, 4, 8, 1, 2},    // single MSHR, write-gated
         Geometry{32, 8, 32, 16, 3},  // small window, commit+fetch
         Geometry{128, 8, 2, 16, 2},  // tiny store buffer, write-gated
-        Geometry{16, 2, 2, 2, 3}));  // worst case everything
+        Geometry{16, 2, 2, 2, 3},    // worst case everything
+        Geometry{96, 8, 32, 16, 2},  // RUU not a power of two
+        Geometry{200, 8, 32, 16, 3})); // RUU past 128, commit+fetch
 
 /** The RUU-size effect the paper's Fig. 10 depends on: a larger
  *  window must not hurt, and usually helps, a memory-bound kernel. */

@@ -143,15 +143,4 @@ Cache::invalidate(Addr addr, Eviction *evicted)
     return false;
 }
 
-void
-Cache::flushAll()
-{
-    for (CacheLine &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-        line.data.clear();
-    }
-    lruClock_ = 0;
-}
-
 } // namespace acp::cache

@@ -88,10 +88,7 @@ class Cache
      *  previous contents through @p evicted (for dirty merge). */
     bool invalidate(Addr addr, Eviction *evicted);
 
-    /** Drop all lines (no writeback) and reset LRU clock. */
-    void flushAll();
-
-    /** Iterate every valid line with its address (flush scans). */
+    /** Iterate every valid line with its address. */
     template <typename Fn>
     void
     forEachLineAddr(Fn &&fn)

@@ -52,12 +52,4 @@ Tlb::access(Addr vaddr)
     return missPenalty_;
 }
 
-void
-Tlb::flushAll()
-{
-    for (Entry &entry : entries_)
-        entry.valid = false;
-    lruClock_ = 0;
-}
-
 } // namespace acp::cache

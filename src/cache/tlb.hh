@@ -37,8 +37,6 @@ class Tlb
     std::uint64_t hitCount() const { return hits_.value(); }
     std::uint64_t missCount() const { return misses_.value(); }
 
-    void flushAll();
-
   private:
     struct Entry
     {

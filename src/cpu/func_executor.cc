@@ -6,8 +6,8 @@
 namespace acp::cpu
 {
 
-FuncExecutor::FuncExecutor(MemPort port, Addr entry)
-    : port_(std::move(port)), pc_(entry)
+FuncExecutor::FuncExecutor(FlatMem &mem, Addr entry)
+    : mem_(mem), pc_(entry)
 {
 }
 
@@ -21,7 +21,7 @@ FuncExecutor::step()
     }
 
     info.pc = pc_;
-    std::uint32_t word = port_.fetch(pc_);
+    std::uint32_t word = mem_.fetch(pc_);
     info.inst = isa::decode(word);
 
     std::uint64_t v1 = regs_[info.inst.srcReg1()];
@@ -32,13 +32,13 @@ FuncExecutor::step()
 
     if (info.inst.isLoad()) {
         unsigned bytes = isa::memAccessBytes(info.inst.op);
-        std::uint64_t raw = port_.read(res.memAddr, bytes);
+        std::uint64_t raw = mem_.read(res.memAddr, bytes);
         res.value = isa::adjustLoadValue(info.inst.op, raw);
         info.memAddr = res.memAddr;
         info.memBytes = bytes;
     } else if (info.inst.isStore()) {
         unsigned bytes = isa::memAccessBytes(info.inst.op);
-        port_.write(res.memAddr, bytes, res.storeValue);
+        mem_.write(res.memAddr, bytes, res.storeValue);
         info.isStore = true;
         info.memAddr = res.memAddr;
         info.storeValue = res.storeValue;

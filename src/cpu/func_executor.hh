@@ -1,10 +1,9 @@
 /**
  * @file
- * In-order functional executor over an abstract memory port. Serves
+ * In-order functional executor over a flat reference memory. Serves
  * three roles: (1) SimPoint-style fast-forward before the timed
- * window (with the warm hierarchy port, so caches warm up), (2) the
- * architectural shadow for commit-time co-simulation of the OoO core,
- * and (3) a reference implementation for ISA tests.
+ * window, (2) the architectural shadow for commit-time co-simulation
+ * of the OoO core, and (3) a reference implementation for ISA tests.
  */
 
 #ifndef ACP_CPU_FUNC_EXECUTOR_HH
@@ -19,30 +18,6 @@
 
 namespace acp::cpu
 {
-
-/** Memory port the executor runs against: a flat reference memory. */
-class MemPort
-{
-  public:
-    explicit MemPort(FlatMem &mem) : mem_(&mem) {}
-
-    std::uint64_t
-    read(Addr addr, unsigned bytes) const
-    {
-        return mem_->read(addr, bytes);
-    }
-
-    void
-    write(Addr addr, unsigned bytes, std::uint64_t value) const
-    {
-        mem_->write(addr, bytes, value);
-    }
-
-    std::uint32_t fetch(Addr addr) const { return mem_->fetch(addr); }
-
-  private:
-    FlatMem *mem_;
-};
 
 /** What one retired instruction did (for co-simulation comparison). */
 struct StepInfo
@@ -66,7 +41,8 @@ struct StepInfo
 class FuncExecutor
 {
   public:
-    FuncExecutor(MemPort port, Addr entry);
+    /** Run against @p mem (non-owning) from @p entry. */
+    FuncExecutor(FlatMem &mem, Addr entry);
 
     /** Execute one instruction; no-op (halted StepInfo) after HALT. */
     StepInfo step();
@@ -86,7 +62,7 @@ class FuncExecutor
     }
 
   private:
-    MemPort port_;
+    FlatMem &mem_;
     Addr pc_;
     bool halted_ = false;
     std::array<std::uint64_t, 32> regs_{};

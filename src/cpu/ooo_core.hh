@@ -66,7 +66,7 @@ class OooCore
   public:
     /**
      * @p client is the hierarchy client id this core issues memory
-     * traffic as (from MemHierarchy::registerClient); @p name is the
+     * traffic as (its core index); @p name is the
      * stat-group name — exactly "core" for a single-core system
      * (bit-identical stat surface), "cpuN.core" otherwise.
      * The core runs the per-client policy the shared controller

@@ -19,7 +19,6 @@
 #ifndef ACP_MEM_BUS_HH
 #define ACP_MEM_BUS_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -33,16 +32,14 @@ namespace acp::mem
 class BusArbiter
 {
   public:
-    explicit BusArbiter(const sim::SimConfig &cfg);
-
     /**
-     * Declare the bus multi-client: @p n cores will present requests.
-     * Registers per-client grant/wait stats (cpu<i>_grants,
-     * cpu<i>_contended_grants, cpu<i>_grant_wait) plus the cross-
-     * client contention counter. A single-core system never calls
-     * this, so its stat surface is byte-identical to the classic one.
+     * One requester per core (cfg.numCores; 0 counts as 1). With two
+     * or more, per-client grant/wait stats (cpu<i>_grants,
+     * cpu<i>_contended_grants, cpu<i>_grant_wait) and the cross-client
+     * contention counter are registered; a single-core stat surface
+     * keeps its classic shape.
      */
-    void registerClients(unsigned n);
+    explicit BusArbiter(const sim::SimConfig &cfg);
 
     /**
      * Reserve the bus for one transfer.
@@ -57,7 +54,7 @@ class BusArbiter
      * @param earliest first cycle the requester could drive the bus
      *        (bank ready, gate released, translation resolved)
      * @param beats transfer length in bus beats
-     * @param client requesting core id (0 in single-core systems)
+     * @param client requesting core id
      * @return the grant cycle (>= earliest; the transfer occupies the
      *         bus until grant + beats * busClockRatio)
      */
@@ -72,7 +69,7 @@ class BusArbiter
     }
 
   private:
-    /** Per-client attribution, live only after registerClients(). */
+    /** Per-client attribution (registered with two or more). */
     struct ClientStats
     {
         StatCounter grants;
@@ -91,7 +88,8 @@ class BusArbiter
     StatCounter beats_;
     StatAverage grantWait_;
     StatCounter crossClientContended_;
-    std::vector<std::unique_ptr<ClientStats>> clients_;
+    /** Indexed by client id; sized once, so stat pointers stay valid. */
+    std::vector<ClientStats> clients_;
 };
 
 } // namespace acp::mem

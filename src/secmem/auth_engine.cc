@@ -11,8 +11,10 @@ namespace
 constexpr std::size_t kHistoryWindow = 1 << 16;
 } // namespace
 
-AuthEngine::AuthEngine(unsigned latency, unsigned occupancy)
-    : latency_(latency), occupancy_(occupancy), stats_("auth")
+AuthEngine::AuthEngine(unsigned latency, unsigned occupancy,
+                       unsigned clients)
+    : latency_(latency), occupancy_(occupancy),
+      clients_(std::max(1u, clients)), stats_("auth")
 {
     stats_.addCounter("requests", &requests_);
     stats_.addCounter("failures", &failures_);
@@ -20,20 +22,16 @@ AuthEngine::AuthEngine(unsigned latency, unsigned occupancy)
     stats_.addAverage("verify_latency", &verifyLatency_);
     stats_.addDistribution("verify_latency_hist", &verifyLatencyHist_);
     stats_.addDistribution("queue_depth", &queueDepth_);
-}
-
-void
-AuthEngine::registerClients(unsigned n)
-{
-    if (n <= 1 || !clients_.empty())
+    // A single client's view repeats the global counters: no
+    // per-client stats, so a single-core dump keeps its classic shape.
+    if (clients_.size() < 2)
         return;
-    for (unsigned i = 0; i < n; ++i) {
-        auto cs = std::make_unique<ClientState>();
+    for (unsigned i = 0; i < clients_.size(); ++i) {
+        ClientState &cs = clients_[i];
         const std::string prefix = "cpu" + std::to_string(i) + "_";
-        stats_.addCounter(prefix + "requests", &cs->requests);
-        stats_.addCounter(prefix + "failures", &cs->failures);
-        stats_.addAverage(prefix + "queue_delay", &cs->queueDelay);
-        clients_.push_back(std::move(cs));
+        stats_.addCounter(prefix + "requests", &cs.requests);
+        stats_.addCounter(prefix + "failures", &cs.failures);
+        stats_.addAverage(prefix + "queue_delay", &cs.queueDelay);
     }
 }
 
@@ -65,37 +63,24 @@ AuthEngine::post(Cycle ready_at, Cycle extra_latency, bool mac_ok,
 
     ++lastRequest_;
     doneCycles_.push_back(done);
-    Cycle arrival = ready_at;
-    if (!arrivals_.empty() && arrivals_.back() > arrival)
-        arrival = arrivals_.back(); // monotonicize for binary search
-    arrivals_.push_back(arrival);
     failed_.push_back(!mac_ok);
 
-    if (client < clients_.size()) {
-        ClientState &cs = *clients_[client];
-        ++cs.requests;
-        cs.queueDelay.sample(double(start - ready_at));
-        Cycle client_arrival = ready_at;
-        if (!cs.arrivals.empty() && cs.arrivals.back() > client_arrival)
-            client_arrival = cs.arrivals.back();
-        cs.arrivals.push_back(client_arrival);
-        cs.seqs.push_back(lastRequest_);
-    }
+    ClientState &cs = clients_[client];
+    ++cs.requests;
+    cs.queueDelay.sample(double(start - ready_at));
+    Cycle arrival = ready_at;
+    if (!cs.arrivals.empty() && cs.arrivals.back() > arrival)
+        arrival = cs.arrivals.back(); // monotonicize for binary search
+    cs.arrivals.push_back(arrival);
+    cs.seqs.push_back(lastRequest_);
     prune();
 
     if (!mac_ok) {
         ++failures_;
-        if (firstFailedSeq_ == kNoAuthSeq) {
-            firstFailedSeq_ = lastRequest_;
-            firstFailureCycle_ = done;
-        }
-        if (client < clients_.size()) {
-            ClientState &cs = *clients_[client];
-            ++cs.failures;
-            if (cs.firstFailedSeq == kNoAuthSeq) {
-                cs.firstFailedSeq = lastRequest_;
-                cs.firstFailureCycle = done;
-            }
+        ++cs.failures;
+        if (cs.firstFailedSeq == kNoAuthSeq) {
+            cs.firstFailedSeq = lastRequest_;
+            cs.firstFailureCycle = done;
         }
     }
     return lastRequest_;
@@ -114,49 +99,16 @@ AuthEngine::doneCycle(AuthSeq seq) const
 }
 
 AuthSeq
-AuthEngine::lastArrivedBy(Cycle cycle) const
-{
-    // arrivals_ is nondecreasing: binary search for the last entry
-    // with arrival <= cycle.
-    auto it = std::upper_bound(arrivals_.begin(), arrivals_.end(), cycle);
-    if (it == arrivals_.begin())
-        return baseSeq_ > 1 ? baseSeq_ - 1 : kNoAuthSeq;
-    return baseSeq_ + AuthSeq(it - arrivals_.begin()) - 1;
-}
-
-AuthSeq
 AuthEngine::lastArrivedBy(Cycle cycle, unsigned client) const
 {
-    if (client >= clients_.size())
-        return lastArrivedBy(cycle);
-    const ClientState &cs = *clients_[client];
+    // The client's arrivals are nondecreasing: binary search for the
+    // last entry with arrival <= cycle.
+    const ClientState &cs = clients_[client];
     auto it =
         std::upper_bound(cs.arrivals.begin(), cs.arrivals.end(), cycle);
     if (it == cs.arrivals.begin())
         return cs.lastPruned; // kNoAuthSeq before the first request
     return cs.seqs[std::size_t(it - cs.arrivals.begin()) - 1];
-}
-
-bool
-AuthEngine::anyFailure(unsigned client) const
-{
-    return firstFailedSeq(client) != kNoAuthSeq;
-}
-
-AuthSeq
-AuthEngine::firstFailedSeq(unsigned client) const
-{
-    if (client >= clients_.size())
-        return firstFailedSeq_;
-    return clients_[client]->firstFailedSeq;
-}
-
-Cycle
-AuthEngine::firstFailureCycle(unsigned client) const
-{
-    if (client >= clients_.size())
-        return firstFailureCycle_;
-    return clients_[client]->firstFailureCycle;
 }
 
 bool
@@ -173,18 +125,17 @@ AuthEngine::prune()
     bool pruned = false;
     while (doneCycles_.size() > kHistoryWindow) {
         doneCycles_.pop_front();
-        arrivals_.pop_front();
         failed_.pop_front();
         ++baseSeq_;
         pruned = true;
     }
     if (!pruned)
         return;
-    for (auto &cs : clients_) {
-        while (!cs->seqs.empty() && cs->seqs.front() < baseSeq_) {
-            cs->lastPruned = cs->seqs.front();
-            cs->seqs.pop_front();
-            cs->arrivals.pop_front();
+    for (ClientState &cs : clients_) {
+        while (!cs.seqs.empty() && cs.seqs.front() < baseSeq_) {
+            cs.lastPruned = cs.seqs.front();
+            cs.seqs.pop_front();
+            cs.arrivals.pop_front();
         }
     }
 }

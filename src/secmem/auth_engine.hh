@@ -15,7 +15,6 @@
 #define ACP_SECMEM_AUTH_ENGINE_HH
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -33,18 +32,13 @@ class AuthEngine
      * @param latency cycles from data-ready to verdict for one request
      * @param occupancy cycles the engine is busy per request (equal to
      *        latency for a serial engine; smaller when pipelined)
+     * @param clients number of cores posting requests (client ids
+     *        0 .. clients - 1; 0 counts as 1). Every client gets its
+     *        own pending-queue view and failure latch; with two or
+     *        more, per-client attribution stats (cpu<i>_requests,
+     *        cpu<i>_failures, cpu<i>_queue_delay) are registered too.
      */
-    AuthEngine(unsigned latency, unsigned occupancy);
-
-    /**
-     * Declare the engine multi-client: @p n cores will post requests.
-     * Allocates per-client pending queues (arrival/sequence tracking,
-     * failure latches) and registers per-client attribution stats
-     * (cpu<i>_requests, cpu<i>_failures, cpu<i>_queue_delay). A
-     * single-core system never calls this; every per-client query
-     * then falls back to the global state, bit-identically.
-     */
-    void registerClients(unsigned n);
+    AuthEngine(unsigned latency, unsigned occupancy, unsigned clients = 1);
 
     /**
      * Post a verification request.
@@ -52,7 +46,7 @@ class AuthEngine
      * @param extra_latency additional per-request cycles (hash-tree
      *        path verification beyond the base MAC check)
      * @param mac_ok functional verdict (false == tampered line)
-     * @param client requesting core id (0 in single-core systems)
+     * @param client requesting core id
      * @return the request's sequence number (new LastRequest value)
      *
      * Sequence numbers, engine occupancy and the completion order stay
@@ -67,22 +61,16 @@ class AuthEngine
     AuthSeq lastRequest() const { return lastRequest_; }
 
     /**
-     * The LastRequest value as *architecturally visible* at @p cycle:
-     * the most recent request whose data had arrived on-chip (and was
-     * therefore enqueued) by then. The timing oracle posts requests at
-     * fetch initiation, but outstanding fetches are not yet in the
-     * queue — the paper is explicit that they have no latency impact
-     * on a new gated fetch (Section 4.2.4).
-     */
-    AuthSeq lastArrivedBy(Cycle cycle) const;
-
-    /**
-     * Per-client LastRequest view: the most recent of *client*'s own
-     * requests arrived by @p cycle. Cores gate on their own fetch
-     * stream (base-offset isolation means no core ever consumes a
-     * line another core fetched), so tagging with the global register
-     * would over-serialize. Falls back to the global view when
-     * registerClients was never called.
+     * The LastRequest value as *architecturally visible* to @p client
+     * at @p cycle: the most recent of the client's own requests whose
+     * data had arrived on-chip (and was therefore enqueued) by then.
+     * The timing oracle posts requests at fetch initiation, but
+     * outstanding fetches are not yet in the queue — the paper is
+     * explicit that they have no latency impact on a new gated fetch
+     * (Section 4.2.4). Cores gate on their own fetch stream
+     * (base-offset isolation means no core ever consumes a line
+     * another core fetched), so tagging with the global register
+     * would over-serialize.
      */
     AuthSeq lastArrivedBy(Cycle cycle, unsigned client) const;
 
@@ -100,28 +88,34 @@ class AuthEngine
         return doneCycle(seq) <= now;
     }
 
-    /** Whether any posted request had a failing MAC. */
-    bool anyFailure() const { return firstFailedSeq_ != kNoAuthSeq; }
     /** Whether request @p seq itself failed verification (precise
      *  per-line taint source for the empirical Table-2 counters). */
     bool requestFailed(AuthSeq seq) const;
-    /** First failing request (kNoAuthSeq when none). */
-    AuthSeq firstFailedSeq() const { return firstFailedSeq_; }
-    /** Completion cycle of the first failing request. */
-    Cycle firstFailureCycle() const { return firstFailureCycle_; }
 
-    /** Per-client failure views: a core squashes and raises only on
-     *  failures of its *own* requests — a tampered line fetched by a
-     *  neighbour core must not fault this one. All three fall back to
-     *  the global latch when registerClients was never called. */
-    bool anyFailure(unsigned client) const;
-    AuthSeq firstFailedSeq(unsigned client) const;
-    Cycle firstFailureCycle(unsigned client) const;
+    // Per-client failure views: a core squashes and raises only on
+    // failures of its *own* requests — a tampered line fetched by a
+    // neighbour core must not fault this one.
+
+    /** Whether any of @p client's requests had a failing MAC. */
+    bool anyFailure(unsigned client) const
+    {
+        return firstFailedSeq(client) != kNoAuthSeq;
+    }
+    /** @p client's first failing request (kNoAuthSeq when none). */
+    AuthSeq firstFailedSeq(unsigned client) const
+    {
+        return clients_[client].firstFailedSeq;
+    }
+    /** Completion cycle of @p client's first failing request. */
+    Cycle firstFailureCycle(unsigned client) const
+    {
+        return clients_[client].firstFailureCycle;
+    }
 
     StatGroup &stats() { return stats_; }
 
   private:
-    /** One client's pending-queue view, live after registerClients(). */
+    /** One client's pending-queue view and failure latch. */
     struct ClientState
     {
         /** Monotonic running max of this client's arrival cycles. */
@@ -148,15 +142,11 @@ class AuthEngine
     /** doneCycles_[i] is completion of request baseSeq_ + i. */
     AuthSeq baseSeq_ = 1;
     std::deque<Cycle> doneCycles_;
-    /** Monotonic running max of data-arrival cycles (same indexing). */
-    std::deque<Cycle> arrivals_;
     /** Per-request functional verdict (same indexing). */
     std::deque<bool> failed_;
 
-    AuthSeq firstFailedSeq_ = kNoAuthSeq;
-    Cycle firstFailureCycle_ = 0;
-
-    std::vector<std::unique_ptr<ClientState>> clients_;
+    /** Indexed by client id; sized once, so stat pointers stay valid. */
+    std::vector<ClientState> clients_;
 
     StatGroup stats_;
     StatCounter requests_;

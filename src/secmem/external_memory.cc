@@ -1,5 +1,6 @@
 #include "secmem/external_memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -98,11 +99,24 @@ ExternalMemory::storeLine(Addr line_addr, const std::uint8_t *plain)
 }
 
 void
-ExternalMemory::provisionLine(Addr line_addr, const std::uint8_t *plain)
+ExternalMemory::provision(Addr addr, const std::uint8_t *bytes,
+                          std::size_t len)
 {
-    LineRec &rec = materialize(align(line_addr));
-    std::memcpy(rec.bytes.data(), plain, kExtLineBytes);
-    rec.sealed = false;
+    std::size_t done = 0;
+    while (done < len) {
+        Addr line_addr = align(addr + done);
+        std::size_t offset = addr + done - line_addr;
+        std::size_t n = std::min<std::size_t>(len - done,
+                                              kExtLineBytes - offset);
+        LineRec &rec = materialize(line_addr);
+        if (rec.sealed) {
+            ctr_.transcode(line_addr, rec.counter, rec.bytes.data(),
+                           rec.bytes.data(), kExtLineBytes);
+            rec.sealed = false;
+        }
+        std::memcpy(rec.bytes.data() + offset, bytes + done, n);
+        done += n;
+    }
 }
 
 std::uint64_t

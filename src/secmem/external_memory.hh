@@ -65,10 +65,13 @@ class ExternalMemory
     void storeLine(Addr line_addr, const std::uint8_t *plain);
 
     /**
-     * Trusted provisioning write (program loading / secure installer):
-     * same as storeLine but without counting as runtime traffic.
+     * Trusted provisioning write (program loading / secure installer)
+     * of @p len plaintext bytes at byte address @p addr (may span
+     * lines): each touched line's plaintext takes the bytes, a sealed
+     * line is decrypted first, and every line is left unsealed. Unlike
+     * storeLine it keeps the counter and counts nothing.
      */
-    void provisionLine(Addr line_addr, const std::uint8_t *plain);
+    void provision(Addr addr, const std::uint8_t *bytes, std::size_t len);
 
     /** Current counter value of a line (0 if never written). */
     std::uint64_t counterOf(Addr line_addr) const;

@@ -47,18 +47,14 @@ class MemHierarchy
     /** Own groups (hier, caches, TLBs), then the controller's. */
     void visitStats(StatGroupVisitor &v);
 
-    // ----- client registration (mgsim RegisterClient shape) -------------
-    /**
-     * Register one core against the shared backend and return its
-     * client id (0, 1, ...). The hierarchy carves the simulated
-     * address space into per-client slices of clientStride() bytes:
-     * every access a client makes is offset by id * stride before
-     * translation, so the 18 kernels (whose programs embed absolute
-     * pointers) run unmodified side by side without aliasing. Client
-     * 0's base is 0, so a single-core system is bit-identical to the
-     * pre-multi-core hierarchy. Call at most cfg.numCores times.
-     */
-    unsigned registerClient();
+    // ----- clients ------------------------------------------------------
+    // Client ids are core indices, 0 .. max(1, cfg.numCores) - 1. The
+    // hierarchy carves the simulated address space into per-client
+    // slices of clientStride() bytes: every access a client makes is
+    // offset by id * stride before translation, so the 18 kernels
+    // (whose programs embed absolute pointers) run unmodified side by
+    // side without aliasing. Client 0's base is 0, so a single-core
+    // system sees the whole space unshifted.
 
     /** Base address of @p client's slice (id * clientStride()). */
     Addr clientBase(unsigned client) const
@@ -69,7 +65,7 @@ class MemHierarchy
     /** Per-client address-space slice; memoryBytes for one client. */
     Addr clientStride() const { return stride_; }
 
-    // ----- timed paths (move data AND compute latency) -----------------
+    // ----- timed accesses (move data AND compute latency) --------------
     /** Data read of @p bytes (1/4/8), may cross line boundaries. */
     mem::Txn readTimed(Addr addr, unsigned bytes, Cycle cycle,
                        AuthSeq gate_tag, std::uint64_t &value,
@@ -82,19 +78,23 @@ class MemHierarchy
     mem::Txn fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
                         std::uint32_t &word, unsigned client = 0);
 
-    // ----- functional paths (no timing; optional tag warmup) -----------
-    std::uint64_t funcRead(Addr addr, unsigned bytes, bool warm_tags,
-                           unsigned client = 0);
-    void funcWrite(Addr addr, unsigned bytes, std::uint64_t value,
-                   bool warm_tags, unsigned client = 0);
-    std::uint32_t funcFetch(Addr pc, bool warm_tags, unsigned client = 0);
+    // ----- warm accesses (fast-forward) --------------------------------
+    /**
+     * The same walk as the timed accesses: TLB, one L1 lookup per line
+     * the access touches, fills through the L2 and the controller's
+     * warm branch, LRU updates, evictions and writebacks. A warm access
+     * carries no timing: filled lines keep usableAt = dataReadyAt = 0
+     * and no auth tag, and no bus, DRAM, auth engine, bus trace,
+     * profiler or timeline sees it.
+     */
+    std::uint64_t readWarm(Addr addr, unsigned bytes, unsigned client = 0);
+    void writeWarm(Addr addr, unsigned bytes, std::uint64_t value,
+                   unsigned client = 0);
+    std::uint32_t fetchWarm(Addr pc, unsigned client = 0);
 
     /** Load a program image into external memory (trusted provision),
      *  shifted into the slice starting at @p base. */
     void loadProgram(const isa::Program &prog, Addr base = 0);
-
-    /** Flush all cache levels back to external memory (functional). */
-    void flushCaches();
 
     SecureMemCtrl &ctrl() { return ctrl_; }
     cache::Cache &l1i(unsigned client = 0) { return cores_[client]->l1i; }
@@ -122,7 +122,10 @@ class MemHierarchy
      */
     struct CoreCaches
     {
-        CoreCaches(const sim::SimConfig &cfg, const std::string &prefix);
+        CoreCaches(const sim::SimConfig &cfg, unsigned client,
+                   const std::string &prefix);
+        /** The client (core index) this stack belongs to. */
+        unsigned client;
         cache::Cache l1i;
         cache::Cache l1d;
         cache::Cache l2;
@@ -136,25 +139,33 @@ class MemHierarchy
     /** Fold a cache hit's line timing into the access transaction. */
     static void foldLine(mem::Txn &acc, Cycle lookup_done,
                          const cache::CacheLine &line);
-    /** Ensure the line is in @p c's L2 (filling on miss). Timed; the
-     *  fill's outcome merges into @p acc. */
+    /**
+     * Ensure the line is in @p c's L2, filling it through the
+     * controller on a miss. A timed access passes its transaction as
+     * @p acc (the hit's or fill's timing folds into it); a warm access
+     * passes nullptr and the fill stays untimed.
+     */
     cache::CacheLine *ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
-                               AuthSeq gate_tag, mem::BusTxnKind kind,
-                               mem::Txn &acc);
-    /** Ensure the line is in @p c's L1 (filling from its L2 on miss). */
-    cache::CacheLine *ensureL1(CoreCaches &c, Addr line_addr,
-                               Cycle cycle, AuthSeq gate_tag,
-                               bool is_instr, mem::Txn &acc);
-    /** Functional equivalents. */
-    cache::CacheLine *funcEnsureL2(CoreCaches &c, Addr line_addr,
-                                   bool warm_tags);
-    cache::CacheLine *funcEnsureL1(CoreCaches &c, Addr line_addr,
-                                   bool warm_tags, bool is_instr);
+                               mem::BusTxnKind kind, mem::Txn *acc);
+    /** Ensure the line is in @p c's L1 (filling from its L2 on miss);
+     *  @p acc as for ensureL2. */
+    cache::CacheLine *ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
+                               bool is_instr, mem::Txn *acc);
+    /** Walk the L1D lines of [addr, addr + bytes) in address order:
+     *  write @p value's bytes into them (dirtying each line) or read
+     *  and return theirs. @p addr is already translated. Inline (in
+     *  mem_hierarchy.cc) so each access wrapper calls ensureL1
+     *  directly, as the fetch-bound timed loop needs. */
+    inline std::uint64_t walkData(CoreCaches &c, Addr addr, unsigned bytes,
+                                  bool write, std::uint64_t value,
+                                  Cycle cycle, mem::Txn *acc);
+    /** Read the instruction word at translated @p pc through L1I. */
+    inline std::uint32_t walkFetch(CoreCaches &c, Addr pc, Cycle cycle,
+                                   mem::Txn *acc);
     /** Evict an L2 victim from @p c's stack: back-invalidate its L1s,
-     *  write back if dirty. The writeback is charged to @p client (the
-     *  access that caused the eviction). */
+     *  write back if dirty (charged to @p c's client). */
     void handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,
-                          Cycle cycle, bool warm, unsigned client = 0);
+                          Cycle cycle, bool warm);
 
     const sim::SimConfig &cfg_;
     SecureMemCtrl ctrl_;
@@ -162,8 +173,6 @@ class MemHierarchy
     std::vector<std::unique_ptr<CoreCaches>> cores_;
     /** Per-client slice size (== memoryBytes for a single client). */
     Addr stride_ = 0;
-    /** Next client id registerClient() hands out. */
-    unsigned nextClient_ = 0;
 
     StatGroup stats_;
     StatCounter faults_;

@@ -12,7 +12,7 @@ namespace acp::secmem
 SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), ext_(seed), bus_(cfg),
       dram_(cfg, bus_),
-      engine_(cfg.authLatency, cfg.authEngineInterval),
+      engine_(cfg.authLatency, cfg.authEngineInterval, cfg.numCores),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
 {
     // Metadata structures exist when ANY configured client needs them:
@@ -53,13 +53,6 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
     stats_.addAverage("fill_latency", &fillLatency_);
     stats_.addDistribution("decrypt_verify_gap_hist", &decryptGapHist_);
     stats_.addDistribution("fill_latency_hist", &fillLatencyHist_);
-}
-
-void
-SecureMemCtrl::registerClients(unsigned n)
-{
-    bus_.registerClients(n);
-    engine_.registerClients(n);
 }
 
 core::AuthPolicy

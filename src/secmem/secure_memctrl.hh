@@ -67,14 +67,6 @@ class SecureMemCtrl
      *  in legacy dump order. */
     void visitStats(StatGroupVisitor &v);
 
-    /**
-     * Declare the controller multi-client (mgsim RegisterClient
-     * shape): @p n cores share this backend. Fans out to the bus
-     * arbiter and the auth engine so grants, waits and verify queues
-     * attribute per client. Never called by single-core systems.
-     */
-    void registerClients(unsigned n);
-
     /** Effective authen policy of @p client: the per-core override
      *  from SimConfig::corePolicies when present, else the global
      *  SimConfig::policy (always the case for single-core). */
@@ -90,7 +82,7 @@ class SecureMemCtrl
      * @param warm functional-only (cache warmup): no timing updates
      * @param origin dynamic instruction number of the triggering RUU
      *        entry (0 = none, e.g. instruction fetch or warmup)
-     * @param client requesting core id (0 in single-core systems)
+     * @param client requesting core id
      * @return the completed transaction; txn.ready already reflects
      *         the requesting client's policy's usability decision
      *         (verification under authen-then-issue, decrypt

@@ -86,7 +86,6 @@ runPointerConversion(core::AuthPolicy policy, std::uint64_t seed)
     workloads::PointerConversionVictim victim =
         workloads::buildPointerConversionVictim(seed);
     System system(scenarioCfg(policy), victim.prog);
-    system.hier().ctrl().busTrace().enable(true);
 
     // Figure 1: convert the encrypted NULL into a pointer at the
     // secret with a single ciphertext XOR (CTR malleability).
@@ -112,7 +111,6 @@ binarySearchProbe(core::AuthPolicy policy, std::uint64_t secret,
     workloads::BinarySearchVictim victim =
         workloads::buildBinarySearchVictim(secret);
     System system(scenarioCfg(policy), victim.prog);
-    system.hier().ctrl().busTrace().enable(true);
 
     // Known plaintext 0: XOR with the pivot sets the constant.
     tamper64(system, victim.constAddr, pivot);
@@ -162,7 +160,6 @@ runDisclosingKernel(core::AuthPolicy policy, std::uint64_t seed,
     workloads::DisclosingKernelVictim victim =
         workloads::buildDisclosingKernelVictim(seed);
     System system(scenarioCfg(policy), victim.prog);
-    system.hier().ctrl().busTrace().enable(true);
 
     // Replace the predictable epilogue with the kernel (two XORs:
     // kernel ^ known plaintext applied to the ciphertext).

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "crypto/sha256.hh"
-
 namespace acp::sim
 {
 
@@ -169,22 +167,6 @@ serializeConfig(const SimConfig &cfg)
         emit(out, "coreWorkloads", workloads.c_str());
     }
 
-    return out;
-}
-
-std::string
-configDigest(const SimConfig &cfg)
-{
-    std::string text = serializeConfig(cfg);
-    auto digest = crypto::Sha256::digest(
-        reinterpret_cast<const std::uint8_t *>(text.data()), text.size());
-    static const char *hex = "0123456789abcdef";
-    std::string out;
-    out.reserve(2 * digest.size());
-    for (std::uint8_t byte : digest) {
-        out += hex[byte >> 4];
-        out += hex[byte & 0xf];
-    }
     return out;
 }
 

@@ -30,9 +30,6 @@ const char *encryptionModeName(EncryptionMode mode);
  */
 std::string serializeConfig(const SimConfig &cfg);
 
-/** Lower-case hex SHA-256 of serializeConfig(cfg). */
-std::string configDigest(const SimConfig &cfg);
-
 } // namespace acp::sim
 
 #endif // ACP_SIM_CONFIG_IO_HH

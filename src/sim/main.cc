@@ -105,12 +105,11 @@ usage()
         "                --stats and captured into --json\n"
         "  --stats-interval N  record IPC + stall breakdown every N\n"
         "                cycles; prints a table and lands in --json\n"
-        "  --profile[=FILE]  transaction path profiler: per-kind\n"
+        "  --profile     transaction path profiler: per-kind\n"
         "                latency-segment tables, path-shape census,\n"
         "                slowest transactions, stall join and leak\n"
-        "                audit; prints a report per point, lands in\n"
-        "                --json, and with =FILE also writes a\n"
-        "                standalone profile JSON\n"
+        "                audit; prints a report per point and lands\n"
+        "                in --json (points[i].result.profile)\n"
         "  --trace FILE  write a Chrome trace-event JSON of the whole\n"
         "                timed window (Perfetto-loadable, about 0.5 KB\n"
         "                per instruction; single-point only)\n"
@@ -284,7 +283,6 @@ main(int argc, char **argv)
     std::uint64_t trace_commits = 0;
     std::string trace_file;
     bool profile = false;
-    std::string profile_file;
 
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
@@ -343,12 +341,9 @@ main(int argc, char **argv)
             parseCount(arg, next(), cfg.statsInterval);
         } else if (arg == "--host-stats") {
             cfg.hostStats = true;
-        } else if (arg == "--profile" ||
-                   arg.rfind("--profile=", 0) == 0) {
+        } else if (arg == "--profile") {
             profile = true;
             cfg.profileEnabled = true;
-            if (arg.size() > std::strlen("--profile="))
-                profile_file = arg.substr(std::strlen("--profile="));
         } else {
             usage();
             acp_fatal("unknown option '%s'", arg.c_str());
@@ -482,33 +477,6 @@ main(int argc, char **argv)
             else
                 std::printf("\n");
             obs::writePathProfileText(stdout, results[i].profile);
-        }
-        if (!profile_file.empty()) {
-            std::FILE *f = std::fopen(profile_file.c_str(), "w");
-            if (!f)
-                acp_fatal("cannot write %s", profile_file.c_str());
-            std::fputs("{\n  \"version\": \"acp-profile-v1\",\n"
-                       "  \"points\": [",
-                       f);
-            bool first = true;
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                if (!results[i].hasProfile)
-                    continue;
-                std::fprintf(f,
-                             "%s\n    {\n      \"workload\": \"%s\",\n"
-                             "      \"policy\": \"%s\",\n"
-                             "      \"profile\": ",
-                             first ? "" : ",",
-                             points[i].workload.c_str(),
-                             points[i].label.c_str());
-                obs::writePathProfileJson(f, results[i].profile,
-                                          "      ");
-                std::fputs("\n    }", f);
-                first = false;
-            }
-            std::fputs("\n  ]\n}\n", f);
-            std::fclose(f);
-            std::fprintf(stderr, "wrote %s\n", profile_file.c_str());
         }
     }
 

@@ -58,10 +58,10 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         acp_fatal("lsqSize %u: the core needs at least one LSQ entry",
                   cfg_.lsqSize);
 
+    // Core i is hierarchy client i.
     slots_.resize(progs.size());
     for (unsigned i = 0; i < slots_.size(); ++i) {
         CoreSlot &slot = slots_[i];
-        slot.client = hier_.registerClient();
         // An image past its slice would land in the next client's
         // slice (or past the end of memory) and be overwritten there.
         const Addr end = imageEnd(progs[i]);
@@ -76,11 +76,11 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         // Provision the program image into this client's slice of
         // external memory; the reference machine runs the same image
         // at architectural (un-offset) addresses.
-        hier_.loadProgram(progs[i], hier_.clientBase(slot.client));
+        hier_.loadProgram(progs[i], hier_.clientBase(i));
         slot.refMem = std::make_unique<cpu::FlatMem>(cfg_.memoryBytes);
         slot.refMem->loadProgram(progs[i]);
-        slot.refExec = std::make_unique<cpu::FuncExecutor>(
-            cpu::MemPort(*slot.refMem), progs[i].entry);
+        slot.refExec = std::make_unique<cpu::FuncExecutor>(*slot.refMem,
+                                                           progs[i].entry);
     }
 
     if (cfg_.profileEnabled) {
@@ -98,21 +98,21 @@ System::fastForward(std::uint64_t insts)
         acp_fatal("fastForward must precede timed execution");
 
     std::uint64_t done = 0;
-    for (CoreSlot &slot : slots_) {
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+        cpu::FuncExecutor &exec = *slots_[i].refExec;
         std::uint64_t core_done = 0;
-        while (core_done < insts && !slot.refExec->halted()) {
-            cpu::StepInfo info = slot.refExec->step();
+        while (core_done < insts && !exec.halted()) {
+            cpu::StepInfo info = exec.step();
             ++core_done;
             // Mirror the access stream into the shared hierarchy (as
             // this core's client) to warm caches and keep the on-chip
             // plaintext state consistent.
-            hier_.funcFetch(info.pc, /*warm_tags=*/true, slot.client);
+            hier_.fetchWarm(info.pc, i);
             if (info.inst.isLoad())
-                hier_.funcRead(info.memAddr, info.memBytes, true,
-                               slot.client);
+                hier_.readWarm(info.memAddr, info.memBytes, i);
             else if (info.isStore)
-                hier_.funcWrite(info.memAddr, info.memBytes,
-                                info.storeValue, true, slot.client);
+                hier_.writeWarm(info.memAddr, info.memBytes,
+                                info.storeValue, i);
         }
         done += core_done;
     }
@@ -128,7 +128,7 @@ System::createCores()
             slots_.size() == 1 ? "core"
                                : "cpu" + std::to_string(i) + ".core";
         slot.core = std::make_unique<cpu::OooCore>(
-            cfg_, hier_, slot.refExec->pc(), slot.client, name);
+            cfg_, hier_, slot.refExec->pc(), i, name);
         for (unsigned reg = 0; reg < 32; ++reg)
             slot.core->setReg(reg, slot.refExec->reg(reg));
         if (cosim_)

@@ -108,11 +108,10 @@ class System
 
   private:
     /** One core's private slice of the system: its reference
-     *  machine, hierarchy client id, (once timed execution starts)
-     *  its OooCore, and its sim.host.sched counters. */
+     *  machine, (once timed execution starts) its OooCore, and its
+     *  sim.host.sched counters. Slot i is hierarchy client i. */
     struct CoreSlot
     {
-        unsigned client = 0;
         std::unique_ptr<cpu::FlatMem> refMem;
         std::unique_ptr<cpu::FuncExecutor> refExec;
         std::unique_ptr<cpu::OooCore> core;

@@ -189,14 +189,6 @@ TEST(Tlb, CapacityEviction)
     EXPECT_EQ(tlb.access(1 * set_stride), 30u);
 }
 
-TEST(Tlb, FlushAll)
-{
-    cache::Tlb tlb("t", 128, 4, 4096, 30);
-    tlb.access(0x5000);
-    tlb.flushAll();
-    EXPECT_EQ(tlb.access(0x5000), 30u);
-}
-
 /** Fuzz property: the line just touched is never the next victim. */
 TEST(Cache, MruNeverEvicted)
 {

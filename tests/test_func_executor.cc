@@ -23,7 +23,7 @@ struct Machine
     explicit Machine(const Program &prog) : mem(1 << 24)
     {
         mem.loadProgram(prog);
-        exec = std::make_unique<FuncExecutor>(MemPort(mem), prog.entry);
+        exec = std::make_unique<FuncExecutor>(mem, prog.entry);
     }
 
     FlatMem mem;

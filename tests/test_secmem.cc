@@ -63,11 +63,55 @@ TEST(ExternalMemory, ProvisionDoesNotBumpCounter)
 {
     ExternalMemory ext(4);
     std::uint8_t data[kExtLineBytes] = {1, 2, 3};
-    ext.provisionLine(0x1000, data);
+    ext.provision(0x1000, data, kExtLineBytes);
     EXPECT_EQ(ext.counterOf(0x1000), 0u);
     FetchedLine line = ext.fetchLine(0x1000);
     EXPECT_TRUE(line.macOk);
     EXPECT_EQ(line.plain[0], 1);
+}
+
+// A partial provision merges its bytes into the line's plaintext,
+// keeps the counter, counts no traffic, and leaves a sealed (here
+// tampered) line unsealed: the merged line reads back verified, with
+// the tamper's flips now part of its plaintext.
+TEST(ExternalMemory, PartialProvisionMergesAndUnseals)
+{
+    ExternalMemory ext(8);
+    std::uint8_t line[kExtLineBytes];
+    for (unsigned i = 0; i < kExtLineBytes; ++i)
+        line[i] = std::uint8_t(0x40 + i);
+    ext.storeLine(0x5000, line);
+    ext.storeLine(0x5000, line);
+    ext.storeLine(0x5040, line);
+    std::uint8_t flip = 0x0f;
+    ext.tamper(0x5040 + 9, &flip, 1);
+    auto counts = [&ext] {
+        std::string out;
+        ext.stats().dump(out);
+        return out;
+    };
+    const std::string before = counts();
+
+    // Bytes 60..67: the tail of the stored line and the head of the
+    // tampered one.
+    const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    ext.provision(0x5000 + 60, bytes, sizeof bytes);
+    EXPECT_EQ(counts(), before);
+    EXPECT_EQ(ext.counterOf(0x5000), 2u);
+    EXPECT_EQ(ext.counterOf(0x5040), 1u);
+
+    FetchedLine a = ext.fetchLine(0x5000);
+    FetchedLine b = ext.fetchLine(0x5040);
+    EXPECT_TRUE(a.macOk);
+    EXPECT_TRUE(b.macOk);
+    for (unsigned i = 0; i < kExtLineBytes; ++i) {
+        std::uint8_t want_a = i >= 60 ? bytes[i - 60] : line[i];
+        std::uint8_t want_b = i < 4 ? bytes[4 + i] : line[i];
+        if (i == 9)
+            want_b ^= flip;
+        EXPECT_EQ(a.plain[i], want_a) << i;
+        EXPECT_EQ(b.plain[i], want_b) << i;
+    }
 }
 
 TEST(ExternalMemory, TamperDetectedByMac)
@@ -181,10 +225,10 @@ extMemStreamDigest(std::uint64_t seed)
     h.add(ext.fetchLine(lineAddr(1)));
     ext.tamper(lineAddr(2) + 60, flip, 4);
     randomLine(buf);
-    ext.provisionLine(lineAddr(2), buf);
+    ext.provision(lineAddr(2), buf, kExtLineBytes);
     h.add(ext.fetchLine(lineAddr(2)));
     randomLine(buf);
-    ext.provisionLine(lineAddr(3), buf);
+    ext.provision(lineAddr(3), buf, kExtLineBytes);
     auto cipher = ext.readCiphertext(lineAddr(3), kExtLineBytes);
     h.add(cipher.data(), cipher.size());
     h.add(ext.fetchLine(lineAddr(3)));
@@ -195,7 +239,7 @@ extMemStreamDigest(std::uint64_t seed)
         switch (rng.below(8)) {
           case 0:
             randomLine(buf);
-            ext.provisionLine(byte, buf);
+            ext.provision(line, buf, kExtLineBytes);
             break;
           case 1:
             randomLine(buf);
@@ -277,7 +321,7 @@ TEST(ExternalMemory, TamperFlipsExactlyTheMaskedBits)
         if (trial % 2)
             ext.storeLine(line, data);
         else
-            ext.provisionLine(line, data);
+            ext.provision(line, data, kExtLineBytes);
 
         std::uint8_t mask[kExtLineBytes] = {};
         if (trial % 4 != 3) // every fourth mask stays all zero
@@ -322,7 +366,7 @@ TEST(ExternalMemory, ReadingCiphertextChangesNothing)
     for (unsigned i = 0; i < kExtLineBytes; ++i)
         data[i] = std::uint8_t(i * 7);
     for (ExternalMemory *ext : {&read, &untouched}) {
-        ext->provisionLine(0xb000, data);
+        ext->provision(0xb000, data, kExtLineBytes);
         ext->storeLine(0xb040, data);
     }
     auto first = read.readCiphertext(0xb010, 2 * kExtLineBytes);
@@ -389,12 +433,12 @@ TEST(AuthEngine, FailureTracking)
 {
     AuthEngine eng(10, 10);
     eng.post(0, 0, true);
-    EXPECT_FALSE(eng.anyFailure());
+    EXPECT_FALSE(eng.anyFailure(0));
     AuthSeq bad = eng.post(0, 0, false);
     eng.post(0, 0, true);
-    EXPECT_TRUE(eng.anyFailure());
-    EXPECT_EQ(eng.firstFailedSeq(), bad);
-    EXPECT_EQ(eng.firstFailureCycle(), eng.doneCycle(bad));
+    EXPECT_TRUE(eng.anyFailure(0));
+    EXPECT_EQ(eng.firstFailedSeq(0), bad);
+    EXPECT_EQ(eng.firstFailureCycle(0), eng.doneCycle(bad));
 }
 
 TEST(AuthEngine, ExtraLatencyExtendsCompletion)
@@ -582,11 +626,11 @@ TEST(AuthEngine, LastArrivedByExcludesOutstanding)
     AuthSeq a = eng.post(1000, 0, true);
     EXPECT_EQ(eng.lastRequest(), a);
     // Before the data arrives, the queue is architecturally empty.
-    EXPECT_EQ(eng.lastArrivedBy(500), kNoAuthSeq);
-    EXPECT_EQ(eng.lastArrivedBy(999), kNoAuthSeq);
+    EXPECT_EQ(eng.lastArrivedBy(500, 0), kNoAuthSeq);
+    EXPECT_EQ(eng.lastArrivedBy(999, 0), kNoAuthSeq);
     // From the arrival cycle on, the request is visible.
-    EXPECT_EQ(eng.lastArrivedBy(1000), a);
-    EXPECT_EQ(eng.lastArrivedBy(5000), a);
+    EXPECT_EQ(eng.lastArrivedBy(1000, 0), a);
+    EXPECT_EQ(eng.lastArrivedBy(5000, 0), a);
 }
 
 TEST(AuthEngine, LastArrivedByOrdersMultiple)
@@ -595,10 +639,10 @@ TEST(AuthEngine, LastArrivedByOrdersMultiple)
     AuthSeq a = eng.post(100, 0, true);
     AuthSeq b = eng.post(200, 0, true);
     AuthSeq c = eng.post(300, 0, true);
-    EXPECT_EQ(eng.lastArrivedBy(99), kNoAuthSeq);
-    EXPECT_EQ(eng.lastArrivedBy(150), a);
-    EXPECT_EQ(eng.lastArrivedBy(250), b);
-    EXPECT_EQ(eng.lastArrivedBy(300), c);
+    EXPECT_EQ(eng.lastArrivedBy(99, 0), kNoAuthSeq);
+    EXPECT_EQ(eng.lastArrivedBy(150, 0), a);
+    EXPECT_EQ(eng.lastArrivedBy(250, 0), b);
+    EXPECT_EQ(eng.lastArrivedBy(300, 0), c);
 }
 
 TEST(AuthEngine, LastArrivedByMonotonicizesArrivals)
@@ -609,8 +653,8 @@ TEST(AuthEngine, LastArrivedByMonotonicizesArrivals)
     // is clamped to at least its predecessor's.
     eng.post(500, 0, true);
     AuthSeq b = eng.post(300, 0, true); // "arrives" earlier than a
-    EXPECT_EQ(eng.lastArrivedBy(400), kNoAuthSeq);
-    EXPECT_EQ(eng.lastArrivedBy(500), b);
+    EXPECT_EQ(eng.lastArrivedBy(400, 0), kNoAuthSeq);
+    EXPECT_EQ(eng.lastArrivedBy(500, 0), b);
 }
 
 TEST(AuthEngine, ThroughputBoundedByInterval)

@@ -57,6 +57,23 @@ TEST(System, DumpStatsContainsAllGroups)
         EXPECT_NE(stats.find(key), std::string::npos) << key;
 }
 
+// Loading a program image is trusted provisioning, not runtime
+// traffic: although mcf's code image ends inside a line, a fresh
+// system (one core or two) has fetched nothing from external memory.
+TEST(System, ConstructionFetchesNothing)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    for (unsigned cores : {1u, 2u}) {
+        sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+        cfg.numCores = cores;
+        sim::System system(cfg, workloads::build("mcf", params));
+        EXPECT_NE(system.dumpStats().find("\nextmem.fetches 0\n"),
+                  std::string::npos)
+            << cores << " core(s)";
+    }
+}
+
 TEST(System, FastForwardAfterCoreCreationIsFatal)
 {
     workloads::WorkloadParams params;

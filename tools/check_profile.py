@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Validate an acpsim --profile=FILE JSON document.
+"""Validate the path profiles in an acpsim --profile --json document.
 
 Stdlib-only structural + invariant checker, run by CI against the
 profiler smoke output:
 
-  - top-level shape: {"version": "acp-profile-v1", "points": [...]},
-    every point carrying workload/policy labels and a profile object;
+  - top-level shape: {"version": "acp-exp-v3", "points": [...]}, at
+    least one point carrying result.profile, and each profiled point's
+    label agreeing with its profile's policy;
   - the telescoping invariant: for every per-kind row, the per-segment
     cycle sums add up to the row's latencyTotal EXACTLY (the profiler
     asserts this per transaction; here we re-check the aggregate end
@@ -19,7 +20,7 @@ profiler smoke output:
 
 Exit status 0 = valid; any violation prints a diagnostic and exits 1.
 
-Usage: tools/check_profile.py profile.json [more.json ...]
+Usage: tools/check_profile.py run.json [more.json ...]
 """
 
 import json
@@ -87,21 +88,25 @@ def check_profile(profile, where):
 def check_file(path):
     with open(path) as handle:
         doc = json.load(handle)
-    if doc.get("version") != "acp-profile-v1":
+    if doc.get("version") != "acp-exp-v3":
         fail(f"{path}: unexpected version {doc.get('version')!r}")
-    points = doc.get("points")
-    if not points:
-        fail(f"{path}: no profiled points")
-    for i, point in enumerate(points):
+    profiled = 0
+    for i, point in enumerate(doc.get("points") or []):
         where = (f"{path}[{i}] {point.get('workload')}/"
-                 f"{point.get('policy')}")
-        for key in ("workload", "policy", "profile"):
+                 f"{point.get('label')}")
+        for key in ("workload", "label", "result"):
             if key not in point:
                 fail(f"{where}: point missing key {key!r}")
-        if point["policy"] != point["profile"].get("policy"):
+        profile = point["result"].get("profile")
+        if profile is None:
+            continue
+        if point["label"] != profile.get("policy"):
             fail(f"{where}: point/profile policy labels disagree")
-        check_profile(point["profile"], where)
-    print(f"check_profile: OK: {path}: {len(points)} point(s) valid")
+        check_profile(profile, where)
+        profiled += 1
+    if profiled == 0:
+        fail(f"{path}: no profiled points")
+    print(f"check_profile: OK: {path}: {profiled} point(s) valid")
 
 
 def main(argv):

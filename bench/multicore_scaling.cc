@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -36,6 +37,9 @@ main(int argc, char **argv)
     const char *out_path = argc > 1 ? argv[1] : "BENCH_multicore.json";
 
     const std::vector<std::string> names = {"mcf", "gcc", "twolf"};
+    const std::vector<std::pair<std::string, core::AuthPolicy>> policies =
+        {{"baseline", core::AuthPolicy::kBaseline},
+         {"commit", core::AuthPolicy::kAuthThenCommit}};
     const std::vector<unsigned> core_counts = {1, 2, 4};
 
     std::printf("Recording multi-core scaling (profiled)\n");
@@ -48,15 +52,17 @@ main(int argc, char **argv)
     sim::SimConfig cfg = bench::paperConfig();
     cfg.profileEnabled = true;
 
+    // One variant per (policy, core count), policy-major, labelled
+    // "commit@2c".
     exp::Request sweep = bench::paperRequest(cfg);
     sweep.workloads(names);
-    sweep.variant("baseline", [](sim::SimConfig &c) {
-        c.policy = core::AuthPolicy::kBaseline;
-    });
-    sweep.variant("commit", [](sim::SimConfig &c) {
-        c.policy = core::AuthPolicy::kAuthThenCommit;
-    });
-    sweep.cores(core_counts);
+    for (const auto &[name, policy] : policies)
+        for (unsigned n : core_counts)
+            sweep.variant(name + "@" + std::to_string(n) + "c",
+                          [policy, n](sim::SimConfig &c) {
+                              c.policy = policy;
+                              c.numCores = n;
+                          });
 
     std::vector<exp::Point> points = sweep.points();
     std::vector<exp::Result> results = bench::run(sweep);
@@ -105,8 +111,8 @@ main(int argc, char **argv)
 
     // Console summary: aggregate-IPC scaling vs the 1-core run of the
     // same (workload, policy) column. Point layout:
-    // ((w * variants) + v) * coreCounts + c.
-    const std::size_t n_var = 2, n_cores = core_counts.size();
+    // ((w * policies) + v) * coreCounts + c.
+    const std::size_t n_var = policies.size(), n_cores = core_counts.size();
     std::printf("\n%-10s %-10s", "workload", "policy");
     for (unsigned n : core_counts)
         std::printf("  ipc@%uc  scale", n);
@@ -116,7 +122,7 @@ main(int argc, char **argv)
         for (std::size_t v = 0; v < n_var; ++v) {
             std::size_t base = (w * n_var + v) * n_cores;
             std::printf("%-10s %-10s", names[w].c_str(),
-                        v == 0 ? "baseline" : "commit");
+                        policies[v].first.c_str());
             double one = results[base].run.ipc;
             for (std::size_t c = 0; c < n_cores; ++c) {
                 double ipc = results[base + c].run.ipc;

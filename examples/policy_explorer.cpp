@@ -54,9 +54,6 @@ main(int argc, char **argv)
 
     req.store.clear(); // ad-hoc exploration: always simulate
     req.captureStatsText = true;
-    req.counters = {"l2.misses", "core.auth_commit_stalls",
-                    "memctrl.fetch_gate_stalls",
-                    "core.store_release_stalls"};
     exp::Submission sub = exp::submit(req);
     const std::vector<exp::Result> &results = sub.results;
 

@@ -37,8 +37,7 @@ constexpr unsigned kNoWaiter = ~0u;
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
-    : cfg_(cfg), hier_(hier), client_(client),
-      policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
+    : cfg_(cfg), hier_(hier), client_(client), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
       renameMap_(32, -1), ready_((cfg.ruuSize + 63) / 64, 0),
       firstWaiter_(cfg.ruuSize, kNoWaiter),
@@ -151,12 +150,13 @@ OooCore::raiseSecurityException(bool precise)
 bool
 OooCore::checkEngineFailure()
 {
-    if (!verifies(policy_))
+    if (!verifies(cfg_.policy))
         return false;
     const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
     if (!eng.anyFailure(client_) || cycle_ < eng.firstFailureCycle(client_))
         return false;
-    raiseSecurityException(gatesCommit(policy_) || gatesIssue(policy_));
+    raiseSecurityException(gatesCommit(cfg_.policy) ||
+                           gatesIssue(cfg_.policy));
     return true;
 }
 
@@ -315,7 +315,7 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
 
     // Real memory access: this is where a speculative load's address
     // reaches the front-side bus (the side channel).
-    AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
+    AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
     std::uint64_t raw = 0;
     mem::Txn access = hier_.readTimed(addr, bytes, cycle_ + 1, gate, raw,
                                       entry.seq, client_);
@@ -387,7 +387,7 @@ OooCore::stageCommit()
         if (!entry.issued || !entry.completed || entry.readyAt > cycle_)
             break;
 
-        if (gatesCommit(policy_)) {
+        if (gatesCommit(cfg_.policy)) {
             AuthSeq gate = std::max(entry.fetchSeq, entry.dataSeq);
             if (!verifiedOk(gate)) {
                 ++authCommitStalls_;
@@ -508,7 +508,7 @@ OooCore::stageStoreBufferDrain()
     if (storeBuffer_.empty())
         return;
     StoreBufEntry &sb = storeBuffer_.front();
-    if (gatesWrite(policy_) && !verifiedOk(sb.tag)) {
+    if (gatesWrite(cfg_.policy) && !verifiedOk(sb.tag)) {
         ++storeReleaseStalls_;
         drainBlocked_ = true;
         return;
@@ -521,7 +521,7 @@ OooCore::stageStoreBufferDrain()
         hier_.ctrl().busTrace().record(cycle_, sb.value,
                                        mem::BusTxnKind::kIoOut, client_);
     } else {
-        AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
+        AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
         hier_.writeTimed(sb.addr, sb.bytes, sb.value, cycle_, gate,
                          /*origin=*/0, client_);
     }
@@ -589,7 +589,8 @@ OooCore::stageIssue()
             // Sample the LastRequest register at issue: the tag consulted
             // by the write gate and the fetch gate (Section 4.2.2/4.2.4).
             // Per-client: only requests this core posted move its tag.
-            entry.issueTag = verifies(policy_) ? lastRequestTag() : kNoAuthSeq;
+            entry.issueTag =
+                verifies(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
 
             if (oi.fu == isa::FuClass::kMemPort) {
                 if (!tryIssueMemOp(entry, agePos(slot)))
@@ -694,7 +695,7 @@ OooCore::stageFetch()
         // Even a stalling probe mutates the hierarchy (caches, MSHRs,
         // bus, engine): every loop entry is progress.
         progress_ = true;
-        AuthSeq gate = gatesFetch(policy_) ? lastRequestTag() : kNoAuthSeq;
+        AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
         std::uint32_t word = 0;
         mem::Txn access =
             hier_.fetchTimed(fetchPc_, cycle_, gate, word, client_);
@@ -917,7 +918,7 @@ OooCore::nextWakeCycle() const
 
     if (ruuCount_ > 0) {
         const RuuEntry &head = ruu_[ruuIndex(0)];
-        if (head.issued && head.completed && gatesCommit(policy_)) {
+        if (head.issued && head.completed && gatesCommit(cfg_.policy)) {
             // Commit gate: the verdict lands at the engine's done
             // cycle (a failed tag never opens the gate, but then the
             // engine-failure wake below ends the run).
@@ -938,7 +939,7 @@ OooCore::nextWakeCycle() const
     }
 
     // Store-release gate on the buffer head.
-    if (!storeBuffer_.empty() && gatesWrite(policy_))
+    if (!storeBuffer_.empty() && gatesWrite(cfg_.policy))
         consider(eng.doneCycle(storeBuffer_.front().tag));
 
     // Frontend restart + its attribution boundary (kMemFetch ->
@@ -953,7 +954,7 @@ OooCore::nextWakeCycle() const
 
     // A posted verification failure raises the security exception the
     // moment its verdict is due (only this core's own failures).
-    if (verifies(policy_) && eng.anyFailure(client_))
+    if (verifies(cfg_.policy) && eng.anyFailure(client_))
         consider(eng.firstFailureCycle(client_));
 
     // The panic bound always qualifies (cycle_ <= lastCommitCycle_ +

@@ -69,9 +69,6 @@ class OooCore
      * traffic as (its core index); @p name is the
      * stat-group name — exactly "core" for a single-core system
      * (bit-identical stat surface), "cpuN.core" otherwise.
-     * The core runs the per-client policy the shared controller
-     * resolved (SecureMemCtrl::policyFor), not necessarily the global
-     * cfg.policy.
      */
     OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
             Addr entry, unsigned client = 0,
@@ -359,9 +356,6 @@ class OooCore
     secmem::MemHierarchy &hier_;
     /** Hierarchy client id all of this core's memory traffic carries. */
     unsigned client_ = 0;
-    /** This core's resolved authen policy (cfg.corePolicies[client_]
-     *  when present, else cfg.policy). */
-    core::AuthPolicy policy_;
     BranchPredictor bpred_;
 
     // Architectural state

@@ -28,7 +28,7 @@ std::vector<Point>
 Request::points() const
 {
     std::vector<Point> out;
-    out.reserve(workloadNames.size() * variantCount() * coreCount());
+    out.reserve(workloadNames.size() * variantCount());
     auto make = [&](const std::string &name, const std::string &label,
                     const sim::SimConfig &cfg) {
         Point p;
@@ -41,30 +41,16 @@ Request::points() const
         p.cyclesPerInst = cyclesPerInst;
         return p;
     };
-    auto appendCorePoints = [&](const std::string &name,
-                                const std::string &label,
-                                const sim::SimConfig &cfg) {
-        if (coresAxis.empty()) {
-            out.push_back(make(name, label, cfg));
-            return;
-        }
-        for (unsigned n : coresAxis) {
-            Point p = make(name, label, cfg);
-            p.cfg.numCores = n;
-            p.label += "@" + std::to_string(n) + "c";
-            out.push_back(std::move(p));
-        }
-    };
     for (const std::string &name : workloadNames) {
         if (variants.empty()) {
-            appendCorePoints(name, name, baseCfg);
+            out.push_back(make(name, name, baseCfg));
             continue;
         }
         for (const RequestVariant &v : variants)
-            appendCorePoints(name, v.label, v.cfg);
+            out.push_back(make(name, v.label, v.cfg));
     }
 
-    // Per-core workload mixes ("mcf+sha"): widen numCores to cover
+    // Per-core workload mixes ("mcf+swim"): widen numCores to cover
     // the mix and give every core an explicit workload name (cycling
     // through the mix) so the '+' string itself is never looked up in
     // the workload catalog.

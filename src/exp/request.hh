@@ -1,9 +1,9 @@
 /**
  * @file
  * The one experiment entry point: a Request fully describes a sweep —
- * the cross product workloads × config variants (× core counts) that
- * every paper figure/table is made of — *and* how to execute it
- * (jobs, result store, progress, captured statistics).
+ * the cross product workloads × config variants that every paper
+ * figure/table is made of — *and* how to execute it (jobs, result
+ * store, progress, stats text).
  *
  * A Request replaces the three entry surfaces the harness used to
  * have (the Sweep builder, RunnerOptions, and acpsim's private flag
@@ -18,8 +18,7 @@
  *   exp::Submission sub = exp::submit(req);
  *
  * points() orders the cross product workload-major: the point for
- * (workload w, variant v, core count c) lands at index
- * ((w * variantCount()) + v) * coreCount() + c.
+ * (workload w, variant v) lands at index w * variantCount() + v.
  *
  * Variants snapshot the base configuration when declared, so set
  * base() before the first variant().
@@ -55,13 +54,11 @@ struct Request
     std::uint64_t warmupInsts = 30000;
     std::uint64_t measureInsts = 60000;
     std::uint64_t cyclesPerInst = 400;
-    /** Workload names; a '+'-joined name ("mcf+sha") is a per-core
+    /** Workload names; a '+'-joined name ("mcf+swim") is a per-core
      *  mix — points() widens numCores and fills coreWorkloads. */
     std::vector<std::string> workloadNames;
     /** Labelled config variants (1 implicit base variant if empty). */
     std::vector<RequestVariant> variants;
-    /** Optional innermost sweep axis over core counts ("@Nc" labels). */
-    std::vector<unsigned> coresAxis;
 
     // ----- execution policy -----------------------------------------
 
@@ -71,12 +68,6 @@ struct Request
     std::string store = "acp_store";
     /** Per-point progress lines on stderr. */
     bool progress = true;
-    /**
-     * Statistic names to capture from each run (e.g. "l2.misses").
-     * The filter applies to counters, averages and distributions
-     * alike. Empty = capture everything.
-     */
-    std::vector<std::string> counters;
     /** Also keep the full dumpStats() text in Result::statsText. */
     bool captureStatsText = false;
 
@@ -142,25 +133,11 @@ struct Request
         return *this;
     }
 
-    Request &
-    cores(const std::vector<unsigned> &counts)
-    {
-        coresAxis = counts;
-        return *this;
-    }
-
     /** Variants per workload (1 when none was declared). */
     std::size_t
     variantCount() const
     {
         return variants.empty() ? 1 : variants.size();
-    }
-
-    /** Core counts per variant (1 when no cores axis was declared). */
-    std::size_t
-    coreCount() const
-    {
-        return coresAxis.empty() ? 1 : coresAxis.size();
     }
 
     /**

@@ -24,52 +24,36 @@ namespace
 
 /**
  * Typed statistics capture: fills a Result straight from the live
- * StatGroups via System::visitStats. @p wanted filters by exact
- * "group.stat" name; empty captures all.
+ * StatGroups via System::visitStats, every statistic by its
+ * "group.stat" name.
  */
 class CaptureVisitor : public StatVisitor
 {
   public:
-    CaptureVisitor(const std::vector<std::string> &wanted, Result &out)
-        : wanted_(wanted), out_(out)
-    {
-    }
+    explicit CaptureVisitor(Result &out) : out_(out) {}
 
     void
     onCounter(const std::string &name, std::uint64_t value) override
     {
-        if (take(name))
-            out_.counters[name] = value;
+        out_.counters[name] = value;
     }
 
     void
     onAverage(const std::string &name, const StatAverage &avg) override
     {
-        if (take(name))
-            out_.averages[name] = {avg.count(), avg.sum(), avg.min(),
-                                   avg.max()};
+        out_.averages[name] = {avg.count(), avg.sum(), avg.min(),
+                               avg.max()};
     }
 
     void
     onDistribution(const std::string &name,
                    const StatDistribution &dist) override
     {
-        if (take(name))
-            out_.distributions[name] = {dist.count(), dist.sum(),
-                                        dist.min(), dist.max(),
-                                        dist.buckets()};
+        out_.distributions[name] = {dist.count(), dist.sum(), dist.min(),
+                                    dist.max(), dist.buckets()};
     }
 
   private:
-    bool
-    take(const std::string &name) const
-    {
-        return wanted_.empty() ||
-               std::find(wanted_.begin(), wanted_.end(), name) !=
-                   wanted_.end();
-    }
-
-    const std::vector<std::string> &wanted_;
     Result &out_;
 };
 
@@ -161,15 +145,13 @@ defaultJobs()
 }
 
 Result
-simulatePoint(const Point &point,
-              const std::vector<std::string> &counters,
-              bool capture_stats_text)
+simulatePoint(const Point &point, bool capture_stats_text)
 {
     auto start = std::chrono::steady_clock::now();
 
     // One program per core: cfg.coreWorkloads names them (a core with
-    // no entry falls back to the point's workload), so heterogeneous
-    // mixes like "mcf next to sha" are one point.
+    // no entry falls back to the point's workload), so a workload mix
+    // like "mcf next to swim" is one point.
     const unsigned n_cores = std::max(1u, point.cfg.numCores);
     std::vector<isa::Program> progs;
     progs.reserve(n_cores);
@@ -191,7 +173,7 @@ simulatePoint(const Point &point,
                                      point.maxCycles());
     if (point.finish)
         point.finish(system);
-    CaptureVisitor capture(counters, result);
+    CaptureVisitor capture(result);
     system.visitStats(capture);
     if (point.cfg.statsInterval != 0) {
         result.intervals = system.core().intervals();
@@ -257,8 +239,7 @@ submit(const Request &req)
             if (t >= todo.size())
                 return;
             std::size_t i = todo[t];
-            Result result = simulatePoint(points[i], req.counters,
-                                          req.captureStatsText);
+            Result result = simulatePoint(points[i], req.captureStatsText);
             if (store && points[i].cacheable())
                 store->put(digests[i], result);
             sub.results[i] = std::move(result);

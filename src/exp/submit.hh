@@ -75,12 +75,10 @@ Submission submit(const Request &req);
 
 /**
  * Simulate one point in-process, no store involved — the primitive
- * under submit(). @p counters filters captured statistics;
- * @p capture_stats_text keeps the full dumpStats() text.
+ * under submit(). @p capture_stats_text keeps the full dumpStats()
+ * text.
  */
-Result simulatePoint(const Point &point,
-                     const std::vector<std::string> &counters = {},
-                     bool capture_stats_text = false);
+Result simulatePoint(const Point &point, bool capture_stats_text = false);
 
 /**
  * Emit points+results as a JSON document (machine consumption):

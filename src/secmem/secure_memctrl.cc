@@ -15,26 +15,9 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
       engine_(cfg.authLatency, cfg.authEngineInterval, cfg.numCores),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
 {
-    // Metadata structures exist when ANY configured client needs them:
-    // with heterogeneous per-core policies one obfuscating core is
-    // enough to instantiate the remap layer, and a verifying core is
-    // enough for the tree. Single-core systems have an empty
-    // corePolicies vector, so this reduces to the classic cfg.policy
-    // checks exactly.
-    bool any_verifies = false;
-    bool any_obfuscates = false;
-    if (cfg.corePolicies.empty()) {
-        any_verifies = core::verifies(cfg.policy);
-        any_obfuscates = core::obfuscates(cfg.policy);
-    } else {
-        for (core::AuthPolicy p : cfg.corePolicies) {
-            any_verifies = any_verifies || core::verifies(p);
-            any_obfuscates = any_obfuscates || core::obfuscates(p);
-        }
-    }
-    if (any_verifies && cfg.hashTreeEnabled)
+    if (core::verifies(cfg.policy) && cfg.hashTreeEnabled)
         tree_ = std::make_unique<HashTree>(cfg, ext_);
-    if (any_obfuscates)
+    if (core::obfuscates(cfg.policy))
         remap_ = std::make_unique<RemapLayer>(cfg);
     if (cfg.counterPrediction &&
         cfg.encryptionMode == sim::EncryptionMode::kCounterMode)
@@ -53,14 +36,6 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
     stats_.addAverage("fill_latency", &fillLatency_);
     stats_.addDistribution("decrypt_verify_gap_hist", &decryptGapHist_);
     stats_.addDistribution("fill_latency_hist", &fillLatencyHist_);
-}
-
-core::AuthPolicy
-SecureMemCtrl::policyFor(unsigned client) const
-{
-    if (client < cfg_.corePolicies.size())
-        return cfg_.corePolicies[client];
-    return cfg_.policy;
 }
 
 void
@@ -180,7 +155,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
     txn.data = fetched.plain;
     txn.macOk = fetched.macOk;
 
-    const core::AuthPolicy policy = policyFor(client);
+    const core::AuthPolicy policy = cfg_.policy;
     bool verify = core::verifies(policy);
 
     if (warm) {

@@ -67,11 +67,6 @@ class SecureMemCtrl
      *  in legacy dump order. */
     void visitStats(StatGroupVisitor &v);
 
-    /** Effective authen policy of @p client: the per-core override
-     *  from SimConfig::corePolicies when present, else the global
-     *  SimConfig::policy (always the case for single-core). */
-    core::AuthPolicy policyFor(unsigned client) const;
-
     /**
      * Fetch one line from external memory.
      * @param line_addr logical line address (L2-line aligned)
@@ -84,7 +79,7 @@ class SecureMemCtrl
      *        entry (0 = none, e.g. instruction fetch or warmup)
      * @param client requesting core id
      * @return the completed transaction; txn.ready already reflects
-     *         the requesting client's policy's usability decision
+     *         the policy's usability decision
      *         (verification under authen-then-issue, decrypt
      *         completion otherwise; kCycleNever for gate-squashed or
      *         failed fills)

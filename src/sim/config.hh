@@ -171,15 +171,9 @@ struct SimConfig
      * clientStride), its own OooCore pipeline and stall taxonomy, and
      * contends with its neighbours for the bus, the MAC engine and
      * the shared metadata caches. 1 = the classic single-core system.
+     * Every core runs @ref policy.
      */
     unsigned numCores = 1;
-    /**
-     * Per-core authen-policy overrides, indexed by core id. Empty =
-     * every core runs @ref policy (always the case for single-core).
-     * Heterogeneous mixes are the point: an authen-then-issue core
-     * next to a baseline core shares one verify queue.
-     */
-    std::vector<core::AuthPolicy> corePolicies;
     /**
      * Per-core workload names, indexed by core id. Empty = every core
      * runs the harness-selected workload. Serialized into the config

@@ -18,7 +18,7 @@ namespace acp::sim
 // measure the simulator, never the simulated machine. (--trace is no
 // config field at all: System::enableTrace arms it.)
 #if defined(__x86_64__) && defined(__linux__)
-static_assert(sizeof(SimConfig) == 424,
+static_assert(sizeof(SimConfig) == 400,
               "SimConfig layout changed: update serializeConfig() in "
               "config_io.cc, then the expected size here");
 #endif
@@ -150,14 +150,11 @@ serializeConfig(const SimConfig &cfg)
 
     // multi-core
     emit(out, "numCores", cfg.numCores);
+    // Every core runs cfg.policy, so there is no per-core policy
+    // list. Its key stays, always empty: dropping it would re-key
+    // every point digest and orphan every stored result.
+    emit(out, "corePolicies", "");
     {
-        std::string policies;
-        for (core::AuthPolicy p : cfg.corePolicies) {
-            if (!policies.empty())
-                policies += ',';
-            policies += core::policyName(p);
-        }
-        emit(out, "corePolicies", policies.c_str());
         std::string workloads;
         for (const std::string &w : cfg.coreWorkloads) {
             if (!workloads.empty())

@@ -64,14 +64,12 @@ usage()
         "       acpsim --list\n\n"
         "workloads: any catalog name, comma-separated for a sweep, or\n"
         "           the groups 'int', 'fp', 'all'; a '+'-joined mix\n"
-        "           (e.g. mcf+sha) runs one workload per core\n\n"
+        "           (e.g. mcf+swim) runs one workload per core\n\n"
         "run options (simulated machine and measurement window):\n"
         "  --policy P[,P...]  baseline | issue | write | commit | fetch |\n"
         "                commit+fetch | obf        (default: baseline);\n"
-        "                a comma-separated list sweeps every policy; a\n"
-        "                '+'-joined mix (e.g. commit+baseline) runs one\n"
-        "                policy per core — spell commit+fetch 'cf'\n"
-        "                inside a mix\n"
+        "                a comma-separated list sweeps every policy;\n"
+        "                every core of a point runs the same policy\n"
         "  --cores N     out-of-order cores sharing one secure memory\n"
         "                controller, bus and auth engine (default: 1);\n"
         "                stats appear per core as cpu0.core.*, ...\n"
@@ -173,7 +171,7 @@ parsePolicy(const std::string &name)
     if (name == "write") return core::AuthPolicy::kAuthThenWrite;
     if (name == "commit") return core::AuthPolicy::kAuthThenCommit;
     if (name == "fetch") return core::AuthPolicy::kAuthThenFetch;
-    if (name == "commit+fetch" || name == "cf")
+    if (name == "commit+fetch")
         return core::AuthPolicy::kCommitPlusFetch;
     if (name == "obf" || name == "obfuscation")
         return core::AuthPolicy::kCommitPlusObfuscation;
@@ -181,12 +179,12 @@ parsePolicy(const std::string &name)
 }
 
 std::vector<std::string>
-splitOn(const std::string &text, char sep)
+splitCommas(const std::string &text)
 {
     std::vector<std::string> parts;
     std::size_t pos = 0;
     while (pos <= text.size()) {
-        std::size_t cut = text.find(sep, pos);
+        std::size_t cut = text.find(',', pos);
         if (cut == std::string::npos)
             cut = text.size();
         if (cut > pos)
@@ -194,28 +192,6 @@ splitOn(const std::string &text, char sep)
         pos = cut + 1;
     }
     return parts;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    return splitOn(text, ',');
-}
-
-/**
- * One policy, or a '+'-joined per-core mix. The literal policy name
- * "commit+fetch" wins over mix splitting (it predates multi-core);
- * inside a mix, spell it with its alias "cf" (e.g. "cf+baseline").
- */
-std::vector<core::AuthPolicy>
-parsePolicyMix(const std::string &token)
-{
-    if (token == "commit+fetch" || token.find('+') == std::string::npos)
-        return {parsePolicy(token)};
-    std::vector<core::AuthPolicy> mix;
-    for (const std::string &part : splitOn(token, '+'))
-        mix.push_back(parsePolicy(part));
-    return mix;
 }
 
 std::vector<std::string>
@@ -358,21 +334,9 @@ main(int argc, char **argv)
     req.base(cfg).params(params).window(warmup, insts, 1000);
     req.workloads(names);
     for (const std::string &token : policy_tokens) {
-        std::vector<core::AuthPolicy> mix = parsePolicyMix(token);
-        if (mix.size() == 1) {
-            core::AuthPolicy policy = mix[0];
-            req.variant(core::policyName(policy),
-                        [policy](sim::SimConfig &c) { c.policy = policy; });
-        } else {
-            // Per-core policy mix: cpu0 runs mix[0], cpu1 mix[1], ...
-            // (cores beyond the mix fall back to cfg.policy = mix[0]).
-            req.variant(token, [mix](sim::SimConfig &c) {
-                c.corePolicies = mix;
-                c.policy = mix[0];
-                if (c.numCores < mix.size())
-                    c.numCores = unsigned(mix.size());
-            });
-        }
+        core::AuthPolicy policy = parsePolicy(token);
+        req.variant(core::policyName(policy),
+                    [policy](sim::SimConfig &c) { c.policy = policy; });
     }
 
     if (trace_commits > 0 || cosim || !trace_file.empty()) {

@@ -93,9 +93,9 @@ struct DigestPoint
 /**
  * The points EventLoop.StatDumpsMatchRecordedDigests pins: 3 INT and
  * 3 FP kernels under all 7 policies, RUU sizes 96 and 200 (lsq =
- * ruu / 2) on two kernels, one hash-tree point, one 2-core
- * commit+baseline mix, and two points whose pipeline trace is
- * digested too.
+ * ruu / 2) on two kernels, one hash-tree point, one 2-core mcf+swim
+ * point under authen-then-commit, and two points whose pipeline
+ * trace is digested too.
  */
 std::vector<DigestPoint>
 digestPoints()
@@ -128,12 +128,9 @@ digestPoints()
                      {"mcf"}};
     tree.cfg.hashTreeEnabled = true;
     points.push_back(tree);
-    DigestPoint mix{"mcf+swim/commit+baseline",
-                    cfgFor(AuthPolicy::kAuthThenCommit),
+    DigestPoint mix{"mcf+swim/commit", cfgFor(AuthPolicy::kAuthThenCommit),
                     {"mcf", "swim"}};
     mix.cfg.numCores = 2;
-    mix.cfg.corePolicies = {AuthPolicy::kAuthThenCommit,
-                            AuthPolicy::kBaseline};
     points.push_back(mix);
     DigestPoint traced{"mcf/commit/trace",
                        cfgFor(AuthPolicy::kAuthThenCommit),
@@ -400,8 +397,10 @@ TEST(EventLoop, StatDumpsMatchRecordedDigests)
         {"mcf/tree",
          "25be4acd2ed523018acb5f623da229ef3df382dc2e57282fb35478263c5c98bb",
          ""},
-        {"mcf+swim/commit+baseline",
-         "b8bb04e22d6a021fc387bb10ae93f324d773d97873c06413c728eceb7adc74d4",
+        // Recorded by running this test body with this uniform config
+        // while SimConfig still had a per-core policy list.
+        {"mcf+swim/commit",
+         "fdff537b20a2c8f6d10ef7d224e2bbe77ba0dae8f8d62f926af5d8d4011f2157",
          ""},
         {"mcf/commit/trace",
          "2bb8469e8c26b666e44e0fbc2f8264c6fe78bc43c1c7387a649af5485f85361b",

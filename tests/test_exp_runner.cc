@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -81,6 +80,43 @@ TEST(ExpRequest, CrossProductIsWorkloadMajor)
     EXPECT_EQ(points[2].label, "commit");
     EXPECT_EQ(points[3].workload, "swim");
     EXPECT_EQ(points[1].cfg.policy, core::AuthPolicy::kAuthThenIssue);
+}
+
+// A '+'-joined workload is a per-core mix: points() widens numCores to
+// the mix and names every core's workload, cycling through the mix
+// when a variant asks for more cores. Labels stay as declared, and a
+// plain workload keeps one core.
+TEST(ExpRequest, WorkloadMixWidensCoresAndNamesEveryCore)
+{
+    exp::Request req;
+    req.workloads({"mcf+swim", "gcc"});
+    req.variant("commit", [](sim::SimConfig &c) {
+        c.policy = core::AuthPolicy::kAuthThenCommit;
+    });
+    req.variant("commit@4c", [](sim::SimConfig &c) {
+        c.policy = core::AuthPolicy::kAuthThenCommit;
+        c.numCores = 4;
+    });
+    std::vector<exp::Point> points = req.points();
+    ASSERT_EQ(points.size(), 4u);
+
+    EXPECT_EQ(points[0].workload, "mcf+swim");
+    EXPECT_EQ(points[0].label, "commit");
+    EXPECT_EQ(points[0].cfg.numCores, 2u);
+    EXPECT_EQ(points[0].cfg.coreWorkloads,
+              (std::vector<std::string>{"mcf", "swim"}));
+
+    EXPECT_EQ(points[1].label, "commit@4c");
+    EXPECT_EQ(points[1].cfg.numCores, 4u);
+    EXPECT_EQ(points[1].cfg.coreWorkloads,
+              (std::vector<std::string>{"mcf", "swim", "mcf", "swim"}));
+
+    EXPECT_EQ(points[2].workload, "gcc");
+    EXPECT_EQ(points[2].label, "commit");
+    EXPECT_EQ(points[2].cfg.numCores, 1u);
+    EXPECT_TRUE(points[2].cfg.coreWorkloads.empty());
+    EXPECT_EQ(points[3].cfg.numCores, 4u);
+    EXPECT_TRUE(points[3].cfg.coreWorkloads.empty());
 }
 
 TEST(ExpSubmit, ParallelMatchesSerialBitIdentical)
@@ -164,22 +200,13 @@ TEST(ExpDigest, CoversSecureMemoryFields)
         p.cfg.policy = core::AuthPolicy::kCommitPlusFetch;
         EXPECT_NE(exp::pointDigest(p), base_digest);
     }
-    // Multi-core fields: the core count, and each per-core list on its
-    // own (a list must key even when numCores alone would not change).
+    // Multi-core fields: the core count, and the per-core workload
+    // list on its own (it must key even when numCores alone would not
+    // change).
     {
         exp::Point p = point;
         p.cfg.numCores = 2;
         EXPECT_NE(exp::pointDigest(p), base_digest);
-    }
-    {
-        exp::Point p = point;
-        p.cfg.corePolicies = {core::AuthPolicy::kAuthThenCommit,
-                              core::AuthPolicy::kBaseline};
-        EXPECT_NE(exp::pointDigest(p), base_digest);
-        exp::Point q = p;
-        std::swap(q.cfg.corePolicies[0], q.cfg.corePolicies[1]);
-        EXPECT_NE(exp::pointDigest(q), exp::pointDigest(p))
-            << "per-core policy order must be part of the key";
     }
     {
         exp::Point p = point;
@@ -196,6 +223,18 @@ TEST(ExpDigest, CoversSecureMemoryFields)
         p.label = "pretty-name";
         EXPECT_EQ(exp::pointDigest(p), base_digest);
     }
+}
+
+// The digest of a default point, recorded while SimConfig still had a
+// per-core policy list. serializeConfig keeps every key it emitted
+// then, that list's (now always empty) "corePolicies=" line included:
+// a dropped or renamed key re-keys every point and orphans every
+// stored result.
+TEST(ExpDigest, DefaultConfigDigestIsRecorded)
+{
+    EXPECT_EQ(
+        exp::pointDigest(exp::Point{}),
+        "fee3f2a4d562ef7102da8ab549d2ddb8353cea32d3b1e1f870bf0be6d4611675");
 }
 
 TEST(ExpDigest, SerializedConfigListsEveryKnobOnce)

@@ -94,7 +94,7 @@ TEST_P(IntervalSeries, TableAndHeartbeatShareOneSampler)
 {
     const auto [policy, period, cores] = GetParam();
     exp::Point point = mcfPoint(policy, cores);
-    exp::Result off = exp::simulatePoint(point, {}, true);
+    exp::Result off = exp::simulatePoint(point, true);
 
     std::vector<std::vector<obs::IntervalSample>> series(cores);
     point.cfg.statsInterval = period;
@@ -102,7 +102,7 @@ TEST_P(IntervalSeries, TableAndHeartbeatShareOneSampler)
         for (unsigned i = 0; i < system.numCores(); ++i)
             series[i] = system.core(i).intervals();
     };
-    exp::Result on = exp::simulatePoint(point, {}, true);
+    exp::Result on = exp::simulatePoint(point, true);
 
     // Passive: the sampler changes no statistic.
     EXPECT_EQ(on.run.insts, off.run.insts);

@@ -157,21 +157,3 @@ TEST(Multicore, TwoCoreRunsAreDeterministic)
     EXPECT_EQ(res_a.cycles, res_b.cycles);
     EXPECT_EQ(res_a.insts, res_b.insts);
 }
-
-TEST(Multicore, PerCorePolicyMix)
-{
-    // One secure core and one baseline core sharing the controller:
-    // only the secure core's gates should charge auth stalls.
-    workloads::WorkloadParams params;
-    params.workingSetBytes = 1 << 20;
-    sim::SimConfig cfg = cfgFor(2, AuthPolicy::kAuthThenCommit);
-    cfg.corePolicies = {AuthPolicy::kAuthThenCommit, AuthPolicy::kBaseline};
-    sim::System system(cfg, workloads::build("mcf", params));
-    system.fastForward(10000);
-    system.measureTimed(8000, 40'000'000);
-    auto stats = parseStats(system.dumpStats());
-
-    EXPECT_GT(get(stats, "cpu0.core.stall.auth_commit"), 0.0);
-    EXPECT_EQ(get(stats, "cpu1.core.stall.auth_commit"), 0.0);
-    EXPECT_GE(get(stats, "cpu1.core.committed"), 8000.0);
-}

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "core/auth_policy.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -72,6 +74,34 @@ TEST(System, ConstructionFetchesNothing)
                   std::string::npos)
             << cores << " core(s)";
     }
+}
+
+// The controller builds the remap layer exactly when the policy
+// obfuscates, and the integrity tree exactly when the policy verifies
+// and the tree is switched on; each one's stat group is in the dump
+// with it and only with it.
+TEST(System, MetadataStructuresFollowThePolicy)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    for (AuthPolicy policy :
+         {AuthPolicy::kBaseline, AuthPolicy::kAuthThenIssue,
+          AuthPolicy::kAuthThenWrite, AuthPolicy::kAuthThenCommit,
+          AuthPolicy::kAuthThenFetch, AuthPolicy::kCommitPlusFetch,
+          AuthPolicy::kCommitPlusObfuscation})
+        for (bool tree : {false, true}) {
+            sim::SimConfig cfg = cfgFor(policy);
+            cfg.hashTreeEnabled = tree;
+            sim::System system(cfg, workloads::build("mcf", params));
+            const std::string stats = "\n" + system.dumpStats();
+            const bool has_remap =
+                stats.find("\nremap.") != std::string::npos;
+            const bool has_tree = stats.find("\ntree.") != std::string::npos;
+            EXPECT_EQ(has_remap, core::obfuscates(policy))
+                << core::policyName(policy) << " tree=" << tree;
+            EXPECT_EQ(has_tree, core::verifies(policy) && tree)
+                << core::policyName(policy) << " tree=" << tree;
+        }
 }
 
 TEST(System, FastForwardAfterCoreCreationIsFatal)

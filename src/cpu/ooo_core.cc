@@ -32,16 +32,43 @@ stopReasonName(StopReason reason)
 /** Cycles without a commit before the no-progress panic fires. */
 constexpr Cycle kProgressPanicCycles = 1000000;
 
-/** End of a wakeup list. */
-constexpr unsigned kNoWaiter = ~0u;
+/** End of a wakeup or parked list; no slot. */
+constexpr unsigned kNoLink = ~0u;
+
+namespace
+{
+
+/** Highest set bit of @p set in [begin, end), or kNoLink. */
+unsigned
+lastSet(const std::vector<std::uint64_t> &set, unsigned begin, unsigned end)
+{
+    if (begin >= end)
+        return kNoLink;
+    const unsigned first = begin / 64;
+    unsigned word = (end - 1) / 64;
+    std::uint64_t bits =
+        set[word] & (~std::uint64_t(0) >> (63 - (end - 1) % 64));
+    for (;;) {
+        if (word == first)
+            bits &= ~std::uint64_t(0) << (begin % 64);
+        if (bits)
+            return word * 64 + 63 - unsigned(std::countl_zero(bits));
+        if (word == first)
+            return kNoLink;
+        bits = set[--word];
+    }
+}
+
+} // namespace
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
     : cfg_(cfg), hier_(hier), client_(client), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
       renameMap_(32, -1), ready_((cfg.ruuSize + 63) / 64, 0),
-      firstWaiter_(cfg.ruuSize, kNoWaiter),
-      nextWaiter_(2 * std::size_t(cfg.ruuSize), kNoWaiter),
+      stores_(ready_.size(), 0), firstWaiter_(cfg.ruuSize, kNoLink),
+      nextWaiter_(2 * std::size_t(cfg.ruuSize), kNoLink),
+      firstParked_(cfg.ruuSize, kNoLink), nextParked_(cfg.ruuSize, kNoLink),
       intervals_(cfg.statsInterval), stats_(name)
 {
     completions_.reserve(cfg.ruuSize);
@@ -114,6 +141,18 @@ OooCore::nextReady(unsigned from, unsigned end) const
     }
 }
 
+unsigned
+OooCore::prevStore(unsigned below) const
+{
+    if (below < ruuHead_) {
+        const unsigned slot = lastSet(stores_, 0, below);
+        if (slot != kNoLink)
+            return slot;
+        below = cfg_.ruuSize;
+    }
+    return lastSet(stores_, ruuHead_, below);
+}
+
 AuthSeq
 OooCore::lastRequestTag()
 {
@@ -127,8 +166,7 @@ OooCore::lastRequestTag()
 bool
 OooCore::verifiedOk(AuthSeq seq) const
 {
-    const secmem::AuthEngine &eng =
-        const_cast<secmem::MemHierarchy &>(hier_).ctrl().authEngine();
+    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
     if (seq == kNoAuthSeq)
         return true;
     // Only this core's own failed requests poison its gates: a
@@ -180,21 +218,31 @@ OooCore::squashAfter(unsigned pos)
         if (entry.isLoad || entry.isStore)
             --lsqUsed_;
         entry.valid = false;
-        setReady(slot, false);
+        setSlot(ready_, slot, false);
+        setSlot(stores_, slot, false);
         ++squashedInsts_;
         --ruuCount_;
     }
     // The squashed entries never complete: drop them from the queue,
     // so none is drained or woken on. A survivor's wakeup list runs
-    // youngest first, so its squashed consumers are a prefix of it.
+    // youngest first, so its squashed consumers are a prefix of it. A
+    // parked list runs in parking order: unlink each squashed load, so
+    // the store's issue cannot mark a refilled slot ready.
     std::erase_if(completions_, [this](const Completion &c) {
         return !ruu_[c.slot].valid;
     });
     std::make_heap(completions_.begin(), completions_.end(), Completion::later);
     for (unsigned p = 0; p <= pos; ++p) {
-        unsigned &head = firstWaiter_[ruuIndex(p)];
-        while (head != kNoWaiter && !ruu_[head / 2].valid)
+        const unsigned slot = ruuIndex(p);
+        unsigned &head = firstWaiter_[slot];
+        while (head != kNoLink && !ruu_[head / 2].valid)
             head = nextWaiter_[head];
+        for (unsigned *link = &firstParked_[slot]; *link != kNoLink;) {
+            if (ruu_[*link].valid)
+                link = &nextParked_[*link];
+            else
+                *link = nextParked_[*link];
+        }
     }
     rebuildRenameMap();
     fetchQueue_.clear();
@@ -226,7 +274,7 @@ void
 OooCore::wakeConsumers(unsigned producer)
 {
     const RuuEntry &prod = ruu_[producer];
-    for (unsigned node = firstWaiter_[producer]; node != kNoWaiter;
+    for (unsigned node = firstWaiter_[producer]; node != kNoLink;
          node = nextWaiter_[node]) {
         const unsigned slot = node / 2;
         RuuEntry &entry = ruu_[slot];
@@ -239,13 +287,13 @@ OooCore::wakeConsumers(unsigned producer)
         }
         entry.tainted = entry.tainted || prod.tainted;
         if (entry.v1Ready && entry.v2Ready)
-            setReady(slot, true);
+            setSlot(ready_, slot, true);
     }
-    firstWaiter_[producer] = kNoWaiter;
+    firstWaiter_[producer] = kNoLink;
 }
 
 bool
-OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
+OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
 {
     unsigned bytes = isa::memAccessBytes(entry.inst.op);
     Addr addr = entry.v1 + std::uint64_t(entry.inst.imm);
@@ -258,15 +306,22 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
         return true;
     }
 
-    // Load: memory disambiguation against older stores.
-    // Scan from the youngest older memory op to the oldest; the first
-    // overlapping store with a known address decides.
-    for (int prior = int(pos) - 1; prior >= 0; --prior) {
-        RuuEntry &older = entryAt(unsigned(prior));
+    // Load: memory disambiguation against older stores, youngest
+    // first; the first overlapping store with a known address decides.
+    for (unsigned prior = prevStore(slot); prior != kNoLink;
+         prior = prevStore(prior)) {
+        RuuEntry &older = ruu_[prior];
         if (!older.isStore)
-            continue;
-        if (!older.issued)
-            return false; // unknown store address: conservative stall
+            acp_panic("%s: store set names slot %u, not a store",
+                      name().c_str(), prior);
+        if (!older.issued) {
+            // Unknown store address: conservative stall. Park on the
+            // store until it issues; nothing decides sooner.
+            setSlot(ready_, slot, false);
+            nextParked_[slot] = firstParked_[prior];
+            firstParked_[prior] = slot;
+            return false;
+        }
         Addr s_begin = older.memAddr;
         Addr s_end = older.memAddr + older.memBytes;
         Addr l_begin = addr;
@@ -491,6 +546,7 @@ OooCore::stageCommit()
             --lsqUsed_;
         bool halt = entry.isHalt;
         entry.valid = false;
+        setSlot(stores_, ruuIndex(0), false);
         if (++ruuHead_ >= cfg_.ruuSize)
             ruuHead_ = 0;
         --ruuCount_;
@@ -540,7 +596,9 @@ OooCore::stageIssue()
 
     // Walk the ready set in age order: from ruuHead_ to the end of the
     // ring, then across the wrap up to ruuHead_. Entries a functional
-    // unit or disambiguation refuses stay in the set for the next tick.
+    // unit refuses stay in the set for the next tick, and so do loads
+    // a partial overlap refuses; a load refused on an unissued store
+    // parks on it and rejoins the set when that store issues.
     for (unsigned pass = 0; pass < 2 && slots > 0; ++pass) {
         const unsigned end = pass == 0 ? cfg_.ruuSize : ruuHead_;
         for (unsigned slot = nextReady(pass == 0 ? ruuHead_ : 0, end);
@@ -593,7 +651,7 @@ OooCore::stageIssue()
                 verifies(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
 
             if (oi.fu == isa::FuClass::kMemPort) {
-                if (!tryIssueMemOp(entry, agePos(slot)))
+                if (!tryIssueMemOp(entry, slot))
                     continue;
                 --mem_ports;
             } else {
@@ -614,7 +672,16 @@ OooCore::stageIssue()
             }
 
             entry.issued = true;
-            setReady(slot, false);
+            setSlot(ready_, slot, false);
+            if (entry.isStore) {
+                // Its parked loads are younger: the walk reaches them
+                // later in this pass or in the wrap pass, so each can
+                // still issue this tick.
+                for (unsigned load = firstParked_[slot]; load != kNoLink;
+                     load = nextParked_[load])
+                    setSlot(ready_, load, true);
+                firstParked_[slot] = kNoLink;
+            }
             completions_.push_back({entry.readyAt, slot});
             std::push_heap(completions_.begin(), completions_.end(),
                            Completion::later);
@@ -665,11 +732,14 @@ OooCore::stageDispatch()
         entry.isHalt = (entry.inst.op == isa::Op::kHalt);
         entry.writesRd = (entry.inst.destReg() != 0);
 
-        firstWaiter_[slot] = kNoWaiter;
+        firstWaiter_[slot] = kNoLink;
+        firstParked_[slot] = kNoLink;
+        if (entry.isStore)
+            setSlot(stores_, slot, true);
         readOperand(entry, slot, 0, entry.inst.srcReg1());
         readOperand(entry, slot, 1, entry.inst.srcReg2());
         if (entry.v1Ready && entry.v2Ready)
-            setReady(slot, true);
+            setSlot(ready_, slot, true);
         if (entry.writesRd)
             renameMap_[entry.inst.destReg()] = int(slot);
 
@@ -907,8 +977,7 @@ OooCore::nextWakeCycle() const
     // same cycle as when every cycle is ticked.
     consider(lastCommitCycle_ + kProgressPanicCycles);
 
-    const secmem::AuthEngine &eng =
-        const_cast<secmem::MemHierarchy &>(hier_).ctrl().authEngine();
+    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
 
     // The earliest pending completion (also the head-commit / operand
     // / issue unblock event). The queue holds no squashed entry, so

@@ -310,23 +310,31 @@ class OooCore
      *  operand linked to it; consumers whose last operand arrives
      *  join the ready set. */
     void wakeConsumers(unsigned producer);
-    /** Ready-set membership of @p slot. */
-    void
-    setReady(unsigned slot, bool ready)
+    /** Set or clear @p slot in a one-bit-per-slot set (ready_,
+     *  stores_). */
+    static void
+    setSlot(std::vector<std::uint64_t> &set, unsigned slot, bool on)
     {
         const std::uint64_t bit = std::uint64_t(1) << (slot % 64);
-        if (ready)
-            ready_[slot / 64] |= bit;
+        if (on)
+            set[slot / 64] |= bit;
         else
-            ready_[slot / 64] &= ~bit;
+            set[slot / 64] &= ~bit;
     }
     /** First ready slot in [from, end), or end. */
     unsigned nextReady(unsigned from, unsigned end) const;
+    /** Slot of the youngest store older than slot @p below: the last
+     *  stores_ bit in age order in [ruuHead_, below), across the wrap
+     *  when below < ruuHead_. kNoLink when there is none. */
+    unsigned prevStore(unsigned below) const;
     /** LastRequest as visible at cycle_ (this core's view), sampled
      *  once per tick: a request posted during the tick arrives after
      *  cycle_, so the value cannot change within it. */
     AuthSeq lastRequestTag();
-    bool tryIssueMemOp(RuuEntry &entry, unsigned pos);
+    /** Issue the memory op in @p slot, or refuse it: a load waits for
+     *  an older store that has no address yet (parked on it) or that
+     *  partly overlaps it (left in the ready set). */
+    bool tryIssueMemOp(RuuEntry &entry, unsigned slot);
     /** Gate predicate: completed verification that also passed. */
     bool verifiedOk(AuthSeq seq) const;
     void raiseSecurityException(bool precise);
@@ -381,15 +389,25 @@ class OooCore
     std::vector<Completion> completions_;
     /** The slots stageComplete completes this tick, oldest first. */
     std::vector<unsigned> due_;
-    /** Ready set, one bit per slot: valid, not issued, both operands
-     *  read. Walked in age order from ruuHead_. */
+    /** Ready set, one bit per slot: valid, not issued, operands read,
+     *  not parked. Walked in age order from ruuHead_. */
     std::vector<std::uint64_t> ready_;
+    /** One bit per slot holding a store, set at dispatch and cleared
+     *  at commit and squash: disambiguation walks only these. */
+    std::vector<std::uint64_t> stores_;
     /** Wakeup links. Node 2 * slot + operand stands for one waiting
      *  operand; firstWaiter_[producer slot] heads its list and
      *  nextWaiter_[node] continues it. Dispatch pushes at the front,
      *  so each list runs youngest consumer first. */
     std::vector<unsigned> firstWaiter_;
     std::vector<unsigned> nextWaiter_;
+    /** Parked loads: a load disambiguation refused because an older
+     *  store has no address yet leaves the ready set and waits on that
+     *  store. firstParked_[store slot] heads its list, in parking
+     *  order, and nextParked_[load slot] continues it; the store's
+     *  issue returns the list to the ready set. */
+    std::vector<unsigned> firstParked_;
+    std::vector<unsigned> nextParked_;
     /** lastRequestTag()'s sample for this tick (tick() invalidates). */
     AuthSeq tickTag_ = kNoAuthSeq;
     bool tickTagSampled_ = false;

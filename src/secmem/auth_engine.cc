@@ -99,16 +99,19 @@ AuthEngine::doneCycle(AuthSeq seq) const
 }
 
 AuthSeq
-AuthEngine::lastArrivedBy(Cycle cycle, unsigned client) const
+AuthEngine::lastArrivedBy(Cycle cycle, unsigned client)
 {
-    // The client's arrivals are nondecreasing: binary search for the
-    // last entry with arrival <= cycle.
-    const ClientState &cs = clients_[client];
-    auto it =
-        std::upper_bound(cs.arrivals.begin(), cs.arrivals.end(), cycle);
-    if (it == cs.arrivals.begin())
+    // The client's arrivals are nondecreasing: step the cursor forward
+    // over arrivals at or before cycle, or back over later ones.
+    ClientState &cs = clients_[client];
+    std::size_t &n = cs.cursor;
+    while (n < cs.arrivals.size() && cs.arrivals[n] <= cycle)
+        ++n;
+    while (n > 0 && cs.arrivals[n - 1] > cycle)
+        --n;
+    if (n == 0)
         return cs.lastPruned; // kNoAuthSeq before the first request
-    return cs.seqs[std::size_t(it - cs.arrivals.begin()) - 1];
+    return cs.seqs[n - 1];
 }
 
 bool
@@ -136,6 +139,8 @@ AuthEngine::prune()
             cs.lastPruned = cs.seqs.front();
             cs.seqs.pop_front();
             cs.arrivals.pop_front();
+            if (cs.cursor > 0)
+                --cs.cursor;
         }
     }
 }

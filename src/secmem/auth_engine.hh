@@ -71,8 +71,12 @@ class AuthEngine
      * (base-offset isolation means no core ever consumes a line
      * another core fetched), so tagging with the global register
      * would over-serialize.
+     *
+     * Read through a per-client cursor that moves from the previous
+     * query's answer: O(1) amortised for nondecreasing @p cycle (the
+     * core's clock), and right for any query order.
      */
-    AuthSeq lastArrivedBy(Cycle cycle, unsigned client) const;
+    AuthSeq lastArrivedBy(Cycle cycle, unsigned client);
 
     /**
      * Cycle at which request @p seq completes verification.
@@ -122,6 +126,9 @@ class AuthEngine
         std::deque<Cycle> arrivals;
         /** Global sequence number of each entry (same indexing). */
         std::deque<AuthSeq> seqs;
+        /** lastArrivedBy's cursor: the number of entries arrived at or
+         *  before the cycle queried last. */
+        std::size_t cursor = 0;
         /** Most recently pruned sequence (kNoAuthSeq when none):
          *  the "verified in the distant past" fallback. */
         AuthSeq lastPruned = kNoAuthSeq;

@@ -97,6 +97,7 @@ class MemHierarchy
     void loadProgram(const isa::Program &prog, Addr base = 0);
 
     SecureMemCtrl &ctrl() { return ctrl_; }
+    const SecureMemCtrl &ctrl() const { return ctrl_; }
     cache::Cache &l1i(unsigned client = 0) { return cores_[client]->l1i; }
     cache::Cache &l1d(unsigned client = 0) { return cores_[client]->l1d; }
     cache::Cache &l2(unsigned client = 0) { return cores_[client]->l2; }

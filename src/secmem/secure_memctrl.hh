@@ -95,6 +95,7 @@ class SecureMemCtrl
 
     ExternalMemory &externalMemory() { return ext_; }
     AuthEngine &authEngine() { return engine_; }
+    const AuthEngine &authEngine() const { return engine_; }
     mem::BusArbiter &busArbiter() { return bus_; }
     mem::Dram &dram() { return dram_; }
     mem::BusTrace &busTrace() { return trace_; }

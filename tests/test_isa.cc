@@ -97,6 +97,11 @@ TEST(IsaDecode, InvalidOpcodeFoldsToHalt)
     EXPECT_EQ(decode(word).op, Op::kHalt);
 }
 
+TEST(IsaOpInfo, OutOfRangeOpcodePanics)
+{
+    EXPECT_DEATH(opInfo(Op::kNumOps), "invalid opcode");
+}
+
 TEST(IsaSemantics, IntAluOps)
 {
     auto run = [](Op op, std::uint64_t a, std::uint64_t b) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "common/rng.hh"
 #include "isa/program.hh"
@@ -39,6 +40,27 @@ runToHalt(const Program &prog,
     sim::System system(testCfg(policy), prog);
     system.enableCosim();
     return system.measureTimed(~0ULL >> 1, max_cycles);
+}
+
+/** One counter of a core's stats group, by its short name. */
+std::uint64_t
+coreCounter(OooCore &core, const std::string &stat)
+{
+    struct Finder : StatVisitor
+    {
+        std::string want;
+        std::uint64_t value = ~0ULL;
+        void
+        onCounter(const std::string &name, std::uint64_t v) override
+        {
+            if (name == want)
+                value = v;
+        }
+    } finder;
+    finder.want = core.name() + "." + stat;
+    core.stats().visit(finder);
+    EXPECT_NE(finder.value, ~0ULL) << "no counter " << finder.want;
+    return finder.value;
 }
 
 Program
@@ -129,6 +151,9 @@ TEST(OooCore, StoreLoadForwarding)
     pb.sd(2, 0, 1);   // store
     pb.ld(3, 0, 1);   // immediately load the same address
     pb.add(2, 2, 3);  // use it
+    pb.sw(2, 12, 1);  // a word into the second half of [8, 16) ...
+    pb.ld(4, 8, 1);   // ... then all of it: a partial overlap
+    pb.add(2, 2, 4);
     pb.addi(5, 5, -1);
     pb.j(loop);
     pb.bind(done);
@@ -138,7 +163,10 @@ TEST(OooCore, StoreLoadForwarding)
     system.enableCosim();
     sim::RunResult res = system.measureTimed(~0ULL >> 1, 1'000'000);
     EXPECT_EQ(res.reason, StopReason::kHalted);
-    EXPECT_GT(system.core().stats().name().size(), 0u);
+    // The full-width pair forwards in every iteration; the partial
+    // overlap never does (its load waits for the store to drain, and
+    // co-simulation checks the value it then reads).
+    EXPECT_EQ(coreCounter(system.core(), "load_forwards"), 50u);
 }
 
 TEST(OooCore, BranchyCodeRecovers)
@@ -329,3 +357,133 @@ TEST(OooCore, TaintReachesConsumerDispatchedAfterProducerCommits)
     // The tampered load and its consumer; nothing else reads r1.
     EXPECT_EQ(system.core().taintedCommits(), 2u);
 }
+
+/** RUU sizes for the parking test: 200 is not a multiple of 64, so the
+ *  store-bitset walk crosses the wrap inside a partial word. */
+class LoadParking : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(LoadParking, ParkedLoadsIssueWithTheirStoreAndSurviveSquash)
+{
+    // Each iteration's stores take their address from a div chain, so
+    // every younger load with its address ready is refused on them and
+    // parks. Three cases, all co-simulated:
+    //  - S and the load L behind it: L parks on S and must issue in the
+    //    tick S does (it then forwards from S);
+    //  - branch B, between S and three wrong-path loads parked on S:
+    //    when B mispredicts, those loads are squashed and the correct
+    //    path refills their slots with adds that wait for a mul, before
+    //    S issues. A parked list that kept the squashed loads would
+    //    issue those adds early with operand 0, and their values would
+    //    fail co-simulation. B waits on an fsqrt, so that even a
+    //    16-entry RUU has drained the last iteration and holds the
+    //    wrong-path loads by the time B resolves;
+    //  - S2 and L2, a word store inside the doubleword L2 loads: L2
+    //    parks on S2, then waits for S2 to drain, without forwarding.
+    const unsigned ruu = GetParam();
+    constexpr Addr kCode = 0x1000;
+    constexpr Addr kData = 0x200000;
+    constexpr unsigned kIters = 300;
+    constexpr unsigned kWarmIters = 8; // fast-forwarded: a warm I-cache
+    ProgramBuilder pb(kCode, "parking");
+    Label loop = pb.newLabel(), skip = pb.newLabel(), join = pb.newLabel();
+    pb.li(1, kData);
+    pb.li(20, kIters);
+    pb.li(21, 0xace1); // LFSR: B's direction
+    pb.li(23, 1);
+    pb.lid(27, 2.0);
+    const Addr loop_pc = pb.here();
+    pb.bind(loop);
+    pb.div(4, 1, 23); // x4 = kData, known only after the chain
+    pb.div(4, 4, 23);
+    pb.div(4, 4, 23);
+    pb.fsqrt(26, 27);
+    pb.and_(7, 21, 26); // bit 0 of sqrt(2.0) is set
+    pb.andi(7, 7, 1);
+    const Addr s_pc = pb.here();
+    pb.sd(20, 0, 4); // S
+    const Addr l_pc = pb.here();
+    pb.ld(8, 0, 1);  // L
+    pb.beq(7, 0, skip); // B
+    pb.ld(9, 64, 1);
+    pb.ld(10, 128, 1);
+    pb.ld(11, 192, 1);
+    pb.j(join);
+    pb.bind(skip); // as long as the fall-through path
+    pb.mul(12, 4, 23);
+    pb.addi(13, 12, 1);
+    pb.addi(13, 13, 2);
+    pb.addi(13, 13, 3);
+    pb.bind(join);
+    const Addr s2_pc = pb.here();
+    pb.sw(20, 260, 4); // S2: bytes [260, 264)
+    const Addr l2_pc = pb.here();
+    pb.ld(14, 256, 1); // L2: bytes [256, 264)
+    pb.add(15, 14, 8);
+    // Galois LFSR step (taps 0xb400).
+    pb.srli(16, 21, 1);
+    pb.andi(17, 21, 1);
+    pb.sub(17, 0, 17);
+    pb.andi(17, 17, 0xb400);
+    pb.xor_(21, 16, 17);
+    pb.addi(20, 20, -1);
+    pb.bne(20, 0, loop);
+    const std::uint64_t iter_insts = (pb.here() - loop_pc) / 4 - 4;
+    pb.halt();
+
+    sim::SimConfig cfg = testCfg();
+    cfg.ruuSize = ruu;
+    cfg.lsqSize = ruu / 2;
+    sim::System system(cfg, pb.finish());
+    system.enableCosim();
+    system.fastForward((loop_pc - kCode) / 4 + kWarmIters * iter_insts);
+    system.core().enableTrace();
+    sim::RunResult res = system.measureTimed(~0ULL >> 1, 5'000'000);
+    ASSERT_EQ(res.reason, StopReason::kHalted);
+
+    // Issue cycle of each dynamic instruction; committed ones in order.
+    std::map<std::uint64_t, Cycle> issued;
+    std::vector<obs::PipelineEvent> commits;
+    unsigned squashes = 0;
+    for (const obs::PipelineEvent &ev : system.core().pipelineTrace()) {
+        if (ev.kind == obs::PipelineEvent::Kind::kIssue)
+            issued[ev.b] = ev.cycle;
+        else if (ev.kind == obs::PipelineEvent::Kind::kCommit)
+            commits.push_back(ev);
+        else if (ev.kind == obs::PipelineEvent::Kind::kSquash && ev.b > 0)
+            ++squashes;
+    }
+    // Pair each committed store with the next committed load it guards.
+    unsigned pairs = 0, overlaps = 0;
+    for (std::size_t i = 0; i < commits.size(); ++i) {
+        const Addr pc = commits[i].a;
+        if (pc != s_pc && pc != s2_pc)
+            continue;
+        const Addr load_pc = pc == s_pc ? l_pc : l2_pc;
+        auto load = std::find_if(
+            commits.begin() + std::ptrdiff_t(i), commits.end(),
+            [load_pc](const obs::PipelineEvent &ev) {
+                return ev.a == load_pc;
+            });
+        ASSERT_NE(load, commits.end());
+        const Cycle store_issue = issued.at(commits[i].b);
+        const Cycle load_issue = issued.at(load->b);
+        if (pc == s_pc) {
+            EXPECT_EQ(load_issue, store_issue) << "iteration " << pairs;
+            ++pairs;
+        } else {
+            // The drain follows the store's commit in the same tick at
+            // the earliest.
+            EXPECT_GE(load_issue, commits[i].cycle)
+                << "iteration " << overlaps;
+            ++overlaps;
+        }
+    }
+    EXPECT_EQ(pairs, kIters - kWarmIters);
+    EXPECT_EQ(overlaps, kIters - kWarmIters);
+    // Only each L forwards; no L2 does.
+    EXPECT_EQ(coreCounter(system.core(), "load_forwards"), pairs);
+    EXPECT_GT(squashes, kIters / 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ruu, LoadParking, ::testing::Values(16u, 128u, 200u));

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "crypto/sha256.hh"
@@ -655,6 +656,80 @@ TEST(AuthEngine, LastArrivedByMonotonicizesArrivals)
     AuthSeq b = eng.post(300, 0, true); // "arrives" earlier than a
     EXPECT_EQ(eng.lastArrivedBy(400, 0), kNoAuthSeq);
     EXPECT_EQ(eng.lastArrivedBy(500, 0), b);
+}
+
+TEST(AuthEngine, LastArrivedByMatchesReferenceAcrossPrune)
+{
+    // The engine keeps the last kWindow requests (auth_engine.cc's
+    // history window). A client whose every arrival at or before the
+    // queried cycle has been pruned reads its most recently pruned
+    // request. Check every answer, in a random query order, against a
+    // model that keeps every arrival. Client 1 sleeps through the
+    // middle third, neither posting nor asking, while client 0's posts
+    // prune every request it made from under its cursor.
+    constexpr AuthSeq kWindow = 1 << 16;
+    constexpr unsigned kPosts = 200'000;
+    static_assert(kPosts / 3 > kWindow);
+    struct History
+    {
+        std::vector<Cycle> arrivals; // running max, as the engine keeps
+        std::vector<AuthSeq> seqs;
+    };
+    // Fully pipelined, so the queue keeps up with a post every 1.5
+    // cycles on average.
+    AuthEngine eng(148, 1, 2);
+    History model[2];
+    Rng rng(0xa11ce);
+    Cycle now = 0;
+    AuthSeq last = kNoAuthSeq;
+    unsigned mismatches = 0, fallbacks = 0;
+    for (unsigned i = 0; i < kPosts; ++i) {
+        now += rng.below(4);
+        const bool asleep = i >= kPosts / 3 && i < 2 * kPosts / 3;
+        const unsigned client = !asleep && rng.below(3) == 0 ? 1 : 0;
+        const Cycle ready = now + rng.below(400); // out of order
+        last = eng.post(ready, 0, true, client);
+        History &h = model[client];
+        h.arrivals.push_back(h.arrivals.empty()
+                                 ? ready
+                                 : std::max(ready, h.arrivals.back()));
+        h.seqs.push_back(last);
+
+        const AuthSeq oldest = last > kWindow ? last - kWindow + 1 : 1;
+        for (unsigned q = 0; q < 2; ++q) {
+            const unsigned c = asleep ? 0 : unsigned(rng.below(2));
+            // Mostly near the present, in both directions; now and then
+            // anywhere in the past, often before the window. (A far
+            // query walks the cursor across the window and back, so it
+            // stays rare.)
+            const Cycle at = rng.below(256) == 0
+                                 ? rng.below(now + 1)
+                                 : now + rng.below(400) -
+                                       std::min<Cycle>(now, 200);
+            const History &m = model[c];
+            const std::size_t arrived = std::size_t(
+                std::upper_bound(m.arrivals.begin(), m.arrivals.end(), at) -
+                m.arrivals.begin());
+            const std::size_t pruned = std::size_t(
+                std::lower_bound(m.seqs.begin(), m.seqs.end(), oldest) -
+                m.seqs.begin());
+            const std::size_t n = std::max(arrived, pruned);
+            const AuthSeq want = n == 0 ? kNoAuthSeq : m.seqs[n - 1];
+            if (arrived < pruned)
+                ++fallbacks;
+            const AuthSeq got = eng.lastArrivedBy(at, c);
+            if (got != want && ++mismatches <= 5)
+                ADD_FAILURE() << "post " << i << " client " << c
+                              << " cycle " << at << ": got " << got
+                              << ", want " << want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // The run reached the pruned fallback, and the model's window is
+    // the engine's: the oldest kept request has a completion cycle.
+    EXPECT_GT(fallbacks, 100u);
+    EXPECT_EQ(eng.doneCycle(last - kWindow), 0u);
+    EXPECT_NE(eng.doneCycle(last - kWindow + 1), 0u);
 }
 
 TEST(AuthEngine, ThroughputBoundedByInterval)

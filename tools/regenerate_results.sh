@@ -15,9 +15,10 @@
 #
 # --check: instead of regenerating results, build a separate
 # sanitizer-instrumented tree (ACP_SANITIZE=address,undefined in
-# build-asan/) and run the full test suite under it. Catches memory
-# and UB bugs the plain run would silently survive; writes nothing
-# to the result artifacts.
+# build-asan/, with libstdc++'s _GLIBCXX_ASSERTIONS so every container
+# operator[] is range-checked) and run the full test suite under it.
+# Catches memory and UB bugs the plain run would silently survive;
+# writes nothing to the result artifacts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +29,8 @@ if [[ "${1:-}" == "--check" ]]; then
         GENERATOR=(-G Ninja)
     fi
     cmake -B build-asan "${GENERATOR[@]}" \
-        -DACP_SANITIZE=address,undefined
+        -DACP_SANITIZE=address,undefined \
+        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
     cmake --build build-asan -j "$JOBS"
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
     echo "sanitizer check passed (build-asan/, jobs=$JOBS)"

@@ -4,15 +4,16 @@
  * acp::exp experiment API: each figure/table declares an exp::Request
  * (workloads × config variants) and hands it to exp::submit(), which
  * executes points on a thread pool and persists results in the
- * versioned, fully-keyed ./acp_store result store, which concurrent
- * bench processes may share.
+ * ./acp_store result store: one append-only file, keyed on a digest
+ * of the full configuration, which concurrent bench processes may
+ * share (src/exp/result_store.hh).
  *
- * Environment knobs:
+ * Environment knobs (a malformed value is fatal and names the knob):
  *
- *   ACP_JOBS             worker threads               (default: all cores)
+ *   ACP_JOBS             worker threads         (default or 0: all cores)
  *   REPRO_MEASURE_INSTS  timed window per run         (default 60000)
  *   REPRO_WARMUP_INSTS   functional warmup per run    (default 30000)
- *   REPRO_WS_BYTES       workload working set         (default 2 MiB)
+ *   REPRO_WS_BYTES       workload working set, e.g. 2M (default 2 MiB)
  *
  * The paper simulates 400M instructions per SPEC benchmark on a farm;
  * the defaults here reproduce the *shape* of every figure in minutes
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/auth_policy.hh"
 #include "exp/request.hh"
 #include "exp/submit.hh"
@@ -40,11 +42,14 @@
 namespace acp::bench
 {
 
+/** The count in environment variable @p name, or @p fallback when it
+ *  is unset; a malformed value is fatal and names the variable. */
 inline std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
-    const char *value = std::getenv(name);
-    return value ? std::strtoull(value, nullptr, 0) : fallback;
+    if (const char *value = std::getenv(name))
+        parseCount(name, value, fallback);
+    return fallback;
 }
 
 inline std::uint64_t
@@ -59,10 +64,12 @@ warmupInsts()
     return envU64("REPRO_WARMUP_INSTS", 30000);
 }
 
+/** REPRO_WS_BYTES takes acpsim --ws's size syntax (e.g. 2M). */
 inline std::uint64_t
 workingSetBytes()
 {
-    return envU64("REPRO_WS_BYTES", 2ULL << 20);
+    const char *value = std::getenv("REPRO_WS_BYTES");
+    return value ? parseSize("REPRO_WS_BYTES", value) : 2ULL << 20;
 }
 
 /** Base configuration = paper Table 3 (256KB L2 variant). */

@@ -1,7 +1,7 @@
 /**
  * @file
- * The one text codec for a cacheable Result: the payload lines of
- * the content-addressed result store's acp-store-v1 data files. A
+ * The one text codec for a cacheable Result: the payload of each line
+ * of the content-addressed result store (exp/result_store.hh). A
  * result read back from the store decodes bit-identically to the one
  * that was put:
  *

@@ -3,32 +3,32 @@
  * Content-addressed, append-only result store — the one result
  * backend behind exp::submit.
  *
- * Layout (a directory, ./acp_store by default):
+ * The store is one file in a directory (./acp_store by default):
  *
- *   <dir>/index.txt   acp-store-v1
- *                     # {"schema": "acp-manifest-v1", ...}
- *                     put <64-hex-digest> <offset> <len>
- *   <dir>/data.txt    one result_codec payload line per put, at the
- *                     recorded byte offset/length
+ *   <dir>/results-v2.txt   <64-hex digest> <16-hex FNV-1a> <payload>
  *
- * Once initialised, both files only grow. Replaying the index keeps
- * the last put of each digest; any other record (the touch/evict
- * lines an older, LRU-capped build journaled) is skipped, so such a
- * store still opens and serves every entry whose payload it can read.
+ * One line per put: the payload is a result_codec line, the checksum
+ * its 64-bit FNV-1a. Opening reads the file once and keeps the payload
+ * text of every line whose checksum holds; the last line for a digest
+ * wins. A lookup decodes only its own payload. A missing file reads as
+ * an empty store, and nothing is created until the first put.
  *
  * Results are keyed on pointDigest() alone: SHA-256 over the complete
  * serialized SimConfig plus workload identity and window, so every
  * configuration knob participates in the key and a store hit is
- * exactly the result the point would compute.
+ * exactly the result the point would compute. The key does not name
+ * the simulator's version: a change that moves simulated numbers on
+ * purpose renames the file (results-v3.txt). An older file, like an
+ * older build's index.txt/data.txt pair, is never read.
  *
  * Several processes may share one directory (two bench binaries run
- * side by side, say). File access holds flock(2) on index.txt:
- * shared while the journal is replayed at open, exclusive while a put
- * appends and while the store is initialised. The exclusive lock is
- * what makes a put's recorded data.txt offset the offset its payload
- * really lands at. A hit reads memory only. Each instance serves what
- * it has replayed or put itself; entries another process adds later
- * are seen on the next open.
+ * side by side, say). A put is one write(2) of its whole line to an
+ * O_APPEND descriptor; on a local filesystem the kernel lands each
+ * such write whole at the end of the file, so no lock is needed. A
+ * line torn by a full disk or a killed writer fails its checksum,
+ * together with the line appended right after it. Each instance
+ * serves what it read at open plus its own puts; entries another
+ * process adds later are seen on the next open.
  */
 
 #ifndef ACP_EXP_RESULT_STORE_HH
@@ -48,8 +48,6 @@ namespace acp::exp
 class ResultStore
 {
   public:
-    static constexpr const char *kIndexHeader = "acp-store-v1";
-
     /** Lifetime telemetry of one store instance (sweep JSON
      *  "telemetry" block). */
     struct Stats
@@ -59,19 +57,18 @@ class ResultStore
         std::uint64_t stores = 0;
     };
 
-    /** Open (creating if needed) the store directory @p dir and replay
-     *  its index. */
+    /** Read the store in directory @p dir; creates nothing. */
     explicit ResultStore(std::string dir);
+    ~ResultStore();
+    ResultStore(const ResultStore &) = delete;
+    ResultStore &operator=(const ResultStore &) = delete;
 
     /** Look up a digest; fills @p out (fromCache=true) on a hit. */
     bool lookup(const std::string &digest, Result &out);
 
-    /** Insert (or refresh) an entry: appends the payload to data.txt
-     *  and its put record to index.txt. */
+    /** Append an entry, creating the directory and file on the first
+     *  put. A later put of the same digest supersedes it. */
     void put(const std::string &digest, const Result &result);
-
-    /** Live (resident and servable) entry count. */
-    std::size_t size() const;
 
     const std::string &dir() const { return dir_; }
 
@@ -79,23 +76,13 @@ class ResultStore
     Stats stats() const;
 
   private:
-    std::string indexPath() const { return dir_ + "/index.txt"; }
-    std::string dataPath() const { return dir_ + "/data.txt"; }
-
-    // "Locked" members run under mutex_ (in-process). appendDataLocked
-    // also needs the exclusive cross-process lock on index.txt.
-
-    /** Replay the journal into the (reset) live set; false when the
-     *  index is missing, empty or not acp-store-v1. */
-    bool loadIndexLocked();
-    /** Append one payload line to data.txt; false on I/O failure. */
-    bool appendDataLocked(const std::string &payload,
-                          std::uint64_t &offset);
+    std::string path() const { return dir_ + "/results-v2.txt"; }
 
     std::string dir_;
+    int fd_ = -1; ///< append descriptor, opened by the first put
     mutable std::mutex mutex_;
-    mutable Stats stats_;
-    std::unordered_map<std::string, Result> entries_;
+    Stats stats_;
+    std::unordered_map<std::string, std::string> payloads_;
 };
 
 } // namespace acp::exp

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/manifest.hh"
 #include "obs/path_report.hh"
@@ -135,13 +136,12 @@ class ProgressReporter
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("ACP_JOBS")) {
-        unsigned n = unsigned(std::strtoul(env, nullptr, 0));
-        if (n > 0)
-            return n;
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    unsigned n = 0;
+    if (const char *env = std::getenv("ACP_JOBS"))
+        parseCount("ACP_JOBS", env, n);
+    if (n == 0)
+        n = std::thread::hardware_concurrency();
+    return n ? n : 1;
 }
 
 Result

@@ -67,7 +67,8 @@ struct Submission
     std::string error;
 };
 
-/** ACP_JOBS env or hardware concurrency (never 0). */
+/** ACP_JOBS env (0 or unset: hardware concurrency), never 0; a
+ *  malformed ACP_JOBS is fatal. */
 unsigned defaultJobs();
 
 /** Execute @p req (see file comment). */

@@ -2,7 +2,7 @@
  * @file
  * Run provenance manifests: the self-describing block stamped into
  * every machine-readable artifact the harness produces (acpsim
- * --json sweeps, BENCH_*.json recordings, the result-store index) so
+ * --json sweeps, BENCH_*.json recordings, perfbench result lines) so
  * a result can always be traced back to the exact binary, tree state
  * and host that produced it.
  *
@@ -67,8 +67,7 @@ Manifest manifest();
 void writeManifestJson(std::FILE *out, const Manifest &m,
                        const char *indent);
 
-/** One-line JSON form (no newlines) — for the result-store
- *  provenance comment and other line-oriented records. */
+/** One-line JSON form (no newlines) — for line-oriented records. */
 std::string manifestJsonLine(const Manifest &m);
 
 /** Human-readable block for `acpsim --version`. */

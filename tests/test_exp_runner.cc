@@ -3,18 +3,22 @@
  * Tests for the acp::exp experiment subsystem on the Request/submit
  * API: the materialized cross product, parallel execution being
  * bit-identical to serial, the config digest covering every
- * secure-memory and multi-core knob, and the result store serving
- * repeat submissions without re-simulating.
+ * secure-memory and multi-core knob, the result store serving
+ * repeat submissions without re-simulating, and the strict parsing of
+ * ACP_JOBS and the bench REPRO_* knobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
+#include "bench/bench_util.hh"
 #include "exp/request.hh"
 #include "exp/submit.hh"
 #include "sim/config_io.hh"
@@ -61,13 +65,7 @@ class ScratchStore
     const std::string &path() const { return path_; }
 
   private:
-    void
-    clear()
-    {
-        std::remove((path_ + "/index.txt").c_str());
-        std::remove((path_ + "/data.txt").c_str());
-        ::rmdir(path_.c_str());
-    }
+    void clear() { std::filesystem::remove_all(path_); }
     std::string path_;
 };
 
@@ -288,9 +286,108 @@ TEST(ExpStore, RoundTripSkipsSimulation)
     }
 }
 
+TEST(ExpStore, UncacheableSweepCreatesNoStore)
+{
+    ScratchStore store("test_exp_store_uncacheable");
+    exp::Request req = smallRequest();
+    req.workloadNames = {"mcf"};
+    req.store = store.path();
+    req.decorate = [](std::vector<exp::Point> &points) {
+        for (exp::Point &p : points)
+            p.cfg.profileEnabled = true;
+    };
+
+    exp::Submission sub = exp::submit(req);
+    ASSERT_TRUE(sub.ok) << sub.error;
+    EXPECT_EQ(sub.telemetry.simulated, sub.points.size());
+    EXPECT_FALSE(std::filesystem::exists(store.path()));
+}
+
 TEST(ExpSubmit, JobsResolutionNeverZero)
 {
     EXPECT_GE(exp::defaultJobs(), 1u);
+}
+
+/** Sets (or with nullptr unsets) environment variable @p name for one
+ *  scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        had_ = old != nullptr;
+        if (had_)
+            old_ = old;
+        value ? ::setenv(name, value, 1) : ::unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        had_ ? ::setenv(name_, old_.c_str(), 1) : ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::string old_;
+    bool had_;
+};
+
+// ACP_JOBS and the bench REPRO_* knobs parse like acpsim's options.
+// The death tests only parse: none of them starts a thread.
+TEST(EnvKnobsDeathTest, MalformedValuesAreFatalAndNameTheVariable)
+{
+    const auto fatal = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT((::setenv("ACP_JOBS", "-1", 1), exp::defaultJobs()), fatal,
+                "ACP_JOBS: '-1' is not a count");
+    EXPECT_EXIT((::setenv("ACP_JOBS", "4294967296", 1), exp::defaultJobs()),
+                fatal, "ACP_JOBS: '4294967296' is not a count");
+    EXPECT_EXIT((::setenv("ACP_JOBS", "2x", 1), exp::defaultJobs()), fatal,
+                "ACP_JOBS: '2x'");
+    EXPECT_EXIT((::setenv("REPRO_WARMUP_INSTS", "1k", 1),
+                 bench::warmupInsts()),
+                fatal, "REPRO_WARMUP_INSTS: '1k' is not a count");
+    EXPECT_EXIT((::setenv("REPRO_MEASURE_INSTS", "-5", 1),
+                 bench::measureInsts()),
+                fatal, "REPRO_MEASURE_INSTS: '-5' is not a count");
+    EXPECT_EXIT((::setenv("REPRO_WS_BYTES", "2Q", 1),
+                 bench::workingSetBytes()),
+                fatal, "REPRO_WS_BYTES: bad size suffix in '2Q'");
+    EXPECT_EXIT((::setenv("REPRO_WS_BYTES", "-2M", 1),
+                 bench::workingSetBytes()),
+                fatal, "REPRO_WS_BYTES: bad size '-2M'");
+}
+
+TEST(EnvKnobs, WellFormedValuesParse)
+{
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    {
+        ScopedEnv jobs("ACP_JOBS", nullptr);
+        EXPECT_EQ(exp::defaultJobs(), hw);
+    }
+    {
+        ScopedEnv jobs("ACP_JOBS", "0");
+        EXPECT_EQ(exp::defaultJobs(), hw);
+    }
+    {
+        ScopedEnv jobs("ACP_JOBS", "3");
+        EXPECT_EQ(exp::defaultJobs(), 3u);
+    }
+    {
+        ScopedEnv warmup("REPRO_WARMUP_INSTS", "0x400");
+        EXPECT_EQ(bench::warmupInsts(), 1024u);
+    }
+    {
+        ScopedEnv ws("REPRO_WS_BYTES", "2M");
+        EXPECT_EQ(bench::workingSetBytes(), 2ULL << 20);
+    }
+    {
+        ScopedEnv ws("REPRO_WS_BYTES", "131072");
+        EXPECT_EQ(bench::workingSetBytes(), 131072u);
+    }
+    {
+        ScopedEnv ws("REPRO_WS_BYTES", nullptr);
+        EXPECT_EQ(bench::workingSetBytes(), 2ULL << 20);
+    }
 }
 
 } // namespace

@@ -1,16 +1,20 @@
 /**
  * @file
  * Tests for the content-addressed result store (exp::ResultStore):
- * payload round-trip through the codec, journal replay across reopen
- * (including a journal an older LRU-capped build wrote), hits that
- * leave both files untouched, and two processes sharing one store
- * directory.
+ * payload round-trip through the codec, the store file across reopen,
+ * opens and hits that write nothing, torn and foreign lines that only
+ * ever miss, and two processes appending to one store.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -23,6 +27,32 @@ using namespace acp;
 namespace
 {
 
+/** The whole of @p path; empty when it cannot be read. */
+std::string
+readText(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return {};
+    std::string text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, n);
+    std::fclose(f);
+    return text;
+}
+
+/** Replace @p path with @p text. */
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+}
+
 /** RAII scratch store directory. */
 class ScratchStore
 {
@@ -30,41 +60,10 @@ class ScratchStore
     explicit ScratchStore(const char *name) : path_(name) { clear(); }
     ~ScratchStore() { clear(); }
     const std::string &path() const { return path_; }
-
-    /** Contents of @p file inside the store directory. */
-    std::string
-    contents(const char *file) const
-    {
-        std::FILE *f = std::fopen((path_ + "/" + file).c_str(), "rb");
-        if (!f)
-            return {};
-        std::string text;
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
-        return text;
-    }
-
-    /** Replace @p file inside the store directory with @p text. */
-    void
-    write(const char *file, const std::string &text) const
-    {
-        std::FILE *f = std::fopen((path_ + "/" + file).c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-    }
+    std::string file() const { return path_ + "/results-v2.txt"; }
 
   private:
-    void
-    clear()
-    {
-        std::remove((path_ + "/index.txt").c_str());
-        std::remove((path_ + "/data.txt").c_str());
-        ::rmdir(path_.c_str());
-    }
+    void clear() { std::filesystem::remove_all(path_); }
     std::string path_;
 };
 
@@ -124,88 +123,118 @@ TEST(ResultCodec, RoundTripsEveryStatKind)
 TEST(ResultStore, PersistsAcrossReopen)
 {
     ScratchStore dir("test_store_reopen");
+    exp::Result out;
     {
         exp::ResultStore store(dir.path());
         store.put(digestOf('a'), sampleResult(1000));
         store.put(digestOf('b'), sampleResult(2000));
-        EXPECT_EQ(store.size(), 2u);
+        store.put(digestOf('b'), sampleResult(3000)); // supersedes
+        ASSERT_TRUE(store.lookup(digestOf('b'), out));
+        EXPECT_EQ(out.run.insts, 3000u);
     }
     exp::ResultStore reopened(dir.path());
-    EXPECT_EQ(reopened.size(), 2u);
-    exp::Result out;
     ASSERT_TRUE(reopened.lookup(digestOf('a'), out));
     EXPECT_TRUE(out.fromCache);
     EXPECT_EQ(out.run.insts, 1000u);
     EXPECT_EQ(out.counters, sampleResult(1000).counters);
-    EXPECT_EQ(reopened.stats().hits, 1u);
+    EXPECT_EQ(exp::encodeResultTokens(out),
+              exp::encodeResultTokens(sampleResult(1000)));
+    ASSERT_TRUE(reopened.lookup(digestOf('b'), out));
+    EXPECT_EQ(out.run.insts, 3000u);
+    EXPECT_EQ(reopened.stats().hits, 2u);
     EXPECT_FALSE(reopened.lookup(digestOf('z'), out));
     EXPECT_EQ(reopened.stats().misses, 1u);
 }
 
-TEST(ResultStore, HitDoesNotWriteTheStore)
+TEST(ResultStore, OpeningAndHittingWriteNothing)
 {
-    ScratchStore dir("test_store_hit_reads_memory");
-    exp::ResultStore store(dir.path());
-    store.put(digestOf('a'), sampleResult(1));
-    const std::string index = dir.contents("index.txt");
-    const std::string data = dir.contents("data.txt");
-
+    // A missing store reads as empty: opening it and missing in it
+    // create nothing.
+    ScratchStore root("test_store_writes_nothing");
     exp::Result out;
+    {
+        exp::ResultStore store(root.path());
+        EXPECT_FALSE(store.lookup(digestOf('a'), out));
+    }
+    EXPECT_FALSE(std::filesystem::exists(root.path()));
+
+    // The first put creates the directory, its parents and the one
+    // file; hits, misses and reopening leave that file as it was.
+    const std::string dir = root.path() + "/nested/acp_store";
+    exp::ResultStore store(dir);
+    store.put(digestOf('a'), sampleResult(1));
+    const std::string text = readText(dir + "/results-v2.txt");
+    ASSERT_FALSE(text.empty());
     ASSERT_TRUE(store.lookup(digestOf('a'), out));
-    exp::ResultStore reopened(dir.path());
+    exp::ResultStore reopened(dir);
     ASSERT_TRUE(reopened.lookup(digestOf('a'), out));
     EXPECT_FALSE(reopened.lookup(digestOf('b'), out));
+    EXPECT_EQ(readText(dir + "/results-v2.txt"), text);
 
-    EXPECT_EQ(dir.contents("index.txt"), index);
-    EXPECT_EQ(dir.contents("data.txt"), data);
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"results-v2.txt"});
 }
 
-TEST(ResultStore, OpensAnOlderJournal)
+TEST(ResultStore, TornAndForeignLinesAreMisses)
 {
-    // An older build capped the store with LRU eviction and journaled
-    // touch/evict records beside its puts. Replay keeps the last put
-    // of each digest and skips the rest.
-    ScratchStore dir("test_store_older_journal");
-    { exp::ResultStore init(dir.path()); }
-    std::string index = dir.contents("index.txt");
-    std::string data;
-    auto put = [&](char fill, std::uint64_t insts, std::size_t extra = 0) {
-        std::string payload = exp::encodeResultTokens(sampleResult(insts));
-        index += "put " + digestOf(fill) + " " +
-                 std::to_string(data.size()) + " " +
-                 std::to_string(payload.size() + extra) + "\n";
-        data += payload + "\n";
+    ScratchStore dir("test_store_torn");
+    {
+        exp::ResultStore store(dir.path());
+        for (char fill : {'a', 'b', 'c', 'd', 'e', 'f'})
+            store.put(digestOf(fill), sampleResult(std::uint64_t(fill)));
+    }
+    const std::string whole = readText(dir.file());
+    auto lineOf = [&](char fill) {
+        std::size_t at = whole.find(digestOf(fill));
+        return whole.substr(at, whole.find('\n', at) + 1 - at);
     };
-    put('a', 1);
-    put('b', 2);
-    index += "touch " + digestOf('a') + "\n";
-    index += "evict " + digestOf('b') + "\n";
-    put('c', 3);
-    put('a', 4); // supersedes the first 'a'
-    index += "touch " + digestOf('c') + "\n";
-    index += "evict " + digestOf('z') + "\n";
-    put('d', 5, 4096); // its span runs past the end of data.txt
-    dir.write("index.txt", index);
-    dir.write("data.txt", data);
+
+    std::string text = lineOf('a');
+    // A writer killed mid-payload, then another's whole line: the two
+    // run together into one line whose checksum fails.
+    text += lineOf('b').substr(0, lineOf('b').size() / 2);
+    text += lineOf('c');
+    // A payload changed after its checksum was taken.
+    std::string changed = lineOf('d');
+    changed.replace(changed.find("insts=100"), 9, "insts=900");
+    text += changed;
+    // Foreign lines: an older build's index record, a blank line.
+    text += "put " + digestOf('e') + " 0 100\n\n";
+    text += lineOf('f');
+    // A last line whose newline has not landed yet.
+    std::string unterminated = lineOf('e');
+    unterminated.pop_back();
+    text += unterminated;
+    writeText(dir.file(), text);
+
+    // An older build's index.txt/data.txt pair is never read.
+    const std::string old_index =
+        "acp-store-v1\nput " + digestOf('g') + " 0 " +
+        std::to_string(exp::encodeResultTokens(sampleResult(7)).size()) +
+        "\n";
+    const std::string old_data =
+        exp::encodeResultTokens(sampleResult(7)) + "\n";
+    writeText(dir.path() + "/index.txt", old_index);
+    writeText(dir.path() + "/data.txt", old_data);
 
     exp::ResultStore store(dir.path());
-    EXPECT_EQ(store.size(), 3u);
     exp::Result out;
     ASSERT_TRUE(store.lookup(digestOf('a'), out));
-    EXPECT_EQ(out.run.insts, 4u);
-    // Evicted by the older build, served again: the payload is still
-    // there, and a content-addressed result cannot have changed.
-    ASSERT_TRUE(store.lookup(digestOf('b'), out));
-    EXPECT_EQ(out.run.insts, 2u);
-    EXPECT_EQ(out.counters, sampleResult(2).counters);
-    ASSERT_TRUE(store.lookup(digestOf('c'), out));
-    EXPECT_EQ(out.run.insts, 3u);
-    EXPECT_FALSE(store.lookup(digestOf('d'), out));
-    EXPECT_FALSE(store.lookup(digestOf('z'), out));
+    EXPECT_EQ(out.run.insts, std::uint64_t('a'));
+    ASSERT_TRUE(store.lookup(digestOf('f'), out));
+    EXPECT_EQ(out.run.insts, std::uint64_t('f'));
+    for (char fill : {'b', 'c', 'd', 'e', 'g'})
+        EXPECT_FALSE(store.lookup(digestOf(fill), out)) << fill;
+    EXPECT_EQ(readText(dir.file()), text);
+    EXPECT_EQ(readText(dir.path() + "/index.txt"), old_index);
+    EXPECT_EQ(readText(dir.path() + "/data.txt"), old_data);
 }
 
-/** Digest of entry @p i written by writer @p writer: distinct for
- *  every (writer, i), 64 hex characters like a real pointDigest. */
+/** 64 hex characters like a real pointDigest: distinct for every
+ *  (writer, i); writer kShared names the digests both writers put. */
+constexpr int kShared = 99;
 std::string
 writerDigest(int writer, int i)
 {
@@ -219,8 +248,13 @@ TEST(ResultStore, TwoProcessesAppendWithoutLosingEntries)
     ScratchStore dir("test_store_two_procs");
     constexpr int kWriters = 2;
     constexpr int kPerWriter = 3000;
-    // Open the store once so both writers find an initialised index.
-    { exp::ResultStore init(dir.path()); }
+    constexpr int kSharedCount = 500;
+    auto ownInsts = [](int w, int i) {
+        return std::uint64_t(w * kPerWriter + i);
+    };
+    auto sharedInsts = [](int w, int s) {
+        return std::uint64_t(1000000 + w * kSharedCount + s);
+    };
 
     pid_t pids[kWriters];
     for (int w = 0; w < kWriters; ++w) {
@@ -228,9 +262,12 @@ TEST(ResultStore, TwoProcessesAppendWithoutLosingEntries)
         ASSERT_GE(pids[w], 0);
         if (pids[w] == 0) {
             exp::ResultStore store(dir.path());
-            for (int i = 0; i < kPerWriter; ++i)
-                store.put(writerDigest(w, i),
-                          sampleResult(std::uint64_t(w) * kPerWriter + i));
+            for (int i = 0; i < kPerWriter; ++i) {
+                store.put(writerDigest(w, i), sampleResult(ownInsts(w, i)));
+                if (i % 6 == 5)
+                    store.put(writerDigest(kShared, i / 6),
+                              sampleResult(sharedInsts(w, i / 6)));
+            }
             ::_exit(0);
         }
     }
@@ -240,23 +277,41 @@ TEST(ResultStore, TwoProcessesAppendWithoutLosingEntries)
         ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     }
 
-    // Every journaled span must point at its own payload: a put whose
-    // data.txt offset was taken before another process's append lands
-    // would decode to the wrong result, or fail to decode and drop.
+    // Every append landed whole: one line per put, each decoding to
+    // its own result.
+    const std::string text = readText(dir.file());
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+              kWriters * (kPerWriter + kSharedCount));
     exp::ResultStore reopened(dir.path());
-    EXPECT_EQ(reopened.size(), std::size_t(kWriters * kPerWriter));
     int wrong = 0;
     for (int w = 0; w < kWriters; ++w) {
         for (int i = 0; i < kPerWriter; ++i) {
             exp::Result out;
-            std::uint64_t insts = std::uint64_t(w) * kPerWriter + i;
             if (!reopened.lookup(writerDigest(w, i), out) ||
-                out.run.insts != insts ||
-                out.counters != sampleResult(insts).counters)
+                exp::encodeResultTokens(out) !=
+                    exp::encodeResultTokens(sampleResult(ownInsts(w, i))))
                 ++wrong;
         }
     }
     EXPECT_EQ(wrong, 0) << "entries lost or decoded to another result";
+
+    // A digest both writers put is served from its last line.
+    std::map<std::string, std::string> last_payload;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);)
+        last_payload[line.substr(0, line.find(' '))] =
+            line.substr(line.find(' ', line.find(' ') + 1) + 1);
+    int not_last = 0;
+    for (int s = 0; s < kSharedCount; ++s) {
+        const std::string &last = last_payload[writerDigest(kShared, s)];
+        exp::Result out;
+        if (!reopened.lookup(writerDigest(kShared, s), out) ||
+            exp::encodeResultTokens(out) != last ||
+            (out.run.insts != sharedInsts(0, s) &&
+             out.run.insts != sharedInsts(1, s)))
+            ++not_last;
+    }
+    EXPECT_EQ(not_last, 0) << "a shared digest not served from its last put";
 }
 
 } // namespace

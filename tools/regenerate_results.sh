@@ -10,8 +10,14 @@
 # Honors the usual scale knobs (REPRO_MEASURE_INSTS, REPRO_WARMUP_INSTS,
 # REPRO_WS_BYTES). Per-run results persist in the ./acp_store
 # directory (content-addressed on the full-config digest), so
-# re-running after a code change only recomputes what changed (delete
+# re-running only simulates points whose configuration changed (delete
 # the store directory to force everything).
+#
+# The two IPC recorders, baseline_ipc and multicore_scaling, are
+# skipped: run with no argument they overwrite the committed
+# BENCH_event_loop.json and BENCH_multicore.json at whatever scale is
+# set. Only tools/record_bench.sh records them, behind its --force
+# guard.
 #
 # --check: instead of regenerating results, build a separate
 # sanitizer-instrumented tree (ACP_SANITIZE=address,undefined in
@@ -52,6 +58,9 @@ ctest --test-dir build -j "$JOBS" 2>&1 | tee test_output.txt
 
 : > bench_output.txt
 for b in build/bench/*; do
+    case "$(basename "$b")" in
+        baseline_ipc|multicore_scaling) continue ;;
+    esac
     echo "===== $b =====" | tee -a bench_output.txt
     "$b" 2>/dev/null | tee -a bench_output.txt
     echo | tee -a bench_output.txt

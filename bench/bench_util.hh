@@ -23,18 +23,24 @@
 #ifndef ACP_BENCH_BENCH_UTIL_HH
 #define ACP_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "core/auth_policy.hh"
 #include "exp/request.hh"
 #include "exp/submit.hh"
+#include "obs/manifest.hh"
+#include "obs/path_profiler.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -280,6 +286,72 @@ speedupOverIssueTable(const char *title,
                     ">30%%: %d\n", schemes[s].label, over10, over20,
                     over30);
     }
+}
+
+/**
+ * Write @p points and @p results to @p path as an
+ * "acp-bench-baseline-v1" recording, the schema tools/bench_diff.py
+ * diffs: the manifest (provenance the diff reports, never compares),
+ * window knobs, and one line per point with its workload, the keys
+ * @p identify adds ("policy" at least), IPC, cycles, instructions,
+ * wall seconds and, when profiled, each path segment's mean per
+ * demand transaction. Fatal on a failed write.
+ */
+inline void
+writeRecording(
+    const char *path, const std::vector<exp::Point> &points,
+    const std::vector<exp::Result> &results,
+    const std::function<void(json::Writer &, const exp::Point &)> &identify)
+{
+    double wall_total = 0.0;
+    std::uint64_t cycles_total = 0;
+    bool written = json::writeFile(path, [&](json::Writer &w) {
+        w.beginObject();
+        w.key("version").value("acp-bench-baseline-v1");
+        w.key("manifest");
+        obs::writeManifest(w, obs::manifest());
+        w.key("measureInsts").value(measureInsts());
+        w.key("warmupInsts").value(warmupInsts());
+        w.key("workingSetBytes").value(workingSetBytes());
+        w.key("points").beginArray();
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const exp::Result &r = results[i];
+            wall_total += r.wallSeconds;
+            cycles_total += r.run.cycles;
+            w.beginObject(json::kOneLine);
+            w.key("workload").value(points[i].workload);
+            identify(w, points[i]);
+            w.key("ipc").fixed(r.run.ipc, 6).key("cycles").value(r.run.cycles);
+            w.key("insts").value(r.run.insts);
+            w.key("wallSeconds").fixed(r.wallSeconds, 3);
+            if (r.hasProfile) {
+                const std::uint64_t demand = r.profile.demandTxns;
+                w.key("demandTxns").value(demand);
+                w.key("segMeans").beginObject();
+                for (unsigned s = 0; s < obs::kNumPathSegments; ++s) {
+                    double cycles = double(r.profile.demandSegCycles[s]);
+                    w.key(obs::pathSegmentName(obs::PathSegment(s)))
+                        .fixed(demand ? cycles / double(demand) : 0.0, 3);
+                }
+                w.endObject();
+            }
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+    });
+    if (!written)
+        acp_fatal("cannot write %s: %s", path, std::strerror(errno));
+
+    std::printf("\nwrote %s (%zu points, %.1fs simulated wall time)\n",
+                path, results.size(), wall_total);
+    // Loop-throughput summary: how fast the simulator chews through
+    // simulated cycles. This is the number the event loop moves; the
+    // recorded IPC and segment means must not move at all.
+    std::printf("throughput: %.0f simulated cycles per wall second "
+                "(%llu cycles / %.1fs)\n",
+                wall_total > 0 ? double(cycles_total) / wall_total : 0.0,
+                (unsigned long long)cycles_total, wall_total);
 }
 
 /** Geometric-mean helper used for "average" rows (ratios). */

@@ -16,18 +16,16 @@
  *
  *   tools/record_bench.sh BENCH_multicore.json --bench=multicore_scaling
  *
- * Profiled points are uncacheable by design, so every run here is a
- * fresh measurement.
+ * The sweep bypasses the result store, so every run here is a fresh
+ * measurement and no ./acp_store is read or left behind.
  */
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "obs/manifest.hh"
 
 using namespace acp;
 
@@ -42,19 +40,16 @@ main(int argc, char **argv)
          {"commit", core::AuthPolicy::kAuthThenCommit}};
     const std::vector<unsigned> core_counts = {1, 2, 4};
 
-    std::printf("Recording multi-core scaling (profiled)\n");
+    std::printf("Recording multi-core scaling\n");
     std::printf("(window: %llu measured instructions per core, %llu "
                 "warmup, %lluKB working set per array)\n",
                 (unsigned long long)bench::measureInsts(),
                 (unsigned long long)bench::warmupInsts(),
                 (unsigned long long)bench::workingSetBytes() / 1024);
 
-    sim::SimConfig cfg = bench::paperConfig();
-    cfg.profileEnabled = true;
-
     // One variant per (policy, core count), policy-major, labelled
     // "commit@2c".
-    exp::Request sweep = bench::paperRequest(cfg);
+    exp::Request sweep = bench::paperRequest();
     sweep.workloads(names);
     for (const auto &[name, policy] : policies)
         for (unsigned n : core_counts)
@@ -63,51 +58,10 @@ main(int argc, char **argv)
                               c.policy = policy;
                               c.numCores = n;
                           });
+    sweep.store.clear();
 
     std::vector<exp::Point> points = sweep.points();
     std::vector<exp::Result> results = bench::run(sweep);
-
-    std::FILE *out = std::fopen(out_path, "wb");
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-        return 1;
-    }
-
-    // Same schema as BENCH_event_loop.json so tools/bench_diff.py can
-    // diff two multicore recordings; the "policy" key is the point
-    // label ("commit@2c"), which keeps (workload, policy) unique
-    // across core counts.
-    std::fprintf(out, "{\n  \"version\": \"acp-bench-baseline-v1\",\n");
-    std::fputs("  \"manifest\": ", out);
-    obs::writeManifestJson(out, obs::manifest(), "  ");
-    std::fputs(",\n", out);
-    std::fprintf(out, "  \"measureInsts\": %llu,\n",
-                 (unsigned long long)bench::measureInsts());
-    std::fprintf(out, "  \"warmupInsts\": %llu,\n",
-                 (unsigned long long)bench::warmupInsts());
-    std::fprintf(out, "  \"workingSetBytes\": %llu,\n",
-                 (unsigned long long)bench::workingSetBytes());
-    std::fprintf(out, "  \"points\": [");
-
-    double wall_total = 0.0;
-    std::uint64_t cycles_total = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const exp::Point &point = points[i];
-        const exp::Result &r = results[i];
-        wall_total += r.wallSeconds;
-        cycles_total += r.run.cycles;
-
-        std::fprintf(out, "%s\n    {\"workload\": \"%s\", "
-                     "\"policy\": \"%s\", \"cores\": %u,\n",
-                     i ? "," : "", point.workload.c_str(),
-                     point.label.c_str(), point.cfg.numCores);
-        std::fprintf(out, "     \"ipc\": %.6f, \"cycles\": %llu, "
-                     "\"insts\": %llu, \"wallSeconds\": %.3f}",
-                     r.run.ipc, (unsigned long long)r.run.cycles,
-                     (unsigned long long)r.run.insts, r.wallSeconds);
-    }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
 
     // Console summary: aggregate-IPC scaling vs the 1-core run of the
     // same (workload, policy) column. Point layout:
@@ -132,11 +86,15 @@ main(int argc, char **argv)
             std::printf("\n");
         }
     }
-    std::printf("\nwrote %s (%zu points, %.1fs simulated wall time)\n",
-                out_path, results.size(), wall_total);
-    std::printf("throughput: %.0f simulated cycles per wall second "
-                "(%llu cycles / %.1fs)\n",
-                wall_total > 0 ? double(cycles_total) / wall_total : 0.0,
-                (unsigned long long)cycles_total, wall_total);
+
+    // Same schema as BENCH_event_loop.json so tools/bench_diff.py can
+    // diff two multicore recordings; the "policy" key is the point
+    // label ("commit@2c"), which keeps (workload, policy) unique
+    // across core counts.
+    bench::writeRecording(out_path, points, results,
+                          [](json::Writer &w, const exp::Point &point) {
+                              w.key("policy").value(point.label);
+                              w.key("cores").value(point.cfg.numCores);
+                          });
     return 0;
 }

@@ -53,7 +53,6 @@ main(int argc, char **argv)
                     });
 
     req.store.clear(); // ad-hoc exploration: always simulate
-    req.captureStatsText = true;
     exp::Submission sub = exp::submit(req);
     const std::vector<exp::Result> &results = sub.results;
 
@@ -74,6 +73,6 @@ main(int argc, char **argv)
     }
 
     std::printf("\nFull statistics for commit+fetch:\n%s",
-                results[5].statsText.c_str());
+                exp::statsText(results[5]).c_str());
     return 0;
 }

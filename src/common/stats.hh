@@ -256,6 +256,18 @@ class StatGroup
     std::vector<std::pair<std::string, StatDistribution *>> distributions_;
 };
 
+/** StatGroup::dump()'s line for one statistic from its captured state
+ *  (@p name is "group.stat"), so a stored result prints like a live
+ *  group (exp::statsText). */
+void dumpCounter(std::string &out, const std::string &name,
+                 std::uint64_t value);
+void dumpAverage(std::string &out, const std::string &name,
+                 std::uint64_t count, double mean, double min, double max);
+void dumpDistribution(std::string &out, const std::string &name,
+                      std::uint64_t count, double mean, std::uint64_t min,
+                      std::uint64_t max,
+                      const std::vector<std::uint64_t> &buckets);
+
 /** Typed walk over a component's stat groups (cf. StatVisitor, which
  *  walks the individual statistics inside one group). */
 class StatGroupVisitor

@@ -23,28 +23,6 @@ SecurityMonitor::scan(const std::function<bool(const mem::BusTxn &)> &pred,
 }
 
 std::function<bool(const mem::BusTxn &)>
-SecurityMonitor::addressRevealsSecret(std::uint64_t secret,
-                                      unsigned window_bits, unsigned shift,
-                                      Addr page_base)
-{
-    std::uint64_t window_mask = (window_bits >= 64)
-                                    ? ~std::uint64_t(0)
-                                    : ((std::uint64_t(1) << window_bits) - 1);
-    std::uint64_t expect = (secret >> shift) & window_mask;
-    return [=](const mem::BusTxn &txn) {
-        if (txn.kind != mem::BusTxnKind::kDataFetch &&
-            txn.kind != mem::BusTxnKind::kInstrFetch)
-            return false;
-        // The adversary sees the line-granular fetch address; the
-        // low-order within-line bits are lost, so compare the secret
-        // window above the line offset.
-        std::uint64_t observed = (txn.addr - page_base) & window_mask;
-        std::uint64_t line_mask = ~std::uint64_t(63);
-        return (observed & line_mask) == (expect & line_mask);
-    };
-}
-
-std::function<bool(const mem::BusTxn &)>
 SecurityMonitor::addressEquals(Addr value)
 {
     Addr line = value & ~Addr(63);

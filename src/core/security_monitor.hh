@@ -49,17 +49,6 @@ class SecurityMonitor
     LeakReport scan(const std::function<bool(const mem::BusTxn &)> &pred,
                     Cycle before_cycle) const;
 
-    /**
-     * Leak predicate for a secret used directly as a fetch address:
-     * matches data/instruction fetches whose address reveals
-     * @p window_bits low bits of @p secret under an optional page
-     * mask/shift (Section 3.3.1). With shift=0 and a full window the
-     * raw pointer-conversion case is covered.
-     */
-    static std::function<bool(const mem::BusTxn &)>
-    addressRevealsSecret(std::uint64_t secret, unsigned window_bits,
-                         unsigned shift, Addr page_base);
-
     /** Leak predicate for plain pointer disclosure: address == value. */
     static std::function<bool(const mem::BusTxn &)>
     addressEquals(Addr value);

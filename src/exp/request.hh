@@ -3,7 +3,7 @@
  * The one experiment entry point: a Request fully describes a sweep —
  * the cross product workloads × config variants that every paper
  * figure/table is made of — *and* how to execute it (jobs, result
- * store, progress, stats text).
+ * store, progress).
  *
  * A Request replaces the three entry surfaces the harness used to
  * have (the Sweep builder, RunnerOptions, and acpsim's private flag
@@ -68,8 +68,6 @@ struct Request
     std::string store = "acp_store";
     /** Per-point progress lines on stderr. */
     bool progress = true;
-    /** Also keep the full dumpStats() text in Result::statsText. */
-    bool captureStatsText = false;
 
     // ----- in-process hooks ------------------------------------------
 

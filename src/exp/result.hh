@@ -29,6 +29,7 @@ struct AvgStat
     double max = 0.0;
 
     double mean() const { return count ? sum / double(count) : 0.0; }
+    bool operator==(const AvgStat &) const = default;
 };
 
 /** Captured StatDistribution state. */
@@ -42,6 +43,7 @@ struct DistStat
     std::vector<std::uint64_t> buckets;
 
     double mean() const { return count ? double(sum) / double(count) : 0.0; }
+    bool operator==(const DistStat &) const = default;
 };
 
 /** Everything one simulated point produced. */
@@ -66,8 +68,6 @@ struct Result
     bool fromCache = false;
     /** Wall-clock seconds of the simulation (0 when cached). */
     double wallSeconds = 0.0;
-    /** Full dumpStats() text (only with Request captureStatsText). */
-    std::string statsText;
 };
 
 } // namespace acp::exp

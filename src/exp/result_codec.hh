@@ -14,10 +14,10 @@
  * binary64 exactly; maps are std::map, so token order is
  * deterministic and encode(decode(line)) == line.
  *
- * Only the cacheable subset is carried: interval series, path
- * profiles and statsText never enter the codec (points producing
- * them are uncacheable by design), and fromCache/wallSeconds are
- * execution provenance, not results.
+ * Only the cacheable subset is carried: interval series and path
+ * profiles never enter the codec (points producing them are
+ * uncacheable by design), and fromCache/wallSeconds are execution
+ * provenance, not results.
  */
 
 #ifndef ACP_EXP_RESULT_CODEC_HH

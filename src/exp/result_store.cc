@@ -90,7 +90,6 @@ ResultStore::put(const std::string &digest, const Result &result)
         digest + ' ' + checksum(payload) + ' ' + payload + '\n';
 
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.stores;
     if (fd_ < 0) {
         std::error_code ignored; // then the open below fails
         std::filesystem::create_directories(dir_, ignored);
@@ -102,7 +101,8 @@ ResultStore::put(const std::string &digest, const Result &result)
     // fails its checksum on the next open.
     if (fd_ < 0 ||
         ::write(fd_, line.data(), line.size()) != ssize_t(line.size()))
-        return; // unwritable store: nothing to record
+        return; // unwritable store: nothing to record or count
+    ++stats_.stores;
     payloads_[digest] = std::move(payload);
 }
 

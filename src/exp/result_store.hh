@@ -54,6 +54,7 @@ class ResultStore
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
+        /** Puts whose line was written whole. */
         std::uint64_t stores = 0;
     };
 

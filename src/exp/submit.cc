@@ -7,10 +7,13 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/json.hh"
 #include "common/parse.hh"
+#include "common/stats.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/manifest.hh"
 #include "obs/path_report.hh"
@@ -61,39 +64,95 @@ class CaptureVisitor : public StatVisitor
 /** Serialized-config lines -> one JSON object (values stay strings
  *  only when non-numeric, e.g. the policy name). */
 void
-writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
-                const char *indent)
+writeConfig(json::Writer &w, const sim::SimConfig &cfg)
 {
-    std::string text = sim::serializeConfig(cfg);
-    std::fputs("{", f);
-    bool first = true;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
+    std::istringstream lines(sim::serializeConfig(cfg));
+    std::string line;
+    w.beginObject();
+    while (std::getline(lines, line)) {
         std::size_t eq = line.find('=');
         if (eq == std::string::npos)
             continue; // version line
-        std::string key = line.substr(0, eq);
         std::string value = line.substr(eq + 1);
-        std::fprintf(f, "%s\n%s  \"", first ? "" : ",", indent);
-        std::fputs(json::escape(key).c_str(), f);
+        w.key(line.substr(0, eq));
         bool numeric = !value.empty() &&
                        value.find_first_not_of("0123456789") ==
                            std::string::npos;
-        if (numeric) {
-            std::fprintf(f, "\": %s", value.c_str());
-        } else {
-            std::fputs("\": \"", f);
-            std::fputs(json::escape(value).c_str(), f);
-            std::fputc('"', f);
-        }
-        first = false;
+        // serializeConfig prints every number as a decimal uint64.
+        if (numeric)
+            w.value(std::uint64_t(std::stoull(value)));
+        else
+            w.value(value);
     }
-    std::fprintf(f, "\n%s}", indent);
+    w.endObject();
+}
+
+/** One point of the sweep JSON: identity, config and result. */
+void
+writePoint(json::Writer &w, const Point &p, const Result &r)
+{
+    w.beginObject();
+    w.key("workload").value(p.workload);
+    w.key("label").value(p.label);
+    w.key("digest").value(pointDigest(p));
+    w.key("workloadSeed").value(p.params.seed);
+    w.key("workingSetBytes").value(p.params.workingSetBytes);
+    w.key("warmupInsts").value(p.warmupInsts);
+    w.key("measureInsts").value(p.measureInsts);
+    w.key("config");
+    writeConfig(w, p.cfg);
+
+    w.key("result").beginObject();
+    w.key("ipc").value(r.run.ipc);
+    w.key("insts").value(r.run.insts);
+    w.key("cycles").value(r.run.cycles);
+    w.key("reason").value(cpu::stopReasonName(r.run.reason));
+    w.key("fromCache").value(r.fromCache);
+    w.key("counters").beginObject();
+    for (const auto &[name, value] : r.counters)
+        w.key(name).value(value);
+    w.endObject();
+    w.key("averages").beginObject();
+    for (const auto &[name, avg] : r.averages) {
+        w.key(name).beginObject(json::kOneLine);
+        w.key("count").value(avg.count).key("mean").value(avg.mean());
+        w.key("min").value(avg.min).key("max").value(avg.max).endObject();
+    }
+    w.endObject();
+    w.key("distributions").beginObject();
+    for (const auto &[name, dist] : r.distributions) {
+        w.key(name).beginObject(json::kOneLine);
+        w.key("count").value(dist.count).key("sum").value(dist.sum);
+        w.key("min").value(dist.min).key("max").value(dist.max);
+        w.key("buckets").beginArray();
+        for (std::uint64_t n : dist.buckets)
+            w.value(n);
+        w.endArray().endObject();
+    }
+    w.endObject();
+    if (!r.intervals.empty()) {
+        w.key("intervalPeriod").value(r.intervalPeriod);
+        w.key("intervals").beginArray();
+        for (const obs::IntervalSample &iv : r.intervals) {
+            w.beginObject(json::kOneLine);
+            w.key("endCycle").value(iv.endCycle);
+            w.key("cycles").value(iv.cycles).key("insts").value(iv.insts);
+            w.key("ipc").value(iv.ipc);
+            w.key("stalls").beginObject();
+            for (unsigned c = 0; c < obs::kNumStallCauses; ++c)
+                if (iv.stalls[c] != 0)
+                    w.key(obs::stallCauseName(obs::StallCause(c)))
+                        .value(iv.stalls[c]);
+            w.endObject().endObject();
+        }
+        w.endArray();
+    }
+    if (r.hasProfile) {
+        w.key("profile");
+        obs::writePathProfile(w, r.profile);
+    }
+    w.endObject();
+    w.endObject();
 }
 
 /** Shared progress line (stderr). */
@@ -145,7 +204,7 @@ defaultJobs()
 }
 
 Result
-simulatePoint(const Point &point, bool capture_stats_text)
+simulatePoint(const Point &point)
 {
     auto start = std::chrono::steady_clock::now();
 
@@ -183,8 +242,6 @@ simulatePoint(const Point &point, bool capture_stats_text)
         result.profile = system.pathProfile();
         result.hasProfile = true;
     }
-    if (capture_stats_text)
-        result.statsText = system.dumpStats();
 
     result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -239,7 +296,7 @@ submit(const Request &req)
             if (t >= todo.size())
                 return;
             std::size_t i = todo[t];
-            Result result = simulatePoint(points[i], req.captureStatsText);
+            Result result = simulatePoint(points[i]);
             if (store && points[i].cacheable())
                 store->put(digests[i], result);
             sub.results[i] = std::move(result);
@@ -298,168 +355,61 @@ submit(const Request &req)
     return sub;
 }
 
-void
-writeJson(std::FILE *out, const std::vector<Point> &points,
-          const std::vector<Result> &results,
-          const SweepTelemetry *telemetry)
-{
-    // v2 -> v3: a provenance "manifest" block (build + host identity,
-    // timestamps) and an optional "telemetry" block (cache split,
-    // host wall-time percentiles). Both describe the *run that wrote
-    // the file*, never the simulated machine: comparison tooling
-    // (tools/bench_diff.py, the CI multi-core smoke) strips them
-    // before diffing.
-    std::fputs("{\n  \"version\": \"acp-exp-v3\",\n  \"manifest\": ",
-               out);
-    writeManifestJson(out, obs::manifest(), "  ");
-    if (telemetry) {
-        std::fprintf(
-            out,
-            ",\n  \"telemetry\": {\n"
-            "    \"total\": %zu,\n"
-            "    \"cached\": %zu,\n"
-            "    \"simulated\": %zu,\n"
-            "    \"wallSeconds\": %.3f,\n"
-            "    \"pointWallP50\": %.3f,\n"
-            "    \"pointWallP90\": %.3f,\n"
-            "    \"pointWallMax\": %.3f",
-            telemetry->total, telemetry->cached, telemetry->simulated,
-            telemetry->wallSeconds, telemetry->wallP50,
-            telemetry->wallP90, telemetry->wallMax);
-        if (telemetry->hasCacheStats)
-            std::fprintf(
-                out,
-                ",\n    \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-                "\"stores\": %llu}",
-                (unsigned long long)telemetry->cacheStats.hits,
-                (unsigned long long)telemetry->cacheStats.misses,
-                (unsigned long long)telemetry->cacheStats.stores);
-        std::fputs("\n  }", out);
-    }
-    std::fputs(",\n  \"points\": [", out);
-    for (std::size_t i = 0; i < points.size() && i < results.size();
-         ++i) {
-        const Point &p = points[i];
-        const Result &r = results[i];
-        std::fprintf(out, "%s\n    {\n", i ? "," : "");
-        std::fputs("      \"workload\": \"", out);
-        std::fputs(json::escape(p.workload).c_str(), out);
-        std::fputs("\",\n      \"label\": \"", out);
-        std::fputs(json::escape(p.label).c_str(), out);
-        std::fprintf(out,
-                     "\",\n      \"digest\": \"%s\",\n"
-                     "      \"workloadSeed\": %llu,\n"
-                     "      \"workingSetBytes\": %llu,\n"
-                     "      \"warmupInsts\": %llu,\n"
-                     "      \"measureInsts\": %llu,\n"
-                     "      \"config\": ",
-                     pointDigest(p).c_str(),
-                     (unsigned long long)p.params.seed,
-                     (unsigned long long)p.params.workingSetBytes,
-                     (unsigned long long)p.warmupInsts,
-                     (unsigned long long)p.measureInsts);
-        writeConfigJson(out, p.cfg, "      ");
-        std::fprintf(out,
-                     ",\n      \"result\": {\n"
-                     "        \"ipc\": %.17g,\n"
-                     "        \"insts\": %llu,\n"
-                     "        \"cycles\": %llu,\n"
-                     "        \"reason\": \"%s\",\n"
-                     "        \"fromCache\": %s,\n"
-                     "        \"counters\": {",
-                     r.run.ipc, (unsigned long long)r.run.insts,
-                     (unsigned long long)r.run.cycles,
-                     cpu::stopReasonName(r.run.reason),
-                     r.fromCache ? "true" : "false");
-        bool first = true;
-        for (const auto &[name, value] : r.counters) {
-            std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            std::fputs(json::escape(name).c_str(), out);
-            std::fprintf(out, "\": %llu", (unsigned long long)value);
-            first = false;
-        }
-        std::fprintf(out, "%s        },\n        \"averages\": {",
-                     first ? "" : "\n");
-        first = true;
-        for (const auto &[name, avg] : r.averages) {
-            std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            std::fputs(json::escape(name).c_str(), out);
-            std::fprintf(out,
-                         "\": {\"count\": %llu, \"mean\": %.17g, "
-                         "\"min\": %.17g, \"max\": %.17g}",
-                         (unsigned long long)avg.count, avg.mean(),
-                         avg.min, avg.max);
-            first = false;
-        }
-        std::fprintf(out, "%s        },\n        \"distributions\": {",
-                     first ? "" : "\n");
-        first = true;
-        for (const auto &[name, dist] : r.distributions) {
-            std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            std::fputs(json::escape(name).c_str(), out);
-            std::fprintf(out,
-                         "\": {\"count\": %llu, \"sum\": %llu, "
-                         "\"min\": %llu, \"max\": %llu, \"buckets\": [",
-                         (unsigned long long)dist.count,
-                         (unsigned long long)dist.sum,
-                         (unsigned long long)dist.min,
-                         (unsigned long long)dist.max);
-            for (std::size_t b = 0; b < dist.buckets.size(); ++b)
-                std::fprintf(out, "%s%llu", b ? ", " : "",
-                             (unsigned long long)dist.buckets[b]);
-            std::fputs("]}", out);
-            first = false;
-        }
-        std::fprintf(out, "%s        }", first ? "" : "\n");
-        if (!r.intervals.empty()) {
-            std::fprintf(out,
-                         ",\n        \"intervalPeriod\": %llu,\n"
-                         "        \"intervals\": [",
-                         (unsigned long long)r.intervalPeriod);
-            for (std::size_t s = 0; s < r.intervals.size(); ++s) {
-                const obs::IntervalSample &iv = r.intervals[s];
-                std::fprintf(out,
-                             "%s\n          {\"endCycle\": %llu, "
-                             "\"cycles\": %llu, \"insts\": %llu, "
-                             "\"ipc\": %.17g, \"stalls\": {",
-                             s ? "," : "",
-                             (unsigned long long)iv.endCycle,
-                             (unsigned long long)iv.cycles,
-                             (unsigned long long)iv.insts, iv.ipc);
-                bool first_stall = true;
-                for (unsigned c = 0; c < obs::kNumStallCauses; ++c) {
-                    if (iv.stalls[c] == 0)
-                        continue;
-                    std::fprintf(out, "%s\"%s\": %llu",
-                                 first_stall ? "" : ", ",
-                                 obs::stallCauseName(obs::StallCause(c)),
-                                 (unsigned long long)iv.stalls[c]);
-                    first_stall = false;
-                }
-                std::fputs("}}", out);
-            }
-            std::fputs("\n        ]", out);
-        }
-        if (r.hasProfile) {
-            std::fputs(",\n        \"profile\": ", out);
-            obs::writePathProfileJson(out, r.profile, "        ");
-        }
-        std::fputs("\n      }\n    }", out);
-    }
-    std::fprintf(out, "\n  ]\n}\n");
-}
-
 bool
 writeJson(const std::string &path, const std::vector<Point> &points,
           const std::vector<Result> &results,
           const SweepTelemetry *telemetry)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    writeJson(f, points, results, telemetry);
-    std::fclose(f);
-    return true;
+    return json::writeFile(path, [&](json::Writer &w) {
+        w.beginObject();
+        w.key("version").value("acp-exp-v3");
+        // The "manifest" (build + host identity, timestamps) and the
+        // optional "telemetry" (cache split, host wall-time
+        // percentiles) describe the *run that wrote the file*, never
+        // the simulated machine: comparison tooling
+        // (tools/bench_diff.py, the CI multi-core smoke) strips them
+        // before diffing.
+        w.key("manifest");
+        obs::writeManifest(w, obs::manifest());
+        if (telemetry) {
+            w.key("telemetry").beginObject();
+            w.key("total").value(telemetry->total);
+            w.key("cached").value(telemetry->cached);
+            w.key("simulated").value(telemetry->simulated);
+            w.key("wallSeconds").fixed(telemetry->wallSeconds, 3);
+            w.key("pointWallP50").fixed(telemetry->wallP50, 3);
+            w.key("pointWallP90").fixed(telemetry->wallP90, 3);
+            w.key("pointWallMax").fixed(telemetry->wallMax, 3);
+            if (telemetry->hasCacheStats) {
+                const ResultStore::Stats &cache = telemetry->cacheStats;
+                w.key("cache").beginObject(json::kOneLine);
+                w.key("hits").value(cache.hits);
+                w.key("misses").value(cache.misses);
+                w.key("stores").value(cache.stores).endObject();
+            }
+            w.endObject();
+        }
+        w.key("points").beginArray();
+        for (std::size_t i = 0; i < points.size() && i < results.size();
+             ++i)
+            writePoint(w, points[i], results[i]);
+        w.endArray();
+        w.endObject();
+    });
+}
+
+std::string
+statsText(const Result &result)
+{
+    std::string out;
+    for (const auto &[name, value] : result.counters)
+        dumpCounter(out, name, value);
+    for (const auto &[name, avg] : result.averages)
+        dumpAverage(out, name, avg.count, avg.mean(), avg.min, avg.max);
+    for (const auto &[name, dist] : result.distributions)
+        dumpDistribution(out, name, dist.count, dist.mean(), dist.min,
+                         dist.max, dist.buckets);
+    return out;
 }
 
 } // namespace acp::exp

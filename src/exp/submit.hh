@@ -23,7 +23,6 @@
 #ifndef ACP_EXP_SUBMIT_HH
 #define ACP_EXP_SUBMIT_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -74,28 +73,30 @@ unsigned defaultJobs();
 /** Execute @p req (see file comment). */
 Submission submit(const Request &req);
 
-/**
- * Simulate one point in-process, no store involved — the primitive
- * under submit(). @p capture_stats_text keeps the full dumpStats()
- * text.
- */
-Result simulatePoint(const Point &point, bool capture_stats_text = false);
+/** Simulate one point in-process, no store involved — the primitive
+ *  under submit(). */
+Result simulatePoint(const Point &point);
 
 /**
- * Emit points+results as a JSON document (machine consumption):
- * a provenance manifest, an optional sweep "telemetry" block, then
- * one record per point with identity, digest, the full config, and
- * the result including captured counters, averages, distributions
- * and — when statsInterval was set — the interval time series.
+ * Write points+results to @p path as one JSON document (machine
+ * consumption): a provenance manifest, an optional sweep "telemetry"
+ * block, then one record per point with identity, digest, the full
+ * config, and the result including captured counters, averages,
+ * distributions and — when statsInterval was set — the interval time
+ * series. False when the file could not be written
+ * (json::writeFile).
  */
-void writeJson(std::FILE *out, const std::vector<Point> &points,
-               const std::vector<Result> &results,
-               const SweepTelemetry *telemetry = nullptr);
-
-/** writeJson to @p path; returns false if the file can't be opened. */
 bool writeJson(const std::string &path, const std::vector<Point> &points,
                const std::vector<Result> &results,
                const SweepTelemetry *telemetry = nullptr);
+
+/**
+ * @p result's captured statistics as text, one line per statistic in
+ * the format of System::dumpStats(): counters, then averages, then
+ * distributions, each sorted by name. A result served from the store
+ * prints the same text as a fresh one.
+ */
+std::string statsText(const Result &result);
 
 } // namespace acp::exp
 

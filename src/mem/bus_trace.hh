@@ -11,7 +11,6 @@
 #define ACP_MEM_BUS_TRACE_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -67,7 +66,6 @@ class BusTrace
 {
   public:
     void enable(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
 
     void
     record(Cycle cycle, Addr addr, BusTxnKind kind, unsigned client = 0)
@@ -76,18 +74,7 @@ class BusTrace
             txns_.push_back({cycle, addr, kind, client});
     }
 
-    void clear() { txns_.clear(); }
     const std::vector<BusTxn> &txns() const { return txns_; }
-
-    /** True if any recorded transaction satisfies @p pred. */
-    bool
-    any(const std::function<bool(const BusTxn &)> &pred) const
-    {
-        for (const BusTxn &txn : txns_)
-            if (pred(txn))
-                return true;
-        return false;
-    }
 
   private:
     bool enabled_ = false;

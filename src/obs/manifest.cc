@@ -1,11 +1,11 @@
 #include "obs/manifest.hh"
 
 #include <cstdint>
+#include <cstdio>
 #include <ctime>
 
 #include <unistd.h>
 
-#include "common/json.hh"
 #include "obs/build_info.hh"
 
 namespace acp::obs
@@ -21,37 +21,6 @@ hostName()
     if (::gethostname(buf, sizeof(buf) - 1) != 0)
         return "unknown";
     return buf[0] ? buf : "unknown";
-}
-
-void
-appendField(std::string &out, const char *key, const std::string &value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": \"";
-    out += json::escape(value);
-    out += last ? "\"" : "\", ";
-}
-
-/** The manifest body as one line of "key": value pairs (no braces). */
-std::string
-bodyJson(const Manifest &m)
-{
-    std::string out;
-    out.reserve(512);
-    appendField(out, "schema", m.schema);
-    appendField(out, "gitSha", m.gitSha);
-    out += m.gitDirty ? "\"gitDirty\": true, " : "\"gitDirty\": false, ";
-    appendField(out, "buildType", m.buildType);
-    appendField(out, "compiler", m.compiler);
-    appendField(out, "cxxFlags", m.cxxFlags);
-    appendField(out, "sanitize", m.sanitize);
-    appendField(out, "hostname", m.hostname);
-    appendField(out, "timestampUtc", m.timestampUtc);
-    out += "\"unixTime\": ";
-    out += std::to_string(m.unixTime);
-    return out;
 }
 
 } // namespace
@@ -80,37 +49,28 @@ manifest()
 }
 
 void
-writeManifestJson(std::FILE *out, const Manifest &m, const char *indent)
+writeManifest(json::Writer &w, const Manifest &m, json::Layout layout)
 {
-    std::fprintf(out,
-                 "{\n%s  \"schema\": \"%s\",\n"
-                 "%s  \"gitSha\": \"%s\",\n"
-                 "%s  \"gitDirty\": %s,\n"
-                 "%s  \"buildType\": \"%s\",\n"
-                 "%s  \"compiler\": \"%s\",\n",
-                 indent, m.schema.c_str(), indent, m.gitSha.c_str(),
-                 indent, m.gitDirty ? "true" : "false", indent,
-                 m.buildType.c_str(), indent, m.compiler.c_str());
-    // Flags can contain quotes/backslashes; route through the escaper.
-    const std::string flags = json::escape(m.cxxFlags);
-    const std::string sanitize = json::escape(m.sanitize);
-    const std::string host = json::escape(m.hostname);
-    const std::string stamp = json::escape(m.timestampUtc);
-    std::fprintf(out,
-                 "%s  \"cxxFlags\": \"%s\",\n"
-                 "%s  \"sanitize\": \"%s\",\n"
-                 "%s  \"hostname\": \"%s\",\n"
-                 "%s  \"timestampUtc\": \"%s\",\n"
-                 "%s  \"unixTime\": %llu\n%s}",
-                 indent, flags.c_str(), indent, sanitize.c_str(), indent,
-                 host.c_str(), indent, stamp.c_str(), indent,
-                 (unsigned long long)m.unixTime, indent);
+    w.beginObject(layout);
+    w.key("schema").value(m.schema);
+    w.key("gitSha").value(m.gitSha);
+    w.key("gitDirty").value(m.gitDirty);
+    w.key("buildType").value(m.buildType);
+    w.key("compiler").value(m.compiler);
+    w.key("cxxFlags").value(m.cxxFlags);
+    w.key("sanitize").value(m.sanitize);
+    w.key("hostname").value(m.hostname);
+    w.key("timestampUtc").value(m.timestampUtc);
+    w.key("unixTime").value(m.unixTime);
+    w.endObject();
 }
 
 std::string
 manifestJsonLine(const Manifest &m)
 {
-    return "{" + bodyJson(m) + "}";
+    json::Writer w;
+    writeManifest(w, m, json::kOneLine);
+    return w.str();
 }
 
 std::string

@@ -25,8 +25,10 @@
 #ifndef ACP_OBS_MANIFEST_HH
 #define ACP_OBS_MANIFEST_HH
 
-#include <cstdio>
+#include <cstdint>
 #include <string>
+
+#include "common/json.hh"
 
 namespace acp::obs
 {
@@ -59,15 +61,12 @@ struct Manifest
 /** Capture a manifest for this binary, on this host, now. */
 Manifest manifest();
 
-/**
- * Emit @p m as a JSON object. @p indent prefixes the inner lines
- * (the object opens at the call site's column, like
- * writePathProfileJson). Deterministic key order.
- */
-void writeManifestJson(std::FILE *out, const Manifest &m,
-                       const char *indent);
+/** Emit @p m as one JSON object, keys in a fixed order. */
+void writeManifest(json::Writer &w, const Manifest &m,
+                   json::Layout layout = json::kIndented);
 
-/** One-line JSON form (no newlines) — for line-oriented records. */
+/** writeManifest on one line (no newlines), for line-oriented
+ *  records. */
 std::string manifestJsonLine(const Manifest &m);
 
 /** Human-readable block for `acpsim --version`. */

@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 
-#include "common/json.hh"
-
 namespace acp::obs
 {
 
@@ -16,14 +14,29 @@ kindName(unsigned kind)
     return mem::busTxnKindName(mem::BusTxnKind(kind));
 }
 
-/** kCycleNever prints as -1 in JSON (a cycle that never happened). */
+/** The first bad transaction's request, usable and verdict cycles of
+ *  a LeakAudit or one of its CoreWindows; kCycleNever (a cycle that
+ *  never happened) is -1. */
+template <typename Audit>
 void
-jsonCycle(std::FILE *f, Cycle c)
+writeWindow(json::Writer &w, const Audit &a)
 {
-    if (c == kCycleNever)
-        std::fputs("-1", f);
-    else
-        std::fprintf(f, "%" PRIu64, c);
+    auto number = [](Cycle c) {
+        return c == kCycleNever ? std::int64_t(-1) : std::int64_t(c);
+    };
+    w.key("firstBadReq").value(number(a.firstBadReq));
+    w.key("firstBadUsable").value(number(a.firstBadUsable));
+    w.key("firstBadVerdict").value(number(a.firstBadVerdict));
+}
+
+/** What the adversary saw in and after that window. */
+template <typename Audit>
+void
+writeExposure(json::Writer &w, const Audit &a)
+{
+    w.key("novelExposuresInGap").value(a.novelExposuresInGap);
+    w.key("exposuresAfterVerdict").value(a.exposuresAfterVerdict);
+    w.key("leakWindowOpen").value(a.leakWindowOpen);
 }
 
 } // namespace
@@ -172,159 +185,101 @@ writePathProfileText(std::FILE *out, const PathProfile &profile)
 }
 
 void
-writePathProfileJson(std::FILE *out, const PathProfile &profile,
-                     const char *indent)
+writePathProfile(json::Writer &w, const PathProfile &profile)
 {
-    std::fputs("{", out);
-    std::fprintf(out, "\n%s  \"policy\": \"", indent);
-    std::fputs(json::escape(profile.policy).c_str(), out);
-    std::fprintf(out,
-                 "\",\n%s  \"txns\": %" PRIu64
-                 ",\n%s  \"degenerate\": %" PRIu64
-                 ",\n%s  \"demandTxns\": %" PRIu64 ",\n%s  \"kinds\": [",
-                 indent, profile.txns, indent, profile.degenerate, indent,
-                 profile.demandTxns, indent);
-    bool first = true;
+    w.beginObject();
+    w.key("policy").value(profile.policy);
+    w.key("txns").value(profile.txns);
+    w.key("degenerate").value(profile.degenerate);
+    w.key("demandTxns").value(profile.demandTxns);
+    w.key("kinds").beginArray();
     for (const SegmentRow &row : profile.kinds) {
-        std::fprintf(out,
-                     "%s\n%s    {\"kind\": \"%s\", \"count\": %" PRIu64
-                     ", \"latencyTotal\": %" PRIu64 ", \"latencyMin\": %"
-                     PRIu64 ", \"latencyMax\": %" PRIu64
-                     ", \"latencyBuckets\": [",
-                     first ? "" : ",", indent, kindName(row.kind),
-                     row.count, row.latencyTotal, row.latencyMin,
-                     row.latencyMax);
-        for (std::size_t b = 0; b < row.latencyBuckets.size(); ++b)
-            std::fprintf(out, "%s%" PRIu64, b ? ", " : "",
-                         row.latencyBuckets[b]);
-        std::fputs("], \"segments\": {", out);
-        bool first_seg = true;
+        w.beginObject();
+        w.key("kind").value(kindName(row.kind));
+        w.key("count").value(row.count);
+        w.key("latencyTotal").value(row.latencyTotal);
+        w.key("latencyMin").value(row.latencyMin);
+        w.key("latencyMax").value(row.latencyMax);
+        w.key("latencyBuckets").beginArray(json::kOneLine);
+        for (std::uint64_t n : row.latencyBuckets)
+            w.value(n);
+        w.endArray();
+        w.key("segments").beginObject();
         for (unsigned s = 0; s < kNumPathSegments; ++s) {
             const SegmentStat &seg = row.segs[s];
             if (seg.count == 0)
                 continue;
-            std::fprintf(out,
-                         "%s\n%s      \"%s\": {\"count\": %" PRIu64
-                         ", \"sum\": %" PRIu64 ", \"min\": %" PRIu64
-                         ", \"max\": %" PRIu64 "}",
-                         first_seg ? "" : ",", indent,
-                         pathSegmentName(PathSegment(s)), seg.count,
-                         seg.sum, seg.min, seg.max);
-            first_seg = false;
+            w.key(pathSegmentName(PathSegment(s)))
+                .beginObject(json::kOneLine);
+            w.key("count").value(seg.count).key("sum").value(seg.sum);
+            w.key("min").value(seg.min).key("max").value(seg.max);
+            w.endObject();
         }
-        std::fprintf(out, "%s%s    }}", first_seg ? "" : "\n",
-                     first_seg ? "" : indent);
-        first = false;
+        w.endObject();
+        w.endObject();
     }
-    std::fprintf(out, "%s%s  ],\n%s  \"shapes\": [", first ? "" : "\n",
-                 first ? "" : indent, indent);
-    first = true;
+    w.endArray();
+    w.key("shapes").beginArray();
     for (const PathShape &shape : profile.shapes) {
-        std::fprintf(out, "%s\n%s    {\"signature\": \"",
-                     first ? "" : ",", indent);
-        std::fputs(json::escape(shape.signature).c_str(), out);
-        std::fprintf(out,
-                     "\", \"count\": %" PRIu64 ", \"latencyTotal\": %"
-                     PRIu64 ", \"exampleId\": %" PRIu64 "}",
-                     shape.count, shape.latencyTotal, shape.exampleId);
-        first = false;
+        w.beginObject(json::kOneLine);
+        w.key("signature").value(shape.signature);
+        w.key("count").value(shape.count);
+        w.key("latencyTotal").value(shape.latencyTotal);
+        w.key("exampleId").value(shape.exampleId).endObject();
     }
-    std::fprintf(out, "%s%s  ],\n%s  \"slowest\": [", first ? "" : "\n",
-                 first ? "" : indent, indent);
-    first = true;
+    w.endArray();
+    w.key("slowest").beginArray();
     for (const SlowTxn &txn : profile.slowest) {
-        std::fprintf(out,
-                     "%s\n%s    {\"id\": %" PRIu64 ", \"kind\": \"%s\", "
-                     "\"addr\": %" PRIu64 ", \"origin\": %" PRIu64
-                     ", \"reqCycle\": %" PRIu64 ", \"latency\": %" PRIu64
-                     ", \"macOk\": %s, \"path\": [",
-                     first ? "" : ",", indent, txn.id, kindName(txn.kind),
-                     txn.addr, txn.origin, txn.reqCycle, txn.latency,
-                     txn.macOk ? "true" : "false");
-        for (std::size_t s = 0; s < txn.path.size(); ++s)
-            std::fprintf(out,
-                         "%s{\"event\": \"%s\", \"cycle\": %" PRIu64 "}",
-                         s ? ", " : "",
-                         mem::pathEventName(txn.path[s].event),
-                         txn.path[s].cycle);
-        std::fputs("]}", out);
-        first = false;
+        w.beginObject(json::kOneLine);
+        w.key("id").value(txn.id).key("kind").value(kindName(txn.kind));
+        w.key("addr").value(txn.addr).key("origin").value(txn.origin);
+        w.key("reqCycle").value(txn.reqCycle);
+        w.key("latency").value(txn.latency).key("macOk").value(txn.macOk);
+        w.key("path").beginArray();
+        for (const mem::TxnStep &step : txn.path)
+            w.beginObject()
+                .key("event").value(mem::pathEventName(step.event))
+                .key("cycle").value(step.cycle)
+                .endObject();
+        w.endArray().endObject();
     }
-    std::fprintf(out, "%s%s  ],\n%s  \"demandSegCycles\": {",
-                 first ? "" : "\n", first ? "" : indent, indent);
-    first = true;
-    for (unsigned s = 0; s < kNumPathSegments; ++s) {
-        if (profile.demandSegCycles[s] == 0)
-            continue;
-        std::fprintf(out, "%s\"%s\": %" PRIu64, first ? "" : ", ",
-                     pathSegmentName(PathSegment(s)),
-                     profile.demandSegCycles[s]);
-        first = false;
-    }
-    std::fputs("}", out);
+    w.endArray();
+    w.key("demandSegCycles").beginObject(json::kOneLine);
+    for (unsigned s = 0; s < kNumPathSegments; ++s)
+        if (profile.demandSegCycles[s] != 0)
+            w.key(pathSegmentName(PathSegment(s)))
+                .value(profile.demandSegCycles[s]);
+    w.endObject();
     if (profile.hasStalls) {
-        std::fprintf(out, ",\n%s  \"stalls\": {", indent);
-        first = true;
-        for (unsigned c = 0; c < kNumStallCauses; ++c) {
-            if (profile.stalls[c] == 0)
-                continue;
-            std::fprintf(out, "%s\"%s\": %" PRIu64, first ? "" : ", ",
-                         stallCauseName(StallCause(c)),
-                         profile.stalls[c]);
-            first = false;
-        }
-        std::fputs("}", out);
+        w.key("stalls").beginObject(json::kOneLine);
+        for (unsigned c = 0; c < kNumStallCauses; ++c)
+            if (profile.stalls[c] != 0)
+                w.key(stallCauseName(StallCause(c)))
+                    .value(profile.stalls[c]);
+        w.endObject();
     }
     if (profile.hasAudit) {
         const LeakAudit &a = profile.audit;
-        std::fprintf(out,
-                     ",\n%s  \"audit\": {\n%s    \"busTxnsScanned\": %"
-                     PRIu64 ",\n%s    \"demandFetches\": %" PRIu64
-                     ",\n%s    \"tamperDetected\": %s,\n"
-                     "%s    \"firstBadReq\": ",
-                     indent, indent, a.busTxnsScanned, indent,
-                     a.demandFetches, indent,
-                     a.tamperDetected ? "true" : "false", indent);
-        jsonCycle(out, a.firstBadReq);
-        std::fprintf(out, ",\n%s    \"firstBadUsable\": ", indent);
-        jsonCycle(out, a.firstBadUsable);
-        std::fprintf(out, ",\n%s    \"firstBadVerdict\": ", indent);
-        jsonCycle(out, a.firstBadVerdict);
-        std::fprintf(out,
-                     ",\n%s    \"novelExposuresInGap\": %" PRIu64
-                     ",\n%s    \"exposuresAfterVerdict\": %" PRIu64
-                     ",\n%s    \"leakWindowOpen\": %s",
-                     indent, a.novelExposuresInGap, indent,
-                     a.exposuresAfterVerdict, indent,
-                     a.leakWindowOpen ? "true" : "false");
+        w.key("audit").beginObject();
+        w.key("busTxnsScanned").value(a.busTxnsScanned);
+        w.key("demandFetches").value(a.demandFetches);
+        w.key("tamperDetected").value(a.tamperDetected);
+        writeWindow(w, a);
+        writeExposure(w, a);
         if (!a.cores.empty()) {
-            std::fprintf(out, ",\n%s    \"cores\": [", indent);
-            bool first_core = true;
+            w.key("cores").beginArray();
             for (const LeakAudit::CoreWindow &cw : a.cores) {
-                std::fprintf(out,
-                             "%s\n%s      {\"core\": %u, "
-                             "\"firstBadReq\": ",
-                             first_core ? "" : ",", indent, cw.core);
-                jsonCycle(out, cw.firstBadReq);
-                std::fputs(", \"firstBadUsable\": ", out);
-                jsonCycle(out, cw.firstBadUsable);
-                std::fputs(", \"firstBadVerdict\": ", out);
-                jsonCycle(out, cw.firstBadVerdict);
-                std::fprintf(out,
-                             ", \"demandFetches\": %" PRIu64
-                             ", \"novelExposuresInGap\": %" PRIu64
-                             ", \"exposuresAfterVerdict\": %" PRIu64
-                             ", \"leakWindowOpen\": %s}",
-                             cw.demandFetches, cw.novelExposuresInGap,
-                             cw.exposuresAfterVerdict,
-                             cw.leakWindowOpen ? "true" : "false");
-                first_core = false;
+                w.beginObject(json::kOneLine).key("core").value(cw.core);
+                writeWindow(w, cw);
+                w.key("demandFetches").value(cw.demandFetches);
+                writeExposure(w, cw);
+                w.endObject();
             }
-            std::fprintf(out, "\n%s    ]", indent);
+            w.endArray();
         }
-        std::fprintf(out, "\n%s  }", indent);
+        w.endObject();
     }
-    std::fprintf(out, "\n%s}", indent);
+    w.endObject();
 }
 
 } // namespace acp::obs

@@ -1,10 +1,9 @@
 /**
  * @file
  * Renderers for PathProfile snapshots: an aligned text report for the
- * terminal (acpsim --profile) and a JSON object for files and for
- * embedding into exp::writeJson result JSON. Both render only the plain
- * PathProfile data, so cached/merged profiles print identically to
- * live ones.
+ * terminal (acpsim --profile) and a JSON object for the sweep JSON of
+ * exp::writeJson. Both render only the plain PathProfile data, so
+ * cached/merged profiles print identically to live ones.
  */
 
 #ifndef ACP_OBS_PATH_REPORT_HH
@@ -12,6 +11,7 @@
 
 #include <cstdio>
 
+#include "common/json.hh"
 #include "obs/path_profiler.hh"
 
 namespace acp::obs
@@ -20,13 +20,8 @@ namespace acp::obs
 /** Append the human-readable profile report to @p out. */
 void writePathProfileText(std::FILE *out, const PathProfile &profile);
 
-/**
- * Write the profile as one JSON object (no trailing newline). Every
- * line after the first is prefixed with @p indent so the object can
- * be embedded at any nesting depth.
- */
-void writePathProfileJson(std::FILE *out, const PathProfile &profile,
-                          const char *indent);
+/** Emit the profile as one JSON object. */
+void writePathProfile(json::Writer &w, const PathProfile &profile);
 
 } // namespace acp::obs
 

@@ -21,7 +21,6 @@
 #define ACP_OBS_TRACE_JSON_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -56,12 +55,11 @@ struct PipelineTrack
     const std::vector<PipelineEvent> *events = nullptr;
 };
 
-/** Emit @p txns and @p cores as one Chrome trace-event document. */
-void writeChromeTrace(const std::vector<mem::Txn> &txns,
-                      const std::vector<PipelineTrack> &cores,
-                      std::FILE *out);
-
-/** writeChromeTrace to @p path; returns false if it can't be opened. */
+/**
+ * Write @p txns and @p cores to @p path as one Chrome trace-event
+ * document, one event per line. False when the file could not be
+ * written (json::writeFile).
+ */
 bool writeChromeTrace(const std::vector<mem::Txn> &txns,
                       const std::vector<PipelineTrack> &cores,
                       const std::string &path);

@@ -17,6 +17,7 @@
  * point including its full configuration and digest.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,7 +107,7 @@ usage()
         "                audit; prints a report per point and lands\n"
         "                in --json (points[i].result.profile)\n"
         "  --trace FILE  write a Chrome trace-event JSON of the whole\n"
-        "                timed window (Perfetto-loadable, about 0.5 KB\n"
+        "                timed window (Perfetto-loadable, about 0.6 KB\n"
         "                per instruction; single-point only)\n"
         "  --trace-commits N  print a commit trace of the first N\n"
         "                insts (single-point runs only)\n"
@@ -319,7 +320,8 @@ main(int argc, char **argv)
                 // Write the Chrome trace while the System is alive.
                 points[0].finish = [path](sim::System &system) {
                     if (!system.writeTrace(path))
-                        acp_fatal("cannot write %s", path.c_str());
+                        acp_fatal("cannot write %s: %s", path.c_str(),
+                                  std::strerror(errno));
                     std::fprintf(stderr, "wrote %s\n", path.c_str());
                 };
             }
@@ -329,7 +331,6 @@ main(int argc, char **argv)
     req.jobs = jobs;
     if (!use_cache)
         req.store.clear();
-    req.captureStatsText = dump_stats;
     exp::Submission sub = exp::submit(req);
     if (!sub.ok)
         acp_fatal("%s", sub.error.c_str());
@@ -355,7 +356,7 @@ main(int argc, char **argv)
             obs::printIntervalTable(res.intervals, stdout);
         }
         if (dump_stats)
-            std::printf("\n%s", res.statsText.c_str());
+            std::printf("\n%s", exp::statsText(res).c_str());
     } else {
         std::printf("%-10s %-20s %10s %12s %12s %10s\n", "workload",
                     "policy", "IPC", "insts", "cycles", "reason");
@@ -381,7 +382,7 @@ main(int argc, char **argv)
                 std::printf("\n===== %s / %s =====\n%s",
                             points[i].workload.c_str(),
                             points[i].label.c_str(),
-                            results[i].statsText.c_str());
+                            exp::statsText(results[i]).c_str());
     }
 
     if (profile) {
@@ -400,7 +401,8 @@ main(int argc, char **argv)
 
     if (!json_file.empty()) {
         if (!exp::writeJson(json_file, points, results, &sub.telemetry))
-            acp_fatal("cannot write %s", json_file.c_str());
+            acp_fatal("cannot write %s: %s", json_file.c_str(),
+                      std::strerror(errno));
         std::fprintf(stderr, "wrote %s\n", json_file.c_str());
     }
     return 0;

@@ -81,7 +81,7 @@ class System
     void enableTrace();
 
     /** Write what enableTrace() recorded as a Chrome trace-event file
-     *  (obs::writeChromeTrace); false if @p path can't be opened. */
+     *  (obs::writeChromeTrace); false if it could not be written. */
     bool writeTrace(const std::string &path);
 
     /** Run the timed cores for a measurement window (every core gets

@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit tests for the common utilities: bit operations, RNG
- * determinism, the stats package, and the JSON string escaper.
+ * determinism, the stats package, and the JSON writer.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "common/bitops.hh"
 #include "common/json.hh"
@@ -129,16 +133,131 @@ TEST(Stats, Average)
     EXPECT_EQ(avg.count(), 3u);
 }
 
+namespace
+{
+
+/** @p text as the writer puts a JSON string value. */
+std::string
+quoted(const std::string &text)
+{
+    json::Writer w;
+    w.value(text);
+    return w.str();
+}
+
+} // namespace
+
 TEST(Json, EscapesQuotesBackslashesAndControlBytes)
 {
-    EXPECT_EQ(json::escape("plain text"), "plain text");
-    EXPECT_EQ(json::escape("\""), "\\\"");
-    EXPECT_EQ(json::escape("\\"), "\\\\");
-    EXPECT_EQ(json::escape("\n"), "\\n");
-    EXPECT_EQ(json::escape("\t"), "\\t");
+    EXPECT_EQ(quoted("plain text"), "\"plain text\"");
+    EXPECT_EQ(quoted("\""), "\"\\\"\"");
+    EXPECT_EQ(quoted("\\"), "\"\\\\\"");
+    EXPECT_EQ(quoted("\n"), "\"\\n\"");
+    EXPECT_EQ(quoted("\t"), "\"\\t\"");
     // Every other control byte, carriage return included, becomes a
     // four-hex-digit unicode escape.
-    EXPECT_EQ(json::escape("\r"), "\\u000d");
-    EXPECT_EQ(json::escape("\x01"), "\\u0001");
-    EXPECT_EQ(json::escape("a\"b\\c\r\n"), "a\\\"b\\\\c\\u000d\\n");
+    EXPECT_EQ(quoted("\r"), "\"\\u000d\"");
+    EXPECT_EQ(quoted("\x01"), "\"\\u0001\"");
+    EXPECT_EQ(quoted("a\"b\\c\r\n"), "\"a\\\"b\\\\c\\u000d\\n\"");
+}
+
+TEST(Json, WriterNestsIndentsAndSeparates)
+{
+    json::Writer w;
+    w.beginObject();
+    w.key("name").value("acp");
+    w.key("empty").beginObject().endObject();
+    w.key("none").beginArray().endArray();
+    w.key("list").beginArray();
+    w.value(1u).value(2u);
+    // A one-line container keeps everything inside it on its line.
+    w.beginObject(json::kOneLine);
+    w.key("on").value(true);
+    w.key("flags").beginArray().value(false).endArray();
+    w.key("none").beginObject().endObject();
+    w.endObject();
+    w.endArray();
+    w.key("nested").beginObject();
+    w.key("inner").beginObject().key("depth").value(2).endObject();
+    w.endObject();
+    w.endObject();
+    EXPECT_EQ(w.str(), "{\n"
+                       "  \"name\": \"acp\",\n"
+                       "  \"empty\": {},\n"
+                       "  \"none\": [],\n"
+                       "  \"list\": [\n"
+                       "    1,\n"
+                       "    2,\n"
+                       "    {\"on\": true, \"flags\": [false], \"none\": {}}\n"
+                       "  ],\n"
+                       "  \"nested\": {\n"
+                       "    \"inner\": {\n"
+                       "      \"depth\": 2\n"
+                       "    }\n"
+                       "  }\n"
+                       "}");
+}
+
+TEST(Json, WriterEscapesKeysAndValues)
+{
+    json::Writer w;
+    w.beginObject(json::kOneLine);
+    w.key("a\"b").value("c\\d\n");
+    w.key(std::string("tab\t")).value(std::string("\x01"));
+    w.endObject();
+    EXPECT_EQ(w.str(),
+              "{\"a\\\"b\": \"c\\\\d\\n\", \"tab\\t\": \"\\u0001\"}");
+}
+
+TEST(Json, WriterPrintsNumbers)
+{
+    json::Writer w;
+    w.beginArray(json::kOneLine);
+    w.value(std::uint64_t(18446744073709551615ULL));
+    w.value(std::int64_t(-1));
+    w.value(0.1);
+    w.value(1.0);
+    w.fixed(0.1234567, 6);
+    w.fixed(2.0, 3);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[18446744073709551615, -1, 0.10000000000000001, "
+                       "1, 0.123457, 2.000]");
+}
+
+TEST(Json, WriteFileEndsTheDocumentWithANewline)
+{
+    const std::string path = "test_common_write_file.json";
+    ASSERT_TRUE(json::writeFile(path, [](json::Writer &w) {
+        w.beginObject().key("ok").value(true).endObject();
+    }));
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char text[64] = {};
+    std::size_t n = std::fread(text, 1, sizeof(text) - 1, f);
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_EQ(std::string(text, n), "{\n  \"ok\": true\n}\n");
+
+    EXPECT_FALSE(json::writeFile("no_such_dir/x.json", [](json::Writer &w) {
+        w.beginObject().endObject();
+    }));
+}
+
+TEST(Json, WriteFileReportsAFullDevice)
+{
+    if (std::FILE *probe = std::fopen("/dev/full", "w"))
+        std::fclose(probe);
+    else
+        GTEST_SKIP() << "no /dev/full on this host";
+    // A short document fails only when fclose flushes it; a long one
+    // already fails while it streams.
+    EXPECT_FALSE(json::writeFile("/dev/full", [](json::Writer &w) {
+        w.beginObject().endObject();
+    }));
+    EXPECT_FALSE(json::writeFile("/dev/full", [](json::Writer &w) {
+        w.beginArray();
+        for (unsigned i = 0; i < 100000; ++i)
+            w.beginArray(json::kOneLine).value(i).endArray();
+        w.endArray();
+    }));
 }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/auth_policy.hh"
 #include "obs/path_profiler.hh"
 #include "obs/path_report.hh"
@@ -326,11 +327,9 @@ TEST(PathProfile, ReportOutputIsDeterministic)
 
     for (const std::string &path : {a.path(), b.path()}) {
         obs::PathProfile profile = runProfiled(AuthPolicy::kAuthThenCommit);
-        std::FILE *out = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(out, nullptr);
-        obs::writePathProfileJson(out, profile, "");
-        std::fputc('\n', out);
-        std::fclose(out);
+        ASSERT_TRUE(json::writeFile(path, [&](json::Writer &w) {
+            obs::writePathProfile(w, profile);
+        }));
     }
 
     std::string ja = slurp(a.path());
@@ -428,7 +427,7 @@ TEST(TraceJson, EmitsAsyncTxnSpans)
     ASSERT_TRUE(system.writeTrace(file.path()));
 
     std::string json = slurp(file.path());
-    EXPECT_NE(json.find("\"cat\":\"txn\""), std::string::npos)
+    EXPECT_NE(json.find("\"cat\": \"txn\""), std::string::npos)
         << "profiled timelines must render as async txn spans";
     EXPECT_NE(json.find("\"dram_burst\""), std::string::npos);
 }

@@ -92,30 +92,3 @@ TEST(SecurityMonitor, IoOutPredicate)
     EXPECT_FALSE(monitor.scan(SecurityMonitor::ioOutEquals(0x654000),
                               kCycleNever).leaked);
 }
-
-TEST(SecurityMonitor, RevealsSecretWindow)
-{
-    BusTrace trace;
-    trace.enable(true);
-    // Disclosing-kernel style: page base | (secret & 0xff) << 6.
-    std::uint64_t secret = 0xab;
-    trace.record(10, 0x500000 | (secret << 6), BusTxnKind::kDataFetch);
-    SecurityMonitor monitor(trace);
-
-    auto pred = SecurityMonitor::addressRevealsSecret(secret << 6, 14, 0,
-                                                      0x500000);
-    EXPECT_TRUE(monitor.scan(pred, kCycleNever).leaked);
-}
-
-TEST(BusTrace, AnyHelper)
-{
-    BusTrace trace = makeTrace();
-    EXPECT_TRUE(trace.any([](const BusTxn &txn) {
-        return txn.kind == BusTxnKind::kIoOut;
-    }));
-    EXPECT_FALSE(trace.any([](const BusTxn &txn) {
-        return txn.kind == BusTxnKind::kTreeNodeFetch;
-    }));
-    trace.clear();
-    EXPECT_TRUE(trace.txns().empty());
-}

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/system.hh"
 
 using namespace acp;
@@ -64,8 +67,10 @@ TEST(Speculation, WrongPathLoadReachesBus)
     // The bimodal predictor inits to weakly-taken, so early iterations
     // fetch and speculatively execute the taken path while the slow
     // load resolves — the phantom address must appear on the bus.
-    bool phantom_fetched = system.hier().ctrl().busTrace().any(
-        [](const mem::BusTxn &txn) {
+    const std::vector<mem::BusTxn> &txns =
+        system.hier().ctrl().busTrace().txns();
+    bool phantom_fetched =
+        std::any_of(txns.begin(), txns.end(), [](const mem::BusTxn &txn) {
             return txn.kind == mem::BusTxnKind::kDataFetch &&
                    (txn.addr & ~Addr(63)) == (kPhantom & ~Addr(63));
         });

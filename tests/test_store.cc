@@ -177,6 +177,24 @@ TEST(ResultStore, OpeningAndHittingWriteNothing)
     EXPECT_EQ(names, std::vector<std::string>{"results-v2.txt"});
 }
 
+TEST(ResultStore, CountsOnlyPutsThatLanded)
+{
+    // A regular file where the store directory belongs: the put cannot
+    // create the directory or open the file, and stores nothing.
+    ScratchStore blocked("test_store_blocked");
+    writeText(blocked.path(), "not a directory\n");
+    exp::ResultStore store(blocked.path());
+    store.put(digestOf('a'), sampleResult(1));
+    EXPECT_EQ(store.stats().stores, 0u);
+    exp::Result out;
+    EXPECT_FALSE(store.lookup(digestOf('a'), out));
+
+    ScratchStore root("test_store_lands");
+    exp::ResultStore writable(root.path());
+    writable.put(digestOf('a'), sampleResult(1));
+    EXPECT_EQ(writable.stats().stores, 1u);
+}
+
 TEST(ResultStore, TornAndForeignLinesAreMisses)
 {
     ScratchStore dir("test_store_torn");

@@ -105,10 +105,10 @@ struct Event
 std::string
 field(const std::string &obj, const std::string &key)
 {
-    std::size_t at = obj.find("\"" + key + "\":");
+    std::size_t at = obj.find("\"" + key + "\": ");
     if (at == std::string::npos)
         return "";
-    at += key.size() + 3;
+    at += key.size() + 4;
     std::size_t end = obj.find_first_of(",}", at);
     std::string v = obj.substr(at, end - at);
     if (v.size() >= 2 && v.front() == '"')
@@ -123,9 +123,9 @@ parseEvents(const std::string &text)
     std::istringstream lines(text);
     std::string line;
     while (std::getline(lines, line)) {
-        if (line.find("{\"ph\":") == std::string::npos)
+        if (line.find("{\"ph\": ") == std::string::npos)
             continue;
-        std::size_t args_at = line.find("\"args\":{");
+        std::size_t args_at = line.find("\"args\": {");
         std::string head =
             args_at == std::string::npos ? line : line.substr(0, args_at);
         Event ev;
@@ -137,10 +137,10 @@ parseEvents(const std::string &text)
         ev.tid = unsigned(std::strtoul(field(head, "tid").c_str(),
                                        nullptr, 10));
         if (args_at != std::string::npos) {
-            std::string args = line.substr(args_at + 7);
+            std::string args = line.substr(args_at + 8);
             for (const char *key :
                  {"auth_seq", "ok", "line", "pc", "seq", "name"})
-                if (args.find(std::string("\"") + key + "\":") !=
+                if (args.find(std::string("\"") + key + "\": ") !=
                     std::string::npos)
                     ev.args[key] = field(args, key);
         }

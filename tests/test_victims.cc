@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/system.hh"
 #include "workloads/victims.hh"
 
@@ -71,13 +74,15 @@ TEST(Victims, BinarySearchComparesCorrectly)
     system.enableCosim();
     system.measureTimed(2000, 5'000'000);
 
-    bool greater_seen = system.hier().ctrl().busTrace().any(
-        [&](const mem::BusTxn &txn) {
+    const std::vector<mem::BusTxn> &txns =
+        system.hier().ctrl().busTrace().txns();
+    bool greater_seen =
+        std::any_of(txns.begin(), txns.end(), [&](const mem::BusTxn &txn) {
             return (txn.addr & ~Addr(63)) ==
                    (victim.markerGreater & ~Addr(63));
         });
-    bool not_greater_seen = system.hier().ctrl().busTrace().any(
-        [&](const mem::BusTxn &txn) {
+    bool not_greater_seen =
+        std::any_of(txns.begin(), txns.end(), [&](const mem::BusTxn &txn) {
             return (txn.addr & ~Addr(63)) ==
                    (victim.markerNotGreater & ~Addr(63));
         });

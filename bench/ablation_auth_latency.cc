@@ -38,7 +38,7 @@ main()
                               cfg.policy = policy;
                               cfg.authLatency = lat;
                           });
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
     const std::size_t stride = 7;
 
     for (int p = 0; p < 2; ++p) {

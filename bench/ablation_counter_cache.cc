@@ -37,7 +37,7 @@ main()
             cfg.policy = core::AuthPolicy::kBaseline;
             cfg.counterCache.sizeBytes = size;
         });
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
     const std::size_t stride = 3;
 
     for (std::size_t w = 0; w < names.size(); ++w) {

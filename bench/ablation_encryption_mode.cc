@@ -50,7 +50,7 @@ main()
             cfg.counterPrediction = false;
         });
     }
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
     const std::size_t stride = 6;
 
     for (int p = 0; p < 2; ++p) {

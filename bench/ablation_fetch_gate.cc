@@ -54,7 +54,7 @@ main()
             cfg.fetchGateDrain = v.drain;
             cfg.authEngineInterval = v.interval;
         });
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
     const std::size_t stride = 5;
 
     for (std::size_t w = 0; w < names.size(); ++w) {

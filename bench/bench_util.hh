@@ -97,24 +97,11 @@ paperParams()
     return params;
 }
 
-/**
- * Execute a request through exp::submit (ACP_JOBS threads, versioned
- * persistent results in ./acp_store so derived figures reuse the runs
- * of their siblings and re-running a bench binary is cheap; delete
- * the directory to force fresh measurements). Fatal on failure so
- * bench binaries stay assertion-free.
- */
-inline std::vector<exp::Result>
-run(const exp::Request &req)
-{
-    exp::Submission sub = exp::submit(req);
-    if (!sub.ok)
-        acp_fatal("sweep failed: %s", sub.error.c_str());
-    return sub.results;
-}
-
 /** A Request pre-loaded with the paper config, scale knobs, window
- *  and the shared result store. */
+ *  and the shared result store: exp::submit runs it on ACP_JOBS
+ *  threads and keeps results in ./acp_store, so derived figures reuse
+ *  their siblings' runs and re-running a bench binary is cheap (delete
+ *  the directory to force fresh measurements). */
 inline exp::Request
 paperRequest(const sim::SimConfig &cfg = paperConfig())
 {
@@ -178,7 +165,7 @@ runSchemes(const std::vector<std::string> &names,
         });
     if (out_points)
         *out_points = req.points();
-    return run(req);
+    return exp::submit(req).results;
 }
 
 /**

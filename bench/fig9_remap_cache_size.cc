@@ -39,7 +39,7 @@ main()
             cfg.policy = core::AuthPolicy::kCommitPlusObfuscation;
             cfg.remapCache.sizeBytes = size;
         });
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
     const std::size_t stride = 4;
 
     std::printf("\n%-10s %14s %14s %14s\n", "bench", "8KB remap$",

@@ -61,7 +61,7 @@ main(int argc, char **argv)
     sweep.store.clear();
 
     std::vector<exp::Point> points = sweep.points();
-    std::vector<exp::Result> results = bench::run(sweep);
+    std::vector<exp::Result> results = exp::submit(sweep).results;
 
     // Console summary: aggregate-IPC scaling vs the 1-core run of the
     // same (workload, policy) column. Point layout:

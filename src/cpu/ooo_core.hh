@@ -262,8 +262,10 @@ class OooCore
     };
 
     // ----- the cycle ------------------------------------------------------
-    /** Advance one cycle (the legacy unit of work). Returns false once
-     *  stopped. Sets progress_ when any stage changed machine state. */
+    /** Simulate one cycle (complete, commit, store-buffer drain,
+     *  issue, dispatch, fetch) and advance cycle_; onWake calls it for
+     *  every cycle it does not skip. Returns false once stopped. Sets
+     *  progress_ when any stage changed machine state. */
     bool tick();
 
     /**
@@ -429,8 +431,8 @@ class OooCore
     std::uint64_t runInstLimit_ = 0;
     Cycle runCycleLimit_ = 0;
     /** kInstLimit/kCycleLimit when a limit ended the window; limits do
-     *  NOT set stopReason_ (the core can continue), matching the
-     *  legacy run() contract. */
+     *  NOT set stopReason_, so the core stays kRunning and a later
+     *  beginRun window continues from the same state. */
     StopReason runLimitHit_ = StopReason::kRunning;
 
     // Idle-window detection (event-driven loop)

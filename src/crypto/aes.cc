@@ -1,7 +1,5 @@
 #include "crypto/aes.hh"
 
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace acp::crypto
@@ -10,7 +8,7 @@ namespace acp::crypto
 namespace
 {
 
-const std::uint8_t kSbox[256] = {
+constexpr std::uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
     0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
@@ -35,39 +33,29 @@ const std::uint8_t kSbox[256] = {
     0xb0, 0x54, 0xbb, 0x16,
 };
 
-std::uint8_t kInvSbox[256];
-
-/**
- * Round tables: Te0[x] folds SubBytes + MixColumns for a row-0 byte
- * into one 32-bit lookup (the other rows are byte rotations of the
- * same table); Td0 is the InvSubBytes + InvMixColumns equivalent.
- * Generated from the S-box at first use — the round transform is
- * mathematically unchanged, block outputs are bit-identical to the
- * byte-wise FIPS-197 formulation.
- */
-std::uint32_t kTe0[256];
-std::uint32_t kTd0[256];
-bool tablesInited = false;
-
-std::uint8_t
+constexpr std::uint8_t
 xtime(std::uint8_t x)
 {
     return std::uint8_t((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
 
-/** GF(2^8) multiply. */
-std::uint8_t
-gmul(std::uint8_t a, std::uint8_t b)
-{
-    std::uint8_t p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
+/**
+ * Round table: Te0[x] folds SubBytes + MixColumns for a row-0 byte
+ * into one 32-bit lookup (the other rows are byte rotations of the
+ * same table). Built at compile time from the S-box — the round
+ * transform is mathematically unchanged, block outputs are
+ * bit-identical to the byte-wise FIPS-197 formulation.
+ */
+constexpr std::array<std::uint32_t, 256> kTe0 = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (int i = 0; i < 256; ++i) {
+        std::uint8_t s = kSbox[i];
+        std::uint8_t s2 = xtime(s); // {02}.s; {03}.s is s2 ^ s
+        table[i] = (std::uint32_t(s2) << 24) | (std::uint32_t(s) << 16) |
+                   (std::uint32_t(s) << 8) | std::uint32_t(s2 ^ s);
     }
-    return p;
-}
+    return table;
+}();
 
 std::uint32_t
 subWord(std::uint32_t w)
@@ -90,45 +78,6 @@ rotr(std::uint32_t w, int n)
     return (w >> n) | (w << (32 - n));
 }
 
-void
-initTables()
-{
-    if (tablesInited)
-        return;
-    for (int i = 0; i < 256; ++i)
-        kInvSbox[kSbox[i]] = std::uint8_t(i);
-    for (int i = 0; i < 256; ++i) {
-        std::uint8_t s = kSbox[i];
-        kTe0[i] = (std::uint32_t(gmul(s, 2)) << 24) |
-                  (std::uint32_t(s) << 16) | (std::uint32_t(s) << 8) |
-                  std::uint32_t(gmul(s, 3));
-        std::uint8_t t = kInvSbox[i];
-        kTd0[i] = (std::uint32_t(gmul(t, 14)) << 24) |
-                  (std::uint32_t(gmul(t, 9)) << 16) |
-                  (std::uint32_t(gmul(t, 13)) << 8) |
-                  std::uint32_t(gmul(t, 11));
-    }
-    tablesInited = true;
-}
-
-/** InvMixColumns over one column word (top byte = row 0). */
-std::uint32_t
-imcWord(std::uint32_t w)
-{
-    std::uint8_t a0 = std::uint8_t(w >> 24), a1 = std::uint8_t(w >> 16);
-    std::uint8_t a2 = std::uint8_t(w >> 8), a3 = std::uint8_t(w);
-    std::uint8_t o0 =
-        std::uint8_t(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-    std::uint8_t o1 =
-        std::uint8_t(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-    std::uint8_t o2 =
-        std::uint8_t(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-    std::uint8_t o3 =
-        std::uint8_t(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
-    return (std::uint32_t(o0) << 24) | (std::uint32_t(o1) << 16) |
-           (std::uint32_t(o2) << 8) | std::uint32_t(o3);
-}
-
 std::uint32_t
 load32(const std::uint8_t *p)
 {
@@ -149,60 +98,20 @@ store32(std::uint8_t *p, std::uint32_t w)
 
 Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
 {
-    initTables();
+    if (key_bytes != 16)
+        acp_fatal("AES key length must be 16 bytes, got %zu", key_bytes);
 
-    unsigned nk; // key length in 32-bit words
-    switch (key_bytes) {
-      case 16:
-        nk = 4;
-        rounds_ = 10;
-        break;
-      case 24:
-        nk = 6;
-        rounds_ = 12;
-        break;
-      case 32:
-        nk = 8;
-        rounds_ = 14;
-        break;
-      default:
-        acp_fatal("AES key length must be 16/24/32 bytes, got %zu",
-                  key_bytes);
-    }
-
-    unsigned total_words = 4 * (rounds_ + 1);
-    for (unsigned i = 0; i < nk; ++i) {
-        roundKeys_[i] = (std::uint32_t(key[4 * i]) << 24) |
-                        (std::uint32_t(key[4 * i + 1]) << 16) |
-                        (std::uint32_t(key[4 * i + 2]) << 8) |
-                        std::uint32_t(key[4 * i + 3]);
-    }
-
-    std::uint32_t rcon = 0x01000000;
-    for (unsigned i = nk; i < total_words; ++i) {
+    for (unsigned i = 0; i < 4; ++i)
+        roundKeys_[i] = load32(key + 4 * i);
+    std::uint8_t rcon = 0x01;
+    for (unsigned i = 4; i < roundKeys_.size(); ++i) {
         std::uint32_t temp = roundKeys_[i - 1];
-        if (i % nk == 0) {
-            temp = subWord(rotWord(temp)) ^ rcon;
-            // rcon doubles in GF(2^8) in the top byte
-            std::uint8_t hi = std::uint8_t(rcon >> 24);
-            rcon = std::uint32_t(xtime(hi)) << 24;
-        } else if (nk > 6 && i % nk == 4) {
-            temp = subWord(temp);
+        if (i % 4 == 0) {
+            temp = subWord(rotWord(temp)) ^ (std::uint32_t(rcon) << 24);
+            rcon = xtime(rcon); // rcon doubles in GF(2^8)
         }
-        roundKeys_[i] = roundKeys_[i - nk] ^ temp;
+        roundKeys_[i] = roundKeys_[i - 4] ^ temp;
     }
-
-    // Equivalent inverse cipher: reverse the round-key order and fold
-    // InvMixColumns into every inner round key, so decryption runs the
-    // same Td-table round shape as encryption runs with Te.
-    for (unsigned j = 0; j < 4; ++j) {
-        decKeys_[j] = roundKeys_[4 * rounds_ + j];
-        decKeys_[4 * rounds_ + j] = roundKeys_[j];
-    }
-    for (unsigned round = 1; round < rounds_; ++round)
-        for (unsigned j = 0; j < 4; ++j)
-            decKeys_[4 * round + j] =
-                imcWord(roundKeys_[4 * (rounds_ - round) + j]);
 }
 
 void
@@ -214,7 +123,7 @@ Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
     std::uint32_t s2 = load32(in + 8) ^ rk[2];
     std::uint32_t s3 = load32(in + 12) ^ rk[3];
 
-    for (unsigned round = 1; round < rounds_; ++round) {
+    for (unsigned round = 1; round < kRounds; ++round) {
         rk += 4;
         std::uint32_t t0 = kTe0[s0 >> 24] ^
                            rotr(kTe0[(s1 >> 16) & 0xff], 8) ^
@@ -258,62 +167,6 @@ Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
                        (std::uint32_t(kSbox[(s0 >> 16) & 0xff]) << 16) |
                        (std::uint32_t(kSbox[(s1 >> 8) & 0xff]) << 8) |
                        std::uint32_t(kSbox[s2 & 0xff])) ^
-                          rk[3]);
-}
-
-void
-Aes::decryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
-{
-    const std::uint32_t *rk = decKeys_.data();
-    std::uint32_t s0 = load32(in) ^ rk[0];
-    std::uint32_t s1 = load32(in + 4) ^ rk[1];
-    std::uint32_t s2 = load32(in + 8) ^ rk[2];
-    std::uint32_t s3 = load32(in + 12) ^ rk[3];
-
-    for (unsigned round = 1; round < rounds_; ++round) {
-        rk += 4;
-        std::uint32_t t0 = kTd0[s0 >> 24] ^
-                           rotr(kTd0[(s3 >> 16) & 0xff], 8) ^
-                           rotr(kTd0[(s2 >> 8) & 0xff], 16) ^
-                           rotr(kTd0[s1 & 0xff], 24) ^ rk[0];
-        std::uint32_t t1 = kTd0[s1 >> 24] ^
-                           rotr(kTd0[(s0 >> 16) & 0xff], 8) ^
-                           rotr(kTd0[(s3 >> 8) & 0xff], 16) ^
-                           rotr(kTd0[s2 & 0xff], 24) ^ rk[1];
-        std::uint32_t t2 = kTd0[s2 >> 24] ^
-                           rotr(kTd0[(s1 >> 16) & 0xff], 8) ^
-                           rotr(kTd0[(s0 >> 8) & 0xff], 16) ^
-                           rotr(kTd0[s3 & 0xff], 24) ^ rk[2];
-        std::uint32_t t3 = kTd0[s3 >> 24] ^
-                           rotr(kTd0[(s2 >> 16) & 0xff], 8) ^
-                           rotr(kTd0[(s1 >> 8) & 0xff], 16) ^
-                           rotr(kTd0[s0 & 0xff], 24) ^ rk[3];
-        s0 = t0;
-        s1 = t1;
-        s2 = t2;
-        s3 = t3;
-    }
-
-    rk += 4;
-    store32(out, ((std::uint32_t(kInvSbox[s0 >> 24]) << 24) |
-                  (std::uint32_t(kInvSbox[(s3 >> 16) & 0xff]) << 16) |
-                  (std::uint32_t(kInvSbox[(s2 >> 8) & 0xff]) << 8) |
-                  std::uint32_t(kInvSbox[s1 & 0xff])) ^
-                     rk[0]);
-    store32(out + 4, ((std::uint32_t(kInvSbox[s1 >> 24]) << 24) |
-                      (std::uint32_t(kInvSbox[(s0 >> 16) & 0xff]) << 16) |
-                      (std::uint32_t(kInvSbox[(s3 >> 8) & 0xff]) << 8) |
-                      std::uint32_t(kInvSbox[s2 & 0xff])) ^
-                         rk[1]);
-    store32(out + 8, ((std::uint32_t(kInvSbox[s2 >> 24]) << 24) |
-                      (std::uint32_t(kInvSbox[(s1 >> 16) & 0xff]) << 16) |
-                      (std::uint32_t(kInvSbox[(s0 >> 8) & 0xff]) << 8) |
-                      std::uint32_t(kInvSbox[s3 & 0xff])) ^
-                         rk[2]);
-    store32(out + 12, ((std::uint32_t(kInvSbox[s3 >> 24]) << 24) |
-                       (std::uint32_t(kInvSbox[(s2 >> 16) & 0xff]) << 16) |
-                       (std::uint32_t(kInvSbox[(s1 >> 8) & 0xff]) << 8) |
-                       std::uint32_t(kInvSbox[s0 & 0xff])) ^
                           rk[3]);
 }
 

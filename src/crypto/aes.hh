@@ -1,10 +1,11 @@
 /**
  * @file
- * FIPS-197 AES block cipher (128/192/256-bit keys), encryption and
- * decryption of single 16-byte blocks. This is the functional model of
- * the Rijndael engine in the secure processor; timing is modeled
- * separately (Section 5.2.1 of the paper uses an 80 ns reference
- * latency for the unrolled/pipelined hardware implementation).
+ * FIPS-197 AES-128 block encryption of single 16-byte blocks: the
+ * functional model of the Rijndael engine that generates the secure
+ * processor's counter-mode pads (encryption is all counter mode ever
+ * runs). Timing is modeled separately (Section 5.2.1 of the paper uses
+ * an 80 ns reference latency for the unrolled/pipelined hardware
+ * implementation).
  */
 
 #ifndef ACP_CRYPTO_AES_HH
@@ -21,45 +22,28 @@ namespace acp::crypto
 constexpr std::size_t kAesBlockBytes = 16;
 
 /**
- * AES cipher context holding an expanded key schedule.
- * Construct once per key; encryptBlock/decryptBlock are const and
- * thread-compatible.
+ * AES-128 cipher context holding an expanded key schedule.
+ * Construct once per key; encryptBlock is const and thread-compatible.
  */
 class Aes
 {
   public:
-    /**
-     * Expand @p key of @p key_bytes length (16, 24 or 32).
-     * Invalid lengths trigger acp_fatal.
-     */
+    /** Expand @p key of @p key_bytes length; anything but 16 bytes
+     *  triggers acp_fatal. */
     Aes(const std::uint8_t *key, std::size_t key_bytes);
 
-    /** Convenience constructor from a fixed-size array (AES-128). */
+    /** Convenience constructor from a fixed-size array. */
     explicit Aes(const std::array<std::uint8_t, 16> &key)
-        : Aes(key.data(), key.size())
-    {}
-
-    /** Convenience constructor from a fixed-size array (AES-256). */
-    explicit Aes(const std::array<std::uint8_t, 32> &key)
         : Aes(key.data(), key.size())
     {}
 
     /** Encrypt one 16-byte block, in-place allowed (in == out ok). */
     void encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
-    /** Decrypt one 16-byte block, in-place allowed. */
-    void decryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;
-
-    /** Number of rounds (10/12/14 per key size). */
-    unsigned rounds() const { return rounds_; }
-
   private:
-    unsigned rounds_;
+    static constexpr unsigned kRounds = 10;
     /** Round keys, 4 words per round plus the initial whitening key. */
-    std::array<std::uint32_t, 60> roundKeys_;
-    /** Equivalent-inverse-cipher round keys (InvMixColumns-folded),
-     *  so decryptBlock can use the same table-driven round shape. */
-    std::array<std::uint32_t, 60> decKeys_;
+    std::array<std::uint32_t, 4 * (kRounds + 1)> roundKeys_;
 };
 
 } // namespace acp::crypto

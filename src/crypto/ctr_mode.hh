@@ -33,7 +33,7 @@ namespace acp::crypto
 class CtrModeEngine
 {
   public:
-    /** @param key AES key bytes; @param key_len 16 or 32. */
+    /** @param key AES-128 key bytes; @param key_len must be 16. */
     CtrModeEngine(const std::uint8_t *key, std::size_t key_len)
         : aes_(key, key_len)
     {}

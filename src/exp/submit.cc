@@ -367,8 +367,8 @@ writeJson(const std::string &path, const std::vector<Point> &points,
         // optional "telemetry" (cache split, host wall-time
         // percentiles) describe the *run that wrote the file*, never
         // the simulated machine: comparison tooling
-        // (tools/bench_diff.py, the CI multi-core smoke) strips them
-        // before diffing.
+        // (tools/bench_diff.py, ctest's acpsim_multicore_determinism)
+        // strips them before diffing.
         w.key("manifest");
         obs::writeManifest(w, obs::manifest());
         if (telemetry) {

@@ -61,8 +61,10 @@ struct Submission
     std::vector<Point> points;
     std::vector<Result> results;
     SweepTelemetry telemetry;
+    /** submit() never clears @c ok or sets @c error: a point that
+     *  fails ends the process (acp_fatal/acp_panic) before submit()
+     *  returns. Both stay only because perfbench reads them. */
     bool ok = true;
-    /** Human-readable failure (ok == false). */
     std::string error;
 };
 

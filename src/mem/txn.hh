@@ -66,8 +66,9 @@ struct TxnArenaStats
     std::uint64_t poolHits = 0;
     /** Blocks currently handed out and not yet returned. */
     std::uint64_t live = 0;
-    /** High-water mark of @c live over the process lifetime (the
-     *  sim.host.arena telemetry reports it as allocation pressure). */
+    /** High-water mark of @c live over the process lifetime. The
+     *  counters are process-wide, shared by every System and thread,
+     *  so they describe no single point. */
     std::uint64_t liveHighWater = 0;
 };
 

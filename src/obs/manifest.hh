@@ -18,8 +18,8 @@
  * the same binary are identical in every field except the
  * timestamps. Manifests are provenance, not results — they are never
  * part of a config digest or a cache key, and comparison tools
- * (tools/bench_diff.py, the CI multi-core determinism smoke) ignore
- * them.
+ * (tools/bench_diff.py, ctest's acpsim_multicore_determinism)
+ * ignore them.
  */
 
 #ifndef ACP_OBS_MANIFEST_HH

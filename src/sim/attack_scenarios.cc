@@ -1,6 +1,8 @@
 #include "sim/attack_scenarios.hh"
 
-#include <memory>
+#include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/security_monitor.hh"
@@ -16,52 +18,132 @@ namespace
 /** Scenario cycle budget (plenty: exploits trigger within ~5k). */
 constexpr std::uint64_t kMaxCycles = 100000;
 
-SimConfig
-scenarioCfg(core::AuthPolicy policy)
+using BusPredicate = std::function<bool(const mem::BusTxn &)>;
+
+/** One ciphertext XOR: the low @c bytes bytes of @c mask, little-endian,
+ *  at @c addr (8 for a data word, 4 for a code word). */
+struct Edit
+{
+    Addr addr = 0;
+    std::uint64_t mask = 0;
+    unsigned bytes = 0;
+};
+
+/**
+ * An exploit as data: the victim program, the adversary's ciphertext
+ * edits in the order it applies them, and the bus markers it watches
+ * for. The adversary learns the secret when exactly one marker shows
+ * before the exception: an exploit's single leak predicate, or one of
+ * a binary-search probe's two path markers (greater first), where
+ * both or neither says nothing about the branch.
+ */
+struct Staged
+{
+    Exploit exploit;
+    isa::Program prog;
+    std::vector<Edit> edits;
+    std::vector<BusPredicate> markers;
+};
+
+/** What the run showed: the Table-2 cell, and which marker showed
+ *  (a probe's first marker alone means secret > pivot). */
+struct Judged
+{
+    ScenarioResult result;
+    bool firstMarker = false;
+};
+
+Staged
+stageProbe(std::uint64_t secret, std::uint64_t pivot)
+{
+    workloads::BinarySearchVictim victim =
+        workloads::buildBinarySearchVictim(secret);
+    // Known plaintext 0: XOR with the pivot sets the constant.
+    return {Exploit::kBinarySearch,
+            std::move(victim.prog),
+            {{victim.constAddr, pivot, 8}},
+            {core::SecurityMonitor::addressEquals(victim.markerGreater),
+             core::SecurityMonitor::addressEquals(victim.markerNotGreater)}};
+}
+
+Staged
+stage(Exploit exploit, std::uint64_t seed)
+{
+    switch (exploit) {
+      case Exploit::kPointerConversion: {
+        workloads::PointerConversionVictim victim =
+            workloads::buildPointerConversionVictim(seed);
+        // Figure 1: convert the encrypted NULL into a pointer at the
+        // secret with a single ciphertext XOR (CTR malleability). The
+        // traversal dereferences the secret: its value (+node offset)
+        // appears as a fetch address.
+        return {exploit,
+                std::move(victim.prog),
+                {{victim.nullPtrAddr, victim.secretAddr, 8}},
+                {core::SecurityMonitor::addressEquals(victim.secretValue +
+                                                      8)}};
+      }
+      case Exploit::kBinarySearch:
+        return stageProbe(0xb000 + (seed & 0xfff), 0x8000);
+      case Exploit::kDisclosingKernel:
+      case Exploit::kIoDisclosure: {
+        const bool io = exploit == Exploit::kIoDisclosure;
+        workloads::DisclosingKernelVictim victim =
+            workloads::buildDisclosingKernelVictim(seed);
+        // Replace the predictable epilogue with the kernel: each code
+        // word's ciphertext takes kernel ^ known plaintext.
+        std::vector<std::uint32_t> kernel =
+            io ? workloads::ioKernelWords(victim.secretAddr, 7)
+               : workloads::disclosingKernelWords(victim.secretAddr,
+                                                  victim.pageBase);
+        if (kernel.size() > victim.epiloguePlain.size())
+            acp_fatal("replacement kernel larger than the predictable "
+                      "window");
+        Staged staged{exploit, std::move(victim.prog), {}, {}};
+        for (std::size_t i = 0; i < kernel.size(); ++i)
+            staged.edits.push_back({victim.epilogueAddr + 4 * i,
+                                    victim.epiloguePlain[i] ^ kernel[i], 4});
+        staged.markers.push_back(
+            io ? core::SecurityMonitor::ioOutEquals(victim.secretValue)
+               : core::SecurityMonitor::addressEquals(
+                     victim.pageBase | ((victim.secretValue & 0xff) << 6)));
+        return staged;
+      }
+    }
+    acp_panic("bad exploit");
+}
+
+/**
+ * Build a fresh system under @p policy, apply the edits, run the
+ * window and judge it in one pass over the bus trace up to the
+ * exception. Every run carries the path profiler, so the result holds
+ * the machine-checked leak audit next to the markers' verdict.
+ */
+Judged
+runStaged(Staged staged, core::AuthPolicy policy)
 {
     SimConfig cfg;
     cfg.policy = policy;
     cfg.memoryBytes = 64ULL << 20;
     cfg.protectedBytes = cfg.memoryBytes;
-    // Every scenario runs with the path profiler attached, so results
-    // carry the machine-checked leak audit next to the per-exploit
-    // predicate verdict (and the System enables the bus trace).
     cfg.profileEnabled = true;
-    return cfg;
-}
+    System system(cfg, std::move(staged.prog));
 
-/** XOR an 8-byte little-endian mask into external ciphertext. */
-void
-tamper64(System &system, Addr addr, std::uint64_t xor_mask)
-{
-    std::uint8_t mask[8];
-    for (int i = 0; i < 8; ++i)
-        mask[i] = std::uint8_t(xor_mask >> (8 * i));
-    system.hier().ctrl().externalMemory().tamper(addr, mask, 8);
-}
-
-/** Substitute known-plaintext code words with attacker code. */
-void
-tamperCode(System &system, Addr addr,
-           const std::vector<std::uint32_t> &plain,
-           const std::vector<std::uint32_t> &replacement)
-{
-    if (replacement.size() > plain.size())
-        acp_fatal("replacement kernel larger than the predictable window");
-    for (std::size_t i = 0; i < replacement.size(); ++i) {
-        std::uint32_t diff = plain[i] ^ replacement[i];
-        std::uint8_t mask[4];
-        for (int b = 0; b < 4; ++b)
-            mask[b] = std::uint8_t(diff >> (8 * b));
-        system.hier().ctrl().externalMemory().tamper(addr + 4 * i, mask, 4);
+    secmem::ExternalMemory &ext = system.hier().ctrl().externalMemory();
+    for (const Edit &edit : staged.edits) {
+        std::uint8_t mask[8];
+        for (unsigned i = 0; i < edit.bytes; ++i)
+            mask[i] = std::uint8_t(edit.mask >> (8 * i));
+        ext.tamper(edit.addr, mask, edit.bytes);
     }
-}
 
-ScenarioResult
-finish(System &system, ScenarioResult result,
-       const std::function<bool(const mem::BusTxn &)> &leak_pred)
-{
-    cpu::OooCore &core = system.core();
+    system.measureTimed(~0ULL >> 1, kMaxCycles);
+
+    const cpu::OooCore &core = system.core();
+    Judged judged;
+    ScenarioResult &result = judged.result;
+    result.policy = policy;
+    result.exploit = staged.exploit;
     result.exceptionRaised = core.securityException();
     result.precise = core.exceptionPrecise();
     result.exceptionCycle = core.exceptionCycle();
@@ -69,122 +151,24 @@ finish(System &system, ScenarioResult result,
     result.taintedStoreDrains = core.taintedStoreDrains();
     result.cyclesRun = core.cycles();
 
-    core::SecurityMonitor monitor(system.hier().ctrl().busTrace());
-    Cycle horizon = result.exceptionRaised ? result.exceptionCycle
-                                           : kCycleNever;
-    core::LeakReport report = monitor.scan(leak_pred, horizon);
-    result.leaked = report.leaked;
-    result.firstLeakCycle = report.firstLeakCycle;
-    result.leakCount = report.matchCount;
-    result.audit = system.pathProfile().audit;
-    return result;
-}
-
-ScenarioResult
-runPointerConversion(core::AuthPolicy policy, std::uint64_t seed)
-{
-    workloads::PointerConversionVictim victim =
-        workloads::buildPointerConversionVictim(seed);
-    System system(scenarioCfg(policy), victim.prog);
-
-    // Figure 1: convert the encrypted NULL into a pointer at the
-    // secret with a single ciphertext XOR (CTR malleability).
-    tamper64(system, victim.nullPtrAddr, victim.secretAddr);
-
-    system.measureTimed(~0ULL >> 1, kMaxCycles);
-
-    ScenarioResult result;
-    result.policy = policy;
-    result.exploit = Exploit::kPointerConversion;
-    // The traversal dereferences the secret: its value (+node offset)
-    // appears as a fetch address.
-    return finish(system, result,
-                  core::SecurityMonitor::addressEquals(victim.secretValue +
-                                                       8));
-}
-
-/** One probe with pivot @p pivot; returns (result, observedGreater). */
-std::pair<ScenarioResult, bool>
-binarySearchProbe(core::AuthPolicy policy, std::uint64_t secret,
-                  std::uint64_t pivot)
-{
-    workloads::BinarySearchVictim victim =
-        workloads::buildBinarySearchVictim(secret);
-    System system(scenarioCfg(policy), victim.prog);
-
-    // Known plaintext 0: XOR with the pivot sets the constant.
-    tamper64(system, victim.constAddr, pivot);
-
-    system.measureTimed(~0ULL >> 1, kMaxCycles);
-
-    ScenarioResult result;
-    result.policy = policy;
-    result.exploit = Exploit::kBinarySearch;
-
-    core::SecurityMonitor monitor(system.hier().ctrl().busTrace());
-    Cycle horizon = system.core().securityException()
-                        ? system.core().exceptionCycle()
-                        : kCycleNever;
-    bool saw_greater =
-        monitor.scan(core::SecurityMonitor::addressEquals(
-                         victim.markerGreater), horizon)
-            .leaked;
-    bool saw_not_greater =
-        monitor.scan(core::SecurityMonitor::addressEquals(
-                         victim.markerNotGreater), horizon)
-            .leaked;
-
-    // Leak == the adversary can tell which path ran.
-    auto either = [&](const mem::BusTxn &txn) {
-        return core::SecurityMonitor::addressEquals(
-                   victim.markerGreater)(txn) ||
-               core::SecurityMonitor::addressEquals(
-                   victim.markerNotGreater)(txn);
-    };
-    result = finish(system, result, either);
-    result.leaked = result.leaked && (saw_greater != saw_not_greater);
-    return {result, saw_greater && !saw_not_greater};
-}
-
-ScenarioResult
-runBinarySearch(core::AuthPolicy policy, std::uint64_t seed)
-{
-    std::uint64_t secret = 0xb000 + (seed & 0xfff);
-    return binarySearchProbe(policy, secret, 0x8000).first;
-}
-
-ScenarioResult
-runDisclosingKernel(core::AuthPolicy policy, std::uint64_t seed,
-                    bool io_variant)
-{
-    workloads::DisclosingKernelVictim victim =
-        workloads::buildDisclosingKernelVictim(seed);
-    System system(scenarioCfg(policy), victim.prog);
-
-    // Replace the predictable epilogue with the kernel (two XORs:
-    // kernel ^ known plaintext applied to the ciphertext).
-    std::vector<std::uint32_t> kernel =
-        io_variant ? workloads::ioKernelWords(victim.secretAddr, 7)
-                   : workloads::disclosingKernelWords(victim.secretAddr,
-                                                      victim.pageBase);
-    tamperCode(system, victim.epilogueAddr, victim.epiloguePlain, kernel);
-
-    system.measureTimed(~0ULL >> 1, kMaxCycles);
-
-    ScenarioResult result;
-    result.policy = policy;
-    result.exploit = io_variant ? Exploit::kIoDisclosure
-                                : Exploit::kDisclosingKernel;
-
-    if (io_variant) {
-        return finish(system, result,
-                      core::SecurityMonitor::ioOutEquals(
-                          victim.secretValue));
+    const Cycle horizon =
+        result.exceptionRaised ? result.exceptionCycle : kCycleNever;
+    std::vector<bool> seen(staged.markers.size(), false);
+    for (const mem::BusTxn &txn : system.hier().ctrl().busTrace().txns()) {
+        if (txn.cycle >= horizon)
+            continue;
+        for (std::size_t i = 0; i < staged.markers.size(); ++i) {
+            if (!staged.markers[i](txn))
+                continue;
+            if (result.leakCount++ == 0)
+                result.firstLeakCycle = txn.cycle;
+            seen[i] = true;
+        }
     }
-    Addr expect = victim.pageBase |
-                  ((victim.secretValue & 0xff) << 6);
-    return finish(system, result,
-                  core::SecurityMonitor::addressEquals(expect));
+    result.leaked = std::count(seen.begin(), seen.end(), true) == 1;
+    judged.firstMarker = result.leaked && seen[0];
+    result.audit = system.pathProfile().audit;
+    return judged;
 }
 
 } // namespace
@@ -204,17 +188,7 @@ exploitName(Exploit exploit)
 ScenarioResult
 runExploit(Exploit exploit, core::AuthPolicy policy, std::uint64_t seed)
 {
-    switch (exploit) {
-      case Exploit::kPointerConversion:
-        return runPointerConversion(policy, seed);
-      case Exploit::kBinarySearch:
-        return runBinarySearch(policy, seed);
-      case Exploit::kDisclosingKernel:
-        return runDisclosingKernel(policy, seed, false);
-      case Exploit::kIoDisclosure:
-        return runDisclosingKernel(policy, seed, true);
-    }
-    acp_panic("bad exploit");
+    return runStaged(stage(exploit, seed), policy).result;
 }
 
 BinarySearchRecovery
@@ -229,11 +203,11 @@ recoverSecretViaBinarySearch(core::AuthPolicy policy, std::uint64_t secret,
                                     : (std::uint64_t(1) << bits) - 1;
     while (lo < hi) {
         std::uint64_t pivot = lo + (hi - lo) / 2;
-        auto [result, greater] = binarySearchProbe(policy, secret, pivot);
+        Judged probe = runStaged(stageProbe(secret, pivot), policy);
         ++recovery.trials;
-        if (!result.leaked)
+        if (!probe.result.leaked)
             return recovery; // the policy blocked the side channel
-        if (greater)
+        if (probe.firstMarker)
             lo = pivot + 1; // secret > pivot
         else
             hi = pivot;

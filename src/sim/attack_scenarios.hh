@@ -4,7 +4,9 @@
  * memory-fetch side-channel exploits (Section 3.2) against a live
  * simulated system under a chosen authentication control point, and
  * reports what the adversary observed — the empirical basis for the
- * paper's Table 2.
+ * paper's Table 2. Every exploit is data (the victim program, its
+ * ciphertext XOR edits and the bus markers that reveal the secret)
+ * run and judged by one function.
  */
 
 #ifndef ACP_SIM_ATTACK_SCENARIOS_HH

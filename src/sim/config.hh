@@ -193,9 +193,8 @@ struct SimConfig
     bool profileEnabled = false;
     /**
      * Collect sim.host.* self-metrics (event-loop wake counts and
-     * jump-length histograms per core, txn-arena high-water
-     * marks). These measure the *simulator*, not the simulated
-     * machine.
+     * jump-length histograms per core). These measure the
+     * *simulator*, not the simulated machine.
      */
     bool hostStats = false;
 

@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
 #include "isa/opcodes.hh"
-#include "mem/txn.hh"
 #include "obs/trace_json.hh"
 
 namespace acp::sim
@@ -259,10 +258,9 @@ System::pathProfile()
 void
 System::visitHostStatGroups(StatGroupVisitor &v)
 {
-    // Groups are rebuilt on every call: the timed cores are created
-    // lazily and the arena counters are process-wide snapshots. The
-    // temporaries are consumed synchronously by v.group(), so pointer
-    // registration into them is safe.
+    // Rebuilt on every call: the timed cores are created lazily. The
+    // temporary is consumed synchronously by v.group(), so pointer
+    // registration into it is safe.
     StatGroup sched_group("sim.host.sched");
     for (CoreSlot &slot : slots_) {
         if (!slot.core)
@@ -272,19 +270,6 @@ System::visitHostStatGroups(StatGroupVisitor &v)
                                     &slot.jump);
     }
     v.group(sched_group);
-
-    mem::TxnArenaStats arena = mem::txnArenaStats();
-    StatCounter allocs, pool_hits, live, high_water;
-    allocs += arena.allocs;
-    pool_hits += arena.poolHits;
-    live += arena.live;
-    high_water += arena.liveHighWater;
-    StatGroup arena_group("sim.host.arena");
-    arena_group.addCounter("allocs", &allocs);
-    arena_group.addCounter("pool_hits", &pool_hits);
-    arena_group.addCounter("live", &live);
-    arena_group.addCounter("live_high_water", &high_water);
-    v.group(arena_group);
 }
 
 void

@@ -132,8 +132,7 @@ class System
      *  sim.host.* groups when cfg.hostStats is set. */
     void visitGroups(StatGroupVisitor &v);
 
-    /** Emit the sim.host.* groups (wakes/jumps per core, txn-arena
-     *  pressure). */
+    /** Emit the sim.host.sched group (wakes/jumps per core). */
     void visitHostStatGroups(StatGroupVisitor &v);
 
     SimConfig cfg_;

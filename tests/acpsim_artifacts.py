@@ -10,13 +10,44 @@
       Two --cache --stats runs in one scratch directory print the same
       statistics: the second, served from ./acp_store, prints them from
       the stored result.
+
+  acpsim_artifacts.py multicore ACPSIM CHECK_PROFILE
+      Two cores sharing one secure memory controller, bus and auth
+      engine: a profiled run keeps every profiler invariant, and
+      repeated runs match byte for byte (FCFS bus grants make the
+      interleaving deterministic), alone and as a '+'-joined workload
+      mix.
+
+  acpsim_artifacts.py store-sharing ACPSIM
+      Two acpsim processes fill one ./acp_store at the same time; the
+      store is one file of checksummed lines, a third run is served
+      from it entirely, and every run equals one without the store. A
+      run with nothing cacheable creates no store.
+
+  acpsim_artifacts.py intervals ACPSIM
+      --stats-interval rows, alone and with two cores: every row but
+      the tail covers one whole period of the core's clock, and core
+      0's rows sum to its cycles, committed and stall.* counters.
+
+  acpsim_artifacts.py trace ACPSIM
+      A --trace file covers the whole window: every async span closes,
+      there is one auth.verify span per auth request, and a 2-core
+      trace gives each core its own pipeline track.
+
+Every mode runs in its own temporary directory.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+
+# The window of the end-to-end runs: long enough that mcf stalls on the
+# bus, which tools/check_profile.py requires.
+WINDOW = ["--insts", "20000", "--warmup", "10000"]
 
 
 def run(args, cwd):
@@ -77,14 +108,180 @@ def check_cached_stats(acpsim):
           len(stats))
 
 
+def simulated(path):
+    """The sweep JSON minus what describes the run that wrote it
+    (provenance, host telemetry, wall times): what must repeat."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    doc.pop("manifest", None)
+    doc.pop("telemetry", None)
+    text = json.dumps(doc, sort_keys=True)
+    return re.sub(r'"wallSeconds": [0-9.e+-]+', '"wallSeconds": 0', text)
+
+
+def check_multicore(acpsim, check_profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        def sweep(workload, name, *extra):
+            path = os.path.join(tmp, name)
+            run([acpsim, workload, "--policy", "commit", *WINDOW, *extra,
+                 "--json", path], tmp)
+            return path
+
+        profile = sweep("mcf", "mc_profile.json", "--cores", "2",
+                        "--profile")
+        subprocess.run([sys.executable, check_profile, profile], check=True)
+        a, b = (simulated(sweep("mcf", "mc%d.json" % i, "--cores", "2"))
+                for i in (1, 2))
+        assert a == b, "repeated 2-core runs diverge"
+        a, b = (simulated(sweep("mcf+swim", "mix%d.json" % i))
+                for i in (1, 2))
+        assert a == b, "repeated mcf+swim mix runs diverge"
+    print("2-core determinism OK")
+
+
+def fnv1a(data):
+    h = 0xcbf29ce484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001b3) % (1 << 64)
+    return h
+
+
+def check_store_sharing(acpsim):
+    sweep = [acpsim, "mcf,swim", "--policy", "baseline,commit",
+             "--warmup", "10000", "--insts", "20000"]
+
+    def points(path):
+        with open(path) as handle:
+            doc = json.load(handle)
+        for p in doc["points"]:
+            # Whether a result came from the store is run metadata,
+            # not part of the bit-identity contract.
+            p["result"].pop("fromCache", None)
+        return doc["points"], doc["telemetry"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # Each put is one write(2) of a whole line to an O_APPEND
+        # descriptor, which the kernel lands whole at the end of the
+        # file, so the store needs no lock.
+        first_a = subprocess.Popen(sweep + ["--cache", "--json",
+                                            "first_a.json"],
+                                   cwd=tmp, stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.DEVNULL)
+        run(sweep + ["--cache", "--json", "first_b.json"], tmp)
+        assert first_a.wait() == 0, "concurrent first run failed"
+        run(sweep + ["--cache", "--json", "replay.json"], tmp)
+        run(sweep + ["--json", "no_store.json"], tmp)
+
+        store = os.path.join(tmp, "acp_store")
+        assert os.listdir(store) == ["results-v2.txt"], os.listdir(store)
+        with open(os.path.join(store, "results-v2.txt"), "rb") as handle:
+            lines = handle.read().split(b"\n")
+        assert lines.pop() == b"", "store ends in a partial line"
+        for line in lines:
+            digest, checksum, payload = line.split(b" ", 2)
+            assert re.fullmatch(rb"[0-9a-f]{64}", digest), line[:80]
+            assert int(checksum, 16) == fnv1a(payload), line[:80]
+        reference, _ = points(os.path.join(tmp, "no_store.json"))
+        for name in ("first_a.json", "first_b.json"):
+            assert points(os.path.join(tmp, name))[0] == reference, name
+        replay, t = points(os.path.join(tmp, "replay.json"))
+        assert t["cached"] == t["total"] and t["simulated"] == 0, t
+        assert replay == reference, \
+            "stored results differ from a run without the store"
+        assert len({l.split(b" ", 1)[0] for l in lines}) == t["total"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run([acpsim, "mcf", "--policy", "commit", "--insts", "2000",
+             "--warmup", "1000", "--profile", "--cache"], tmp)
+        assert not os.path.exists(os.path.join(tmp, "acp_store")), \
+            "an uncacheable run created a store"
+    print("store-sharing OK: %d checksummed lines; %d points served "
+          "from the shared store, bit-identical" % (len(lines), t["total"]))
+
+
+def check_intervals(acpsim):
+    period = 2000
+    with tempfile.TemporaryDirectory() as tmp:
+        for cores, prefix in (([], "core."), (["--cores", "2"],
+                                               "cpu0.core.")):
+            path = os.path.join(tmp, "iv%d.json" % len(cores))
+            run([acpsim, "mcf", "--policy", "commit", *cores, *WINDOW,
+                 "--stats-interval", str(period), "--json", path], tmp)
+            with open(path) as handle:
+                result = json.load(handle)["points"][0]["result"]
+            rows, counters = result["intervals"], result["counters"]
+            assert result["intervalPeriod"] == period and rows, cores
+            for k, row in enumerate(rows):
+                if k + 1 == len(rows):
+                    assert 0 < row["cycles"] <= period, (cores, k)
+                else:
+                    assert row["cycles"] == period, (cores, k)
+                assert row["endCycle"] == k * period + row["cycles"], \
+                    (cores, k)
+            assert sum(r["cycles"] for r in rows) == \
+                counters[prefix + "cycles"]
+            assert sum(r["insts"] for r in rows) == \
+                counters[prefix + "committed"]
+            stalls = [n for n in counters
+                      if n.startswith(prefix + "stall.")]
+            assert stalls, cores
+            for name in stalls:
+                cause = name[len(prefix + "stall."):]
+                assert sum(r["stalls"].get(cause, 0) for r in rows) == \
+                    counters[name], (cores, name)
+            print("intervals OK: %s, %d rows on %d-cycle boundaries" %
+                  (prefix + "*", len(rows), period))
+
+
+def check_trace(acpsim):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = os.path.join(tmp, "trace.json")
+        run_path = os.path.join(tmp, "run.json")
+        two_path = os.path.join(tmp, "trace_2core.json")
+        run([acpsim, "mcf", "--policy", "commit", *WINDOW,
+             "--trace", trace_path, "--profile", "--json", run_path], tmp)
+        run([acpsim, "mcf", "--policy", "commit", "--cores", "2", *WINDOW,
+             "--trace", two_path], tmp)
+        with open(trace_path) as handle:
+            trace = json.load(handle)["traceEvents"]
+        with open(run_path) as handle:
+            counters = json.load(handle)["points"][0]["result"]["counters"]
+        with open(two_path) as handle:
+            two = json.load(handle)["traceEvents"]
+
+    spans = {ph: Counter((e["cat"], e["id"], e["name"])
+                         for e in trace if e["ph"] == ph)
+             for ph in "be"}
+    assert spans["b"] and spans["b"] == spans["e"], \
+        "unpaired async spans: %r" % ((spans["b"] - spans["e"]) +
+                                      (spans["e"] - spans["b"]))
+    verify = sum(n for (_, _, name), n in spans["b"].items()
+                 if name == "auth.verify")
+    assert verify == counters["auth.requests"], \
+        (verify, counters["auth.requests"])
+    names = {e["tid"]: e["args"]["name"] for e in two if e["ph"] == "M"}
+    tids = {e["tid"] for e in two if e.get("cat") == "pipeline"}
+    assert tids == {0, 1}, tids
+    assert [names[t] for t in sorted(tids)] == \
+        ["cpu0.core", "cpu1.core"], names
+    print("trace OK: %d spans, %d auth.verify == auth.requests, "
+          "2-core tracks %r" % (sum(spans["b"].values()), verify,
+                                sorted(names.values())))
+
+
 def main():
-    mode = sys.argv[1]
-    if mode == "json":
-        check_json(sys.argv[2], sys.argv[3])
-    elif mode == "cached-stats":
-        check_cached_stats(sys.argv[2])
-    else:
+    mode, args = sys.argv[1], sys.argv[2:]
+    checks = {
+        "json": check_json,
+        "cached-stats": check_cached_stats,
+        "multicore": check_multicore,
+        "store-sharing": check_store_sharing,
+        "intervals": check_intervals,
+        "trace": check_trace,
+    }
+    if mode not in checks:
         sys.exit("unknown mode " + mode)
+    checks[mode](*args)
 
 
 if __name__ == "__main__":

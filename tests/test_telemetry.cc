@@ -180,13 +180,9 @@ TEST(HostStats, PartitionSanity)
     ASSERT_TRUE(cap.distCounts.count("sim.host.sched.core.jump"));
     EXPECT_EQ(cap.distCounts["sim.host.sched.core.jump"], wakes - 1);
 
-    // Arena pressure: live <= high water <= allocs.
-    std::uint64_t allocs = cap.counters["sim.host.arena.allocs"];
-    std::uint64_t live = cap.counters["sim.host.arena.live"];
-    std::uint64_t hw = cap.counters["sim.host.arena.live_high_water"];
-    EXPECT_LE(live, hw);
-    EXPECT_LE(hw, allocs);
-    EXPECT_GT(allocs, 0u);
+    // The process-wide txn arena is no per-point statistic.
+    for (const auto &[name, value] : cap.counters)
+        EXPECT_NE(name.rfind("sim.host.arena.", 0), 0u) << name;
 }
 
 TEST(HostStats, OffByDefaultAndDigestExcluded)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate the path profiles in an acpsim --profile --json document.
 
-Stdlib-only structural + invariant checker, run by CI against the
-profiler smoke output:
+Stdlib-only structural + invariant checker, run by ctest
+(tests/acpsim_artifacts.py) against a profiled sweep and a 2-core run:
 
   - top-level shape: {"version": "acp-exp-v3", "points": [...]}, at
     least one point carrying result.profile, and each profiled point's

@@ -4,17 +4,22 @@
  * executor (fast-forward reference and commit-time co-simulation
  * shadow). Independent of the cache hierarchy so the shadow never
  * perturbs timing state.
+ *
+ * The image is kept as 4 KiB pages of bytes in a SparsePages store.
+ * Addresses wrap at the end of the (power-of-two) address space, and
+ * an access takes one page lookup per chunk: one unless it crosses a
+ * page or the wrap point.
  */
 
 #ifndef ACP_CPU_FLAT_MEM_HH
 #define ACP_CPU_FLAT_MEM_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
-#include <vector>
 
+#include "common/sparse_pages.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 
@@ -25,23 +30,32 @@ namespace acp::cpu
 class FlatMem
 {
   public:
-    explicit FlatMem(std::uint64_t size_bytes) : sizeMask_(size_bytes - 1) {}
+    explicit FlatMem(std::uint64_t size_bytes)
+        : sizeMask_(size_bytes - 1),
+          chunkBytes_(std::min<std::uint64_t>(size_bytes, kSparsePageBytes))
+    {
+    }
 
     std::uint64_t
     read(Addr addr, unsigned bytes)
     {
         std::uint64_t value = 0;
-        for (unsigned i = 0; i < bytes; ++i)
-            value |= std::uint64_t(byteAt((addr + i) & sizeMask_))
-                     << (8 * i);
+        forEachSpan(addr, bytes,
+                    [&](std::uint8_t *p, std::size_t done, std::size_t n) {
+                        for (std::size_t i = 0; i < n; ++i)
+                            value |= std::uint64_t(p[i]) << (8 * (done + i));
+                    });
         return value;
     }
 
     void
     write(Addr addr, unsigned bytes, std::uint64_t value)
     {
-        for (unsigned i = 0; i < bytes; ++i)
-            byteAt((addr + i) & sizeMask_) = std::uint8_t(value >> (8 * i));
+        forEachSpan(addr, bytes,
+                    [&](std::uint8_t *p, std::size_t done, std::size_t n) {
+                        for (std::size_t i = 0; i < n; ++i)
+                            p[i] = std::uint8_t(value >> (8 * (done + i)));
+                    });
     }
 
     std::uint32_t
@@ -57,42 +71,37 @@ class FlatMem
     {
         for (std::size_t i = 0; i < prog.code.size(); ++i)
             write(prog.codeBase + 4 * i, 4, prog.code[i]);
-        for (const isa::DataSegment &seg : prog.data) {
-            // One page lookup per chunk; a chunk ends at a page end or
-            // at the wrap point of the address space.
-            std::size_t done = 0;
-            while (done < seg.bytes.size()) {
-                Addr addr = (seg.base + done) & sizeMask_;
-                std::uint64_t page_off = addr & (kPageBytes - 1);
-                std::uint64_t n =
-                    std::min<std::uint64_t>({seg.bytes.size() - done - 1,
-                                             kPageBytes - 1 - page_off,
-                                             sizeMask_ - addr}) +
-                    1;
-                std::memcpy(&byteAt(addr), seg.bytes.data() + done, n);
-                done += n;
-            }
-        }
+        for (const isa::DataSegment &seg : prog.data)
+            forEachSpan(seg.base, seg.bytes.size(),
+                        [&](std::uint8_t *p, std::size_t done, std::size_t n) {
+                            std::memcpy(p, seg.bytes.data() + done, n);
+                        });
     }
 
   private:
-    static constexpr unsigned kPageShift = 12;
-    static constexpr std::uint64_t kPageBytes = 1ULL << kPageShift;
+    using Page = std::array<std::uint8_t, kSparsePageBytes>;
 
-    std::uint8_t &
-    byteAt(Addr addr)
+    /**
+     * Call @p fn(bytes, done, n) on the image memory behind each chunk
+     * of [addr, addr + len). A chunk ends at a page end or at the wrap
+     * point: chunkBytes_ divides both, because the memory size and the
+     * page size are powers of two.
+     */
+    template <typename Fn>
+    void
+    forEachSpan(Addr addr, std::size_t len, Fn &&fn)
     {
-        Addr page = addr >> kPageShift;
-        auto it = pages_.find(page);
-        if (it == pages_.end())
-            it = pages_.emplace(page,
-                                std::vector<std::uint8_t>(kPageBytes, 0))
-                     .first;
-        return it->second[addr & (kPageBytes - 1)];
+        forEachChunk(addr, len, chunkBytes_,
+                     [&](Addr chunk_addr, std::size_t done, std::size_t n) {
+                         Addr a = chunk_addr & sizeMask_;
+                         fn(pages_.touch(a).data() + pages_.offset(a), done,
+                            n);
+                     });
     }
 
     std::uint64_t sizeMask_;
-    std::unordered_map<Addr, std::vector<std::uint8_t>> pages_;
+    std::uint64_t chunkBytes_;
+    SparsePages<Page> pages_;
 };
 
 } // namespace acp::cpu

@@ -1,6 +1,5 @@
 #include "secmem/external_memory.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -43,10 +42,18 @@ ExternalMemory::ExternalMemory(std::uint64_t master_seed)
 }
 
 ExternalMemory::LineRec &
-ExternalMemory::materialize(Addr line_addr)
+ExternalMemory::materialize(Addr addr)
 {
-    // A line never written reads as all-zero plaintext, counter 0.
-    return lines_.try_emplace(line_addr).first->second;
+    // A line never written reads as all-zero plaintext, counter 0:
+    // its page was zero-filled when first touched.
+    Page &page = pages_.touch(addr);
+    unsigned i = lineIndex(addr);
+    std::uint64_t bit = std::uint64_t(1) << i;
+    if (!(page.touched & bit)) {
+        page.touched |= bit;
+        ++linesTouched_;
+    }
+    return page.lines[i];
 }
 
 ExternalMemory::LineRec &
@@ -90,7 +97,6 @@ ExternalMemory::fetchLine(Addr line_addr)
 void
 ExternalMemory::storeLine(Addr line_addr, const std::uint8_t *plain)
 {
-    line_addr = align(line_addr);
     ++stores_;
     LineRec &rec = materialize(line_addr);
     ++rec.counter; // new version: fresh pad, replay protection
@@ -102,28 +108,26 @@ void
 ExternalMemory::provision(Addr addr, const std::uint8_t *bytes,
                           std::size_t len)
 {
-    std::size_t done = 0;
-    while (done < len) {
-        Addr line_addr = align(addr + done);
-        std::size_t offset = addr + done - line_addr;
-        std::size_t n = std::min<std::size_t>(len - done,
-                                              kExtLineBytes - offset);
-        LineRec &rec = materialize(line_addr);
-        if (rec.sealed) {
-            ctr_.transcode(line_addr, rec.counter, rec.bytes.data(),
-                           rec.bytes.data(), kExtLineBytes);
-            rec.sealed = false;
-        }
-        std::memcpy(rec.bytes.data() + offset, bytes + done, n);
-        done += n;
-    }
+    forEachChunk(addr, len, kExtLineBytes,
+                 [&](Addr chunk_addr, std::size_t done, std::size_t n) {
+                     Addr line_addr = align(chunk_addr);
+                     LineRec &rec = materialize(line_addr);
+                     if (rec.sealed) {
+                         ctr_.transcode(line_addr, rec.counter,
+                                        rec.bytes.data(), rec.bytes.data(),
+                                        kExtLineBytes);
+                         rec.sealed = false;
+                     }
+                     std::memcpy(rec.bytes.data() + (chunk_addr - line_addr),
+                                 bytes + done, n);
+                 });
 }
 
 std::uint64_t
 ExternalMemory::counterOf(Addr line_addr) const
 {
-    auto it = lines_.find(align(line_addr));
-    return it == lines_.end() ? 0 : it->second.counter;
+    const Page *page = pages_.find(line_addr);
+    return page ? page->lines[lineIndex(line_addr)].counter : 0;
 }
 
 void
@@ -131,20 +135,26 @@ ExternalMemory::tamper(Addr addr, const std::uint8_t *mask,
                        std::size_t mask_len)
 {
     ++tamperEvents_;
-    for (std::size_t i = 0; i < mask_len; ++i) {
-        Addr byte_addr = addr + i;
-        sealedLine(byte_addr).bytes[byte_addr - align(byte_addr)] ^= mask[i];
-    }
+    forEachChunk(addr, mask_len, kExtLineBytes,
+                 [&](Addr chunk_addr, std::size_t done, std::size_t n) {
+                     std::uint8_t *p = sealedLine(chunk_addr).bytes.data() +
+                                       (chunk_addr - align(chunk_addr));
+                     for (std::size_t i = 0; i < n; ++i)
+                         p[i] ^= mask[done + i];
+                 });
 }
 
 std::vector<std::uint8_t>
 ExternalMemory::readCiphertext(Addr addr, std::size_t len)
 {
     std::vector<std::uint8_t> out(len);
-    for (std::size_t i = 0; i < len; ++i) {
-        Addr byte_addr = addr + i;
-        out[i] = sealedLine(byte_addr).bytes[byte_addr - align(byte_addr)];
-    }
+    forEachChunk(addr, len, kExtLineBytes,
+                 [&](Addr chunk_addr, std::size_t done, std::size_t n) {
+                     std::memcpy(out.data() + done,
+                                 sealedLine(chunk_addr).bytes.data() +
+                                     (chunk_addr - align(chunk_addr)),
+                                 n);
+                 });
     return out;
 }
 

@@ -19,6 +19,11 @@
  * The adversary's physical access is modeled by tamper(): XORing a
  * mask into stored ciphertext, exactly the bit-flipping capability the
  * paper's exploits assume (Section 3.1).
+ *
+ * Lines are kept 64 to a 4 KiB page in a SparsePages store, each page
+ * an array of line records (bytes, counter, MAC, seal bit) and a
+ * bitmap of the lines materialized so far. A page is zero-filled on
+ * first touch, which is what a never-written line reads as.
  */
 
 #ifndef ACP_SECMEM_EXTERNAL_MEMORY_HH
@@ -26,9 +31,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sparse_pages.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "crypto/ctr_mode.hh"
@@ -86,7 +91,7 @@ class ExternalMemory
     std::vector<std::uint8_t> readCiphertext(Addr addr, std::size_t len);
 
     /** Number of distinct lines materialized (footprint measure). */
-    std::size_t linesTouched() const { return lines_.size(); }
+    std::size_t linesTouched() const { return linesTouched_; }
 
     StatGroup &stats() { return stats_; }
 
@@ -101,14 +106,33 @@ class ExternalMemory
         bool sealed = false;
     };
 
-    LineRec &materialize(Addr line_addr);
+    static constexpr unsigned kLinesPerPage =
+        unsigned(kSparsePageBytes / kExtLineBytes);
+    static_assert(kLinesPerPage == 64, "one touched bit per line");
+
+    struct Page
+    {
+        std::array<LineRec, kLinesPerPage> lines{};
+        /** Bit i set once line i has been materialized. */
+        std::uint64_t touched = 0;
+    };
+
+    /** The record of the line holding byte address @p addr, marked
+     *  touched. */
+    LineRec &materialize(Addr addr);
     /** Materialize and seal the line holding byte address @p addr. */
     LineRec &sealedLine(Addr addr);
     static Addr align(Addr a) { return a & ~Addr(kExtLineBytes - 1); }
+    static unsigned
+    lineIndex(Addr a)
+    {
+        return unsigned(SparsePages<Page>::offset(a) / kExtLineBytes);
+    }
 
     crypto::CtrModeEngine ctr_;
     crypto::LineMac mac_;
-    std::unordered_map<Addr, LineRec> lines_;
+    SparsePages<Page> pages_;
+    std::size_t linesTouched_ = 0;
 
     StatGroup stats_;
     StatCounter fetches_;

@@ -1,8 +1,6 @@
 #include "sim/attack_scenarios.hh"
 
 #include <algorithm>
-#include <functional>
-#include <vector>
 
 #include "common/logging.hh"
 #include "core/security_monitor.hh"
@@ -18,8 +16,6 @@ namespace
 /** Scenario cycle budget (plenty: exploits trigger within ~5k). */
 constexpr std::uint64_t kMaxCycles = 100000;
 
-using BusPredicate = std::function<bool(const mem::BusTxn &)>;
-
 /** One ciphertext XOR: the low @c bytes bytes of @c mask, little-endian,
  *  at @c addr (8 for a data word, 4 for a code word). */
 struct Edit
@@ -32,10 +28,8 @@ struct Edit
 /**
  * An exploit as data: the victim program, the adversary's ciphertext
  * edits in the order it applies them, and the bus markers it watches
- * for. The adversary learns the secret when exactly one marker shows
- * before the exception: an exploit's single leak predicate, or one of
- * a binary-search probe's two path markers (greater first), where
- * both or neither says nothing about the branch.
+ * for (a binary-search probe's "greater" marker first), judged by
+ * judgeMarkers().
  */
 struct Staged
 {
@@ -151,27 +145,40 @@ runStaged(Staged staged, core::AuthPolicy policy)
     result.taintedStoreDrains = core.taintedStoreDrains();
     result.cyclesRun = core.cycles();
 
-    const Cycle horizon =
-        result.exceptionRaised ? result.exceptionCycle : kCycleNever;
-    std::vector<bool> seen(staged.markers.size(), false);
-    for (const mem::BusTxn &txn : system.hier().ctrl().busTrace().txns()) {
-        if (txn.cycle >= horizon)
-            continue;
-        for (std::size_t i = 0; i < staged.markers.size(); ++i) {
-            if (!staged.markers[i](txn))
-                continue;
-            if (result.leakCount++ == 0)
-                result.firstLeakCycle = txn.cycle;
-            seen[i] = true;
-        }
-    }
-    result.leaked = std::count(seen.begin(), seen.end(), true) == 1;
-    judged.firstMarker = result.leaked && seen[0];
+    const MarkerVerdict verdict = judgeMarkers(
+        system.hier().ctrl().busTrace().txns(), staged.markers,
+        result.exceptionRaised ? result.exceptionCycle : kCycleNever);
+    result.leaked = verdict.leaked;
+    result.firstLeakCycle = verdict.firstLeakCycle;
+    result.leakCount = verdict.leakCount;
+    judged.firstMarker = verdict.firstMarker;
     result.audit = system.pathProfile().audit;
     return judged;
 }
 
 } // namespace
+
+MarkerVerdict
+judgeMarkers(const std::vector<mem::BusTxn> &txns,
+             const std::vector<BusPredicate> &markers, Cycle horizon)
+{
+    MarkerVerdict verdict;
+    std::vector<bool> seen(markers.size(), false);
+    for (const mem::BusTxn &txn : txns) {
+        if (txn.cycle >= horizon)
+            continue;
+        for (std::size_t i = 0; i < markers.size(); ++i) {
+            if (!markers[i](txn))
+                continue;
+            if (verdict.leakCount++ == 0)
+                verdict.firstLeakCycle = txn.cycle;
+            seen[i] = true;
+        }
+    }
+    verdict.leaked = std::count(seen.begin(), seen.end(), true) == 1;
+    verdict.firstMarker = verdict.leaked && seen[0];
+    return verdict;
+}
 
 const char *
 exploitName(Exploit exploit)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Functional executor tests: whole-program execution of loops, memory,
- * calls and FP over a flat memory, and the flat memory's image load.
+ * calls and FP over a flat memory, and the flat memory's image load and
+ * accesses at page ends and at the wrap point.
  */
 
 #include <gtest/gtest.h>
@@ -230,4 +231,78 @@ TEST(FlatMem, PageWiseLoadWrapsInsideASmallMemory)
     Program prog;
     prog.data = {{200, randomBytes(rng, 600)}};
     expectSameImage(prog, 256);
+}
+
+namespace
+{
+
+/** FlatMem's meaning, one byte at a time: byte i of an access lives
+ *  at (addr + i) mod size, little-endian. */
+struct PerByteMem
+{
+    explicit PerByteMem(std::uint64_t size_bytes) : bytes(size_bytes, 0) {}
+
+    std::uint64_t
+    read(Addr addr, unsigned n) const
+    {
+        std::uint64_t value = 0;
+        for (unsigned i = 0; i < n; ++i)
+            value |= std::uint64_t(bytes[(addr + i) % bytes.size()])
+                     << (8 * i);
+        return value;
+    }
+
+    void
+    write(Addr addr, unsigned n, std::uint64_t value)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            bytes[(addr + i) % bytes.size()] = std::uint8_t(value >> (8 * i));
+    }
+
+    std::vector<std::uint8_t> bytes;
+};
+
+/**
+ * Write and read 1, 2, 4 and 8 bytes at every address within 8 bytes
+ * of each edge in @p edges, on a FlatMem and on the per-byte model,
+ * and require every read and finally every byte to agree.
+ */
+void
+expectEdgeAccessesMatch(std::uint64_t size_bytes,
+                        const std::vector<Addr> &edges)
+{
+    FlatMem mem(size_bytes);
+    PerByteMem ref(size_bytes);
+    Rng rng(size_bytes);
+    for (Addr edge : edges) {
+        for (Addr a = edge - 8; a < edge + 8; ++a) {
+            for (unsigned n : {1u, 2u, 4u, 8u}) {
+                std::uint64_t v = rng.next();
+                mem.write(a, n, v);
+                ref.write(a, n, v);
+                for (Addr r = edge - 8; r < edge + 8; ++r)
+                    for (unsigned m : {1u, 2u, 4u, 8u})
+                        ASSERT_EQ(mem.read(r, m), ref.read(r, m))
+                            << "write " << n << "@" << a << ", read " << m
+                            << "@" << r;
+            }
+        }
+    }
+    for (Addr a = 0; a < size_bytes; ++a)
+        ASSERT_EQ(mem.read(a, 1), ref.bytes[a]) << "byte " << a;
+}
+
+} // namespace
+
+TEST(FlatMem, AccessesAtPageEndsMatchPerByte)
+{
+    // Two page ends, and the end of a 64 KiB memory, which wraps to 0.
+    expectEdgeAccessesMatch(1 << 16, {0x1000, 0x2000, 0x10000});
+}
+
+TEST(FlatMem, AccessesAtTheEndOfASmallMemoryMatchPerByte)
+{
+    // 256 bytes is smaller than a page: the wrap point lies inside
+    // the one page, and so does every alias of it.
+    expectEdgeAccessesMatch(256, {256, 0x1000, 0x3100});
 }

@@ -382,6 +382,131 @@ TEST(ExternalMemory, ReadingCiphertextChangesNothing)
     EXPECT_EQ(read.readCiphertext(0xb010, 2 * kExtLineBytes), first);
 }
 
+namespace
+{
+
+/** Apply [addr, addr + len) of an operation one line at a time. */
+template <typename Op>
+void
+perLine(Addr addr, std::size_t len, Op op)
+{
+    std::size_t done = 0;
+    while (done < len) {
+        Addr a = addr + done;
+        std::size_t n = std::min<std::size_t>(
+            len - done, kExtLineBytes - (a % kExtLineBytes));
+        op(a, done, n);
+        done += n;
+    }
+}
+
+} // namespace
+
+TEST(ExternalMemory, RangesAcrossAPageEndMatchLineByLine)
+{
+    // 300 bytes from 100 below a 4 KiB page end: two partial lines and
+    // three whole ones, across two pages.
+    constexpr Addr kAddr = 0x7000 - 100;
+    constexpr std::size_t kLen = 300;
+    Rng rng(24);
+    std::vector<std::uint8_t> data(kLen), mask(kLen);
+    for (std::size_t i = 0; i < kLen; ++i) {
+        data[i] = std::uint8_t(rng.next());
+        mask[i] = std::uint8_t(rng.next());
+    }
+
+    ExternalMemory whole(25), lines(25);
+    whole.provision(kAddr, data.data(), kLen);
+    perLine(kAddr, kLen, [&](Addr a, std::size_t done, std::size_t n) {
+        lines.provision(a, data.data() + done, n);
+    });
+    const Addr first = kAddr & ~Addr(kExtLineBytes - 1);
+    const Addr last = (kAddr + kLen - 1) & ~Addr(kExtLineBytes - 1);
+    for (Addr line = first; line <= last; line += kExtLineBytes) {
+        FetchedLine got = whole.fetchLine(line);
+        for (unsigned i = 0; i < kExtLineBytes; ++i) {
+            Addr a = line + i;
+            std::uint8_t want =
+                a >= kAddr && a < kAddr + kLen ? data[a - kAddr] : 0;
+            ASSERT_EQ(got.plain[i], want) << std::hex << a;
+        }
+        FetchedLine ref = lines.fetchLine(line);
+        EXPECT_EQ(got.plain, ref.plain);
+    }
+
+    // The ciphertext read across the page end is the lines' ciphertext
+    // side by side; so is the tampered ciphertext.
+    std::vector<std::uint8_t> cipher = whole.readCiphertext(kAddr, kLen);
+    std::vector<std::uint8_t> line_cipher(kLen);
+    perLine(kAddr, kLen, [&](Addr a, std::size_t done, std::size_t n) {
+        std::vector<std::uint8_t> part = lines.readCiphertext(a, n);
+        std::copy(part.begin(), part.end(), line_cipher.begin() + done);
+    });
+    EXPECT_EQ(cipher, line_cipher);
+
+    whole.tamper(kAddr, mask.data(), kLen);
+    perLine(kAddr, kLen, [&](Addr a, std::size_t done, std::size_t n) {
+        lines.tamper(a, mask.data() + done, n);
+    });
+    std::vector<std::uint8_t> tampered = whole.readCiphertext(kAddr, kLen);
+    for (std::size_t i = 0; i < kLen; ++i)
+        ASSERT_EQ(tampered[i], cipher[i] ^ mask[i]) << i;
+    perLine(kAddr, kLen, [&](Addr a, std::size_t done, std::size_t n) {
+        std::vector<std::uint8_t> part = lines.readCiphertext(a, n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(part[i], tampered[done + i]) << done + i;
+    });
+
+    for (Addr line = first; line <= last; line += kExtLineBytes) {
+        FetchedLine got = whole.fetchLine(line), ref = lines.fetchLine(line);
+        EXPECT_EQ(got.plain, ref.plain);
+        EXPECT_FALSE(got.macOk);
+        EXPECT_FALSE(ref.macOk);
+        for (unsigned i = 0; i < kExtLineBytes; ++i) {
+            Addr a = line + i;
+            if (a >= kAddr && a < kAddr + kLen) {
+                ASSERT_EQ(got.plain[i], data[a - kAddr] ^ mask[a - kAddr])
+                    << std::hex << a;
+            }
+        }
+    }
+    EXPECT_EQ(whole.linesTouched(), 6u);
+    EXPECT_EQ(lines.linesTouched(), 6u);
+}
+
+TEST(ExternalMemory, LinesTouchedCountsLinesNotPages)
+{
+    ExternalMemory ext(26);
+    std::uint8_t data[3 * kExtLineBytes] = {1, 2, 3};
+    ext.provision(0xc000, data, sizeof data);
+    EXPECT_EQ(ext.linesTouched(), 3u);
+    // Touching them again counts nothing; a fetch of a fourth,
+    // untouched line of the same page counts it.
+    ext.provision(0xc000 + 10, data, 2 * kExtLineBytes);
+    ext.fetchLine(0xc040);
+    EXPECT_EQ(ext.linesTouched(), 3u);
+    ext.fetchLine(0xc000 + 9 * kExtLineBytes);
+    EXPECT_EQ(ext.linesTouched(), 4u);
+    // Asking for a counter materializes nothing.
+    EXPECT_EQ(ext.counterOf(0xc000 + 20 * kExtLineBytes), 0u);
+    EXPECT_EQ(ext.linesTouched(), 4u);
+}
+
+TEST(ExternalMemory, UntouchedLineOfATouchedPageHasCounterZero)
+{
+    ExternalMemory ext(27);
+    std::uint8_t data[kExtLineBytes] = {9};
+    ext.storeLine(0xd040, data);
+    ext.storeLine(0xd040, data);
+    EXPECT_EQ(ext.counterOf(0xd040), 2u);
+    EXPECT_EQ(ext.counterOf(0xd040 + 17), 2u); // any byte of the line
+    EXPECT_EQ(ext.counterOf(0xd000), 0u);
+    EXPECT_EQ(ext.counterOf(0xd080), 0u);
+    EXPECT_EQ(ext.counterOf(0xdfc0), 0u);
+    EXPECT_EQ(ext.counterOf(0xe040), 0u); // same slot, untouched page
+    EXPECT_EQ(ext.linesTouched(), 1u);
+}
+
 // ---------------------------------------------------------------- engine
 
 TEST(AuthEngine, InOrderCompletion)

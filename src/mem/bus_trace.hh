@@ -2,9 +2,10 @@
  * @file
  * Front-side-bus address trace: the *side channel*. Every address that
  * is granted a bus cycle is visible in plaintext to a physical
- * adversary (paper Section 3). The security monitor inspects this
- * trace to decide whether an exploit leaked a secret before the
- * authentication exception fired.
+ * adversary (paper Section 3). The security monitor's two judges
+ * read only this trace (and the first bad fill's cycles) to decide
+ * whether an exploit leaked a secret before the authentication
+ * exception fired.
  */
 
 #ifndef ACP_MEM_BUS_TRACE_HH
@@ -53,14 +54,13 @@ struct BusTxn
     Addr addr = 0;
     BusTxnKind kind = BusTxnKind::kDataFetch;
     /** Requesting client (core) id; the adversary can tell requests
-     *  apart by which core's traffic stream they ride on, and the
-     *  leak audit needs it to window exposure per victim core. */
+     *  apart by which core's traffic stream they ride on. */
     unsigned client = 0;
 };
 
 /**
  * Trace recorder. Disabled (zero-cost) by default for performance
- * runs; attack examples enable capture.
+ * runs; exploit runs and profiled runs enable capture.
  */
 class BusTrace
 {

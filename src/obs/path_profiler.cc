@@ -1,66 +1,11 @@
 #include "obs/path_profiler.hh"
 
 #include <algorithm>
-#include <optional>
-#include <set>
 
 #include "common/logging.hh"
 
 namespace acp::obs
 {
-
-namespace
-{
-
-/** What the novelty scan counts over one exposure window. */
-struct NoveltyCounts
-{
-    std::uint64_t demandFetches = 0;
-    std::uint64_t novelExposuresInGap = 0;
-    std::uint64_t exposuresAfterVerdict = 0;
-};
-
-/**
- * The novelty scan over @p txns (sorted by request cycle): demand
- * fetches — only @p client's, if given — and among them those at or
- * after @p verdict and the line addresses first exposed inside the
- * window [@p usable, @p verdict). Under verdict-first policies
- * (authen-then-issue) the window is empty.
- */
-NoveltyCounts
-scanWindow(const std::vector<mem::BusTxn> &txns, Cycle usable,
-           Cycle verdict, std::optional<unsigned> client)
-{
-    NoveltyCounts out;
-    const bool window = usable != kCycleNever && verdict != kCycleNever &&
-                        usable < verdict;
-    std::set<Addr> seen; // line addresses exposed before the window
-    for (const mem::BusTxn &txn : txns) {
-        if (client && txn.client != *client)
-            continue;
-        if (txn.kind != mem::BusTxnKind::kInstrFetch &&
-            txn.kind != mem::BusTxnKind::kDataFetch)
-            continue;
-        ++out.demandFetches;
-        if (verdict != kCycleNever && txn.cycle >= verdict)
-            ++out.exposuresAfterVerdict;
-        Addr line = txn.addr & ~Addr(kExtLineBytes - 1);
-        if (!window || txn.cycle < usable) {
-            seen.insert(line);
-            continue;
-        }
-        if (txn.cycle >= verdict)
-            continue;
-        // Inside [usable, verdict): a line address the adversary has
-        // never seen before is information derived from the tampered
-        // (unverified) data — the Table 2 leak.
-        if (seen.insert(line).second)
-            ++out.novelExposuresInGap;
-    }
-    return out;
-}
-
-} // namespace
 
 SegmentArray
 PathProfiler::decompose(const mem::Txn &txn, std::uint64_t *latency_out)
@@ -147,17 +92,6 @@ PathProfiler::record(const mem::Txn &txn)
             demandSeg_[s] += segs[s];
     }
 
-    if (!txn.macOk && !tamperSeen_) {
-        // Earliest MAC-fail transaction defines the exposure window.
-        tamperSeen_ = true;
-        firstBadReq_ = txn.reqCycle;
-        firstBadUsable_ = txn.dataReady;
-        firstBadVerdict_ = txn.verifyDone;
-    }
-    if (!txn.macOk && !firstBadByClient_.count(txn.client))
-        firstBadByClient_[txn.client] =
-            BadWindow{txn.reqCycle, txn.dataReady, txn.verifyDone};
-
     if (topN_ == 0)
         return;
     // Keep the slowest list sorted: latency desc, then id asc so the
@@ -188,57 +122,8 @@ PathProfiler::record(const mem::Txn &txn)
         slowest_.pop_back();
 }
 
-LeakAudit
-PathProfiler::auditLeaks(const mem::BusTrace &trace) const
-{
-    LeakAudit audit;
-    audit.tamperDetected = tamperSeen_;
-    audit.firstBadReq = firstBadReq_;
-    audit.firstBadUsable = firstBadUsable_;
-    audit.firstBadVerdict = firstBadVerdict_;
-
-    // Request-cycle order is not guaranteed to be record order when
-    // components queue ahead; sort a copy by cycle for the novelty
-    // scan (stable so equal-cycle records keep bus order).
-    std::vector<mem::BusTxn> txns = trace.txns();
-    std::stable_sort(txns.begin(), txns.end(),
-                     [](const mem::BusTxn &a, const mem::BusTxn &b) {
-                         return a.cycle < b.cycle;
-                     });
-    audit.busTxnsScanned = txns.size();
-
-    // The system-wide window: every client's demand traffic against
-    // the earliest bad transaction (both stay kCycleNever until a
-    // MAC-fail transaction is profiled).
-    const NoveltyCounts all =
-        scanWindow(txns, firstBadUsable_, firstBadVerdict_, std::nullopt);
-    audit.demandFetches = all.demandFetches;
-    audit.novelExposuresInGap = all.novelExposuresInGap;
-    audit.exposuresAfterVerdict = all.exposuresAfterVerdict;
-    audit.leakWindowOpen = all.novelExposuresInGap > 0;
-
-    // Per-victim windows: restricted to the victim's own demand
-    // traffic and its own earliest bad fill.
-    for (const auto &[client, win] : firstBadByClient_) {
-        const NoveltyCounts own =
-            scanWindow(txns, win.usable, win.verdict, client);
-        LeakAudit::CoreWindow cw;
-        cw.core = client;
-        cw.firstBadReq = win.req;
-        cw.firstBadUsable = win.usable;
-        cw.firstBadVerdict = win.verdict;
-        cw.demandFetches = own.demandFetches;
-        cw.novelExposuresInGap = own.novelExposuresInGap;
-        cw.exposuresAfterVerdict = own.exposuresAfterVerdict;
-        cw.leakWindowOpen = own.novelExposuresInGap > 0;
-        audit.cores.push_back(cw);
-    }
-    return audit;
-}
-
 PathProfile
-PathProfiler::finalize(const mem::BusTrace *trace, const StallArray *stalls,
-                       const char *policy) const
+PathProfiler::finalize(const StallArray *stalls, const char *policy) const
 {
     PathProfile profile;
     profile.policy = policy ? policy : "";
@@ -271,10 +156,6 @@ PathProfiler::finalize(const mem::BusTrace *trace, const StallArray *stalls,
     if (stalls) {
         profile.stalls = *stalls;
         profile.hasStalls = true;
-    }
-    if (trace) {
-        profile.audit = auditLeaks(*trace);
-        profile.hasAudit = true;
     }
     return profile;
 }

@@ -15,7 +15,7 @@
  * whose usability never materialised). The profiler panics on a
  * violation — it would mean the timeline invariant broke upstream.
  *
- * Three analyses ride on the decomposition:
+ * Two analyses ride on the decomposition:
  *  - a per-BusTxnKind x segment "where the cycles went" table backed
  *    by StatDistributions, plus a path-shape census (which event
  *    subsequences actually occur, RTL2MuPATH-style) and a top-N
@@ -23,11 +23,10 @@
  *  - a join against the core's stall taxonomy: demand transactions
  *    (origin != 0) accumulate their segments separately, so the
  *    report can say how much of core.stall.auth_issue/mem_data each
- *    segment explains;
- *  - a leak audit over the adversary-visible BusTrace: request-cycle
- *    addresses are correlated with the MAC verdicts of the profiled
- *    transactions, turning Table 2's "leaked before the exception"
- *    classification into a machine-checked report.
+ *    segment explains.
+ * The snapshot also carries the Table-2 leak audit, which is no part
+ * of the profiler: sim::System fills it with core::auditLeaks, as an
+ * unprofiled exploit run computes it.
  *
  * The profiler is strictly passive (it only ever reads retired
  * transactions), so a profiled run is bit-identical to an unprofiled
@@ -46,6 +45,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/security_monitor.hh"
 #include "mem/bus_trace.hh"
 #include "mem/txn.hh"
 #include "obs/stall.hh"
@@ -162,58 +162,6 @@ struct SlowTxn
     std::vector<mem::TxnStep> path;
 };
 
-/**
- * Leak audit: adversary-visible request-cycle addresses correlated
- * with the MAC verdicts of the profiled transactions. The exposure
- * window is [firstBadUsable, firstBadVerdict): tampered plaintext is
- * on-chip and usable but its verification verdict is still pending —
- * any *novel* demand-fetch address first exposed inside that window
- * is information the adversary extracts before the exception can
- * fire (the Table 2 "leak before exception" column).
- */
-struct LeakAudit
-{
-    std::uint64_t busTxnsScanned = 0;
-    std::uint64_t demandFetches = 0; // instr + data fetches observed
-    /** A MAC-fail transaction was profiled (tampering happened). */
-    bool tamperDetected = false;
-    Cycle firstBadReq = kCycleNever;     // its request cycle
-    Cycle firstBadUsable = kCycleNever;  // its plaintext on-chip
-    Cycle firstBadVerdict = kCycleNever; // its verification verdict
-    /** Demand-fetch line addresses first exposed inside the window. */
-    std::uint64_t novelExposuresInGap = 0;
-    /** Demand fetches at/after the failing verdict (should be ~0
-     *  when the exception squashes the machine). */
-    std::uint64_t exposuresAfterVerdict = 0;
-    /** The machine-checked classification: secret-derived addresses
-     *  escaped while unverified tampered data was usable. */
-    bool leakWindowOpen = false;
-
-    /**
-     * Per-victim-core exposure window (one entry per client that saw
-     * a MAC-fail transaction, ascending core id). Each window is
-     * scoped to the victim's OWN bus traffic: cross-core contention
-     * can shift the window's boundaries, but a neighbour core's
-     * fetches are never counted against it — contention must not
-     * silently widen the leak accounting. The global fields above are
-     * computed exactly as in the single-core profiler (earliest bad
-     * transaction system-wide, all demand traffic), so a single-core
-     * audit is bit-identical.
-     */
-    struct CoreWindow
-    {
-        unsigned core = 0;
-        Cycle firstBadReq = kCycleNever;
-        Cycle firstBadUsable = kCycleNever;
-        Cycle firstBadVerdict = kCycleNever;
-        std::uint64_t demandFetches = 0; // this core's demand traffic
-        std::uint64_t novelExposuresInGap = 0;
-        std::uint64_t exposuresAfterVerdict = 0;
-        bool leakWindowOpen = false;
-    };
-    std::vector<CoreWindow> cores;
-};
-
 /** Plain-data aggregate snapshot of a profiled run. */
 struct PathProfile
 {
@@ -231,8 +179,8 @@ struct PathProfile
     /** Core stall counters at finalize (all-zero until provided). */
     StallArray stalls{};
     bool hasStalls = false;
-    LeakAudit audit;
-    bool hasAudit = false;
+    /** The leak audit of the same run (core::auditLeaks). */
+    core::LeakAudit audit;
 };
 
 /** The profiler: a passive sink for retired transactions. */
@@ -258,16 +206,11 @@ class PathProfiler
     /** Collapsed event-name signature of a timeline (census key). */
     static std::string shapeSignature(const mem::Txn &txn);
 
-    /** Run the leak audit against @p trace (request-cycle records). */
-    LeakAudit auditLeaks(const mem::BusTrace &trace) const;
-
     /**
-     * Aggregate snapshot. @p trace adds the leak audit, @p stalls the
-     * core's stall counters (both optional), @p policy the label.
+     * Aggregate snapshot, the audit left empty. @p stalls adds the
+     * core's stall counters (optional), @p policy the label.
      */
-    PathProfile finalize(const mem::BusTrace *trace,
-                         const StallArray *stalls,
-                         const char *policy) const;
+    PathProfile finalize(const StallArray *stalls, const char *policy) const;
 
   private:
     struct KindAgg
@@ -293,20 +236,6 @@ class PathProfiler
     std::vector<SlowTxn> slowest_;        // sorted: latency desc, id asc
     SegmentArray demandSeg_{};
     std::uint64_t demandTxns_ = 0;
-    // MAC-fail tracking for the leak audit (earliest bad transaction).
-    bool tamperSeen_ = false;
-    Cycle firstBadReq_ = kCycleNever;
-    Cycle firstBadUsable_ = kCycleNever;
-    Cycle firstBadVerdict_ = kCycleNever;
-    /** Earliest bad transaction per requesting client (the per-victim
-     *  windows; ordered map keeps the report deterministic). */
-    struct BadWindow
-    {
-        Cycle req = kCycleNever;
-        Cycle usable = kCycleNever;
-        Cycle verdict = kCycleNever;
-    };
-    std::map<unsigned, BadWindow> firstBadByClient_;
 };
 
 } // namespace acp::obs

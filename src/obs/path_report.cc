@@ -14,31 +14,6 @@ kindName(unsigned kind)
     return mem::busTxnKindName(mem::BusTxnKind(kind));
 }
 
-/** The first bad transaction's request, usable and verdict cycles of
- *  a LeakAudit or one of its CoreWindows; kCycleNever (a cycle that
- *  never happened) is -1. */
-template <typename Audit>
-void
-writeWindow(json::Writer &w, const Audit &a)
-{
-    auto number = [](Cycle c) {
-        return c == kCycleNever ? std::int64_t(-1) : std::int64_t(c);
-    };
-    w.key("firstBadReq").value(number(a.firstBadReq));
-    w.key("firstBadUsable").value(number(a.firstBadUsable));
-    w.key("firstBadVerdict").value(number(a.firstBadVerdict));
-}
-
-/** What the adversary saw in and after that window. */
-template <typename Audit>
-void
-writeExposure(json::Writer &w, const Audit &a)
-{
-    w.key("novelExposuresInGap").value(a.novelExposuresInGap);
-    w.key("exposuresAfterVerdict").value(a.exposuresAfterVerdict);
-    w.key("leakWindowOpen").value(a.leakWindowOpen);
-}
-
 } // namespace
 
 void
@@ -127,59 +102,32 @@ writePathProfileText(std::FILE *out, const PathProfile &profile)
                              profile.stalls[c]);
     }
 
-    if (profile.hasAudit) {
-        const LeakAudit &a = profile.audit;
-        std::fputs("\n-- leak audit (adversary bus view) --\n", out);
+    const core::LeakAudit &a = profile.audit;
+    std::fputs("\n-- leak audit (adversary bus view) --\n", out);
+    std::fprintf(out,
+                 "bus txns %" PRIu64 "  demand fetches %" PRIu64
+                 "  tamper %s\n",
+                 a.busTxnsScanned, a.demandFetches,
+                 a.tamperDetected ? "DETECTED" : "none");
+    if (a.tamperDetected) {
+        auto cycle = [out](const char *label, Cycle c) {
+            std::fputs(label, out);
+            if (c == kCycleNever)
+                std::fputs("-", out);
+            else
+                std::fprintf(out, "%" PRIu64, c);
+        };
+        cycle("first bad txn: req ", a.firstBadReq);
+        cycle("  usable ", a.firstBadUsable);
+        cycle("  verdict ", a.firstBadVerdict);
         std::fprintf(out,
-                     "bus txns %" PRIu64 "  demand fetches %" PRIu64
-                     "  tamper %s\n",
-                     a.busTxnsScanned, a.demandFetches,
-                     a.tamperDetected ? "DETECTED" : "none");
-        if (a.tamperDetected) {
-            std::fprintf(out, "first bad txn: req ");
-            if (a.firstBadReq == kCycleNever)
-                std::fputs("-", out);
-            else
-                std::fprintf(out, "%" PRIu64, a.firstBadReq);
-            std::fputs("  usable ", out);
-            if (a.firstBadUsable == kCycleNever)
-                std::fputs("-", out);
-            else
-                std::fprintf(out, "%" PRIu64, a.firstBadUsable);
-            std::fputs("  verdict ", out);
-            if (a.firstBadVerdict == kCycleNever)
-                std::fputs("-", out);
-            else
-                std::fprintf(out, "%" PRIu64, a.firstBadVerdict);
-            std::fprintf(out,
-                         "\nnovel addrs exposed in window %" PRIu64
-                         "  after verdict %" PRIu64 "\n"
-                         "classification: %s\n",
-                         a.novelExposuresInGap, a.exposuresAfterVerdict,
-                         a.leakWindowOpen
-                             ? "LEAKED before exception (Table 2 \"leak\")"
-                             : "no leak before exception");
-        }
-        for (const LeakAudit::CoreWindow &cw : a.cores) {
-            std::fprintf(out,
-                         "victim cpu%u: usable ", cw.core);
-            if (cw.firstBadUsable == kCycleNever)
-                std::fputs("-", out);
-            else
-                std::fprintf(out, "%" PRIu64, cw.firstBadUsable);
-            std::fputs("  verdict ", out);
-            if (cw.firstBadVerdict == kCycleNever)
-                std::fputs("-", out);
-            else
-                std::fprintf(out, "%" PRIu64, cw.firstBadVerdict);
-            std::fprintf(out,
-                         "  own fetches %" PRIu64
-                         "  novel in window %" PRIu64
-                         "  after verdict %" PRIu64 "  %s\n",
-                         cw.demandFetches, cw.novelExposuresInGap,
-                         cw.exposuresAfterVerdict,
-                         cw.leakWindowOpen ? "LEAKED" : "no leak");
-        }
+                     "\nnovel addrs exposed in window %" PRIu64
+                     "  after verdict %" PRIu64 "\n"
+                     "classification: %s\n",
+                     a.novelExposuresInGap, a.exposuresAfterVerdict,
+                     a.leakWindowOpen
+                         ? "LEAKED before exception (Table 2 \"leak\")"
+                         : "no leak before exception");
     }
     std::fputc('\n', out);
 }
@@ -258,27 +206,22 @@ writePathProfile(json::Writer &w, const PathProfile &profile)
                     .value(profile.stalls[c]);
         w.endObject();
     }
-    if (profile.hasAudit) {
-        const LeakAudit &a = profile.audit;
-        w.key("audit").beginObject();
-        w.key("busTxnsScanned").value(a.busTxnsScanned);
-        w.key("demandFetches").value(a.demandFetches);
-        w.key("tamperDetected").value(a.tamperDetected);
-        writeWindow(w, a);
-        writeExposure(w, a);
-        if (!a.cores.empty()) {
-            w.key("cores").beginArray();
-            for (const LeakAudit::CoreWindow &cw : a.cores) {
-                w.beginObject(json::kOneLine).key("core").value(cw.core);
-                writeWindow(w, cw);
-                w.key("demandFetches").value(cw.demandFetches);
-                writeExposure(w, cw);
-                w.endObject();
-            }
-            w.endArray();
-        }
-        w.endObject();
-    }
+    // A cycle that never happened (kCycleNever) is -1.
+    auto cycle = [](Cycle c) {
+        return c == kCycleNever ? std::int64_t(-1) : std::int64_t(c);
+    };
+    const core::LeakAudit &a = profile.audit;
+    w.key("audit").beginObject();
+    w.key("busTxnsScanned").value(a.busTxnsScanned);
+    w.key("demandFetches").value(a.demandFetches);
+    w.key("tamperDetected").value(a.tamperDetected);
+    w.key("firstBadReq").value(cycle(a.firstBadReq));
+    w.key("firstBadUsable").value(cycle(a.firstBadUsable));
+    w.key("firstBadVerdict").value(cycle(a.firstBadVerdict));
+    w.key("novelExposuresInGap").value(a.novelExposuresInGap);
+    w.key("exposuresAfterVerdict").value(a.exposuresAfterVerdict);
+    w.key("leakWindowOpen").value(a.leakWindowOpen);
+    w.endObject();
     w.endObject();
 }
 

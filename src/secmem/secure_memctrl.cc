@@ -92,6 +92,9 @@ SecureMemCtrl::dramAccess(Addr addr, Cycle cycle, unsigned bytes,
 void
 SecureMemCtrl::retire(const mem::Txn &txn)
 {
+    if (!txn.macOk && !firstBadFill_)
+        firstBadFill_ =
+            core::BadFill{txn.reqCycle, txn.dataReady, txn.verifyDone};
     if (profiler_)
         profiler_->record(txn);
     if (keepRetired_)

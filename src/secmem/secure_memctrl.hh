@@ -32,11 +32,13 @@
 #define ACP_SECMEM_SECURE_MEMCTRL_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/security_monitor.hh"
 #include "mem/bus.hh"
 #include "mem/bus_trace.hh"
 #include "mem/dram.hh"
@@ -104,6 +106,13 @@ class SecureMemCtrl
      *  every retired (non-warm) transaction is handed to it. */
     void setProfiler(obs::PathProfiler *profiler) { profiler_ = profiler; }
 
+    /** The first retired fill whose MAC failed (none until one
+     *  does): what core::auditLeaks windows the bus trace by. */
+    const std::optional<core::BadFill> &firstBadFill() const
+    {
+        return firstBadFill_;
+    }
+
     /** Keep a copy of every transaction retired from now on, timeline
      *  included (the Chrome trace's memory side). Passive. */
     void keepRetired() { keepRetired_ = true; }
@@ -163,7 +172,8 @@ class SecureMemCtrl
     /** One bus/bank transfer, charged to @p txn (trace at grant). */
     Cycle dramAccess(Addr addr, Cycle cycle, unsigned bytes, bool is_write,
                      mem::BusTxnKind kind, mem::Txn &txn);
-    /** Hand a completed transaction to the profiler / trace list. */
+    /** Latch the first bad fill, and hand a completed transaction to
+     *  the profiler / trace list. */
     void retire(const mem::Txn &txn);
 
     const sim::SimConfig &cfg_;
@@ -178,6 +188,7 @@ class SecureMemCtrl
     std::unique_ptr<CounterPredictor> predictor_;
     std::vector<Cycle> inflight_;
     unsigned lineTransferBytes_;
+    std::optional<core::BadFill> firstBadFill_;
     obs::PathProfiler *profiler_ = nullptr;
     bool keepRetired_ = false;
     std::vector<mem::Txn> retired_;

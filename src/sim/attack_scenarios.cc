@@ -1,9 +1,8 @@
 #include "sim/attack_scenarios.hh"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
-#include "core/security_monitor.hh"
 #include "sim/system.hh"
 #include "workloads/victims.hh"
 
@@ -29,14 +28,14 @@ struct Edit
  * An exploit as data: the victim program, the adversary's ciphertext
  * edits in the order it applies them, and the bus markers it watches
  * for (a binary-search probe's "greater" marker first), judged by
- * judgeMarkers().
+ * core::judgeMarkers().
  */
 struct Staged
 {
     Exploit exploit;
     isa::Program prog;
     std::vector<Edit> edits;
-    std::vector<BusPredicate> markers;
+    std::vector<core::BusPredicate> markers;
 };
 
 /** What the run showed: the Table-2 cell, and which marker showed
@@ -109,9 +108,9 @@ stage(Exploit exploit, std::uint64_t seed)
 
 /**
  * Build a fresh system under @p policy, apply the edits, run the
- * window and judge it in one pass over the bus trace up to the
- * exception. Every run carries the path profiler, so the result holds
- * the machine-checked leak audit next to the markers' verdict.
+ * window and judge it from the bus trace alone: the markers in one
+ * pass up to the exception, and the leak audit against the
+ * controller's first bad fill. The run is not profiled.
  */
 Judged
 runStaged(Staged staged, core::AuthPolicy policy)
@@ -120,10 +119,11 @@ runStaged(Staged staged, core::AuthPolicy policy)
     cfg.policy = policy;
     cfg.memoryBytes = 64ULL << 20;
     cfg.protectedBytes = cfg.memoryBytes;
-    cfg.profileEnabled = true;
     System system(cfg, std::move(staged.prog));
+    secmem::SecureMemCtrl &ctrl = system.hier().ctrl();
+    ctrl.busTrace().enable(true);
 
-    secmem::ExternalMemory &ext = system.hier().ctrl().externalMemory();
+    secmem::ExternalMemory &ext = ctrl.externalMemory();
     for (const Edit &edit : staged.edits) {
         std::uint8_t mask[8];
         for (unsigned i = 0; i < edit.bytes; ++i)
@@ -145,40 +145,19 @@ runStaged(Staged staged, core::AuthPolicy policy)
     result.taintedStoreDrains = core.taintedStoreDrains();
     result.cyclesRun = core.cycles();
 
-    const MarkerVerdict verdict = judgeMarkers(
-        system.hier().ctrl().busTrace().txns(), staged.markers,
+    const std::vector<mem::BusTxn> &txns = ctrl.busTrace().txns();
+    const core::MarkerVerdict verdict = core::judgeMarkers(
+        txns, staged.markers,
         result.exceptionRaised ? result.exceptionCycle : kCycleNever);
     result.leaked = verdict.leaked;
     result.firstLeakCycle = verdict.firstLeakCycle;
     result.leakCount = verdict.leakCount;
     judged.firstMarker = verdict.firstMarker;
-    result.audit = system.pathProfile().audit;
+    result.audit = core::auditLeaks(txns, ctrl.firstBadFill());
     return judged;
 }
 
 } // namespace
-
-MarkerVerdict
-judgeMarkers(const std::vector<mem::BusTxn> &txns,
-             const std::vector<BusPredicate> &markers, Cycle horizon)
-{
-    MarkerVerdict verdict;
-    std::vector<bool> seen(markers.size(), false);
-    for (const mem::BusTxn &txn : txns) {
-        if (txn.cycle >= horizon)
-            continue;
-        for (std::size_t i = 0; i < markers.size(); ++i) {
-            if (!markers[i](txn))
-                continue;
-            if (verdict.leakCount++ == 0)
-                verdict.firstLeakCycle = txn.cycle;
-            seen[i] = true;
-        }
-    }
-    verdict.leaked = std::count(seen.begin(), seen.end(), true) == 1;
-    verdict.firstMarker = verdict.leaked && seen[0];
-    return verdict;
-}
 
 const char *
 exploitName(Exploit exploit)

@@ -6,20 +6,18 @@
  * reports what the adversary observed — the empirical basis for the
  * paper's Table 2. Every exploit is data (the victim program, its
  * ciphertext XOR edits and the bus markers that reveal the secret)
- * run and judged by one function.
+ * run by one function and judged by the two bus-trace judges of
+ * core/security_monitor.hh; no exploit run is profiled.
  */
 
 #ifndef ACP_SIM_ATTACK_SCENARIOS_HH
 #define ACP_SIM_ATTACK_SCENARIOS_HH
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/types.hh"
 #include "core/auth_policy.hh"
-#include "mem/bus_trace.hh"
-#include "obs/path_profiler.hh"
+#include "core/security_monitor.hh"
 
 namespace acp::sim
 {
@@ -59,41 +57,13 @@ struct ScenarioResult
     std::uint64_t taintedStoreDrains = 0;
     Cycle cyclesRun = 0;
     /**
-     * Path-profiler leak audit of the same run: the machine-checked
+     * Leak audit of the same bus trace: the machine-checked
      * generalisation of @ref leaked (no per-exploit predicate — any
      * novel demand-fetch address first exposed while unverified
      * tampered data was usable counts).
      */
-    obs::LeakAudit audit;
+    core::LeakAudit audit;
 };
-
-/** A bus marker: true for a transaction that reveals the secret. */
-using BusPredicate = std::function<bool(const mem::BusTxn &)>;
-
-/** What the markers showed on one run's bus trace. */
-struct MarkerVerdict
-{
-    /** Exactly one marker showed before the horizon. */
-    bool leaked = false;
-    /** Cycle of the first match of any marker before the horizon. */
-    Cycle firstLeakCycle = 0;
-    /** Matches before the horizon, summed over the markers. */
-    std::size_t leakCount = 0;
-    /** The one marker that showed is the first (a binary-search
-     *  probe's "secret > pivot"). */
-    bool firstMarker = false;
-};
-
-/**
- * Judge a bus trace: only transactions before @p horizon (the
- * exception cycle, or kCycleNever when none fired) count. The
- * adversary learns the secret when exactly one marker shows: an
- * exploit's single leak predicate, or one of a probe's two path
- * markers, where both or neither says nothing about the branch.
- */
-MarkerVerdict judgeMarkers(const std::vector<mem::BusTxn> &txns,
-                           const std::vector<BusPredicate> &markers,
-                           Cycle horizon);
 
 /** Stage @p exploit under @p policy on a fresh system. */
 ScenarioResult runExploit(Exploit exploit, core::AuthPolicy policy,

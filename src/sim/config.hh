@@ -189,7 +189,8 @@ struct SimConfig
     // exp::Point level instead.
     /** Interval-statistics period in cycles (0 = disabled). */
     std::uint64_t statsInterval = 0;
-    /** Transaction path profiler (PathProfiler sink + leak audit). */
+    /** Transaction path profiler (PathProfiler sink; its profile also
+     *  reports the leak audit). */
     bool profileEnabled = false;
     /**
      * Collect sim.host.* self-metrics (event-loop wake counts and

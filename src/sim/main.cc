@@ -235,6 +235,11 @@ main(int argc, char **argv)
             cfg.l2.hitLatency = cfg.l2.sizeBytes >= (1 << 20) ? 8 : 4;
         } else if (arg == "--ruu") {
             parseCount(arg, next(), cfg.ruuSize);
+            // The LSQ is half the RUU, and the core needs one of each.
+            if (cfg.ruuSize < 2)
+                acp_fatal("--ruu %u: needs at least 2 entries (the LSQ "
+                          "gets half)",
+                          cfg.ruuSize);
             cfg.lsqSize = cfg.ruuSize / 2;
         } else if (arg == "--tree") {
             cfg.hashTreeEnabled = true;

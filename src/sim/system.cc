@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
+#include "core/security_monitor.hh"
 #include "isa/opcodes.hh"
 #include "obs/trace_json.hh"
 
@@ -85,7 +86,8 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
     if (cfg_.profileEnabled) {
         profiler_ = std::make_unique<obs::PathProfiler>();
         hier_.setProfiler(profiler_.get());
-        // The leak audit reads the adversary-visible address stream.
+        // The profile's leak audit reads the adversary-visible
+        // address stream.
         hier_.ctrl().busTrace().enable(true);
     }
 }
@@ -250,9 +252,12 @@ System::pathProfile()
         for (unsigned c = 0; c < obs::kNumStallCauses; ++c)
             stalls[c] += s[c];
     }
-    return profiler_->finalize(&hier_.ctrl().busTrace(),
-                               have_stalls ? &stalls : nullptr,
-                               core::policyName(cfg_.policy));
+    obs::PathProfile profile = profiler_->finalize(
+        have_stalls ? &stalls : nullptr, core::policyName(cfg_.policy));
+    secmem::SecureMemCtrl &ctrl = hier_.ctrl();
+    profile.audit = core::auditLeaks(ctrl.busTrace().txns(),
+                                     ctrl.firstBadFill());
+    return profile;
 }
 
 void

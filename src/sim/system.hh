@@ -101,9 +101,9 @@ class System
     /** Feed every statistic to @p visitor, typed, in dump order. */
     void visitStats(StatVisitor &visitor);
 
-    /** Finalized profile snapshot: leak audit over the live bus trace
-     *  plus the cores' summed stall counters (if timed cores ran).
-     *  Call only when profiling is enabled. */
+    /** Finalized profile snapshot: the cores' summed stall counters
+     *  (if timed cores ran) plus the leak audit, core::auditLeaks over
+     *  the live bus trace. Call only when profiling is enabled. */
     obs::PathProfile pathProfile();
 
   private:

@@ -9,81 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/security_monitor.hh"
 #include "sim/attack_scenarios.hh"
 
 using namespace acp;
 using namespace acp::sim;
 using core::AuthPolicy;
-
-// ---------------------------------------------------------------- judging
-//
-// judgeMarkers on hand-built bus traces: the Table-2 rules that no
-// staged exploit reaches, because every pinned run shows its markers
-// before the exception and every probe shows its first marker.
-
-namespace
-{
-
-constexpr Addr kGreater = 0x10000, kNotGreater = 0x20000;
-
-/** A binary-search probe's two path markers, "greater" first. */
-std::vector<BusPredicate>
-probeMarkers()
-{
-    return {core::SecurityMonitor::addressEquals(kGreater),
-            core::SecurityMonitor::addressEquals(kNotGreater)};
-}
-
-mem::BusTxn
-fetchAt(Cycle cycle, Addr addr)
-{
-    return {cycle, addr, mem::BusTxnKind::kDataFetch, 0};
-}
-
-} // namespace
-
-TEST(JudgeMarkers, OnlyTransactionsBeforeTheExceptionCount)
-{
-    // A marker at the exception cycle shows too late; one a cycle
-    // earlier is a leak.
-    std::vector<mem::BusTxn> txns = {fetchAt(5, 0x8000),
-                                     fetchAt(100, kGreater)};
-    MarkerVerdict at = judgeMarkers(txns, probeMarkers(), 100);
-    EXPECT_FALSE(at.leaked);
-    EXPECT_EQ(at.leakCount, 0u);
-    EXPECT_EQ(at.firstLeakCycle, 0u);
-    EXPECT_FALSE(at.firstMarker);
-
-    MarkerVerdict before = judgeMarkers(txns, probeMarkers(), 101);
-    EXPECT_TRUE(before.leaked);
-    EXPECT_EQ(before.leakCount, 1u);
-    EXPECT_EQ(before.firstLeakCycle, 100u);
-    EXPECT_TRUE(before.firstMarker);
-}
-
-TEST(JudgeMarkers, TheSecondMarkerAloneIsALeak)
-{
-    std::vector<mem::BusTxn> txns = {fetchAt(7, 0x8000),
-                                     fetchAt(40, kNotGreater + 8),
-                                     fetchAt(90, kNotGreater)};
-    MarkerVerdict v = judgeMarkers(txns, probeMarkers(), kCycleNever);
-    EXPECT_TRUE(v.leaked);
-    EXPECT_EQ(v.firstLeakCycle, 40u);
-    EXPECT_EQ(v.leakCount, 2u);
-    EXPECT_FALSE(v.firstMarker); // secret <= pivot
-}
-
-TEST(JudgeMarkers, BothMarkersSayNothing)
-{
-    std::vector<mem::BusTxn> txns = {fetchAt(30, kNotGreater),
-                                     fetchAt(60, kGreater)};
-    MarkerVerdict v = judgeMarkers(txns, probeMarkers(), 1000);
-    EXPECT_FALSE(v.leaked);
-    EXPECT_EQ(v.leakCount, 2u);
-    EXPECT_EQ(v.firstLeakCycle, 30u);
-    EXPECT_FALSE(v.firstMarker);
-}
 
 // ----------------------------------------------------- pointer conversion
 

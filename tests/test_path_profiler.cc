@@ -5,8 +5,9 @@
  * (including partial MAC-fail timelines), per-policy segment-sum
  * exactness of the aggregated report, the Table-1 consistency of the
  * stall join, deterministic report output, the machine-checked Table-2
- * leak audit, the new bus_wait stall cause, and the Chrome-trace txn
- * tracks.
+ * leak audit (and that a profiled tampered run simulates and audits
+ * exactly as an unprofiled one), the new bus_wait stall cause, and the
+ * Chrome-trace txn tracks.
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +22,13 @@
 
 #include "common/json.hh"
 #include "core/auth_policy.hh"
+#include "core/security_monitor.hh"
 #include "obs/path_profiler.hh"
 #include "obs/path_report.hh"
 #include "obs/stall.hh"
 #include "sim/attack_scenarios.hh"
 #include "sim/system.hh"
+#include "workloads/victims.hh"
 #include "workloads/workloads.hh"
 
 using namespace acp;
@@ -379,6 +382,71 @@ TEST(LeakAudit, PointerConversionMatchesTable2)
     EXPECT_TRUE(issue.audit.tamperDetected);
     EXPECT_FALSE(issue.audit.leakWindowOpen);
     EXPECT_EQ(issue.audit.novelExposuresInGap, 0u);
+}
+
+namespace
+{
+
+/** What a tampered run leaves: every statistic, the run result and
+ *  the leak audit. */
+struct TamperedRun
+{
+    std::string stats;
+    sim::RunResult run;
+    core::LeakAudit audit;
+};
+
+/** runExploit's pointer-conversion run, staged by hand so it can run
+ *  profiled; unprofiled, the audit comes from the bus trace alone. */
+TamperedRun
+runTampered(AuthPolicy policy, bool profiled)
+{
+    sim::SimConfig cfg;
+    cfg.policy = policy;
+    cfg.memoryBytes = 64ULL << 20;
+    cfg.protectedBytes = cfg.memoryBytes;
+    cfg.profileEnabled = profiled;
+    workloads::PointerConversionVictim victim =
+        workloads::buildPointerConversionVictim(1);
+    sim::System system(cfg, std::move(victim.prog));
+    secmem::SecureMemCtrl &ctrl = system.hier().ctrl();
+    ctrl.busTrace().enable(true);
+    std::uint8_t mask[8];
+    for (unsigned i = 0; i < 8; ++i)
+        mask[i] = std::uint8_t(victim.secretAddr >> (8 * i));
+    ctrl.externalMemory().tamper(victim.nullPtrAddr, mask, 8);
+
+    TamperedRun out;
+    out.run = system.measureTimed(~0ULL >> 1, 100000);
+    out.stats = system.dumpStats();
+    out.audit = profiled ? system.pathProfile().audit
+                         : core::auditLeaks(ctrl.busTrace().txns(),
+                                            ctrl.firstBadFill());
+    return out;
+}
+
+} // namespace
+
+TEST(LeakAudit, ProfilerStaysPassiveOnATamperedRun)
+{
+    // Exploit runs are not profiled: a profiled tampered run must
+    // simulate and audit exactly as an unprofiled one.
+    for (AuthPolicy policy :
+         {AuthPolicy::kAuthThenCommit, AuthPolicy::kAuthThenIssue}) {
+        SCOPED_TRACE(core::policyName(policy));
+        const TamperedRun plain = runTampered(policy, false);
+        const TamperedRun profiled = runTampered(policy, true);
+        EXPECT_EQ(profiled.stats, plain.stats);
+        EXPECT_EQ(profiled.run.insts, plain.run.insts);
+        EXPECT_EQ(profiled.run.cycles, plain.run.cycles);
+        EXPECT_EQ(profiled.run.ipc, plain.run.ipc);
+        EXPECT_EQ(profiled.run.reason, plain.run.reason);
+        EXPECT_TRUE(plain.audit.tamperDetected);
+        EXPECT_EQ(profiled.audit, plain.audit);
+        EXPECT_EQ(sim::runExploit(sim::Exploit::kPointerConversion, policy)
+                      .audit,
+                  plain.audit);
+    }
 }
 
 // ---------------------------------------------------------------------

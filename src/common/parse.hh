@@ -4,7 +4,8 @@
  * variables (acpsim's options, ACP_JOBS, the bench REPRO_* knobs).
  * The whole text must be a value the target can hold; anything else
  * is fatal and names the option or variable, so a typo never runs an
- * experiment at a silently different scale.
+ * experiment at a silently different scale. Lists in an option
+ * ("mcf,swim", a "mcf+swim" mix) split with splitOn.
  */
 
 #ifndef ACP_COMMON_PARSE_HH
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -64,6 +66,24 @@ parseSize(const std::string &option, const char *text)
         acp_fatal("%s: size '%s' does not fit in 64 bits", option.c_str(),
                   text);
     return std::uint64_t(value);
+}
+
+/** The non-empty parts of @p text between @p sep characters: "a,,b,"
+ *  split on ',' is {"a", "b"}. */
+inline std::vector<std::string>
+splitOn(const std::string &text, char sep)
+{
+    std::vector<std::string> parts;
+    std::size_t pos = 0;
+    while (pos <= text.size()) {
+        std::size_t cut = text.find(sep, pos);
+        if (cut == std::string::npos)
+            cut = text.size();
+        if (cut > pos)
+            parts.push_back(text.substr(pos, cut - pos));
+        pos = cut + 1;
+    }
+    return parts;
 }
 
 } // namespace acp

@@ -1,28 +1,9 @@
 #include "exp/request.hh"
 
+#include "common/parse.hh"
+
 namespace acp::exp
 {
-
-namespace
-{
-
-std::vector<std::string>
-splitOn(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t cut = text.find(sep, pos);
-        if (cut == std::string::npos)
-            cut = text.size();
-        if (cut > pos)
-            parts.push_back(text.substr(pos, cut - pos));
-        pos = cut + 1;
-    }
-    return parts;
-}
-
-} // namespace
 
 std::vector<Point>
 Request::points() const

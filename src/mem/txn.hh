@@ -19,7 +19,9 @@
  *    (request, MSHR admission, fetch-gate release, remap translation,
  *    counter availability, bus grants, DRAM beats, decrypt, verify).
  *    The timeline is the one record of a memory transaction: the path
- *    profiler aggregates it and the Chrome trace draws its spans.
+ *    profiler aggregates it and the Chrome trace draws its spans. No
+ *    model path reads it, so the controller builds it only while one
+ *    of those two readers is attached; otherwise it stays empty.
  *
  * The timeline is kept sorted by cycle on insertion, so it is monotone
  * by construction even when a component records an earlier-cycle
@@ -32,6 +34,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,42 +43,33 @@
 namespace acp::mem
 {
 
-// ----- timeline arena ----------------------------------------------------
+// ----- timeline allocator ------------------------------------------------
 //
-// Every off-chip transaction builds a timeline. Its storage is drawn
-// from a thread-local pooling arena: freed blocks are recycled
-// by power-of-two size class instead of returned to the system
-// allocator. The pool is per-thread (exp::submit runs points on a
-// thread pool) and frees all pooled blocks at thread exit, so the
-// sanitizer jobs see no leaks. Blocks may be freed on a different
-// thread than they were allocated on; they simply enter that thread's
-// pool.
+// The controller builds a timeline only while something reads its
+// retired transactions (see SecureMemCtrl::setProfiler and
+// keepRetired). The storage comes from operator new through TxnAlloc,
+// which counts every block, so a test or a benchmark can check that a
+// run nothing observes allocates none.
 
 namespace detail
 {
-void *arenaAllocate(std::size_t bytes);
-void arenaDeallocate(void *p, std::size_t bytes) noexcept;
+void *allocateTimeline(std::size_t bytes);
 } // namespace detail
 
-/** Arena observability (tests assert the pool never leaks). */
+/** Timeline allocation count (perfbench/acpbench.cc reads it under
+ *  this name, from when a pooling arena served the timelines). */
 struct TxnArenaStats
 {
-    /** Total block requests served (pool hits + fresh allocations). */
+    /** Timeline blocks allocated so far. The count is process-wide,
+     *  shared by every System and thread, so it describes no single
+     *  point. */
     std::uint64_t allocs = 0;
-    /** Requests served by recycling a pooled block. */
-    std::uint64_t poolHits = 0;
-    /** Blocks currently handed out and not yet returned. */
-    std::uint64_t live = 0;
-    /** High-water mark of @c live over the process lifetime. The
-     *  counters are process-wide, shared by every System and thread,
-     *  so they describe no single point. */
-    std::uint64_t liveHighWater = 0;
 };
 
-/** Snapshot of the (process-wide) arena counters. */
+/** Snapshot of the (process-wide) allocation count. */
 TxnArenaStats txnArenaStats();
 
-/** Minimal allocator handle over the arena (stateless). */
+/** Counting allocator handle over operator new (stateless). */
 template <typename T>
 struct TxnAlloc
 {
@@ -90,13 +84,13 @@ struct TxnAlloc
     T *
     allocate(std::size_t n)
     {
-        return static_cast<T *>(detail::arenaAllocate(n * sizeof(T)));
+        return static_cast<T *>(detail::allocateTimeline(n * sizeof(T)));
     }
 
     void
-    deallocate(T *p, std::size_t n) noexcept
+    deallocate(T *p, std::size_t) noexcept
     {
-        detail::arenaDeallocate(p, n * sizeof(T));
+        ::operator delete(p);
     }
 };
 
@@ -105,13 +99,6 @@ bool
 operator==(const TxnAlloc<A> &, const TxnAlloc<B> &)
 {
     return true;
-}
-
-template <typename A, typename B>
-bool
-operator!=(const TxnAlloc<A> &, const TxnAlloc<B> &)
-{
-    return false;
 }
 
 /** Steps an off-chip access can take through the resource model. */
@@ -213,7 +200,7 @@ struct Txn
     std::array<std::uint8_t, kExtLineBytes> data{};
 
     // ----- timeline (controller transactions only) ---------------------
-    /** Arena-backed step storage (see TxnAlloc above). */
+    /** Step storage, counted by TxnAlloc (see above). */
     using Path = std::vector<TxnStep, TxnAlloc<TxnStep>>;
     Path path;
 

@@ -106,9 +106,6 @@ class MemHierarchy
     std::uint64_t translationFaults() const { return faults_.value(); }
     StatGroup &stats() { return stats_; }
 
-    /** Attach (or detach) a passive transaction-path profiler. */
-    void setProfiler(obs::PathProfiler *p) { ctrl_.setProfiler(p); }
-
   private:
     /**
      * One client's private cache stack: split L1 I/D, unified

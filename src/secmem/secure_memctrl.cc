@@ -83,9 +83,9 @@ SecureMemCtrl::dramAccess(Addr addr, Cycle cycle, unsigned bytes,
     // interface sees it before the bank/bus grant it waits for). The
     // Txn timeline separately records the actual grant cycle.
     trace_.record(cycle, addr, kind, txn.client);
-    txn.note(mem::PathEvent::kBusGrant, res.busGrant, addr);
-    txn.note(mem::PathEvent::kDramFirstBeat, res.firstBeat, addr);
-    txn.note(mem::PathEvent::kDramComplete, res.complete, addr);
+    note(txn, mem::PathEvent::kBusGrant, res.busGrant, addr);
+    note(txn, mem::PathEvent::kDramFirstBeat, res.firstBeat, addr);
+    note(txn, mem::PathEvent::kDramComplete, res.complete, addr);
     return res.complete;
 }
 
@@ -172,11 +172,11 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         return txn;
     }
 
-    txn.note(mem::PathEvent::kRequest, req_cycle, line_addr);
+    note(txn, mem::PathEvent::kRequest, req_cycle, line_addr);
 
     // 1. MSHR admission.
     Cycle start = admit(req_cycle);
-    txn.note(mem::PathEvent::kMshrAdmit, start, line_addr);
+    note(txn, mem::PathEvent::kMshrAdmit, start, line_addr);
 
     // 2. authen-then-fetch gate.
     if (core::gatesFetch(policy)) {
@@ -202,8 +202,8 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
             ++fetchGateStalls_;
             fetchGateDelay_.sample(double(gate_done - start));
             txn.gateDelayed = true;
-            txn.note(mem::PathEvent::kFetchGateRelease, gate_done,
-                     line_addr);
+            note(txn, mem::PathEvent::kFetchGateRelease, gate_done,
+                 line_addr);
             start = gate_done;
         }
     }
@@ -219,7 +219,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         RemapResult tr = remap_->translate(line_addr, start, remap_port);
         phys = tr.physAddr;
         start = tr.readyAt;
-        txn.note(mem::PathEvent::kRemapTranslate, start, phys);
+        note(txn, mem::PathEvent::kRemapTranslate, start, phys);
     }
 
     // 4-6. Counter lookup, pad generation and decrypt timing.
@@ -231,8 +231,8 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
                        nullptr;
         Cycle ctr_ready = touchCounter(line_addr, start, false, false,
                                        txn);
-        txn.note(mem::PathEvent::kCounterReady, ctr_ready,
-                 counterLineAddr(line_addr));
+        note(txn, mem::PathEvent::kCounterReady, ctr_ready,
+             counterLineAddr(line_addr));
         Cycle pad_ready = ctr_ready + cfg_.decryptLatency;
 
         // [19]: on a counter-cache miss, predicted pads are computed
@@ -260,7 +260,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
                         Cycle((chunks + 1) / 2) * cfg_.decryptLatency;
         mac_ready = data_arrive + Cycle(chunks + 1) * cfg_.decryptLatency;
     }
-    txn.note(mem::PathEvent::kDecryptDone, txn.dataReady, line_addr);
+    note(txn, mem::PathEvent::kDecryptDone, txn.dataReady, line_addr);
     fillLatency_.sample(double(txn.dataReady - req_cycle));
     fillLatencyHist_.sample(txn.dataReady - req_cycle);
 
@@ -284,7 +284,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         // The request was posted at dataReady (kDecryptDone), so the
         // kDecryptDone -> kVerifyDone delta is this request's
         // auth.verify_latency sample.
-        txn.note(mem::PathEvent::kVerifyDone, txn.verifyDone, line_addr);
+        note(txn, mem::PathEvent::kVerifyDone, txn.verifyDone, line_addr);
         decryptGap_.sample(double(txn.verifyDone - txn.dataReady));
         decryptGapHist_.sample(txn.verifyDone - txn.dataReady);
     } else {
@@ -333,12 +333,12 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
         return txn;
     }
 
-    txn.note(mem::PathEvent::kRequest, cycle, line_addr);
+    note(txn, mem::PathEvent::kRequest, cycle, line_addr);
 
     // Counter line is written (dirty in the counter cache).
     Cycle ready = touchCounter(line_addr, cycle, true, false, txn);
-    txn.note(mem::PathEvent::kCounterReady, ready,
-             counterLineAddr(line_addr));
+    note(txn, mem::PathEvent::kCounterReady, ready,
+         counterLineAddr(line_addr));
 
     // Tree path update (timing + functional).
     if (tree_) {
@@ -356,12 +356,12 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
         RemapResult sh = remap_->shuffle(line_addr, ready, remap_port);
         phys = sh.physAddr;
         ready = sh.readyAt;
-        txn.note(mem::PathEvent::kRemapTranslate, ready, phys);
+        note(txn, mem::PathEvent::kRemapTranslate, ready, phys);
     }
 
     Cycle complete = dramAccess(phys, ready, lineTransferBytes_, true,
                                 mem::BusTxnKind::kWriteback, txn);
-    txn.note(mem::PathEvent::kWriteback, complete, phys);
+    note(txn, mem::PathEvent::kWriteback, complete, phys);
     txn.ready = complete;
     txn.dataReady = complete;
     txn.verifyDone = complete;

@@ -15,11 +15,12 @@
  *   7. authentication request posted to the in-order engine; with the
  *      hash tree enabled the counter's tree path is verified too
  *
- * Every step is recorded on the timeline of the mem::Txn the
- * controller returns and retires; these are the only timelines the
- * simulator builds. All metadata traffic (counter lines, tree nodes,
- * remap entries, metadata writebacks) is charged to the same Txn
- * through a controller-backed MetaMemPort.
+ * While something reads the retired transactions (an attached path
+ * profiler or the keepRetired() record), every step is recorded on the
+ * timeline of the mem::Txn the controller returns and retires; these
+ * are the only timelines the simulator builds. All metadata traffic
+ * (counter lines, tree nodes, remap entries, metadata writebacks) is
+ * charged to the same Txn through a controller-backed MetaMemPort.
  *
  * Writeback path (dirty L2 eviction): re-shuffle (obfuscation),
  * counter bump + new line version (functional), tree update, DRAM
@@ -103,7 +104,8 @@ class SecureMemCtrl
     mem::BusTrace &busTrace() { return trace_; }
 
     /** Attach (or detach with nullptr) a passive path-profiler sink:
-     *  every retired (non-warm) transaction is handed to it. */
+     *  every retired (non-warm) transaction is handed to it, timeline
+     *  included. */
     void setProfiler(obs::PathProfiler *profiler) { profiler_ = profiler; }
 
     /** The first retired fill whose MAC failed (none until one
@@ -175,6 +177,14 @@ class SecureMemCtrl
     /** Latch the first bad fill, and hand a completed transaction to
      *  the profiler / trace list. */
     void retire(const mem::Txn &txn);
+    /** Add a step to @p txn's timeline, only while something reads
+     *  retired transactions: a run nothing observes builds none. */
+    void
+    note(mem::Txn &txn, mem::PathEvent event, Cycle cycle, Addr at)
+    {
+        if (profiler_ || keepRetired_)
+            txn.note(event, cycle, at);
+    }
 
     const sim::SimConfig &cfg_;
     ExternalMemory ext_;

@@ -134,26 +134,10 @@ parsePolicy(const std::string &name)
 }
 
 std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t cut = text.find(',', pos);
-        if (cut == std::string::npos)
-            cut = text.size();
-        if (cut > pos)
-            parts.push_back(text.substr(pos, cut - pos));
-        pos = cut + 1;
-    }
-    return parts;
-}
-
-std::vector<std::string>
 expandWorkloads(const std::string &arg)
 {
     std::vector<std::string> names;
-    for (const std::string &part : splitCommas(arg)) {
+    for (const std::string &part : splitOn(arg, ',')) {
         if (part == "int") {
             for (const std::string &n : workloads::intNames())
                 names.push_back(n);
@@ -223,7 +207,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--policy") {
-            policy_tokens = splitCommas(next());
+            policy_tokens = splitOn(next(), ',');
             if (policy_tokens.empty())
                 acp_fatal("--policy needs at least one policy name");
         } else if (arg == "--cores") {

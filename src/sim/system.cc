@@ -85,7 +85,7 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
 
     if (cfg_.profileEnabled) {
         profiler_ = std::make_unique<obs::PathProfiler>();
-        hier_.setProfiler(profiler_.get());
+        hier_.ctrl().setProfiler(profiler_.get());
         // The profile's leak audit reads the adversary-visible
         // address stream.
         hier_.ctrl().busTrace().enable(true);

@@ -34,6 +34,15 @@
       there is one auth.verify span per auth request, and a 2-core
       trace gives each core its own pipeline track.
 
+  acpsim_artifacts.py cosim ACPSIM
+      A co-simulated single point exits 0 and prints the insts, cycles
+      and IPC of the plain run; --cosim on a sweep of two points is
+      fatal.
+
+  acpsim_artifacts.py trace-commits ACPSIM
+      --trace-commits N prints exactly N commit lines (cycle, pc,
+      disassembly) before the run summary.
+
 Every mode runs in its own temporary directory.
 """
 
@@ -269,6 +278,47 @@ def check_trace(acpsim):
                                 sorted(names.values())))
 
 
+def summary(stdout):
+    """The insts, cycles and IPC lines of a single-point run."""
+    return [line for line in stdout.splitlines()
+            if line.split(" ", 1)[0] in ("insts", "cycles", "IPC")]
+
+
+def check_cosim(acpsim):
+    point = [acpsim, "mcf", "--policy", "commit", *WINDOW]
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, _ = run(point, tmp)
+        cosim, _ = run(point + ["--cosim"], tmp)
+        sweep = subprocess.run([acpsim, "mcf,swim", "--cosim"], cwd=tmp,
+                               text=True, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE)
+    assert len(summary(plain)) == 3, plain
+    assert summary(cosim) == summary(plain), (cosim, plain)
+    assert sweep.returncode == 1, sweep.returncode
+    fatal = [line for line in sweep.stderr.splitlines()
+             if line.startswith("fatal:")]
+    assert fatal and "--trace/--trace-commits/--cosim" in fatal[-1], \
+        sweep.stderr
+    print("cosim OK: %s; a two-point sweep is fatal" %
+          ", ".join(summary(cosim)))
+
+
+def check_trace_commits(acpsim):
+    count = 25
+    with tempfile.TemporaryDirectory() as tmp:
+        out, _ = run([acpsim, "mcf", "--policy", "commit", "--insts",
+                      "2000", "--warmup", "1000", "--trace-commits",
+                      str(count)], tmp)
+    lines = out.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if line.startswith("workload "))
+    commit = re.compile(r"\s*[0-9]+  0x[0-9a-f]{8}  [a-z]+")
+    assert head == count, lines[:head + 1]
+    for line in lines[:head]:
+        assert commit.match(line), line
+    print("trace-commits OK: %d commit lines, then the summary" % head)
+
+
 def main():
     mode, args = sys.argv[1], sys.argv[2:]
     checks = {
@@ -278,6 +328,8 @@ def main():
         "store-sharing": check_store_sharing,
         "intervals": check_intervals,
         "trace": check_trace,
+        "cosim": check_cosim,
+        "trace-commits": check_trace_commits,
     }
     if mode not in checks:
         sys.exit("unknown mode " + mode)

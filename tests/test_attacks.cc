@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "printers.hh"
 #include "sim/attack_scenarios.hh"
 
 using namespace acp;
@@ -199,6 +200,13 @@ struct SweepCase
     AuthPolicy policy;
     bool expectLeak;
 };
+
+void
+PrintTo(const SweepCase &test_case, std::ostream *os)
+{
+    core::PrintTo(test_case.policy, os);
+    *os << (test_case.expectLeak ? ", leaks" : ", no leak");
+}
 
 class FetchChannelSweep : public ::testing::TestWithParam<SweepCase>
 {};

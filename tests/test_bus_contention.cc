@@ -4,6 +4,8 @@
  * the front-side bus, metadata traffic (counter lines) competes with
  * data transfers for bus slots, and the controller's transaction
  * timelines are monotone and deterministic across identical runs.
+ * The controller builds a timeline only while something reads its
+ * retired transactions, so each test that reads one keeps them.
  */
 
 #include <gtest/gtest.h>
@@ -56,6 +58,7 @@ TEST(BusContention, OverlappingFillsSerializeOnBus)
 {
     sim::SimConfig cfg = smallCfg();
     SecureMemCtrl ctrl(cfg, 1);
+    ctrl.keepRetired();
 
     // Two lines in different DRAM banks (banks interleave per row):
     // bank activation overlaps, data transfers must share the bus.
@@ -86,6 +89,7 @@ TEST(BusContention, CounterMissDelaysDataBusGrant)
     // the bus ahead of the data transfer.
     sim::SimConfig cfg = smallCfg();
     SecureMemCtrl cold(cfg, 1);
+    cold.keepRetired();
     mem::Txn miss = cold.fetchLine(0x4000, 0, kNoAuthSeq,
                                    mem::BusTxnKind::kDataFetch);
 
@@ -99,6 +103,7 @@ TEST(BusContention, CounterMissDelaysDataBusGrant)
     // Control: identical fetch with the counter pre-warmed grants the
     // data transfer earlier and touches the bus only once.
     SecureMemCtrl warm(cfg, 1);
+    warm.keepRetired();
     warm.fetchLine(0x4000, 0, kNoAuthSeq, mem::BusTxnKind::kDataFetch,
                    true);
     mem::Txn hit = warm.fetchLine(0x4000, 0, kNoAuthSeq,

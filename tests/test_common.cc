@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: bit operations, RNG
- * determinism, the stats package, and the JSON writer.
+ * determinism, the stats package, the JSON writer, and the option
+ * list splitter.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -260,4 +263,16 @@ TEST(Json, WriteFileReportsAFullDevice)
             w.beginArray(json::kOneLine).value(i).endArray();
         w.endArray();
     }));
+}
+
+TEST(Parse, SplitOnDropsEmptyParts)
+{
+    using Parts = std::vector<std::string>;
+    EXPECT_EQ(splitOn("a,,b", ','), (Parts{"a", "b"}));
+    EXPECT_EQ(splitOn(",a,b", ','), (Parts{"a", "b"}));
+    EXPECT_EQ(splitOn("a,b,", ','), (Parts{"a", "b"}));
+    EXPECT_EQ(splitOn("mcf+swim", '+'), (Parts{"mcf", "swim"}));
+    EXPECT_EQ(splitOn("commit+fetch", ','), Parts{"commit+fetch"});
+    EXPECT_EQ(splitOn("", ','), Parts{});
+    EXPECT_EQ(splitOn(",", ','), Parts{});
 }

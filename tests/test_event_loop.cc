@@ -8,8 +8,8 @@
  *     of a fixed set of points hash to recorded SHA-256 digests;
  *   - cores due in the same cycle run in core order, so cpu0's
  *     same-cycle bus requests are recorded before cpu1's;
- *   - the Txn timeline arena never leaks: churned blocks return to the
- *     pool and live counts come back to baseline.
+ *   - only an observed window builds transaction timelines, and a
+ *     profiled one still reports the recorded profile.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "crypto/sha256.hh"
 #include "mem/txn.hh"
+#include "obs/path_report.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -444,31 +446,37 @@ TEST(EventLoop, SameCycleCoresRunInCoreOrder)
     }
 }
 
-TEST(EventLoop, TxnArenaNeverLeaks)
+// The controller builds a transaction's timeline only while something
+// reads it. An unprofiled, untraced window allocates no timeline; a
+// profiled one does, and its profile is the one recorded while every
+// run still built every timeline (the digest of its JSON rendering;
+// with the string emptied, the failure message prints the value).
+TEST(EventLoop, OnlyAnObservedWindowBuildsTimelines)
 {
-    const std::uint64_t live0 = mem::txnArenaStats().live;
+    static const char kRecordedProfile[] =
+        "22e72686ccfb9f35ee59bba0f414cea034d0d2524463c04f44e1cab5c3b51fb8";
 
-    // Direct churn: 10k timeline vectors allocated and destroyed.
-    for (unsigned i = 0; i < 10000; ++i) {
-        mem::Txn::Path path;
-        for (unsigned s = 0; s < 1 + (i % 13); ++s)
-            path.push_back(
-                {Cycle(i + s), Addr(i * 64), mem::PathEvent::kRequest});
-    }
-    mem::TxnArenaStats after = mem::txnArenaStats();
-    EXPECT_EQ(after.live, live0);
-    EXPECT_GT(after.poolHits, 0u);
-
-    // End-to-end churn: a timed window creates and retires real
-    // transactions; everything must be back in the pool afterwards.
-    {
+    // Timeline allocations of one mcf window, profiled when @p profile
+    // is given; it receives the digest of the profile's JSON.
+    auto window = [](std::string *profile) {
+        const std::uint64_t allocs0 = mem::txnArenaStats().allocs;
         workloads::WorkloadParams params;
         params.workingSetBytes = 1 << 20;
-        sim::System system(cfgFor(AuthPolicy::kAuthThenCommit),
-                           workloads::build("mcf", params));
+        sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+        cfg.profileEnabled = profile != nullptr;
+        sim::System system(cfg, workloads::build("mcf", params));
         system.fastForward(5000);
         system.measureTimed(10000, 10'000'000);
-        EXPECT_EQ(mem::txnArenaStats().live, live0);
-    }
-    EXPECT_EQ(mem::txnArenaStats().live, live0);
+        if (profile) {
+            json::Writer w;
+            obs::writePathProfile(w, system.pathProfile());
+            *profile = sha256Hex(w.str());
+        }
+        return mem::txnArenaStats().allocs - allocs0;
+    };
+
+    EXPECT_EQ(window(nullptr), 0u);
+    std::string profile;
+    EXPECT_GT(window(&profile), 0u);
+    EXPECT_EQ(profile, kRecordedProfile);
 }

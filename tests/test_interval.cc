@@ -21,6 +21,7 @@
 
 #include "exp/submit.hh"
 #include "obs/interval.hh"
+#include "printers.hh"
 #include "sim/system.hh"
 
 using namespace acp;

@@ -18,7 +18,6 @@
 #include "common/stats.hh"
 #include "exp/request.hh"
 #include "exp/submit.hh"
-#include "mem/txn.hh"
 #include "obs/manifest.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -180,7 +179,7 @@ TEST(HostStats, PartitionSanity)
     ASSERT_TRUE(cap.distCounts.count("sim.host.sched.core.jump"));
     EXPECT_EQ(cap.distCounts["sim.host.sched.core.jump"], wakes - 1);
 
-    // The process-wide txn arena is no per-point statistic.
+    // The process-wide timeline count is no per-point statistic.
     for (const auto &[name, value] : cap.counters)
         EXPECT_NE(name.rfind("sim.host.arena.", 0), 0u) << name;
 }
@@ -206,20 +205,6 @@ TEST(HostStats, OffByDefaultAndDigestExcluded)
     EXPECT_EQ(exp::pointDigest(plain), exp::pointDigest(host));
     EXPECT_TRUE(plain.cacheable());
     EXPECT_FALSE(host.cacheable());
-}
-
-TEST(HostStats, ArenaHighWaterIsMonotone)
-{
-    mem::TxnArenaStats before = mem::txnArenaStats();
-    {
-        mem::Txn txn;
-        txn.note(mem::PathEvent::kRequest, 1);
-        txn.note(mem::PathEvent::kBusGrant, 2);
-    }
-    mem::TxnArenaStats after = mem::txnArenaStats();
-    EXPECT_GE(after.liveHighWater, before.liveHighWater);
-    EXPECT_GE(after.liveHighWater, 1u);
-    EXPECT_LE(after.live, after.liveHighWater);
 }
 
 // ----- result store telemetry --------------------------------------------

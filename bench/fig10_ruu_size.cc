@@ -17,9 +17,7 @@ main()
 {
     std::printf("Figure 10: Normalized IPC, 64-entry RUU, 256KB L2\n");
 
-    std::vector<std::string> all_names = workloads::intNames();
-    for (const std::string &name : workloads::fpNames())
-        all_names.push_back(name);
+    std::vector<std::string> all_names = workloads::allNames();
 
     std::vector<bench::Scheme> schemes = {
         {"issue", core::AuthPolicy::kAuthThenIssue},
@@ -30,7 +28,6 @@ main()
 
     sim::SimConfig cfg = bench::paperConfig();
     cfg.ruuSize = 64;
-    cfg.lsqSize = 32;
     std::vector<double> avgs = bench::normalizedIpcTable(
         "Fig 10 (all 18 workloads)", all_names, schemes, cfg);
 

@@ -19,9 +19,7 @@ main()
     std::printf("Figure 11: IPC speedup over authen-then-issue, "
                 "64-entry RUU, 256KB L2\n");
 
-    std::vector<std::string> all_names = workloads::intNames();
-    for (const std::string &name : workloads::fpNames())
-        all_names.push_back(name);
+    std::vector<std::string> all_names = workloads::allNames();
 
     std::vector<bench::Scheme> schemes = {
         {"commit", core::AuthPolicy::kAuthThenCommit},
@@ -30,7 +28,6 @@ main()
 
     sim::SimConfig cfg = bench::paperConfig();
     cfg.ruuSize = 64;
-    cfg.lsqSize = 32;
     bench::speedupOverIssueTable("Fig 11", all_names, schemes, cfg);
     return 0;
 }

@@ -22,9 +22,7 @@ main()
     std::printf("Figure 12: Normalized IPC with the memory "
                 "authentication tree, 256KB L2\n");
 
-    std::vector<std::string> all_names = workloads::intNames();
-    for (const std::string &name : workloads::fpNames())
-        all_names.push_back(name);
+    std::vector<std::string> all_names = workloads::allNames();
 
     std::vector<bench::Scheme> schemes = {
         {"issue", core::AuthPolicy::kAuthThenIssue},

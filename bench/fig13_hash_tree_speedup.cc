@@ -19,9 +19,7 @@ main()
     std::printf("Figure 13: IPC speedup over authen-then-issue with the "
                 "memory authentication tree, 256KB L2\n");
 
-    std::vector<std::string> all_names = workloads::intNames();
-    for (const std::string &name : workloads::fpNames())
-        all_names.push_back(name);
+    std::vector<std::string> all_names = workloads::allNames();
 
     std::vector<bench::Scheme> schemes = {
         {"commit", core::AuthPolicy::kAuthThenCommit},

@@ -22,9 +22,7 @@ main()
     std::printf("Figure 9: Normalized IPC, commit+obfuscation, three "
                 "re-map cache sizes, 256KB L2\n");
 
-    std::vector<std::string> all_names = workloads::intNames();
-    for (const std::string &name : workloads::fpNames())
-        all_names.push_back(name);
+    std::vector<std::string> all_names = workloads::allNames();
 
     const std::uint64_t sizes[] = {8 * 1024, 32 * 1024, 128 * 1024};
 

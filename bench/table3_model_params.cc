@@ -40,7 +40,7 @@ main()
                 cfg.tlbAssoc, cfg.tlbEntries);
     std::printf("%-28s %u, 64 entries (Fig. 10/11)\n", "RUU",
                 cfg.ruuSize);
-    std::printf("%-28s %u entries\n", "LSQ", cfg.lsqSize);
+    std::printf("%-28s %u entries\n", "LSQ", cfg.ruuSize / 2);
     std::printf("%-28s 200MHz, %uB wide (1:%u core clocks)\n",
                 "Memory bus", cfg.busWidthBytes, cfg.busClockRatio);
     std::printf("%-28s X-5-5-5 core clocks, X per page status\n",

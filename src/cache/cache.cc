@@ -69,12 +69,6 @@ Cache::lookup(Addr addr, bool touch)
     return nullptr;
 }
 
-const CacheLine *
-Cache::peek(Addr addr) const
-{
-    return const_cast<Cache *>(this)->lookup(addr, false);
-}
-
 CacheLine *
 Cache::allocate(Addr addr, Eviction *evicted)
 {

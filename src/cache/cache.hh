@@ -64,7 +64,6 @@ class Cache
     unsigned lineBytes() const { return cfg_.lineBytes; }
     unsigned hitLatency() const { return cfg_.hitLatency; }
     std::uint64_t numSets() const { return numSets_; }
-    unsigned assoc() const { return cfg_.assoc; }
 
     /** Line-align an address. */
     Addr lineAlign(Addr a) const { return a & ~Addr(cfg_.lineBytes - 1); }
@@ -74,7 +73,6 @@ class Cache
      * @param touch update LRU and hit/miss statistics
      */
     CacheLine *lookup(Addr addr, bool touch = true);
-    const CacheLine *peek(Addr addr) const;
 
     /**
      * Allocate a line for @p addr, evicting the LRU way if needed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
@@ -307,7 +308,28 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
     }
 
     // Load: memory disambiguation against older stores, youngest
-    // first; the first overlapping store with a known address decides.
+    // first (the RUU's, then the post-commit store buffer's); the
+    // first overlapping store with a known address decides. One that
+    // holds every loaded byte forwards them; a partial overlap waits
+    // for the store to drain. Returns nothing for a disjoint store.
+    auto forward = [&](Addr s_begin, unsigned s_bytes, std::uint64_t value,
+                       bool tainted) -> std::optional<bool> {
+        Addr s_end = s_begin + s_bytes;
+        if (addr + bytes <= s_begin || s_end <= addr)
+            return std::nullopt; // disjoint
+        if (addr < s_begin || s_end < addr + bytes)
+            return false; // partial overlap
+        std::uint64_t raw = value >> (8 * (addr - s_begin));
+        if (bytes < 8)
+            raw &= (1ULL << (8 * bytes)) - 1;
+        entry.result = isa::adjustLoadValue(entry.inst.op, raw);
+        entry.readyAt = cycle_ + 2;
+        entry.dataReadyAt = entry.readyAt; // on-chip forward
+        entry.dataSeq = kNoAuthSeq; // data never left the chip
+        entry.tainted = entry.tainted || tainted;
+        ++loadForwards_;
+        return true;
+    };
     for (unsigned prior = prevStore(slot); prior != kNoLink;
          prior = prevStore(prior)) {
         RuuEntry &older = ruu_[prior];
@@ -322,50 +344,15 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
             firstParked_[prior] = slot;
             return false;
         }
-        Addr s_begin = older.memAddr;
-        Addr s_end = older.memAddr + older.memBytes;
-        Addr l_begin = addr;
-        Addr l_end = addr + bytes;
-        if (l_end <= s_begin || s_end <= l_begin)
-            continue; // disjoint
-        if (s_begin <= l_begin && l_end <= s_end) {
-            // Full containment: forward from the store queue.
-            std::uint64_t raw = older.storeValue >>
-                                (8 * (l_begin - s_begin));
-            if (bytes < 8)
-                raw &= (1ULL << (8 * bytes)) - 1;
-            entry.result = isa::adjustLoadValue(entry.inst.op, raw);
-            entry.readyAt = cycle_ + 2;
-            entry.dataReadyAt = entry.readyAt; // on-chip forward
-            entry.dataSeq = kNoAuthSeq; // data never left the chip
-            entry.tainted = entry.tainted || older.tainted;
-            ++loadForwards_;
-            return true;
-        }
-        return false; // partial overlap: wait for the store to drain
+        if (auto done = forward(older.memAddr, older.memBytes,
+                                older.storeValue, older.tainted))
+            return *done;
     }
-
-    // Post-commit store buffer (youngest first).
     for (auto it = storeBuffer_.rbegin(); it != storeBuffer_.rend(); ++it) {
         if (it->isOut)
             continue;
-        Addr s_begin = it->addr;
-        Addr s_end = it->addr + it->bytes;
-        if (addr + bytes <= s_begin || s_end <= addr)
-            continue;
-        if (s_begin <= addr && addr + bytes <= s_end) {
-            std::uint64_t raw = it->value >> (8 * (addr - s_begin));
-            if (bytes < 8)
-                raw &= (1ULL << (8 * bytes)) - 1;
-            entry.result = isa::adjustLoadValue(entry.inst.op, raw);
-            entry.readyAt = cycle_ + 2;
-            entry.dataReadyAt = entry.readyAt;
-            entry.dataSeq = kNoAuthSeq;
-            entry.tainted = entry.tainted || it->tainted;
-            ++loadForwards_;
-            return true;
-        }
-        return false; // partial overlap with a pending release
+        if (auto done = forward(it->addr, it->bytes, it->value, it->tainted))
+            return *done;
     }
 
     // Real memory access: this is where a speculative load's address
@@ -419,7 +406,6 @@ OooCore::stageComplete()
                                   ? entry.predTarget
                                   : entry.pc + isa::kInstrBytes;
         if (predicted_next != entry.actualNext) {
-            entry.mispredict = true;
             ++mispredicts_;
             std::uint64_t squashed_before = squashedInsts_.value();
             squashAfter(agePos(slot));
@@ -707,7 +693,7 @@ OooCore::stageDispatch()
         FetchedInst &fetched_inst = fetchQueue_.front();
         const isa::OpInfo &oi = fetched_inst.inst.info();
         bool is_mem = oi.isLoad || oi.isStore;
-        if (is_mem && lsqUsed_ >= cfg_.lsqSize) {
+        if (is_mem && lsqUsed_ >= cfg_.ruuSize / 2) {
             ++lsqFullStalls_;
             dispatchBlock_ = DispatchBlock::kLsqFull;
             break;

@@ -108,11 +108,6 @@ class OooCore
     // ----- results ------------------------------------------------------
     Cycle cycles() const { return cycle_; }
     std::uint64_t instsCommitted() const { return committed_.value(); }
-    double
-    ipc() const
-    {
-        return cycle_ ? double(instsCommitted()) / double(cycle_) : 0.0;
-    }
     bool securityException() const
     {
         return stopReason_ == StopReason::kSecurityException;
@@ -210,7 +205,6 @@ class OooCore
         Addr predTarget = 0;
         bool taken = false;
         Addr actualNext = 0;
-        bool mispredict = false;
 
         // System
         bool isOut = false;

@@ -211,7 +211,7 @@ simulatePoint(const Point &point)
     // One program per core: cfg.coreWorkloads names them (a core with
     // no entry falls back to the point's workload), so a workload mix
     // like "mcf next to swim" is one point.
-    const unsigned n_cores = std::max(1u, point.cfg.numCores);
+    const unsigned n_cores = point.cfg.numCores;
     std::vector<isa::Program> progs;
     progs.reserve(n_cores);
     for (unsigned i = 0; i < n_cores; ++i) {

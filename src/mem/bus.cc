@@ -1,13 +1,12 @@
 #include "mem/bus.hh"
 
-#include <algorithm>
 #include <string>
 
 namespace acp::mem
 {
 
 BusArbiter::BusArbiter(const sim::SimConfig &cfg)
-    : cfg_(cfg), stats_("bus"), clients_(std::max(1u, cfg.numCores))
+    : cfg_(cfg), stats_("bus"), clients_(cfg.numCores)
 {
     stats_.addCounter("grants", &grants_);
     stats_.addCounter("contended_grants", &contendedGrants_);

@@ -33,8 +33,8 @@ class BusArbiter
 {
   public:
     /**
-     * One requester per core (cfg.numCores; 0 counts as 1). With two
-     * or more, per-client grant/wait stats (cpu<i>_grants,
+     * One requester per core (cfg.numCores). With two or more,
+     * per-client grant/wait stats (cpu<i>_grants,
      * cpu<i>_contended_grants, cpu<i>_grant_wait) and the cross-client
      * contention counter are registered; a single-core stat surface
      * keeps its classic shape.
@@ -62,7 +62,6 @@ class BusArbiter
 
     StatGroup &stats() { return stats_; }
 
-    std::uint64_t grants() const { return grants_.value(); }
     std::uint64_t contendedGrants() const
     {
         return contendedGrants_.value();

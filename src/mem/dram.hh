@@ -62,7 +62,6 @@ class Dram
     std::uint64_t pageHits() const { return pageHits_.value(); }
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t pageConflicts() const { return pageConflicts_.value(); }
-    std::uint64_t accesses() const { return accesses_.value(); }
 
   private:
     struct Bank

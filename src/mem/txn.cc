@@ -61,19 +61,19 @@ Txn::eventCount(PathEvent event) const
 }
 
 void
-Txn::merge(const Txn &child)
+Txn::merge(const Txn &fill)
 {
-    ready = std::max(ready, child.ready);
-    dataReady = std::max(dataReady, child.dataReady);
-    verifyDone = std::max(verifyDone, child.verifyDone);
-    authSeq = std::max(authSeq, child.authSeq);
-    macOk = macOk && child.macOk;
-    gateDelayed = gateDelayed || child.gateDelayed;
+    ready = std::max(ready, fill.ready);
+    dataReady = std::max(dataReady, fill.dataReady);
+    verifyDone = std::max(verifyDone, fill.verifyDone);
+    authSeq = std::max(authSeq, fill.authSeq);
+    macOk = macOk && fill.macOk;
+    gateDelayed = gateDelayed || fill.gateDelayed;
     // First primary transfer wins (an access folds at most one line
     // fill per line; cross-line accesses keep the first line's wait).
     if (busGrantAt == kCycleNever) {
-        busRequestAt = child.busRequestAt;
-        busGrantAt = child.busGrantAt;
+        busRequestAt = fill.busRequestAt;
+        busGrantAt = fill.busGrantAt;
     }
 }
 

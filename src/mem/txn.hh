@@ -214,13 +214,13 @@ struct Txn
     unsigned eventCount(PathEvent event) const;
 
     /**
-     * Fold a child transaction's outcome (e.g. the line fill behind a
-     * cache miss) into this one: outcome cycles and the auth tag take
-     * the max, the MAC verdict ANDs, gate delay ORs, and the first
-     * primary bus window wins. The child's timeline is not copied:
-     * the controller already retired it.
+     * Fold the outcome of the controller's line fill behind an L2 miss
+     * into this access: outcome cycles and the auth tag take the max,
+     * the MAC verdict ANDs, gate delay ORs, and the first primary bus
+     * window wins. The fill's timeline is not copied: the controller
+     * already retired it.
      */
-    void merge(const Txn &child);
+    void merge(const Txn &fill);
 };
 
 } // namespace acp::mem

@@ -1,5 +1,4 @@
 #include "secmem/auth_engine.hh"
-#include <algorithm>
 #include <string>
 
 namespace acp::secmem
@@ -14,7 +13,7 @@ constexpr std::size_t kHistoryWindow = 1 << 16;
 AuthEngine::AuthEngine(unsigned latency, unsigned occupancy,
                        unsigned clients)
     : latency_(latency), occupancy_(occupancy),
-      clients_(std::max(1u, clients)), stats_("auth")
+      clients_(clients), stats_("auth")
 {
     stats_.addCounter("requests", &requests_);
     stats_.addCounter("failures", &failures_);

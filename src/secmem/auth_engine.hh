@@ -33,7 +33,7 @@ class AuthEngine
      * @param occupancy cycles the engine is busy per request (equal to
      *        latency for a serial engine; smaller when pipelined)
      * @param clients number of cores posting requests (client ids
-     *        0 .. clients - 1; 0 counts as 1). Every client gets its
+     *        0 .. clients - 1). Every client gets its
      *        own pending-queue view and failure latch; with two or
      *        more, per-client attribution stats (cpu<i>_requests,
      *        cpu<i>_failures, cpu<i>_queue_delay) are registered too.

@@ -132,26 +132,23 @@ HashTree::verify(Addr line_addr, Cycle start, const MetaMemPort &mem)
 
     for (unsigned level = 1; level <= levels_; ++level) {
         ++walked;
-        cache::CacheLine *node = nodeCache_.lookup(nodeAddr(level, index));
-        if (node != nullptr)
+        if (level == levels_) {
+            nodeCache_.lookup(nodeAddr(level, index));
+            break; // parent is the on-chip root register: never fetched
+        }
+        // Fetch the node on a miss (concurrently with siblings: all
+        // issued at 'start'; the DRAM model serializes bank/bus
+        // conflicts).
+        MetaAccess node = touchMetaLine(nodeCache_, nodeAddr(level, index),
+                                        start, mem, false);
+        if (!node.missed)
             break; // trusted on-chip copy ends the walk
-        if (level == levels_)
-            break; // parent is the on-chip root register
-
-        // Fetch the node (concurrently with siblings: all issued at
-        // 'start'; the DRAM model serializes bank/bus conflicts).
         ++nodeFetches_;
         ++out.nodeFetches;
-        Cycle arrive = mem.read(nodeAddr(level, index), start);
-        if (arrive > last_arrival)
-            last_arrival = arrive;
-
-        cache::Eviction evicted;
-        nodeCache_.allocate(nodeAddr(level, index), &evicted);
-        if (evicted.valid && evicted.dirty) {
+        if (node.wroteBack)
             ++nodeWritebacks_;
-            mem.write(evicted.addr, arrive);
-        }
+        if (node.ready > last_arrival)
+            last_arrival = node.ready;
         index /= kArity;
     }
 
@@ -177,23 +174,16 @@ HashTree::update(Addr line_addr, Cycle start, const MetaMemPort &mem)
 
     // Timing: the leaf-group node must be on-chip to be updated.
     std::uint64_t leaf_index = (line_addr / kExtLineBytes) / kArity;
-    Addr node_addr = nodeAddr(1, leaf_index);
-    cache::CacheLine *node = nodeCache_.lookup(node_addr);
-    Cycle ready = start;
-    if (node == nullptr) {
+    MetaAccess node = touchMetaLine(nodeCache_, nodeAddr(1, leaf_index),
+                                    start, mem, true);
+    if (node.missed) {
         ++nodeFetches_;
         ++out.nodeFetches;
-        ready = mem.read(node_addr, start);
-        cache::Eviction evicted;
-        node = nodeCache_.allocate(node_addr, &evicted);
-        if (evicted.valid && evicted.dirty) {
-            ++nodeWritebacks_;
-            mem.write(evicted.addr, ready);
-        }
     }
-    node->dirty = true;
+    if (node.wroteBack)
+        ++nodeWritebacks_;
     out.levelsHashed = 1;
-    out.readyAt = ready + cfg_.treeHashLatency;
+    out.readyAt = node.ready + cfg_.treeHashLatency;
     return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -41,9 +40,8 @@ MemHierarchy::MemHierarchy(const sim::SimConfig &cfg)
     // One private cache stack per client. A single-core system keeps
     // the classic unprefixed stat names; multi-core stacks are
     // "cpuN."-prefixed.
-    unsigned n = cfg.numCores > 1 ? cfg.numCores : 1;
-    cores_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
+    cores_.reserve(cfg.numCores);
+    for (unsigned i = 0; i < cfg.numCores; ++i) {
         std::string prefix =
             cfg.numCores > 1 ? "cpu" + std::to_string(i) + "." : "";
         cores_.push_back(std::make_unique<CoreCaches>(cfg, i, prefix));
@@ -174,23 +172,11 @@ MemHierarchy::ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
         return line;
     }
 
-    // A timed fill gathers the L2's outcome in its own transaction:
-    // the new L1 line takes that line's timing, not the whole access's.
-    Addr l2_line = c.l2.lineAlign(line_addr);
-    std::optional<mem::Txn> sub;
-    if (acc != nullptr) {
-        sub.emplace();
-        sub->addr = l2_line;
-        sub->gateTag = acc->gateTag;
-        sub->reqCycle = lookup_done;
-        sub->origin = acc->origin;
-        sub->client = acc->client;
-    }
     cache::CacheLine *l2line =
-        ensureL2(c, l2_line, lookup_done,
+        ensureL2(c, c.l2.lineAlign(line_addr), lookup_done,
                  is_instr ? mem::BusTxnKind::kInstrFetch
                           : mem::BusTxnKind::kDataFetch,
-                 sub ? &*sub : nullptr);
+                 acc);
 
     cache::Eviction evicted;
     line = l1.allocate(line_addr, &evicted);
@@ -210,11 +196,13 @@ MemHierarchy::ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
     std::memcpy(line->data.data(),
                 l2line->data.data() + (line_addr & (c.l2.lineBytes() - 1)),
                 l1.lineBytes());
-    if (sub) {
-        line->usableAt = sub->ready;
-        line->authSeq = sub->authSeq;
-        line->dataReadyAt = sub->dataReady;
-        acc->merge(*sub);
+    if (acc != nullptr) {
+        // A timed fill takes its L2 line's timing as of the L2 lookup,
+        // not the whole access's.
+        Cycle l2_done = lookup_done + c.l2.hitLatency();
+        line->usableAt = std::max(l2_done, l2line->usableAt);
+        line->dataReadyAt = std::max(l2_done, l2line->dataReadyAt);
+        line->authSeq = l2line->authSeq;
     }
     return line;
 }

@@ -48,7 +48,7 @@ class MemHierarchy
     void visitStats(StatGroupVisitor &v);
 
     // ----- clients ------------------------------------------------------
-    // Client ids are core indices, 0 .. max(1, cfg.numCores) - 1. The
+    // Client ids are core indices, 0 .. cfg.numCores - 1. The
     // hierarchy carves the simulated address space into per-client
     // slices of clientStride() bytes: every access a client makes is
     // offset by id * stride before translation, so the 18 kernels
@@ -145,7 +145,8 @@ class MemHierarchy
      */
     cache::CacheLine *ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
                                mem::BusTxnKind kind, mem::Txn *acc);
-    /** Ensure the line is in @p c's L1 (filling from its L2 on miss);
+    /** Ensure the line is in @p c's L1 (filling from its L2 on miss,
+     *  a timed fill taking its L2 line's timing as of the L2 lookup);
      *  @p acc as for ensureL2. */
     cache::CacheLine *ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
                                bool is_instr, mem::Txn *acc);
@@ -167,7 +168,7 @@ class MemHierarchy
 
     const sim::SimConfig &cfg_;
     SecureMemCtrl ctrl_;
-    /** Private cache stacks, one per client (max(1, numCores)). */
+    /** Private cache stacks, one per client (numCores). */
     std::vector<std::unique_ptr<CoreCaches>> cores_;
     /** Per-client slice size (== memoryBytes for a single client). */
     Addr stride_ = 0;

@@ -1,20 +1,21 @@
 /**
  * @file
- * Metadata memory port: the txn-scoped context through which the
- * trusted engines (hash tree, remap layer) reach external memory.
+ * Metadata memory port and the one metadata-line access: how the
+ * controller's three metadata caches (counter cache, hash-tree node
+ * cache, remap cache) reach external memory.
  *
- * Replaces the old per-call std::function callback typedefs: one port
- * instance is scoped to the transaction
- * whose walk triggered the traffic, so every node or entry fetch it
- * issues lands on that transaction's path timeline, reserves the
- * shared bus, and appears in the adversary-visible bus trace.
- * Metadata fetches issued by the trusted engines are exempt from the
- * authen-then-fetch gate (see DESIGN.md).
+ * One port instance is scoped to the transaction whose access
+ * triggered the traffic, so every counter-line, node or entry transfer
+ * it issues lands on that transaction's path timeline, reserves the
+ * shared bus, and appears in the adversary-visible bus trace. The port
+ * is the only path from metadata to DRAM. Metadata fetches are exempt
+ * from the authen-then-fetch gate (see DESIGN.md).
  */
 
 #ifndef ACP_SECMEM_META_PORT_HH
 #define ACP_SECMEM_META_PORT_HH
 
+#include "cache/cache.hh"
 #include "common/types.hh"
 
 namespace acp::secmem
@@ -32,6 +33,42 @@ class MetaMemPort
     /** Write back a metadata line; returns the completion cycle. */
     virtual Cycle write(Addr addr, Cycle cycle) const = 0;
 };
+
+/** What one metadata-line access did. */
+struct MetaAccess
+{
+    Cycle ready = 0;        // the line is on-chip
+    bool missed = false;    // the line was read through the port
+    bool wroteBack = false; // a dirty victim went back through the port
+};
+
+/**
+ * Bring metadata line @p line on-chip in @p cache at @p cycle. A hit
+ * issues no traffic and is ready at @p cycle. A miss reads the line
+ * through @p port at @p cycle, allocates it, and writes a dirty victim
+ * back at the read's completion. @p make_dirty marks the line (an
+ * update), so its own eviction is written back later.
+ */
+inline MetaAccess
+touchMetaLine(cache::Cache &cache, Addr line, Cycle cycle,
+              const MetaMemPort &port, bool make_dirty)
+{
+    MetaAccess out{cycle};
+    cache::CacheLine *entry = cache.lookup(line);
+    if (entry == nullptr) {
+        out.missed = true;
+        out.ready = port.read(line, cycle);
+        cache::Eviction victim;
+        entry = cache.allocate(line, &victim);
+        if (victim.dirty) {
+            out.wroteBack = true;
+            port.write(victim.addr, out.ready);
+        }
+    }
+    if (make_dirty)
+        entry->dirty = true;
+    return out;
+}
 
 } // namespace acp::secmem
 

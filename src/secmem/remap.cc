@@ -31,22 +31,13 @@ Cycle
 RemapLayer::touchEntry(Addr line_addr, Cycle cycle,
                        const MetaMemPort &mem, bool make_dirty)
 {
-    Addr entry_line = entryLineAddr(line_addr);
-    cache::CacheLine *line = remapCache_.lookup(entry_line);
-    Cycle ready = cycle;
-    if (line == nullptr) {
+    MetaAccess entry = touchMetaLine(remapCache_, entryLineAddr(line_addr),
+                                     cycle, mem, make_dirty);
+    if (entry.missed)
         ++entryFetches_;
-        ready = mem.read(entry_line, cycle);
-        cache::Eviction evicted;
-        line = remapCache_.allocate(entry_line, &evicted);
-        if (evicted.valid && evicted.dirty) {
-            ++entryWritebacks_;
-            mem.write(evicted.addr, ready);
-        }
-    }
-    if (make_dirty)
-        line->dirty = true;
-    return ready;
+    if (entry.wroteBack)
+        ++entryWritebacks_;
+    return entry.ready;
 }
 
 RemapResult

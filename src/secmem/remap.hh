@@ -53,7 +53,6 @@ class RemapLayer
     RemapResult shuffle(Addr line_addr, Cycle cycle,
                         const MetaMemPort &mem);
 
-    cache::Cache &remapCache() { return remapCache_; }
     StatGroup &stats() { return stats_; }
 
   private:

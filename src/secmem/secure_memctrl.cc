@@ -115,27 +115,15 @@ SecureMemCtrl::admit(Cycle req_cycle)
     return start;
 }
 
-Cycle
+MetaAccess
 SecureMemCtrl::touchCounter(Addr line_addr, Cycle cycle, bool make_dirty,
-                            bool warm, mem::Txn &txn)
+                            const MetaPort &port)
 {
-    Addr ctr_line = counterLineAddr(line_addr);
-    cache::CacheLine *line = counterCache_.lookup(ctr_line);
-    Cycle ready = cycle;
-    if (line == nullptr) {
+    MetaAccess ctr = touchMetaLine(counterCache_, counterLineAddr(line_addr),
+                                   cycle, port, make_dirty);
+    if (ctr.missed)
         ++counterMisses_;
-        if (!warm)
-            ready = dramAccess(ctr_line, cycle, kExtLineBytes, false,
-                               mem::BusTxnKind::kCounterFetch, txn);
-        cache::Eviction evicted;
-        line = counterCache_.allocate(ctr_line, &evicted);
-        if (evicted.valid && evicted.dirty && !warm)
-            dramAccess(evicted.addr, ready, kExtLineBytes, true,
-                       mem::BusTxnKind::kWriteback, txn);
-    }
-    if (make_dirty)
-        line->dirty = true;
-    return ready;
+    return ctr;
 }
 
 mem::Txn
@@ -163,12 +151,10 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
 
     if (warm) {
         // Warm the metadata caches too, but no timing.
-        touchCounter(line_addr, 0, false, true, txn);
-        if (remap_) {
-            MetaPort warm_port(*this, txn, mem::BusTxnKind::kRemapFetch,
-                               true);
+        MetaPort warm_port(*this, txn, kind, true);
+        touchCounter(line_addr, 0, false, warm_port);
+        if (remap_)
             remap_->translate(line_addr, 0, warm_port);
-        }
         return txn;
     }
 
@@ -227,18 +213,17 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
     Cycle mac_ready; // when the integrity check's inputs are complete
     if (cfg_.encryptionMode == sim::EncryptionMode::kCounterMode) {
         // Counter lookup; pad generation overlaps the data fetch.
-        bool ctr_hit = counterCache_.peek(counterLineAddr(line_addr)) !=
-                       nullptr;
-        Cycle ctr_ready = touchCounter(line_addr, start, false, false,
-                                       txn);
-        note(txn, mem::PathEvent::kCounterReady, ctr_ready,
+        MetaPort ctr_port(*this, txn, mem::BusTxnKind::kCounterFetch,
+                          false);
+        MetaAccess ctr = touchCounter(line_addr, start, false, ctr_port);
+        note(txn, mem::PathEvent::kCounterReady, ctr.ready,
              counterLineAddr(line_addr));
-        Cycle pad_ready = ctr_ready + cfg_.decryptLatency;
+        Cycle pad_ready = ctr.ready + cfg_.decryptLatency;
 
         // [19]: on a counter-cache miss, predicted pads are computed
         // in parallel with the fetch; a window hit removes the counter
         // fetch from the decryption critical path entirely.
-        if (!ctr_hit && predictor_ &&
+        if (ctr.missed && predictor_ &&
             predictor_->predictAndResolve(line_addr, fetched.counter))
             pad_ready = start + cfg_.decryptLatency;
 
@@ -324,19 +309,18 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
         predictor_->onWriteback(line_addr, ext_.counterOf(line_addr));
 
     if (warm) {
-        touchCounter(line_addr, 0, true, true, txn);
-        if (tree_) {
-            MetaPort warm_port(*this, txn,
-                               mem::BusTxnKind::kTreeNodeFetch, true);
+        MetaPort warm_port(*this, txn, txn.kind, true);
+        touchCounter(line_addr, 0, true, warm_port);
+        if (tree_)
             tree_->update(line_addr, 0, warm_port);
-        }
         return txn;
     }
 
     note(txn, mem::PathEvent::kRequest, cycle, line_addr);
 
     // Counter line is written (dirty in the counter cache).
-    Cycle ready = touchCounter(line_addr, cycle, true, false, txn);
+    MetaPort ctr_port(*this, txn, mem::BusTxnKind::kCounterFetch, false);
+    Cycle ready = touchCounter(line_addr, cycle, true, ctr_port).ready;
     note(txn, mem::PathEvent::kCounterReady, ready,
          counterLineAddr(line_addr));
 

@@ -19,8 +19,9 @@
  * profiler or the keepRetired() record), every step is recorded on the
  * timeline of the mem::Txn the controller returns and retires; these
  * are the only timelines the simulator builds. All metadata traffic
- * (counter lines, tree nodes, remap entries, metadata writebacks) is
- * charged to the same Txn through a controller-backed MetaMemPort.
+ * (counter lines, tree nodes, remap entries, their dirty victims)
+ * leaves through touchMetaLine and a controller-backed MetaMemPort,
+ * which charges it to the same Txn.
  *
  * Writeback path (dirty L2 eviction): re-shuffle (obfuscation),
  * counter bump + new line version (functional), tree update, DRAM
@@ -126,10 +127,11 @@ class SecureMemCtrl
 
   private:
     /**
-     * Metadata port bound to one transaction: tree-node, remap-entry
-     * and counter-eviction traffic flows through the shared bus/bank
-     * model and is noted on the owning Txn's timeline. Warm-mode ports
-     * are free (functional warmup only).
+     * Metadata port bound to one transaction: counter-line, tree-node
+     * and remap-entry reads (of @p read_kind) and their dirty victims'
+     * writebacks flow through the shared bus/bank model and are noted
+     * on the owning Txn's timeline. A warm port moves nothing, whatever
+     * its kind (functional warmup only).
      */
     class MetaPort final : public MetaMemPort
     {
@@ -167,9 +169,10 @@ class SecureMemCtrl
 
     /** Admission control for outstanding fetches (MSHR limit). */
     Cycle admit(Cycle req_cycle);
-    /** Charge a counter-line access; returns counter availability. */
-    Cycle touchCounter(Addr line_addr, Cycle cycle, bool make_dirty,
-                       bool warm, mem::Txn &txn);
+    /** Bring @p line_addr's counter line on-chip through @p port
+     *  (a kCounterFetch port), counting a miss. */
+    MetaAccess touchCounter(Addr line_addr, Cycle cycle, bool make_dirty,
+                            const MetaPort &port);
     Addr counterLineAddr(Addr line_addr) const;
     /** One bus/bank transfer, charged to @p txn (trace at grant). */
     Cycle dramAccess(Addr addr, Cycle cycle, unsigned bytes, bool is_write,

@@ -45,10 +45,9 @@ struct SimConfig
     unsigned decodeWidth = 8;
     unsigned issueWidth = 8;
     unsigned commitWidth = 8;
-    /** Register Update Unit entries (128 default; 64 in Fig. 10/11). */
+    /** Register Update Unit entries (128 default; 64 in Fig. 10/11).
+     *  The load/store queue holds ruuSize / 2, so ruuSize >= 2. */
     unsigned ruuSize = 128;
-    /** Load/store queue entries. */
-    unsigned lsqSize = 64;
     /** Post-commit store buffer entries (authen-then-write parking). */
     unsigned storeBufferSize = 32;
 

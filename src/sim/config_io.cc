@@ -83,7 +83,7 @@ serializeConfig(const SimConfig &cfg)
     emit(out, "issueWidth", cfg.issueWidth);
     emit(out, "commitWidth", cfg.commitWidth);
     emit(out, "ruuSize", cfg.ruuSize);
-    emit(out, "lsqSize", cfg.lsqSize);
+    emit(out, "lsqSize", cfg.ruuSize / 2); // derived; digests include it
     emit(out, "storeBufferSize", cfg.storeBufferSize);
 
     // functional units

@@ -145,9 +145,7 @@ expandWorkloads(const std::string &arg)
             for (const std::string &n : workloads::fpNames())
                 names.push_back(n);
         } else if (part == "all") {
-            for (const std::string &n : workloads::intNames())
-                names.push_back(n);
-            for (const std::string &n : workloads::fpNames())
+            for (const std::string &n : workloads::allNames())
                 names.push_back(n);
         } else {
             names.push_back(part);
@@ -224,7 +222,6 @@ main(int argc, char **argv)
                 acp_fatal("--ruu %u: needs at least 2 entries (the LSQ "
                           "gets half)",
                           cfg.ruuSize);
-            cfg.lsqSize = cfg.ruuSize / 2;
         } else if (arg == "--tree") {
             cfg.hashTreeEnabled = true;
         } else if (arg == "--drain") {

@@ -14,16 +14,6 @@ namespace acp::sim
 namespace
 {
 
-std::vector<isa::Program>
-replicate(const isa::Program &prog, unsigned n)
-{
-    std::vector<isa::Program> progs;
-    progs.reserve(n ? n : 1);
-    for (unsigned i = 0; i < (n ? n : 1); ++i)
-        progs.push_back(prog);
-    return progs;
-}
-
 /** One past the last byte of @p prog's loaded image (code and data
  *  segments, architectural addresses). */
 Addr
@@ -38,25 +28,26 @@ imageEnd(const isa::Program &prog)
 } // namespace
 
 System::System(const SimConfig &cfg, isa::Program prog)
-    : System(cfg, replicate(prog, cfg.numCores))
+    : System(cfg, std::vector<isa::Program>(cfg.numCores, prog))
 {
 }
 
 System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
     : cfg_(cfg), hier_(cfg_)
 {
-    if (progs.empty() || progs.size() != std::max(1u, cfg_.numCores))
+    if (cfg_.numCores == 0)
+        acp_fatal("numCores 0: the system needs at least one core");
+    if (progs.size() != cfg_.numCores)
         acp_fatal("System needs one program per core (%u cores, %zu "
                   "programs)",
                   cfg_.numCores, progs.size());
-    // An empty RUU dispatches nothing and an empty LSQ never admits a
-    // load: either core would idle into the no-progress panic.
-    if (cfg_.ruuSize == 0)
-        acp_fatal("ruuSize %u: the core needs at least one RUU entry",
+    // An empty RUU dispatches nothing, and below 2 entries the LSQ
+    // (half the RUU) never admits a load: either core would idle into
+    // the no-progress panic.
+    if (cfg_.ruuSize < 2)
+        acp_fatal("ruuSize %u: the core needs at least 2 RUU entries "
+                  "(the LSQ gets half)",
                   cfg_.ruuSize);
-    if (cfg_.lsqSize == 0)
-        acp_fatal("lsqSize %u: the core needs at least one LSQ entry",
-                  cfg_.lsqSize);
 
     // Core i is hierarchy client i.
     slots_.resize(progs.size());
@@ -71,7 +62,7 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
                       "%#llx bytes)",
                       i, progs[i].name.c_str(), (unsigned long long)end,
                       (unsigned long long)hier_.clientStride(),
-                      std::max(1u, cfg_.numCores),
+                      cfg_.numCores,
                       (unsigned long long)cfg_.memoryBytes);
         // Provision the program image into this client's slice of
         // external memory; the reference machine runs the same image

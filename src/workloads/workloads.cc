@@ -841,6 +841,15 @@ fpNames()
     return names;
 }
 
+std::vector<std::string>
+allNames()
+{
+    std::vector<std::string> names;
+    for (const WorkloadInfo &info : kCatalog)
+        names.push_back(info.name);
+    return names;
+}
+
 isa::Program
 build(const std::string &name, const WorkloadParams &params)
 {

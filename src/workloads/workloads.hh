@@ -46,6 +46,9 @@ const std::vector<WorkloadInfo> &catalog();
 /** Names of the integer / floating-point subsets. */
 std::vector<std::string> intNames();
 std::vector<std::string> fpNames();
+/** Every name in catalog order: the integer subset, then the
+ *  floating-point one. */
+std::vector<std::string> allNames();
 
 /** Build a workload by name; acp_fatal on unknown names and on a
  *  working set below 64 bytes. */

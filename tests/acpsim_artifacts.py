@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""End-to-end checks of what acpsim writes, registered with ctest.
+"""End-to-end checks of what acpsim and the bench binaries write,
+registered with ctest.
 
   acpsim_artifacts.py json ACPSIM CHECK_PROFILE
       A profiled, interval-sampled two-policy sweep writes --json that
@@ -43,6 +44,12 @@
       --trace-commits N prints exactly N commit lines (cycle, pc,
       disassembly) before the run summary.
 
+  acpsim_artifacts.py bench BINARY [POINTS]
+      A bench binary (bench/CMakeLists.txt registers each) run at a
+      smoke window exits 0 and prints a table: a rule line followed by
+      a row. An IPC recorder is given POINTS and a path: it writes the
+      path, a recording of that many points.
+
 Every mode runs in its own temporary directory.
 """
 
@@ -58,9 +65,14 @@ from collections import Counter
 # bus, which tools/check_profile.py requires.
 WINDOW = ["--insts", "20000", "--warmup", "10000"]
 
+# The bench binaries' smoke window: each runs in well under a second.
+BENCH_ENV = {"REPRO_MEASURE_INSTS": "2000", "REPRO_WARMUP_INSTS": "2000",
+             "REPRO_WS_BYTES": "128K", "ACP_JOBS": "2"}
+RULE = re.compile(r"[-=]{20,}$")
 
-def run(args, cwd):
-    proc = subprocess.run(args, cwd=cwd, check=True, text=True,
+
+def run(args, cwd, env=None):
+    proc = subprocess.run(args, cwd=cwd, env=env, check=True, text=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     return proc.stdout, proc.stderr
 
@@ -319,6 +331,25 @@ def check_trace_commits(acpsim):
     print("trace-commits OK: %d commit lines, then the summary" % head)
 
 
+def check_bench(binary, points=None):
+    name = os.path.basename(binary)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "recording.json")
+        args = [binary] if points is None else [binary, path]
+        out, _ = run(args, tmp, dict(os.environ, **BENCH_ENV))
+        if points is not None:
+            with open(path) as handle:
+                doc = json.load(handle)
+            assert len(doc["points"]) == int(points), \
+                (name, len(doc["points"]))
+    lines = out.splitlines()
+    rows = [row for rule, row in zip(lines, lines[1:])
+            if RULE.match(rule) and row.strip() and not RULE.match(row)]
+    assert rows, (name, out)
+    print("bench OK: %s printed a table%s" %
+          (name, "" if points is None else ", recorded %s points" % points))
+
+
 def main():
     mode, args = sys.argv[1], sys.argv[2:]
     checks = {
@@ -330,6 +361,7 @@ def main():
         "trace": check_trace,
         "cosim": check_cosim,
         "trace-commits": check_trace_commits,
+        "bench": check_bench,
     }
     if mode not in checks:
         sys.exit("unknown mode " + mode)

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,10 @@ struct DigestPoint
 
 /**
  * The points EventLoop.StatDumpsMatchRecordedDigests pins: 3 INT and
- * 3 FP kernels under all 7 policies, RUU sizes 96 and 200 (lsq =
- * ruu / 2) on two kernels, one hash-tree point, one 2-core mcf+swim
- * point under authen-then-commit, and two points whose pipeline
- * trace is digested too.
+ * 3 FP kernels under all 7 policies, RUU sizes 96 and 200 on two
+ * kernels, one hash-tree point, one 2-core mcf+swim point under
+ * authen-then-commit, and two points whose pipeline trace is digested
+ * too.
  */
 std::vector<DigestPoint>
 digestPoints()
@@ -123,7 +124,6 @@ digestPoints()
                           cfgFor(AuthPolicy::kAuthThenCommit),
                           {kernel}};
             p.cfg.ruuSize = ruu;
-            p.cfg.lsqSize = ruu / 2;
             points.push_back(p);
         }
     DigestPoint tree{"mcf/tree", cfgFor(AuthPolicy::kAuthThenCommit),
@@ -420,6 +420,56 @@ TEST(EventLoop, StatDumpsMatchRecordedDigests)
         EXPECT_EQ(stats, kRecorded[i].stats) << points[i].name;
         EXPECT_EQ(trace, kRecorded[i].trace) << points[i].name;
     }
+}
+
+// No point of the table above writes a metadata victim back: at its
+// 5k + 5k window every counter-cache, remap-entry and tree-node
+// writeback count is 0. A long obfuscated window with the hash tree
+// and a 4 KiB remap cache evicts dirty lines from all three metadata
+// caches, in fast-forward and in the timed window, so this pins the
+// one metadata-line access (secmem::touchMetaLine) on its writeback
+// path. The digest was recorded by running this test body on the
+// build in which each metadata cache had its own miss code.
+TEST(EventLoop, MetadataWritebacksMatchRecordedDigest)
+{
+    static const char kRecorded[] =
+        "5b1f14cb44b682ec89acc116cbd0c787b57575c87c9c2926cd01d964448c0860";
+    struct Counters final : StatVisitor
+    {
+        std::map<std::string, std::uint64_t> values;
+        void
+        onCounter(const std::string &name, std::uint64_t value) override
+        {
+            values[name] = value;
+        }
+    };
+    const char *const kWritebacks[] = {"counter_cache.writebacks",
+                                       "remap.entry_writebacks",
+                                       "tree.node_writebacks"};
+
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    sim::SimConfig cfg = cfgFor(AuthPolicy::kCommitPlusObfuscation);
+    cfg.hashTreeEnabled = true;
+    cfg.remapCache.sizeBytes = 4 << 10;
+    sim::System system(cfg, workloads::build("lucas", params));
+    system.fastForward(300000);
+    Counters warm;
+    system.visitStats(warm);
+    sim::RunResult run = system.measureTimed(30000, 30'000'000);
+    Counters timed;
+    system.visitStats(timed);
+    for (const char *name : kWritebacks)
+        EXPECT_GT(timed.values[name], warm.values[name])
+            << name << " in the timed window";
+
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "insts=%llu cycles=%llu ipc=%.17g reason=%s\n",
+                  (unsigned long long)run.insts,
+                  (unsigned long long)run.cycles, run.ipc,
+                  cpu::stopReasonName(run.reason));
+    EXPECT_EQ(sha256Hex(system.dumpStats() + line), kRecorded);
 }
 
 // Two cold cores start in the same cycle and both miss on their first

@@ -433,7 +433,6 @@ TEST_P(LoadParking, ParkedLoadsIssueWithTheirStoreAndSurviveSquash)
 
     sim::SimConfig cfg = testCfg();
     cfg.ruuSize = ruu;
-    cfg.lsqSize = ruu / 2;
     sim::System system(cfg, pb.finish());
     system.enableCosim();
     system.fastForward((loop_pc - kCode) / 4 + kWarmIters * iter_insts);

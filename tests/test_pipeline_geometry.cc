@@ -42,7 +42,6 @@ TEST_P(PipelineGeometry, RunsCosimulated)
     cfg.memoryBytes = 64ULL << 20;
     cfg.protectedBytes = cfg.memoryBytes;
     cfg.ruuSize = ruu;
-    cfg.lsqSize = ruu / 2;
     cfg.fetchWidth = width;
     cfg.decodeWidth = width;
     cfg.issueWidth = width;
@@ -87,7 +86,6 @@ TEST(PipelineGeometryEffects, BiggerRuuHelpsMlp)
         cfg.memoryBytes = 64ULL << 20;
         cfg.protectedBytes = cfg.memoryBytes;
         cfg.ruuSize = ruu;
-        cfg.lsqSize = ruu / 2;
         workloads::WorkloadParams params;
         params.workingSetBytes = 1 << 20;
         sim::System system(cfg, workloads::build("gap", params));

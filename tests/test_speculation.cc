@@ -100,7 +100,7 @@ TEST(Speculation, WrongPathPollutesCache)
     sim::System system(cfg(), pb.finish());
     system.enableCosim();
     system.measureTimed(4000, 10'000'000);
-    EXPECT_NE(system.hier().l2().peek(kPhantom), nullptr);
+    EXPECT_NE(system.hier().l2().lookup(kPhantom, false), nullptr);
 }
 
 /** Under authen-then-issue, benign speculative execution still works:

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/auth_policy.hh"
 #include "sim/system.hh"
@@ -116,8 +117,8 @@ TEST(System, FastForwardAfterCoreCreationIsFatal)
 }
 
 // An empty RUU dispatches nothing and an empty LSQ admits no load:
-// either core would idle into the no-progress panic. acpsim --ruu N
-// sets the LSQ to N / 2, so --ruu 1 is the empty-LSQ case.
+// either core would idle into the no-progress panic. The LSQ is half
+// the RUU, so an RUU of 1 is the empty-LSQ case.
 TEST(System, EmptyRuuOrLsqIsFatal)
 {
     workloads::WorkloadParams params;
@@ -127,10 +128,24 @@ TEST(System, EmptyRuuOrLsqIsFatal)
     cfg.ruuSize = 0;
     EXPECT_EXIT({ sim::System system(cfg, prog); },
                 ::testing::ExitedWithCode(1), "ruuSize 0");
-    cfg.ruuSize = 8;
-    cfg.lsqSize = 0;
+    cfg.ruuSize = 1;
     EXPECT_EXIT({ sim::System system(cfg, prog); },
-                ::testing::ExitedWithCode(1), "lsqSize 0");
+                ::testing::ExitedWithCode(1), "ruuSize 1");
+}
+
+// Zero cores is no machine: it is fatal, not quietly one core under a
+// different config digest.
+TEST(System, ZeroCoresIsFatal)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    isa::Program prog = workloads::build("mcf", params);
+    sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+    cfg.numCores = 0;
+    EXPECT_EXIT({ sim::System system(cfg, prog); },
+                ::testing::ExitedWithCode(1), "numCores 0");
+    EXPECT_EXIT({ sim::System system(cfg, std::vector<isa::Program>{}); },
+                ::testing::ExitedWithCode(1), "numCores 0");
 }
 
 // Each core gets memoryBytes / nextPow2(numCores) bytes. 32 cores in

@@ -42,6 +42,14 @@ TEST(Workloads, CatalogHas18)
     EXPECT_EQ(workloads::fpNames().size(), 9u);
 }
 
+TEST(Workloads, AllNamesAreIntThenFp)
+{
+    std::vector<std::string> names = workloads::intNames();
+    for (const std::string &name : workloads::fpNames())
+        names.push_back(name);
+    EXPECT_EQ(workloads::allNames(), names);
+}
+
 /** Parameterized: every workload runs 30k instructions co-simulated. */
 class EveryWorkload : public ::testing::TestWithParam<std::string>
 {};
@@ -57,20 +65,6 @@ TEST_P(EveryWorkload, RunsCosimulated)
     EXPECT_GE(res.insts, 30000u);
     EXPECT_GT(res.ipc, 0.0);
 }
-
-namespace
-{
-
-std::vector<std::string>
-allNames()
-{
-    std::vector<std::string> names;
-    for (const auto &info : workloads::catalog())
-        names.push_back(info.name);
-    return names;
-}
-
-} // namespace
 
 /** Every kernel builds at working sets from 64 KiB to 64 MiB (the
  *  catalog default, 4 MiB, included) and co-simulates a short window
@@ -91,7 +85,8 @@ TEST_P(EveryWorkload, RunsAtEveryWorkingSet)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(All, EveryWorkload, ::testing::ValuesIn(allNames()),
+INSTANTIATE_TEST_SUITE_P(All, EveryWorkload,
+                         ::testing::ValuesIn(workloads::allNames()),
                          [](const auto &info) { return info.param; });
 
 TEST(Workloads, McfIsMemoryBound)

@@ -66,7 +66,10 @@ struct Result
     bool hasProfile = false;
     /** Served from the persistent store (not re-simulated). */
     bool fromCache = false;
-    /** Wall-clock seconds of the simulation (0 when cached). */
+    /** Wall-clock seconds of the simulation, from constructing the
+     *  System to capturing its statistics (0 when cached). Building
+     *  the programs is not in it: a submission builds them once and
+     *  shares them with every point that runs them. */
     double wallSeconds = 0.0;
 };
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -155,6 +156,100 @@ writePoint(json::Writer &w, const Point &p, const Result &r)
     w.endObject();
 }
 
+/**
+ * One program per core: cfg.coreWorkloads names them (a core with no
+ * entry runs the point's workload), so a workload mix like "mcf next
+ * to swim" is one point.
+ */
+std::vector<std::string>
+coreWorkloads(const Point &point)
+{
+    const std::vector<std::string> &named = point.cfg.coreWorkloads;
+    std::vector<std::string> names(point.cfg.numCores, point.workload);
+    for (std::size_t i = 0; i < names.size() && i < named.size(); ++i)
+        if (!named[i].empty())
+            names[i] = named[i];
+    return names;
+}
+
+/** A point's programs, one per core, which every point on the same
+ *  (core workloads, params) shares. */
+using Programs = std::shared_ptr<const std::vector<isa::Program>>;
+
+/** workloads::build of each of @p names, in order. */
+Programs
+buildPrograms(const std::vector<std::string> &names,
+              const workloads::WorkloadParams &params)
+{
+    std::vector<isa::Program> progs;
+    progs.reserve(names.size());
+    for (const std::string &name : names)
+        progs.push_back(workloads::build(name, params));
+    return std::make_shared<const std::vector<isa::Program>>(
+        std::move(progs));
+}
+
+/** Simulate @p point on @p progs, the build of its coreWorkloads().
+ *  The System reads them only while it is constructed, so they are
+ *  let go there; the wall time starts there too, and covers no
+ *  build. */
+Result
+runPoint(const Point &point, Programs progs)
+{
+    auto start = std::chrono::steady_clock::now();
+
+    sim::System system(point.cfg, *progs);
+    progs.reset();
+    system.fastForward(point.warmupInsts);
+    if (point.prepare)
+        point.prepare(system);
+
+    Result result;
+    result.run = system.measureTimed(point.measureInsts,
+                                     point.maxCycles());
+    if (point.finish)
+        point.finish(system);
+    CaptureVisitor capture(result);
+    system.visitStats(capture);
+    if (point.cfg.statsInterval != 0) {
+        result.intervals = system.core().intervals();
+        result.intervalPeriod = point.cfg.statsInterval;
+    }
+    if (point.cfg.profileEnabled) {
+        result.profile = system.pathProfile();
+        result.hasProfile = true;
+    }
+
+    result.wallSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    return result;
+}
+
+/** What builds a point's programs. Compared as a value, every field of
+ *  the params included, so only points whose programs are equal share
+ *  a build. */
+struct BuildKey
+{
+    std::vector<std::string> names;
+    workloads::WorkloadParams params;
+
+    auto operator<=>(const BuildKey &) const = default;
+};
+
+/** One BuildKey's programs: built by the first point that needs them
+ *  and handed to every point that does. The last point to take them
+ *  holds the only reference, so they are freed once its System is
+ *  constructed. */
+struct SharedBuild
+{
+    std::once_flag built;
+    Programs progs;
+    /** Points still to take @ref progs. */
+    std::atomic<std::size_t> users{0};
+};
+
 /** Shared progress line (stderr). */
 class ProgressReporter
 {
@@ -206,48 +301,8 @@ defaultJobs()
 Result
 simulatePoint(const Point &point)
 {
-    auto start = std::chrono::steady_clock::now();
-
-    // One program per core: cfg.coreWorkloads names them (a core with
-    // no entry falls back to the point's workload), so a workload mix
-    // like "mcf next to swim" is one point.
-    const unsigned n_cores = point.cfg.numCores;
-    std::vector<isa::Program> progs;
-    progs.reserve(n_cores);
-    for (unsigned i = 0; i < n_cores; ++i) {
-        const std::string &name =
-            i < point.cfg.coreWorkloads.size() &&
-                    !point.cfg.coreWorkloads[i].empty()
-                ? point.cfg.coreWorkloads[i]
-                : point.workload;
-        progs.push_back(workloads::build(name, point.params));
-    }
-    sim::System system(point.cfg, std::move(progs));
-    system.fastForward(point.warmupInsts);
-    if (point.prepare)
-        point.prepare(system);
-
-    Result result;
-    result.run = system.measureTimed(point.measureInsts,
-                                     point.maxCycles());
-    if (point.finish)
-        point.finish(system);
-    CaptureVisitor capture(result);
-    system.visitStats(capture);
-    if (point.cfg.statsInterval != 0) {
-        result.intervals = system.core().intervals();
-        result.intervalPeriod = point.cfg.statsInterval;
-    }
-    if (point.cfg.profileEnabled) {
-        result.profile = system.pathProfile();
-        result.hasProfile = true;
-    }
-
-    result.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return result;
+    return runPoint(point,
+                    buildPrograms(coreWorkloads(point), point.params));
 }
 
 Submission
@@ -287,6 +342,17 @@ submit(const Request &req)
     // split is fixed from here on.
     const std::size_t cached = done;
 
+    // The points to simulate that need the same programs share one
+    // build of them (a store hit needs none).
+    std::map<BuildKey, SharedBuild> builds;
+    std::vector<SharedBuild *> build_of(todo.size());
+    for (std::size_t t = 0; t < todo.size(); ++t) {
+        const Point &point = points[todo[t]];
+        SharedBuild &build = builds[{coreWorkloads(point), point.params}];
+        ++build.users;
+        build_of[t] = &build;
+    }
+
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{done};
     std::atomic<std::size_t> sim_done{0};
@@ -296,7 +362,16 @@ submit(const Request &req)
             if (t >= todo.size())
                 return;
             std::size_t i = todo[t];
-            Result result = simulatePoint(points[i]);
+            // A worker that finds the build under way waits for it.
+            SharedBuild &build = *build_of[t];
+            std::call_once(build.built, [&] {
+                build.progs = buildPrograms(coreWorkloads(points[i]),
+                                            points[i].params);
+            });
+            Programs progs = build.progs;
+            if (--build.users == 0)
+                build.progs.reset();
+            Result result = runPoint(points[i], std::move(progs));
             if (store && points[i].cacheable())
                 store->put(digests[i], result);
             sub.results[i] = std::move(result);

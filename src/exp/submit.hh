@@ -12,7 +12,13 @@
  *
  * The points run in-process on a std::thread pool (one independent,
  * deterministic sim::System per point) against the result store
- * (exp/result_store.hh), which several processes may share.
+ * (exp/result_store.hh), which several processes may share. The
+ * programs of each distinct (per-core workload names, WorkloadParams)
+ * are built once per submission, by the first point that needs them,
+ * and shared read-only with every point simulated on them. A System
+ * reads its programs only while it is constructed, so they are freed
+ * once the last such point has constructed its System. A store hit
+ * builds nothing.
  *
  * Job count resolution: explicit Request::jobs, else the
  * ACP_JOBS environment variable, else hardware concurrency. Because
@@ -46,7 +52,8 @@ struct SweepTelemetry
     std::size_t simulated = 0;
     /** Whole-sweep wall time (includes store lookups + threading). */
     double wallSeconds = 0.0;
-    /** Percentiles over the simulated points' wallSeconds. */
+    /** Percentiles over the simulated points' wallSeconds (which
+     *  leave out the shared program builds). */
     double wallP50 = 0.0;
     double wallP90 = 0.0;
     double wallMax = 0.0;
@@ -75,8 +82,8 @@ unsigned defaultJobs();
 /** Execute @p req (see file comment). */
 Submission submit(const Request &req);
 
-/** Simulate one point in-process, no store involved — the primitive
- *  under submit(). */
+/** Simulate one point in-process, no store involved: build its
+ *  programs, then run the function submit() runs on every point. */
 Result simulatePoint(const Point &point);
 
 /**

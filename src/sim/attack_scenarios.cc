@@ -119,7 +119,8 @@ runStaged(Staged staged, core::AuthPolicy policy)
     cfg.policy = policy;
     cfg.memoryBytes = 64ULL << 20;
     cfg.protectedBytes = cfg.memoryBytes;
-    System system(cfg, std::move(staged.prog));
+    System system(cfg, staged.prog);
+    staged.prog = {}; // the System keeps no reference: free it now
     secmem::SecureMemCtrl &ctrl = system.hier().ctrl();
     ctrl.busTrace().enable(true);
 

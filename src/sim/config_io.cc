@@ -5,10 +5,37 @@
 namespace acp::sim
 {
 
+namespace
+{
+
+/** Stands in for any one member's initializer. */
+struct AnyField
+{
+    template <typename T>
+    operator T() const;
+};
+
+/** How many initializers the aggregate @p T accepts, i.e. its direct
+ *  members (a member aggregate counts once: AnyField converts to it
+ *  whole, so no brace elision splits it). */
+template <typename T, typename... Fields>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+} // namespace
+
 // Tripwire: if this fires you added/removed/resized a SimConfig
 // field. Add it to serializeConfig() below (new fields invalidate
 // every cached experiment result, which is exactly the point) and
-// update the expected size. Exceptions: the observability fields
+// update the expected count and size. The count catches what the size
+// alone misses: a 4-byte field that padding absorbs (deleting lsqSize
+// left the size at 400). Exceptions: the observability fields
 // (statsInterval, profileEnabled, hostStats) are deliberately NOT
 // serialized — interval stats and path profiling are strictly
 // passive, so an observed run is bit-identical to (and shares its
@@ -17,6 +44,12 @@ namespace acp::sim
 // hostStats is excluded for the same reason: sim.host.* self-metrics
 // measure the simulator, never the simulated machine. (--trace is no
 // config field at all: System::enableTrace arms it.)
+static_assert(fieldCount<SimConfig>() == 55,
+              "SimConfig gained or lost a field: update serializeConfig() "
+              "in config_io.cc, then the expected count here");
+static_assert(fieldCount<CacheConfig>() == 4,
+              "CacheConfig gained or lost a field: update emitCache() in "
+              "config_io.cc, then the expected count here");
 #if defined(__x86_64__) && defined(__linux__)
 static_assert(sizeof(SimConfig) == 400,
               "SimConfig layout changed: update serializeConfig() in "

@@ -25,14 +25,31 @@ imageEnd(const isa::Program &prog)
     return end;
 }
 
+/** The address of each of @p progs, in order. */
+std::vector<const isa::Program *>
+addressesOf(const std::vector<isa::Program> &progs)
+{
+    std::vector<const isa::Program *> out;
+    out.reserve(progs.size());
+    for (const isa::Program &prog : progs)
+        out.push_back(&prog);
+    return out;
+}
+
 } // namespace
 
-System::System(const SimConfig &cfg, isa::Program prog)
-    : System(cfg, std::vector<isa::Program>(cfg.numCores, prog))
+System::System(const SimConfig &cfg, const isa::Program &prog)
+    : System(cfg, std::vector<const isa::Program *>(cfg.numCores, &prog))
 {
 }
 
-System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
+System::System(const SimConfig &cfg, const std::vector<isa::Program> &progs)
+    : System(cfg, addressesOf(progs))
+{
+}
+
+System::System(const SimConfig &cfg,
+               const std::vector<const isa::Program *> &progs)
     : cfg_(cfg), hier_(cfg_)
 {
     if (cfg_.numCores == 0)
@@ -55,23 +72,24 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
         CoreSlot &slot = slots_[i];
         // An image past its slice would land in the next client's
         // slice (or past the end of memory) and be overwritten there.
-        const Addr end = imageEnd(progs[i]);
+        const isa::Program &prog = *progs[i];
+        const Addr end = imageEnd(prog);
         if (end > hier_.clientStride())
             acp_fatal("core %u: workload '%s' image ends at %#llx, past "
                       "its %#llx-byte address slice (%u cores share "
                       "%#llx bytes)",
-                      i, progs[i].name.c_str(), (unsigned long long)end,
+                      i, prog.name.c_str(), (unsigned long long)end,
                       (unsigned long long)hier_.clientStride(),
                       cfg_.numCores,
                       (unsigned long long)cfg_.memoryBytes);
         // Provision the program image into this client's slice of
         // external memory; the reference machine runs the same image
         // at architectural (un-offset) addresses.
-        hier_.loadProgram(progs[i], hier_.clientBase(i));
+        hier_.loadProgram(prog, hier_.clientBase(i));
         slot.refMem = std::make_unique<cpu::FlatMem>(cfg_.memoryBytes);
-        slot.refMem->loadProgram(progs[i]);
+        slot.refMem->loadProgram(prog);
         slot.refExec = std::make_unique<cpu::FuncExecutor>(*slot.refMem,
-                                                           progs[i].entry);
+                                                           prog.entry);
     }
 
     if (cfg_.profileEnabled) {

@@ -49,12 +49,14 @@ struct RunResult
 class System
 {
   public:
-    /** Single-program convenience: every core runs a copy of @p prog
-     *  (each in its own address-space slice). */
-    System(const SimConfig &cfg, isa::Program prog);
+    /** Single-program convenience: every core runs @p prog (each in
+     *  its own address-space slice). Like the constructor below, it
+     *  reads the program only while provisioning it and keeps no
+     *  reference to it. */
+    System(const SimConfig &cfg, const isa::Program &prog);
 
     /** One program per core; progs.size() must equal cfg.numCores. */
-    System(const SimConfig &cfg, std::vector<isa::Program> progs);
+    System(const SimConfig &cfg, const std::vector<isa::Program> &progs);
 
     /**
      * Execute @p insts instructions on EACH core's reference machine
@@ -107,6 +109,10 @@ class System
     obs::PathProfile pathProfile();
 
   private:
+    /** Both public constructors: core i runs *progs[i]. */
+    System(const SimConfig &cfg,
+           const std::vector<const isa::Program *> &progs);
+
     /** One core's private slice of the system: its reference
      *  machine, (once timed execution starts) its OooCore, and its
      *  sim.host.sched counters. Slot i is hierarchy client i. */

@@ -1,9 +1,9 @@
 #include "workloads/workloads.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -24,22 +24,23 @@ constexpr Addr kDataBase = 0x00100000;
 /** Code base for every workload. */
 constexpr Addr kCodeBase = 0x00001000;
 
+// The simulated machine is little-endian, as the host must be: a data
+// image is its words' host bytes, packed with one block copy.
+static_assert(std::endian::native == std::endian::little,
+              "workload images copy host words as little-endian bytes");
+
 std::vector<std::uint8_t>
 packU64(const std::vector<std::uint64_t> &vals)
 {
-    std::vector<std::uint8_t> out(vals.size() * 8);
-    for (std::size_t i = 0; i < vals.size(); ++i)
-        for (int b = 0; b < 8; ++b)
-            out[8 * i + b] = std::uint8_t(vals[i] >> (8 * b));
-    return out;
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(vals.data());
+    return {bytes, bytes + 8 * vals.size()};
 }
 
 std::vector<std::uint8_t>
 packF64(const std::vector<double> &vals)
 {
-    std::vector<std::uint64_t> bits(vals.size());
-    std::memcpy(bits.data(), vals.data(), vals.size() * 8);
-    return packU64(bits);
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(vals.data());
+    return {bytes, bytes + 8 * vals.size()};
 }
 
 /** Emit xorshift64 on register @p r using @p tmp as scratch. */

@@ -15,6 +15,7 @@
 #ifndef ACP_WORKLOADS_WORKLOADS_HH
 #define ACP_WORKLOADS_WORKLOADS_HH
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct WorkloadParams
     std::uint64_t workingSetBytes = 4ULL << 20;
     /** Seed for data initialization (layout randomization). */
     std::uint64_t seed = 42;
+
+    /** Field by field: equal params build equal programs. */
+    auto operator<=>(const WorkloadParams &) const = default;
 };
 
 /** Catalog entry. */

@@ -117,11 +117,41 @@ TEST(ExpRequest, WorkloadMixWidensCoresAndNamesEveryCore)
     EXPECT_TRUE(points[3].cfg.coreWorkloads.empty());
 }
 
+/** Every field a run's numbers live in, bit for bit. */
+void
+expectSameResult(const exp::Result &a, const exp::Result &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.run.insts, b.run.insts) << what;
+    EXPECT_EQ(a.run.cycles, b.run.cycles) << what;
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(a.run.ipc, b.run.ipc) << what;
+    EXPECT_EQ(a.counters, b.counters) << what;
+    EXPECT_EQ(a.averages, b.averages) << what;
+    EXPECT_EQ(a.distributions, b.distributions) << what;
+}
+
+// A submission builds each (core workloads, params) once and shares it
+// with every point that runs it: smallRequest()'s policies share one
+// build per workload, and an mcf+swim mix under two policies shares
+// one two-program build. Four workers read them at once, and every
+// result equals both the serial run and simulatePoint, which builds
+// its own programs.
 TEST(ExpSubmit, ParallelMatchesSerialBitIdentical)
 {
+    exp::Request mix = smallRequest();
+    mix.workloadNames = {"mcf+swim"};
+    mix.variants.pop_back(); // base and issue
+    const std::vector<exp::Point> mix_points = mix.points();
+    ASSERT_EQ(mix_points.size(), 2u);
+    ASSERT_EQ(mix_points[0].cfg.numCores, 2u);
+
     exp::Request serial = smallRequest();
+    serial.decorate = [mix_points](std::vector<exp::Point> &points) {
+        points.insert(points.end(), mix_points.begin(), mix_points.end());
+    };
     serial.jobs = 1;
-    exp::Request parallel = smallRequest();
+    exp::Request parallel = serial;
     parallel.jobs = 4;
 
     exp::Submission serial_sub = exp::submit(serial);
@@ -129,18 +159,18 @@ TEST(ExpSubmit, ParallelMatchesSerialBitIdentical)
     ASSERT_TRUE(serial_sub.ok) << serial_sub.error;
     ASSERT_TRUE(parallel_sub.ok) << parallel_sub.error;
 
+    ASSERT_EQ(parallel_sub.points.size(), 8u);
     ASSERT_EQ(serial_sub.results.size(), parallel_sub.results.size());
     EXPECT_EQ(serial_sub.telemetry.simulated, serial_sub.points.size());
     EXPECT_EQ(parallel_sub.telemetry.simulated,
               parallel_sub.points.size());
-    for (std::size_t i = 0; i < serial_sub.results.size(); ++i) {
-        const exp::Result &s = serial_sub.results[i];
-        const exp::Result &p = parallel_sub.results[i];
-        EXPECT_EQ(s.run.insts, p.run.insts) << "point " << i;
-        EXPECT_EQ(s.run.cycles, p.run.cycles) << "point " << i;
-        // Bit-identical, not approximately equal.
-        EXPECT_EQ(s.run.ipc, p.run.ipc) << "point " << i;
-        EXPECT_EQ(s.counters, p.counters) << "point " << i;
+    for (std::size_t i = 0; i < parallel_sub.results.size(); ++i) {
+        const exp::Point &point = parallel_sub.points[i];
+        const std::string what = point.workload + "/" + point.label;
+        expectSameResult(serial_sub.results[i], parallel_sub.results[i],
+                         what + " (serial)");
+        expectSameResult(exp::simulatePoint(point), parallel_sub.results[i],
+                         what + " (own build)");
     }
 }
 

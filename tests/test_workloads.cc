@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -31,6 +32,35 @@ smallParams()
     workloads::WorkloadParams params;
     params.workingSetBytes = 1 << 20; // 1MB: fast tests, still > L2/4
     return params;
+}
+
+/** Lower-case hex SHA-256 of @p prog's image: its code words, then
+ *  each data segment's base and bytes (integers little-endian). */
+std::string
+imageDigest(const isa::Program &prog)
+{
+    crypto::Sha256 sha;
+    auto put = [&sha](std::uint64_t value, unsigned bytes) {
+        std::uint8_t le[8];
+        for (unsigned b = 0; b < bytes; ++b)
+            le[b] = std::uint8_t(value >> (8 * b));
+        sha.update(le, bytes);
+    };
+    for (std::uint32_t word : prog.code)
+        put(word, 4);
+    for (const isa::DataSegment &seg : prog.data) {
+        put(seg.base, 8);
+        sha.update(seg.bytes.data(), seg.bytes.size());
+    }
+    std::uint8_t digest[crypto::kSha256DigestBytes];
+    sha.final(digest);
+    static const char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t byte : digest) {
+        out += kHex[byte >> 4];
+        out += kHex[byte & 15];
+    }
+    return out;
 }
 
 } // namespace
@@ -135,5 +165,65 @@ TEST(Workloads, DeterministicAcrossBuilds)
     for (std::size_t i = 0; i < a.data.size(); ++i) {
         EXPECT_EQ(a.data[i].base, b.data[i].base);
         EXPECT_EQ(a.data[i].bytes, b.data[i].bytes);
+    }
+}
+
+/** Pins every kernel's image at smallParams() byte for byte, so a
+ *  change to how a kernel lays out or packs its data (not only to
+ *  what a few digested runs happen to read) fails here. After a
+ *  deliberate change to a kernel only: empty its digest, rebuild,
+ *  run this test and paste the printed actual value back. */
+TEST(Workloads, ImagesMatchRecordedDigests)
+{
+    struct Recorded
+    {
+        const char *name;
+        const char *digest;
+    };
+    static const Recorded kRecorded[] = {
+        {"bzip2",
+         "8fade2941dde9f3a91d5c9101d6c7e24c764ff26195494a6305a251ffdffbe02"},
+        {"gcc",
+         "a4de8b3feb065434d273fdb79cd83e290292357c2aa8abf0d2c4558ce43e3605"},
+        {"gzip",
+         "cfd017806c4c6e13ba6a20cdc18ab2479fb5306d05e465008a407bb312631e7a"},
+        {"mcf",
+         "c70d414a6baf5c5ab055738de52bad2f82838fa26d4510a95a475158c103e1bd"},
+        {"parser",
+         "3ca63c4cd5a7f7c2cbbcc4a7ad205ff645cdb9dce109197b75f5d9948fe532ab"},
+        {"twolf",
+         "e794fdfca97ccc3ed881916c297995ed49246feb37cb3817bcdec04c25053326"},
+        {"vortex",
+         "98609e0d9c360accba1ec16a06c8875088de3f3acc880d43a0f91ab380564f8e"},
+        {"vpr",
+         "fb81a4fee4dd5171eb1cb5bfcdb982a5c85087074623239bc5145e066db7ceaa"},
+        {"gap",
+         "3f516960b552ae7587baa11144bd3c69ab3c014a99c627787a7e8836a5540508"},
+        {"ammp",
+         "74fe4539d6e380916aca1ffed64292a706ab184458256fd8fe82bc525e87a54c"},
+        {"applu",
+         "941b98c77c1c319c67efe47b9ce44dc23a6f6126528082492261b9cf66094d64"},
+        {"apsi",
+         "9c73f1d320e876b39a92306d1a3324ccfe77b9e50366434371d9569e0c08f36a"},
+        {"art",
+         "0441b5e3f1d601e93128b51f81a58ce46d9c3028e8aa185f749f93f47fe43f39"},
+        {"equake",
+         "672083b6e31992512c94248f4039ebafd2202367b1ac66140b9ef83f4f04b05c"},
+        {"lucas",
+         "583f72e066efb3d02696df90212f76a6c7f8040650c0287af6f1b06fad0d53ad"},
+        {"mgrid",
+         "f2a30f0eca87ef8ae85b8a296c978da90e276b1a5cd3019919e2f571f4f79721"},
+        {"swim",
+         "4770f1ed03077b5e4a9a654d2f251b0f9d1601170d6e398e97c7f1e287bfa5c2"},
+        {"wupwise",
+         "6034867a06e24a9a60ddc5dd832d48d18a05eae9b1dae3986c601abed5d85808"},
+    };
+    const std::vector<std::string> names = workloads::allNames();
+    ASSERT_EQ(names.size(), std::size(kRecorded));
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        ASSERT_EQ(names[i], kRecorded[i].name);
+        EXPECT_EQ(imageDigest(workloads::build(names[i], smallParams())),
+                  kRecorded[i].digest)
+            << names[i];
     }
 }

@@ -40,7 +40,7 @@ main(int argc, char **argv)
     std::vector<std::string> names = workloads::intNames();
     std::vector<bench::Scheme> schemes = bench::fig7Schemes();
 
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
     // Attach the profiler to every point so the baseline carries the
     // per-segment decomposition next to the IPC.
     cfg.profileEnabled = true;

@@ -78,16 +78,6 @@ workingSetBytes()
     return value ? parseSize("REPRO_WS_BYTES", value) : 2ULL << 20;
 }
 
-/** Base configuration = paper Table 3 (256KB L2 variant). */
-inline sim::SimConfig
-paperConfig()
-{
-    sim::SimConfig cfg;
-    cfg.memoryBytes = 64ULL << 20;
-    cfg.protectedBytes = cfg.memoryBytes;
-    return cfg;
-}
-
 /** Workload parameters honoring the scale knobs. */
 inline workloads::WorkloadParams
 paperParams()
@@ -103,7 +93,7 @@ paperParams()
  *  their siblings' runs and re-running a bench binary is cheap (delete
  *  the directory to force fresh measurements). */
 inline exp::Request
-paperRequest(const sim::SimConfig &cfg = paperConfig())
+paperRequest(const sim::SimConfig &cfg = sim::paperConfig())
 {
     exp::Request req;
     req.base(cfg).params(paperParams()).window(warmupInsts(),

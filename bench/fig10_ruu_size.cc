@@ -26,7 +26,7 @@ main()
         {"write", core::AuthPolicy::kAuthThenWrite},
     };
 
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
     cfg.ruuSize = 64;
     std::vector<double> avgs = bench::normalizedIpcTable(
         "Fig 10 (all 18 workloads)", all_names, schemes, cfg);

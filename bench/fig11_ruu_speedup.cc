@@ -26,7 +26,7 @@ main()
         {"commit+fetch", core::AuthPolicy::kCommitPlusFetch},
     };
 
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
     cfg.ruuSize = 64;
     bench::speedupOverIssueTable("Fig 11", all_names, schemes, cfg);
     return 0;

@@ -35,7 +35,7 @@ main()
     // The baseline run has hashTreeEnabled too, but the baseline
     // policy performs no verification, so the tree is inert there —
     // matching the paper's "decryption only" normalization.
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
     cfg.hashTreeEnabled = true;
     cfg.protectedBytes = cfg.memoryBytes;
     bench::normalizedIpcTable("Fig 12 (all 18 workloads)", all_names,

@@ -26,7 +26,7 @@ main()
         {"commit+fetch", core::AuthPolicy::kCommitPlusFetch},
     };
 
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
     cfg.hashTreeEnabled = true;
     cfg.protectedBytes = cfg.memoryBytes;
     bench::speedupOverIssueTable("Fig 13", all_names, schemes, cfg);

@@ -27,7 +27,7 @@ main()
                 (unsigned long long)bench::warmupInsts(),
                 (unsigned long long)bench::workingSetBytes() / 1024);
 
-    sim::SimConfig small_l2 = bench::paperConfig();
+    sim::SimConfig small_l2 = sim::paperConfig();
     bench::normalizedIpcTable("Fig 7(a) SPEC2000 INT, 256KB L2",
                               workloads::intNames(), bench::fig7Schemes(),
                               small_l2);
@@ -35,7 +35,7 @@ main()
                               workloads::fpNames(), bench::fig7Schemes(),
                               small_l2);
 
-    sim::SimConfig large_l2 = bench::paperConfig();
+    sim::SimConfig large_l2 = sim::paperConfig();
     large_l2.useLargeL2();
     bench::normalizedIpcTable("Fig 7(c) SPEC2000 INT, 1MB L2",
                               workloads::intNames(), bench::fig7Schemes(),

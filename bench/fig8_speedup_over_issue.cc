@@ -27,6 +27,6 @@ main()
         {"commit+fetch", core::AuthPolicy::kCommitPlusFetch},
     };
     bench::speedupOverIssueTable("Fig 8", all_names, schemes,
-                                 bench::paperConfig());
+                                 sim::paperConfig());
     return 0;
 }

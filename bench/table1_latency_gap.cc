@@ -11,26 +11,25 @@
 
 #include "bench/bench_util.hh"
 #include "crypto/sha256.hh"
+#include "mem/dram.hh"
+#include "secmem/secure_memctrl.hh"
 
 using namespace acp;
 
 int
 main()
 {
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
 
     // Representative external fetch latency: page-hit access plus the
     // full line (+MAC) burst on the 200MHz x 8B bus.
-    unsigned beats =
-        unsigned((64 + cfg.macTransferBeats * cfg.busWidthBytes) /
-                 cfg.busWidthBytes);
-    unsigned fetch_hit =
-        (cfg.casLatency + beats) * cfg.busClockRatio;
-    unsigned fetch_miss =
-        (cfg.prechargeLatency + cfg.rasToCasLatency + cfg.casLatency +
-         beats) * cfg.busClockRatio;
+    unsigned beats = secmem::kLineTransferBytes / mem::kBusWidthBytes;
+    unsigned fetch_hit = (mem::kCasLatency + beats) * mem::kBusClockRatio;
+    unsigned fetch_miss = (mem::kPrechargeLatency + mem::kRasToCasLatency +
+                           mem::kCasLatency + beats) *
+                          mem::kBusClockRatio;
 
-    unsigned aes = cfg.decryptLatency;  // one pipelined AES pass
+    unsigned aes = secmem::kDecryptLatency; // one pipelined AES pass
     unsigned hmac = cfg.authLatency;    // truncated HMAC over the line
     // CBC decryption is serial per 128-bit chunk: N chunks per line.
     unsigned chunks = 64 / 16;

@@ -1,20 +1,25 @@
 /**
  * @file
- * Reproduces Table 3: the processor model parameters, printed from the
- * live SimConfig so the table can never drift from what the simulator
- * actually uses.
+ * Reproduces Table 3: the processor model parameters, printed from
+ * the paper config and from the constants the model reads for the
+ * parameters no experiment varies, so the table can never drift from
+ * what the simulator actually uses.
  */
 
 #include <cstdio>
 
 #include "bench/bench_util.hh"
+#include "mem/dram.hh"
+#include "secmem/hash_tree.hh"
+#include "secmem/mem_hierarchy.hh"
+#include "secmem/secure_memctrl.hh"
 
 using namespace acp;
 
 int
 main()
 {
-    sim::SimConfig cfg = bench::paperConfig();
+    sim::SimConfig cfg = sim::paperConfig();
 
     std::printf("Table 3: Processor model parameters (live config)\n");
     bench::rule('=');
@@ -24,8 +29,8 @@ main()
     std::printf("%-28s %u\n", "Fetch/Decode width", cfg.fetchWidth);
     std::printf("%-28s %u\n", "Issue/Commit width", cfg.issueWidth);
     std::printf("%-28s DM, %lluKB, %uB line\n", "L1 I-Cache",
-                (unsigned long long)cfg.l1i.sizeBytes / 1024,
-                cfg.l1i.lineBytes);
+                (unsigned long long)secmem::kL1iCache.sizeBytes / 1024,
+                secmem::kL1iCache.lineBytes);
     std::printf("%-28s DM, %lluKB, %uB line\n", "L1 D-Cache",
                 (unsigned long long)cfg.l1d.sizeBytes / 1024,
                 cfg.l1d.lineBytes);
@@ -37,24 +42,24 @@ main()
     std::printf("%-28s %u cycles (256KB), 8 cycles (1MB)\n", "L2 latency",
                 cfg.l2.hitLatency);
     std::printf("%-28s %u-way, %u entries\n", "I-TLB / D-TLB",
-                cfg.tlbAssoc, cfg.tlbEntries);
+                secmem::kTlbAssoc, secmem::kTlbEntries);
     std::printf("%-28s %u, 64 entries (Fig. 10/11)\n", "RUU",
                 cfg.ruuSize);
     std::printf("%-28s %u entries\n", "LSQ", cfg.ruuSize / 2);
     std::printf("%-28s 200MHz, %uB wide (1:%u core clocks)\n",
-                "Memory bus", cfg.busWidthBytes, cfg.busClockRatio);
+                "Memory bus", mem::kBusWidthBytes, mem::kBusClockRatio);
     std::printf("%-28s X-5-5-5 core clocks, X per page status\n",
                 "Memory latency");
     std::printf("%-28s %u mem bus clocks\n", "CAS latency",
-                cfg.casLatency);
+                mem::kCasLatency);
     std::printf("%-28s %u mem bus clocks\n", "Precharge (RP)",
-                cfg.prechargeLatency);
+                mem::kPrechargeLatency);
     std::printf("%-28s %u mem bus clocks\n", "RAS-to-CAS (RCD)",
-                cfg.rasToCasLatency);
+                mem::kRasToCasLatency);
     std::printf("%-28s %u banks, %uB rows\n", "DRAM organization",
-                cfg.dramBanks, cfg.dramRowBytes);
+                mem::kDramBanks, mem::kDramRowBytes);
     std::printf("%-28s %u ns\n", "Decryption latency",
-                cfg.decryptLatency);
+                secmem::kDecryptLatency);
     std::printf("%-28s %u ns (interval %u ns)\n",
                 "Authentication latency", cfg.authLatency,
                 cfg.authEngineInterval);
@@ -63,8 +68,8 @@ main()
                 cfg.counterCache.assoc);
     std::printf("%-28s %lluKB (Fig. 12/13), hash %u ns\n",
                 "Hash-tree node cache",
-                (unsigned long long)cfg.hashTreeCache.sizeBytes / 1024,
-                cfg.treeHashLatency);
+                (unsigned long long)secmem::kHashTreeCache.sizeBytes / 1024,
+                secmem::kTreeHashLatency);
     std::printf("%-28s %lluKB (Fig. 9 sweeps)\n", "Re-map cache",
                 (unsigned long long)cfg.remapCache.sizeBytes / 1024);
     bench::rule('=');

@@ -31,10 +31,8 @@ main()
     for (core::AuthPolicy policy : {core::AuthPolicy::kBaseline,
                                     core::AuthPolicy::kAuthThenCommit,
                                     core::AuthPolicy::kAuthThenIssue}) {
-        sim::SimConfig cfg;
+        sim::SimConfig cfg = sim::paperConfig();
         cfg.policy = policy;
-        cfg.memoryBytes = 1 << 24;
-        cfg.protectedBytes = cfg.memoryBytes;
         secmem::MemHierarchy hier(cfg);
 
         std::uint64_t value;
@@ -56,18 +54,16 @@ main()
                 "instructions,\nincluding loads whose addresses reach "
                 "the bus (Section 3). authen-then-issue\ncloses the "
                 "window by definition and pays for it on every miss.\n",
-                sim::SimConfig{}.authLatency);
+                sim::paperConfig().authLatency);
 
     // The CBC comparison of Table 1, measured the same way.
     std::printf("\nEncryption-mode comparison (decrypt-only baseline):\n");
     std::printf("%-22s %12s\n", "mode", "data usable");
     for (sim::EncryptionMode mode : {sim::EncryptionMode::kCounterMode,
                                      sim::EncryptionMode::kCbc}) {
-        sim::SimConfig cfg;
+        sim::SimConfig cfg = sim::paperConfig();
         cfg.policy = core::AuthPolicy::kBaseline;
         cfg.encryptionMode = mode;
-        cfg.memoryBytes = 1 << 24;
-        cfg.protectedBytes = cfg.memoryBytes;
         secmem::MemHierarchy hier(cfg);
         std::uint64_t value;
         mem::Txn access = hier.readTimed(0x8000, 8, 0, kNoAuthSeq, value);

@@ -40,12 +40,8 @@ main(int argc, char **argv)
         core::AuthPolicy::kCommitPlusObfuscation,
     };
 
-    sim::SimConfig base;
-    base.memoryBytes = 64ULL << 20;
-    base.protectedBytes = base.memoryBytes;
-
     exp::Request req;
-    req.base(base).params(params).window(20000, insts).workload(name);
+    req.base(sim::paperConfig()).params(params).window(20000, insts).workload(name);
     for (core::AuthPolicy policy : policies)
         req.variant(core::policyName(policy),
                     [policy](sim::SimConfig &cfg) {

@@ -6,7 +6,7 @@
  *   $ ./build/examples/quickstart [workload]
  *
  * Walks through the three-step API:
- *   1. configure   (sim::SimConfig — Table 3 defaults)
+ *   1. configure   (sim::paperConfig() — the paper's Table 3 machine)
  *   2. instantiate (sim::System over an isa::Program)
  *   3. measure     (fast-forward warmup + timed window)
  */
@@ -33,11 +33,9 @@ main(int argc, char **argv)
     for (core::AuthPolicy policy : {core::AuthPolicy::kBaseline,
                                     core::AuthPolicy::kAuthThenIssue,
                                     core::AuthPolicy::kAuthThenCommit}) {
-        // 1. Configure: the paper's processor model, plus a policy.
-        sim::SimConfig cfg;
+        // 1. Configure: the paper's machine, plus a policy.
+        sim::SimConfig cfg = sim::paperConfig();
         cfg.policy = policy;
-        cfg.memoryBytes = 64ULL << 20;
-        cfg.protectedBytes = cfg.memoryBytes;
 
         // 2. Instantiate the system with a program.
         sim::System system(cfg, workloads::build(name, params));

@@ -1,17 +1,11 @@
 #include "cpu/branch_pred.hh"
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
-
 namespace acp::cpu
 {
 
-BranchPredictor::BranchPredictor(const sim::SimConfig &cfg)
-    : bimodal_(cfg.bimodalEntries, 2), // weakly taken
-      btb_(cfg.btbEntries), ras_(cfg.rasEntries, 0), stats_("bpred")
+BranchPredictor::BranchPredictor() : stats_("bpred")
 {
-    if (!isPowerOfTwo(cfg.bimodalEntries) || !isPowerOfTwo(cfg.btbEntries))
-        acp_fatal("predictor table sizes must be powers of two");
+    bimodal_.fill(2); // weakly taken
     stats_.addCounter("lookups", &lookups_);
     stats_.addCounter("ras_pushes", &rasPushes_);
     stats_.addCounter("ras_pops", &rasPops_);
@@ -20,13 +14,13 @@ BranchPredictor::BranchPredictor(const sim::SimConfig &cfg)
 unsigned
 BranchPredictor::bimodalIndex(Addr pc) const
 {
-    return unsigned((pc >> 2) & (bimodal_.size() - 1));
+    return unsigned((pc >> 2) & (kBimodalEntries - 1));
 }
 
 unsigned
 BranchPredictor::btbIndex(Addr pc) const
 {
-    return unsigned((pc >> 2) & (btb_.size() - 1));
+    return unsigned((pc >> 2) & (kBtbEntries - 1));
 }
 
 Prediction
@@ -40,7 +34,7 @@ BranchPredictor::predict(Addr pc, const isa::DecodedInst &inst)
         pred.target = inst.relTarget(pc);
         if (inst.rd == 1) { // call: push return address
             ++rasPushes_;
-            ras_[rasTop_ % ras_.size()] = pc + isa::kInstrBytes;
+            ras_[rasTop_ % kRasEntries] = pc + isa::kInstrBytes;
             ++rasTop_;
         }
         return pred;
@@ -52,7 +46,7 @@ BranchPredictor::predict(Addr pc, const isa::DecodedInst &inst)
             // Return through the link register: pop RAS.
             ++rasPops_;
             --rasTop_;
-            pred.target = ras_[rasTop_ % ras_.size()];
+            pred.target = ras_[rasTop_ % kRasEntries];
         } else {
             const BtbEntry &entry = btb_[btbIndex(pc)];
             pred.target = (entry.valid && entry.pc == pc)
@@ -60,7 +54,7 @@ BranchPredictor::predict(Addr pc, const isa::DecodedInst &inst)
                               : pc + isa::kInstrBytes;
             if (inst.rd == 1) { // indirect call
                 ++rasPushes_;
-                ras_[rasTop_ % ras_.size()] = pc + isa::kInstrBytes;
+                ras_[rasTop_ % kRasEntries] = pc + isa::kInstrBytes;
                 ++rasTop_;
             }
         }

@@ -8,15 +8,22 @@
 #ifndef ACP_CPU_BRANCH_PRED_HH
 #define ACP_CPU_BRANCH_PRED_HH
 
-#include <vector>
+#include <array>
 
+#include "common/bitops.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/instr.hh"
-#include "sim/config.hh"
 
 namespace acp::cpu
 {
+
+/** Table sizes (paper Table 3's SimpleScalar defaults). */
+constexpr unsigned kBimodalEntries = 4096;
+constexpr unsigned kBtbEntries = 1024;
+constexpr unsigned kRasEntries = 16;
+static_assert(isPowerOfTwo(kBimodalEntries) && isPowerOfTwo(kBtbEntries),
+              "the tables are indexed by masking the pc");
 
 /** Fetch-time prediction. */
 struct Prediction
@@ -29,7 +36,7 @@ struct Prediction
 class BranchPredictor
 {
   public:
-    explicit BranchPredictor(const sim::SimConfig &cfg);
+    BranchPredictor();
 
     /**
      * Predict a decoded control instruction at @p pc.
@@ -52,15 +59,15 @@ class BranchPredictor
     unsigned bimodalIndex(Addr pc) const;
     unsigned btbIndex(Addr pc) const;
 
-    std::vector<std::uint8_t> bimodal_; // 2-bit saturating counters
+    std::array<std::uint8_t, kBimodalEntries> bimodal_; // 2-bit counters
     struct BtbEntry
     {
         bool valid = false;
         Addr pc = 0;
         Addr target = 0;
     };
-    std::vector<BtbEntry> btb_;
-    std::vector<Addr> ras_;
+    std::array<BtbEntry, kBtbEntries> btb_{};
+    std::array<Addr, kRasEntries> ras_{};
     std::size_t rasTop_ = 0; // count of valid entries
 
     StatGroup stats_;

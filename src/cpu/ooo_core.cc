@@ -64,7 +64,7 @@ lastSet(const std::vector<std::uint64_t> &set, unsigned begin, unsigned end)
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
-    : cfg_(cfg), hier_(hier), client_(client), bpred_(cfg), regs_(32, 0),
+    : cfg_(cfg), hier_(hier), client_(client), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
       renameMap_(32, -1), ready_((cfg.ruuSize + 63) / 64, 0),
       stores_(ready_.size(), 0), firstWaiter_(cfg.ruuSize, kNoLink),
@@ -173,8 +173,8 @@ OooCore::verifiedOk(AuthSeq seq) const
     // Only this core's own failed requests poison its gates: a
     // neighbour core fetching a tampered line raises *its* exception,
     // not ours (per-client failure view).
-    if (eng.anyFailure(client_) && seq >= eng.firstFailedSeq(client_))
-        return false; // a failed (or later) request never verifies
+    if (eng.neverVerifies(seq, client_))
+        return false;
     return eng.verifiedBy(seq, cycle_);
 }
 
@@ -412,7 +412,7 @@ OooCore::stageComplete()
             tracePipeline(obs::PipelineEvent::Kind::kSquash, entry.pc,
                           squashedInsts_.value() - squashed_before);
             fetchPc_ = entry.actualNext;
-            fetchStallUntil_ = cycle_ + cfg_.mispredictPenalty;
+            fetchStallUntil_ = cycle_ + kMispredictPenalty;
             fetchStallCause_ = obs::StallCause::kSquash;
             break; // everything younger is gone
         }
@@ -574,11 +574,11 @@ void
 OooCore::stageIssue()
 {
     unsigned slots = cfg_.issueWidth;
-    unsigned int_alu = cfg_.intAluUnits;
-    unsigned int_mul = cfg_.intMulUnits;
-    unsigned mem_ports = cfg_.memPorts;
-    unsigned fp_add = cfg_.fpAddUnits;
-    unsigned fp_mul = cfg_.fpMulUnits;
+    unsigned int_alu = kIntAluUnits;
+    unsigned int_mul = kIntMulUnits;
+    unsigned mem_ports = kMemPorts;
+    unsigned fp_add = kFpAddUnits;
+    unsigned fp_mul = kFpMulUnits;
 
     // Walk the ready set in age order: from ruuHead_ to the end of the
     // ring, then across the wrap up to ruuHead_. Entries a functional
@@ -745,7 +745,8 @@ OooCore::stageFetch()
 
     unsigned budget = cfg_.fetchWidth;
     const unsigned queue_cap = 2 * cfg_.fetchWidth;
-    const Addr line_mask = cfg_.l1i.lineBytes - 1;
+    const cache::Cache &l1i = hier_.l1i(client_);
+    const Addr line_mask = l1i.lineBytes() - 1;
 
     while (budget > 0 && fetchQueue_.size() < queue_cap) {
         // Even a stalling probe mutates the hierarchy (caches, MSHRs,
@@ -757,7 +758,7 @@ OooCore::stageFetch()
             hier_.fetchTimed(fetchPc_, cycle_, gate, word, client_);
         // L1I hits are pipelined: data arriving within the hit latency
         // feeds this cycle's fetch group; anything slower stalls.
-        if (access.ready > cycle_ + cfg_.l1i.hitLatency) {
+        if (access.ready > cycle_ + l1i.hitLatency()) {
             fetchStallUntil_ = access.ready;
             // Attribute the upcoming frontend bubble: fetch-gate bus
             // delay, else plain miss latency; under authen-then-issue

@@ -45,6 +45,16 @@
 namespace acp::cpu
 {
 
+/** Functional units per class (paper Table 3); the integer divider
+ *  and the FP divider are one unpipelined unit each. */
+constexpr unsigned kIntAluUnits = 8;
+constexpr unsigned kIntMulUnits = 2;
+constexpr unsigned kMemPorts = 4;
+constexpr unsigned kFpAddUnits = 4;
+constexpr unsigned kFpMulUnits = 2;
+/** Cycles from mispredict detection to fetch restart. */
+constexpr unsigned kMispredictPenalty = 3;
+
 /** Why the core stopped. */
 enum class StopReason
 {

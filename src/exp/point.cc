@@ -29,7 +29,7 @@ pointKey(const Point &point)
                   (unsigned long long)point.measureInsts);
     key += line;
     std::snprintf(line, sizeof(line), "cyclesPerInst=%llu\n",
-                  (unsigned long long)point.cyclesPerInst);
+                  (unsigned long long)kCyclesPerInst);
     key += line;
     key += sim::serializeConfig(point.cfg);
     return key;

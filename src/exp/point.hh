@@ -30,6 +30,10 @@ namespace acp::exp
 /** In-place config edit applied to a request's base configuration. */
 using ConfigMutator = std::function<void(sim::SimConfig &)>;
 
+/** A timed window stops after measureInsts * kCyclesPerInst cycles
+ *  (deadlock guard). */
+constexpr std::uint64_t kCyclesPerInst = 400;
+
 /** One fully-keyed experiment: a (workload, config, window) triple. */
 struct Point
 {
@@ -42,8 +46,6 @@ struct Point
     std::uint64_t warmupInsts = 30000;
     /** Timed measurement window. */
     std::uint64_t measureInsts = 60000;
-    /** Cycle cap = measureInsts * cyclesPerInst (deadlock guard). */
-    std::uint64_t cyclesPerInst = 400;
     /**
      * Optional hook run after fastForward and before the timed
      * window (tracing, co-simulation). A point with a hook is not
@@ -57,7 +59,7 @@ struct Point
      */
     std::function<void(sim::System &)> finish;
 
-    std::uint64_t maxCycles() const { return measureInsts * cyclesPerInst; }
+    std::uint64_t maxCycles() const { return measureInsts * kCyclesPerInst; }
 
     /**
      * Cacheable points must be fully described by their digest. Hooks

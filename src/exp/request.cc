@@ -19,7 +19,6 @@ Request::points() const
         p.cfg = cfg;
         p.warmupInsts = warmupInsts;
         p.measureInsts = measureInsts;
-        p.cyclesPerInst = cyclesPerInst;
         return p;
     };
     for (const std::string &name : workloadNames) {

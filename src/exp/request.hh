@@ -53,7 +53,6 @@ struct Request
     workloads::WorkloadParams workloadParams;
     std::uint64_t warmupInsts = 30000;
     std::uint64_t measureInsts = 60000;
-    std::uint64_t cyclesPerInst = 400;
     /** Workload names; a '+'-joined name ("mcf+swim") is a per-core
      *  mix — points() widens numCores and fills coreWorkloads. */
     std::vector<std::string> workloadNames;
@@ -94,12 +93,10 @@ struct Request
     }
 
     Request &
-    window(std::uint64_t warmup, std::uint64_t measure,
-           std::uint64_t cycles_per_inst = 400)
+    window(std::uint64_t warmup, std::uint64_t measure)
     {
         warmupInsts = warmup;
         measureInsts = measure;
-        cyclesPerInst = cycles_per_inst;
         return *this;
     }
 

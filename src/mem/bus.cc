@@ -5,8 +5,8 @@
 namespace acp::mem
 {
 
-BusArbiter::BusArbiter(const sim::SimConfig &cfg)
-    : cfg_(cfg), stats_("bus"), clients_(cfg.numCores)
+BusArbiter::BusArbiter(unsigned clients)
+    : stats_("bus"), clients_(clients)
 {
     stats_.addCounter("grants", &grants_);
     stats_.addCounter("contended_grants", &contendedGrants_);
@@ -41,7 +41,7 @@ BusArbiter::reserve(Cycle earliest, unsigned beats, unsigned client)
     grantWait_.sample(double(start - earliest));
     cs.grantWait.sample(double(start - earliest));
     lastOwner_ = client;
-    freeAt_ = start + Cycle(beats) * cfg_.busClockRatio;
+    freeAt_ = start + Cycle(beats) * kBusClockRatio;
     return start;
 }
 

@@ -23,23 +23,28 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sim/config.hh"
 
 namespace acp::mem
 {
+
+/** Core cycles per memory-bus clock (1 GHz core, 200 MHz bus; paper
+ *  Table 3). */
+constexpr unsigned kBusClockRatio = 5;
+/** Bytes the bus transfers per bus clock (one beat). */
+constexpr unsigned kBusWidthBytes = 8;
 
 /** The arbiter. */
 class BusArbiter
 {
   public:
     /**
-     * One requester per core (cfg.numCores). With two or more,
+     * One requester per core (@p clients). With two or more,
      * per-client grant/wait stats (cpu<i>_grants,
      * cpu<i>_contended_grants, cpu<i>_grant_wait) and the cross-client
      * contention counter are registered; a single-core stat surface
      * keeps its classic shape.
      */
-    explicit BusArbiter(const sim::SimConfig &cfg);
+    explicit BusArbiter(unsigned clients);
 
     /**
      * Reserve the bus for one transfer.
@@ -56,7 +61,7 @@ class BusArbiter
      * @param beats transfer length in bus beats
      * @param client requesting core id
      * @return the grant cycle (>= earliest; the transfer occupies the
-     *         bus until grant + beats * busClockRatio)
+     *         bus until grant + beats * kBusClockRatio)
      */
     Cycle reserve(Cycle earliest, unsigned beats, unsigned client = 0);
 
@@ -76,7 +81,6 @@ class BusArbiter
         StatAverage grantWait;
     };
 
-    const sim::SimConfig &cfg_;
     Cycle freeAt_ = 0;
     /** Client granted the bus most recently (cross-client detection). */
     unsigned lastOwner_ = 0;

@@ -1,16 +1,10 @@
 #include "mem/dram.hh"
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
-
 namespace acp::mem
 {
 
-Dram::Dram(const sim::SimConfig &cfg, BusArbiter &bus)
-    : cfg_(cfg), bus_(bus), banks_(cfg.dramBanks), stats_("dram")
+Dram::Dram(BusArbiter &bus) : bus_(bus), stats_("dram")
 {
-    if (!isPowerOfTwo(cfg.dramBanks) || !isPowerOfTwo(cfg.dramRowBytes))
-        acp_fatal("DRAM banks and row size must be powers of two");
     stats_.addCounter("accesses", &accesses_);
     stats_.addCounter("page_hits", &pageHits_);
     stats_.addCounter("row_misses", &rowMisses_);
@@ -28,32 +22,32 @@ Dram::access(Addr addr, Cycle req_cycle, unsigned bytes, bool is_write,
         ++writeAccesses_;
 
     // Row interleaving: consecutive rows map to consecutive banks.
-    std::uint64_t row_global = addr / cfg_.dramRowBytes;
-    unsigned bank_idx = unsigned(row_global & (cfg_.dramBanks - 1));
-    std::uint64_t row = row_global >> floorLog2(cfg_.dramBanks);
+    std::uint64_t row_global = addr / kDramRowBytes;
+    unsigned bank_idx = unsigned(row_global & (kDramBanks - 1));
+    std::uint64_t row = row_global >> floorLog2(kDramBanks);
     Bank &bank = banks_[bank_idx];
 
     Cycle start = req_cycle > bank.busyUntil ? req_cycle : bank.busyUntil;
 
-    const Cycle ratio = cfg_.busClockRatio;
+    const Cycle ratio = kBusClockRatio;
     Cycle access_lat;
     if (bank.rowOpen && bank.openRow == row) {
         ++pageHits_;
-        access_lat = Cycle(cfg_.casLatency) * ratio;
+        access_lat = Cycle(kCasLatency) * ratio;
     } else if (!bank.rowOpen) {
         ++rowMisses_;
-        access_lat = Cycle(cfg_.rasToCasLatency + cfg_.casLatency) * ratio;
+        access_lat = Cycle(kRasToCasLatency + kCasLatency) * ratio;
     } else {
         ++pageConflicts_;
-        access_lat = Cycle(cfg_.prechargeLatency + cfg_.rasToCasLatency +
-                           cfg_.casLatency) * ratio;
+        access_lat =
+            Cycle(kPrechargeLatency + kRasToCasLatency + kCasLatency) * ratio;
     }
     bank.rowOpen = true;
     bank.openRow = row;
 
     // Data transfer: one beat per bus clock, granted by the arbiter
     // all off-chip traffic shares.
-    unsigned beats = unsigned(divCeil(bytes, cfg_.busWidthBytes));
+    unsigned beats = unsigned(divCeil(bytes, kBusWidthBytes));
     if (beats == 0)
         beats = 1;
     Cycle bank_ready = start + access_lat;

@@ -16,15 +16,26 @@
 #ifndef ACP_MEM_DRAM_HH
 #define ACP_MEM_DRAM_HH
 
-#include <vector>
+#include <array>
 
+#include "common/bitops.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/bus.hh"
-#include "sim/config.hh"
 
 namespace acp::mem
 {
+
+/** CAS latency in bus clocks. */
+constexpr unsigned kCasLatency = 20;
+/** Precharge (RP) latency in bus clocks. */
+constexpr unsigned kPrechargeLatency = 7;
+/** RAS-to-CAS (RCD) latency in bus clocks. */
+constexpr unsigned kRasToCasLatency = 7;
+constexpr unsigned kDramBanks = 8;
+constexpr unsigned kDramRowBytes = 4096;
+static_assert(isPowerOfTwo(kDramBanks) && isPowerOfTwo(kDramRowBytes),
+              "the bank map splits an address with shifts and masks");
 
 /** Completion info for one DRAM access. */
 struct DramResult
@@ -44,7 +55,7 @@ struct DramResult
 class Dram
 {
   public:
-    Dram(const sim::SimConfig &cfg, BusArbiter &bus);
+    explicit Dram(BusArbiter &bus);
 
     /**
      * Perform one access.
@@ -71,9 +82,8 @@ class Dram
         Cycle busyUntil = 0;
     };
 
-    const sim::SimConfig &cfg_;
     BusArbiter &bus_;
-    std::vector<Bank> banks_;
+    std::array<Bank, kDramBanks> banks_{};
 
     StatGroup stats_;
     StatCounter accesses_;

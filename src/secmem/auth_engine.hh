@@ -110,6 +110,14 @@ class AuthEngine
     {
         return clients_[client].firstFailedSeq;
     }
+    /** Whether gate tag @p tag can never verify for @p client: it
+     *  covers the client's first failing request or a later one (no
+     *  tag always verifies). The commit, write and fetch gates all
+     *  ask this. */
+    bool neverVerifies(AuthSeq tag, unsigned client) const
+    {
+        return anyFailure(client) && tag >= firstFailedSeq(client);
+    }
     /** Completion cycle of @p client's first failing request. */
     Cycle firstFailureCycle(unsigned client) const
     {

@@ -1,17 +1,10 @@
 #include "secmem/counter_predictor.hh"
 
-#include "common/bitops.hh"
-#include "common/logging.hh"
-
 namespace acp::secmem
 {
 
-CounterPredictor::CounterPredictor(std::uint64_t region_bytes,
-                                   unsigned window)
-    : regionBytes_(region_bytes), window_(window), stats_("ctr_pred")
+CounterPredictor::CounterPredictor() : stats_("ctr_pred")
 {
-    if (!isPowerOfTwo(region_bytes))
-        acp_fatal("counter predictor region must be a power of two");
     stats_.addCounter("hits", &hits_);
     stats_.addCounter("misses", &misses_);
 }
@@ -19,7 +12,7 @@ CounterPredictor::CounterPredictor(std::uint64_t region_bytes,
 std::uint64_t
 CounterPredictor::regionOf(Addr line_addr) const
 {
-    return line_addr / regionBytes_;
+    return line_addr / kCounterPredictRegionBytes;
 }
 
 bool
@@ -35,7 +28,8 @@ CounterPredictor::predictAndResolve(Addr line_addr,
     // Candidates: [base, base + window). A slightly stale base still
     // hits as long as the line was not written more than window-1
     // times since the region history was trained.
-    bool hit = true_counter >= base && true_counter < base + window_;
+    bool hit = true_counter >= base &&
+               true_counter < base + kCounterPredictWindow;
     if (hit)
         ++hits_;
     else

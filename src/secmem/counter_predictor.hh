@@ -31,17 +31,18 @@
 namespace acp::secmem
 {
 
+/** Prediction granularity: one history entry per region ([19] uses
+ *  page-sized groups). */
+constexpr std::uint64_t kCounterPredictRegionBytes = 4096;
+/** Candidate counters precomputed in parallel (bounded by spare AES
+ *  pipeline slots). */
+constexpr unsigned kCounterPredictWindow = 4;
+
 /** Per-region counter-history predictor. */
 class CounterPredictor
 {
   public:
-    /**
-     * @param region_bytes prediction granularity (one history entry
-     *        per region; [19] uses page-sized groups)
-     * @param window number of candidate counters precomputed in
-     *        parallel (bounded by spare AES pipeline slots)
-     */
-    CounterPredictor(std::uint64_t region_bytes, unsigned window);
+    CounterPredictor();
 
     /**
      * Predict at fetch time and (on the true counter's arrival)
@@ -66,8 +67,6 @@ class CounterPredictor
   private:
     std::uint64_t regionOf(Addr line_addr) const;
 
-    std::uint64_t regionBytes_;
-    unsigned window_;
     /** Region -> recently observed base counter. */
     std::unordered_map<std::uint64_t, std::uint64_t> history_;
 

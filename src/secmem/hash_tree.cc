@@ -29,7 +29,7 @@ mix64(std::uint64_t key, const std::uint64_t *vals, unsigned n)
 } // namespace
 
 HashTree::HashTree(const sim::SimConfig &cfg, const ExternalMemory &ext)
-    : cfg_(cfg), ext_(ext), nodeCache_("tree_cache", cfg.hashTreeCache),
+    : ext_(ext), nodeCache_("tree_cache", kHashTreeCache),
       hashKey_(cfg.rngSeed ^ 0xfeedfacecafebeefULL), stats_("tree")
 {
     std::uint64_t lines = cfg.protectedBytes / kExtLineBytes;
@@ -154,7 +154,7 @@ HashTree::verify(Addr line_addr, Cycle start, const MetaMemPort &mem)
 
     out.levelsHashed = walked;
     walkLevels_.sample(double(walked));
-    out.readyAt = last_arrival + Cycle(walked) * cfg_.treeHashLatency;
+    out.readyAt = last_arrival + Cycle(walked) * kTreeHashLatency;
     return out;
 }
 
@@ -183,7 +183,7 @@ HashTree::update(Addr line_addr, Cycle start, const MetaMemPort &mem)
     if (node.wroteBack)
         ++nodeWritebacks_;
     out.levelsHashed = 1;
-    out.readyAt = node.ready + cfg_.treeHashLatency;
+    out.readyAt = node.ready + kTreeHashLatency;
     return out;
 }
 

@@ -34,6 +34,11 @@ namespace acp::secmem
 
 class ExternalMemory;
 
+/** The tree's on-chip node cache (Fig. 12/13): 8 KiB, 4-way. */
+constexpr sim::CacheConfig kHashTreeCache{8 * 1024, 4, 64, 1};
+/** Per-level hash latency (one SHA-256 pass). */
+constexpr unsigned kTreeHashLatency = 74;
+
 /** Timing outcome of a tree operation. */
 struct TreeTiming
 {
@@ -82,7 +87,6 @@ class HashTree
     std::uint64_t computeNodeHash(unsigned level, std::uint64_t index) const;
     Addr nodeAddr(unsigned level, std::uint64_t index) const;
 
-    const sim::SimConfig &cfg_;
     const ExternalMemory &ext_;
     cache::Cache nodeCache_;
     unsigned levels_;

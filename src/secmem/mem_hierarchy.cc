@@ -13,12 +13,12 @@ namespace acp::secmem
 MemHierarchy::CoreCaches::CoreCaches(const sim::SimConfig &cfg,
                                      unsigned client,
                                      const std::string &prefix)
-    : client(client), l1i(prefix + "l1i", cfg.l1i),
+    : client(client), l1i(prefix + "l1i", kL1iCache),
       l1d(prefix + "l1d", cfg.l1d), l2(prefix + "l2", cfg.l2),
-      itlb(prefix + "itlb", cfg.tlbEntries, cfg.tlbAssoc, cfg.pageBytes,
-           cfg.tlbMissPenalty),
-      dtlb(prefix + "dtlb", cfg.tlbEntries, cfg.tlbAssoc, cfg.pageBytes,
-           cfg.tlbMissPenalty)
+      itlb(prefix + "itlb", kTlbEntries, kTlbAssoc, kPageBytes,
+           kTlbMissPenalty),
+      dtlb(prefix + "dtlb", kTlbEntries, kTlbAssoc, kPageBytes,
+           kTlbMissPenalty)
 {
 }
 
@@ -30,8 +30,7 @@ MemHierarchy::MemHierarchy(const sim::SimConfig &cfg)
     if (cfg.l2.lineBytes != kExtLineBytes)
         acp_fatal("L2 line size must match external line size (%u)",
                   kExtLineBytes);
-    if (cfg.l1d.lineBytes > cfg.l2.lineBytes ||
-        cfg.l1i.lineBytes > cfg.l2.lineBytes)
+    if (cfg.l1d.lineBytes > cfg.l2.lineBytes)
         acp_fatal("L1 lines must not exceed the L2 line size");
 
     stats_.addCounter("translation_faults", &faults_);

@@ -38,6 +38,18 @@
 namespace acp::secmem
 {
 
+/** L1 instruction cache (paper Table 3): direct-mapped 16 KiB of
+ *  32-byte lines, one-cycle hits. */
+constexpr sim::CacheConfig kL1iCache{16 * 1024, 1, 32, 1};
+static_assert(kL1iCache.lineBytes <= kExtLineBytes,
+              "an L1 line must not exceed the L2 line");
+
+/** I-TLB and D-TLB geometry and miss penalty (cycles). */
+constexpr unsigned kTlbEntries = 128;
+constexpr unsigned kTlbAssoc = 4;
+constexpr unsigned kPageBytes = 4096;
+constexpr unsigned kTlbMissPenalty = 30;
+
 /** The hierarchy. */
 class MemHierarchy
 {

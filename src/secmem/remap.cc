@@ -6,7 +6,7 @@ namespace acp::secmem
 {
 
 RemapLayer::RemapLayer(const sim::SimConfig &cfg)
-    : cfg_(cfg), remapCache_("remap_cache", cfg.remapCache),
+    : remapCache_("remap_cache", cfg.remapCache),
       rng_(cfg.rngSeed ^ 0x5eed5eed5eed5eedULL), stats_("remap")
 {
     physLines_ = cfg.memoryBytes / kExtLineBytes;
@@ -23,7 +23,7 @@ Addr
 RemapLayer::entryLineAddr(Addr line_addr) const
 {
     std::uint64_t line_index = line_addr / kExtLineBytes;
-    Addr entry_addr = tableBase_ + line_index * cfg_.remapEntryBytes;
+    Addr entry_addr = tableBase_ + line_index * kRemapEntryBytes;
     return entry_addr & ~Addr(kExtLineBytes - 1);
 }
 

@@ -29,6 +29,9 @@
 namespace acp::secmem
 {
 
+/** Bytes per remap-table entry in external memory. */
+constexpr unsigned kRemapEntryBytes = 4;
+
 /** Outcome of a remap-layer operation. */
 struct RemapResult
 {
@@ -42,7 +45,7 @@ struct RemapResult
 class RemapLayer
 {
   public:
-    RemapLayer(const sim::SimConfig &cfg);
+    explicit RemapLayer(const sim::SimConfig &cfg);
 
     /** Translate a logical line address for a fetch. Entry traffic is
      *  issued through @p mem, the transaction's metadata port. */
@@ -62,7 +65,6 @@ class RemapLayer
     Cycle touchEntry(Addr line_addr, Cycle cycle, const MetaMemPort &mem,
                      bool make_dirty);
 
-    const sim::SimConfig &cfg_;
     cache::Cache remapCache_;
     std::unordered_map<Addr, Addr> map_;
     Rng rng_;

@@ -10,8 +10,7 @@ namespace acp::secmem
 {
 
 SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg), ext_(seed), bus_(cfg),
-      dram_(cfg, bus_),
+    : cfg_(cfg), ext_(seed), bus_(cfg.numCores), dram_(bus_),
       engine_(cfg.authLatency, cfg.authEngineInterval, cfg.numCores),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
 {
@@ -21,11 +20,7 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
         remap_ = std::make_unique<RemapLayer>(cfg);
     if (cfg.counterPrediction &&
         cfg.encryptionMode == sim::EncryptionMode::kCounterMode)
-        predictor_ = std::make_unique<CounterPredictor>(
-            cfg.counterPredictRegionBytes, cfg.counterPredictWindow);
-
-    lineTransferBytes_ =
-        kExtLineBytes + cfg.macTransferBeats * cfg.busWidthBytes;
+        predictor_ = std::make_unique<CounterPredictor>();
 
     stats_.addCounter("fetches", &fetches_);
     stats_.addCounter("writebacks", &writebacks_);
@@ -60,7 +55,7 @@ SecureMemCtrl::counterLineAddr(Addr line_addr) const
 {
     // Counters live in a dedicated region above the protected space.
     std::uint64_t line_index = line_addr / kExtLineBytes;
-    Addr addr = cfg_.memoryBytes + line_index * cfg_.counterBytes;
+    Addr addr = cfg_.memoryBytes + line_index * kCounterBytes;
     return addr & ~Addr(kExtLineBytes - 1);
 }
 
@@ -173,8 +168,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         // never-ready fill without touching the bus (no address leak).
         // The failure view is the requesting client's own: a tampered
         // line on a neighbour core does not squash this core's fetch.
-        if (engine_.anyFailure(client) && tag != kNoAuthSeq &&
-            tag >= engine_.firstFailedSeq(client)) {
+        if (engine_.neverVerifies(tag, client)) {
             txn.ready = kCycleNever;
             txn.dataReady = kCycleNever;
             txn.verifyDone = kCycleNever;
@@ -218,16 +212,16 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         MetaAccess ctr = touchCounter(line_addr, start, false, ctr_port);
         note(txn, mem::PathEvent::kCounterReady, ctr.ready,
              counterLineAddr(line_addr));
-        Cycle pad_ready = ctr.ready + cfg_.decryptLatency;
+        Cycle pad_ready = ctr.ready + kDecryptLatency;
 
         // [19]: on a counter-cache miss, predicted pads are computed
         // in parallel with the fetch; a window hit removes the counter
         // fetch from the decryption critical path entirely.
         if (ctr.missed && predictor_ &&
             predictor_->predictAndResolve(line_addr, fetched.counter))
-            pad_ready = start + cfg_.decryptLatency;
+            pad_ready = start + kDecryptLatency;
 
-        data_arrive = dramAccess(phys, start, lineTransferBytes_, false,
+        data_arrive = dramAccess(phys, start, kLineTransferBytes, false,
                                  kind, txn);
         // Decrypt: max(fetch, pad) — Table 1, counter mode.
         txn.dataReady = std::max(data_arrive, pad_ready);
@@ -238,12 +232,12 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
         // Critical-word delivery: the consumer's chunk is ready after
         // (chunks+1)/2 serial passes on average; CBC-MAC needs the
         // full line plus a final chaining pass.
-        data_arrive = dramAccess(phys, start, lineTransferBytes_, false,
+        data_arrive = dramAccess(phys, start, kLineTransferBytes, false,
                                  kind, txn);
         unsigned chunks = kExtLineBytes / 16;
         txn.dataReady = data_arrive +
-                        Cycle((chunks + 1) / 2) * cfg_.decryptLatency;
-        mac_ready = data_arrive + Cycle(chunks + 1) * cfg_.decryptLatency;
+                        Cycle((chunks + 1) / 2) * kDecryptLatency;
+        mac_ready = data_arrive + Cycle(chunks + 1) * kDecryptLatency;
     }
     note(txn, mem::PathEvent::kDecryptDone, txn.dataReady, line_addr);
     fillLatency_.sample(double(txn.dataReady - req_cycle));
@@ -343,7 +337,7 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
         note(txn, mem::PathEvent::kRemapTranslate, ready, phys);
     }
 
-    Cycle complete = dramAccess(phys, ready, lineTransferBytes_, true,
+    Cycle complete = dramAccess(phys, ready, kLineTransferBytes, true,
                                 mem::BusTxnKind::kWriteback, txn);
     note(txn, mem::PathEvent::kWriteback, complete, phys);
     txn.ready = complete;

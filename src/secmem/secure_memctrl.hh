@@ -61,6 +61,17 @@ class PathProfiler;
 namespace acp::secmem
 {
 
+/** Counter-mode pad generation latency (80 ns 256-bit Rijndael); a CBC
+ *  chunk costs one such pass. */
+constexpr unsigned kDecryptLatency = 80;
+/** Bytes per per-line counter in external memory. */
+constexpr unsigned kCounterBytes = 8;
+/** Extra bus beats per line fetch that carry the 64-bit MAC. */
+constexpr unsigned kMacTransferBeats = 1;
+/** Bytes one line fetch or writeback moves: the line and its MAC. */
+constexpr unsigned kLineTransferBytes =
+    kExtLineBytes + kMacTransferBeats * mem::kBusWidthBytes;
+
 /** The controller. */
 class SecureMemCtrl
 {
@@ -200,7 +211,6 @@ class SecureMemCtrl
     std::unique_ptr<RemapLayer> remap_;
     std::unique_ptr<CounterPredictor> predictor_;
     std::vector<Cycle> inflight_;
-    unsigned lineTransferBytes_;
     std::optional<core::BadFill> firstBadFill_;
     obs::PathProfiler *profiler_ = nullptr;
     bool keepRetired_ = false;

@@ -115,10 +115,8 @@ stage(Exploit exploit, std::uint64_t seed)
 Judged
 runStaged(Staged staged, core::AuthPolicy policy)
 {
-    SimConfig cfg;
+    SimConfig cfg = paperConfig();
     cfg.policy = policy;
-    cfg.memoryBytes = 64ULL << 20;
-    cfg.protectedBytes = cfg.memoryBytes;
     System system(cfg, staged.prog);
     staged.prog = {}; // the System keeps no reference: free it now
     secmem::SecureMemCtrl &ctrl = system.hier().ctrl();

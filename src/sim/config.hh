@@ -1,7 +1,9 @@
 /**
  * @file
- * Simulation configuration: the processor-model parameters of the
- * paper's Table 3 plus the secure-memory parameters of Section 5.2.
+ * Simulation configuration: the parameters of the paper's Table 3 and
+ * Section 5.2 that some experiment varies, plus the observability
+ * switches. Those every experiment holds fixed are constants next to
+ * the code that reads them (serializeConfig() still prints each).
  * All latencies are in core cycles; the reference core runs at 1 GHz
  * so 1 cycle == 1 ns and the paper's nanosecond figures map directly.
  */
@@ -37,7 +39,8 @@ struct CacheConfig
     unsigned hitLatency = 1;
 };
 
-/** Full system configuration (defaults = paper Table 3, 256KB L2). */
+/** What an experiment may vary (defaults = paper Table 3, 256KB L2,
+ *  on a 256 MiB memory; paperConfig() is the paper's 64 MiB machine). */
 struct SimConfig
 {
     // ----- pipeline ---------------------------------------------------
@@ -51,52 +54,13 @@ struct SimConfig
     /** Post-commit store buffer entries (authen-then-write parking). */
     unsigned storeBufferSize = 32;
 
-    // ----- functional units ----------------------------------------------
-    unsigned intAluUnits = 8;
-    unsigned intMulUnits = 2;
-    unsigned memPorts = 4;
-    unsigned fpAddUnits = 4;
-    unsigned fpMulUnits = 2;
-
-    // ----- branch prediction -------------------------------------------
-    unsigned bimodalEntries = 4096;
-    unsigned btbEntries = 1024;
-    unsigned rasEntries = 16;
-    /** Cycles from mispredict detection to fetch restart. */
-    unsigned mispredictPenalty = 3;
-
     // ----- caches -------------------------------------------------------
-    CacheConfig l1i{16 * 1024, 1, 32, 1};
     CacheConfig l1d{16 * 1024, 1, 32, 1};
     CacheConfig l2{256 * 1024, 4, 64, 4};
-
-    // ----- TLBs ----------------------------------------------------------
-    unsigned tlbEntries = 128;
-    unsigned tlbAssoc = 4;
-    unsigned pageBytes = 4096;
-    unsigned tlbMissPenalty = 30;
-
-    // ----- DRAM / front-side bus -----------------------------------------
-    /** Core cycles per memory-bus clock (1 GHz core / 200 MHz bus). */
-    unsigned busClockRatio = 5;
-    /** Bytes transferred per bus clock. */
-    unsigned busWidthBytes = 8;
-    /** CAS latency in bus clocks. */
-    unsigned casLatency = 20;
-    /** Precharge (RP) latency in bus clocks. */
-    unsigned prechargeLatency = 7;
-    /** RAS-to-CAS (RCD) latency in bus clocks. */
-    unsigned rasToCasLatency = 7;
-    unsigned dramBanks = 8;
-    unsigned dramRowBytes = 4096;
     /** Max outstanding external fetches (MSHR-limited MLP). */
     unsigned maxOutstandingFetches = 16;
-    /** Extra bus beats per line fetch to transfer the 64-bit MAC. */
-    unsigned macTransferBeats = 1;
 
     // ----- secure memory --------------------------------------------------
-    /** Counter-mode pad generation latency (80 ns 256-bit Rijndael). */
-    unsigned decryptLatency = 80;
     /**
      * Line-MAC verification latency once ciphertext and pad are
      * available: two SHA-256 compression passes at 74 ns with
@@ -115,8 +79,6 @@ struct SimConfig
     unsigned authEngineInterval = 40;
     /** Counter cache (sequence-number cache of [19]). */
     CacheConfig counterCache{32 * 1024, 8, 64, 1};
-    /** Bytes per per-line counter in external memory. */
-    unsigned counterBytes = 8;
     /** Encryption timing mode (Table 1 comparison). */
     EncryptionMode encryptionMode = EncryptionMode::kCounterMode;
     /**
@@ -127,14 +89,9 @@ struct SimConfig
      * prediction hits.
      */
     bool counterPrediction = true;
-    std::uint64_t counterPredictRegionBytes = 4096;
-    unsigned counterPredictWindow = 4;
 
     // ----- hash tree (CHTree, Section 5.2.3 / Fig. 12) ---------------------
     bool hashTreeEnabled = false;
-    CacheConfig hashTreeCache{8 * 1024, 4, 64, 1};
-    /** Per-level hash latency (one SHA-256 pass). */
-    unsigned treeHashLatency = 74;
     /** Size of the tree-protected memory region. */
     std::uint64_t protectedBytes = 256ULL * 1024 * 1024;
 
@@ -147,8 +104,6 @@ struct SimConfig
      * sweeps this).
      */
     CacheConfig remapCache{32 * 1024, 4, 64, 1};
-    /** Bytes per remap-table entry in external memory. */
-    unsigned remapEntryBytes = 4;
 
     // ----- policy / run control --------------------------------------------
     core::AuthPolicy policy = core::AuthPolicy::kBaseline;
@@ -206,6 +161,17 @@ struct SimConfig
         l2.hitLatency = 8;
     }
 };
+
+/** The machine every paper figure, table and exploit runs: Table 3
+ *  (the defaults above) with a 64 MiB memory, all of it protected. */
+inline SimConfig
+paperConfig()
+{
+    SimConfig cfg;
+    cfg.memoryBytes = 64ULL << 20;
+    cfg.protectedBytes = cfg.memoryBytes;
+    return cfg;
+}
 
 } // namespace acp::sim
 

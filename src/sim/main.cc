@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "core/auth_policy.hh"
@@ -40,6 +41,23 @@ using namespace acp;
 
 namespace
 {
+
+/** Each core's address slice (memoryBytes over numCores rounded up to
+ *  a power of two) holds at least this much: 64 MiB gives 4 cores
+ *  16 MiB each, and a default-working-set image ends below 10 MiB. */
+constexpr std::uint64_t kMinSliceBytes = 16ULL << 20;
+
+/** Double @p cfg's memory (all of it protected) until each of its
+ *  cores gets a kMinSliceBytes slice; up to 4 cores it stays the
+ *  paper machine's 64 MiB. */
+void
+fitMemory(sim::SimConfig &cfg)
+{
+    const std::uint64_t slots = std::uint64_t(1) << ceilLog2(cfg.numCores);
+    while (cfg.memoryBytes / slots < kMinSliceBytes)
+        cfg.memoryBytes *= 2;
+    cfg.protectedBytes = cfg.memoryBytes;
+}
 
 /** @p bytes as SIZE text: "4M", "256K", or plain bytes. */
 std::string
@@ -64,6 +82,8 @@ usage()
         "           the groups 'int', 'fp', 'all'; a '+'-joined mix\n"
         "           (e.g. mcf+swim) runs one workload per core\n\n"
         "run options (simulated machine and measurement window):\n"
+        "  the machine is the paper's: Table 3 with a 64 MiB memory,\n"
+        "  doubled past 4 cores until each core's slice holds 16 MiB\n"
         "  --policy P[,P...]  baseline | issue | write | commit | fetch |\n"
         "                commit+fetch | obf        (default: baseline);\n"
         "                a comma-separated list sweeps every policy;\n"
@@ -182,9 +202,7 @@ main(int argc, char **argv)
 
     std::vector<std::string> names = expandWorkloads(argv[1]);
     std::vector<std::string> policy_tokens = {"baseline"};
-    sim::SimConfig cfg;
-    cfg.memoryBytes = 256ULL << 20;
-    cfg.protectedBytes = cfg.memoryBytes;
+    sim::SimConfig cfg = sim::paperConfig();
     workloads::WorkloadParams params;
     std::uint64_t insts = 100000;
     std::uint64_t warmup = 50000;
@@ -272,7 +290,7 @@ main(int argc, char **argv)
     // Build the request: workloads x policies, every knob in the
     // config. '+'-joined workload mixes expand inside points().
     exp::Request req;
-    req.base(cfg).params(params).window(warmup, insts, 1000);
+    req.base(cfg).params(params).window(warmup, insts);
     req.workloads(names);
     for (const std::string &token : policy_tokens) {
         core::AuthPolicy policy = parsePolicy(token);
@@ -280,39 +298,41 @@ main(int argc, char **argv)
                     [policy](sim::SimConfig &c) { c.policy = policy; });
     }
 
-    if (trace_commits > 0 || cosim || !trace_file.empty()) {
-        // Tracing hooks into the live System between warmup and the
-        // timed window; the hooks make the point uncacheable.
-        std::string path = trace_file;
-        req.decorate = [trace_commits, cosim,
-                        path](std::vector<exp::Point> &points) {
-            if (points.size() > 1)
-                acp_fatal("--trace/--trace-commits/--cosim need a "
-                          "single workload and policy");
-            // enableCosim and enableTrace must be armed before the
-            // timed cores exist; the prepare hook runs right after
-            // fastForward, which is early enough (the cores are
-            // created by measureTimed/traceCommits).
-            points[0].prepare = [trace_commits, cosim,
-                                 path](sim::System &system) {
-                if (cosim)
-                    system.enableCosim();
-                if (!path.empty())
-                    system.enableTrace();
-                if (trace_commits > 0)
-                    system.core().traceCommits(stdout, trace_commits);
-            };
-            if (!path.empty()) {
-                // Write the Chrome trace while the System is alive.
-                points[0].finish = [path](sim::System &system) {
-                    if (!system.writeTrace(path))
-                        acp_fatal("cannot write %s: %s", path.c_str(),
-                                  std::strerror(errno));
-                    std::fprintf(stderr, "wrote %s\n", path.c_str());
-                };
-            }
+    // Size each point's memory once points() has set its core count.
+    // Tracing hooks into the live System between warmup and the timed
+    // window; the hooks make the point uncacheable.
+    req.decorate = [trace_commits, cosim,
+                    path = trace_file](std::vector<exp::Point> &points) {
+        for (exp::Point &point : points)
+            fitMemory(point.cfg);
+        if (trace_commits == 0 && !cosim && path.empty())
+            return;
+        if (points.size() > 1)
+            acp_fatal("--trace/--trace-commits/--cosim need a "
+                      "single workload and policy");
+        // enableCosim and enableTrace must be armed before the timed
+        // cores exist; the prepare hook runs right after fastForward,
+        // which is early enough (the cores are created by
+        // measureTimed/traceCommits).
+        points[0].prepare = [trace_commits, cosim,
+                             path](sim::System &system) {
+            if (cosim)
+                system.enableCosim();
+            if (!path.empty())
+                system.enableTrace();
+            if (trace_commits > 0)
+                system.core().traceCommits(stdout, trace_commits);
         };
-    }
+        if (!path.empty()) {
+            // Write the Chrome trace while the System is alive.
+            points[0].finish = [path](sim::System &system) {
+                if (!system.writeTrace(path))
+                    acp_fatal("cannot write %s: %s", path.c_str(),
+                              std::strerror(errno));
+                std::fprintf(stderr, "wrote %s\n", path.c_str());
+            };
+        }
+    };
 
     req.jobs = jobs;
     if (!use_cache)

@@ -44,6 +44,13 @@ registered with ctest.
       --trace-commits N prints exactly N commit lines (cycle, pc,
       disassembly) before the run summary.
 
+  acpsim_artifacts.py paper-machine ACPSIM RECORDING
+      acpsim runs the machine the bench harness records: an obf point
+      (whose remap placement depends on the memory size) at the
+      recording's window prints the cycles and instructions RECORDING
+      (BENCH_event_loop.json) holds for it. Past 4 cores the memory
+      doubles until each core's slice holds 16 MiB.
+
   acpsim_artifacts.py bench BINARY [POINTS]
       A bench binary (bench/CMakeLists.txt registers each) run at a
       smoke window exits 0 and prints a table: a rule line followed by
@@ -331,6 +338,36 @@ def check_trace_commits(acpsim):
     print("trace-commits OK: %d commit lines, then the summary" % head)
 
 
+def check_paper_machine(acpsim, recording):
+    with open(recording) as handle:
+        doc = json.load(handle)
+    want = next(p for p in doc["points"]
+                if p["workload"] == "mcf"
+                and p["policy"] == "commit+obfuscation")
+    with tempfile.TemporaryDirectory() as tmp:
+        out, _ = run([acpsim, "mcf", "--policy", "obf",
+                      "--insts", str(doc["measureInsts"]),
+                      "--warmup", str(doc["warmupInsts"]),
+                      "--ws", str(doc["workingSetBytes"])], tmp)
+    got = dict(line.split(None, 1) for line in summary(out))
+    assert int(got["cycles"]) == want["cycles"], (got, want)
+    assert int(got["insts"]) == want["insts"], (got, want)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run([acpsim, "mcf+gap+swim+art,mcf+gap+swim+art+gcc", "--insts",
+             "100", "--warmup", "0", "--ws", "64K", "--json", "mix.json"],
+            tmp)
+        with open(os.path.join(tmp, "mix.json")) as handle:
+            configs = [p["config"] for p in json.load(handle)["points"]]
+    memory = [(c["numCores"], c["memoryBytes"], c["protectedBytes"])
+              for c in configs]
+    assert memory == [(4, 64 << 20, 64 << 20),
+                      (5, 128 << 20, 128 << 20)], memory
+    print("paper-machine OK: mcf commit+obfuscation ran %s cycles, as "
+          "recorded; 4 cores share 64 MiB, 5 share 128 MiB"
+          % got["cycles"].strip())
+
+
 def check_bench(binary, points=None):
     name = os.path.basename(binary)
     with tempfile.TemporaryDirectory() as tmp:
@@ -361,6 +398,7 @@ def main():
         "trace": check_trace,
         "cosim": check_cosim,
         "trace-commits": check_trace_commits,
+        "paper-machine": check_paper_machine,
         "bench": check_bench,
     }
     if mode not in checks:

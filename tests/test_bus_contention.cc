@@ -33,13 +33,9 @@ smallCfg(core::AuthPolicy policy = core::AuthPolicy::kBaseline)
     return cfg;
 }
 
-/** Bus beats of one line + MAC transfer under @p cfg. */
-unsigned
-lineBeats(const sim::SimConfig &cfg)
-{
-    unsigned bytes = kExtLineBytes + cfg.macTransferBeats * cfg.busWidthBytes;
-    return (bytes + cfg.busWidthBytes - 1) / cfg.busWidthBytes;
-}
+/** Bus beats of one line + MAC transfer. */
+constexpr unsigned kLineBeats =
+    (kLineTransferBytes + mem::kBusWidthBytes - 1) / mem::kBusWidthBytes;
 
 /** Grant cycles of every kBusGrant step, in timeline order. */
 std::vector<Cycle>
@@ -63,7 +59,7 @@ TEST(BusContention, OverlappingFillsSerializeOnBus)
     // Two lines in different DRAM banks (banks interleave per row):
     // bank activation overlaps, data transfers must share the bus.
     Addr a = 0x0;
-    Addr b = Addr(cfg.dramRowBytes);
+    Addr b = Addr(mem::kDramRowBytes);
 
     // Pre-warm the counter cache so each fetch is exactly one transfer.
     ctrl.fetchLine(a, 0, kNoAuthSeq, mem::BusTxnKind::kDataFetch, true);
@@ -77,7 +73,7 @@ TEST(BusContention, OverlappingFillsSerializeOnBus)
     ASSERT_EQ(first.eventCount(mem::PathEvent::kBusGrant), 1u);
     ASSERT_EQ(second.eventCount(mem::PathEvent::kBusGrant), 1u);
 
-    Cycle transfer = Cycle(lineBeats(cfg)) * cfg.busClockRatio;
+    Cycle transfer = Cycle(kLineBeats) * mem::kBusClockRatio;
     EXPECT_GE(second.eventCycle(mem::PathEvent::kBusGrant),
               first.eventCycle(mem::PathEvent::kBusGrant) + transfer);
     EXPECT_GE(ctrl.busArbiter().contendedGrants(), 1u);
@@ -95,8 +91,8 @@ TEST(BusContention, CounterMissDelaysDataBusGrant)
 
     std::vector<Cycle> grants = grantCycles(miss);
     ASSERT_EQ(grants.size(), 2u) << "counter line + data line";
-    Cycle counter_beats = Cycle(kExtLineBytes / cfg.busWidthBytes) *
-                          cfg.busClockRatio;
+    Cycle counter_beats = Cycle(kExtLineBytes / mem::kBusWidthBytes) *
+                          mem::kBusClockRatio;
     EXPECT_GE(grants[1], grants[0] + counter_beats);
     EXPECT_EQ(miss.eventCount(mem::PathEvent::kCounterReady), 1u);
 

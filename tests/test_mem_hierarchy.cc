@@ -101,7 +101,7 @@ TEST(MemHierarchy, TimedReadLatencies)
     std::uint64_t value;
     // Cold read: TLB miss + L1 miss + L2 miss + DRAM + decrypt.
     mem::Txn cold = hier.readTimed(0x2000, 8, 0, kNoAuthSeq, value);
-    EXPECT_GT(cold.ready, Cycle(cfg.decryptLatency));
+    EXPECT_GT(cold.ready, Cycle(kDecryptLatency));
     EXPECT_NE(cold.authSeq, kNoAuthSeq);
 
     // Hot read: L1 hit at the hit latency.
@@ -309,7 +309,7 @@ TEST(MemHierarchy, CbcModeSlowerThanCounterMode)
 
     // CBC cannot overlap decryption with the fetch: strictly slower.
     EXPECT_GT(cbc.ready, ctr.ready);
-    EXPECT_GE(cbc.ready - ctr.ready, Cycle(cbc_cfg.decryptLatency) / 2);
+    EXPECT_GE(cbc.ready - ctr.ready, Cycle(kDecryptLatency) / 2);
 }
 
 TEST(MemHierarchy, CounterPredictionHidesCounterMiss)

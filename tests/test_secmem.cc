@@ -569,6 +569,38 @@ TEST(AuthEngine, FailureTracking)
     EXPECT_EQ(eng.firstFailureCycle(0), eng.doneCycle(bad));
 }
 
+// A gate tag never verifies once it covers the client's first failed
+// request: the tag at or after it does, no tag and an earlier tag do
+// not, and a neighbour client's failure poisons nothing of client 0.
+TEST(AuthEngine, NeverVerifiesFromTheClientsFirstFailure)
+{
+    AuthEngine eng(10, 10, 2);
+    AuthSeq before = eng.post(0, 0, true, 0);
+    AuthSeq neighbour_bad = eng.post(0, 0, false, 1);
+    AuthSeq bad = eng.post(0, 0, false, 0);
+    AuthSeq after = eng.post(0, 0, true, 0);
+    ASSERT_LT(neighbour_bad, bad);
+
+    EXPECT_FALSE(eng.neverVerifies(kNoAuthSeq, 0));
+    EXPECT_FALSE(eng.neverVerifies(before, 0));
+    EXPECT_FALSE(eng.neverVerifies(neighbour_bad, 0));
+    EXPECT_TRUE(eng.neverVerifies(bad, 0));
+    EXPECT_TRUE(eng.neverVerifies(after, 0));
+
+    // Client 1 failed first, at neighbour_bad: client 0's tags before
+    // it verify for client 1, the rest never do.
+    EXPECT_FALSE(eng.neverVerifies(kNoAuthSeq, 1));
+    EXPECT_FALSE(eng.neverVerifies(before, 1));
+    EXPECT_TRUE(eng.neverVerifies(neighbour_bad, 1));
+
+    // A client with no failure verifies every tag.
+    AuthEngine clean(10, 10, 2);
+    AuthSeq ok = clean.post(0, 0, true, 0);
+    clean.post(0, 0, false, 1);
+    EXPECT_FALSE(clean.neverVerifies(ok, 0));
+    EXPECT_FALSE(clean.neverVerifies(ok + 1, 0));
+}
+
 TEST(AuthEngine, ExtraLatencyExtendsCompletion)
 {
     AuthEngine eng(100, 100);
@@ -816,7 +848,7 @@ TEST(HashTree, ColdWalkFetchesAllButTheTopLevel)
     EXPECT_EQ(cold.nodeFetches, 3u);
     EXPECT_EQ(counting.fetches, 3);
     EXPECT_EQ(cold.levelsHashed, 4u);
-    EXPECT_EQ(cold.readyAt, 100 + 4 * Cycle(cfg.treeHashLatency));
+    EXPECT_EQ(cold.readyAt, 100 + 4 * Cycle(kTreeHashLatency));
 }
 
 // ----------------------------------------------------------------- remap
@@ -1014,7 +1046,7 @@ TEST(AuthEngine, ThroughputBoundedByInterval)
 
 TEST(CounterPredictor, ColdRegionPredictsProvisioningCounter)
 {
-    CounterPredictor pred(4096, 4);
+    CounterPredictor pred;
     // Fresh image: counters are 0 -> within the window.
     EXPECT_TRUE(pred.predictAndResolve(0x10000, 0));
     EXPECT_TRUE(pred.predictAndResolve(0x20000, 3));
@@ -1024,7 +1056,7 @@ TEST(CounterPredictor, ColdRegionPredictsProvisioningCounter)
 
 TEST(CounterPredictor, RegionHistoryTrains)
 {
-    CounterPredictor pred(4096, 4);
+    CounterPredictor pred;
     // Writebacks in a region train its base counter.
     pred.onWriteback(0x40000, 50);
     EXPECT_TRUE(pred.predictAndResolve(0x40040, 52)); // same region
@@ -1033,7 +1065,7 @@ TEST(CounterPredictor, RegionHistoryTrains)
 
 TEST(CounterPredictor, MispredictionRetrains)
 {
-    CounterPredictor pred(4096, 4);
+    CounterPredictor pred;
     EXPECT_FALSE(pred.predictAndResolve(0x50000, 40));
     // The true counter retrained the region: neighbours now hit.
     EXPECT_TRUE(pred.predictAndResolve(0x50040, 41));
@@ -1041,7 +1073,7 @@ TEST(CounterPredictor, MispredictionRetrains)
 
 TEST(CounterPredictor, HitRateTracksOutcomes)
 {
-    CounterPredictor pred(4096, 4);
+    CounterPredictor pred;
     pred.predictAndResolve(0x0, 0);    // hit
     pred.predictAndResolve(0x1000, 9); // miss
     EXPECT_DOUBLE_EQ(pred.hitRate(), 0.5);
@@ -1049,7 +1081,7 @@ TEST(CounterPredictor, HitRateTracksOutcomes)
 
 TEST(CounterPredictor, StaleBaseWithinWindowStillHits)
 {
-    CounterPredictor pred(4096, 4);
+    CounterPredictor pred;
     pred.onWriteback(0x60000, 10);
     // Line written 3 more times since training: still inside window.
     EXPECT_TRUE(pred.predictAndResolve(0x60000, 13));

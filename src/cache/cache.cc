@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <cstring>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -12,6 +14,9 @@ Cache::Cache(std::string name, const sim::CacheConfig &cfg)
     if (!isPowerOfTwo(cfg.lineBytes))
         acp_fatal("%s: line size %u not a power of two",
                   stats_.name().c_str(), cfg.lineBytes);
+    if (cfg.lineBytes > kExtLineBytes)
+        acp_fatal("%s: line size %u exceeds the %u-byte external line",
+                  stats_.name().c_str(), cfg.lineBytes, kExtLineBytes);
     if (cfg.sizeBytes % (std::uint64_t(cfg.lineBytes) * cfg.assoc) != 0)
         acp_fatal("%s: size %llu not divisible by assoc*line",
                   stats_.name().c_str(),
@@ -93,7 +98,8 @@ Cache::allocate(Addr addr, Eviction *evicted)
         evicted->dirty = victim->valid && victim->dirty;
         if (victim->valid) {
             evicted->addr = addrOf(*victim, set);
-            evicted->data = std::move(victim->data);
+            std::memcpy(evicted->data.data(), victim->data.data(),
+                        cfg_.lineBytes);
             ++evictions_;
             if (victim->dirty)
                 ++writebacks_;
@@ -124,11 +130,11 @@ Cache::invalidate(Addr addr, Eviction *evicted)
                 evicted->valid = true;
                 evicted->dirty = line.dirty;
                 evicted->addr = addrOf(line, set);
-                evicted->data = std::move(line.data);
+                std::memcpy(evicted->data.data(), line.data.data(),
+                            cfg_.lineBytes);
             }
             line.valid = false;
             line.dirty = false;
-            line.data.clear();
             return true;
         }
     }

@@ -13,6 +13,7 @@
 #ifndef ACP_CACHE_CACHE_HH
 #define ACP_CACHE_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,17 +43,20 @@ struct CacheLine
     Cycle dataReadyAt = 0;
     /** Pending authentication request covering the fill (0 = none). */
     AuthSeq authSeq = 0;
-    /** Line payload (plaintext). Sized lazily to the line size. */
+    /** Line payload (plaintext), sized to the line size by the line's
+     *  first fill. The line keeps this buffer for every later fill. */
     std::vector<std::uint8_t> data;
 };
 
-/** Eviction notice returned by allocate(). */
+/** Eviction notice returned by allocate() and invalidate(). */
 struct Eviction
 {
     bool valid = false;
     bool dirty = false;
     Addr addr = 0;
-    std::vector<std::uint8_t> data;
+    /** A copy of the victim's bytes (the first lineBytes() of it): a
+     *  fixed array, so handing a victim out moves no heap block. */
+    std::array<std::uint8_t, kExtLineBytes> data{};
 };
 
 /** Set-associative cache. */
@@ -74,16 +78,21 @@ class Cache
      */
     CacheLine *lookup(Addr addr, bool touch = true);
 
+    /** Count @p n more hits on the line the last lookup touched,
+     *  without stamping it again: repeated hits on one line with
+     *  nothing in between leave the LRU order as one hit does. */
+    void countHits(std::uint64_t n) { hits_ += n; }
+
     /**
      * Allocate a line for @p addr, evicting the LRU way if needed.
      * The returned line is valid with fresh tag and zeroed metadata;
      * caller fills data/usableAt/authSeq. @p evicted receives the
-     * victim (with its data) so the caller can write it back.
+     * victim (a copy of its data) so the caller can write it back.
      */
     CacheLine *allocate(Addr addr, Eviction *evicted);
 
-    /** Invalidate the line holding @p addr if present; returns its
-     *  previous contents through @p evicted (for dirty merge). */
+    /** Invalidate the line holding @p addr if present; returns a copy
+     *  of its contents through @p evicted (for dirty merge). */
     bool invalidate(Addr addr, Eviction *evicted);
 
     /** Iterate every valid line with its address. */

@@ -33,6 +33,11 @@ class Tlb
      */
     unsigned access(Addr vaddr);
 
+    /** Count @p n more hits on the entry the last access touched,
+     *  without stamping it again: repeated hits on one entry with
+     *  nothing in between leave the LRU order as one hit does. */
+    void countHits(std::uint64_t n) { hits_ += n; }
+
     StatGroup &stats() { return stats_; }
     std::uint64_t hitCount() const { return hits_.value(); }
     std::uint64_t missCount() const { return misses_.value(); }

@@ -70,7 +70,9 @@ OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
       stores_(ready_.size(), 0), firstWaiter_(cfg.ruuSize, kNoLink),
       nextWaiter_(2 * std::size_t(cfg.ruuSize), kNoLink),
       firstParked_(cfg.ruuSize, kNoLink), nextParked_(cfg.ruuSize, kNoLink),
-      intervals_(cfg.statsInterval), stats_(name)
+      fetchQueue_(2 * std::size_t(cfg.fetchWidth)),
+      storeBuffer_(cfg.storeBufferSize), intervals_(cfg.statsInterval),
+      stats_(name)
 {
     completions_.reserve(cfg.ruuSize);
     due_.reserve(cfg.ruuSize);
@@ -348,10 +350,11 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
                                 older.storeValue, older.tainted))
             return *done;
     }
-    for (auto it = storeBuffer_.rbegin(); it != storeBuffer_.rend(); ++it) {
-        if (it->isOut)
+    for (std::size_t i = storeBuffer_.size(); i-- > 0;) {
+        const StoreBufEntry &sb = storeBuffer_[i];
+        if (sb.isOut)
             continue;
-        if (auto done = forward(it->addr, it->bytes, it->value, it->tainted))
+        if (auto done = forward(sb.addr, sb.bytes, sb.value, sb.tainted))
             return *done;
     }
 
@@ -447,13 +450,13 @@ OooCore::stageCommit()
         }
 
         if (entry.isStore || entry.isOut) {
-            if (storeBuffer_.size() >= cfg_.storeBufferSize) {
+            if (storeBuffer_.full()) {
                 ++sbFullStalls_;
                 if (done == 0)
                     commitBlock_ = CommitBlock::kSbFull;
                 break;
             }
-            StoreBufEntry sb;
+            StoreBufEntry &sb = storeBuffer_.push_back();
             sb.tag = entry.issueTag;
             sb.tainted = entry.tainted;
             if (entry.isOut) {
@@ -466,7 +469,6 @@ OooCore::stageCommit()
                 sb.value = entry.storeValue;
                 ++storesCommitted_;
             }
-            storeBuffer_.push_back(sb);
         }
 
         if (entry.writesRd) {
@@ -744,45 +746,63 @@ OooCore::stageFetch()
         return;
 
     unsigned budget = cfg_.fetchWidth;
-    const unsigned queue_cap = 2 * cfg_.fetchWidth;
     const cache::Cache &l1i = hier_.l1i(client_);
     const Addr line_mask = l1i.lineBytes() - 1;
+    // Only the group's first word walks the I-TLB and the L1I. Every
+    // later word lies in the same L1I line (pcs are word-aligned, and a
+    // line's end ends the group), in the same cycle, with no hierarchy
+    // access in between: its own walk would hit the I-TLB entry and the
+    // L1I line the first walk left and return the same timing and
+    // authSeq. So it reads the line's bytes, and the group counts it as
+    // a hit when it ends. A faulting pc hands out no line: each of its
+    // words walks, so each counts its translation fault.
+    const std::uint8_t *line = nullptr;
+    AuthSeq fetch_seq = kNoAuthSeq;
+    unsigned line_hits = 0;
 
-    while (budget > 0 && fetchQueue_.size() < queue_cap) {
+    while (budget > 0 && !fetchQueue_.full()) {
         // Even a stalling probe mutates the hierarchy (caches, MSHRs,
         // bus, engine): every loop entry is progress.
         progress_ = true;
-        AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
         std::uint32_t word = 0;
-        mem::Txn access =
-            hier_.fetchTimed(fetchPc_, cycle_, gate, word, client_);
-        // L1I hits are pipelined: data arriving within the hit latency
-        // feeds this cycle's fetch group; anything slower stalls.
-        if (access.ready > cycle_ + l1i.hitLatency()) {
-            fetchStallUntil_ = access.ready;
-            // Attribute the upcoming frontend bubble: fetch-gate bus
-            // delay, else plain miss latency; under authen-then-issue
-            // the tail past data arrival is a verification wait
-            // (classifyStall splits on fetchDataReadyAt_).
-            fetchStallCause_ = access.gateDelayed
-                                   ? obs::StallCause::kFetchGate
-                                   : obs::StallCause::kMemFetch;
-            fetchDataReadyAt_ = access.dataReady;
-            break;
+        if (line != nullptr) {
+            word = secmem::lineWord(line, fetchPc_);
+            ++line_hits;
+        } else {
+            AuthSeq gate =
+                gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
+            mem::Txn access =
+                hier_.fetchTimed(fetchPc_, cycle_, gate, word, line, client_);
+            // L1I hits are pipelined: data arriving within the hit
+            // latency feeds this cycle's fetch group; anything slower
+            // stalls.
+            if (access.ready > cycle_ + l1i.hitLatency()) {
+                fetchStallUntil_ = access.ready;
+                // Attribute the upcoming frontend bubble: fetch-gate bus
+                // delay, else plain miss latency; under
+                // authen-then-issue the tail past data arrival is a
+                // verification wait (classifyStall splits on
+                // fetchDataReadyAt_).
+                fetchStallCause_ = access.gateDelayed
+                                       ? obs::StallCause::kFetchGate
+                                       : obs::StallCause::kMemFetch;
+                fetchDataReadyAt_ = access.dataReady;
+                break;
+            }
+            fetch_seq = access.authSeq;
         }
 
-        FetchedInst fetched_inst;
         tracePipeline(obs::PipelineEvent::Kind::kFetch, fetchPc_);
+        FetchedInst &fetched_inst = fetchQueue_.push_back();
         fetched_inst.pc = fetchPc_;
         fetched_inst.inst = isa::decode(word);
-        fetched_inst.fetchSeq = access.authSeq;
+        fetched_inst.fetchSeq = fetch_seq;
         const isa::OpInfo &oi = fetched_inst.inst.info();
         if (oi.isBranch || oi.isJump) {
             Prediction pred = bpred_.predict(fetchPc_, fetched_inst.inst);
             fetched_inst.predTaken = pred.taken;
             fetched_inst.predTarget = pred.target;
         }
-        fetchQueue_.push_back(fetched_inst);
         ++fetched_;
         --budget;
 
@@ -794,6 +814,8 @@ OooCore::stageFetch()
         if ((fetchPc_ & line_mask) == 0)
             break; // I-cache line boundary ends the fetch group
     }
+    if (line_hits > 0)
+        hier_.countFetchHits(line_hits, client_);
 }
 
 obs::StallCause

@@ -25,11 +25,11 @@
 
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/branch_pred.hh"
@@ -418,8 +418,10 @@ class OooCore
     AuthSeq tickTag_ = kNoAuthSeq;
     bool tickTagSampled_ = false;
 
-    std::deque<FetchedInst> fetchQueue_;
-    std::deque<StoreBufEntry> storeBuffer_;
+    /** Decoded instructions awaiting dispatch: 2 * fetchWidth. */
+    Ring<FetchedInst> fetchQueue_;
+    /** Committed stores awaiting release: storeBufferSize. */
+    Ring<StoreBufEntry> storeBuffer_;
 
     // FU availability (per cycle) + unpipelined units
     Cycle intDivFreeAt_ = 0;

@@ -53,12 +53,8 @@ HashTree::HashTree(const sim::SimConfig &cfg, const ExternalMemory &ext)
         offset += count;
     }
 
-    // Metadata layout above the protected region: counters, MACs,
-    // then tree nodes (addresses used only for DRAM timing).
-    Addr meta = cfg.protectedBytes;
-    Addr counters_bytes = cfg.protectedBytes / kExtLineBytes * 8;
-    Addr macs_bytes = counters_bytes;
-    treeBase_ = meta + counters_bytes + macs_bytes;
+    // The nodes follow the counter and MAC regions (MetaLayout).
+    treeBase_ = MetaLayout(cfg.memoryBytes).treeBase;
 
     defaultHash_.assign(levels_ + 1, 0);
     std::uint64_t zeros[kArity] = {0};

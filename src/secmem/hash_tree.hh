@@ -79,13 +79,16 @@ class HashTree
     /** Number of levels above the leaves (root excluded from memory). */
     unsigned levels() const { return levels_; }
 
+    /** External address of node @p index of @p level (1..levels()),
+     *  in the tree region of the MetaLayout. */
+    Addr nodeAddr(unsigned level, std::uint64_t index) const;
+
     StatGroup &stats() { return stats_; }
 
   private:
     std::uint64_t key(unsigned level, std::uint64_t index) const;
     std::uint64_t nodeHash(unsigned level, std::uint64_t index) const;
     std::uint64_t computeNodeHash(unsigned level, std::uint64_t index) const;
-    Addr nodeAddr(unsigned level, std::uint64_t index) const;
 
     const ExternalMemory &ext_;
     cache::Cache nodeCache_;

@@ -235,17 +235,10 @@ MemHierarchy::walkData(CoreCaches &c, Addr addr, unsigned bytes, bool write,
     return read;
 }
 
-inline std::uint32_t
+inline const std::uint8_t *
 MemHierarchy::walkFetch(CoreCaches &c, Addr pc, Cycle cycle, mem::Txn *acc)
 {
-    Addr line_addr = c.l1i.lineAlign(pc);
-    const std::uint8_t *data =
-        ensureL1(c, line_addr, cycle, true, acc)->data.data() +
-        (pc - line_addr);
-    std::uint32_t word = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        word |= std::uint32_t(data[i]) << (8 * i);
-    return word;
+    return ensureL1(c, c.l1i.lineAlign(pc), cycle, true, acc)->data.data();
 }
 
 namespace
@@ -300,15 +293,27 @@ MemHierarchy::writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
 
 mem::Txn
 MemHierarchy::fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
-                         std::uint32_t &word, unsigned client)
+                         std::uint32_t &word, const std::uint8_t *&line,
+                         unsigned client)
 {
     CoreCaches &c = cc(client);
-    pc = translate(clientBase(client) + pc);
+    const Addr addr = clientBase(client) + pc;
+    pc = translate(addr);
     cycle += c.itlb.access(pc);
     mem::Txn out = accessTxn(pc, mem::BusTxnKind::kInstrFetch, cycle,
                              gate_tag, 0, client);
-    word = walkFetch(c, pc, cycle, &out);
+    const std::uint8_t *bytes = walkFetch(c, pc, cycle, &out);
+    word = lineWord(bytes, pc);
+    line = pc == addr ? bytes : nullptr;
     return out;
+}
+
+void
+MemHierarchy::countFetchHits(unsigned n, unsigned client)
+{
+    CoreCaches &c = cc(client);
+    c.itlb.countHits(n);
+    c.l1i.countHits(n);
 }
 
 std::uint64_t
@@ -336,7 +341,7 @@ MemHierarchy::fetchWarm(Addr pc, unsigned client)
     CoreCaches &c = cc(client);
     pc = translate(clientBase(client) + pc);
     c.itlb.access(pc);
-    return walkFetch(c, pc, 0, nullptr);
+    return lineWord(walkFetch(c, pc, 0, nullptr), pc);
 }
 
 void

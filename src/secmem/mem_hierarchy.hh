@@ -44,6 +44,16 @@ constexpr sim::CacheConfig kL1iCache{16 * 1024, 1, 32, 1};
 static_assert(kL1iCache.lineBytes <= kExtLineBytes,
               "an L1 line must not exceed the L2 line");
 
+/** The instruction word at @p pc in the L1I line whose bytes start at
+ *  @p line (little-endian, as loadProgram stores code). */
+inline std::uint32_t
+lineWord(const std::uint8_t *line, Addr pc)
+{
+    const std::uint8_t *p = line + (pc & (kL1iCache.lineBytes - 1));
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+}
+
 /** I-TLB and D-TLB geometry and miss penalty (cycles). */
 constexpr unsigned kTlbEntries = 128;
 constexpr unsigned kTlbAssoc = 4;
@@ -86,9 +96,26 @@ class MemHierarchy
     mem::Txn writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
                         Cycle cycle, AuthSeq gate_tag,
                         std::uint64_t origin = 0, unsigned client = 0);
-    /** Instruction fetch of one word. */
+    /**
+     * Instruction fetch of one word: the first word of a fetch group.
+     * @p line receives the bytes of the L1I line the word came from, or
+     * nullptr when @p pc faulted in translation. The group reads its
+     * later words from that line (lineWord) and counts them with
+     * countFetchHits.
+     */
     mem::Txn fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
-                        std::uint32_t &word, unsigned client = 0);
+                        std::uint32_t &word, const std::uint8_t *&line,
+                        unsigned client = 0);
+    /**
+     * Count @p n I-TLB and L1I hits for @p client: the later words of a
+     * fetch group, which read the line fetchTimed handed out. n more
+     * walks would each hit the I-TLB entry and the L1I line the group's
+     * first walk touched last, with nothing touching either in
+     * between, so they would leave every replacement decision as it is
+     * (the L1I is direct-mapped, and a TLB ranks ways by their last
+     * touch): they only count.
+     */
+    void countFetchHits(unsigned n, unsigned client = 0);
 
     // ----- warm accesses (fast-forward) --------------------------------
     /**
@@ -170,9 +197,10 @@ class MemHierarchy
     inline std::uint64_t walkData(CoreCaches &c, Addr addr, unsigned bytes,
                                   bool write, std::uint64_t value,
                                   Cycle cycle, mem::Txn *acc);
-    /** Read the instruction word at translated @p pc through L1I. */
-    inline std::uint32_t walkFetch(CoreCaches &c, Addr pc, Cycle cycle,
-                                   mem::Txn *acc);
+    /** The bytes of the L1I line holding translated @p pc (filled on
+     *  a miss); @p acc as for ensureL2. */
+    inline const std::uint8_t *walkFetch(CoreCaches &c, Addr pc,
+                                         Cycle cycle, mem::Txn *acc);
     /** Evict an L2 victim from @p c's stack: back-invalidate its L1s,
      *  write back if dirty (charged to @p c's client). */
     void handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,

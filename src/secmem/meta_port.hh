@@ -15,11 +15,51 @@
 #ifndef ACP_SECMEM_META_PORT_HH
 #define ACP_SECMEM_META_PORT_HH
 
+#include <cstdint>
+
 #include "cache/cache.hh"
 #include "common/types.hh"
 
 namespace acp::secmem
 {
+
+/** Bytes per per-line counter in external memory. */
+constexpr unsigned kCounterBytes = 8;
+
+/**
+ * Where the metadata lives in the external address space, above the
+ * memoryBytes of data: one kCounterBytes counter per data line, then a
+ * MAC region of the same size, then the integrity tree's nodes, then
+ * the remap table from 1.5 * memoryBytes. A tree over at most
+ * memoryBytes stores under memoryBytes / 7 bytes of nodes, so it ends
+ * below the remap table. The addresses feed DRAM timing and the bus
+ * trace only.
+ */
+struct MetaLayout
+{
+    constexpr explicit MetaLayout(std::uint64_t memory_bytes)
+        : counterBase(memory_bytes),
+          macBase(counterBase +
+                  memory_bytes / kExtLineBytes * kCounterBytes),
+          treeBase(macBase + (macBase - counterBase)),
+          remapBase(memory_bytes + memory_bytes / 2)
+    {
+    }
+
+    /** The line of the counter region that holds the counter of data
+     *  line @p line_addr. */
+    constexpr Addr
+    counterLine(Addr line_addr) const
+    {
+        Addr addr = counterBase + line_addr / kExtLineBytes * kCounterBytes;
+        return addr & ~Addr(kExtLineBytes - 1);
+    }
+
+    Addr counterBase;
+    Addr macBase;
+    Addr treeBase;
+    Addr remapBase;
+};
 
 /** The port interface. Tests substitute fixed-latency ports. */
 class MetaMemPort

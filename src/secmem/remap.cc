@@ -10,8 +10,8 @@ RemapLayer::RemapLayer(const sim::SimConfig &cfg)
       rng_(cfg.rngSeed ^ 0x5eed5eed5eed5eedULL), stats_("remap")
 {
     physLines_ = cfg.memoryBytes / kExtLineBytes;
-    // Remap table lives in its own external region (timing only).
-    tableBase_ = cfg.memoryBytes + cfg.memoryBytes / 2;
+    // The table has its own external region (MetaLayout).
+    tableBase_ = MetaLayout(cfg.memoryBytes).remapBase;
 
     stats_.addCounter("translates", &translates_);
     stats_.addCounter("shuffles", &shuffles_);

@@ -10,7 +10,8 @@ namespace acp::secmem
 {
 
 SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
-    : cfg_(cfg), ext_(seed), bus_(cfg.numCores), dram_(bus_),
+    : cfg_(cfg), layout_(cfg.memoryBytes), ext_(seed), bus_(cfg.numCores),
+      dram_(bus_),
       engine_(cfg.authLatency, cfg.authEngineInterval, cfg.numCores),
       counterCache_("counter_cache", cfg.counterCache), stats_("memctrl")
 {
@@ -48,15 +49,6 @@ SecureMemCtrl::visitStats(StatGroupVisitor &v)
         v.group(remap_->stats());
     if (predictor_)
         v.group(predictor_->stats());
-}
-
-Addr
-SecureMemCtrl::counterLineAddr(Addr line_addr) const
-{
-    // Counters live in a dedicated region above the protected space.
-    std::uint64_t line_index = line_addr / kExtLineBytes;
-    Addr addr = cfg_.memoryBytes + line_index * kCounterBytes;
-    return addr & ~Addr(kExtLineBytes - 1);
 }
 
 Cycle
@@ -114,8 +106,9 @@ MetaAccess
 SecureMemCtrl::touchCounter(Addr line_addr, Cycle cycle, bool make_dirty,
                             const MetaPort &port)
 {
-    MetaAccess ctr = touchMetaLine(counterCache_, counterLineAddr(line_addr),
-                                   cycle, port, make_dirty);
+    MetaAccess ctr =
+        touchMetaLine(counterCache_, layout_.counterLine(line_addr), cycle,
+                      port, make_dirty);
     if (ctr.missed)
         ++counterMisses_;
     return ctr;
@@ -211,7 +204,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
                           false);
         MetaAccess ctr = touchCounter(line_addr, start, false, ctr_port);
         note(txn, mem::PathEvent::kCounterReady, ctr.ready,
-             counterLineAddr(line_addr));
+             layout_.counterLine(line_addr));
         Cycle pad_ready = ctr.ready + kDecryptLatency;
 
         // [19]: on a counter-cache miss, predicted pads are computed
@@ -316,7 +309,7 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
     MetaPort ctr_port(*this, txn, mem::BusTxnKind::kCounterFetch, false);
     Cycle ready = touchCounter(line_addr, cycle, true, ctr_port).ready;
     note(txn, mem::PathEvent::kCounterReady, ready,
-         counterLineAddr(line_addr));
+         layout_.counterLine(line_addr));
 
     // Tree path update (timing + functional).
     if (tree_) {

@@ -64,8 +64,6 @@ namespace acp::secmem
 /** Counter-mode pad generation latency (80 ns 256-bit Rijndael); a CBC
  *  chunk costs one such pass. */
 constexpr unsigned kDecryptLatency = 80;
-/** Bytes per per-line counter in external memory. */
-constexpr unsigned kCounterBytes = 8;
 /** Extra bus beats per line fetch that carry the 64-bit MAC. */
 constexpr unsigned kMacTransferBeats = 1;
 /** Bytes one line fetch or writeback moves: the line and its MAC. */
@@ -184,7 +182,6 @@ class SecureMemCtrl
      *  (a kCounterFetch port), counting a miss. */
     MetaAccess touchCounter(Addr line_addr, Cycle cycle, bool make_dirty,
                             const MetaPort &port);
-    Addr counterLineAddr(Addr line_addr) const;
     /** One bus/bank transfer, charged to @p txn (trace at grant). */
     Cycle dramAccess(Addr addr, Cycle cycle, unsigned bytes, bool is_write,
                      mem::BusTxnKind kind, mem::Txn &txn);
@@ -201,6 +198,8 @@ class SecureMemCtrl
     }
 
     const sim::SimConfig &cfg_;
+    /** Where the counter lines sit in external memory. */
+    const MetaLayout layout_;
     ExternalMemory ext_;
     mem::BusArbiter bus_; // must outlive dram_ (shared resource)
     mem::Dram dram_;

@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
@@ -65,6 +66,19 @@ System::System(const SimConfig &cfg,
         acp_fatal("ruuSize %u: the core needs at least 2 RUU entries "
                   "(the LSQ gets half)",
                   cfg_.ruuSize);
+    // A zero width stalls its stage for good, and the fetch queue and
+    // the store buffer are rings of 2 * fetchWidth and storeBufferSize
+    // slots: each needs at least one.
+    const std::pair<const char *, unsigned> widths[] = {
+        {"fetchWidth", cfg_.fetchWidth},
+        {"decodeWidth", cfg_.decodeWidth},
+        {"issueWidth", cfg_.issueWidth},
+        {"commitWidth", cfg_.commitWidth},
+        {"storeBufferSize", cfg_.storeBufferSize},
+    };
+    for (const auto &[field, value] : widths)
+        if (value == 0)
+            acp_fatal("%s 0: the core needs at least 1", field);
 
     // Core i is hierarchy client i.
     slots_.resize(progs.size());

@@ -1,20 +1,22 @@
 /**
  * @file
  * Unit tests for the common utilities: bit operations, RNG
- * determinism, the stats package, the JSON writer, and the option
- * list splitter.
+ * determinism, the stats package, the JSON writer, the option list
+ * splitter and the fixed-capacity ring.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/json.hh"
 #include "common/parse.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -275,4 +277,69 @@ TEST(Parse, SplitOnDropsEmptyParts)
     EXPECT_EQ(splitOn("commit+fetch", ','), Parts{"commit+fetch"});
     EXPECT_EQ(splitOn("", ','), Parts{});
     EXPECT_EQ(splitOn(",", ','), Parts{});
+}
+
+/** Ring capacities: one slot, two, an odd count, and the store
+ *  buffer's 32. */
+class RingCapacity : public ::testing::TestWithParam<std::size_t>
+{};
+
+// Fill to capacity, then pop a varying count and refill, so the front
+// crosses the wrap point at every offset; every element, read
+// youngest-first by index from the front, matches a deque's.
+TEST_P(RingCapacity, WrapsAtCapacityAndIndexesFromTheFront)
+{
+    const std::size_t cap = GetParam();
+    Ring<int> ring(cap);
+    EXPECT_TRUE(ring.empty());
+
+    std::deque<int> model;
+    int next = 0;
+    for (std::size_t round = 0; round < 4 * cap + 3; ++round) {
+        while (!ring.full()) {
+            ring.push_back() = next;
+            model.push_back(next++);
+        }
+        ASSERT_EQ(ring.size(), cap);
+        for (std::size_t i = ring.size(); i-- > 0;)
+            EXPECT_EQ(ring[i], model[i]) << "round " << round;
+        for (std::size_t n = round % cap + 1; n > 0; --n) {
+            EXPECT_EQ(ring.front(), model.front());
+            ring.pop_front();
+            model.pop_front();
+        }
+        ASSERT_EQ(ring.size(), model.size());
+    }
+
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    for (std::size_t i = 0; i < cap; ++i)
+        ring.push_back() = int(100 + i);
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.front(), 100);
+    EXPECT_EQ(ring[cap - 1], int(100 + cap - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, RingCapacity,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{5},
+                                           std::size_t{32}));
+
+TEST(Ring, PushHandsOutAValueInitializedSlot)
+{
+    Ring<int> ring(2);
+    ring.push_back() = 7;
+    ring.push_back() = 8;
+    ring.pop_front();
+    // The slot that held 7 comes back cleared.
+    EXPECT_EQ(ring.push_back(), 0);
+    EXPECT_EQ(ring[0], 8);
+}
+
+TEST(RingDeathTest, AFullOrEmptyCapacityIsABug)
+{
+    Ring<int> ring(1);
+    ring.push_back();
+    EXPECT_DEATH(ring.push_back(), "push to a full ring of 1");
+    EXPECT_DEATH({ Ring<int> none(0); }, "at least one slot");
 }

@@ -486,3 +486,167 @@ TEST_P(LoadParking, ParkedLoadsIssueWithTheirStoreAndSurviveSquash)
 }
 
 INSTANTIATE_TEST_SUITE_P(Ruu, LoadParking, ::testing::Values(16u, 128u, 200u));
+
+// ----- the fetch group's hierarchy counters -----------------------------
+//
+// A fetch group walks the I-TLB and the L1I for its first word only and
+// counts its later words as hits. These tests pin every fetch-path
+// counter of a short timed window to the values the one-walk-per-word
+// fetch produced on the same programs.
+
+namespace
+{
+
+/** The fetch path's counters of one client after a timed window. */
+struct FetchCounts
+{
+    std::uint64_t l1iHits = 0, l1iMisses = 0;
+    std::uint64_t itlbHits = 0, itlbMisses = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t fetched = 0;
+
+    bool operator==(const FetchCounts &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FetchCounts &c)
+{
+    return os << "{" << c.l1iHits << ", " << c.l1iMisses << ", "
+              << c.itlbHits << ", " << c.itlbMisses << ", " << c.faults
+              << ", " << c.fetched << "}";
+}
+
+FetchCounts
+fetchCounts(sim::System &system, unsigned client)
+{
+    secmem::MemHierarchy &hier = system.hier();
+    return {hier.l1i(client).hits(),   hier.l1i(client).misses(),
+            hier.itlb(client).hitCount(), hier.itlb(client).missCount(),
+            hier.translationFaults(),
+            coreCounter(system.core(client), "fetched")};
+}
+
+/** Cycles of every fetch-group window. */
+constexpr Cycle kFetchWindow = 4000;
+
+/** Straight-line code entered at a mid-line pc (0x1014), running
+ *  across eight 32-byte lines to a halt. */
+Program
+midLineStraightLine()
+{
+    ProgramBuilder pb(0x1000, "straight");
+    Label start = pb.newLabel();
+    pb.j(start);
+    for (int i = 0; i < 4; ++i)
+        pb.nop();
+    pb.bind(start);
+    for (int i = 0; i < 60; ++i)
+        pb.addi(1 + i % 9, 1 + i % 9, i);
+    pb.halt();
+    return pb.finish();
+}
+
+/** A loop entered mid-line whose predicted-taken backward branch sits
+ *  mid-line too. */
+Program
+midLineLoop()
+{
+    ProgramBuilder pb(0x1000, "loop");
+    Label loop = pb.newLabel();
+    pb.li(5, 400);
+    while (pb.here() % 32 != 12)
+        pb.nop();
+    pb.bind(loop);
+    for (unsigned r = 1; r <= 4; ++r)
+        pb.addi(r, r, 1);
+    pb.xor_(6, 6, 5);
+    pb.addi(5, 5, -1);
+    pb.bne(5, 0, loop);
+    pb.halt();
+    return pb.finish();
+}
+
+/** Three passes over a chain of jumps, each to a line (and page) no
+ *  word before it touched: the first pass's groups end on a miss. */
+Program
+coldJumpChain()
+{
+    ProgramBuilder pb(0x1000, "cold");
+    Label again = pb.newLabel();
+    pb.li(9, 3);
+    pb.bind(again);
+    for (int hop = 0; hop < 4; ++hop) {
+        Label next = pb.newLabel();
+        pb.addi(5, 5, 1);
+        pb.j(next);
+        for (int i = 0; i < 1030 + 3 * hop; ++i)
+            pb.nop();
+        pb.bind(next);
+    }
+    pb.addi(9, 9, -1);
+    pb.bne(9, 0, again);
+    pb.halt();
+    return pb.finish();
+}
+
+/** Jumps to pc memoryBytes + 0x1000, which translates to the program's
+ *  own first word: the code loops there, and every word it fetches
+ *  faults. */
+Program
+faultingAlias(std::uint64_t memory_bytes)
+{
+    ProgramBuilder pb(0x1000, "alias");
+    for (int i = 0; i < 20; ++i)
+        pb.addi(1 + i % 5, 1 + i % 5, 1);
+    pb.li(7, memory_bytes + 0x1000);
+    pb.jalr(0, 7, 0);
+    pb.halt();
+    return pb.finish();
+}
+
+FetchCounts
+runFetchWindow(const Program &prog)
+{
+    sim::System system(testCfg(), prog);
+    system.measureTimed(~0ULL >> 1, kFetchWindow);
+    return fetchCounts(system, 0);
+}
+
+} // namespace
+
+TEST(FetchGroup, StraightLineEnteredMidLine)
+{
+    EXPECT_EQ(runFetchWindow(midLineStraightLine()),
+              (FetchCounts{68, 10, 77, 1, 0, 68}));
+}
+
+TEST(FetchGroup, LoopWithMidLineBackwardBranch)
+{
+    EXPECT_EQ(runFetchWindow(midLineLoop()),
+              (FetchCounts{2821, 3, 2823, 1, 0, 2821}));
+}
+
+TEST(FetchGroup, JumpsToColdLinesEndTheirGroupOnAMiss)
+{
+    EXPECT_EQ(runFetchWindow(coldJumpChain()),
+              (FetchCounts{40, 6, 41, 5, 0, 40}));
+}
+
+TEST(FetchGroup, EveryWordOfAFaultingPcCountsItsFault)
+{
+    const FetchCounts counts =
+        runFetchWindow(faultingAlias(testCfg().memoryBytes));
+    EXPECT_EQ(counts, (FetchCounts{20708, 5, 20712, 1, 20685, 20708}));
+}
+
+TEST(FetchGroup, TwoCoreMixFetchesThroughEachClientsSlice)
+{
+    sim::SimConfig cfg = testCfg();
+    cfg.numCores = 2;
+    sim::System system(cfg, std::vector<Program>{midLineLoop(),
+                                                  coldJumpChain()});
+    system.measureTimed(~0ULL >> 1, kFetchWindow);
+    EXPECT_EQ(fetchCounts(system, 0),
+              (FetchCounts{2821, 3, 2823, 1, 0, 2821}));
+    EXPECT_EQ(fetchCounts(system, 1), (FetchCounts{40, 6, 41, 5, 0, 40}));
+}

@@ -851,6 +851,50 @@ TEST(HashTree, ColdWalkFetchesAllButTheTopLevel)
     EXPECT_EQ(cold.readyAt, 100 + 4 * Cycle(kTreeHashLatency));
 }
 
+// Every metadata region comes from one layout above memoryBytes:
+// counters, MACs, tree nodes, then the remap table. A tree over a
+// region smaller than the memory sizes its node count by the region
+// but still sits between the MACs and the remap table.
+TEST(MetaLayout, ASmallRegionsTreeSitsBetweenTheMacsAndTheRemapTable)
+{
+    sim::SimConfig cfg;
+    cfg.hashTreeEnabled = true;
+    cfg.memoryBytes = 64ULL << 20;
+    cfg.protectedBytes = 1 << 20;
+    ExternalMemory ext(17);
+    HashTree tree(cfg, ext);
+    ASSERT_EQ(tree.levels(), 4u);
+
+    const MetaLayout layout(cfg.memoryBytes);
+    const Addr counter_bytes =
+        cfg.memoryBytes / kExtLineBytes * kCounterBytes;
+    EXPECT_EQ(layout.counterBase, cfg.memoryBytes);
+    EXPECT_EQ(layout.counterLine(cfg.memoryBytes - kExtLineBytes),
+              layout.macBase - kExtLineBytes);
+    const Addr mac_end = layout.macBase + counter_bytes;
+
+    std::uint64_t nodes =
+        cfg.protectedBytes / kExtLineBytes / HashTree::kArity;
+    for (unsigned level = 1; level <= tree.levels(); ++level) {
+        EXPECT_GE(tree.nodeAddr(level, 0), mac_end) << "level " << level;
+        EXPECT_LE(tree.nodeAddr(level, nodes - 1) + kExtLineBytes,
+                  layout.remapBase)
+            << "level " << level;
+        nodes = (nodes + HashTree::kArity - 1) / HashTree::kArity;
+    }
+    EXPECT_EQ(nodes, 1u); // the on-chip root
+
+    // A cold walk of the region's last line fetches inside the tree
+    // region too.
+    RecordingPort port;
+    tree.verify(cfg.protectedBytes - kExtLineBytes, 0, port);
+    ASSERT_EQ(port.calls.size(), 3u);
+    for (const RecordingPort::Call &call : port.calls) {
+        EXPECT_GE(call.addr, mac_end);
+        EXPECT_LT(call.addr, layout.remapBase);
+    }
+}
+
 // ----------------------------------------------------------------- remap
 
 TEST(Remap, TranslateIsStableUntilShuffle)

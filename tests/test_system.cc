@@ -148,6 +148,39 @@ TEST(System, ZeroCoresIsFatal)
                 ::testing::ExitedWithCode(1), "numCores 0");
 }
 
+// A zero fetch, decode, issue or commit width never moves an
+// instruction through its stage, and an empty store buffer never
+// commits a store: the System refuses each, naming the field.
+class ZeroWidth : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(ZeroWidth, IsFatalAndNamesTheField)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 1 << 20;
+    isa::Program prog = workloads::build("mcf", params);
+    const std::string field = GetParam();
+    const std::map<std::string, unsigned sim::SimConfig::*> members = {
+        {"fetchWidth", &sim::SimConfig::fetchWidth},
+        {"decodeWidth", &sim::SimConfig::decodeWidth},
+        {"issueWidth", &sim::SimConfig::issueWidth},
+        {"commitWidth", &sim::SimConfig::commitWidth},
+        {"storeBufferSize", &sim::SimConfig::storeBufferSize},
+    };
+    sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+    cfg.*members.at(field) = 0;
+    EXPECT_EXIT({ sim::System system(cfg, prog); },
+                ::testing::ExitedWithCode(1), "fatal: " + field + " 0");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ZeroWidth,
+    ::testing::Values("fetchWidth", "decodeWidth", "issueWidth",
+                      "commitWidth", "storeBufferSize"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        return std::string(info.param);
+    });
+
 // Each core gets memoryBytes / nextPow2(numCores) bytes. 32 cores in
 // 16 MiB leave 512 KiB each, and mcf's data starts at 1 MiB: the image
 // would overwrite a neighbouring core's.

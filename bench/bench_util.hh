@@ -158,111 +158,94 @@ runSchemes(const std::vector<std::string> &names,
     return exp::submit(req).results;
 }
 
+/** How a ratio table compares each scheme with its reference run. */
+struct Ratio
+{
+    core::AuthPolicy reference;
+    /** Printed in parentheses after the table's title. */
+    const char *caption;
+    /** A speedup cell shows IPC(scheme) / IPC(reference) - 1, signed,
+     *  and the table ends with how many workloads each scheme speeds up
+     *  by 10%, 20% and 30%; otherwise a cell shows the ratio itself.
+     *  Both in percent. */
+    bool speedup;
+};
+
+/** Figs. 7, 10 and 12: IPC normalized to decryption only. */
+inline constexpr Ratio kNormalizedIpc{
+    core::AuthPolicy::kBaseline,
+    "baseline: decryption only, no authentication", false};
+
+/** Figs. 8, 11 and 13: IPC speedup over authen-then-issue. */
+inline constexpr Ratio kSpeedupOverIssue{
+    core::AuthPolicy::kAuthThenIssue, "IPC speedup over authen-then-issue",
+    true};
+
 /**
- * Print a paper-style normalized-IPC table: one row per workload, one
- * column per scheme, each cell = IPC(scheme)/IPC(baseline) in percent,
- * with a final average row. Returns the per-scheme averages.
+ * Run the (@p ratio's reference + schemes) × workloads sweep and print
+ * it as a paper-style table: one row per workload, one column per
+ * scheme, each cell IPC(scheme) / IPC(reference) as @p ratio shows it,
+ * and a final average row. Returns each scheme's average ratio.
  */
 inline std::vector<double>
-normalizedIpcTable(const char *title, const std::vector<std::string> &names,
-                   const std::vector<Scheme> &schemes,
-                   sim::SimConfig base_cfg)
+ratioTable(const char *title, const Ratio &ratio,
+           const std::vector<std::string> &names,
+           const std::vector<Scheme> &schemes, sim::SimConfig base_cfg)
 {
     std::vector<exp::Result> results =
-        runSchemes(names, schemes, base_cfg, core::AuthPolicy::kBaseline);
-    std::size_t stride = schemes.size() + 1;
+        runSchemes(names, schemes, base_cfg, ratio.reference);
+    const std::size_t stride = schemes.size() + 1;
+    const int width = 16 + 14 * int(schemes.size());
+    auto cell = [&ratio](double r) {
+        if (ratio.speedup)
+            std::printf(" %+11.1f%%", 100.0 * (r - 1.0));
+        else
+            std::printf(" %12.1f%%", 100.0 * r);
+    };
 
-    std::printf("\n%s (baseline: decryption only, no authentication)\n",
-                title);
-    bench::rule('-', 16 + 14 * int(schemes.size()));
+    std::printf("\n%s (%s)\n", title, ratio.caption);
+    bench::rule('-', width);
     std::printf("%-10s", "bench");
     for (const Scheme &scheme : schemes)
         std::printf(" %13s", scheme.label);
     std::printf("\n");
-    bench::rule('-', 16 + 14 * int(schemes.size()));
+    bench::rule('-', width);
 
-    std::vector<std::vector<double>> ratios(schemes.size());
+    std::vector<std::vector<double>> columns(schemes.size());
     for (std::size_t w = 0; w < names.size(); ++w) {
-        double base = results[w * stride].run.ipc;
+        double ref = results[w * stride].run.ipc;
         std::printf("%-10s", names[w].c_str());
         for (std::size_t s = 0; s < schemes.size(); ++s) {
             double ipc = results[w * stride + 1 + s].run.ipc;
-            double ratio = base > 0 ? ipc / base : 0.0;
-            ratios[s].push_back(ratio);
-            std::printf(" %12.1f%%", 100.0 * ratio);
+            columns[s].push_back(ref > 0 ? ipc / ref : 0.0);
+            cell(columns[s].back());
         }
         std::printf("\n");
     }
-    bench::rule('-', 16 + 14 * int(schemes.size()));
+    bench::rule('-', width);
     std::printf("%-10s", "average");
     std::vector<double> avgs;
-    for (auto &col : ratios) {
+    for (const std::vector<double> &column : columns) {
         double sum = 0;
-        for (double v : col)
+        for (double v : column)
             sum += v;
-        double avg = col.empty() ? 0.0 : sum / double(col.size());
-        avgs.push_back(avg);
-        std::printf(" %12.1f%%", 100.0 * avg);
+        avgs.push_back(column.empty() ? 0.0 : sum / double(column.size()));
+        cell(avgs.back());
     }
     std::printf("\n");
-    return avgs;
-}
-
-/** Speedup-over-issue table (Figs. 8, 11, 13). */
-inline void
-speedupOverIssueTable(const char *title,
-                      const std::vector<std::string> &names,
-                      const std::vector<Scheme> &schemes,
-                      sim::SimConfig base_cfg)
-{
-    std::vector<exp::Result> results = runSchemes(
-        names, schemes, base_cfg, core::AuthPolicy::kAuthThenIssue);
-    std::size_t stride = schemes.size() + 1;
-
-    std::printf("\n%s (IPC speedup over authen-then-issue)\n", title);
-    bench::rule('-', 16 + 14 * int(schemes.size()));
-    std::printf("%-10s", "bench");
-    for (const Scheme &scheme : schemes)
-        std::printf(" %13s", scheme.label);
-    std::printf("\n");
-    bench::rule('-', 16 + 14 * int(schemes.size()));
-
-    std::vector<std::vector<double>> speedups(schemes.size());
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        double issue_ipc = results[w * stride].run.ipc;
-        std::printf("%-10s", names[w].c_str());
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            double ipc = results[w * stride + 1 + s].run.ipc;
-            double speedup = issue_ipc > 0 ? ipc / issue_ipc : 0.0;
-            speedups[s].push_back(speedup);
-            std::printf(" %+11.1f%%", 100.0 * (speedup - 1.0));
-        }
-        std::printf("\n");
-    }
-    bench::rule('-', 16 + 14 * int(schemes.size()));
-    std::printf("%-10s", "average");
-    for (auto &col : speedups) {
-        double sum = 0;
-        for (double v : col)
-            sum += v;
-        std::printf(" %+11.1f%%",
-                    100.0 * (sum / double(col.size()) - 1.0));
-    }
-    std::printf("\n");
+    if (!ratio.speedup)
+        return avgs;
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-        int over10 = 0, over20 = 0, over30 = 0;
-        for (double v : speedups[s]) {
-            if (v >= 1.10)
-                ++over10;
-            if (v >= 1.20)
-                ++over20;
-            if (v >= 1.30)
-                ++over30;
-        }
+        int over[3] = {};
+        const double floors[3] = {1.10, 1.20, 1.30};
+        for (double v : columns[s])
+            for (int i = 0; i < 3; ++i)
+                over[i] += v >= floors[i];
         std::printf("  %-14s benchmarks improved >10%%: %d, >20%%: %d, "
-                    ">30%%: %d\n", schemes[s].label, over10, over20,
-                    over30);
+                    ">30%%: %d\n", schemes[s].label, over[0], over[1],
+                    over[2]);
     }
+    return avgs;
 }
 
 /**

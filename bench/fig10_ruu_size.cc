@@ -28,8 +28,9 @@ main()
 
     sim::SimConfig cfg = sim::paperConfig();
     cfg.ruuSize = 64;
-    std::vector<double> avgs = bench::normalizedIpcTable(
-        "Fig 10 (all 18 workloads)", all_names, schemes, cfg);
+    std::vector<double> avgs =
+        bench::ratioTable("Fig 10 (all 18 workloads)", bench::kNormalizedIpc,
+                          all_names, schemes, cfg);
 
     std::printf("\nRanking check (lowest to highest should be "
                 "issue, commit+fetch, commit, write): %s\n",

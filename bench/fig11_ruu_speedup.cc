@@ -28,6 +28,7 @@ main()
 
     sim::SimConfig cfg = sim::paperConfig();
     cfg.ruuSize = 64;
-    bench::speedupOverIssueTable("Fig 11", all_names, schemes, cfg);
+    bench::ratioTable("Fig 11", bench::kSpeedupOverIssue, all_names, schemes,
+                      cfg);
     return 0;
 }

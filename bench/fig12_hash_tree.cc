@@ -38,8 +38,8 @@ main()
     sim::SimConfig cfg = sim::paperConfig();
     cfg.hashTreeEnabled = true;
     cfg.protectedBytes = cfg.memoryBytes;
-    bench::normalizedIpcTable("Fig 12 (all 18 workloads)", all_names,
-                              schemes, cfg);
+    bench::ratioTable("Fig 12 (all 18 workloads)", bench::kNormalizedIpc,
+                      all_names, schemes, cfg);
 
     std::printf("\nExpected shape: every bar lower than Fig. 7; issue "
                 "slowest, write fastest,\nwrite/commit/fetch differences "

@@ -29,6 +29,7 @@ main()
     sim::SimConfig cfg = sim::paperConfig();
     cfg.hashTreeEnabled = true;
     cfg.protectedBytes = cfg.memoryBytes;
-    bench::speedupOverIssueTable("Fig 13", all_names, schemes, cfg);
+    bench::ratioTable("Fig 13", bench::kSpeedupOverIssue, all_names, schemes,
+                      cfg);
     return 0;
 }

@@ -28,20 +28,17 @@ main()
                 (unsigned long long)bench::workingSetBytes() / 1024);
 
     sim::SimConfig small_l2 = sim::paperConfig();
-    bench::normalizedIpcTable("Fig 7(a) SPEC2000 INT, 256KB L2",
-                              workloads::intNames(), bench::fig7Schemes(),
-                              small_l2);
-    bench::normalizedIpcTable("Fig 7(b) SPEC2000 FP, 256KB L2",
-                              workloads::fpNames(), bench::fig7Schemes(),
-                              small_l2);
+    bench::ratioTable("Fig 7(a) SPEC2000 INT, 256KB L2",
+                      bench::kNormalizedIpc, workloads::intNames(),
+                      bench::fig7Schemes(), small_l2);
+    bench::ratioTable("Fig 7(b) SPEC2000 FP, 256KB L2", bench::kNormalizedIpc,
+                      workloads::fpNames(), bench::fig7Schemes(), small_l2);
 
     sim::SimConfig large_l2 = sim::paperConfig();
     large_l2.useLargeL2();
-    bench::normalizedIpcTable("Fig 7(c) SPEC2000 INT, 1MB L2",
-                              workloads::intNames(), bench::fig7Schemes(),
-                              large_l2);
-    bench::normalizedIpcTable("Fig 7(d) SPEC2000 FP, 1MB L2",
-                              workloads::fpNames(), bench::fig7Schemes(),
-                              large_l2);
+    bench::ratioTable("Fig 7(c) SPEC2000 INT, 1MB L2", bench::kNormalizedIpc,
+                      workloads::intNames(), bench::fig7Schemes(), large_l2);
+    bench::ratioTable("Fig 7(d) SPEC2000 FP, 1MB L2", bench::kNormalizedIpc,
+                      workloads::fpNames(), bench::fig7Schemes(), large_l2);
     return 0;
 }

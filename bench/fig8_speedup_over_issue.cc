@@ -26,7 +26,7 @@ main()
         {"write", core::AuthPolicy::kAuthThenWrite},
         {"commit+fetch", core::AuthPolicy::kCommitPlusFetch},
     };
-    bench::speedupOverIssueTable("Fig 8", all_names, schemes,
-                                 sim::paperConfig());
+    bench::ratioTable("Fig 8", bench::kSpeedupOverIssue, all_names, schemes,
+                      sim::paperConfig());
     return 0;
 }

@@ -36,7 +36,8 @@ main()
         secmem::MemHierarchy hier(cfg);
 
         std::uint64_t value;
-        mem::Txn access = hier.readTimed(0x8000, 8, 0, kNoAuthSeq, value);
+        secmem::Access access =
+            hier.readTimed(0x8000, 8, 0, kNoAuthSeq, value);
         Cycle verdict =
             access.authSeq == kNoAuthSeq
                 ? access.ready
@@ -66,7 +67,8 @@ main()
         cfg.encryptionMode = mode;
         secmem::MemHierarchy hier(cfg);
         std::uint64_t value;
-        mem::Txn access = hier.readTimed(0x8000, 8, 0, kNoAuthSeq, value);
+        secmem::Access access =
+            hier.readTimed(0x8000, 8, 0, kNoAuthSeq, value);
         std::printf("%-22s %9llu ns\n",
                     mode == sim::EncryptionMode::kCounterMode
                         ? "counter mode" : "CBC (serial)",

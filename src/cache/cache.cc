@@ -75,7 +75,7 @@ Cache::lookup(Addr addr, bool touch)
 }
 
 CacheLine *
-Cache::allocate(Addr addr, Eviction *evicted)
+Cache::allocate(Addr addr, Eviction &evicted)
 {
     std::uint64_t set = setIndex(addr);
     std::uint64_t tag = tagOf(addr);
@@ -93,17 +93,15 @@ Cache::allocate(Addr addr, Eviction *evicted)
             victim = &line;
     }
 
-    if (evicted) {
-        evicted->valid = victim->valid;
-        evicted->dirty = victim->valid && victim->dirty;
-        if (victim->valid) {
-            evicted->addr = addrOf(*victim, set);
-            std::memcpy(evicted->data.data(), victim->data.data(),
-                        cfg_.lineBytes);
-            ++evictions_;
-            if (victim->dirty)
-                ++writebacks_;
-        }
+    evicted.valid = victim->valid;
+    evicted.dirty = victim->valid && victim->dirty;
+    if (victim->valid) {
+        evicted.addr = addrOf(*victim, set);
+        std::memcpy(evicted.data.data(), victim->data.data(),
+                    cfg_.lineBytes);
+        ++evictions_;
+        if (victim->dirty)
+            ++writebacks_;
     }
 
     victim->valid = true;
@@ -118,7 +116,7 @@ Cache::allocate(Addr addr, Eviction *evicted)
 }
 
 bool
-Cache::invalidate(Addr addr, Eviction *evicted)
+Cache::invalidate(Addr addr, Eviction &evicted)
 {
     std::uint64_t set = setIndex(addr);
     std::uint64_t tag = tagOf(addr);
@@ -126,20 +124,17 @@ Cache::invalidate(Addr addr, Eviction *evicted)
     for (unsigned way = 0; way < cfg_.assoc; ++way) {
         CacheLine &line = base[way];
         if (line.valid && line.tag == tag) {
-            if (evicted) {
-                evicted->valid = true;
-                evicted->dirty = line.dirty;
-                evicted->addr = addrOf(line, set);
-                std::memcpy(evicted->data.data(), line.data.data(),
-                            cfg_.lineBytes);
-            }
+            evicted.valid = true;
+            evicted.dirty = line.dirty;
+            evicted.addr = addrOf(line, set);
+            std::memcpy(evicted.data.data(), line.data.data(),
+                        cfg_.lineBytes);
             line.valid = false;
             line.dirty = false;
             return true;
         }
     }
-    if (evicted)
-        evicted->valid = false;
+    evicted.valid = false;
     return false;
 }
 

@@ -87,13 +87,15 @@ class Cache
      * Allocate a line for @p addr, evicting the LRU way if needed.
      * The returned line is valid with fresh tag and zeroed metadata;
      * caller fills data/usableAt/authSeq. @p evicted receives the
-     * victim (a copy of its data) so the caller can write it back.
+     * victim (a copy of its data) so the caller can write it back;
+     * every victim counts as an eviction, and a dirty one as a
+     * writeback.
      */
-    CacheLine *allocate(Addr addr, Eviction *evicted);
+    CacheLine *allocate(Addr addr, Eviction &evicted);
 
     /** Invalidate the line holding @p addr if present; returns a copy
      *  of its contents through @p evicted (for dirty merge). */
-    bool invalidate(Addr addr, Eviction *evicted);
+    bool invalidate(Addr addr, Eviction &evicted);
 
     /** Iterate every valid line with its address. */
     template <typename Fn>

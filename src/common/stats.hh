@@ -268,15 +268,6 @@ void dumpDistribution(std::string &out, const std::string &name,
                       std::uint64_t max,
                       const std::vector<std::uint64_t> &buckets);
 
-/** Typed walk over a component's stat groups (cf. StatVisitor, which
- *  walks the individual statistics inside one group). */
-class StatGroupVisitor
-{
-  public:
-    virtual ~StatGroupVisitor() = default;
-    virtual void group(StatGroup &g) = 0;
-};
-
 } // namespace acp
 
 #endif // ACP_COMMON_STATS_HH

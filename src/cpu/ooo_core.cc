@@ -362,8 +362,8 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
     // reaches the front-side bus (the side channel).
     AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
     std::uint64_t raw = 0;
-    mem::Txn access = hier_.readTimed(addr, bytes, cycle_ + 1, gate, raw,
-                                      entry.seq, client_);
+    secmem::Access access = hier_.readTimed(addr, bytes, cycle_ + 1, gate,
+                                            raw, entry.seq, client_);
     entry.result = isa::adjustLoadValue(entry.inst.op, raw);
     entry.readyAt = access.ready;
     entry.dataReadyAt = access.dataReady;
@@ -771,7 +771,7 @@ OooCore::stageFetch()
         } else {
             AuthSeq gate =
                 gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
-            mem::Txn access =
+            secmem::Access access =
                 hier_.fetchTimed(fetchPc_, cycle_, gate, word, line, client_);
             // L1I hits are pipelined: data arriving within the hit
             // latency feeds this cycle's fetch group; anything slower

@@ -60,21 +60,4 @@ Txn::eventCount(PathEvent event) const
     return n;
 }
 
-void
-Txn::merge(const Txn &fill)
-{
-    ready = std::max(ready, fill.ready);
-    dataReady = std::max(dataReady, fill.dataReady);
-    verifyDone = std::max(verifyDone, fill.verifyDone);
-    authSeq = std::max(authSeq, fill.authSeq);
-    macOk = macOk && fill.macOk;
-    gateDelayed = gateDelayed || fill.gateDelayed;
-    // First primary transfer wins (an access folds at most one line
-    // fill per line; cross-line accesses keep the first line's wait).
-    if (busGrantAt == kCycleNever) {
-        busRequestAt = fill.busRequestAt;
-        busGrantAt = fill.busGrantAt;
-    }
-}
-
 } // namespace acp::mem

@@ -4,8 +4,8 @@
  * fill, an instruction fetch, a writeback, and all the metadata
  * traffic it drags along (counter lines, tree nodes, remap entries) —
  * is described by one Txn object that SecureMemCtrl builds and
- * retires. The hierarchy hands the core a Txn too, but only its
- * folded outcome: an on-chip access never has a timeline.
+ * retires. The core never sees one: the hierarchy copies a fill's
+ * outcome into its L2 line and hands the core a secmem::Access.
  *
  * A Txn carries three things:
  *  - identity: the logical address, transaction kind, the gate tag of
@@ -14,10 +14,10 @@
  *  - outcome: the cycles the data becomes pipeline-usable / physically
  *    on-chip / verified, the authentication sequence, the functional
  *    MAC verdict, and the decrypted payload;
- *  - a timeline (controller transactions only): the ordered list of
- *    path events the access took through the shared resource model
- *    (request, MSHR admission, fetch-gate release, remap translation,
- *    counter availability, bus grants, DRAM beats, decrypt, verify).
+ *  - a timeline: the ordered list of path events the access took
+ *    through the shared resource model (request, MSHR admission,
+ *    fetch-gate release, remap translation, counter availability, bus
+ *    grants, DRAM beats, decrypt, verify).
  *    The timeline is the one record of a memory transaction: the path
  *    profiler aggregates it and the Chrome trace draws its spans. No
  *    model path reads it, so the controller builds it only while one
@@ -199,7 +199,7 @@ struct Txn
     /** Decrypted line payload (fetches only). */
     std::array<std::uint8_t, kExtLineBytes> data{};
 
-    // ----- timeline (controller transactions only) ---------------------
+    // ----- timeline ----------------------------------------------------
     /** Step storage, counted by TxnAlloc (see above). */
     using Path = std::vector<TxnStep, TxnAlloc<TxnStep>>;
     Path path;
@@ -212,15 +212,6 @@ struct Txn
 
     /** Number of occurrences of @p event on the timeline. */
     unsigned eventCount(PathEvent event) const;
-
-    /**
-     * Fold the outcome of the controller's line fill behind an L2 miss
-     * into this access: outcome cycles and the auth tag take the max,
-     * the MAC verdict ANDs, gate delay ORs, and the first primary bus
-     * window wins. The fill's timeline is not copied: the controller
-     * already retired it.
-     */
-    void merge(const Txn &fill);
 };
 
 } // namespace acp::mem

@@ -48,9 +48,12 @@ AuthEngine::post(Cycle ready_at, Cycle extra_latency, bool mac_ok,
     verifyLatencyHist_.sample(done - ready_at);
 
     // Engine backlog seen by this request: earlier requests still
-    // unfinished when its data arrived. Completion cycles are only
-    // loosely ordered (tree paths add per-request latency), so scan
-    // back until a comfortably-finished prefix is reached.
+    // unfinished when its data arrived. Completion cycles never fall
+    // with the sequence number: a request starts no earlier than the
+    // engine frees up after the one before it, so done[i + 1] >=
+    // done[i] + occupancy + extra[i + 1] (the in-order property the
+    // tag argument in auth_engine.hh relies on). Scanning back stops
+    // at the first finished request: every earlier one is finished.
     std::uint64_t depth = 0;
     for (auto it = doneCycles_.rbegin(); it != doneCycles_.rend(); ++it) {
         if (*it > ready_at)

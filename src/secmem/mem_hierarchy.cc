@@ -54,18 +54,17 @@ MemHierarchy::MemHierarchy(const sim::SimConfig &cfg)
     stride_ = cfg.memoryBytes / slots;
 }
 
-void
-MemHierarchy::visitStats(StatGroupVisitor &v)
+std::vector<StatGroup *>
+MemHierarchy::statGroups()
 {
-    v.group(stats_);
-    for (auto &c : cores_) {
-        v.group(c->l1i.stats());
-        v.group(c->l1d.stats());
-        v.group(c->l2.stats());
-        v.group(c->itlb.stats());
-        v.group(c->dtlb.stats());
-    }
-    ctrl_.visitStats(v);
+    std::vector<StatGroup *> groups = {&stats_};
+    for (auto &c : cores_)
+        groups.insert(groups.end(),
+                      {&c->l1i.stats(), &c->l1d.stats(), &c->l2.stats(),
+                       &c->itlb.stats(), &c->dtlb.stats()});
+    for (StatGroup *g : ctrl_.statGroups())
+        groups.push_back(g);
+    return groups;
 }
 
 Addr
@@ -91,7 +90,7 @@ MemHierarchy::handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,
         for (Addr sub = evicted.addr;
              sub < evicted.addr + c.l2.lineBytes(); sub += l1->lineBytes()) {
             cache::Eviction sub_ev;
-            if (l1->invalidate(sub, &sub_ev) && sub_ev.dirty) {
+            if (l1->invalidate(sub, sub_ev) && sub_ev.dirty) {
                 std::memcpy(evicted.data.data() + (sub - evicted.addr),
                             sub_ev.data.data(), l1->lineBytes());
                 evicted.dirty = true;
@@ -105,44 +104,34 @@ MemHierarchy::handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,
 }
 
 void
-MemHierarchy::foldLine(mem::Txn &acc, Cycle lookup_done,
+MemHierarchy::foldLine(Access &acc, Cycle lookup_done,
                        const cache::CacheLine &line)
 {
-    Cycle usable = lookup_done > line.usableAt ? lookup_done
-                                               : line.usableAt;
-    Cycle data = lookup_done > line.dataReadyAt ? lookup_done
-                                                : line.dataReadyAt;
-    if (usable > acc.ready)
-        acc.ready = usable;
-    if (data > acc.dataReady)
-        acc.dataReady = data;
-    if (line.authSeq > acc.authSeq)
-        acc.authSeq = line.authSeq;
+    acc.ready = std::max({acc.ready, lookup_done, line.usableAt});
+    acc.dataReady = std::max({acc.dataReady, lookup_done, line.dataReadyAt});
+    acc.authSeq = std::max(acc.authSeq, line.authSeq);
 }
 
 cache::CacheLine *
 MemHierarchy::ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
-                       mem::BusTxnKind kind, mem::Txn *acc)
+                       mem::BusTxnKind kind, Access *acc)
 {
     cache::CacheLine *line = c.l2.lookup(line_addr);
-    Cycle lookup_done = cycle + c.l2.hitLatency();
-    if (line != nullptr) {
-        if (acc != nullptr)
-            foldLine(*acc, lookup_done, *line);
+    if (line != nullptr)
         return line;
-    }
 
     // A warm fill takes the controller's untimed branch, which moves
     // the data and warms the metadata caches but touches no bus,
     // DRAM, auth engine, trace or profiler.
     const bool warm = acc == nullptr;
+    const Cycle lookup_done = cycle + c.l2.hitLatency();
     mem::Txn fill =
         warm ? ctrl_.fetchLine(line_addr, 0, kNoAuthSeq, kind, true)
              : ctrl_.fetchLine(line_addr, lookup_done, acc->gateTag, kind,
                                false, acc->origin, c.client);
 
     cache::Eviction evicted;
-    line = c.l2.allocate(line_addr, &evicted);
+    line = c.l2.allocate(line_addr, evicted);
     handleL2Eviction(c, evicted, lookup_done, warm);
 
     std::memcpy(line->data.data(), fill.data.data(), kExtLineBytes);
@@ -150,66 +139,81 @@ MemHierarchy::ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
         return line; // allocate() left the line's timing at zero
     // The controller already applied the policy's usability decision
     // (verification under authen-then-issue; kCycleNever on failure).
+    // The access reads this timing from its L1 line; it takes here
+    // only what no line carries.
     line->usableAt = fill.ready;
     line->authSeq = fill.authSeq;
     line->dataReadyAt = fill.dataReady;
-
-    acc->merge(fill);
+    acc->gateDelayed = acc->gateDelayed || fill.gateDelayed;
+    if (acc->busGrantAt == kCycleNever) { // the first fill's window wins
+        acc->busRequestAt = fill.busRequestAt;
+        acc->busGrantAt = fill.busGrantAt;
+    }
     return line;
 }
 
 cache::CacheLine *
 MemHierarchy::ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
-                       bool is_instr, mem::Txn *acc)
+                       bool is_instr, Access *acc)
 {
     cache::Cache &l1 = is_instr ? c.l1i : c.l1d;
     cache::CacheLine *line = l1.lookup(line_addr);
-    Cycle lookup_done = cycle + l1.hitLatency();
-    if (line != nullptr) {
-        if (acc != nullptr)
-            foldLine(*acc, lookup_done, *line);
-        return line;
-    }
+    const Cycle lookup_done = cycle + l1.hitLatency();
+    if (line == nullptr) {
+        cache::CacheLine *l2line =
+            ensureL2(c, c.l2.lineAlign(line_addr), lookup_done,
+                     is_instr ? mem::BusTxnKind::kInstrFetch
+                              : mem::BusTxnKind::kDataFetch,
+                     acc);
 
-    cache::CacheLine *l2line =
-        ensureL2(c, c.l2.lineAlign(line_addr), lookup_done,
-                 is_instr ? mem::BusTxnKind::kInstrFetch
-                          : mem::BusTxnKind::kDataFetch,
-                 acc);
+        cache::Eviction evicted;
+        line = l1.allocate(line_addr, evicted);
+        if (evicted.valid && evicted.dirty) {
+            // Inclusive hierarchy: the parent line must still be in L2.
+            cache::CacheLine *parent = c.l2.lookup(
+                c.l2.lineAlign(evicted.addr), /*touch=*/false);
+            if (parent == nullptr)
+                acp_panic("inclusion violated: dirty L1 victim 0x%llx "
+                          "not in L2",
+                          (unsigned long long)evicted.addr);
+            std::memcpy(parent->data.data() +
+                            (evicted.addr & (c.l2.lineBytes() - 1)),
+                        evicted.data.data(), l1.lineBytes());
+            parent->dirty = true;
+        }
 
-    cache::Eviction evicted;
-    line = l1.allocate(line_addr, &evicted);
-    if (evicted.valid && evicted.dirty) {
-        // Inclusive hierarchy: the parent line must still be in L2.
-        cache::CacheLine *parent = c.l2.lookup(c.l2.lineAlign(evicted.addr),
-                                               /*touch=*/false);
-        if (parent == nullptr)
-            acp_panic("inclusion violated: dirty L1 victim 0x%llx not in L2",
-                      (unsigned long long)evicted.addr);
-        std::memcpy(parent->data.data() +
-                        (evicted.addr & (c.l2.lineBytes() - 1)),
-                    evicted.data.data(), l1.lineBytes());
-        parent->dirty = true;
+        std::memcpy(line->data.data(),
+                    l2line->data.data() +
+                        (line_addr & (c.l2.lineBytes() - 1)),
+                    l1.lineBytes());
+        if (acc != nullptr) {
+            // A timed fill takes its L2 line's timing as of the L2
+            // lookup, not the whole access's.
+            const Cycle l2_done = lookup_done + c.l2.hitLatency();
+            line->usableAt = std::max(l2_done, l2line->usableAt);
+            line->dataReadyAt = std::max(l2_done, l2line->dataReadyAt);
+            line->authSeq = l2line->authSeq;
+        }
     }
-
-    std::memcpy(line->data.data(),
-                l2line->data.data() + (line_addr & (c.l2.lineBytes() - 1)),
-                l1.lineBytes());
-    if (acc != nullptr) {
-        // A timed fill takes its L2 line's timing as of the L2 lookup,
-        // not the whole access's.
-        Cycle l2_done = lookup_done + c.l2.hitLatency();
-        line->usableAt = std::max(l2_done, l2line->usableAt);
-        line->dataReadyAt = std::max(l2_done, l2line->dataReadyAt);
-        line->authSeq = l2line->authSeq;
-    }
+    if (acc != nullptr)
+        foldLine(*acc, lookup_done, *line);
     return line;
 }
 
 inline std::uint64_t
-MemHierarchy::walkData(CoreCaches &c, Addr addr, unsigned bytes, bool write,
-                       std::uint64_t value, Cycle cycle, mem::Txn *acc)
+MemHierarchy::walkData(unsigned client, Addr addr, unsigned bytes,
+                       bool write, std::uint64_t value, Cycle cycle,
+                       Access *acc)
 {
+    CoreCaches &c = cc(client);
+    addr = translate(clientBase(client) + addr);
+    cycle += c.dtlb.access(addr);
+    // hier.cross_line_accesses counts timed loads only, not stores or
+    // warm accesses (docs/MEMORY_MODEL.md).
+    if (acc != nullptr && !write &&
+        (addr & (c.l1d.lineBytes() - 1)) + bytes > c.l1d.lineBytes())
+        ++crossLineAccesses_;
+
     std::uint64_t read = 0;
     unsigned done = 0;
     while (done < bytes) {
@@ -236,76 +240,47 @@ MemHierarchy::walkData(CoreCaches &c, Addr addr, unsigned bytes, bool write,
 }
 
 inline const std::uint8_t *
-MemHierarchy::walkFetch(CoreCaches &c, Addr pc, Cycle cycle, mem::Txn *acc)
-{
-    return ensureL1(c, c.l1i.lineAlign(pc), cycle, true, acc)->data.data();
-}
-
-namespace
-{
-
-/** The transaction a timed access folds its lines' timing into. */
-mem::Txn
-accessTxn(Addr addr, mem::BusTxnKind kind, Cycle cycle, AuthSeq gate_tag,
-          std::uint64_t origin, unsigned client)
-{
-    mem::Txn out;
-    out.addr = addr;
-    out.kind = kind;
-    out.gateTag = gate_tag;
-    out.reqCycle = cycle;
-    out.origin = origin;
-    out.client = client;
-    return out;
-}
-
-} // namespace
-
-mem::Txn
-MemHierarchy::readTimed(Addr addr, unsigned bytes, Cycle cycle,
-                        AuthSeq gate_tag, std::uint64_t &value,
-                        std::uint64_t origin, unsigned client)
-{
-    CoreCaches &c = cc(client);
-    addr = translate(clientBase(client) + addr);
-    cycle += c.dtlb.access(addr);
-    if ((addr & (c.l1d.lineBytes() - 1)) + bytes > c.l1d.lineBytes())
-        ++crossLineAccesses_;
-    mem::Txn out = accessTxn(addr, mem::BusTxnKind::kDataFetch, cycle,
-                             gate_tag, origin, client);
-    value = walkData(c, addr, bytes, false, 0, cycle, &out);
-    return out;
-}
-
-mem::Txn
-MemHierarchy::writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
-                         Cycle cycle, AuthSeq gate_tag,
-                         std::uint64_t origin, unsigned client)
-{
-    CoreCaches &c = cc(client);
-    addr = translate(clientBase(client) + addr);
-    cycle += c.dtlb.access(addr);
-    mem::Txn out = accessTxn(addr, mem::BusTxnKind::kDataFetch, cycle,
-                             gate_tag, origin, client);
-    walkData(c, addr, bytes, true, value, cycle, &out);
-    return out;
-}
-
-mem::Txn
-MemHierarchy::fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
-                         std::uint32_t &word, const std::uint8_t *&line,
-                         unsigned client)
+MemHierarchy::walkFetch(unsigned client, Addr pc, Cycle cycle,
+                        std::uint32_t &word, Access *acc)
 {
     CoreCaches &c = cc(client);
     const Addr addr = clientBase(client) + pc;
     pc = translate(addr);
     cycle += c.itlb.access(pc);
-    mem::Txn out = accessTxn(pc, mem::BusTxnKind::kInstrFetch, cycle,
-                             gate_tag, 0, client);
-    const std::uint8_t *bytes = walkFetch(c, pc, cycle, &out);
+    const std::uint8_t *bytes =
+        ensureL1(c, c.l1i.lineAlign(pc), cycle, true, acc)->data.data();
     word = lineWord(bytes, pc);
-    line = pc == addr ? bytes : nullptr;
-    return out;
+    return pc == addr ? bytes : nullptr;
+}
+
+Access
+MemHierarchy::readTimed(Addr addr, unsigned bytes, Cycle cycle,
+                        AuthSeq gate_tag, std::uint64_t &value,
+                        std::uint64_t origin, unsigned client)
+{
+    Access acc{gate_tag, origin};
+    value = walkData(client, addr, bytes, false, 0, cycle, &acc);
+    return acc;
+}
+
+Access
+MemHierarchy::writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
+                         Cycle cycle, AuthSeq gate_tag,
+                         std::uint64_t origin, unsigned client)
+{
+    Access acc{gate_tag, origin};
+    walkData(client, addr, bytes, true, value, cycle, &acc);
+    return acc;
+}
+
+Access
+MemHierarchy::fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
+                         std::uint32_t &word, const std::uint8_t *&line,
+                         unsigned client)
+{
+    Access acc{gate_tag};
+    line = walkFetch(client, pc, cycle, word, &acc);
+    return acc;
 }
 
 void
@@ -319,29 +294,22 @@ MemHierarchy::countFetchHits(unsigned n, unsigned client)
 std::uint64_t
 MemHierarchy::readWarm(Addr addr, unsigned bytes, unsigned client)
 {
-    CoreCaches &c = cc(client);
-    addr = translate(clientBase(client) + addr);
-    c.dtlb.access(addr);
-    return walkData(c, addr, bytes, false, 0, 0, nullptr);
+    return walkData(client, addr, bytes, false, 0, 0, nullptr);
 }
 
 void
 MemHierarchy::writeWarm(Addr addr, unsigned bytes, std::uint64_t value,
                         unsigned client)
 {
-    CoreCaches &c = cc(client);
-    addr = translate(clientBase(client) + addr);
-    c.dtlb.access(addr);
-    walkData(c, addr, bytes, true, value, 0, nullptr);
+    walkData(client, addr, bytes, true, value, 0, nullptr);
 }
 
 std::uint32_t
 MemHierarchy::fetchWarm(Addr pc, unsigned client)
 {
-    CoreCaches &c = cc(client);
-    pc = translate(clientBase(client) + pc);
-    c.itlb.access(pc);
-    return lineWord(walkFetch(c, pc, 0, nullptr), pc);
+    std::uint32_t word = 0;
+    walkFetch(client, pc, 0, word, nullptr);
+    return word;
 }
 
 void

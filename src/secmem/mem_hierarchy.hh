@@ -8,14 +8,15 @@
  * runs).
  *
  * The hierarchy is a latency oracle in the SimpleScalar tradition:
- * timed accesses return a mem::Txn whose ready cycle is when data
+ * a timed access returns an Access whose ready cycle is when its data
  * becomes *usable by the pipeline* (which, under authen-then-issue, is
  * the verification completion, not the decrypt completion) plus the
- * authentication sequence tag that commit/write gates consult. A line
- * fill behind a miss folds its outcome (ready/data cycles, auth tag,
- * gate delay, bus window) into the access Txn; the access itself has
- * no timeline. The fill's timeline lives on the controller's
- * transaction, which the controller retires to the profiler/trace.
+ * authentication sequence tag that commit/write gates consult. Every
+ * L1 line an access touches carries that timing, and the access folds
+ * each one at its L1 lookup: the one rule, whether the line hit or was
+ * just filled. An off-chip fill behind a miss is the controller's
+ * mem::Txn; it sets its L2 line's timing, and its timeline goes to the
+ * profiler and the trace, never to the core.
  */
 
 #ifndef ACP_SECMEM_MEM_HIERARCHY_HH
@@ -31,7 +32,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
-#include "mem/txn.hh"
+#include "mem/bus_trace.hh"
 #include "secmem/secure_memctrl.hh"
 #include "sim/config.hh"
 
@@ -54,6 +55,44 @@ lineWord(const std::uint8_t *line, Addr pc)
            std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
+/**
+ * The core's view of one timed access: the two inputs a fill behind it
+ * passes to the controller, and the outcome the core reads. The
+ * outcome is the latest of the L1 lines the access touched, each as of
+ * its L1 lookup (MemHierarchy::foldLine), plus what no line carries:
+ * whether the fetch gate held a fill, and the primary transfer's bus
+ * window.
+ */
+struct Access
+{
+    // ----- inputs to a fill behind the access ---------------------------
+    /** LastRequest tag for the authen-then-fetch gate. */
+    AuthSeq gateTag = kNoAuthSeq;
+    /** Originating RUU context: dynamic instruction number (0 = none). */
+    std::uint64_t origin = 0;
+
+    // ----- outcome -------------------------------------------------------
+    /** Cycle the data is usable by the pipeline (the control point's
+     *  decision: decrypt completion, or the verdict under
+     *  authen-then-issue; kCycleNever for a squashed or failed fill). */
+    Cycle ready = 0;
+    /** Cycle the decrypted data is physically on-chip. */
+    Cycle dataReady = 0;
+    /** Latest auth request covering the data (kNoAuthSeq: none). */
+    AuthSeq authSeq = kNoAuthSeq;
+    /** Whether the authen-then-fetch gate delayed a fill's bus grant. */
+    bool gateDelayed = false;
+    /**
+     * Bus queueing of the first fill's line transfer: the cycle it
+     * could first have driven the bus and the cycle the arbiter granted
+     * it. busGrantAt > busRequestAt means the grant was contended, the
+     * window the core's bus_wait stall cause charges. kCycleNever when
+     * no fill went to the bus.
+     */
+    Cycle busRequestAt = kCycleNever;
+    Cycle busGrantAt = kCycleNever;
+};
+
 /** I-TLB and D-TLB geometry and miss penalty (cycles). */
 constexpr unsigned kTlbEntries = 128;
 constexpr unsigned kTlbAssoc = 4;
@@ -66,8 +105,9 @@ class MemHierarchy
   public:
     explicit MemHierarchy(const sim::SimConfig &cfg);
 
-    /** Own groups (hier, caches, TLBs), then the controller's. */
-    void visitStats(StatGroupVisitor &v);
+    /** Own groups (hier, then each client's caches and TLBs), then the
+     *  controller's, in dump order. */
+    std::vector<StatGroup *> statGroups();
 
     // ----- clients ------------------------------------------------------
     // Client ids are core indices, 0 .. cfg.numCores - 1. The
@@ -89,13 +129,13 @@ class MemHierarchy
 
     // ----- timed accesses (move data AND compute latency) --------------
     /** Data read of @p bytes (1/4/8), may cross line boundaries. */
-    mem::Txn readTimed(Addr addr, unsigned bytes, Cycle cycle,
-                       AuthSeq gate_tag, std::uint64_t &value,
-                       std::uint64_t origin = 0, unsigned client = 0);
+    Access readTimed(Addr addr, unsigned bytes, Cycle cycle,
+                     AuthSeq gate_tag, std::uint64_t &value,
+                     std::uint64_t origin = 0, unsigned client = 0);
     /** Data write (store release). */
-    mem::Txn writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
-                        Cycle cycle, AuthSeq gate_tag,
-                        std::uint64_t origin = 0, unsigned client = 0);
+    Access writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
+                      Cycle cycle, AuthSeq gate_tag,
+                      std::uint64_t origin = 0, unsigned client = 0);
     /**
      * Instruction fetch of one word: the first word of a fetch group.
      * @p line receives the bytes of the L1I line the word came from, or
@@ -103,9 +143,9 @@ class MemHierarchy
      * later words from that line (lineWord) and counts them with
      * countFetchHits.
      */
-    mem::Txn fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
-                        std::uint32_t &word, const std::uint8_t *&line,
-                        unsigned client = 0);
+    Access fetchTimed(Addr pc, Cycle cycle, AuthSeq gate_tag,
+                      std::uint32_t &word, const std::uint8_t *&line,
+                      unsigned client = 0);
     /**
      * Count @p n I-TLB and L1I hits for @p client: the later words of a
      * fetch group, which read the line fetchTimed handed out. n more
@@ -122,9 +162,9 @@ class MemHierarchy
      * The same walk as the timed accesses: TLB, one L1 lookup per line
      * the access touches, fills through the L2 and the controller's
      * warm branch, LRU updates, evictions and writebacks. A warm access
-     * carries no timing: filled lines keep usableAt = dataReadyAt = 0
-     * and no auth tag, and no bus, DRAM, auth engine, bus trace,
-     * profiler or timeline sees it.
+     * passes no Access, so it carries no timing: filled lines keep
+     * usableAt = dataReadyAt = 0 and no auth tag, and no bus, DRAM,
+     * auth engine, bus trace, profiler or timeline sees it.
      */
     std::uint64_t readWarm(Addr addr, unsigned bytes, unsigned client = 0);
     void writeWarm(Addr addr, unsigned bytes, std::uint64_t value,
@@ -173,34 +213,44 @@ class MemHierarchy
 
     /** Clamp to the simulated address space, counting faults. */
     Addr translate(Addr addr);
-    /** Fold a cache hit's line timing into the access transaction. */
-    static void foldLine(mem::Txn &acc, Cycle lookup_done,
+    /** Fold an L1 line's timing, as of its lookup ending at
+     *  @p lookup_done, into the access: the latest cycle wins. */
+    static void foldLine(Access &acc, Cycle lookup_done,
                          const cache::CacheLine &line);
     /**
      * Ensure the line is in @p c's L2, filling it through the
-     * controller on a miss. A timed access passes its transaction as
-     * @p acc (the hit's or fill's timing folds into it); a warm access
-     * passes nullptr and the fill stays untimed.
+     * controller on a miss. A timed access passes itself as @p acc: a
+     * fill then takes the controller's timing into the L2 line, and
+     * the access takes only what no line carries (the gate's hold and
+     * the first fill's bus window). A warm access passes nullptr and
+     * the fill stays untimed.
      */
     cache::CacheLine *ensureL2(CoreCaches &c, Addr line_addr, Cycle cycle,
-                               mem::BusTxnKind kind, mem::Txn *acc);
-    /** Ensure the line is in @p c's L1 (filling from its L2 on miss,
-     *  a timed fill taking its L2 line's timing as of the L2 lookup);
-     *  @p acc as for ensureL2. */
+                               mem::BusTxnKind kind, Access *acc);
+    /** Ensure the line is in @p c's L1, filling it from its L2 on a
+     *  miss (a timed fill takes its L2 line's timing as of the L2
+     *  lookup), and fold it into @p acc (as for ensureL2). */
     cache::CacheLine *ensureL1(CoreCaches &c, Addr line_addr, Cycle cycle,
-                               bool is_instr, mem::Txn *acc);
-    /** Walk the L1D lines of [addr, addr + bytes) in address order:
-     *  write @p value's bytes into them (dirtying each line) or read
-     *  and return theirs. @p addr is already translated. Inline (in
-     *  mem_hierarchy.cc) so each access wrapper calls ensureL1
-     *  directly, as the fetch-bound timed loop needs. */
-    inline std::uint64_t walkData(CoreCaches &c, Addr addr, unsigned bytes,
-                                  bool write, std::uint64_t value,
-                                  Cycle cycle, mem::Txn *acc);
-    /** The bytes of the L1I line holding translated @p pc (filled on
-     *  a miss); @p acc as for ensureL2. */
-    inline const std::uint8_t *walkFetch(CoreCaches &c, Addr pc,
-                                         Cycle cycle, mem::Txn *acc);
+                               bool is_instr, Access *acc);
+    /** A data access by @p client: offset into its slice, translate,
+     *  charge the D-TLB, then walk the L1D lines of [addr, addr +
+     *  bytes) in address order, writing @p value's bytes into them
+     *  (dirtying each line) or reading and returning theirs. @p acc as
+     *  for ensureL2. Inline (in mem_hierarchy.cc) so each access
+     *  wrapper calls ensureL1 directly, as the fetch-bound timed loop
+     *  needs. */
+    inline std::uint64_t walkData(unsigned client, Addr addr,
+                                  unsigned bytes, bool write,
+                                  std::uint64_t value, Cycle cycle,
+                                  Access *acc);
+    /** An instruction fetch by @p client: offset, translate, charge
+     *  the I-TLB and read the word at @p pc into @p word from the L1I
+     *  line holding it (filled on a miss). Returns that line's bytes,
+     *  or nullptr when @p pc faulted in translation. @p acc as for
+     *  ensureL2. */
+    inline const std::uint8_t *walkFetch(unsigned client, Addr pc,
+                                         Cycle cycle, std::uint32_t &word,
+                                         Access *acc);
     /** Evict an L2 victim from @p c's stack: back-invalidate its L1s,
      *  write back if dirty (charged to @p c's client). */
     void handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,

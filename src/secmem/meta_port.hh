@@ -99,7 +99,7 @@ touchMetaLine(cache::Cache &cache, Addr line, Cycle cycle,
         out.missed = true;
         out.ready = port.read(line, cycle);
         cache::Eviction victim;
-        entry = cache.allocate(line, &victim);
+        entry = cache.allocate(line, victim);
         if (victim.dirty) {
             out.wroteBack = true;
             port.write(victim.addr, out.ready);

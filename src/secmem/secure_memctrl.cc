@@ -34,21 +34,20 @@ SecureMemCtrl::SecureMemCtrl(const sim::SimConfig &cfg, std::uint64_t seed)
     stats_.addDistribution("fill_latency_hist", &fillLatencyHist_);
 }
 
-void
-SecureMemCtrl::visitStats(StatGroupVisitor &v)
+std::vector<StatGroup *>
+SecureMemCtrl::statGroups()
 {
-    v.group(stats_);
-    v.group(engine_.stats());
-    v.group(bus_.stats());
-    v.group(dram_.stats());
-    v.group(counterCache_.stats());
-    v.group(ext_.stats());
+    std::vector<StatGroup *> groups = {&stats_, &engine_.stats(),
+                                       &bus_.stats(), &dram_.stats(),
+                                       &counterCache_.stats(),
+                                       &ext_.stats()};
     if (tree_)
-        v.group(tree_->stats());
+        groups.push_back(&tree_->stats());
     if (remap_)
-        v.group(remap_->stats());
+        groups.push_back(&remap_->stats());
     if (predictor_)
-        v.group(predictor_->stats());
+        groups.push_back(&predictor_->stats());
+    return groups;
 }
 
 Cycle
@@ -59,8 +58,8 @@ SecureMemCtrl::dramAccess(Addr addr, Cycle cycle, unsigned bytes,
     mem::DramResult res = dram_.access(addr, cycle, bytes, is_write,
                                        txn.client);
     // Latch the bus-queueing window of the transaction's *primary*
-    // transfer (its own line, not metadata); first transfer wins so
-    // cross-line merges keep the first line's wait.
+    // transfer (its own line, not metadata). The first one wins, as a
+    // cross-line access keeps its first fill's (MemHierarchy::ensureL2).
     if (kind == txn.kind && txn.busGrantAt == kCycleNever) {
         txn.busRequestAt = res.busRequest;
         txn.busGrantAt = res.busGrant;

@@ -78,7 +78,7 @@ class SecureMemCtrl
 
     /** Own group, then engine / bus / dram / metadata sub-components
      *  in legacy dump order. */
-    void visitStats(StatGroupVisitor &v);
+    std::vector<StatGroup *> statGroups();
 
     /**
      * Fetch one line from external memory.

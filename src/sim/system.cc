@@ -159,6 +159,8 @@ System::createCores()
             slot.core->setCosimShadow(slot.refExec.get());
         if (tracing_)
             slot.core->enableTrace();
+        hostSched_.addCounter(name + ".wakes", &slot.wakes);
+        hostSched_.addDistribution(name + ".jump", &slot.jump);
     }
 }
 
@@ -283,56 +285,34 @@ System::pathProfile()
     return profile;
 }
 
-void
-System::visitHostStatGroups(StatGroupVisitor &v)
+std::vector<StatGroup *>
+System::statGroups()
 {
-    // Rebuilt on every call: the timed cores are created lazily. The
-    // temporary is consumed synchronously by v.group(), so pointer
-    // registration into it is safe.
-    StatGroup sched_group("sim.host.sched");
-    for (CoreSlot &slot : slots_) {
-        if (!slot.core)
-            continue;
-        sched_group.addCounter(slot.core->name() + ".wakes", &slot.wakes);
-        sched_group.addDistribution(slot.core->name() + ".jump",
-                                    &slot.jump);
-    }
-    v.group(sched_group);
-}
-
-void
-System::visitGroups(StatGroupVisitor &v)
-{
+    std::vector<StatGroup *> groups;
     for (CoreSlot &slot : slots_)
         if (slot.core)
-            v.group(slot.core->stats());
-    hier_.visitStats(v);
+            groups.push_back(&slot.core->stats());
+    for (StatGroup *g : hier_.statGroups())
+        groups.push_back(g);
     if (cfg_.hostStats)
-        visitHostStatGroups(v);
+        groups.push_back(&hostSched_);
+    return groups;
 }
 
 std::string
 System::dumpStats()
 {
-    struct Dumper final : StatGroupVisitor
-    {
-        std::string out;
-        void group(StatGroup &g) override { g.dump(out); }
-    } dumper;
-    visitGroups(dumper);
-    return std::move(dumper.out);
+    std::string out;
+    for (StatGroup *g : statGroups())
+        g->dump(out);
+    return out;
 }
 
 void
 System::visitStats(StatVisitor &visitor)
 {
-    struct Walker final : StatGroupVisitor
-    {
-        StatVisitor &inner;
-        explicit Walker(StatVisitor &v) : inner(v) {}
-        void group(StatGroup &g) override { g.visit(inner); }
-    } walker(visitor);
-    visitGroups(walker);
+    for (StatGroup *g : statGroups())
+        g->visit(visitor);
 }
 
 } // namespace acp::sim

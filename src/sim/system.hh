@@ -96,8 +96,8 @@ class System
     secmem::MemHierarchy &hier() { return hier_; }
     const SimConfig &config() const { return cfg_; }
 
-    /** Dump all statistics as text: the cores' groups (once they
-     *  exist) in core order, then the hierarchy's. */
+    /** Dump all statistics as text, group by group in statGroups()
+     *  order. */
     std::string dumpStats();
 
     /** Feed every statistic to @p visitor, typed, in dump order. */
@@ -115,7 +115,8 @@ class System
 
     /** One core's private slice of the system: its reference
      *  machine, (once timed execution starts) its OooCore, and its
-     *  sim.host.sched counters. Slot i is hierarchy client i. */
+     *  sim.host.sched counters. Slot i is hierarchy client i; slots_
+     *  is sized once, so hostSched_ may point at the counters. */
     struct CoreSlot
     {
         std::unique_ptr<cpu::FlatMem> refMem;
@@ -131,19 +132,20 @@ class System
         Cycle lastWake = kCycleNever;
     };
 
-    /** Create every timed core at once, cpu0 first. */
+    /** Create every timed core at once, cpu0 first, and register its
+     *  sim.host.sched counters. */
     void createCores();
 
-    /** Every stat group in dump order: cores, hierarchy, then the
-     *  sim.host.* groups when cfg.hostStats is set. */
-    void visitGroups(StatGroupVisitor &v);
-
-    /** Emit the sim.host.sched group (wakes/jumps per core). */
-    void visitHostStatGroups(StatGroupVisitor &v);
+    /** Every stat group in dump order: the cores' (once they exist),
+     *  the hierarchy's and the controller's, then sim.host.sched when
+     *  cfg.hostStats is set. */
+    std::vector<StatGroup *> statGroups();
 
     SimConfig cfg_;
     secmem::MemHierarchy hier_;
     std::vector<CoreSlot> slots_;
+    /** Host telemetry: each timed core's wakes and jump lengths. */
+    StatGroup hostSched_{"sim.host.sched"};
     bool cosim_ = false;
 
     // Observability (passive; all optional)

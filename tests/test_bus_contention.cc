@@ -122,11 +122,10 @@ TEST(BusContention, TimelinesMonotoneAndDeterministic)
         std::uint64_t value = 0;
         for (int i = 0; i < 32; ++i) {
             Addr addr = Addr(i) * 0x1240; // strided, line-crossing mix
-            mem::Txn access =
+            Access access =
                 i % 3 == 2
                     ? hier.writeTimed(addr, 8, value, cycle, kNoAuthSeq)
                     : hier.readTimed(addr, 8, cycle, kNoAuthSeq, value);
-            EXPECT_TRUE(access.path.empty()) << "access " << i;
             cycle = access.dataReady;
         }
         return hier.ctrl().retired();

@@ -36,7 +36,7 @@ TEST(Cache, MissThenHit)
     EXPECT_EQ(cache.misses(), 1u);
 
     Eviction ev;
-    CacheLine *line = cache.allocate(0x100, &ev);
+    CacheLine *line = cache.allocate(0x100, ev);
     EXPECT_FALSE(ev.valid);
     ASSERT_NE(line, nullptr);
     EXPECT_EQ(line->data.size(), 64u);
@@ -56,12 +56,12 @@ TEST(Cache, LruEviction)
     Cache cache("t", smallCfg(2));
     std::uint64_t set_stride = cache.numSets() * 64;
 
-    cache.allocate(0x0, nullptr);
-    cache.allocate(set_stride, nullptr);
+    Eviction ev;
+    cache.allocate(0x0, ev);
+    cache.allocate(set_stride, ev);
     ASSERT_NE(cache.lookup(0x0), nullptr); // refresh LRU of first
 
-    Eviction ev;
-    cache.allocate(2 * set_stride, &ev);
+    cache.allocate(2 * set_stride, ev);
     ASSERT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, set_stride);
     EXPECT_NE(cache.lookup(0x0, false), nullptr);
@@ -71,13 +71,13 @@ TEST(Cache, LruEviction)
 TEST(Cache, DirtyEvictionCarriesData)
 {
     Cache cache("t", smallCfg(1));
-    CacheLine *line = cache.allocate(0x40, nullptr);
+    Eviction ev;
+    CacheLine *line = cache.allocate(0x40, ev);
     line->dirty = true;
     line->data[3] = 0xab;
 
     std::uint64_t set_stride = cache.numSets() * 64;
-    Eviction ev;
-    cache.allocate(0x40 + set_stride, &ev);
+    cache.allocate(0x40 + set_stride, ev);
     ASSERT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
     EXPECT_EQ(ev.addr, 0x40u);
@@ -87,22 +87,23 @@ TEST(Cache, DirtyEvictionCarriesData)
 TEST(Cache, Invalidate)
 {
     Cache cache("t", smallCfg(2));
-    CacheLine *line = cache.allocate(0x80, nullptr);
+    Eviction ev;
+    CacheLine *line = cache.allocate(0x80, ev);
     line->dirty = true;
     line->data[0] = 0x5a;
 
-    Eviction ev;
-    EXPECT_TRUE(cache.invalidate(0x80, &ev));
+    EXPECT_TRUE(cache.invalidate(0x80, ev));
     EXPECT_TRUE(ev.dirty);
     EXPECT_EQ(ev.data[0], 0x5a);
     EXPECT_EQ(cache.lookup(0x80, false), nullptr);
-    EXPECT_FALSE(cache.invalidate(0x80, &ev));
+    EXPECT_FALSE(cache.invalidate(0x80, ev));
 }
 
 TEST(Cache, MetadataPreservedOnLine)
 {
     Cache cache("t", smallCfg(2));
-    CacheLine *line = cache.allocate(0x200, nullptr);
+    Eviction ev;
+    CacheLine *line = cache.allocate(0x200, ev);
     line->usableAt = 12345;
     line->authSeq = 42;
     CacheLine *again = cache.lookup(0x200);
@@ -114,9 +115,10 @@ TEST(Cache, MetadataPreservedOnLine)
 TEST(Cache, ForEachLineAddrRoundTrips)
 {
     Cache cache("t", smallCfg(4));
-    cache.allocate(0x0, nullptr);
-    cache.allocate(0x40, nullptr);
-    cache.allocate(0x1000, nullptr);
+    Eviction ev;
+    cache.allocate(0x0, ev);
+    cache.allocate(0x40, ev);
+    cache.allocate(0x1000, ev);
 
     unsigned count = 0;
     cache.forEachLineAddr([&](Addr addr, CacheLine &line) {
@@ -145,7 +147,7 @@ TEST_P(CacheGeometry, FillWholeCacheNoSelfEvict)
     // Allocate each line exactly once: no evictions should occur.
     for (std::uint64_t i = 0; i < lines; ++i) {
         Eviction ev;
-        cache.allocate(i * line, &ev);
+        cache.allocate(i * line, ev);
         EXPECT_FALSE(ev.valid) << "self-eviction at line " << i;
     }
     // Everything present.
@@ -153,7 +155,7 @@ TEST_P(CacheGeometry, FillWholeCacheNoSelfEvict)
         EXPECT_NE(cache.lookup(i * line, false), nullptr);
     // One more line evicts exactly one.
     Eviction ev;
-    cache.allocate(lines * line, &ev);
+    cache.allocate(lines * line, ev);
     EXPECT_TRUE(ev.valid);
 }
 
@@ -197,8 +199,9 @@ TEST(Cache, MruNeverEvicted)
     std::uint64_t set_stride = cache.numSets() * 64;
 
     // Fill one set completely.
+    Eviction fill;
     for (unsigned way = 0; way < 4; ++way)
-        cache.allocate(way * set_stride, nullptr);
+        cache.allocate(way * set_stride, fill);
 
     for (int trial = 0; trial < 200; ++trial) {
         // Touch a random resident line, then allocate a fresh line in
@@ -212,7 +215,7 @@ TEST(Cache, MruNeverEvicted)
         ASSERT_NE(cache.lookup(touched), nullptr);
 
         Eviction ev;
-        cache.allocate((4 + trial) * set_stride, &ev);
+        cache.allocate((4 + trial) * set_stride, ev);
         ASSERT_TRUE(ev.valid);
         EXPECT_NE(ev.addr, touched);
     }

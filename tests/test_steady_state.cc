@@ -138,12 +138,12 @@ TEST(SteadyState, EvictionsAllocateNothingAndReturnTheVictimsBytes)
 {
     cache::Cache cache("t", {1024, 2, 64, 1});
     const Addr set_stride = cache.numSets() * 64;
-    scribble(*cache.allocate(0, nullptr), 1);
-    scribble(*cache.allocate(set_stride, nullptr), 2);
-
     cache::Eviction ev;
+    scribble(*cache.allocate(0, ev), 1);
+    scribble(*cache.allocate(set_stride, ev), 2);
+
     EXPECT_EQ(blocksAllocatedBy(
-                  [&] { cache.allocate(2 * set_stride, &ev); }),
+                  [&] { cache.allocate(2 * set_stride, ev); }),
               0u);
     EXPECT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
@@ -152,7 +152,7 @@ TEST(SteadyState, EvictionsAllocateNothingAndReturnTheVictimsBytes)
 
     cache::Eviction gone;
     EXPECT_EQ(blocksAllocatedBy(
-                  [&] { cache.invalidate(set_stride, &gone); }),
+                  [&] { cache.invalidate(set_stride, gone); }),
               0u);
     EXPECT_TRUE(gone.valid);
     EXPECT_TRUE(gone.dirty);
@@ -163,7 +163,7 @@ TEST(SteadyState, EvictionsAllocateNothingAndReturnTheVictimsBytes)
     cache::Eviction none;
     cache::CacheLine *line = nullptr;
     EXPECT_EQ(blocksAllocatedBy(
-                  [&] { line = cache.allocate(3 * set_stride, &none); }),
+                  [&] { line = cache.allocate(3 * set_stride, none); }),
               0u);
     EXPECT_FALSE(none.valid);
     ASSERT_NE(line, nullptr);

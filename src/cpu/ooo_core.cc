@@ -64,9 +64,9 @@ lastSet(const std::vector<std::uint64_t> &set, unsigned begin, unsigned end)
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
-    : cfg_(cfg), hier_(hier), client_(client), regs_(32, 0),
-      regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
-      renameMap_(32, -1), ready_((cfg.ruuSize + 63) / 64, 0),
+    : cfg_(cfg), hier_(hier), eng_(hier.ctrl().authEngine()),
+      client_(client), fetchPc_(entry), ruu_(cfg.ruuSize),
+      loadTiming_(cfg.ruuSize), ready_((cfg.ruuSize + 63) / 64, 0),
       stores_(ready_.size(), 0), firstWaiter_(cfg.ruuSize, kNoLink),
       nextWaiter_(2 * std::size_t(cfg.ruuSize), kNoLink),
       firstParked_(cfg.ruuSize, kNoLink), nextParked_(cfg.ruuSize, kNoLink),
@@ -74,6 +74,7 @@ OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
       storeBuffer_(cfg.storeBufferSize), intervals_(cfg.statsInterval),
       stats_(name)
 {
+    renameMap_.fill(-1);
     completions_.reserve(cfg.ruuSize);
     due_.reserve(cfg.ruuSize);
     stats_.addCounter("committed", &committed_);
@@ -160,7 +161,7 @@ AuthSeq
 OooCore::lastRequestTag()
 {
     if (!tickTagSampled_) {
-        tickTag_ = hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_);
+        tickTag_ = eng_.lastArrivedBy(cycle_, client_);
         tickTagSampled_ = true;
     }
     return tickTag_;
@@ -169,15 +170,14 @@ OooCore::lastRequestTag()
 bool
 OooCore::verifiedOk(AuthSeq seq) const
 {
-    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
     if (seq == kNoAuthSeq)
         return true;
     // Only this core's own failed requests poison its gates: a
     // neighbour core fetching a tampered line raises *its* exception,
     // not ours (per-client failure view).
-    if (eng.neverVerifies(seq, client_))
+    if (eng_.neverVerifies(seq, client_))
         return false;
-    return eng.verifiedBy(seq, cycle_);
+    return eng_.verifiedBy(seq, cycle_);
 }
 
 void
@@ -193,8 +193,8 @@ OooCore::checkEngineFailure()
 {
     if (!verifies(cfg_.policy))
         return false;
-    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
-    if (!eng.anyFailure(client_) || cycle_ < eng.firstFailureCycle(client_))
+    if (!eng_.anyFailure(client_) ||
+        cycle_ < eng_.firstFailureCycle(client_))
         return false;
     raiseSecurityException(gatesCommit(cfg_.policy) ||
                            gatesIssue(cfg_.policy));
@@ -204,7 +204,7 @@ OooCore::checkEngineFailure()
 void
 OooCore::rebuildRenameMap()
 {
-    std::fill(renameMap_.begin(), renameMap_.end(), -1);
+    renameMap_.fill(-1);
     for (unsigned pos = 0; pos < ruuCount_; ++pos) {
         RuuEntry &entry = entryAt(pos);
         if (entry.writesRd)
@@ -234,7 +234,8 @@ OooCore::squashAfter(unsigned pos)
     std::erase_if(completions_, [this](const Completion &c) {
         return !ruu_[c.slot].valid;
     });
-    std::make_heap(completions_.begin(), completions_.end(), Completion::later);
+    std::make_heap(completions_.begin(), completions_.end(),
+                   CompletesLater{});
     for (unsigned p = 0; p <= pos; ++p) {
         const unsigned slot = ruuIndex(p);
         unsigned &head = firstWaiter_[slot];
@@ -267,6 +268,7 @@ OooCore::readOperand(RuuEntry &entry, unsigned slot, unsigned operand,
         entry.tainted = entry.tainted || ruu_[prod].tainted;
         ready = true;
     } else {
+        ready = false;
         const unsigned node = 2 * slot + operand;
         nextWaiter_[node] = firstWaiter_[prod];
         firstWaiter_[prod] = node;
@@ -326,8 +328,9 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
             raw &= (1ULL << (8 * bytes)) - 1;
         entry.result = isa::adjustLoadValue(entry.inst.op, raw);
         entry.readyAt = cycle_ + 2;
-        entry.dataReadyAt = entry.readyAt; // on-chip forward
-        entry.dataSeq = kNoAuthSeq; // data never left the chip
+        // The data never left the chip: no bus window, and no auth
+        // request to raise the gate tag.
+        loadTiming_[slot] = {entry.readyAt, kCycleNever, kCycleNever};
         entry.tainted = entry.tainted || tainted;
         ++loadForwards_;
         return true;
@@ -366,12 +369,10 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
                                             raw, entry.seq, client_);
     entry.result = isa::adjustLoadValue(entry.inst.op, raw);
     entry.readyAt = access.ready;
-    entry.dataReadyAt = access.dataReady;
-    entry.busReqAt = access.busRequestAt;
-    entry.busGrantAt = access.busGrantAt;
-    entry.dataSeq = access.authSeq;
-    entry.tainted = entry.tainted ||
-                    hier_.ctrl().authEngine().requestFailed(access.authSeq);
+    loadTiming_[slot] = {access.dataReady, access.busRequestAt,
+                         access.busGrantAt};
+    entry.gateTag = std::max(entry.gateTag, access.authSeq);
+    entry.tainted = entry.tainted || eng_.requestFailed(access.authSeq);
     ++loadsIssued_;
     return true;
 }
@@ -382,7 +383,7 @@ OooCore::stageComplete()
     due_.clear();
     while (!completions_.empty() && completions_.front().readyAt <= cycle_) {
         std::pop_heap(completions_.begin(), completions_.end(),
-                      Completion::later);
+                      CompletesLater{});
         due_.push_back(completions_.back().slot);
         completions_.pop_back();
     }
@@ -432,7 +433,7 @@ OooCore::stageCommit()
             break;
 
         if (gatesCommit(cfg_.policy)) {
-            AuthSeq gate = std::max(entry.fetchSeq, entry.dataSeq);
+            const AuthSeq gate = entry.gateTag;
             if (!verifiedOk(gate)) {
                 ++authCommitStalls_;
                 if (done == 0) {
@@ -672,7 +673,7 @@ OooCore::stageIssue()
             }
             completions_.push_back({entry.readyAt, slot});
             std::push_heap(completions_.begin(), completions_.end(),
-                           Completion::later);
+                           CompletesLater{});
             progress_ = true;
             tracePipeline(obs::PipelineEvent::Kind::kIssue, entry.pc,
                           entry.seq);
@@ -701,24 +702,26 @@ OooCore::stageDispatch()
             break;
         }
 
+        // Write the slot in place, once: every field a stage can read
+        // before this instruction issues. Issue writes the rest.
         unsigned slot = ruuIndex(ruuCount_);
         RuuEntry &entry = ruu_[slot];
-        entry = RuuEntry{};
-        entry.valid = true;
         entry.seq = nextSeq_++;
         entry.pc = fetched_inst.pc;
         entry.inst = fetched_inst.inst;
-        entry.fetchSeq = fetched_inst.fetchSeq;
-        entry.tainted =
-            hier_.ctrl().authEngine().requestFailed(entry.fetchSeq);
-        entry.predTaken = fetched_inst.predTaken;
         entry.predTarget = fetched_inst.predTarget;
+        entry.gateTag = fetched_inst.fetchSeq;
+        entry.valid = true;
+        entry.issued = false;
+        entry.completed = false;
+        entry.writesRd = entry.inst.destReg() != 0;
         entry.isLoad = oi.isLoad;
         entry.isStore = oi.isStore;
         entry.isControl = oi.isBranch || oi.isJump;
-        entry.isOut = (entry.inst.op == isa::Op::kOut);
-        entry.isHalt = (entry.inst.op == isa::Op::kHalt);
-        entry.writesRd = (entry.inst.destReg() != 0);
+        entry.predTaken = fetched_inst.predTaken;
+        entry.isOut = entry.inst.op == isa::Op::kOut;
+        entry.isHalt = entry.inst.op == isa::Op::kHalt;
+        entry.tainted = fetched_inst.tainted;
 
         firstWaiter_[slot] = kNoLink;
         firstParked_[slot] = kNoLink;
@@ -758,6 +761,7 @@ OooCore::stageFetch()
     // words walks, so each counts its translation fault.
     const std::uint8_t *line = nullptr;
     AuthSeq fetch_seq = kNoAuthSeq;
+    bool fetch_failed = false;
     unsigned line_hits = 0;
 
     while (budget > 0 && !fetchQueue_.full()) {
@@ -789,7 +793,10 @@ OooCore::stageFetch()
                 fetchDataReadyAt_ = access.dataReady;
                 break;
             }
+            // A request's verdict is fixed when the engine posts it, so
+            // the group reads it once, here, for every word it fetches.
             fetch_seq = access.authSeq;
+            fetch_failed = eng_.requestFailed(fetch_seq);
         }
 
         tracePipeline(obs::PipelineEvent::Kind::kFetch, fetchPc_);
@@ -797,6 +804,7 @@ OooCore::stageFetch()
         fetched_inst.pc = fetchPc_;
         fetched_inst.inst = isa::decode(word);
         fetched_inst.fetchSeq = fetch_seq;
+        fetched_inst.tainted = fetch_failed;
         const isa::OpInfo &oi = fetched_inst.inst.info();
         if (oi.isBranch || oi.isJump) {
             Prediction pred = bpred_.predict(fetchPc_, fetched_inst.inst);
@@ -850,13 +858,14 @@ OooCore::classifyStall()
         // In-flight load at the head: charge verification only once
         // the data itself has arrived (authen-then-issue holds
         // usability until the verdict).
-        if (cycle_ >= head.dataReadyAt)
+        const LoadTiming &load = loadTiming_[ruuIndex(0)];
+        if (cycle_ >= load.dataReadyAt)
             return obs::StallCause::kAuthIssue;
         // While the line transfer sits in the shared-bus arbiter's
         // queue, the wait is contention, not intrinsic memory latency.
-        if (head.busGrantAt != kCycleNever &&
-            head.busGrantAt > head.busReqAt && cycle_ >= head.busReqAt &&
-            cycle_ < head.busGrantAt)
+        if (load.busGrantAt != kCycleNever &&
+            load.busGrantAt > load.busReqAt && cycle_ >= load.busReqAt &&
+            cycle_ < load.busGrantAt)
             return obs::StallCause::kBusWait;
         return obs::StallCause::kMemData;
     }
@@ -986,8 +995,6 @@ OooCore::nextWakeCycle() const
     // same cycle as when every cycle is ticked.
     consider(lastCommitCycle_ + kProgressPanicCycles);
 
-    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
-
     // The earliest pending completion (also the head-commit / operand
     // / issue unblock event). The queue holds no squashed entry, so
     // its head never wakes the core early.
@@ -995,30 +1002,31 @@ OooCore::nextWakeCycle() const
         consider(completions_.front().readyAt);
 
     if (ruuCount_ > 0) {
-        const RuuEntry &head = ruu_[ruuIndex(0)];
+        const unsigned slot = ruuIndex(0);
+        const RuuEntry &head = ruu_[slot];
         if (head.issued && head.completed && gatesCommit(cfg_.policy)) {
             // Commit gate: the verdict lands at the engine's done
             // cycle (a failed tag never opens the gate, but then the
             // engine-failure wake below ends the run).
-            AuthSeq gate = std::max(head.fetchSeq, head.dataSeq);
-            if (gate != kNoAuthSeq)
-                consider(eng.doneCycle(gate));
+            if (head.gateTag != kNoAuthSeq)
+                consider(eng_.doneCycle(head.gateTag));
         }
         if (head.issued && !head.completed && head.isLoad) {
             // Stall-attribution boundaries of an in-flight head load
             // (classifyStall branches on these compares).
-            if (head.dataReadyAt != kCycleNever)
-                consider(head.dataReadyAt);
-            if (head.busReqAt != kCycleNever)
-                consider(head.busReqAt);
-            if (head.busGrantAt != kCycleNever)
-                consider(head.busGrantAt);
+            const LoadTiming &load = loadTiming_[slot];
+            if (load.dataReadyAt != kCycleNever)
+                consider(load.dataReadyAt);
+            if (load.busReqAt != kCycleNever)
+                consider(load.busReqAt);
+            if (load.busGrantAt != kCycleNever)
+                consider(load.busGrantAt);
         }
     }
 
     // Store-release gate on the buffer head.
     if (!storeBuffer_.empty() && gatesWrite(cfg_.policy))
-        consider(eng.doneCycle(storeBuffer_.front().tag));
+        consider(eng_.doneCycle(storeBuffer_.front().tag));
 
     // Frontend restart + its attribution boundary (kMemFetch ->
     // kAuthIssue split at data arrival). Stale values from a finished
@@ -1032,8 +1040,8 @@ OooCore::nextWakeCycle() const
 
     // A posted verification failure raises the security exception the
     // moment its verdict is due (only this core's own failures).
-    if (verifies(cfg_.policy) && eng.anyFailure(client_))
-        consider(eng.firstFailureCycle(client_));
+    if (verifies(cfg_.policy) && eng_.anyFailure(client_))
+        consider(eng_.firstFailureCycle(client_));
 
     // The panic bound always qualifies (cycle_ <= lastCommitCycle_ +
     // 1M while running), so wake is never kCycleNever; the guard is

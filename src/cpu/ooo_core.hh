@@ -175,59 +175,76 @@ class OooCore
 
   private:
     // ----- pipeline structures -------------------------------------------
+    /**
+     * One RUU slot. Dispatch writes, in place, every field a stage
+     * can read before the instruction issues; issue writes the rest
+     * (result, readyAt, the memory and control outcomes, issueTag).
+     * The 8-byte fields come first and the one-byte fields last, so
+     * nothing pads.
+     */
     struct RuuEntry
     {
-        bool valid = false;
         std::uint64_t seq = 0; // dynamic instruction number
         Addr pc = 0;
         isa::DecodedInst inst;
 
         // Operands: read at dispatch, or written by the producer's
         // completion (wakeConsumers).
-        bool v1Ready = false, v2Ready = false;
         std::uint64_t v1 = 0, v2 = 0;
 
-        bool issued = false;
-        bool completed = false;
         Cycle readyAt = 0;
-        /** For loads: cycle the data is physically on-chip (equals
-         *  readyAt except under authen-then-issue, where the gap is
-         *  the verification wait). Stall attribution only. */
-        Cycle dataReadyAt = 0;
-        /** For loads that went off-chip: the primary transfer's bus
-         *  request/grant window (kCycleNever when it never left the
-         *  chip). busGrantAt > busReqAt means the shared-bus arbiter
-         *  queued it behind other traffic. Stall attribution only. */
-        Cycle busReqAt = kCycleNever;
-        Cycle busGrantAt = kCycleNever;
         std::uint64_t result = 0;
-        bool writesRd = false;
 
-        // Memory
-        bool isLoad = false, isStore = false;
+        // Memory (and the OUT value: storeValue, outPort)
         Addr memAddr = 0;
-        unsigned memBytes = 0;
         std::uint64_t storeValue = 0;
+        std::uint64_t outPort = 0;
 
         // Control
-        bool isControl = false;
-        bool predTaken = false;
         Addr predTarget = 0;
-        bool taken = false;
         Addr actualNext = 0;
 
-        // System
-        bool isOut = false;
-        std::uint64_t outPort = 0;
-        bool isHalt = false;
-
         // Security tags
-        AuthSeq fetchSeq = kNoAuthSeq; // I-line auth request
-        AuthSeq dataSeq = kNoAuthSeq;  // loaded-data auth request
+        /** Commit-gate tag: the later of the I-line's auth request
+         *  (set at dispatch) and the loaded line's (raised at a load's
+         *  issue when its data comes from the hierarchy). */
+        AuthSeq gateTag = kNoAuthSeq;
         AuthSeq issueTag = kNoAuthSeq; // LastRequest at issue
+
+        std::uint8_t memBytes = 0;
+        bool valid = false;
+        bool v1Ready = false, v2Ready = false;
+        bool issued = false;
+        bool completed = false;
+        bool writesRd = false;
+        bool isLoad = false, isStore = false;
+        bool isControl = false;
+        bool predTaken = false;
+        bool taken = false;
+        bool isOut = false;
+        bool isHalt = false;
         /** Precise dataflow taint: this instruction's value derives
          *  from a line whose verification (functionally) failed. */
         bool tainted = false;
+    };
+    static_assert(sizeof(RuuEntry) <= 136,
+                  "an RUU entry is written per dispatched instruction");
+
+    /** A load's timing, for stall attribution only (classifyStall and
+     *  nextWakeCycle read it for an issued load at the RUU head): one
+     *  per RUU slot, written when the load in that slot issues. */
+    struct LoadTiming
+    {
+        /** Cycle the data is physically on-chip (equals readyAt
+         *  except under authen-then-issue, where the gap is the
+         *  verification wait). */
+        Cycle dataReadyAt = 0;
+        /** For a load that went off-chip: the primary transfer's bus
+         *  request/grant window (kCycleNever when it never left the
+         *  chip). busGrantAt > busReqAt means the shared-bus arbiter
+         *  queued it behind other traffic. */
+        Cycle busReqAt = kCycleNever;
+        Cycle busGrantAt = kCycleNever;
     };
 
     struct FetchedInst
@@ -235,6 +252,9 @@ class OooCore
         Addr pc = 0;
         isa::DecodedInst inst;
         bool predTaken = false;
+        /** Whether the fetch group's I-line request failed
+         *  verification (the instruction's taint at dispatch). */
+        bool tainted = false;
         Addr predTarget = 0;
         AuthSeq fetchSeq = kNoAuthSeq;
     };
@@ -256,10 +276,13 @@ class OooCore
     {
         Cycle readyAt = 0;
         unsigned slot = 0;
-
-        /** Heap order: the earliest readyAt on top. */
-        static bool
-        later(const Completion &a, const Completion &b)
+    };
+    /** Heap order: the earliest readyAt on top. A type, not a function
+     *  pointer, so the heap algorithms inline the compare. */
+    struct CompletesLater
+    {
+        bool
+        operator()(const Completion &a, const Completion &b) const
         {
             return a.readyAt > b.readyAt;
         }
@@ -368,24 +391,30 @@ class OooCore
 
     const sim::SimConfig &cfg_;
     secmem::MemHierarchy &hier_;
+    /** The hierarchy's authentication engine: every gate, tag and
+     *  taint the core reads comes from it. */
+    const secmem::AuthEngine &eng_;
     /** Hierarchy client id all of this core's memory traffic carries. */
     unsigned client_ = 0;
     BranchPredictor bpred_;
 
     // Architectural state
-    std::vector<std::uint64_t> regs_;
+    std::array<std::uint64_t, isa::kNumRegs> regs_{};
     /** Per-register dataflow taint (only set when a tainted value
      *  commits, i.e. under policies without a commit gate). */
-    std::vector<bool> regTainted_;
+    std::array<bool, isa::kNumRegs> regTainted_{};
     Addr fetchPc_;
     Cycle fetchStallUntil_ = 0;
 
     // RUU circular buffer
     std::vector<RuuEntry> ruu_;
+    /** Per slot: the timing of the load that last issued there. */
+    std::vector<LoadTiming> loadTiming_;
     unsigned ruuHead_ = 0;
     unsigned ruuCount_ = 0;
     std::uint64_t nextSeq_ = 1;
-    std::vector<int> renameMap_; // reg -> RUU slot (-1 = regfile)
+    /** reg -> RUU slot of its youngest in-flight writer (-1 = regfile) */
+    std::array<int, isa::kNumRegs> renameMap_;
     unsigned lsqUsed_ = 0;
 
     // Event-driven issue and completion. Sized from ruuSize at

@@ -6,8 +6,22 @@ namespace acp::secmem
 
 namespace
 {
+
 /** Completion history kept before pruning (old entries read as 0). */
 constexpr std::size_t kHistoryWindow = 1 << 16;
+
+/** Append @p value to a history ring, doubling the ring when it is
+ *  full. No history holds more than kHistoryWindow requests, so from
+ *  the first-slot count the doubling stops at exactly that bound. */
+template <typename T>
+void
+remember(Ring<T> &ring, T value)
+{
+    if (ring.full())
+        ring.grow(2 * ring.capacity());
+    ring.push_back() = value;
+}
+
 } // namespace
 
 AuthEngine::AuthEngine(unsigned latency, unsigned occupancy,
@@ -55,27 +69,32 @@ AuthEngine::post(Cycle ready_at, Cycle extra_latency, bool mac_ok,
     // tag argument in auth_engine.hh relies on). Scanning back stops
     // at the first finished request: every earlier one is finished.
     std::uint64_t depth = 0;
-    for (auto it = doneCycles_.rbegin(); it != doneCycles_.rend(); ++it) {
-        if (*it > ready_at)
+    for (std::size_t i = doneCycles_.size(); i-- > 0;) {
+        if (doneCycles_[i] > ready_at)
             ++depth;
         else
             break;
     }
     queueDepth_.sample(depth);
 
-    ++lastRequest_;
-    doneCycles_.push_back(done);
-    failed_.push_back(!mac_ok);
-
     ClientState &cs = clients_[client];
     ++cs.requests;
     cs.queueDelay.sample(double(start - ready_at));
     Cycle arrival = ready_at;
     if (!cs.arrivals.empty() && cs.arrivals.back() > arrival)
-        arrival = cs.arrivals.back(); // monotonicize for binary search
-    cs.arrivals.push_back(arrival);
-    cs.seqs.push_back(lastRequest_);
-    prune();
+        arrival = cs.arrivals.back(); // monotonicize for the cursor
+
+    // Forget the oldest request before remembering this one, so no
+    // ring ever holds more than the window and each stops growing at
+    // it. (The arrival above was read first: it may be the one the
+    // forget drops.)
+    if (doneCycles_.size() == kHistoryWindow)
+        forgetOldest();
+    ++lastRequest_;
+    remember(doneCycles_, done);
+    remember(failed_, !mac_ok);
+    remember(cs.arrivals, arrival);
+    remember(cs.seqs, lastRequest_);
 
     if (!mac_ok) {
         ++failures_;
@@ -88,24 +107,12 @@ AuthEngine::post(Cycle ready_at, Cycle extra_latency, bool mac_ok,
     return lastRequest_;
 }
 
-Cycle
-AuthEngine::doneCycle(AuthSeq seq) const
-{
-    if (seq == kNoAuthSeq || seq < baseSeq_)
-        return 0;
-    if (seq > lastRequest_)
-        acp_panic("doneCycle query for future request %llu (last %llu)",
-                  (unsigned long long)seq,
-                  (unsigned long long)lastRequest_);
-    return doneCycles_[seq - baseSeq_];
-}
-
 AuthSeq
-AuthEngine::lastArrivedBy(Cycle cycle, unsigned client)
+AuthEngine::lastArrivedBy(Cycle cycle, unsigned client) const
 {
     // The client's arrivals are nondecreasing: step the cursor forward
     // over arrivals at or before cycle, or back over later ones.
-    ClientState &cs = clients_[client];
+    const ClientState &cs = clients_[client];
     std::size_t &n = cs.cursor;
     while (n < cs.arrivals.size() && cs.arrivals[n] <= cycle)
         ++n;
@@ -116,33 +123,21 @@ AuthEngine::lastArrivedBy(Cycle cycle, unsigned client)
     return cs.seqs[n - 1];
 }
 
-bool
-AuthEngine::requestFailed(AuthSeq seq) const
-{
-    if (seq == kNoAuthSeq || seq < baseSeq_ || seq > lastRequest_)
-        return false;
-    return failed_[seq - baseSeq_];
-}
-
 void
-AuthEngine::prune()
+AuthEngine::forgetOldest()
 {
-    bool pruned = false;
-    while (doneCycles_.size() > kHistoryWindow) {
-        doneCycles_.pop_front();
-        failed_.pop_front();
-        ++baseSeq_;
-        pruned = true;
-    }
-    if (!pruned)
-        return;
+    doneCycles_.pop_front();
+    failed_.pop_front();
+    ++baseSeq_;
+    // The forgotten request is one client's oldest.
     for (ClientState &cs : clients_) {
-        while (!cs.seqs.empty() && cs.seqs.front() < baseSeq_) {
+        if (!cs.seqs.empty() && cs.seqs.front() < baseSeq_) {
             cs.lastPruned = cs.seqs.front();
             cs.seqs.pop_front();
             cs.arrivals.pop_front();
             if (cs.cursor > 0)
                 --cs.cursor;
+            break;
         }
     }
 }

@@ -14,10 +14,10 @@
 #ifndef ACP_SECMEM_AUTH_ENGINE_HH
 #define ACP_SECMEM_AUTH_ENGINE_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -74,16 +74,27 @@ class AuthEngine
      *
      * Read through a per-client cursor that moves from the previous
      * query's answer: O(1) amortised for nondecreasing @p cycle (the
-     * core's clock), and right for any query order.
+     * core's clock), and right for any query order. The cursor only
+     * remembers where the last answer was, so the query is const.
      */
-    AuthSeq lastArrivedBy(Cycle cycle, unsigned client);
+    AuthSeq lastArrivedBy(Cycle cycle, unsigned client) const;
 
     /**
      * Cycle at which request @p seq completes verification.
      * seq == kNoAuthSeq (or an anciently pruned seq) returns 0,
      * meaning "verified in the distant past".
      */
-    Cycle doneCycle(AuthSeq seq) const;
+    Cycle
+    doneCycle(AuthSeq seq) const
+    {
+        if (seq < baseSeq_) // kNoAuthSeq too: baseSeq_ starts at 1
+            return 0;
+        if (seq > lastRequest_)
+            acp_panic("doneCycle query for future request %llu (last %llu)",
+                      (unsigned long long)seq,
+                      (unsigned long long)lastRequest_);
+        return doneCycles_[seq - baseSeq_];
+    }
 
     /** True once @p seq has completed by cycle @p now. */
     bool
@@ -93,8 +104,15 @@ class AuthEngine
     }
 
     /** Whether request @p seq itself failed verification (precise
-     *  per-line taint source for the empirical Table-2 counters). */
-    bool requestFailed(AuthSeq seq) const;
+     *  per-line taint source for the empirical Table-2 counters).
+     *  A pruned request reads as not failed. */
+    bool
+    requestFailed(AuthSeq seq) const
+    {
+        if (seq < baseSeq_ || seq > lastRequest_)
+            return false;
+        return failed_[seq - baseSeq_];
+    }
 
     // Per-client failure views: a core squashes and raises only on
     // failures of its *own* requests — a tampered line fetched by a
@@ -127,16 +145,20 @@ class AuthEngine
     StatGroup &stats() { return stats_; }
 
   private:
+    /** Slots each history ring starts with; it doubles as it fills,
+     *  up to the history's bound (a power of two, as this is). */
+    static constexpr std::size_t kFirstHistorySlots = 64;
+
     /** One client's pending-queue view and failure latch. */
     struct ClientState
     {
         /** Monotonic running max of this client's arrival cycles. */
-        std::deque<Cycle> arrivals;
+        Ring<Cycle> arrivals{kFirstHistorySlots};
         /** Global sequence number of each entry (same indexing). */
-        std::deque<AuthSeq> seqs;
+        Ring<AuthSeq> seqs{kFirstHistorySlots};
         /** lastArrivedBy's cursor: the number of entries arrived at or
          *  before the cycle queried last. */
-        std::size_t cursor = 0;
+        mutable std::size_t cursor = 0;
         /** Most recently pruned sequence (kNoAuthSeq when none):
          *  the "verified in the distant past" fallback. */
         AuthSeq lastPruned = kNoAuthSeq;
@@ -147,18 +169,21 @@ class AuthEngine
         StatAverage queueDelay;
     };
 
-    void prune();
+    /** Drop the oldest request from the history (and from its
+     *  client's view), before a post would take it past its bound. */
+    void forgetOldest();
 
     unsigned latency_;
     unsigned occupancy_;
     AuthSeq lastRequest_ = 0;
     Cycle engineFreeAt_ = 0;
 
-    /** doneCycles_[i] is completion of request baseSeq_ + i. */
+    /** doneCycles_[i] is completion of request baseSeq_ + i: the
+     *  last kHistoryWindow requests (auth_engine.cc) at most. */
     AuthSeq baseSeq_ = 1;
-    std::deque<Cycle> doneCycles_;
+    Ring<Cycle> doneCycles_{kFirstHistorySlots};
     /** Per-request functional verdict (same indexing). */
-    std::deque<bool> failed_;
+    Ring<bool> failed_{kFirstHistorySlots};
 
     /** Indexed by client id; sized once, so stat pointers stay valid. */
     std::vector<ClientState> clients_;

@@ -336,10 +336,44 @@ TEST(Ring, PushHandsOutAValueInitializedSlot)
     EXPECT_EQ(ring[0], 8);
 }
 
+// Growing a wrapped ring keeps its elements in order from the front,
+// and the ring keeps working as a FIFO at the new capacity.
+TEST(Ring, GrowKeepsTheElementsInOrder)
+{
+    Ring<int> ring(4);
+    std::deque<int> model;
+    int next = 0;
+    for (std::size_t cap = 4; cap <= 64; cap *= 2) {
+        while (!ring.full()) {
+            ring.push_back() = next;
+            model.push_back(next++);
+        }
+        ring.pop_front(); // the front moves off slot 0: the ring wraps
+        model.pop_front();
+        ring.push_back() = next;
+        model.push_back(next++);
+        ring.grow(2 * cap);
+        ASSERT_EQ(ring.capacity(), 2 * cap);
+        ASSERT_EQ(ring.size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i)
+            EXPECT_EQ(ring[i], model[i]) << "capacity " << 2 * cap;
+        EXPECT_EQ(ring.back(), model.back());
+    }
+
+    // A ring of bools holds one per element.
+    Ring<bool> verdicts(3);
+    verdicts.push_back() = true;
+    verdicts.push_back() = false;
+    verdicts.grow(6);
+    EXPECT_TRUE(verdicts[0]);
+    EXPECT_FALSE(verdicts.back());
+}
+
 TEST(RingDeathTest, AFullOrEmptyCapacityIsABug)
 {
     Ring<int> ring(1);
     ring.push_back();
     EXPECT_DEATH(ring.push_back(), "push to a full ring of 1");
     EXPECT_DEATH({ Ring<int> none(0); }, "at least one slot");
+    EXPECT_DEATH(ring.grow(0), "cannot shrink");
 }

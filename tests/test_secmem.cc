@@ -1073,6 +1073,67 @@ TEST(AuthEngine, LastArrivedByMatchesReferenceAcrossPrune)
     EXPECT_NE(eng.doneCycle(last - kWindow + 1), 0u);
 }
 
+TEST(AuthEngine, DoneCycleAndVerdictMatchReferenceAcrossPrune)
+{
+    // doneCycle and requestFailed read the engine's last kWindow
+    // requests; an older (or no) request reads as verified at cycle 0
+    // and not failed, and a future one as not failed. Check both
+    // against a model that keeps every request, after every post near
+    // the window's edge and anywhere, and for every sequence number
+    // at a few points, while the history grows to its bound and then
+    // wraps. One request in 16 fails.
+    constexpr AuthSeq kWindow = 1 << 16;
+    constexpr unsigned kPosts = 3 * kWindow + 1000;
+    // The engine keeps up: a request every 4.5 cycles on average
+    // against about 3 of occupancy with the extra latency.
+    constexpr unsigned kLatency = 148, kOccupancy = 2;
+    AuthEngine eng(kLatency, kOccupancy, 2);
+    std::vector<Cycle> done{0}; // done[seq]; seq 0 is kNoAuthSeq
+    std::vector<bool> failed{false};
+    Rng rng(0x5eed);
+    Cycle now = 0, free_at = 0;
+    unsigned mismatches = 0, failures_kept = 0;
+    auto check = [&](AuthSeq seq, AuthSeq last, unsigned post) {
+        const bool kept = seq != kNoAuthSeq && seq <= last &&
+                          seq + kWindow > last;
+        const Cycle want_done = kept ? done[seq] : 0;
+        const bool want_failed = kept && failed[seq];
+        failures_kept += want_failed;
+        const bool got_failed = eng.requestFailed(seq);
+        const Cycle got_done = seq <= last ? eng.doneCycle(seq) : 0;
+        if ((got_done != want_done || got_failed != want_failed) &&
+            ++mismatches <= 5)
+            ADD_FAILURE() << "post " << post << " seq " << seq
+                          << " (last " << last << "): done " << got_done
+                          << "/" << want_done << ", failed "
+                          << got_failed << "/" << want_failed;
+    };
+    for (unsigned i = 0; i < kPosts; ++i) {
+        now += 1 + rng.below(8);
+        const Cycle ready = now + rng.below(400);
+        const Cycle extra = rng.below(16) == 0 ? rng.below(32) : 0;
+        const bool mac_ok = rng.below(16) != 0;
+        const Cycle start = std::max(ready, free_at);
+        free_at = start + kOccupancy + extra;
+        done.push_back(start + kLatency + extra);
+        failed.push_back(!mac_ok);
+        const AuthSeq last =
+            eng.post(ready, extra, mac_ok, unsigned(rng.below(2)));
+        ASSERT_EQ(last, done.size() - 1);
+
+        const AuthSeq oldest = last > kWindow ? last - kWindow + 1 : 1;
+        check(AuthSeq(rng.below(last + 1)), last, i);
+        check(oldest + rng.below(4) - std::min<AuthSeq>(oldest, 2), last,
+              i);
+        check(last + 1 + rng.below(3), last, i);
+        if (i % kWindow == kWindow / 2 || i + 1 == kPosts)
+            for (AuthSeq seq = 0; seq <= last + 2; ++seq)
+                check(seq, last, i);
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(failures_kept, 10000u);
+}
+
 TEST(AuthEngine, ThroughputBoundedByInterval)
 {
     AuthEngine eng(148, 40);

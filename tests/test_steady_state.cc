@@ -18,6 +18,7 @@
 #include "cache/cache.hh"
 #include "sim/system.hh"
 #include "workloads/victims.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -105,6 +106,40 @@ TEST(SteadyState, ALongerTimedWindowAllocatesNoMoreBlocks)
     EXPECT_EQ(longer.reason, cpu::StopReason::kCycleLimit);
     EXPECT_GT(longer.insts, 8 * shorter.insts);
     EXPECT_EQ(long_blocks, short_blocks);
+}
+
+// mcf at 2 MiB chases pointers through eight times the L2: under
+// authen-then-commit about one instruction in ten posts an
+// authentication request. A timed warm-up of 700k instructions fills
+// the caches and posts more requests than the engine remembers (its
+// history window is 65,536), so the history has stopped growing. From there an 80k-instruction window
+// allocates no more blocks than a 20k one: nothing on the memory
+// path, the engine's history included, allocates per request.
+TEST(SteadyState, AMemoryBoundWindowAllocatesNoMoreBlocks)
+{
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 2 << 20;
+    const isa::Program prog = workloads::build("mcf", params);
+    sim::SimConfig cfg = sim::paperConfig();
+    cfg.policy = core::AuthPolicy::kAuthThenCommit;
+    sim::System system(cfg, prog);
+    system.fastForward(30000);
+    system.measureTimed(700000, ~0ULL >> 1);
+    const secmem::AuthEngine &eng = system.hier().ctrl().authEngine();
+    ASSERT_GT(eng.lastRequest(), AuthSeq(1) << 16);
+
+    sim::RunResult shorter, longer;
+    const AuthSeq before = eng.lastRequest();
+    const std::uint64_t short_blocks = blocksAllocatedBy(
+        [&] { shorter = system.measureTimed(20000, ~0ULL >> 1); });
+    const std::uint64_t long_blocks = blocksAllocatedBy(
+        [&] { longer = system.measureTimed(80000, ~0ULL >> 1); });
+
+    EXPECT_EQ(shorter.reason, cpu::StopReason::kInstLimit);
+    EXPECT_EQ(longer.reason, cpu::StopReason::kInstLimit);
+    // Both windows posted requests: about one per ten instructions.
+    EXPECT_GT(eng.lastRequest() - before, 5000u);
+    EXPECT_LE(long_blocks, short_blocks);
 }
 
 namespace

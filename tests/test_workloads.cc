@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "crypto/sha256.hh"
+#include "printers.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -118,6 +121,51 @@ TEST_P(EveryWorkload, RunsAtEveryWorkingSet)
 INSTANTIATE_TEST_SUITE_P(All, EveryWorkload,
                          ::testing::ValuesIn(workloads::allNames()),
                          [](const auto &info) { return info.param; });
+
+/** Every kernel under every policy: a short co-simulated window at
+ *  512 KiB. Each policy reads a different part of what dispatch and
+ *  issue record: the commit gate its gate tag, the write gate a
+ *  store's issue tag, the fetch gate the LastRequest sample, and
+ *  obfuscation the remap layer's translated addresses. */
+class EveryWorkloadAndPolicy
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, core::AuthPolicy>>
+{};
+
+TEST_P(EveryWorkloadAndPolicy, RunsCosimulated)
+{
+    const auto &[name, policy] = GetParam();
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 512 << 10;
+    sim::SimConfig cfg = sim::paperConfig();
+    cfg.policy = policy;
+    sim::System system(cfg, workloads::build(name, params));
+    system.enableCosim();
+    system.fastForward(5000);
+    sim::RunResult res = system.measureTimed(10000, 10'000'000);
+    EXPECT_EQ(res.reason, cpu::StopReason::kInstLimit);
+    EXPECT_GE(res.insts, 10000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, EveryWorkloadAndPolicy,
+    ::testing::Combine(
+        ::testing::ValuesIn(workloads::allNames()),
+        ::testing::Values(core::AuthPolicy::kBaseline,
+                          core::AuthPolicy::kAuthThenIssue,
+                          core::AuthPolicy::kAuthThenWrite,
+                          core::AuthPolicy::kAuthThenCommit,
+                          core::AuthPolicy::kAuthThenFetch,
+                          core::AuthPolicy::kCommitPlusFetch,
+                          core::AuthPolicy::kCommitPlusObfuscation)),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param) + "_" +
+                           core::policyName(std::get<1>(info.param));
+        for (char &ch : name)
+            if (ch == '-' || ch == '+')
+                ch = '_';
+        return name;
+    });
 
 TEST(Workloads, McfIsMemoryBound)
 {

@@ -76,7 +76,6 @@ OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
 {
     renameMap_.fill(-1);
     completions_.reserve(cfg.ruuSize);
-    due_.reserve(cfg.ruuSize);
     stats_.addCounter("committed", &committed_);
     stats_.addCounter("fetched", &fetched_);
     stats_.addCounter("issued", &issued_);
@@ -205,11 +204,9 @@ void
 OooCore::rebuildRenameMap()
 {
     renameMap_.fill(-1);
-    for (unsigned pos = 0; pos < ruuCount_; ++pos) {
-        RuuEntry &entry = entryAt(pos);
-        if (entry.writesRd)
-            renameMap_[entry.inst.destReg()] = int(ruuIndex(pos));
-    }
+    for (unsigned pos = 0; pos < ruuCount_; ++pos)
+        if (const unsigned rd = entryAt(pos).inst.destReg())
+            renameMap_[rd] = int(ruuIndex(pos));
 }
 
 void
@@ -217,10 +214,9 @@ OooCore::squashAfter(unsigned pos)
 {
     while (ruuCount_ > pos + 1) {
         const unsigned slot = ruuIndex(ruuCount_ - 1);
-        RuuEntry &entry = ruu_[slot];
-        if (entry.isLoad || entry.isStore)
+        const isa::DecodedInst &inst = ruu_[slot].inst;
+        if (inst.isLoad() || inst.isStore())
             --lsqUsed_;
-        entry.valid = false;
         setSlot(ready_, slot, false);
         setSlot(stores_, slot, false);
         ++squashedInsts_;
@@ -232,17 +228,17 @@ OooCore::squashAfter(unsigned pos)
     // parked list runs in parking order: unlink each squashed load, so
     // the store's issue cannot mark a refilled slot ready.
     std::erase_if(completions_, [this](const Completion &c) {
-        return !ruu_[c.slot].valid;
+        return !inRing(c.slot);
     });
     std::make_heap(completions_.begin(), completions_.end(),
                    CompletesLater{});
     for (unsigned p = 0; p <= pos; ++p) {
         const unsigned slot = ruuIndex(p);
         unsigned &head = firstWaiter_[slot];
-        while (head != kNoLink && !ruu_[head / 2].valid)
+        while (head != kNoLink && !inRing(head / 2))
             head = nextWaiter_[head];
         for (unsigned *link = &firstParked_[slot]; *link != kNoLink;) {
-            if (ruu_[*link].valid)
+            if (inRing(*link))
                 link = &nextParked_[*link];
             else
                 *link = nextParked_[*link];
@@ -300,12 +296,10 @@ OooCore::wakeConsumers(unsigned producer)
 bool
 OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
 {
-    unsigned bytes = isa::memAccessBytes(entry.inst.op);
-    Addr addr = entry.v1 + std::uint64_t(entry.inst.imm);
-    entry.memAddr = addr;
-    entry.memBytes = bytes;
+    const unsigned bytes = isa::memAccessBytes(entry.inst.op);
+    const Addr addr = entry.memAddr();
 
-    if (entry.isStore) {
+    if (entry.inst.isStore()) {
         entry.storeValue = entry.v2;
         entry.readyAt = cycle_ + 1;
         return true;
@@ -338,7 +332,7 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
     for (unsigned prior = prevStore(slot); prior != kNoLink;
          prior = prevStore(prior)) {
         RuuEntry &older = ruu_[prior];
-        if (!older.isStore)
+        if (!older.inst.isStore())
             acp_panic("%s: store set names slot %u, not a store",
                       name().c_str(), prior);
         if (!older.issued) {
@@ -349,7 +343,8 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
             firstParked_[prior] = slot;
             return false;
         }
-        if (auto done = forward(older.memAddr, older.memBytes,
+        if (auto done = forward(older.memAddr(),
+                                isa::memAccessBytes(older.inst.op),
                                 older.storeValue, older.tainted))
             return *done;
     }
@@ -380,27 +375,22 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned slot)
 void
 OooCore::stageComplete()
 {
-    due_.clear();
+    // Every due entry is due at exactly cycle_: each latency is at
+    // least a cycle, a tick drains the queue to its cycle, and an idle
+    // skip never passes the queue's head. So the heap pops them oldest
+    // first: the order of the predictor updates, and a mispredict
+    // squashes every younger entry, due or not.
     while (!completions_.empty() && completions_.front().readyAt <= cycle_) {
         std::pop_heap(completions_.begin(), completions_.end(),
                       CompletesLater{});
-        due_.push_back(completions_.back().slot);
+        const unsigned slot = completions_.back().slot;
         completions_.pop_back();
-    }
-    if (due_.empty())
-        return;
-    progress_ = true;
-    // Oldest first: the order of the predictor updates, and a
-    // mispredict squashes every younger entry, due or not.
-    std::sort(due_.begin(), due_.end(), [this](unsigned a, unsigned b) {
-        return ruu_[a].seq < ruu_[b].seq;
-    });
-    for (unsigned slot : due_) {
+        progress_ = true;
         RuuEntry &entry = ruu_[slot];
         entry.completed = true;
         wakeConsumers(slot);
 
-        if (!entry.isControl)
+        if (!entry.inst.isControl())
             continue;
 
         ++branches_;
@@ -418,7 +408,7 @@ OooCore::stageComplete()
             fetchPc_ = entry.actualNext;
             fetchStallUntil_ = cycle_ + kMispredictPenalty;
             fetchStallCause_ = obs::StallCause::kSquash;
-            break; // everything younger is gone
+            break; // the squash dropped every younger entry, due or not
         }
     }
 }
@@ -429,17 +419,17 @@ OooCore::stageCommit()
     for (unsigned done = 0; done < cfg_.commitWidth && ruuCount_ > 0;
          ++done) {
         RuuEntry &entry = entryAt(0);
-        if (!entry.issued || !entry.completed || entry.readyAt > cycle_)
+        if (!entry.completed)
             break;
+        const isa::DecodedInst &inst = entry.inst;
+        const unsigned rd = inst.destReg();
 
         if (gatesCommit(cfg_.policy)) {
             const AuthSeq gate = entry.gateTag;
             if (!verifiedOk(gate)) {
-                ++authCommitStalls_;
-                if (done == 0) {
-                    commitBlock_ = CommitBlock::kAuthGate;
+                commitBlock_ = CommitBlock::kAuthGate;
+                if (done == 0)
                     lastAuthBlockSeq_ = gate;
-                }
                 break;
             }
             if (gate != kNoAuthSeq && gate == lastAuthBlockSeq_) {
@@ -450,31 +440,29 @@ OooCore::stageCommit()
             }
         }
 
-        if (entry.isStore || entry.isOut) {
+        if (inst.isStore() || entry.isOut()) {
             if (storeBuffer_.full()) {
-                ++sbFullStalls_;
-                if (done == 0)
-                    commitBlock_ = CommitBlock::kSbFull;
+                commitBlock_ = CommitBlock::kSbFull;
                 break;
             }
             StoreBufEntry &sb = storeBuffer_.push_back();
             sb.tag = entry.issueTag;
             sb.tainted = entry.tainted;
-            if (entry.isOut) {
+            if (entry.isOut()) {
                 sb.isOut = true;
                 sb.value = entry.storeValue;
                 sb.outPort = entry.outPort;
             } else {
-                sb.addr = entry.memAddr;
-                sb.bytes = entry.memBytes;
+                sb.addr = entry.memAddr();
+                sb.bytes = isa::memAccessBytes(inst.op);
                 sb.value = entry.storeValue;
                 ++storesCommitted_;
             }
         }
 
-        if (entry.writesRd) {
-            regs_[entry.inst.destReg()] = entry.result;
-            regTainted_[entry.inst.destReg()] = entry.tainted;
+        if (rd != 0) {
+            regs_[rd] = entry.result;
+            regTainted_[rd] = entry.tainted;
         }
 
         if (shadow_) {
@@ -484,17 +472,16 @@ OooCore::stageCommit()
                           "(%s)",
                           (unsigned long long)entry.pc,
                           (unsigned long long)ref.pc,
-                          isa::disassemble(entry.inst, entry.pc).c_str());
-            if (entry.writesRd &&
-                (!ref.wroteRd || ref.rdValue != entry.result))
+                          isa::disassemble(inst, entry.pc).c_str());
+            if (rd != 0 && (!ref.wroteRd || ref.rdValue != entry.result))
                 acp_panic("cosim value mismatch @0x%llx %s: core %llx "
                           "shadow %llx",
                           (unsigned long long)entry.pc,
-                          isa::disassemble(entry.inst, entry.pc).c_str(),
+                          isa::disassemble(inst, entry.pc).c_str(),
                           (unsigned long long)entry.result,
                           (unsigned long long)ref.rdValue);
-            if (entry.isStore &&
-                (ref.memAddr != entry.memAddr ||
+            if (inst.isStore() &&
+                (ref.memAddr != entry.memAddr() ||
                  ref.storeValue != entry.storeValue))
                 acp_panic("cosim store mismatch @0x%llx",
                           (unsigned long long)entry.pc);
@@ -505,14 +492,13 @@ OooCore::stageCommit()
             std::fprintf(traceOut_, "%10llu  0x%08llx  %-28s",
                          (unsigned long long)cycle_,
                          (unsigned long long)entry.pc,
-                         isa::disassemble(entry.inst, entry.pc).c_str());
-            if (entry.writesRd)
-                std::fprintf(traceOut_, " x%u=0x%llx",
-                             entry.inst.destReg(),
+                         isa::disassemble(inst, entry.pc).c_str());
+            if (rd != 0)
+                std::fprintf(traceOut_, " x%u=0x%llx", rd,
                              (unsigned long long)entry.result);
-            if (entry.isStore)
+            if (inst.isStore())
                 std::fprintf(traceOut_, " [0x%llx]<=0x%llx",
-                             (unsigned long long)entry.memAddr,
+                             (unsigned long long)entry.memAddr(),
                              (unsigned long long)entry.storeValue);
             if (entry.tainted)
                 std::fprintf(traceOut_, " TAINTED");
@@ -528,13 +514,11 @@ OooCore::stageCommit()
         ++commitsThisCycle_;
         lastCommitCycle_ = cycle_;
 
-        if (entry.writesRd &&
-            renameMap_[entry.inst.destReg()] == int(ruuIndex(0)))
-            renameMap_[entry.inst.destReg()] = -1;
-        if (entry.isLoad || entry.isStore)
+        if (rd != 0 && renameMap_[rd] == int(ruuIndex(0)))
+            renameMap_[rd] = -1;
+        if (inst.isLoad() || inst.isStore())
             --lsqUsed_;
-        bool halt = entry.isHalt;
-        entry.valid = false;
+        const bool halt = inst.isHalt();
         setSlot(stores_, ruuIndex(0), false);
         if (++ruuHead_ >= cfg_.ruuSize)
             ruuHead_ = 0;
@@ -554,7 +538,6 @@ OooCore::stageStoreBufferDrain()
         return;
     StoreBufEntry &sb = storeBuffer_.front();
     if (gatesWrite(cfg_.policy) && !verifiedOk(sb.tag)) {
-        ++storeReleaseStalls_;
         drainBlocked_ = true;
         return;
     }
@@ -567,8 +550,7 @@ OooCore::stageStoreBufferDrain()
                                        mem::BusTxnKind::kIoOut, client_);
     } else {
         AuthSeq gate = gatesFetch(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
-        hier_.writeTimed(sb.addr, sb.bytes, sb.value, cycle_, gate,
-                         /*origin=*/0, client_);
+        hier_.writeTimed(sb.addr, sb.bytes, sb.value, cycle_, gate, client_);
     }
     storeBuffer_.pop_front();
 }
@@ -577,11 +559,7 @@ void
 OooCore::stageIssue()
 {
     unsigned slots = cfg_.issueWidth;
-    unsigned int_alu = kIntAluUnits;
-    unsigned int_mul = kIntMulUnits;
-    unsigned mem_ports = kMemPorts;
-    unsigned fp_add = kFpAddUnits;
-    unsigned fp_mul = kFpMulUnits;
+    std::array<unsigned, kNumFuClasses> units = kFuUnits;
 
     // Walk the ready set in age order: from ruuHead_ to the end of the
     // ring, then across the wrap up to ruuHead_. Entries a functional
@@ -594,44 +572,9 @@ OooCore::stageIssue()
              slot < end && slots > 0; slot = nextReady(slot + 1, end)) {
             RuuEntry &entry = ruu_[slot];
             const isa::OpInfo &oi = entry.inst.info();
-            switch (oi.fu) {
-              case isa::FuClass::kIntAlu:
-                if (int_alu == 0)
-                    continue;
-                --int_alu;
-                break;
-              case isa::FuClass::kIntMul:
-                if (int_mul == 0)
-                    continue;
-                --int_mul;
-                break;
-              case isa::FuClass::kIntDiv:
-                if (intDivFreeAt_ > cycle_)
-                    continue;
-                intDivFreeAt_ = cycle_ + oi.latency;
-                break;
-              case isa::FuClass::kFpAdd:
-                if (fp_add == 0)
-                    continue;
-                --fp_add;
-                break;
-              case isa::FuClass::kFpMul:
-                if (fp_mul == 0)
-                    continue;
-                --fp_mul;
-                break;
-              case isa::FuClass::kFpDiv:
-                if (fpDivFreeAt_ > cycle_)
-                    continue;
-                fpDivFreeAt_ = cycle_ + oi.latency;
-                break;
-              case isa::FuClass::kMemPort:
-                if (mem_ports == 0)
-                    continue;
-                break;
-              case isa::FuClass::kNone:
-                break;
-            }
+            const unsigned fu = unsigned(oi.fu);
+            if (units[fu] == 0 || unitFreeAt_[fu] > cycle_)
+                continue;
 
             // Sample the LastRequest register at issue: the tag consulted
             // by the write gate and the fetch gate (Section 4.2.2/4.2.4).
@@ -640,29 +583,32 @@ OooCore::stageIssue()
                 verifies(cfg_.policy) ? lastRequestTag() : kNoAuthSeq;
 
             if (oi.fu == isa::FuClass::kMemPort) {
+                // A refused memory op spends no port.
                 if (!tryIssueMemOp(entry, slot))
                     continue;
-                --mem_ports;
             } else {
                 isa::ExecResult res =
                     isa::execute(entry.inst, entry.v1, entry.v2, entry.pc);
                 entry.result = res.value;
                 entry.readyAt = cycle_ + oi.latency;
-                if (entry.isControl) {
+                if (oi.isBranch || oi.isJump) {
                     entry.taken = res.taken;
                     entry.actualNext = res.taken
                                            ? res.target
                                            : entry.pc + isa::kInstrBytes;
                 }
-                if (entry.isOut) {
+                if (entry.isOut()) {
                     entry.storeValue = res.storeValue;
                     entry.outPort = res.outPort;
                 }
             }
+            --units[fu];
+            if (!oi.pipelined)
+                unitFreeAt_[fu] = cycle_ + oi.latency;
 
             entry.issued = true;
             setSlot(ready_, slot, false);
-            if (entry.isStore) {
+            if (oi.isStore) {
                 // Its parked loads are younger: the walk reaches them
                 // later in this pass or in the wrap pass, so each can
                 // still issue this tick.
@@ -671,7 +617,7 @@ OooCore::stageIssue()
                     setSlot(ready_, load, true);
                 firstParked_[slot] = kNoLink;
             }
-            completions_.push_back({entry.readyAt, slot});
+            completions_.push_back({entry.readyAt, entry.seq, slot});
             std::push_heap(completions_.begin(), completions_.end(),
                            CompletesLater{});
             progress_ = true;
@@ -689,7 +635,6 @@ OooCore::stageDispatch()
     for (unsigned done = 0; done < cfg_.decodeWidth && !fetchQueue_.empty();
          ++done) {
         if (ruuCount_ >= cfg_.ruuSize) {
-            ++ruuFullStalls_;
             dispatchBlock_ = DispatchBlock::kRuuFull;
             break;
         }
@@ -697,7 +642,6 @@ OooCore::stageDispatch()
         const isa::OpInfo &oi = fetched_inst.inst.info();
         bool is_mem = oi.isLoad || oi.isStore;
         if (is_mem && lsqUsed_ >= cfg_.ruuSize / 2) {
-            ++lsqFullStalls_;
             dispatchBlock_ = DispatchBlock::kLsqFull;
             break;
         }
@@ -711,28 +655,21 @@ OooCore::stageDispatch()
         entry.inst = fetched_inst.inst;
         entry.predTarget = fetched_inst.predTarget;
         entry.gateTag = fetched_inst.fetchSeq;
-        entry.valid = true;
         entry.issued = false;
         entry.completed = false;
-        entry.writesRd = entry.inst.destReg() != 0;
-        entry.isLoad = oi.isLoad;
-        entry.isStore = oi.isStore;
-        entry.isControl = oi.isBranch || oi.isJump;
         entry.predTaken = fetched_inst.predTaken;
-        entry.isOut = entry.inst.op == isa::Op::kOut;
-        entry.isHalt = entry.inst.op == isa::Op::kHalt;
         entry.tainted = fetched_inst.tainted;
 
         firstWaiter_[slot] = kNoLink;
         firstParked_[slot] = kNoLink;
-        if (entry.isStore)
+        if (oi.isStore)
             setSlot(stores_, slot, true);
         readOperand(entry, slot, 0, entry.inst.srcReg1());
         readOperand(entry, slot, 1, entry.inst.srcReg2());
         if (entry.v1Ready && entry.v2Ready)
             setSlot(ready_, slot, true);
-        if (entry.writesRd)
-            renameMap_[entry.inst.destReg()] = int(slot);
+        if (const unsigned rd = entry.inst.destReg())
+            renameMap_[rd] = int(slot);
 
         ++ruuCount_;
         progress_ = true;
@@ -854,7 +791,7 @@ OooCore::classifyStall()
     RuuEntry &head = entryAt(0);
     if (!head.issued)
         return obs::StallCause::kIssueWait;
-    if (head.isLoad && head.readyAt > cycle_) {
+    if (head.inst.isLoad() && head.readyAt > cycle_) {
         // In-flight load at the head: charge verification only once
         // the data itself has arrived (authen-then-issue holds
         // usability until the verdict).
@@ -936,24 +873,25 @@ OooCore::tick()
     stageIssue();
     stageDispatch();
     stageFetch();
+    chargeStops(1);
     ++cycle_;
 
     if (cycle_ - lastCommitCycle_ > kProgressPanicCycles) {
         const RuuEntry *head = ruuCount_ ? &entryAt(0) : nullptr;
         acp_panic("%s: no commit progress for 1M cycles "
                   "(pc 0x%llx cycle %llu ruu %u commit-block %u "
-                  "dispatch-block %u head{valid %d seq %llu pc 0x%llx "
+                  "dispatch-block %u head{seq %llu pc 0x%llx "
                   "issued %d done %d readyAt %llu load %d store %d "
                   "v1 %d v2 %d})",
                   name().c_str(), (unsigned long long)fetchPc_,
                   (unsigned long long)cycle_, ruuCount_,
                   unsigned(commitBlock_), unsigned(dispatchBlock_),
-                  head ? head->valid : 0,
                   head ? (unsigned long long)head->seq : 0ull,
                   head ? (unsigned long long)head->pc : 0ull,
                   head ? head->issued : 0, head ? head->completed : 0,
                   head ? (unsigned long long)head->readyAt : 0ull,
-                  head ? head->isLoad : 0, head ? head->isStore : 0,
+                  head ? head->inst.isLoad() : 0,
+                  head ? head->inst.isStore() : 0,
                   head ? head->v1Ready : 0, head ? head->v2Ready : 0);
     }
     return true;
@@ -1004,14 +942,14 @@ OooCore::nextWakeCycle() const
     if (ruuCount_ > 0) {
         const unsigned slot = ruuIndex(0);
         const RuuEntry &head = ruu_[slot];
-        if (head.issued && head.completed && gatesCommit(cfg_.policy)) {
+        if (head.completed && gatesCommit(cfg_.policy)) {
             // Commit gate: the verdict lands at the engine's done
             // cycle (a failed tag never opens the gate, but then the
             // engine-failure wake below ends the run).
             if (head.gateTag != kNoAuthSeq)
                 consider(eng_.doneCycle(head.gateTag));
         }
-        if (head.issued && !head.completed && head.isLoad) {
+        if (head.issued && !head.completed && head.inst.isLoad()) {
             // Stall-attribution boundaries of an in-flight head load
             // (classifyStall branches on these compares).
             const LoadTiming &load = loadTiming_[slot];
@@ -1034,9 +972,9 @@ OooCore::nextWakeCycle() const
     consider(fetchStallUntil_);
     consider(fetchDataReadyAt_);
 
-    // Unpipelined dividers (free-at == cycle_ means issuable now).
-    consider(intDivFreeAt_);
-    consider(fpDivFreeAt_);
+    // Unpipelined units (free-at == cycle_ means issuable now).
+    for (Cycle free_at : unitFreeAt_)
+        consider(free_at);
 
     // A posted verification failure raises the security exception the
     // moment its verdict is due (only this core's own failures).
@@ -1050,28 +988,35 @@ OooCore::nextWakeCycle() const
 }
 
 void
+OooCore::chargeStops(std::uint64_t m)
+{
+    if (commitBlock_ == CommitBlock::kAuthGate)
+        authCommitStalls_ += m;
+    else if (commitBlock_ == CommitBlock::kSbFull)
+        sbFullStalls_ += m;
+    if (drainBlocked_)
+        storeReleaseStalls_ += m;
+    if (dispatchBlock_ == DispatchBlock::kRuuFull)
+        ruuFullStalls_ += m;
+    else if (dispatchBlock_ == DispatchBlock::kLsqFull)
+        lsqFullStalls_ += m;
+}
+
+void
 OooCore::accountIdleCycles(std::uint64_t n)
 {
     // Charges the n skipped cycles [cycle_, cycle_ + n) exactly as
     // ticking them idle would. Machine state is frozen across
     // the window (no completion, no commit, no drain, no issue, no
     // dispatch, no hierarchy access), so each cycle charges the same
-    // latched causes and a stretch of m cycles is charged in O(1).
+    // latched cause and stops, and a stretch of m cycles is charged in
+    // O(1).
     auto charge = [this](std::uint64_t m) {
-        if (commitBlock_ == CommitBlock::kAuthGate)
-            authCommitStalls_ += m;
-        else if (commitBlock_ == CommitBlock::kSbFull)
-            sbFullStalls_ += m;
         statCycles_ += m;
         stallCounters_[unsigned(idleCause_)] += m;
         ruuOccupancy_.sample(ruuCount_, m);
         sbOccupancy_.sample(storeBuffer_.size(), m);
-        if (drainBlocked_)
-            storeReleaseStalls_ += m;
-        if (dispatchBlock_ == DispatchBlock::kRuuFull)
-            ruuFullStalls_ += m;
-        else if (dispatchBlock_ == DispatchBlock::kLsqFull)
-            lsqFullStalls_ += m;
+        chargeStops(m);
     };
 
     // Split the charge at each interval boundary inside the window, so

@@ -45,13 +45,32 @@
 namespace acp::cpu
 {
 
-/** Functional units per class (paper Table 3); the integer divider
- *  and the FP divider are one unpipelined unit each. */
+/** Functional units per class (paper Table 3). The integer divider
+ *  and the FP divider are one unit each, unpipelined (OpInfo). */
 constexpr unsigned kIntAluUnits = 8;
 constexpr unsigned kIntMulUnits = 2;
 constexpr unsigned kMemPorts = 4;
 constexpr unsigned kFpAddUnits = 4;
 constexpr unsigned kFpMulUnits = 2;
+/** isa::FuClass values, kNone included. */
+constexpr unsigned kNumFuClasses = unsigned(isa::FuClass::kNone) + 1;
+/** Units each isa::FuClass offers per cycle. An unpipelined class
+ *  (OpInfo::pipelined false) is one unit, held until its op's latency
+ *  ends; kNone (nop, halt) needs only an issue slot. */
+constexpr std::array<unsigned, kNumFuClasses> kFuUnits = {
+    kIntAluUnits, // kIntAlu
+    kIntMulUnits, // kIntMul
+    1,            // kIntDiv
+    kMemPorts,    // kMemPort
+    kFpAddUnits,  // kFpAdd
+    kFpMulUnits,  // kFpMul
+    1,            // kFpDiv
+    ~0u,          // kNone
+};
+static_assert(kFuUnits[unsigned(isa::FuClass::kIntDiv)] == 1 &&
+                  kFuUnits[unsigned(isa::FuClass::kMemPort)] == kMemPorts &&
+                  kFuUnits[unsigned(isa::FuClass::kFpDiv)] == 1,
+              "kFuUnits lists the classes in isa::FuClass order");
 /** Cycles from mispredict detection to fetch restart. */
 constexpr unsigned kMispredictPenalty = 3;
 
@@ -176,11 +195,14 @@ class OooCore
   private:
     // ----- pipeline structures -------------------------------------------
     /**
-     * One RUU slot. Dispatch writes, in place, every field a stage
-     * can read before the instruction issues; issue writes the rest
-     * (result, readyAt, the memory and control outcomes, issueTag).
-     * The 8-byte fields come first and the one-byte fields last, so
-     * nothing pads.
+     * One RUU slot: only what dispatch, issue and completion computed.
+     * What the instruction is (its op flags, access size and
+     * destination) the decoded inst and the opcode table say; whether
+     * the slot is live the ring's head and count say. Dispatch writes,
+     * in place, every field a stage can read before the instruction
+     * issues; issue writes the rest (result, readyAt, the memory and
+     * control outcomes, issueTag). The 8-byte fields come first and
+     * the one-byte fields last, so nothing pads.
      */
     struct RuuEntry
     {
@@ -189,14 +211,13 @@ class OooCore
         isa::DecodedInst inst;
 
         // Operands: read at dispatch, or written by the producer's
-        // completion (wakeConsumers).
+        // completion (wakeConsumers). Neither changes once issued.
         std::uint64_t v1 = 0, v2 = 0;
 
         Cycle readyAt = 0;
         std::uint64_t result = 0;
 
-        // Memory (and the OUT value: storeValue, outPort)
-        Addr memAddr = 0;
+        // A store's value, or an OUT's value and port
         std::uint64_t storeValue = 0;
         std::uint64_t outPort = 0;
 
@@ -211,23 +232,22 @@ class OooCore
         AuthSeq gateTag = kNoAuthSeq;
         AuthSeq issueTag = kNoAuthSeq; // LastRequest at issue
 
-        std::uint8_t memBytes = 0;
-        bool valid = false;
         bool v1Ready = false, v2Ready = false;
         bool issued = false;
+        /** Set when the completion queue pops the entry at its
+         *  readyAt: so it implies issued and readyAt <= cycle_. */
         bool completed = false;
-        bool writesRd = false;
-        bool isLoad = false, isStore = false;
-        bool isControl = false;
         bool predTaken = false;
         bool taken = false;
-        bool isOut = false;
-        bool isHalt = false;
         /** Precise dataflow taint: this instruction's value derives
          *  from a line whose verification (functionally) failed. */
         bool tainted = false;
+
+        /** A memory op's effective address: base operand plus offset. */
+        Addr memAddr() const { return v1 + std::uint64_t(inst.imm); }
+        bool isOut() const { return inst.op == isa::Op::kOut; }
     };
-    static_assert(sizeof(RuuEntry) <= 136,
+    static_assert(sizeof(RuuEntry) <= 120,
                   "an RUU entry is written per dispatched instruction");
 
     /** A load's timing, for stall attribution only (classifyStall and
@@ -275,16 +295,19 @@ class OooCore
     struct Completion
     {
         Cycle readyAt = 0;
+        std::uint64_t seq = 0;
         unsigned slot = 0;
     };
-    /** Heap order: the earliest readyAt on top. A type, not a function
-     *  pointer, so the heap algorithms inline the compare. */
+    /** Heap order: the earliest readyAt on top, the oldest first among
+     *  equals. A type, not a function pointer, so the heap algorithms
+     *  inline the compare. */
     struct CompletesLater
     {
         bool
         operator()(const Completion &a, const Completion &b) const
         {
-            return a.readyAt > b.readyAt;
+            return a.readyAt != b.readyAt ? a.readyAt > b.readyAt
+                                          : a.seq > b.seq;
         }
     };
 
@@ -298,11 +321,11 @@ class OooCore
     /**
      * First cycle >= cycle_ at which any stage predicate can change
      * while the machine is idle: the earliest pending completion (the
-     * completion queue's head), gate verdicts, frontend restart,
-     * divider availability, engine failures, and the no-progress panic
-     * bound. Waking at an extra cycle only replays an idle tick, but
-     * it is one more wake; missing a cycle would skip a tick on which
-     * a stage could act.
+     * completion queue's head), gate verdicts, frontend restart, an
+     * unpipelined unit freeing up, engine failures, and the
+     * no-progress panic bound. Waking at an extra cycle only replays
+     * an idle tick, but it is one more wake; missing a cycle would
+     * skip a tick on which a stage could act.
      */
     Cycle nextWakeCycle() const;
 
@@ -326,6 +349,8 @@ class OooCore
     // ----- helpers ----------------------------------------------------------
     unsigned ruuIndex(unsigned pos) const; // age position -> slot
     unsigned agePos(unsigned slot) const;  // slot -> age position
+    /** Whether @p slot holds a live entry (lies inside the ring). */
+    bool inRing(unsigned slot) const { return agePos(slot) < ruuCount_; }
     RuuEntry &entryAt(unsigned pos);
     void squashAfter(unsigned pos);
     void rebuildRenameMap();
@@ -378,7 +403,7 @@ class OooCore
     }
 
     // ----- stall attribution (observability) ------------------------------
-    /** Why the commit stage made no progress this cycle. */
+    /** Why the commit stage stopped this cycle. */
     enum class CommitBlock : std::uint8_t { kNone, kAuthGate, kSbFull };
     /**
      * Charge the current cycle: commit-active, or exactly one stall
@@ -388,6 +413,11 @@ class OooCore
     void accountCycle();
     /** Pick the single cause of a zero-commit cycle. */
     obs::StallCause classifyStall();
+    /** Count @p m cycles of every stage stop latched this tick (the
+     *  commit, drain and dispatch blocks): with 1 after the tick's last
+     *  stage, and for each stretch of an idle window, which repeats
+     *  the tick's stops. The one place the five stop counters grow. */
+    void chargeStops(std::uint64_t m);
 
     const sim::SimConfig &cfg_;
     secmem::MemHierarchy &hier_;
@@ -419,13 +449,12 @@ class OooCore
 
     // Event-driven issue and completion. Sized from ruuSize at
     // construction; nothing here allocates afterwards.
-    /** Min-heap on readyAt of every issued, not yet completed entry;
-     *  a squash removes its entries, so the head is never stale. */
+    /** Min-heap on (readyAt, seq) of every issued, not yet completed
+     *  entry; a squash removes its entries, so the head is never
+     *  stale. */
     std::vector<Completion> completions_;
-    /** The slots stageComplete completes this tick, oldest first. */
-    std::vector<unsigned> due_;
-    /** Ready set, one bit per slot: valid, not issued, operands read,
-     *  not parked. Walked in age order from ruuHead_. */
+    /** Ready set, one bit per slot: in the ring, not issued, operands
+     *  read, not parked. Walked in age order from ruuHead_. */
     std::vector<std::uint64_t> ready_;
     /** One bit per slot holding a store, set at dispatch and cleared
      *  at commit and squash: disambiguation walks only these. */
@@ -452,9 +481,9 @@ class OooCore
     /** Committed stores awaiting release: storeBufferSize. */
     Ring<StoreBufEntry> storeBuffer_;
 
-    // FU availability (per cycle) + unpipelined units
-    Cycle intDivFreeAt_ = 0;
-    Cycle fpDivFreeAt_ = 0;
+    /** Per FU class: the cycle its unpipelined unit frees up (0 for a
+     *  pipelined class, whose units are budgeted per cycle). */
+    std::array<Cycle, kNumFuClasses> unitFreeAt_{};
 
     Cycle cycle_ = 0;
     StopReason stopReason_ = StopReason::kRunning;
@@ -475,7 +504,7 @@ class OooCore
     bool progress_ = false;
     /** Store-release drain blocked on its gate tag this tick. */
     bool drainBlocked_ = false;
-    /** Which structure blocked dispatch this tick (for idle replay). */
+    /** Which structure blocked dispatch this tick. */
     enum class DispatchBlock : std::uint8_t { kNone, kRuuFull, kLsqFull };
     DispatchBlock dispatchBlock_ = DispatchBlock::kNone;
     /** Stall cause accountCycle charged to this zero-commit tick. */
@@ -493,6 +522,8 @@ class OooCore
     std::vector<obs::PipelineEvent> pipelineTrace_;
     obs::IntervalSampler intervals_;
     unsigned commitsThisCycle_ = 0;
+    /** Why the commit stage stopped this tick (kNone: it did not).
+     *  classifyStall reads it on a tick that committed nothing. */
     CommitBlock commitBlock_ = CommitBlock::kNone;
     /** Gate tag the commit stage last stalled on (for the trace's
      *  gate-release event). */

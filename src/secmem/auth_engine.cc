@@ -66,16 +66,18 @@ AuthEngine::post(Cycle ready_at, Cycle extra_latency, bool mac_ok,
     // with the sequence number: a request starts no earlier than the
     // engine frees up after the one before it, so done[i + 1] >=
     // done[i] + occupancy + extra[i + 1] (the in-order property the
-    // tag argument in auth_engine.hh relies on). Scanning back stops
-    // at the first finished request: every earlier one is finished.
-    std::uint64_t depth = 0;
-    for (std::size_t i = doneCycles_.size(); i-- > 0;) {
-        if (doneCycles_[i] > ready_at)
-            ++depth;
+    // tag argument in auth_engine.hh relies on). So the unfinished
+    // requests are the history's tail from the first one done after
+    // ready_at, which a binary search finds.
+    std::size_t lo = 0, hi = doneCycles_.size();
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (doneCycles_[mid] > ready_at)
+            hi = mid;
         else
-            break;
+            lo = mid + 1;
     }
-    queueDepth_.sample(depth);
+    queueDepth_.sample(doneCycles_.size() - lo);
 
     ClientState &cs = clients_[client];
     ++cs.requests;

@@ -100,7 +100,7 @@ MemHierarchy::handleL2Eviction(CoreCaches &c, cache::Eviction &evicted,
 
     if (evicted.dirty)
         ctrl_.writebackLine(evicted.addr, evicted.data.data(), cycle, warm,
-                            /*origin=*/0, c.client);
+                            c.client);
 }
 
 void
@@ -265,10 +265,9 @@ MemHierarchy::readTimed(Addr addr, unsigned bytes, Cycle cycle,
 
 Access
 MemHierarchy::writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
-                         Cycle cycle, AuthSeq gate_tag,
-                         std::uint64_t origin, unsigned client)
+                         Cycle cycle, AuthSeq gate_tag, unsigned client)
 {
-    Access acc{gate_tag, origin};
+    Access acc{gate_tag};
     walkData(client, addr, bytes, true, value, cycle, &acc);
     return acc;
 }

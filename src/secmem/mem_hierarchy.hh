@@ -134,8 +134,7 @@ class MemHierarchy
                      std::uint64_t origin = 0, unsigned client = 0);
     /** Data write (store release). */
     Access writeTimed(Addr addr, unsigned bytes, std::uint64_t value,
-                      Cycle cycle, AuthSeq gate_tag,
-                      std::uint64_t origin = 0, unsigned client = 0);
+                      Cycle cycle, AuthSeq gate_tag, unsigned client = 0);
     /**
      * Instruction fetch of one word: the first word of a fetch group.
      * @p line receives the bytes of the L1I line the word came from, or

@@ -277,8 +277,7 @@ SecureMemCtrl::fetchLine(Addr line_addr, Cycle req_cycle, AuthSeq gate_tag,
 
 mem::Txn
 SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
-                             Cycle cycle, bool warm, std::uint64_t origin,
-                             unsigned client)
+                             Cycle cycle, bool warm, unsigned client)
 {
     ++writebacks_;
     mem::Txn txn;
@@ -286,7 +285,6 @@ SecureMemCtrl::writebackLine(Addr line_addr, const std::uint8_t *data,
     txn.addr = line_addr;
     txn.kind = mem::BusTxnKind::kWriteback;
     txn.reqCycle = cycle;
-    txn.origin = origin;
     txn.client = client;
 
     // Functional: store the new line version (counter bump).

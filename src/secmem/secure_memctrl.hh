@@ -104,7 +104,7 @@ class SecureMemCtrl
     /** Write back one dirty line; txn.ready is the DRAM completion. */
     mem::Txn writebackLine(Addr line_addr, const std::uint8_t *data,
                            Cycle cycle, bool warm = false,
-                           std::uint64_t origin = 0, unsigned client = 0);
+                           unsigned client = 0);
 
     ExternalMemory &externalMemory() { return ext_; }
     AuthEngine &authEngine() { return engine_; }

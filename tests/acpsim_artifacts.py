@@ -42,7 +42,9 @@ registered with ctest.
 
   acpsim_artifacts.py trace-commits ACPSIM
       --trace-commits N prints exactly N commit lines (cycle, pc,
-      disassembly) before the run summary.
+      disassembly) before the run summary, and an applu point's 400
+      lines (cycles, results, store addresses and values) equal
+      tests/expected/trace_commits_applu.txt byte for byte.
 
   acpsim_artifacts.py paper-machine ACPSIM RECORDING
       acpsim runs the machine the bench harness records: an obf point
@@ -71,6 +73,13 @@ from collections import Counter
 # The window of the end-to-end runs: long enough that mcf stalls on the
 # bus, which tools/check_profile.py requires.
 WINDOW = ["--insts", "20000", "--warmup", "10000"]
+
+# The point whose commit trace tests/expected/trace_commits_applu.txt
+# holds: 400 commits, 36 of them stores and 327 register writes.
+TRACE_POINT = ["applu", "--policy", "write", "--warmup", "2000", "--insts",
+               "3000", "--ws", "256K", "--trace-commits", "400"]
+EXPECTED_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "expected", "trace_commits_applu.txt")
 
 # The bench binaries' smoke window: each runs in well under a second.
 BENCH_ENV = {"REPRO_MEASURE_INSTS": "2000", "REPRO_WARMUP_INSTS": "2000",
@@ -335,7 +344,18 @@ def check_trace_commits(acpsim):
     assert head == count, lines[:head + 1]
     for line in lines[:head]:
         assert commit.match(line), line
-    print("trace-commits OK: %d commit lines, then the summary" % head)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out, _ = run([acpsim, *TRACE_POINT], tmp)
+    with open(EXPECTED_TRACE) as handle:
+        want = handle.read().splitlines()
+    got = out.splitlines()[:len(want)]
+    for number, (g, w) in enumerate(zip(got, want), 1):
+        assert g == w, "%s line %d: got %r, want %r" % (EXPECTED_TRACE,
+                                                       number, g, w)
+    assert len(got) == len(want), (len(got), len(want))
+    print("trace-commits OK: %d commit lines, then the summary; %d "
+          "applu lines as recorded" % (head, len(want)))
 
 
 def check_paper_machine(acpsim, recording):

@@ -13,6 +13,8 @@
  *    non-commit cycles exactly.
  *  - Grant order is deterministic: repeated 2-core runs produce
  *    byte-identical statistics.
+ *  - Every core of a workload mix commits what its functional
+ *    reference computes, under every policy.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +22,11 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/parse.hh"
+#include "printers.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -157,3 +163,53 @@ TEST(Multicore, TwoCoreRunsAreDeterministic)
     EXPECT_EQ(res_a.cycles, res_b.cycles);
     EXPECT_EQ(res_a.insts, res_b.insts);
 }
+
+/** A workload mix (one kernel per core, '+'-joined) under one policy:
+ *  a short co-simulated window at 512 KiB on the paper machine. Every
+ *  core checks each commit against its own reference machine while
+ *  the cores share the bus, the controller and the auth engine. */
+class EveryMixAndPolicy
+    : public ::testing::TestWithParam<std::tuple<std::string, AuthPolicy>>
+{};
+
+TEST_P(EveryMixAndPolicy, RunsCosimulated)
+{
+    const auto &[mix, policy] = GetParam();
+    const std::vector<std::string> names = splitOn(mix, '+');
+    workloads::WorkloadParams params;
+    params.workingSetBytes = 512 << 10;
+    std::vector<isa::Program> progs;
+    for (const std::string &name : names)
+        progs.push_back(workloads::build(name, params));
+    sim::SimConfig cfg = sim::paperConfig();
+    cfg.policy = policy;
+    cfg.numCores = unsigned(names.size());
+    sim::System system(cfg, progs);
+    system.fastForward(5000);
+    system.enableCosim();
+    sim::RunResult res = system.measureTimed(10000, 10'000'000);
+    for (unsigned i = 0; i < system.numCores(); ++i)
+        EXPECT_EQ(system.core(i).runReason(), cpu::StopReason::kInstLimit)
+            << "core " << i << " (" << names[i] << ")";
+    EXPECT_GE(res.insts, 10000u * names.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, EveryMixAndPolicy,
+    ::testing::Combine(
+        ::testing::Values(std::string("mcf+swim"),
+                          std::string("gcc+mgrid+twolf+art")),
+        ::testing::Values(AuthPolicy::kBaseline, AuthPolicy::kAuthThenIssue,
+                          AuthPolicy::kAuthThenWrite,
+                          AuthPolicy::kAuthThenCommit,
+                          AuthPolicy::kAuthThenFetch,
+                          AuthPolicy::kCommitPlusFetch,
+                          AuthPolicy::kCommitPlusObfuscation)),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param) + "_" +
+                           core::policyName(std::get<1>(info.param));
+        for (char &ch : name)
+            if (ch == '-' || ch == '+')
+                ch = '_';
+        return name;
+    });

@@ -1134,6 +1134,59 @@ TEST(AuthEngine, DoneCycleAndVerdictMatchReferenceAcrossPrune)
     EXPECT_GT(failures_kept, 10000u);
 }
 
+TEST(AuthEngine, BacklogDepthMatchesAScanAcrossPrune)
+{
+    // auth.queue_depth samples, at each post, how many of the engine's
+    // last kWindow requests are still unfinished when the new one's
+    // data arrives. Check the whole distribution against a scan back
+    // over the test's own list of done cycles, while bursts of posts
+    // faster than the engine's occupancy build a backlog of over a
+    // thousand requests, and the history wraps past its window.
+    constexpr std::size_t kWindow = 1 << 16;
+    constexpr unsigned kPosts = kWindow + 40'000;
+    constexpr unsigned kLatency = 148, kOccupancy = 3;
+    AuthEngine eng(kLatency, kOccupancy);
+    std::vector<Cycle> done;
+    StatDistribution want;
+    Rng rng(0xbac1);
+    Cycle now = 0, free_at = 0;
+    for (unsigned i = 0; i < kPosts; ++i) {
+        // 2,000 posts about a cycle apart, then 2,000 about 5.5 apart:
+        // the engine, one request every 3 cycles, falls behind and
+        // catches up.
+        now += (i / 2000) % 2 == 0 ? rng.below(3) : 4 + rng.below(4);
+        const Cycle ready = now + rng.below(64);
+        const std::size_t kept = std::min(done.size(), kWindow);
+        std::uint64_t depth = 0;
+        while (depth < kept && done[done.size() - 1 - depth] > ready)
+            ++depth;
+        want.sample(depth);
+        const Cycle start = std::max(ready, free_at);
+        free_at = start + kOccupancy;
+        done.push_back(start + kLatency);
+        eng.post(ready, 0, true);
+    }
+
+    struct QueueDepth final : StatVisitor
+    {
+        StatDistribution dist;
+        void
+        onDistribution(const std::string &name,
+                       const StatDistribution &d) override
+        {
+            if (name == "auth.queue_depth")
+                dist = d;
+        }
+    } got;
+    eng.stats().visit(got);
+    EXPECT_EQ(got.dist.count(), want.count());
+    EXPECT_EQ(got.dist.sum(), want.sum());
+    EXPECT_EQ(got.dist.min(), want.min());
+    EXPECT_EQ(got.dist.max(), want.max());
+    EXPECT_EQ(got.dist.buckets(), want.buckets());
+    EXPECT_GT(want.max(), 1000u);
+}
+
 TEST(AuthEngine, ThroughputBoundedByInterval)
 {
     AuthEngine eng(148, 40);
